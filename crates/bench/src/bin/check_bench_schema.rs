@@ -55,16 +55,23 @@ fn expect_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
         .ok_or_else(|| format!("\"{key}\" must be an array"))
 }
 
-/// Provenance fields every bench artifact carries. The `"unknown"`
-/// sentinel is rejected: the writer falls back to `git rev-parse HEAD`
-/// when `EMTRUST_GIT_REV` is unset, so a committed artifact without a
-/// real revision means the environment was broken when it was generated.
+/// Provenance fields every bench artifact carries. `git_rev` must be a
+/// commit hash: 7–40 lowercase hex characters. The writer falls back to
+/// `git rev-parse HEAD` when `EMTRUST_GIT_REV` is unset, so a committed
+/// artifact carrying a placeholder such as `"unknown"` or `"dev"` means
+/// it was generated outside a real checkout.
 fn check_provenance(doc: &Value) -> Result<(), String> {
     expect_str(doc, "benchmark")?;
     expect_u64(doc, "timestamp_unix")?;
     let rev = expect_str(doc, "git_rev")?;
-    if rev == "unknown" || rev.is_empty() {
-        return Err("\"git_rev\" must carry a real revision, not \"unknown\"".into());
+    let is_hash = (7..=40).contains(&rev.len())
+        && rev
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+    if !is_hash {
+        return Err(format!(
+            "\"git_rev\" {rev:?} must be a commit hash (7-40 lowercase hex characters)"
+        ));
     }
     Ok(())
 }
@@ -118,26 +125,36 @@ fn check_telemetry(doc: &Value) -> Result<(), String> {
         .map_err(|e| format!("stages[{i}]: {e}"))?;
     }
     let alarms = expect(doc, "alarms", "object")?;
-    expect_u64(alarms, "total")?;
     expect_u64(alarms, "time_domain")?;
     expect_u64(alarms, "spectral")?;
-    expect_u64(alarms, "first_correlation_id")?;
-    if expect_u64(alarms, "total")? == 0 {
+    let first_id = expect_u64(alarms, "first_correlation_id")?;
+    let total = expect_u64(alarms, "total")?;
+    if total == 0 {
         return Err("\"alarms.total\" must be > 0 — the Trojan sweep must alarm".into());
     }
+    // One fused-alarm decision record per alarm.
     let forensics = expect_array(doc, "forensics")?;
     for (i, record) in forensics.iter().enumerate() {
         (|| {
             expect_u64(record, "correlation_id")?;
-            expect_str(record, "kind")?;
-            expect_array(record, "recent_distances")?;
-            expect_array(record, "recent_spots")?;
+            if !expect_bool(record, "fused_alarm")? {
+                return Err("\"fused_alarm\" must be true".into());
+            }
+            if expect_array(record, "detectors")?.is_empty() {
+                return Err("\"detectors\" must not be empty".into());
+            }
             Ok::<(), String>(())
         })()
         .map_err(|e| format!("forensics[{i}]: {e}"))?;
     }
-    if forensics.len() != expect_u64(alarms, "total")? as usize {
-        return Err("one forensic bundle per alarm required".into());
+    if forensics.len() as u64 != total {
+        return Err("one fused-alarm decision record per alarm required".into());
+    }
+    let record_id = expect_u64(&forensics[0], "correlation_id")?;
+    if record_id != first_id {
+        return Err(format!(
+            "\"alarms.first_correlation_id\" {first_id} must equal the first record's id {record_id}"
+        ));
     }
     Ok(())
 }
@@ -349,25 +366,6 @@ fn check_fleet(doc: &Value) -> Result<(), String> {
     if !expect_bool(probe, "bit_identical")? {
         return Err("\"leakage_probe.bit_identical\" must be true".into());
     }
-    Ok(())
-}
-
-fn check_pipeline(doc: &Value) -> Result<(), String> {
-    check_provenance(doc)?;
-    expect_u64(doc, "n_traces")?;
-    expect_u64(doc, "repeats")?;
-    expect_number(doc, "monitor_seconds")?;
-    expect_number(doc, "pipeline_seconds")?;
-    let overhead = expect_number(doc, "overhead_pct")?;
-    if overhead > 2.0 {
-        return Err(format!(
-            "\"overhead_pct\" {overhead} exceeds the 2% pipeline budget"
-        ));
-    }
-    if !expect_bool(doc, "alarms_equal")? {
-        return Err("\"alarms_equal\" must be true — the pipeline changed alarms".into());
-    }
-    expect_u64(doc, "alarm_count")?;
     Ok(())
 }
 
@@ -642,7 +640,6 @@ fn check_file(path: &str) -> Result<(), String> {
         "golden_collect_fit" => check_parallel(&doc),
         "fault_injection_sweep" => check_faults(&doc),
         "fleet_ingestion" => check_fleet(&doc),
-        "pipeline_overhead" => check_pipeline(&doc),
         "localization" => check_localization(&doc),
         "reference_free" => check_reference_free(&doc),
         "forensics" => check_forensics(&doc),
@@ -679,4 +676,32 @@ fn main() {
         std::process::exit(2);
     }
     std::process::exit(if failed { 1 } else { 0 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn provenance(rev: &str) -> Result<(), String> {
+        let doc =
+            format!("{{\"benchmark\": \"x\", \"timestamp_unix\": 1, \"git_rev\": \"{rev}\"}}");
+        check_provenance(&Value::parse(&doc).expect("valid JSON"))
+    }
+
+    #[test]
+    fn placeholder_revisions_are_rejected() {
+        for rev in ["dev", "unknown", ""] {
+            assert!(provenance(rev).is_err(), "{rev:?} must be rejected");
+        }
+        // Too short, too long, or not lowercase hex.
+        for rev in ["86169e", &"a".repeat(41), "86169E1", "86169g1"] {
+            assert!(provenance(rev).is_err(), "{rev:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn commit_hashes_are_accepted() {
+        assert!(provenance("86169e1").is_ok());
+        assert!(provenance("0d45ae531ae9479eedf75cb5121b8f5a6042bde7").is_ok());
+    }
 }

@@ -11,15 +11,15 @@
 
 //! Register-level Trojan attribution under leave-one-Trojan-out.
 //!
-//! Extends `exp_localization`'s region-level experiment down to cell
-//! granularity and owns the combined `BENCH_localization.json`
+//! Localizes each digital Trojan on a 4×2 sensor array at region and
+//! cell granularity and owns the combined `BENCH_localization.json`
 //! artifact. The protocol:
 //!
 //! 1. **Collect + localize** — the 4×2 array collects a golden campaign
 //!    (keeping its accumulated switching activity), then arms each
 //!    Trojan in turn and attributes the campaign with
 //!    [`SensorArray::attribute`]: the per-tile margin map localizes the
-//!    excess (hit@k over placement regions, exactly as before), and the
+//!    excess (hit@k over placement regions), and the
 //!    [`CellEvidence`] — golden vs. suspect toggle activity under the
 //!    *same* stimulus — scores every placed cell.
 //! 2. **Leave-one-Trojan-out** — for each held-out Trojan, a
@@ -69,9 +69,9 @@ struct RegionOutcome {
 fn main() {
     let mut report = Report::from_env("exp_attribution");
     let chip = emtrust_trojan::ProtectedChip::with_all_trojans();
-    // Raw per-tile energy features (no PCA), as in exp_localization:
-    // T3's CDMA leak is an order of magnitude weaker than the other
-    // Trojans and a per-tile PCA basis projects it away.
+    // Raw per-tile energy features (no PCA): T3's CDMA leak is an
+    // order of magnitude weaker than the other Trojans and a per-tile
+    // PCA basis projects it away.
     let fingerprint = FingerprintConfig {
         pca_components: None,
         ..FingerprintConfig::default()
@@ -132,7 +132,7 @@ fn main() {
         folds.push(LabeledAttribution { kind, attribution });
     }
 
-    // Region-level gates, unchanged from exp_localization.
+    // Region-level gates: hit@3 for every Trojan, hit@1 for two.
     let hit1 = regions.iter().filter(|a| a.rank == Some(0)).count();
     let hit3 = regions
         .iter()

@@ -34,7 +34,7 @@ use emtrust::faults::{FaultKind, FaultPlan, FaultSpec};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::sanitize::{SanitizerConfig, TraceSanitizer};
 use emtrust::telemetry::sink::{json_escape, json_number};
-use emtrust::TrustMonitor;
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_bench::{ArtifactDoc, OrExit, Report, EXPERIMENT_KEY};
 use emtrust_silicon::Channel;
 use emtrust_trojan::ProtectedChip;
@@ -86,6 +86,17 @@ fn sanitizer() -> TraceSanitizer {
     })
 }
 
+/// The paper's time-domain monitor, optionally behind the sanitizer.
+fn fitted_monitor(fp: &GoldenFingerprint, sanitized: bool) -> DetectionPipeline {
+    let builder =
+        DetectionPipeline::builder().detector(Box::new(EuclideanDetector::new(fp.clone())));
+    if sanitized {
+        builder.sanitizer(sanitizer()).build()
+    } else {
+        builder.build()
+    }
+}
+
 fn run_scenario(
     fp: &GoldenFingerprint,
     traces: &[Vec<f64>],
@@ -93,10 +104,8 @@ fn run_scenario(
     intensity: f64,
 ) -> Scenario {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut monitor = TrustMonitor::builder(fp.clone())
-            .with_sanitizer(sanitizer())
-            .build();
-        let batch = monitor.ingest_batch_report(traces);
+        let mut monitor = fitted_monitor(fp, true);
+        let batch = monitor.ingest_batch(traces);
         let accounted = batch.clean() + batch.degraded() + batch.rejected() == traces.len()
             && monitor.traces_seen() + monitor.traces_rejected() == traces.len() as u64;
         (
@@ -176,19 +185,17 @@ fn main() {
             SUSPECT_SEED,
         )
         .or_exit("clean suspects");
-    let mut plain = TrustMonitor::builder(fp.clone()).build();
+    let mut plain = fitted_monitor(&fp, false);
     plain
-        .ingest_batch(clean_suspects.traces())
+        .try_ingest_batch(clean_suspects.traces())
         .or_exit("clean baseline ingest");
     let baseline_alarms = plain.alarms().len();
     let baseline_far = baseline_alarms as f64 / N_SUSPECT as f64;
 
     // Faults-disabled equivalence: the sanitizer must be a pure screen —
     // same clean traces, bit-identical alarms.
-    let mut screened = TrustMonitor::builder(fp.clone())
-        .with_sanitizer(sanitizer())
-        .build();
-    let clean_batch = screened.ingest_batch_report(clean_suspects.traces());
+    let mut screened = fitted_monitor(&fp, true);
+    let clean_batch = screened.ingest_batch(clean_suspects.traces());
     let clean_bit_identical = screened.alarms() == plain.alarms() && clean_batch.rejected() == 0;
     assert!(
         clean_bit_identical,

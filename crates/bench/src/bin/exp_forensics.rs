@@ -42,8 +42,9 @@ use emtrust::sanitize::TraceSanitizer;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
 use emtrust::telemetry::{
     self, decisions_jsonl, DecisionRecord, FlightRecorderConfig, ForensicsConfig, InMemoryRecorder,
+    LabelSet,
 };
-use emtrust::TrustMonitor;
+use emtrust::{DetectionPipeline, EuclideanDetector, SpectralWindowDetector};
 use emtrust_bench::{write_artifact, ArtifactDoc, OrExit, Report, EXPERIMENT_KEY, TROJANS};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{A2Trojan, ProtectedChip};
@@ -83,11 +84,12 @@ fn main() {
 
     let registry = Arc::new(InMemoryRecorder::new());
     telemetry::install(registry.clone());
-    let mut monitor = TrustMonitor::builder(fp)
-        .with_spectral(detector)
-        .with_sanitizer(TraceSanitizer::default())
-        .with_chip_id("chip0")
-        .with_forensics(ForensicsConfig {
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .detector(Box::new(SpectralWindowDetector::new(detector)))
+        .sanitizer(TraceSanitizer::default())
+        .labels(LabelSet::new().with("chip_id", "chip0"))
+        .forensics(ForensicsConfig {
             flight: FlightRecorderConfig {
                 pre: PRE_WINDOWS,
                 post: POST_WINDOWS,
@@ -101,10 +103,8 @@ fn main() {
     // guaranteed clean, so the flight recorder's ring holds only quiet
     // records when the trigger fires.
     for _ in 0..PRE_WINDOWS {
-        let alarm = monitor
-            .ingest_window(&golden_window)
-            .or_exit("dormant ingest");
-        assert!(alarm.is_none(), "dormant window must not alarm");
+        let outcome = monitor.ingest_window(&golden_window);
+        assert!(outcome.alarm.is_none(), "dormant window must not alarm");
     }
 
     // The trigger wire starts flipping: same stimulus, same noise seed —
@@ -122,21 +122,19 @@ fn main() {
     bench.arm_a2(false).or_exit("A2 installed above");
     let alarm = monitor
         .ingest_window(&triggering)
-        .or_exit("trigger ingest")
+        .alarm
         .or_exit("the A2 trigger window must alarm");
-    let correlation_id = alarm.correlation_id();
+    let correlation_id = alarm.correlation_id;
 
     // Post-context: dormant again; the window seals once it fills.
     for _ in 0..POST_WINDOWS {
-        monitor
-            .ingest_window(&golden_window)
-            .or_exit("post-context ingest");
+        monitor.ingest_window(&golden_window);
     }
     // One defective trace for schema coverage of rejected records
     // (outside the flight window — it seals before this record).
     let mut bad = golden.traces()[0].clone();
     bad[7] = f64::NAN;
-    monitor.ingest_checked(&bad);
+    monitor.ingest_trace(&bad);
     monitor.seal_flight_windows();
 
     // The proof: the alarm's flight window reconstructs the incident.

@@ -16,7 +16,7 @@
 //! [`InMemoryRecorder`] — and writes:
 //!
 //! - `BENCH_telemetry.json` — per-stage latency breakdown, recorder
-//!   overhead, alarm summary and the forensic bundles;
+//!   overhead, alarm summary and the fused-alarm decision records;
 //! - `TELEMETRY_prometheus.txt` — the Prometheus text-exposition
 //!   snapshot of the fully-labeled forensic run;
 //! - `TELEMETRY_events.jsonl` — the structured event log (one JSON
@@ -24,7 +24,10 @@
 //! - `TELEMETRY_profile.folded` — flamegraph-compatible folded stacks
 //!   of the span-tree profile.
 //!
-//! Four passes over the identical sweep pin the overhead envelope:
+//! Four passes over the identical sweep pin the overhead envelope. Each
+//! runs once as a warm-up and then in [`ROUNDS`] timed rounds whose pass
+//! order rotates every round, so no pass always runs first or last; the
+//! reported seconds are each pass's median:
 //!
 //! 1. no recorder, no labels — the `NullRecorder` fast-path baseline;
 //! 2. recorder installed, unlabeled — the legacy `overhead_pct`;
@@ -44,12 +47,14 @@ use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
 use emtrust::telemetry::sink::{events_jsonl, json_escape, json_number, prometheus_text};
-use emtrust::telemetry::{self, ForensicsConfig, InMemoryRecorder, SpanProfile};
-use emtrust::TrustError;
-use emtrust::TrustMonitor;
+use emtrust::telemetry::{self, ForensicsConfig, InMemoryRecorder, LabelSet, SpanProfile};
+use emtrust::{
+    DetectionPipeline, DetectorDomain, EuclideanDetector, SpectralWindowDetector, TrustError,
+};
 use emtrust_bench::{
     standard_chip, write_artifact, ArtifactDoc, OrExit, Report, EXPERIMENT_KEY, TROJANS,
 };
+use emtrust_dsp::stats::median;
 use emtrust_silicon::Channel;
 use emtrust_trojan::ProtectedChip;
 use std::sync::Arc;
@@ -59,17 +64,78 @@ const N_GOLDEN: usize = 16;
 const N_SUSPECT_PER_TROJAN: usize = 4;
 const WINDOW_BLOCKS: usize = 24;
 const WORKERS: usize = 2;
+/// Timed rounds per pass, after one untimed warm-up round.
+const ROUNDS: usize = 9;
+
+/// One configuration of the sweep: whether a recorder is installed,
+/// whether the pipeline carries identity labels, and whether it keeps
+/// decision forensics.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    name: &'static str,
+    recorder: bool,
+    labeled: bool,
+    forensic: bool,
+}
+
+/// The four passes, in their first-round order.
+const PASSES: [Pass; 4] = [
+    Pass {
+        name: "null",
+        recorder: false,
+        labeled: false,
+        forensic: false,
+    },
+    Pass {
+        name: "recorded",
+        recorder: true,
+        labeled: false,
+        forensic: false,
+    },
+    Pass {
+        name: "disabled-labeled",
+        recorder: false,
+        labeled: true,
+        forensic: false,
+    },
+    Pass {
+        name: "forensic",
+        recorder: true,
+        labeled: true,
+        forensic: true,
+    },
+];
+
+/// One pass's wall time in every timed round, plus the pipeline and
+/// recorder of its latest run.
+#[derive(Default)]
+struct PassRuns {
+    seconds: Vec<f64>,
+    pipeline: Option<DetectionPipeline>,
+    registry: Option<Arc<InMemoryRecorder>>,
+}
+
+impl PassRuns {
+    fn median_seconds(&self) -> f64 {
+        median(&self.seconds)
+    }
+
+    fn pipeline(&self) -> &DetectionPipeline {
+        self.pipeline.as_ref().or_exit("every pass ran")
+    }
+}
 
 /// One full Table-1 sweep: fit on golden traces, screen every Trojan's
-/// suspect batch through the monitor, then one spectral window with the
-/// noisiest register-bank Trojan armed. `labeled` stamps a `chip_id`
-/// identity label on the monitor; `forensic` additionally enables the
-/// decision log and alarm flight recorder.
+/// suspect batch through the paper's two-detector pipeline, then one
+/// spectral window with the noisiest register-bank Trojan armed.
+/// `labeled` stamps a `chip_id` identity label on the pipeline;
+/// `forensic` additionally enables the decision log and alarm flight
+/// recorder.
 fn run_sweep(
     chip: &ProtectedChip,
     labeled: bool,
     forensic: bool,
-) -> Result<TrustMonitor, TrustError> {
+) -> Result<DetectionPipeline, TrustError> {
     let pool = ParallelConfig::default().with_workers(WORKERS);
     let bench = TestBench::simulation(chip)?.with_parallel(pool);
     let config = FingerprintConfig {
@@ -87,12 +153,14 @@ fn run_sweep(
         0x7E2,
     )?;
     let detector = SpectralDetector::fit(&golden_window, SpectralConfig::default())?;
-    let mut builder = TrustMonitor::builder(fp).with_spectral(detector);
+    let mut builder = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .detector(Box::new(SpectralWindowDetector::new(detector)));
     if labeled {
-        builder = builder.with_chip_id("chip0");
+        builder = builder.labels(LabelSet::new().with("chip_id", "chip0"));
     }
     if forensic {
-        builder = builder.with_forensics(ForensicsConfig::default());
+        builder = builder.forensics(ForensicsConfig::default());
     }
     let mut monitor = builder.build();
     for (i, kind) in TROJANS.into_iter().enumerate() {
@@ -103,7 +171,7 @@ fn run_sweep(
             Channel::OnChipSensor,
             0x7E3 + i as u64,
         )?;
-        monitor.ingest_batch(suspects.traces())?;
+        monitor.try_ingest_batch(suspects.traces())?;
     }
     let armed_window = bench.collect_continuous(
         EXPERIMENT_KEY,
@@ -112,51 +180,68 @@ fn run_sweep(
         Channel::OnChipSensor,
         0x7E2,
     )?;
-    monitor.ingest_window(&armed_window)?;
+    monitor.try_ingest_window(&armed_window)?;
     Ok(monitor)
+}
+
+/// Runs one pass once: installs a fresh recorder if the pass wants one,
+/// times the sweep, and uninstalls it again.
+fn run_pass(
+    chip: &ProtectedChip,
+    pass: Pass,
+) -> (f64, DetectionPipeline, Option<Arc<InMemoryRecorder>>) {
+    let registry = pass.recorder.then(|| Arc::new(InMemoryRecorder::new()));
+    match &registry {
+        Some(r) => telemetry::install(r.clone()),
+        None => telemetry::uninstall(),
+    }
+    let t0 = Instant::now();
+    let swept = run_sweep(chip, pass.labeled, pass.forensic);
+    let seconds = t0.elapsed().as_secs_f64();
+    telemetry::uninstall();
+    let mut pipeline = swept.or_exit(&format!("{} sweep", pass.name));
+    if pass.forensic {
+        pipeline.seal_flight_windows();
+    }
+    (seconds, pipeline, registry)
 }
 
 fn main() {
     let mut report = Report::from_env("exp_telemetry");
     let chip = standard_chip();
 
-    // Pass 1 — no recorder installed: every instrumentation point takes
-    // the one-atomic-load fast path.
-    telemetry::uninstall();
-    let t0 = Instant::now();
-    let null_monitor = run_sweep(&chip, false, false).or_exit("null-recorder sweep");
-    let null_seconds = t0.elapsed().as_secs_f64();
-
-    // Pass 2 — full in-memory registry installed.
-    let registry = Arc::new(InMemoryRecorder::new());
-    telemetry::install(registry.clone());
-    let t0 = Instant::now();
-    let monitor = run_sweep(&chip, false, false).or_exit("recorded sweep");
-    let recorded_seconds = t0.elapsed().as_secs_f64();
-    telemetry::uninstall();
-
-    // Pass 3 — labels configured but no recorder: the disabled path of
-    // the labeled plane must still be a near-no-op.
-    let t0 = Instant::now();
-    let disabled_monitor = run_sweep(&chip, true, false).or_exit("disabled labeled sweep");
-    let disabled_seconds = t0.elapsed().as_secs_f64();
-
-    // Pass 4 — everything on: recorder, identity labels, decision
-    // forensics and the alarm flight recorder.
-    let forensic_registry = Arc::new(InMemoryRecorder::new());
-    telemetry::install(forensic_registry.clone());
-    let t0 = Instant::now();
-    let mut forensic_monitor = run_sweep(&chip, true, true).or_exit("forensic sweep");
-    let forensic_seconds = t0.elapsed().as_secs_f64();
-    telemetry::uninstall();
-    forensic_monitor.seal_flight_windows();
+    // Round 0 warms every pass up untimed; round r starts at pass r mod 4.
+    let mut runs: [PassRuns; 4] = std::array::from_fn(|_| PassRuns::default());
+    for round in 0..=ROUNDS {
+        for k in 0..PASSES.len() {
+            let i = (round + k) % PASSES.len();
+            let (seconds, pipeline, registry) = run_pass(&chip, PASSES[i]);
+            let run = &mut runs[i];
+            if round > 0 {
+                run.seconds.push(seconds);
+            }
+            run.pipeline = Some(pipeline);
+            run.registry = registry;
+        }
+    }
+    let [null_run, recorded_run, disabled_run, forensic_run] = &runs;
+    let null_seconds = null_run.median_seconds();
+    let recorded_seconds = recorded_run.median_seconds();
+    let disabled_seconds = disabled_run.median_seconds();
+    let forensic_seconds = forensic_run.median_seconds();
+    let null_monitor = null_run.pipeline();
+    let monitor = recorded_run.pipeline();
+    let disabled_monitor = disabled_run.pipeline();
+    let forensic_monitor = forensic_run.pipeline();
+    let registry = recorded_run.registry.as_ref().or_exit("recorded pass");
+    let forensic_registry = forensic_run.registry.as_ref().or_exit("forensic pass");
 
     // Every pass must detect identically — telemetry observes, it never
     // steers.
     for (other, name) in [
-        (&monitor, "recorded"),
-        (&disabled_monitor, "disabled-labeled"),
-        (&forensic_monitor, "forensic"),
+        (monitor, "recorded"),
+        (disabled_monitor, "disabled-labeled"),
+        (forensic_monitor, "forensic"),
     ] {
         assert_eq!(
             null_monitor.alarms(),
@@ -201,13 +286,15 @@ fn main() {
         &stage_rows,
     );
 
-    let time_domain = monitor
-        .alarms()
+    // The alarm summary and its records both come from the forensic
+    // pass, so the correlation ids agree.
+    let alarms = forensic_monitor.alarms();
+    let time_domain = alarms
         .iter()
-        .filter(|a| matches!(a, emtrust::Alarm::TimeDomain { .. }))
+        .filter(|a| a.domain == DetectorDomain::PerEncryption)
         .count();
-    let spectral = monitor.alarms().len() - time_domain;
-    let first_correlation_id = monitor.alarms()[0].correlation_id();
+    let spectral = alarms.len() - time_domain;
+    let first_correlation_id = alarms[0].correlation_id;
     report.table(
         "Sweep summary",
         &["metric", "value"],
@@ -228,7 +315,8 @@ fn main() {
                 "forensic overhead".into(),
                 format!("{forensics_overhead_pct:+.2}%"),
             ],
-            vec!["alarms".into(), monitor.alarms().len().to_string()],
+            vec!["timed rounds per pass".into(), ROUNDS.to_string()],
+            vec!["alarms".into(), alarms.len().to_string()],
             vec!["  time-domain".into(), time_domain.to_string()],
             vec!["  spectral".into(), spectral.to_string()],
             vec![
@@ -250,7 +338,7 @@ fn main() {
     report.scalar("overhead_pct", overhead_pct);
     report.scalar("disabled_overhead_pct", disabled_overhead_pct);
     report.scalar("forensics_overhead_pct", forensics_overhead_pct);
-    report.scalar("alarm_count", monitor.alarms().len() as f64);
+    report.scalar("alarm_count", alarms.len() as f64);
 
     // Span-tree profile of the fully-enabled pass: hottest self-time
     // nodes, plus the folded-stacks artifact for flamegraph tooling.
@@ -273,9 +361,10 @@ fn main() {
         &hot_rows,
     );
 
-    let forensics: Vec<String> = monitor
-        .forensics()
+    let forensics: Vec<String> = forensic_monitor
+        .decisions()
         .iter()
+        .filter(|r| r.fused_alarm)
         .map(|r| format!("    {}", r.to_json()))
         .collect();
     let labeled_series: usize = forensic_snapshot
@@ -296,6 +385,7 @@ fn main() {
     let doc = ArtifactDoc::new("telemetry_table1_sweep")
         .field_u64("n_golden", N_GOLDEN as u64)
         .field_u64("n_suspect_per_trojan", N_SUSPECT_PER_TROJAN as u64)
+        .field_u64("rounds", ROUNDS as u64)
         .field_f64("null_seconds", null_seconds)
         .field_f64("recorded_seconds", recorded_seconds)
         .field_f64("overhead_pct", overhead_pct)
@@ -316,7 +406,7 @@ fn main() {
             format!(
                 "{{\"total\": {}, \"time_domain\": {time_domain}, \
                  \"spectral\": {spectral}, \"first_correlation_id\": {first_correlation_id}}}",
-                monitor.alarms().len()
+                alarms.len()
             ),
         )
         .field_array("forensics", &forensics);

@@ -516,9 +516,12 @@ impl<'c> TestBench<'c> {
                     } else {
                         plaintexts[range.start - 1]
                     };
+                    let warm_span = telemetry::span("simulate");
                     let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, prev, |_| {});
+                    drop(warm_span);
                     let mut out = Vec::with_capacity(range.len());
                     for i in range {
+                        let simulate = telemetry::span("simulate");
                         sim.start_recording();
                         let _ct = run_encryption_with(
                             &mut sim,
@@ -528,6 +531,7 @@ impl<'c> TestBench<'c> {
                             |_| {},
                         );
                         let activity = sim.take_recording();
+                        drop(simulate);
                         let trace =
                             self.measure_activity(&activity, None, channel, trace_seed(i), 1)?;
                         let mut samples = trace.into_samples();

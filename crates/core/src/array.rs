@@ -26,8 +26,9 @@
 //! asymmetry separates the two with no reference traces at all.
 //!
 //! Everything is fronted by [`ArrayConfig`]/[`ArrayBuilder`] — the same
-//! consuming-builder idiom as [`crate::monitor::TrustMonitor::builder`] —
-//! rather than positional constructors:
+//! consuming-builder idiom as [`DetectionPipeline::builder`] — rather
+//! than positional constructors, and every campaign verdict is an
+//! [`Attribution`]:
 //!
 //! ```no_run
 //! # use emtrust::array::SensorArray;
@@ -91,7 +92,7 @@ pub struct ArrayConfig {
     /// additionally gets its own `tile=rXcY` pair.
     pub labels: LabelSet,
     /// Enables the array's campaign decision log (one
-    /// [`DecisionRecord`] with per-tile margins per [`SensorArray::evaluate`]).
+    /// [`DecisionRecord`] with per-tile margins per [`SensorArray::attribute`]).
     pub forensics: Option<ForensicsConfig>,
     /// Cross-sensor consensus knobs, used when the array is fitted
     /// reference-free ([`SensorArray::fit_reference_free`]).
@@ -416,45 +417,6 @@ pub struct RegionScore {
     /// Distance from the anomaly centroid to the region, in µm (zero if
     /// the centroid lies inside it).
     pub distance_um: f64,
-}
-
-/// The array's judgement of one suspect campaign: the per-tile heat map
-/// plus its localization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayVerdict {
-    /// Per-tile scores, in tile (row-major) order.
-    pub heat: Vec<TileScore>,
-    /// Score-weighted centroid of the common-mode-removed heat map, in
-    /// µm. `None` when no tile carries excess energy (clean campaign).
-    pub centroid_um: Option<(f64, f64)>,
-    /// Floorplan regions ranked nearest-first from the centroid. Empty
-    /// when the campaign is clean.
-    pub regions: Vec<RegionScore>,
-    /// Whether the campaign is judged suspected: any tile alarm on a
-    /// golden-fitted array, the cross-sensor consensus vote on a
-    /// reference-free one.
-    pub alarmed: bool,
-    /// The cross-sensor consensus vote over the per-tile margins.
-    /// `None` on golden-fitted arrays and on grids below the consensus
-    /// `min_tiles`.
-    pub consensus: Option<DetectorVerdict>,
-}
-
-impl ArrayVerdict {
-    /// The arg-max region — the localization's best guess.
-    pub fn top_region(&self) -> Option<&str> {
-        self.regions.first().map(|r| r.region.as_str())
-    }
-
-    /// Zero-based rank of `region` in the localization (0 = best).
-    pub fn region_rank(&self, region: &str) -> Option<usize> {
-        self.regions.iter().position(|r| r.region == region)
-    }
-
-    /// Whether `region` ranks within the top `k` (`hit@k`).
-    pub fn hit_at(&self, region: &str, k: usize) -> bool {
-        self.region_rank(region).is_some_and(|r| r < k)
-    }
 }
 
 /// Fuses per-tile anomaly scores into a die location.
@@ -817,7 +779,7 @@ impl<'c> SensorArray<'c> {
     /// Fits one **self-calibrating** pipeline per tile — no golden
     /// material is consulted. Each tile's Euclidean detector learns a
     /// rolling robust baseline from the live traffic fed through
-    /// [`Self::calibrate`] (or scored through [`Self::evaluate`]), and
+    /// [`Self::calibrate`] (or scored through [`Self::attribute`]), and
     /// campaign verdicts come from the [`ConsensusDetector`]'s
     /// spatial-asymmetry vote instead of any single tile's alarm.
     ///
@@ -884,31 +846,14 @@ impl<'c> SensorArray<'c> {
         Ok(())
     }
 
-    /// Scores one suspect campaign (one trace set per tile, as returned
-    /// by [`Self::collect`]) and localizes the excess energy.
-    ///
-    /// # Errors
-    ///
-    /// [`TrustError::InvalidParameter`] if the array is unfitted or the
-    /// set count mismatches; forwarded scoring errors otherwise.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `attribute` — it returns the structured `Attribution` result \
-                (ranked regions, optional cell tier, metric methods)"
-    )]
-    pub fn evaluate(&mut self, suspects: &[TraceSet]) -> Result<ArrayVerdict, TrustError> {
-        self.evaluate_inner(suspects)
-    }
-
     /// Scores one suspect campaign and attributes the excess energy:
     /// the region tier always, and — when `evidence` carries the
     /// campaign's switching activity (from
     /// [`Self::collect_with_activity`]) — a ranked per-cell suspicion
     /// tier.
     ///
-    /// The tile heat map, alarm decision and region ranking are
-    /// bit-identical to the deprecated [`Self::evaluate`]; the cell
-    /// tier is computed on top, without touching the pipelines.
+    /// The cell tier is computed on top of the region tier, without
+    /// touching the pipelines.
     ///
     /// # Errors
     ///
@@ -920,40 +865,34 @@ impl<'c> SensorArray<'c> {
         suspects: &[TraceSet],
         evidence: Option<&CellEvidence<'_>>,
     ) -> Result<Attribution, TrustError> {
-        let verdict = self.evaluate_inner(suspects)?;
-        let cells = match evidence {
-            Some(ev) => {
-                let centers: Vec<(f64, f64)> = self
-                    .array
-                    .tiles()
-                    .iter()
-                    .map(|t| {
-                        let c = t.center();
-                        (c.x, c.y)
-                    })
-                    .collect();
-                attribution::score_cells(
-                    self.chip.netlist(),
-                    &self.floorplan,
-                    &centers,
-                    &verdict.heat,
-                    verdict.centroid_um,
-                    ev,
-                )?
-            }
-            None => Vec::new(),
+        let regions = self.evaluate_inner(suspects)?;
+        let Some(ev) = evidence else {
+            return Ok(regions);
         };
-        Ok(Attribution::from_parts(
-            verdict.heat,
-            verdict.centroid_um,
-            verdict.regions,
-            cells,
-            verdict.alarmed,
-            verdict.consensus,
-        ))
+        let centers: Vec<(f64, f64)> = self
+            .array
+            .tiles()
+            .iter()
+            .map(|t| {
+                let c = t.center();
+                (c.x, c.y)
+            })
+            .collect();
+        let cells = attribution::score_cells(
+            self.chip.netlist(),
+            &self.floorplan,
+            &centers,
+            regions.heat(),
+            regions.centroid_um(),
+            ev,
+        )?;
+        Ok(regions.with_cells(cells))
     }
 
-    fn evaluate_inner(&mut self, suspects: &[TraceSet]) -> Result<ArrayVerdict, TrustError> {
+    /// The tile and region tiers of [`Self::attribute`]: scores every
+    /// tile, takes and logs the campaign decision, and ranks the
+    /// floorplan regions. The cell tier is left empty.
+    fn evaluate_inner(&mut self, suspects: &[TraceSet]) -> Result<Attribution, TrustError> {
         let _span = telemetry::span("array.evaluate");
         if !self.is_fitted() {
             return Err(TrustError::InvalidParameter {
@@ -962,7 +901,7 @@ impl<'c> SensorArray<'c> {
         }
         if suspects.len() != self.array.len() {
             return Err(TrustError::InvalidParameter {
-                what: "evaluate needs one suspect trace set per tile",
+                what: "attribute needs one suspect trace set per tile",
             });
         }
         let mut heat = Vec::with_capacity(self.array.len());
@@ -1056,17 +995,17 @@ impl<'c> SensorArray<'c> {
                 }
             }
         }
-        Ok(ArrayVerdict {
+        Ok(Attribution::from_parts(
             heat,
             centroid_um,
             regions,
             alarmed,
             consensus,
-        })
+        ))
     }
 
     /// Campaign decision records, oldest first (one per
-    /// [`Self::evaluate`]; empty unless forensics was enabled).
+    /// [`Self::attribute`]; empty unless forensics was enabled).
     pub fn decisions(&self) -> &[DecisionRecord] {
         &self.decisions
     }
@@ -1129,11 +1068,11 @@ mod tests {
     }
 
     #[test]
-    fn verdict_ranking_helpers() {
-        let v = ArrayVerdict {
-            heat: Vec::new(),
-            centroid_um: Some((1.0, 2.0)),
-            regions: vec![
+    fn attribution_ranking_helpers() {
+        let v = Attribution::from_parts(
+            Vec::new(),
+            Some((1.0, 2.0)),
+            vec![
                 RegionScore {
                     region: "trojan2".into(),
                     distance_um: 0.0,
@@ -1143,9 +1082,9 @@ mod tests {
                     distance_um: 12.0,
                 },
             ],
-            alarmed: true,
-            consensus: None,
-        };
+            true,
+            None,
+        );
         assert_eq!(v.top_region(), Some("trojan2"));
         assert_eq!(v.region_rank("aes"), Some(1));
         assert!(v.hit_at("trojan2", 1));

@@ -10,9 +10,8 @@
 //!
 //! - [`Attribution`] — the result of
 //!   [`SensorArray::attribute`](crate::array::SensorArray::attribute):
-//!   the region tier the old
-//!   `ArrayVerdict` carried (typed [`RegionScore`] ranking, heat map,
-//!   centroid, alarm) plus a new cell tier of ranked [`CellScore`]s,
+//!   the region tier (typed [`RegionScore`] ranking, heat map,
+//!   centroid, alarm) plus a cell tier of ranked [`CellScore`]s,
 //!   with `hit_at`, `precision_at`, `recall_at`, `auroc` and `iou` as
 //!   methods on the result instead of ad-hoc free-floating helpers.
 //! - [`CellEvidence`] — the switching-activity ingredient: a baseline
@@ -131,8 +130,7 @@ pub struct CellScore {
 /// [`RegionScore`]s) and — when [`CellEvidence`] was supplied — the
 /// cell tier (ranked [`CellScore`]s).
 ///
-/// Replaces the ad-hoc `ArrayVerdict` + string-region surface; rankings
-/// are stored sorted, metrics are methods on the result.
+/// Rankings are stored sorted; metrics are methods on the result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attribution {
     heat: Vec<TileScore>,
@@ -144,26 +142,31 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    /// Assembles a result from already-ranked tiers (regions
-    /// nearest-first as the [`Localizer`] emits them; cells are
-    /// re-sorted here by descending suspicion).
+    /// Assembles a result from the already-ranked region tier (regions
+    /// nearest-first as the [`Localizer`] emits them), with an empty
+    /// cell tier.
     pub(crate) fn from_parts(
         heat: Vec<TileScore>,
         centroid_um: Option<(f64, f64)>,
         regions: Vec<RegionScore>,
-        mut cells: Vec<CellScore>,
         alarmed: bool,
         consensus: Option<DetectorVerdict>,
     ) -> Self {
-        sort_cells(&mut cells);
         Self {
             heat,
             centroid_um,
             regions,
-            cells,
+            cells: Vec::new(),
             alarmed,
             consensus,
         }
+    }
+
+    /// Sets the cell tier, re-sorted by descending suspicion.
+    pub(crate) fn with_cells(mut self, mut cells: Vec<CellScore>) -> Self {
+        sort_cells(&mut cells);
+        self.cells = cells;
+        self
     }
 
     /// Per-tile scores, in tile (row-major) order.
@@ -361,7 +364,7 @@ pub fn auroc(scores: &[f64], truth: &[bool]) -> Option<f64> {
 }
 
 /// Scores every placed cell from the tile heat map and the toggle
-/// evidence. Rank order is finalized by [`Attribution::from_parts`].
+/// evidence. Rank order is finalized by [`Attribution::with_cells`].
 pub(crate) fn score_cells(
     netlist: &Netlist,
     floorplan: &Floorplan,

@@ -18,7 +18,7 @@
 pub enum FusionPolicy {
     /// Alarm when any detector votes suspected (maximum sensitivity —
     /// the union of the detectors' coverage). This is the default, and
-    /// what the legacy `TrustMonitor` semantics correspond to.
+    /// the paper's two-detector monitor (Euclidean + spectral).
     #[default]
     Or,
     /// Alarm only when every detector votes suspected (minimum false

@@ -42,16 +42,21 @@
 //! [`acquisition::TestBench`] assembles the full experiment: the
 //! Trojan-carrying AES chip (`emtrust-trojan`), the measurement physics
 //! (`emtrust-em`), and optionally the fabricated-chip non-idealities
-//! (`emtrust-silicon`). [`monitor::TrustMonitor`] is the runtime loop
-//! that turns detections into alarms — today a thin compatibility
-//! wrapper over a pipeline with an Euclidean detector, an optional
-//! spectral detector, and [`fusion::FusionPolicy::Or`].
+//! (`emtrust-silicon`). The paper's runtime monitor is a pipeline with
+//! a [`detector::EuclideanDetector`], an optional
+//! [`detector::SpectralWindowDetector`], and
+//! [`fusion::FusionPolicy::Or`]; its fused alarms are
+//! [`pipeline::PipelineAlarm`]s. A sensor array localizes them through
+//! [`array::SensorArray::attribute`], which returns an
+//! [`attribution::Attribution`].
 //!
 //! Every pipeline stage is instrumented through [`telemetry`]
 //! (re-exported from `emtrust-telemetry`): install a
 //! [`telemetry::Recorder`] to capture hierarchical timing spans,
-//! counters, and distance histograms; alarms carry correlation ids and a
-//! ring-buffer forensic bundle (see [`monitor::AlarmRecord`]). With no
+//! counters, and distance histograms; alarms carry correlation ids, and
+//! a pipeline built with [`pipeline::PipelineBuilder::forensics`] keeps a
+//! [`telemetry::DecisionRecord`] per observation plus the alarm
+//! [`telemetry::FlightRecorder`]. With no
 //! recorder installed every instrumentation point costs a single relaxed
 //! atomic load.
 //!
@@ -92,7 +97,6 @@ pub mod fingerprint;
 pub mod fusion;
 pub mod health;
 pub mod learned;
-pub mod monitor;
 pub mod parallel;
 pub mod persistence;
 pub mod pipeline;
@@ -102,8 +106,8 @@ pub mod spectral;
 
 pub use acquisition::{RetryPolicy, RobustCollection, TestBench, TraceReport, TraceSet};
 pub use array::{
-    ArrayBuilder, ArrayConfig, ArrayVerdict, ConsensusConfig, ConsensusDetector, Localizer,
-    RegionScore, SensorArray, TileScore,
+    ArrayBuilder, ArrayConfig, ConsensusConfig, ConsensusDetector, Localizer, RegionScore,
+    SensorArray, TileScore,
 };
 pub use attribution::{Attribution, CellEvidence, CellFeatures, CellScore};
 pub use baseline::{
@@ -120,7 +124,6 @@ pub use fingerprint::{FingerprintConfig, GoldenFingerprint};
 pub use fusion::FusionPolicy;
 pub use health::{HealthConfig, HealthTracker, HealthTransition, SensorHealth};
 pub use learned::{LearnedConfig, LearnedDetector, LogisticModel, TrainSpec};
-pub use monitor::{Alarm, TrustMonitor, TrustMonitorBuilder};
 pub use parallel::ParallelConfig;
 pub use persistence::{PersistenceConfig, SpectralPersistenceDetector};
 pub use pipeline::{

@@ -22,10 +22,22 @@
 //!
 //! Batch entry points fan stages 2–3 across a [`ParallelConfig`] worker
 //! pool with chunk layouts independent of the worker count, so results
-//! are bit-identical for every worker count. The legacy
-//! [`TrustMonitor`](crate::monitor::TrustMonitor) is a thin
-//! compatibility wrapper over a pipeline with an Euclidean detector, an
-//! optional spectral detector, and [`FusionPolicy::Or`].
+//! are bit-identical for every worker count. The paper's runtime
+//! monitor is a pipeline with an [`EuclideanDetector`], an optional
+//! [`SpectralWindowDetector`], and [`FusionPolicy::Or`].
+//!
+//! ```no_run
+//! # use emtrust::{DetectionPipeline, EuclideanDetector, FusionPolicy, SpectralWindowDetector};
+//! # fn demo(fp: emtrust::fingerprint::GoldenFingerprint,
+//! #         det: emtrust::spectral::SpectralDetector) {
+//! let pipeline = DetectionPipeline::builder()
+//!     .detector(Box::new(EuclideanDetector::new(fp)))
+//!     .detector(Box::new(SpectralWindowDetector::new(det)))
+//!     .fusion(FusionPolicy::Or)
+//!     .build();
+//! # let _ = pipeline;
+//! # }
+//! ```
 
 use crate::array::{ConsensusConfig, ConsensusDetector};
 use crate::baseline::{BaselineSource, CalibrationState};
@@ -53,9 +65,8 @@ use emtrust_telemetry::{
 
 /// A fused alarm raised by the pipeline.
 ///
-/// Like the legacy [`Alarm`](crate::monitor::Alarm), the
-/// `correlation_id` is forensic metadata: [`PartialEq`] ignores it, so
-/// replayed runs compare equal alarm for alarm.
+/// The `correlation_id` is forensic metadata: [`PartialEq`] ignores it,
+/// so replayed runs compare equal alarm for alarm.
 #[derive(Debug, Clone)]
 pub struct PipelineAlarm {
     /// The domain the fused decision belongs to.
@@ -268,8 +279,7 @@ impl PipelineBuilder {
 
     /// Overrides the worker-pool configuration for batch paths. The
     /// default is the first projection provider's parallel policy
-    /// (falling back to [`ParallelConfig::default`]), which is what the
-    /// legacy monitor used.
+    /// (falling back to [`ParallelConfig::default`]).
     pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = Some(parallel);
         self
@@ -625,8 +635,7 @@ impl DetectionPipeline {
         }
     }
 
-    /// Maps an evaluation failure to the defect the legacy monitor
-    /// attributed it to.
+    /// Maps an evaluation failure to the defect it is reported as.
     fn evaluation_defect(e: &TrustError) -> TraceDefect {
         match e {
             TrustError::Dsp(DspError::LengthMismatch { expected, actual }) => {
@@ -829,8 +838,9 @@ impl DetectionPipeline {
         Some(alarm)
     }
 
-    /// Emits the alarm telemetry event, shaped like the legacy
-    /// monitor's events for legacy-equivalent configurations.
+    /// Emits the alarm telemetry event: `time_domain` for trace alarms,
+    /// `spectral` for window alarms whose primary vote carries spectral
+    /// anomalies, and one named after the primary detector otherwise.
     fn emit_alarm_event(&self, alarm: &PipelineAlarm) {
         let primary = alarm
             .verdicts
@@ -1408,8 +1418,9 @@ impl DetectionPipeline {
 mod tests {
     use super::*;
     use crate::acquisition::TraceSet;
-    use crate::detector::EuclideanDetector;
+    use crate::detector::{EuclideanDetector, ScoreDetail};
     use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
+    use crate::spectral::SpectralDetector;
     use emtrust_telemetry::FlightRecorderConfig;
 
     fn synthetic_set(n: usize, amplitude: f64, seed: u64) -> TraceSet {
@@ -1498,14 +1509,21 @@ mod tests {
     #[test]
     fn anomalous_traces_raise_fused_alarms() {
         let mut p = euclidean_pipeline();
-        for t in synthetic_set(4, 1.4, 3).traces() {
+        // A clean trace first: alarm indices count every scored trace.
+        assert!(p
+            .try_ingest_trace(&synthetic_set(1, 1.0, 4).traces()[0])
+            .unwrap()
+            .alarm
+            .is_none());
+        for (i, t) in synthetic_set(4, 1.4, 3).traces().iter().enumerate() {
             let o = p.try_ingest_trace(t).unwrap();
             let alarm = o.alarm.expect("anomaly must alarm");
             assert_eq!(alarm.domain, DetectorDomain::PerEncryption);
+            assert_eq!(alarm.index, i as u64 + 1);
             assert_eq!(alarm.verdicts.len(), 1);
             assert!(alarm.verdicts[0].suspected);
         }
-        assert!((p.alarm_rate() - 1.0).abs() < 1e-12);
+        assert!((p.alarm_rate() - 0.8).abs() < 1e-12);
         assert_eq!(p.alarms().len(), 4);
         p.acknowledge_alarms();
         assert!(p.alarms().is_empty());
@@ -1529,11 +1547,206 @@ mod tests {
             .map(|t| serial.try_ingest_trace(t).unwrap())
             .collect();
         let mut batched = DetectionPipeline::builder()
-            .detector(Box::new(EuclideanDetector::new(fp)))
+            .detector(Box::new(EuclideanDetector::new(fp.clone())))
             .build();
         let batch = batched.try_ingest_batch(&traces).unwrap();
         assert_eq!(batch.outcomes, serial_outcomes);
         assert_eq!(serial.alarms(), batched.alarms());
+
+        // The sanitized batch path reports per trace, exactly as the
+        // sanitized per-trace path does, with one trace rejected.
+        let mut faulty = traces.clone();
+        faulty[1][0] = f64::INFINITY;
+        let sanitized = || {
+            DetectionPipeline::builder()
+                .detector(Box::new(EuclideanDetector::new(fp.clone())))
+                .sanitizer(TraceSanitizer::default())
+                .build()
+        };
+        let mut serial = sanitized();
+        let serial_outcomes: Vec<TraceOutcome> =
+            faulty.iter().map(|t| serial.ingest_trace(t)).collect();
+        let mut batched = sanitized();
+        let batch = batched.ingest_batch(&faulty);
+        assert_eq!(batch.outcomes, serial_outcomes);
+        assert_eq!(batch.rejected(), 1);
+        assert_eq!(batch.clean(), 7);
+        assert_eq!(batch.alarms.len(), 2);
+        assert_eq!(serial.alarms(), batched.alarms());
+        assert_eq!(serial.traces_seen(), batched.traces_seen());
+    }
+
+    #[test]
+    fn identically_built_pipelines_agree_alarm_for_alarm() {
+        let golden = synthetic_set(32, 1.0, 1);
+        let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
+        let traces: Vec<Vec<f64>> = synthetic_set(6, 1.0, 2)
+            .traces()
+            .iter()
+            .chain(synthetic_set(2, 1.4, 3).traces())
+            .cloned()
+            .collect();
+        let build = || {
+            DetectionPipeline::builder()
+                .detector(Box::new(EuclideanDetector::new(fp.clone())))
+                .build()
+        };
+        let (mut first, mut second) = (build(), build());
+        let a = first.try_ingest_batch(&traces).unwrap();
+        let b = second.try_ingest_batch(&traces).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.alarms.len(), 2);
+        assert_eq!(first.alarms(), second.alarms());
+        assert_eq!(first.alarm_rate(), second.alarm_rate());
+        assert_eq!(first.traces_seen(), second.traces_seen());
+
+        // A sanitizer is a pure screen: on clean input it changes no
+        // alarm and rejects nothing.
+        let mut sanitized = DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp.clone())))
+            .sanitizer(TraceSanitizer::default())
+            .build();
+        let c = sanitized.ingest_batch(&traces);
+        assert_eq!(c.alarms, a.alarms);
+        assert_eq!(sanitized.alarms(), first.alarms());
+        assert_eq!(sanitized.traces_rejected(), 0);
+        assert_eq!(sanitized.health(), SensorHealth::Healthy);
+    }
+
+    #[test]
+    fn correlation_ids_are_unique_and_monotonic_across_pipelines() {
+        let mut a = euclidean_pipeline();
+        let mut b = euclidean_pipeline();
+        let mut ids = Vec::new();
+        for seed in 0..3 {
+            for p in [&mut a, &mut b] {
+                let set = synthetic_set(1, 1.5, 40 + seed);
+                if let Some(alarm) = p.try_ingest_trace(&set.traces()[0]).unwrap().alarm {
+                    ids.push(alarm.correlation_id);
+                }
+            }
+        }
+        assert_eq!(ids.len(), 6);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids {ids:?}");
+    }
+
+    #[test]
+    fn pipeline_alarm_equality_ignores_the_correlation_id() {
+        let alarm = |index: u64, correlation_id: u64| PipelineAlarm {
+            domain: DetectorDomain::PerEncryption,
+            index,
+            verdicts: Vec::new(),
+            correlation_id,
+        };
+        assert_eq!(alarm(1, 10), alarm(1, 99));
+        assert_ne!(alarm(1, 10), alarm(2, 10));
+        let mut window = alarm(1, 10);
+        window.domain = DetectorDomain::ContinuousWindow;
+        assert_ne!(window, alarm(1, 10));
+    }
+
+    /// A continuous window sampled at `rate`: a 10 MHz tone plus, when
+    /// `spot` is set, a 25 MHz line — the narrow-band spot an armed A2
+    /// trigger adds to the spectrum.
+    fn tone_window(rate: f64, spot: bool, seed: u64) -> VoltageTrace {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let tone = |f: f64, i: usize| (2.0 * std::f64::consts::PI * f * i as f64 / 640e6).sin();
+        VoltageTrace::new(
+            (0..16384)
+                .map(|i| {
+                    tone(10e6, i)
+                        + if spot { 0.4 * tone(25e6, i) } else { 0.0 }
+                        + 0.01 * rng.gen_range(-1.0..1.0)
+                })
+                .collect(),
+            rate,
+        )
+    }
+
+    fn spectral_pipeline(sanitizer: Option<TraceSanitizer>) -> DetectionPipeline {
+        let det = SpectralDetector::fit(&tone_window(640e6, false, 1), SpectralConfig::default())
+            .unwrap();
+        let fp = GoldenFingerprint::fit(&synthetic_set(4, 1.0, 1), FingerprintConfig::default())
+            .unwrap();
+        let mut builder = DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp)))
+            .detector(Box::new(SpectralWindowDetector::new(det)));
+        if let Some(s) = sanitizer {
+            builder = builder.sanitizer(s);
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn spectral_window_alarms_on_a_new_spot() {
+        let mut p = spectral_pipeline(None);
+        let quiet = p.try_ingest_window(&tone_window(640e6, false, 2)).unwrap();
+        assert_eq!(quiet.index, Some(0));
+        assert!(quiet.alarm.is_none());
+        let armed = p.try_ingest_window(&tone_window(640e6, true, 3)).unwrap();
+        let alarm = armed.alarm.expect("the new spot must alarm");
+        assert_eq!(alarm.domain, DetectorDomain::ContinuousWindow);
+        assert_eq!(alarm.index, 1);
+        let vote = alarm
+            .verdicts
+            .iter()
+            .find(|v| v.detector == "spectral")
+            .expect("spectral vote");
+        assert!(vote.suspected);
+        let ScoreDetail::Spectral { anomalies } = &vote.score.detail else {
+            panic!("the spectral vote must carry its anomalies");
+        };
+        assert!(!anomalies.is_empty());
+        assert_eq!(p.windows_seen(), 2);
+        assert_eq!(p.alarms().len(), 1);
+        p.acknowledge_alarms();
+        assert!(p.alarms().is_empty());
+    }
+
+    #[test]
+    fn window_ingest_without_a_window_detector_is_a_no_op() {
+        let mut p = euclidean_pipeline();
+        let window = VoltageTrace::new(vec![0.0; 1024], 640e6);
+        let strict = p.try_ingest_window(&window).unwrap();
+        let checked = p.ingest_window(&window);
+        for o in [strict, checked] {
+            assert_eq!(o.index, None);
+            assert!(o.votes.is_empty());
+            assert!(o.alarm.is_none());
+        }
+        assert_eq!(p.windows_seen(), 0);
+        assert_eq!(p.windows_rejected(), 0);
+    }
+
+    #[test]
+    fn sanitized_window_path_rejects_rate_mismatch_and_corruption() {
+        let mut p = spectral_pipeline(Some(TraceSanitizer::default()));
+        // Clean window at the golden rate: scored, no alarm.
+        let o = p.ingest_window(&tone_window(640e6, false, 2));
+        assert!(o.verdict.is_clean());
+        assert!(o.alarm.is_none());
+        // A wrong sample rate is screened before the detector errors.
+        let o = p.ingest_window(&tone_window(1280e6, false, 2));
+        assert!(matches!(
+            o.verdict,
+            TraceVerdict::Rejected {
+                reason: TraceDefect::SampleRateMismatch { .. }
+            }
+        ));
+        assert!(o.alarm.is_none());
+        // A corrupted window is screened structurally, even one that
+        // carries the spot.
+        let mut corrupt = tone_window(640e6, true, 3);
+        corrupt.samples_mut()[7] = f64::NAN;
+        let o = p.ingest_window(&corrupt);
+        assert!(o.verdict.is_rejected());
+        assert!(o.alarm.is_none());
+        assert_eq!(p.windows_rejected(), 2);
+        assert_eq!(p.windows_seen(), 1);
+        assert!(p.alarms().is_empty());
+        // The strict path errors on the rate mismatch instead.
+        assert!(p.try_ingest_window(&tone_window(1280e6, false, 2)).is_err());
     }
 
     #[test]
@@ -1553,7 +1766,12 @@ mod tests {
         let mut bad = clean.clone();
         bad[10] = f64::NAN;
         let o = p.ingest_trace(&bad);
-        assert!(o.verdict.is_rejected());
+        assert!(matches!(
+            o.verdict,
+            TraceVerdict::Rejected {
+                reason: TraceDefect::NonFinite { .. }
+            }
+        ));
         assert!(o.votes.is_empty());
         assert_eq!(o.index, None);
         let o = p.ingest_trace(&clean[..100]);
@@ -1566,6 +1784,8 @@ mod tests {
         assert_eq!(p.traces_seen(), 1);
         assert_eq!(p.traces_rejected(), 2);
         assert_eq!(p.traces_ingested(), 3);
+        assert_eq!(p.alarm_rate(), 0.0);
+        assert!(p.alarms().is_empty());
     }
 
     #[test]
@@ -1717,9 +1937,11 @@ mod tests {
         let mut p = forensic_pipeline(ForensicsConfig::default());
         let mut bad = synthetic_set(1, 1.0, 2).traces()[0].clone();
         bad[0] = f64::NAN;
-        for _ in 0..10 {
-            p.ingest_trace(&bad);
-        }
+        let states: Vec<SensorHealth> = (0..40).map(|_| p.ingest_trace(&bad).health).collect();
+        assert!(states.contains(&SensorHealth::Degraded));
+        assert_eq!(p.health(), SensorHealth::SensorFault);
+        assert_eq!(p.traces_rejected(), 40);
+        assert_eq!(p.traces_seen(), 0);
         let transitions: Vec<_> = p
             .decisions()
             .iter()

@@ -1,6 +1,6 @@
 //! Trace sanitization: measurement-quality screening before scoring.
 //!
-//! The monitor runs post-deployment for the chip's whole lifetime, so
+//! The pipeline runs post-deployment for the chip's whole lifetime, so
 //! the scoring path must assume the sensor channel *will* eventually
 //! misbehave — a saturated ADC, a dropped transfer window, a dead
 //! channel. Scoring such a trace would not crash, but worse: its inflated
@@ -10,7 +10,7 @@
 //! - [`TraceVerdict::Clean`] — scored normally;
 //! - [`TraceVerdict::Degraded`] — scored, but flagged (mild defects);
 //! - [`TraceVerdict::Rejected`] — excluded from scoring *and* from
-//!   [`alarm_rate`](crate::TrustMonitor::alarm_rate) bookkeeping, and
+//!   [`alarm_rate`](crate::DetectionPipeline::alarm_rate) bookkeeping, and
 //!   fed to the sensor-health state machine instead.
 //!
 //! Every check is a pure function of the samples (plus the optional
@@ -157,7 +157,7 @@ impl TraceVerdict {
 /// detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizerConfig {
-    /// Required trace length (`None` = any; the monitor fills this from
+    /// Required trace length (`None` = any; the pipeline fills this from
     /// the fingerprint's fit length).
     pub expected_len: Option<usize>,
     /// Reject when at least this fraction of samples sits exactly at the
@@ -230,7 +230,7 @@ impl TraceSanitizer {
         self.config
     }
 
-    /// Overrides the expected trace length (the monitor calls this with
+    /// Overrides the expected trace length (the pipeline calls this with
     /// the fingerprint's fit length).
     pub fn with_expected_len(mut self, expected_len: usize) -> Self {
         self.config.expected_len = Some(expected_len);

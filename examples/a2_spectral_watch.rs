@@ -6,8 +6,8 @@
 
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::TrustMonitor;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
+use emtrust::{DetectionPipeline, EuclideanDetector, ScoreDetail, SpectralWindowDetector};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{A2Trojan, ProtectedChip};
 
@@ -23,21 +23,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fingerprint = GoldenFingerprint::fit(&golden_traces, FingerprintConfig::default())?;
     let golden_window = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 2)?;
     let spectral = SpectralDetector::fit(&golden_window, SpectralConfig::default())?;
-    let mut monitor = TrustMonitor::builder(fingerprint)
-        .with_spectral(spectral)
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fingerprint)))
+        .detector(Box::new(SpectralWindowDetector::new(spectral)))
         .build();
 
     // Dormant: both detectors stay quiet.
     let quiet = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 3)?;
-    assert!(monitor.ingest_window(&quiet)?.is_none());
+    assert!(monitor.try_ingest_window(&quiet)?.alarm.is_none());
     println!("A2 dormant: spectrum clean.");
 
     // The trigger wire starts flipping.
     bench.arm_a2(true)?;
     let window = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 4)?;
-    match monitor.ingest_window(&window)? {
-        Some(alarm) => println!("A2 triggering: {alarm:?}"),
-        None => panic!("the spectral detector must catch the A2 trigger"),
+    let Some(alarm) = monitor.try_ingest_window(&window)?.alarm else {
+        panic!("the spectral detector must catch the A2 trigger");
+    };
+    for vote in alarm.verdicts.iter().filter(|v| v.suspected) {
+        if let ScoreDetail::Spectral { anomalies } = &vote.score.detail {
+            let top = &anomalies[0];
+            println!(
+                "A2 triggering: {} anomalous spots, strongest at {:.2} MHz \
+                 (correlation id {})",
+                anomalies.len(),
+                top.frequency_hz / 1e6,
+                alarm.correlation_id
+            );
+        }
     }
     println!(
         "Alarm raised from the trigger's harmonic comb — no logic corruption\n\

@@ -5,7 +5,7 @@
 
 use emtrust::acquisition::{Stimulus, TestBench};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::TrustMonitor;
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
@@ -37,11 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  Eq. 1 threshold: {:.4}", fingerprint.threshold());
 
     // 4. Runtime monitoring: the Trojan activates mid-stream.
-    let mut monitor = TrustMonitor::builder(fingerprint).build();
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fingerprint)))
+        .build();
     println!("monitoring... (Trojan activates after trace 8)");
     let clean = bench.collect_with(key, stimulus, 8, None, Channel::OnChipSensor, 2)?;
     for trace in clean.traces() {
-        assert!(monitor.ingest_trace(trace)?.is_none(), "no false alarms");
+        let outcome = monitor.try_ingest_trace(trace)?;
+        assert!(outcome.alarm.is_none(), "no false alarms");
     }
     let infected = bench.collect_with(
         key,
@@ -52,8 +55,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         3,
     )?;
     for trace in infected.traces() {
-        if let Some(alarm) = monitor.ingest_trace(trace)? {
-            println!("  ALARM: {alarm:?}");
+        if let Some(alarm) = monitor.try_ingest_trace(trace)?.alarm {
+            let score = &alarm.verdicts[0].score;
+            println!(
+                "  ALARM: trace {} distance {:.4} > threshold {:.4} (correlation id {})",
+                alarm.index, score.statistic, score.threshold, alarm.correlation_id
+            );
         }
     }
     println!(

@@ -1,11 +1,11 @@
-//! Multi-sensor array: coupling-map partition invariants, single-sensor
-//! parity against the legacy `TestBench` + `TrustMonitor` path, and a
+//! Multi-sensor array: coupling-map partition invariants, parity with
+//! the single-sensor `TestBench` + `DetectionPipeline` path, and a
 //! localization smoke test.
 
 use emtrust::acquisition::TestBench;
 use emtrust::array::{Localizer, SensorArray};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::TrustMonitor;
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_em::array::EmArray;
 use emtrust_em::pipeline::EmPipelineConfig;
 use emtrust_layout::floorplan::{Die, Floorplan};
@@ -158,11 +158,17 @@ fn one_by_one_array_is_bit_identical_to_the_legacy_single_sensor_path() {
     let array_bad = array.collect(KEY, 8, armed, 44).unwrap();
     assert_eq!(legacy_bad.traces(), array_bad[0].traces());
 
-    // And the verdicts must agree alarm for alarm with the legacy
-    // TrustMonitor driven by the same fingerprint configuration.
+    // And the verdicts must agree alarm for alarm with a single-sensor
+    // pipeline driven by the same fingerprint configuration.
     let fp = GoldenFingerprint::fit(&legacy_golden, FingerprintConfig::default()).unwrap();
-    let mut monitor = TrustMonitor::builder(fp).build();
-    let legacy_alarms = monitor.ingest_batch(legacy_bad.traces()).unwrap().len();
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .build();
+    let legacy_alarms = monitor
+        .try_ingest_batch(legacy_bad.traces())
+        .unwrap()
+        .alarms
+        .len();
     array.fit_golden(&array_golden).unwrap();
     let verdict = array.attribute(&array_bad, None).unwrap();
     assert_eq!(verdict.heat().len(), 1);

@@ -2,8 +2,9 @@
 //! → detection, across every crate in the workspace.
 
 use emtrust::acquisition::{Stimulus, TestBench};
+use emtrust::detector::EuclideanDetector;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::{Alarm, TrustMonitor};
+use emtrust::DetectionPipeline;
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
@@ -19,14 +20,16 @@ fn trojan_is_caught_at_runtime_through_the_onchip_sensor() {
         .collect_with(KEY, STIMULUS, 16, None, Channel::OnChipSensor, 11)
         .expect("golden traces");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fingerprint");
-    let mut monitor = TrustMonitor::builder(fp).build();
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .build();
 
     // Healthy operation: no alarms.
     let clean = bench
         .collect_with(KEY, STIMULUS, 6, None, Channel::OnChipSensor, 12)
         .expect("clean traces");
     for t in clean.traces() {
-        assert!(monitor.ingest_trace(t).expect("ingest").is_none());
+        assert!(monitor.try_ingest_trace(t).expect("ingest").alarm.is_none());
     }
 
     // Trojan activates.
@@ -42,13 +45,9 @@ fn trojan_is_caught_at_runtime_through_the_onchip_sensor() {
         .expect("infected traces");
     let mut alarms = 0;
     for t in infected.traces() {
-        if let Some(Alarm::TimeDomain {
-            distance,
-            threshold,
-            ..
-        }) = monitor.ingest_trace(t).expect("ingest")
-        {
-            assert!(distance > threshold);
+        if let Some(alarm) = monitor.try_ingest_trace(t).expect("ingest").alarm {
+            let score = &alarm.verdicts[0].score;
+            assert!(score.statistic > score.threshold);
             alarms += 1;
         }
     }

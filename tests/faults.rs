@@ -10,9 +10,8 @@
 use emtrust::faults::{FaultKind, FaultPlan, FaultSpec};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::health::SensorHealth;
-use emtrust::monitor::TrustMonitor;
 use emtrust::sanitize::{TraceDefect, TraceSanitizer, TraceVerdict};
-use emtrust::TraceSet;
+use emtrust::{DetectionPipeline, EuclideanDetector, TraceSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,11 +32,12 @@ fn clean_traces(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn fitted_monitor() -> TrustMonitor {
+fn fitted_monitor() -> DetectionPipeline {
     let golden = TraceSet::new(clean_traces(32, 1), 640e6).expect("golden set");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
-    TrustMonitor::builder(fp)
-        .with_sanitizer(TraceSanitizer::default())
+    DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .sanitizer(TraceSanitizer::default())
         .build()
 }
 
@@ -89,10 +89,10 @@ proptest! {
         }
 
         let mut monitor = fitted_monitor();
-        let batch = monitor.ingest_batch_report(&traces);
+        let batch = monitor.ingest_batch(&traces);
 
         // 100 % accounting: every trace is exactly one of the three.
-        prop_assert_eq!(batch.reports.len(), N_TRACES);
+        prop_assert_eq!(batch.outcomes.len(), N_TRACES);
         prop_assert_eq!(batch.clean() + batch.degraded() + batch.rejected(), N_TRACES);
         prop_assert_eq!(
             monitor.traces_seen() + monitor.traces_rejected(),
@@ -107,8 +107,8 @@ proptest! {
 
         // The whole monitor outcome replays bit-identically.
         let mut second = fitted_monitor();
-        let batch2 = second.ingest_batch_report(&replay);
-        prop_assert_eq!(batch.reports, batch2.reports);
+        let batch2 = second.ingest_batch(&replay);
+        prop_assert_eq!(batch.outcomes, batch2.outcomes);
         prop_assert_eq!(monitor.alarms(), second.alarms());
         prop_assert_eq!(monitor.health(), second.health());
     }
@@ -116,7 +116,7 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// `ingest_batch_report` rejected accounting: however a batch mixes
+    /// `ingest_batch` rejected accounting: however a batch mixes
     /// clean traces with unconditionally-rejectable ones (NaN bodies,
     /// empty traces), `rejected()` counts exactly the bad ones and the
     /// monitor's cumulative counters agree across batches.
@@ -143,8 +143,8 @@ proptest! {
                     }
                 }
             }
-            let report = monitor.ingest_batch_report(&traces);
-            prop_assert_eq!(report.reports.len(), n);
+            let report = monitor.ingest_batch(&traces);
+            prop_assert_eq!(report.outcomes.len(), n);
             prop_assert!(report.rejected() >= bad_here, "bad traces must be rejected");
             prop_assert_eq!(
                 report.clean() + report.degraded() + report.rejected(),
@@ -177,7 +177,7 @@ proptest! {
             let len = rng.gen_range(1..24usize);
             if poisoned {
                 for _ in 0..len {
-                    seen.push(monitor.ingest_checked(&[f64::NAN; 16]).health);
+                    seen.push(monitor.ingest_trace(&[f64::NAN; 16]).health);
                 }
                 prop_assert_eq!(
                     monitor.health_tracker().consecutive_rejections(),
@@ -185,7 +185,7 @@ proptest! {
                 );
             } else {
                 for t in clean_traces(len, seed ^ phase as u64) {
-                    seen.push(monitor.ingest_checked(&t).health);
+                    seen.push(monitor.ingest_trace(&t).health);
                 }
                 prop_assert_eq!(monitor.health_tracker().consecutive_rejections(), 0);
             }
@@ -205,7 +205,7 @@ fn every_fault_kind_at_full_intensity_is_survived() {
         let plan = FaultPlan::single(9, kind, 1.0);
         let traces = corrupt(&plan, 3);
         let mut monitor = fitted_monitor();
-        let batch = monitor.ingest_batch_report(&traces);
+        let batch = monitor.ingest_batch(&traces);
         assert_eq!(
             batch.clean() + batch.degraded() + batch.rejected(),
             N_TRACES,
@@ -220,9 +220,9 @@ fn nan_corruption_is_rejected_as_non_finite() {
     let plan = FaultPlan::single(4, FaultKind::NanCorruption, 0.5);
     let traces = corrupt(&plan, 5);
     let mut monitor = fitted_monitor();
-    let batch = monitor.ingest_batch_report(&traces);
+    let batch = monitor.ingest_batch(&traces);
     assert_eq!(batch.rejected(), N_TRACES);
-    for r in &batch.reports {
+    for r in &batch.outcomes {
         assert!(matches!(
             r.verdict,
             TraceVerdict::Rejected {
@@ -239,12 +239,12 @@ fn sustained_flatline_walks_health_down_and_recovery_walks_it_back() {
     let flat = vec![0.25; TRACE_LEN];
     let mut seen = vec![monitor.health()];
     for _ in 0..32 {
-        seen.push(monitor.ingest_checked(&flat).health);
+        seen.push(monitor.ingest_trace(&flat).health);
     }
     assert_eq!(monitor.health(), SensorHealth::SensorFault);
     assert!(seen.contains(&SensorHealth::Degraded));
     for t in clean_traces(64, 6) {
-        seen.push(monitor.ingest_checked(&t).health);
+        seen.push(monitor.ingest_trace(&t).health);
     }
     assert_eq!(monitor.health(), SensorHealth::Healthy);
     for w in seen.windows(2) {
@@ -258,11 +258,11 @@ fn per_trace_failures_do_not_abort_the_batch() {
     traces[2] = vec![f64::NAN; TRACE_LEN];
     traces[4] = vec![]; // empty trace
     let mut monitor = fitted_monitor();
-    let batch = monitor.ingest_batch_report(&traces);
-    assert_eq!(batch.reports.len(), 5);
+    let batch = monitor.ingest_batch(&traces);
+    assert_eq!(batch.outcomes.len(), 5);
     assert_eq!(batch.rejected(), 2);
     assert_eq!(batch.clean(), 3);
-    assert!(batch.reports[2].verdict.is_rejected());
-    assert!(batch.reports[4].verdict.is_rejected());
+    assert!(batch.outcomes[2].verdict.is_rejected());
+    assert!(batch.outcomes[4].verdict.is_rejected());
     assert_eq!(monitor.traces_seen(), 3);
 }

@@ -162,6 +162,16 @@ fn quarantined_chip_recovers_through_a_half_open_probe() {
     assert!(x.breaker_trips >= 1);
 }
 
+/// Offers `batch` until the shard queue takes it. A shed batch never
+/// reaches the store, so the producer resends it after a short back-off,
+/// as a client of a full queue would; what is then counted is eviction
+/// alone, however slowly the shard drains.
+fn ingest_unshed(service: &FleetService, chip: &str, batch: Vec<Vec<f64>>) {
+    while service.ingest(chip, batch.clone()).expect("ingest").verdict == AdmissionVerdict::Shed {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn lru_eviction_refits_returning_chips() {
     let mut cfg = config(1);
@@ -171,16 +181,12 @@ fn lru_eviction_refits_returning_chips() {
     // 12 chips through a 4-slot store: heavy eviction...
     for round in 0..6u64 {
         for c in 0..12u64 {
-            service
-                .ingest(&format!("chip-{c}"), clean_batch(c, round, 2))
-                .expect("ingest");
+            ingest_unshed(&service, &format!("chip-{c}"), clean_batch(c, round, 2));
         }
     }
     // ...then the first chip returns.
     for round in 100..103u64 {
-        service
-            .ingest("chip-0", clean_batch(0, round, 2))
-            .expect("return");
+        ingest_unshed(&service, "chip-0", clean_batch(0, round, 2));
     }
     let summary = service.finish().expect("finish");
     let shard = &summary.shards[0];

@@ -11,7 +11,7 @@ use emtrust::telemetry::{
     self, decisions_jsonl, FlightRecorderConfig, ForensicsConfig, InMemoryRecorder, LabelSet,
     Recorder,
 };
-use emtrust::{FingerprintConfig, GoldenFingerprint, TrustMonitor};
+use emtrust::{DetectionPipeline, EuclideanDetector, FingerprintConfig, GoldenFingerprint};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 use proptest::prelude::*;
@@ -43,9 +43,10 @@ fn decision_log_reconstructs_a_trojan_replay() {
         .collect_with(KEY, STIMULUS, 12, None, Channel::OnChipSensor, 51)
         .expect("golden");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
-    let mut monitor = TrustMonitor::builder(fp)
-        .with_chip_id("chip-e2e")
-        .with_forensics(ForensicsConfig {
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .labels(LabelSet::new().with("chip_id", "chip-e2e"))
+        .forensics(ForensicsConfig {
             flight: FlightRecorderConfig {
                 pre: 2,
                 post: 1,
@@ -59,7 +60,7 @@ fn decision_log_reconstructs_a_trojan_replay() {
         .collect_with(KEY, STIMULUS, 3, None, Channel::OnChipSensor, 52)
         .expect("clean");
     for t in clean.traces() {
-        assert!(monitor.ingest_trace(t).expect("ingest").is_none());
+        assert!(monitor.try_ingest_trace(t).expect("ingest").alarm.is_none());
     }
     let infected = bench
         .collect_with(
@@ -71,7 +72,10 @@ fn decision_log_reconstructs_a_trojan_replay() {
             53,
         )
         .expect("infected");
-    let raised = monitor.ingest_batch(infected.traces()).expect("batch");
+    let raised = monitor
+        .try_ingest_batch(infected.traces())
+        .expect("batch")
+        .alarms;
     monitor.seal_flight_windows();
     telemetry::uninstall();
     assert!(!raised.is_empty(), "the armed Trojan must alarm");
@@ -93,11 +97,7 @@ fn decision_log_reconstructs_a_trojan_replay() {
         .filter(|r| r.fused_alarm)
         .filter_map(|r| r.correlation_id)
         .collect();
-    let alarm_ids: Vec<u64> = monitor
-        .alarms()
-        .iter()
-        .map(emtrust::monitor::Alarm::correlation_id)
-        .collect();
+    let alarm_ids: Vec<u64> = monitor.alarms().iter().map(|a| a.correlation_id).collect();
     assert_eq!(fused_ids, alarm_ids);
 
     // Every alarm froze a flight window whose trigger record is the

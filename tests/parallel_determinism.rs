@@ -3,7 +3,10 @@
 //! bit-identical to the serial run, in the same order.
 
 use emtrust::acquisition::Stimulus;
-use emtrust::{FingerprintConfig, GoldenFingerprint, ParallelConfig, TestBench, TrustMonitor};
+use emtrust::{
+    DetectionPipeline, EuclideanDetector, FingerprintConfig, GoldenFingerprint, ParallelConfig,
+    PipelineAlarm, TestBench,
+};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 use proptest::prelude::*;
@@ -12,6 +15,13 @@ const KEY: [u8; 16] = *b"sixteen byte key";
 
 fn pool(workers: usize) -> ParallelConfig {
     ParallelConfig::serial().with_workers(workers)
+}
+
+/// The paper's time-domain monitor: one Euclidean detector, Or-fused.
+fn euclidean_pipeline(fp: GoldenFingerprint) -> DetectionPipeline {
+    DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .build()
 }
 
 #[test]
@@ -105,15 +115,15 @@ fn monitor_raises_the_same_alarms_in_the_same_order_for_1_2_8_workers() {
         }
     }
 
-    let mut reference: Option<Vec<emtrust::Alarm>> = None;
+    let mut reference: Option<Vec<PipelineAlarm>> = None;
     for workers in [1, 2, 8] {
         let config = FingerprintConfig {
             parallel: pool(workers),
             ..FingerprintConfig::default()
         };
         let fp = GoldenFingerprint::fit(&golden, config).unwrap();
-        let mut monitor = TrustMonitor::builder(fp).build();
-        let raised = monitor.ingest_batch(&suspects).unwrap();
+        let mut monitor = euclidean_pipeline(fp);
+        let raised = monitor.try_ingest_batch(&suspects).unwrap().alarms;
         assert!(!raised.is_empty(), "anomalies must alarm");
         assert_eq!(monitor.traces_seen(), suspects.len() as u64);
         assert_eq!(monitor.alarms(), raised.as_slice());
@@ -138,12 +148,12 @@ fn batch_ingest_matches_serial_ingest_exactly() {
     suspects.push(clean.traces()[0].iter().map(|x| 1.4 * x).collect());
 
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
-    let mut serial = TrustMonitor::builder(fp.clone()).build();
+    let mut serial = euclidean_pipeline(fp.clone());
     for t in &suspects {
-        let _ = serial.ingest_trace(t).unwrap();
+        let _ = serial.try_ingest_trace(t).unwrap();
     }
-    let mut batched = TrustMonitor::builder(fp).build();
-    let _ = batched.ingest_batch(&suspects).unwrap();
+    let mut batched = euclidean_pipeline(fp);
+    let _ = batched.try_ingest_batch(&suspects).unwrap();
     assert_eq!(batched.alarms(), serial.alarms());
     assert_eq!(batched.traces_seen(), serial.traces_seen());
 }

@@ -1,21 +1,17 @@
 //! The staged detection pipeline: fusion-policy truth tables, seeded
-//! property tests, bit-identical equivalence against the legacy
-//! `TrustMonitor` ingest paths, and three detectors fused side by side.
+//! property tests, and three detectors fused side by side.
 
-use emtrust::acquisition::{Stimulus, TestBench};
+use emtrust::acquisition::TestBench;
 use emtrust::detector::EuclideanDetector;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::{Alarm, TrustMonitor};
 use emtrust::persistence::{PersistenceConfig, SpectralPersistenceDetector};
-use emtrust::sanitize::TraceSanitizer;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
-use emtrust::{DetectionPipeline, FusionPolicy, ScoreDetail, SpectralWindowDetector};
+use emtrust::{DetectionPipeline, FusionPolicy, SpectralWindowDetector};
 use emtrust_silicon::Channel;
-use emtrust_trojan::{A2Trojan, ProtectedChip, TrojanKind};
+use emtrust_trojan::{A2Trojan, ProtectedChip};
 use proptest::prelude::*;
 
 const KEY: [u8; 16] = *b"pipeline test k!";
-const STIMULUS: Stimulus = Stimulus::Fixed(*b"pipeline test pt");
 
 // ---------------------------------------------------------------------
 // Fusion truth tables
@@ -126,216 +122,6 @@ proptest! {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Bit-identical equivalence with the legacy monitor
-// ---------------------------------------------------------------------
-
-/// The pipeline `TrustMonitor::builder(fp).build()` wraps.
-fn euclidean_pipeline(fp: &GoldenFingerprint) -> DetectionPipeline {
-    DetectionPipeline::builder()
-        .detector(Box::new(EuclideanDetector::new(fp.clone())))
-        .fusion(FusionPolicy::Or)
-        .build()
-}
-
-#[test]
-fn per_trace_ingest_matches_the_legacy_monitor_bit_for_bit() {
-    let sim_chip = ProtectedChip::with_trojans(&[TrojanKind::T4PowerDegrader]);
-    let si_chip = ProtectedChip::with_trojans(&[TrojanKind::T2LeakageLeaker]);
-    let scenarios: [(TestBench, TrojanKind); 2] = [
-        (
-            TestBench::simulation(&sim_chip).expect("sim bench"),
-            TrojanKind::T4PowerDegrader,
-        ),
-        (
-            TestBench::silicon(&si_chip, 3).expect("silicon bench"),
-            TrojanKind::T2LeakageLeaker,
-        ),
-    ];
-    for (bench, trojan) in scenarios {
-        let golden = bench
-            .collect_with(KEY, STIMULUS, 12, None, Channel::OnChipSensor, 11)
-            .expect("golden");
-        let config = FingerprintConfig {
-            pca_components: None,
-            ..FingerprintConfig::default()
-        };
-        let fp = GoldenFingerprint::fit(&golden, config).expect("fit");
-        let clean = bench
-            .collect_with(KEY, STIMULUS, 6, None, Channel::OnChipSensor, 12)
-            .expect("clean");
-        let armed = bench
-            .collect_with(KEY, STIMULUS, 6, Some(trojan), Channel::OnChipSensor, 13)
-            .expect("armed");
-
-        let mut monitor = TrustMonitor::builder(fp.clone()).build();
-        let mut pipeline = euclidean_pipeline(&fp);
-        for t in clean.traces().iter().chain(armed.traces().iter()) {
-            let legacy = monitor.ingest_trace(t).expect("monitor ingest");
-            let outcome = pipeline.try_ingest_trace(t).expect("pipeline ingest");
-            match (&legacy, &outcome.alarm) {
-                (None, None) => {}
-                (
-                    Some(Alarm::TimeDomain {
-                        trace_index,
-                        distance,
-                        threshold,
-                        ..
-                    }),
-                    Some(fused),
-                ) => {
-                    assert_eq!(*trace_index, fused.index);
-                    let vote = outcome.votes.first().expect("euclidean vote");
-                    assert_eq!(distance.to_bits(), vote.score.statistic.to_bits());
-                    assert_eq!(threshold.to_bits(), vote.score.threshold.to_bits());
-                }
-                (l, p) => panic!("alarm divergence: {l:?} vs {p:?}"),
-            }
-        }
-        assert!(!monitor.alarms().is_empty(), "the Trojan half must alarm");
-        assert_eq!(monitor.alarms().len(), pipeline.alarms().len());
-        assert_eq!(
-            monitor.alarm_rate().to_bits(),
-            pipeline.alarm_rate().to_bits(),
-            "alarm rates must be bit-identical"
-        );
-        assert_eq!(monitor.health(), pipeline.health());
-        assert_eq!(monitor.traces_seen(), pipeline.traces_seen());
-    }
-}
-
-#[test]
-fn sanitized_batch_ingest_matches_the_legacy_monitor() {
-    let chip = ProtectedChip::with_trojans(&[TrojanKind::T4PowerDegrader]);
-    let bench = TestBench::simulation(&chip).expect("bench");
-    let golden = bench
-        .collect_with(KEY, STIMULUS, 12, None, Channel::OnChipSensor, 21)
-        .expect("golden");
-    let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
-
-    let mut traces = bench
-        .collect_with(KEY, STIMULUS, 4, None, Channel::OnChipSensor, 22)
-        .expect("clean")
-        .traces()
-        .to_vec();
-    traces.extend_from_slice(
-        bench
-            .collect_with(
-                KEY,
-                STIMULUS,
-                4,
-                Some(TrojanKind::T4PowerDegrader),
-                Channel::OnChipSensor,
-                23,
-            )
-            .expect("armed")
-            .traces(),
-    );
-    // A corrupted acquisition the sanitizer must reject on both paths.
-    traces[1][7] = f64::NAN;
-
-    let mut monitor = TrustMonitor::builder(fp.clone())
-        .with_sanitizer(TraceSanitizer::default())
-        .build();
-    let mut pipeline = DetectionPipeline::builder()
-        .detector(Box::new(EuclideanDetector::new(fp.clone())))
-        .fusion(FusionPolicy::Or)
-        .sanitizer(TraceSanitizer::default())
-        .build();
-
-    let legacy = monitor.ingest_batch_report(&traces);
-    let batch = pipeline.ingest_batch(&traces);
-
-    assert_eq!(legacy.clean(), batch.clean());
-    assert_eq!(legacy.degraded(), batch.degraded());
-    assert_eq!(legacy.rejected(), batch.rejected());
-    assert_eq!(legacy.alarms.len(), batch.alarms.len());
-    assert!(!batch.alarms.is_empty(), "the armed traces must alarm");
-    for (l, p) in legacy.alarms.iter().zip(batch.alarms.iter()) {
-        let Alarm::TimeDomain {
-            trace_index,
-            distance,
-            ..
-        } = l
-        else {
-            panic!("unexpected alarm kind {l:?}");
-        };
-        assert_eq!(*trace_index, p.index);
-        let vote = p.verdicts.first().expect("euclidean vote");
-        assert_eq!(distance.to_bits(), vote.score.statistic.to_bits());
-    }
-    assert_eq!(monitor.traces_rejected(), pipeline.traces_rejected());
-    assert_eq!(monitor.health(), pipeline.health());
-    assert_eq!(
-        monitor.alarm_rate().to_bits(),
-        pipeline.alarm_rate().to_bits()
-    );
-}
-
-#[test]
-fn window_ingest_matches_the_legacy_monitor() {
-    let chip = ProtectedChip::golden();
-    let mut bench = TestBench::simulation(&chip)
-        .expect("bench")
-        .with_a2(A2Trojan::new(10e6));
-    let golden_traces = bench
-        .collect(KEY, 16, None, Channel::OnChipSensor, 1)
-        .expect("golden traces");
-    let fp = GoldenFingerprint::fit(&golden_traces, FingerprintConfig::default()).expect("fit");
-    let golden_window = bench
-        .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 2)
-        .expect("golden window");
-    let spectral = SpectralDetector::fit(&golden_window, SpectralConfig::default()).expect("fit");
-
-    let mut monitor = TrustMonitor::builder(fp.clone())
-        .with_spectral(spectral.clone())
-        .build();
-    let mut pipeline = DetectionPipeline::builder()
-        .detector(Box::new(EuclideanDetector::new(fp.clone())))
-        .detector(Box::new(SpectralWindowDetector::new(spectral)))
-        .fusion(FusionPolicy::Or)
-        .build();
-
-    let quiet = bench
-        .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 3)
-        .expect("quiet window");
-    assert!(monitor.ingest_window(&quiet).expect("ingest").is_none());
-    assert!(pipeline
-        .try_ingest_window(&quiet)
-        .expect("ingest")
-        .alarm
-        .is_none());
-
-    bench.arm_a2(true).expect("arm");
-    let armed = bench
-        .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 4)
-        .expect("armed window");
-    let legacy = monitor.ingest_window(&armed).expect("ingest");
-    let outcome = pipeline.try_ingest_window(&armed).expect("ingest");
-    let Some(Alarm::Spectral {
-        anomaly,
-        spot_count,
-        ..
-    }) = legacy
-    else {
-        panic!("legacy monitor must raise a spectral alarm, got {legacy:?}");
-    };
-    let fused = outcome.alarm.expect("pipeline spectral alarm");
-    assert_eq!(fused.index, 1, "second window");
-    let vote = fused
-        .verdicts
-        .iter()
-        .find(|v| v.detector == "spectral")
-        .expect("spectral vote");
-    let ScoreDetail::Spectral { anomalies } = &vote.score.detail else {
-        panic!("spectral vote must carry anomalies");
-    };
-    assert_eq!(anomalies.len(), spot_count);
-    let top = anomalies.first().expect("at least one anomaly");
-    assert_eq!(top.frequency_hz.to_bits(), anomaly.frequency_hz.to_bits());
-    assert_eq!(monitor.windows_seen(), pipeline.windows_seen());
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,14 @@
 //! Telemetry across the real pipeline: a Trojan-active replay must raise
-//! alarms whose forensic rings hold the offending observation, the
-//! registry must capture every stage, and installing a recorder must not
-//! perturb the detection results (bit-identical across worker counts).
+//! alarms whose decision records and flight windows hold the offending
+//! observation, the registry must capture every stage, and installing a
+//! recorder must not perturb the detection results (bit-identical across
+//! worker counts).
 
 use emtrust::acquisition::{Stimulus, TestBench};
-use emtrust::monitor::Alarm;
-use emtrust::telemetry::{self, InMemoryRecorder, ManualClock};
-use emtrust::{FingerprintConfig, GoldenFingerprint, ParallelConfig, TrustMonitor};
+use emtrust::telemetry::{self, ForensicsConfig, InMemoryRecorder, ManualClock};
+use emtrust::{
+    DetectionPipeline, EuclideanDetector, FingerprintConfig, GoldenFingerprint, ParallelConfig,
+};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -37,13 +39,16 @@ fn trojan_replay_raises_alarms_with_forensic_context() {
         .collect_with(KEY, STIMULUS, 12, None, Channel::OnChipSensor, 31)
         .expect("golden");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
-    let mut monitor = TrustMonitor::builder(fp).with_forensic_depth(8).build();
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .forensics(ForensicsConfig::default())
+        .build();
 
     let clean = bench
         .collect_with(KEY, STIMULUS, 3, None, Channel::OnChipSensor, 32)
         .expect("clean");
     for t in clean.traces() {
-        assert!(monitor.ingest_trace(t).expect("ingest").is_none());
+        assert!(monitor.try_ingest_trace(t).expect("ingest").alarm.is_none());
     }
     let infected = bench
         .collect_with(
@@ -55,35 +60,40 @@ fn trojan_replay_raises_alarms_with_forensic_context() {
             33,
         )
         .expect("infected");
-    let raised = monitor.ingest_batch(infected.traces()).expect("batch");
+    let raised = monitor
+        .try_ingest_batch(infected.traces())
+        .expect("batch")
+        .alarms;
+    monitor.seal_flight_windows();
     telemetry::uninstall();
 
     assert!(!raised.is_empty(), "the armed Trojan must alarm");
-    assert_eq!(monitor.forensics().len(), monitor.alarms().len());
+    let fused: Vec<_> = monitor
+        .decisions()
+        .iter()
+        .filter(|r| r.fused_alarm)
+        .collect();
+    assert_eq!(fused.len(), monitor.alarms().len());
 
-    // Every alarm's ring must end with its own offending distance.
-    for (alarm, record) in monitor.alarms().iter().zip(monitor.forensics()) {
-        assert_eq!(record.correlation_id, alarm.correlation_id());
-        let Alarm::TimeDomain {
-            trace_index,
-            distance,
-            ..
-        } = alarm
-        else {
-            panic!("expected a time-domain alarm, got {alarm:?}");
-        };
-        let last = record
-            .recent_distances
-            .last()
-            .expect("ring must not be empty");
-        assert_eq!(last.trace_index, *trace_index);
-        assert_eq!(last.distance.to_bits(), distance.to_bits());
-        assert!(record.recent_distances.len() <= 8);
-        assert!(record.to_json().contains("\"kind\":\"time_domain\""));
+    // Every alarm's decision record and flight window hold its own
+    // offending distance.
+    for (alarm, record) in monitor.alarms().iter().zip(fused) {
+        assert_eq!(record.correlation_id, Some(alarm.correlation_id));
+        assert_eq!(record.index, Some(alarm.index));
+        let distance = alarm.verdicts[0].score.statistic;
+        assert_eq!(record.detectors[0].statistic.to_bits(), distance.to_bits());
+        assert!(record.to_json().contains("\"domain\":\"trace\""));
+        let window = monitor
+            .flight_windows()
+            .iter()
+            .find(|w| w.correlation_id == alarm.correlation_id)
+            .expect("every alarm freezes a flight window");
+        let trigger = window.trigger_record().expect("sealed window");
+        assert_eq!(trigger.detectors[0].statistic.to_bits(), distance.to_bits());
     }
 
     // Correlation ids: unique and strictly monotonic in alarm order.
-    let ids: Vec<u64> = monitor.alarms().iter().map(Alarm::correlation_id).collect();
+    let ids: Vec<u64> = monitor.alarms().iter().map(|a| a.correlation_id).collect();
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids {ids:?}");
 
     // The registry saw every stage of the pipeline.
@@ -136,8 +146,16 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
     }
     telemetry::uninstall();
 
-    // The pool reported per-worker chunk timings for the fanned-out runs.
+    // The Trojan-free (replayable) branch attributes its simulation
+    // time; the inline single-worker run nests it under `collect`.
     let snap = registry.snapshot();
+    assert!(
+        snap.spans.contains_key("collect.simulate"),
+        "golden collect must record collect.simulate; got {:?}",
+        snap.spans.keys().collect::<Vec<_>>()
+    );
+
+    // The pool reported per-worker chunk timings for the fanned-out runs.
     assert!(snap.counters["pool.chunks"] > 0);
     assert!(
         snap.histograms
