@@ -6,6 +6,7 @@ use emtrust::acquisition::TestBench;
 use emtrust::euclidean::distance_panel;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_bench::{measure_snr, EXPERIMENT_KEY};
 use emtrust_netlist::library::Library;
 use emtrust_netlist::stats::design_summary;
@@ -54,13 +55,16 @@ fn euclidean_detection(c: &mut Criterion) {
         .expect("golden traces");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
     let probe = golden.traces()[0].clone();
+    let mut pipeline = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .build();
     let mut g = c.benchmark_group("euclidean");
     g.sample_size(10);
     g.bench_function("fit_16_traces", |b| {
         b.iter(|| GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap())
     });
-    g.bench_function("evaluate_one_trace", |b| {
-        b.iter(|| fp.evaluate(&probe).unwrap())
+    g.bench_function("ingest_one_trace", |b| {
+        b.iter(|| pipeline.ingest_trace(&probe))
     });
     g.finish();
 }

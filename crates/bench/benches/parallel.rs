@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_bench::EXPERIMENT_KEY;
 use emtrust_silicon::Channel;
 use emtrust_trojan::ProtectedChip;
@@ -57,7 +58,7 @@ fn parallel_fit(c: &mut Criterion) {
     g.finish();
 }
 
-fn parallel_evaluate_batch(c: &mut Criterion) {
+fn parallel_ingest_batch(c: &mut Criterion) {
     let chip = ProtectedChip::golden();
     let bench = TestBench::simulation(&chip).expect("bench");
     let golden = bench
@@ -66,17 +67,17 @@ fn parallel_evaluate_batch(c: &mut Criterion) {
     let suspects = bench
         .collect(EXPERIMENT_KEY, 16, None, Channel::OnChipSensor, 8)
         .expect("suspect set");
-    let mut g = c.benchmark_group("parallel_evaluate_batch");
+    let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
+    let mut g = c.benchmark_group("parallel_ingest_batch");
     g.sample_size(10);
     g.throughput(Throughput::Elements(suspects.len() as u64));
     for workers in WORKER_SWEEP {
-        let config = FingerprintConfig {
-            parallel: ParallelConfig::default().with_workers(workers),
-            ..FingerprintConfig::default()
-        };
-        let fp = GoldenFingerprint::fit(&golden, config).expect("fit");
+        let mut pipeline = DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp.clone())))
+            .parallel(ParallelConfig::default().with_workers(workers))
+            .build();
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
-            b.iter(|| fp.evaluate_batch(suspects.traces()).unwrap())
+            b.iter(|| pipeline.ingest_batch(suspects.traces()))
         });
     }
     g.finish();
@@ -86,6 +87,6 @@ criterion_group!(
     parallel,
     parallel_collect,
     parallel_fit,
-    parallel_evaluate_batch
+    parallel_ingest_batch
 );
 criterion_main!(parallel);

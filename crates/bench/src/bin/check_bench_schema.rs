@@ -10,10 +10,11 @@
 )]
 
 //! Schema checker for the machine-readable bench artifacts — CI runs
-//! this against `BENCH_telemetry.json` (and optionally
-//! `BENCH_parallel.json`) after the experiment binaries, so a drifting
-//! field name or a NaN-turned-null fails the build, not a downstream
-//! dashboard.
+//! it on every experiment's artifact after the binary that writes it
+//! (`BENCH_parallel`, `_telemetry`, `_forensics`, `_faults`, `_fleet`,
+//! `_localization` and `_reference_free.json`; each document's
+//! `benchmark` field picks its check), so a drifting field name or a
+//! NaN-turned-null fails the build, not a downstream dashboard.
 //!
 //! Usage: `check_bench_schema <file.json>... [--jsonl <file.jsonl>...]`
 //! — exits 0 when every file validates, 1 with a per-file reason

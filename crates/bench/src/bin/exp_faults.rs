@@ -187,7 +187,8 @@ fn main() {
         .or_exit("clean suspects");
     let mut plain = fitted_monitor(&fp, false);
     plain
-        .try_ingest_batch(clean_suspects.traces())
+        .ingest_batch(clean_suspects.traces())
+        .all_scored()
         .or_exit("clean baseline ingest");
     let baseline_alarms = plain.alarms().len();
     let baseline_far = baseline_alarms as f64 / N_SUSPECT as f64;

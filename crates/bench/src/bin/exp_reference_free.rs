@@ -71,14 +71,14 @@ fn warmed_selfcal_pipeline(warmup: &[Vec<f64>]) -> Result<(DetectionPipeline, us
         mad_multiplier: MAD_MULTIPLIER,
         ..SelfCalibratingConfig::default()
     }))?;
-    let batch = pipeline.try_ingest_batch(warmup)?;
+    let batch = pipeline.ingest_batch(warmup).all_scored()?;
     let warmup_alarms = batch.outcomes.iter().filter(|o| o.alarm.is_some()).count();
     Ok((pipeline, warmup_alarms))
 }
 
 /// Fraction of the batch that raised a fused alarm.
 fn alarm_rate(pipeline: &mut DetectionPipeline, traces: &[Vec<f64>]) -> Result<f64, TrustError> {
-    let batch = pipeline.try_ingest_batch(traces)?;
+    let batch = pipeline.ingest_batch(traces).all_scored()?;
     let alarms = batch.outcomes.iter().filter(|o| o.alarm.is_some()).count();
     Ok(alarms as f64 / traces.len().max(1) as f64)
 }

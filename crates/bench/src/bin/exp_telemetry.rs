@@ -171,7 +171,7 @@ fn run_sweep(
             Channel::OnChipSensor,
             0x7E3 + i as u64,
         )?;
-        monitor.try_ingest_batch(suspects.traces())?;
+        monitor.ingest_batch(suspects.traces()).all_scored()?;
     }
     let armed_window = bench.collect_continuous(
         EXPERIMENT_KEY,
@@ -180,7 +180,11 @@ fn run_sweep(
         Channel::OnChipSensor,
         0x7E2,
     )?;
-    monitor.try_ingest_window(&armed_window)?;
+    if monitor.ingest_window(&armed_window).verdict.is_rejected() {
+        return Err(TrustError::InvalidParameter {
+            what: "the pipeline rejected the armed monitoring window",
+        });
+    }
     Ok(monitor)
 }
 

@@ -614,13 +614,16 @@ impl<'c> TestBench<'c> {
             .and_then(|p| p.leak_sense);
         sim.start_recording();
         let mut leak_per_cycle = Vec::new();
-        for _ in 0..n_blocks {
-            let pt: [u8; 16] = rng.gen();
-            let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |s| {
-                if let Some(net) = leak_sense {
-                    leak_per_cycle.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
-                }
-            });
+        {
+            let _span = telemetry::span("simulate");
+            for _ in 0..n_blocks {
+                let pt: [u8; 16] = rng.gen();
+                let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |s| {
+                    if let Some(net) = leak_sense {
+                        leak_per_cycle.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
+                    }
+                });
+            }
         }
         let activity = sim.take_recording();
         let extra = if leak_sense.is_some() {

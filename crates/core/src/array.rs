@@ -840,8 +840,8 @@ impl<'c> SensorArray<'c> {
                 what: "calibrate needs one clean trace set per tile",
             });
         }
-        for (t, set) in clean.iter().enumerate() {
-            self.pipelines[t].try_ingest_batch(set.traces())?;
+        for (pipeline, set) in self.pipelines.iter_mut().zip(clean) {
+            pipeline.ingest_batch(set.traces()).all_scored()?;
         }
         Ok(())
     }
@@ -907,7 +907,7 @@ impl<'c> SensorArray<'c> {
         let mut heat = Vec::with_capacity(self.array.len());
         let mut alarmed = false;
         for (t, set) in suspects.iter().enumerate() {
-            let batch = self.pipelines[t].try_ingest_batch(set.traces())?;
+            let batch = self.pipelines[t].ingest_batch(set.traces()).all_scored()?;
             let mut margin_sum = 0.0;
             let mut alarms = 0usize;
             let mut scored = 0usize;

@@ -678,10 +678,10 @@ mod tests {
         let mut frame = FeatureFrame::new(t);
         frame.set_projection(fp.project(t).unwrap());
         let score = det.score(&frame).unwrap();
-        let verdict = fp.evaluate(t).unwrap();
-        assert_eq!(score.statistic, verdict.distance);
-        assert_eq!(score.threshold, verdict.threshold);
-        assert_eq!(det.verdict(&score), verdict.trojan_suspected);
+        let distance = fp.distance(t).unwrap();
+        assert_eq!(score.statistic, distance);
+        assert_eq!(score.threshold, fp.threshold());
+        assert_eq!(det.verdict(&score), distance > fp.threshold());
     }
 
     #[test]

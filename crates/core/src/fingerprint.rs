@@ -36,18 +36,6 @@ impl Default for FingerprintConfig {
     }
 }
 
-/// Verdict on one trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Verdict {
-    /// Euclidean distance to the golden centroid (dimensionless — traces
-    /// are scale-normalized by the golden set's magnitude).
-    pub distance: f64,
-    /// The Eq. 1 threshold in effect.
-    pub threshold: f64,
-    /// Whether the distance exceeds the threshold.
-    pub trojan_suspected: bool,
-}
-
 /// The golden (Trojan-free) fingerprint of a chip.
 #[derive(Debug, Clone)]
 pub struct GoldenFingerprint {
@@ -196,58 +184,6 @@ impl GoldenFingerprint {
         self.distance_of_projection(&self.project(samples)?)
     }
 
-    /// Evaluates one trace against the Eq. 1 threshold.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded projection errors.
-    pub fn evaluate(&self, samples: &[f64]) -> Result<Verdict, TrustError> {
-        telemetry::counter("fingerprint.evaluations", 1);
-        let d = self.distance(samples)?;
-        Ok(Verdict {
-            distance: d,
-            threshold: self.threshold,
-            trojan_suspected: d > self.threshold,
-        })
-    }
-
-    /// Evaluates a batch of traces against the Eq. 1 threshold, fanning
-    /// the per-trace work across the configured worker pool.
-    ///
-    /// Verdicts come back in trace order and each is exactly what
-    /// [`Self::evaluate`] returns for that trace — the batch path only
-    /// changes wall-clock time, never the result.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded projection errors (from the lowest-indexed failing
-    /// trace).
-    pub fn evaluate_batch(&self, traces: &[Vec<f64>]) -> Result<Vec<Verdict>, TrustError> {
-        let _span = telemetry::span("evaluate_batch");
-        self.config
-            .parallel
-            .try_map(traces.len(), |i| self.evaluate(&traces[i]))
-    }
-
-    /// Evaluates a batch of traces, reporting each trace's outcome
-    /// individually instead of aborting on the first failure. The
-    /// hardened monitor ingestion path uses this so one corrupted trace
-    /// cannot shadow the verdicts of its batch-mates.
-    pub fn evaluate_each<T: AsRef<[f64]> + Sync>(
-        &self,
-        traces: &[T],
-    ) -> Vec<Result<Verdict, TrustError>> {
-        let _span = telemetry::span("evaluate_each");
-        let wrapped: Result<Vec<_>, std::convert::Infallible> = self
-            .config
-            .parallel
-            .try_map(traces.len(), |i| Ok(self.evaluate(traces[i].as_ref())));
-        match wrapped {
-            Ok(v) => v,
-            Err(never) => match never {},
-        }
-    }
-
     /// Distances of every trace in a set to the golden centroid, fanned
     /// across the configured worker pool (trace order preserved).
     ///
@@ -375,11 +311,11 @@ mod tests {
         let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
         let fresh = synthetic_set(8, 1.0, 2);
         for t in fresh.traces() {
-            let v = fp.evaluate(t).unwrap();
+            let d = fp.distance(t).unwrap();
             assert!(
-                !v.trojan_suspected,
-                "false alarm: d={} th={}",
-                v.distance, v.threshold
+                d <= fp.threshold(),
+                "false alarm: d={d} th={}",
+                fp.threshold()
             );
         }
     }
@@ -390,7 +326,7 @@ mod tests {
         let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
         let trojan = synthetic_set(4, 1.3, 3);
         for t in trojan.traces() {
-            assert!(fp.evaluate(t).unwrap().trojan_suspected);
+            assert!(fp.distance(t).unwrap() > fp.threshold());
         }
     }
 
@@ -428,11 +364,7 @@ mod tests {
             ..Default::default()
         };
         let fp = GoldenFingerprint::fit(&golden, cfg).unwrap();
-        assert!(
-            fp.evaluate(&synthetic_set(1, 1.4, 9).traces()[0])
-                .unwrap()
-                .trojan_suspected
-        );
+        assert!(fp.distance(&synthetic_set(1, 1.4, 9).traces()[0]).unwrap() > fp.threshold());
     }
 
     #[test]
@@ -493,7 +425,7 @@ mod tests {
         .unwrap();
         let suspect_set = synthetic_set(1, 1.3, 3);
         let suspect = &suspect_set.traces()[0];
-        assert!(tight.evaluate(suspect).unwrap().trojan_suspected);
-        assert!(!loose.evaluate(suspect).unwrap().trojan_suspected);
+        assert!(tight.distance(suspect).unwrap() > tight.threshold());
+        assert!(loose.distance(suspect).unwrap() <= loose.threshold());
     }
 }

@@ -62,13 +62,14 @@
 //!
 //! # Examples
 //!
-//! Fit a fingerprint on golden traces and screen a suspect set (tiny
-//! synthetic workload for speed; the examples directory runs the real
-//! AES):
+//! Fit a fingerprint on golden traces and ingest a suspect trace through
+//! the detection pipeline (tiny synthetic workload for speed; the
+//! examples directory runs the real AES):
 //!
 //! ```
 //! use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 //! use emtrust::acquisition::TraceSet;
+//! use emtrust::{DetectionPipeline, EuclideanDetector};
 //!
 //! // 16 golden traces and one suspect with 30 % more energy.
 //! let golden: Vec<Vec<f64>> = (0..16)
@@ -78,7 +79,11 @@
 //!
 //! let set = TraceSet::new(golden, 640e6)?;
 //! let fp = GoldenFingerprint::fit(&set, FingerprintConfig::default())?;
-//! assert!(fp.evaluate(&suspect)?.trojan_suspected);
+//! let mut pipeline = DetectionPipeline::builder()
+//!     .detector(Box::new(EuclideanDetector::new(fp)))
+//!     .build();
+//! let outcome = pipeline.ingest_trace(&suspect);
+//! assert!(outcome.alarm.is_some());
 //! # Ok::<(), emtrust::TrustError>(())
 //! ```
 

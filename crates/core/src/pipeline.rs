@@ -154,6 +154,22 @@ impl BatchOutcome {
             .filter(|o| o.verdict.is_rejected())
             .count()
     }
+
+    /// The batch itself when every trace was scored — for campaigns
+    /// whose every trace must be scoreable (a sensor-array campaign, an
+    /// experiment's clean run).
+    ///
+    /// # Errors
+    ///
+    /// [`TrustError::InvalidParameter`] if any trace was rejected.
+    pub fn all_scored(self) -> Result<Self, TrustError> {
+        if self.rejected() > 0 {
+            return Err(TrustError::InvalidParameter {
+                what: "a batch that must score in full has rejected traces",
+            });
+        }
+        Ok(self)
+    }
 }
 
 /// Declarative description of one detector — the factory counterpart
@@ -303,12 +319,18 @@ impl PipelineBuilder {
 
     /// Assembles the pipeline.
     pub fn build(self) -> DetectionPipeline {
-        let parallel = self.parallel.unwrap_or_else(|| {
-            self.detectors
-                .iter()
-                .find_map(|d| d.projector().map(|fp| fp.config().parallel))
-                .unwrap_or_default()
-        });
+        let projector = self.detectors.iter().find_map(|d| d.projector());
+        let parallel = self
+            .parallel
+            .unwrap_or_else(|| projector.map(|fp| fp.config().parallel).unwrap_or_default());
+        // A sanitizer without an expected length inherits it from the
+        // projection provider.
+        let sanitizer = self
+            .sanitizer
+            .map(|s| match (s.config().expected_len, projector) {
+                (None, Some(fp)) => s.with_expected_len(fp.expected_trace_len()),
+                _ => s,
+            });
         // Per-detector label sets are fixed at build time so the hot
         // path never re-renders them.
         let labels_for = |domain: DetectorDomain| -> Vec<LabelSet> {
@@ -320,10 +342,10 @@ impl PipelineBuilder {
         };
         let trace_detector_labels = labels_for(DetectorDomain::PerEncryption);
         let window_detector_labels = labels_for(DetectorDomain::ContinuousWindow);
-        let mut pipeline = DetectionPipeline {
+        DetectionPipeline {
             detectors: self.detectors,
             fusion: self.fusion,
-            sanitizer: None,
+            sanitizer,
             health: self
                 .health
                 .map_or_else(HealthTracker::default, HealthTracker::new),
@@ -333,18 +355,13 @@ impl PipelineBuilder {
             window_detector_labels,
             forensics: self.forensics.map(PipelineForensics::new),
             self_calibrating: false,
-            pending_window_transition: None,
             traces_seen: 0,
             traces_rejected: 0,
             traces_degraded: 0,
             windows_seen: 0,
             windows_rejected: 0,
             alarms: Vec::new(),
-        };
-        if let Some(s) = self.sanitizer {
-            pipeline.install_sanitizer(s);
         }
-        pipeline
     }
 }
 
@@ -369,15 +386,19 @@ impl PipelineForensics {
     }
 }
 
-/// One trace after the pure (parallel-safe) stages: screened,
-/// featurized, and scored. [`DetectionPipeline::absorb_trace`] turns it
-/// into a [`TraceOutcome`] serially.
+/// One trace after the pure (parallel-safe) stages: either rejected
+/// (by the sanitizer, or because it could not be featurized or scored)
+/// or scored. [`DetectionPipeline::absorb_trace`] turns it into a
+/// [`TraceOutcome`] serially.
 #[derive(Debug)]
-struct ScreenedTrace<'a> {
-    verdict: TraceVerdict,
-    /// `None` ⇔ the sanitizer rejected the trace before featurization;
-    /// `Some(Err)` ⇔ featurization or scoring failed.
-    scored: Option<Result<(FeatureFrame<'a>, Vec<Score>), TrustError>>,
+enum ScreenedTrace<'a> {
+    Rejected(TraceDefect),
+    Scored {
+        /// The sanitizer's `Clean` or `Degraded` verdict.
+        verdict: TraceVerdict,
+        frame: FeatureFrame<'a>,
+        scores: Vec<Score>,
+    },
 }
 
 /// The staged detection pipeline (see module docs).
@@ -396,9 +417,6 @@ pub struct DetectionPipeline {
     /// source; gates the calibration-state stamp on decision records so
     /// golden pipelines stay byte-identical.
     self_calibrating: bool,
-    /// Health transition captured by the checked window path for the
-    /// decision record the subsequent scoring pass emits.
-    pending_window_transition: Option<(String, String)>,
     traces_seen: u64,
     traces_rejected: u64,
     traces_degraded: u64,
@@ -411,26 +429,6 @@ impl DetectionPipeline {
     /// Starts building a pipeline.
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder::default()
-    }
-
-    /// Assembles an unfitted pipeline from declarative detector
-    /// descriptions, in the given (vote) order — the factory entry the
-    /// evaluation harness sweeps detector sets through. Other builder
-    /// knobs keep their defaults; use [`Self::builder`] with
-    /// [`PipelineBuilder::detector_config`] when they matter.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded from [`DetectorConfig::build`].
-    pub fn from_configs(
-        configs: &[DetectorConfig],
-        fusion: FusionPolicy,
-    ) -> Result<Self, TrustError> {
-        let mut builder = Self::builder().fusion(fusion);
-        for config in configs {
-            builder = builder.detector_config(config)?;
-        }
-        Ok(builder.build())
     }
 
     /// Fits every registered detector on the golden context, in
@@ -541,23 +539,6 @@ impl DetectionPipeline {
         self.detectors.iter().find_map(|d| d.welch_spec())
     }
 
-    /// Installs a trace sanitizer (intended at construction time). A
-    /// sanitizer without an expected length inherits it from the
-    /// projection provider.
-    pub fn install_sanitizer(&mut self, sanitizer: TraceSanitizer) {
-        let sanitizer = match (sanitizer.config().expected_len, self.projector()) {
-            (None, Some(fp)) => sanitizer.with_expected_len(fp.expected_trace_len()),
-            _ => sanitizer,
-        };
-        self.sanitizer = Some(sanitizer);
-    }
-
-    /// Replaces the sensor-health configuration (resets the tracker;
-    /// intended at construction time).
-    pub fn set_health_config(&mut self, config: HealthConfig) {
-        self.health = HealthTracker::new(config);
-    }
-
     // ---------------------------------------------------------------
     // Pure stages (parallel-safe).
     // ---------------------------------------------------------------
@@ -570,43 +551,10 @@ impl DetectionPipeline {
             .any(|d| d.feature_plan().needs_projection)
     }
 
-    /// Featurizes and scores one trace strictly: any failure is
-    /// returned, nothing is absorbed.
-    fn featurize_and_score<'a>(
-        &self,
-        samples: &'a [f64],
-        rms: Option<Result<Vec<f64>, TrustError>>,
-        ratio: Option<f64>,
-    ) -> Result<(FeatureFrame<'a>, Vec<Score>), TrustError> {
-        let mut frame = FeatureFrame::new(samples);
-        if let Some(r) = ratio {
-            frame.set_energy_ratio(r);
-        }
-        if self.trace_plan_needs_projection() {
-            let fp = self.projector().ok_or(TrustError::InvalidParameter {
-                what: "no projection provider registered for the feature plan",
-            })?;
-            let rms = match rms {
-                Some(r) => r?,
-                None => fp.features(samples)?,
-            };
-            let projection = fp.project_features(&rms)?;
-            frame.set_rms(rms);
-            frame.set_projection(projection);
-        }
-        let scores = self
-            .detectors
-            .iter()
-            .filter(|d| d.domain() == DetectorDomain::PerEncryption)
-            .map(|d| d.score(&frame))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((frame, scores))
-    }
-
-    /// The pure per-trace pass of the sanitized paths: RMS features →
-    /// energy screen → projection → scores, with each transform
-    /// computed exactly once. Never fails — failures come back inside
-    /// the [`ScreenedTrace`].
+    /// The pure per-trace pass: RMS features → energy screen →
+    /// projection → scores, with each transform computed exactly once.
+    /// Never fails — a trace that cannot be featurized or scored comes
+    /// back [`ScreenedTrace::Rejected`].
     fn screen_and_score<'a>(&self, samples: &'a [f64]) -> ScreenedTrace<'a> {
         // Stage A: RMS features, shared by the energy screen and the
         // projection. Errors are deferred: the sanitizer may reject the
@@ -621,18 +569,83 @@ impl DetectionPipeline {
             Some(s) => s.inspect_scaled(samples, ratio),
             None => TraceVerdict::Clean,
         };
-        if verdict.is_rejected() {
-            return ScreenedTrace {
-                verdict,
-                scored: None,
-            };
+        if let TraceVerdict::Rejected { reason } = verdict {
+            return ScreenedTrace::Rejected(reason);
         }
         // Stage B: projection and scoring on the shared frame.
-        let scored = self.featurize_and_score(samples, rms, ratio);
-        ScreenedTrace {
-            verdict,
-            scored: Some(scored),
+        match self.featurize_and_score(samples, rms, ratio) {
+            Ok((frame, scores)) => ScreenedTrace::Scored {
+                verdict,
+                frame,
+                scores,
+            },
+            Err(e) => ScreenedTrace::Rejected(Self::evaluation_defect(&e)),
         }
+    }
+
+    /// Stage B of [`Self::screen_and_score`]: fills the frame from the
+    /// stage-A features and scores every per-encryption detector.
+    fn featurize_and_score<'a>(
+        &self,
+        samples: &'a [f64],
+        rms: Option<Result<Vec<f64>, TrustError>>,
+        ratio: Option<f64>,
+    ) -> Result<(FeatureFrame<'a>, Vec<Score>), TrustError> {
+        let mut frame = FeatureFrame::new(samples);
+        if let Some(r) = ratio {
+            frame.set_energy_ratio(r);
+        }
+        if self.trace_plan_needs_projection() {
+            let (Some(fp), Some(rms)) = (self.projector(), rms) else {
+                return Err(TrustError::InvalidParameter {
+                    what: "no projection provider registered for the feature plan",
+                });
+            };
+            let rms = rms?;
+            let projection = fp.project_features(&rms)?;
+            frame.set_rms(rms);
+            frame.set_projection(projection);
+        }
+        let scores = self
+            .detectors
+            .iter()
+            .filter(|d| d.domain() == DetectorDomain::PerEncryption)
+            .map(|d| d.score(&frame))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((frame, scores))
+    }
+
+    /// The pure window pass: the Welch spectrum is computed once and
+    /// every window detector scores it.
+    fn featurize_window<'a>(
+        &self,
+        window: &'a VoltageTrace,
+    ) -> Result<(FeatureFrame<'a>, Vec<Score>), TrustError> {
+        let spec = self.welch_spec().ok_or(TrustError::InvalidParameter {
+            what: "no Welch-spec provider registered for the feature plan",
+        })?;
+        if let Some(expected_hz) = spec.expected_rate_hz {
+            if (window.sample_rate_hz() - expected_hz).abs() > 1e-6 * expected_hz {
+                return Err(TrustError::InvalidParameter {
+                    what: "suspect sample rate must match the golden trace",
+                });
+            }
+        }
+        let spectrum = Spectrum::welch(
+            window.samples(),
+            window.sample_rate_hz(),
+            spec.window,
+            spec.segments,
+        )?;
+        let mut frame = FeatureFrame::window(window.samples(), window.sample_rate_hz());
+        frame.set_spectrum(spectrum);
+        let scores = self
+            .detectors
+            .iter()
+            .filter(|d| d.domain() == DetectorDomain::ContinuousWindow)
+            .map(|d| d.score(&frame))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((frame, scores))
     }
 
     /// Maps an evaluation failure to the defect it is reported as.
@@ -891,49 +904,11 @@ impl DetectionPipeline {
         }
     }
 
-    /// Counts, votes, fuses, and absorbs one scored trace. Shared by
-    /// the checked and strict paths; does not touch the health tracker.
-    /// The returned decision record (built only when forensics or a
-    /// recorder is active) still needs health info before committing.
-    fn settle_scored(
-        &mut self,
-        frame: &FeatureFrame<'_>,
-        scores: Vec<Score>,
-    ) -> (
-        u64,
-        Vec<DetectorVerdict>,
-        Option<PipelineAlarm>,
-        Option<DecisionRecord>,
-    ) {
-        let index = self.traces_seen;
-        self.traces_seen += 1;
-        telemetry::counter("monitor.traces", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.traces", &self.labels, 1);
-        }
-        if let Some(s) = scores.first() {
-            telemetry::observe("monitor.distance", s.statistic);
-        }
-        let votes = self.votes_for(DetectorDomain::PerEncryption, &scores);
-        let digest = self
-            .forensics_active()
-            .then(|| FrameDigest::of(frame.samples()));
-        self.absorb_hooks(DetectorDomain::PerEncryption, frame, &scores);
-        let alarm = self.fuse(DetectorDomain::PerEncryption, index, &votes);
-        let rec = digest.map(|digest| {
-            let rec = self.scored_decision("trace", index, &votes, alarm.as_ref(), digest);
-            self.emit_labeled_votes(DetectorDomain::PerEncryption, &rec.detectors);
-            rec
-        });
-        (index, votes, alarm, rec)
-    }
-
     /// Turns one screened trace into its outcome: counters, fusion,
-    /// alarm bookkeeping, health — the serial tail of the sanitized
-    /// paths.
+    /// alarm bookkeeping, health — the serial tail of the trace paths.
     fn absorb_trace(&mut self, screened: ScreenedTrace<'_>) -> TraceOutcome {
-        let (verdict, index, votes, alarm, rec) = match (screened.verdict, screened.scored) {
-            (TraceVerdict::Rejected { reason }, _) => {
+        let (verdict, index, votes, alarm, rec) = match screened {
+            ScreenedTrace::Rejected(reason) => {
                 self.record_rejected(&reason);
                 let rec = self
                     .forensics_active()
@@ -946,46 +921,43 @@ impl DetectionPipeline {
                     rec,
                 )
             }
-            (v, Some(Ok((frame, scores)))) => {
-                if v.is_degraded() {
+            ScreenedTrace::Scored {
+                verdict,
+                frame,
+                scores,
+            } => {
+                if verdict.is_degraded() {
                     self.traces_degraded += 1;
                     telemetry::counter("monitor.trace_degraded", 1);
                 }
-                let (index, votes, alarm, mut rec) = self.settle_scored(&frame, scores);
-                if let Some(r) = &mut rec {
-                    r.verdict = if v.is_degraded() { "degraded" } else { "clean" }.to_string();
+                let index = self.traces_seen;
+                self.traces_seen += 1;
+                telemetry::counter("monitor.traces", 1);
+                if !self.labels.is_empty() {
+                    telemetry::counter_with("monitor.traces", &self.labels, 1);
                 }
-                (v, Some(index), votes, alarm, rec)
-            }
-            (_, Some(Err(e))) => {
-                let reason = Self::evaluation_defect(&e);
-                self.record_rejected(&reason);
-                let rec = self
+                if let Some(s) = scores.first() {
+                    telemetry::observe("monitor.distance", s.statistic);
+                }
+                let votes = self.votes_for(DetectorDomain::PerEncryption, &scores);
+                let digest = self
                     .forensics_active()
-                    .then(|| self.rejected_decision("trace", &reason));
-                (
-                    TraceVerdict::Rejected { reason },
-                    None,
-                    Vec::new(),
-                    None,
-                    rec,
-                )
-            }
-            // A non-rejected trace with no scoring outcome cannot be
-            // produced by the entry points; treat it as unscoreable.
-            (_, None) => {
-                let reason = TraceDefect::EvaluationFailed;
-                self.record_rejected(&reason);
-                let rec = self
-                    .forensics_active()
-                    .then(|| self.rejected_decision("trace", &reason));
-                (
-                    TraceVerdict::Rejected { reason },
-                    None,
-                    Vec::new(),
-                    None,
-                    rec,
-                )
+                    .then(|| FrameDigest::of(frame.samples()));
+                self.absorb_hooks(DetectorDomain::PerEncryption, &frame, &scores);
+                let alarm = self.fuse(DetectorDomain::PerEncryption, index, &votes);
+                let rec = digest.map(|digest| {
+                    let mut rec =
+                        self.scored_decision("trace", index, &votes, alarm.as_ref(), digest);
+                    rec.verdict = if verdict.is_degraded() {
+                        "degraded"
+                    } else {
+                        "clean"
+                    }
+                    .to_string();
+                    self.emit_labeled_votes(DetectorDomain::PerEncryption, &rec.detectors);
+                    rec
+                });
+                (verdict, Some(index), votes, alarm, rec)
             }
         };
         let transitions_before = self.health.transitions().len();
@@ -1004,49 +976,26 @@ impl DetectionPipeline {
     }
 
     // ---------------------------------------------------------------
-    // Per-encryption entry points.
+    // Entry points.
     // ---------------------------------------------------------------
 
-    /// Ingests one trace through the sanitized path: screen, featurize
-    /// once, score every per-encryption detector, fuse, update health.
-    /// Never fails — traces that cannot be scored come back
-    /// [`TraceVerdict::Rejected`].
+    /// Ingests one trace: screen, featurize once, score every
+    /// per-encryption detector, fuse, update health. Never fails —
+    /// traces that cannot be scored (sanitizer defects, wrong length,
+    /// unfitted detector) come back [`TraceVerdict::Rejected`].
     pub fn ingest_trace(&mut self, samples: &[f64]) -> TraceOutcome {
-        let _span = telemetry::span("ingest_checked");
+        let _span = telemetry::span("ingest_trace");
         let screened = self.screen_and_score(samples);
         self.absorb_trace(screened)
     }
 
-    /// Ingests one trace strictly: no sanitizer screening, and any
-    /// featurization or scoring failure is returned with the pipeline
-    /// left unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded featurization/scoring errors (wrong trace length,
-    /// unfitted detector).
-    pub fn try_ingest_trace(&mut self, samples: &[f64]) -> Result<TraceOutcome, TrustError> {
-        let (frame, scores) = self.featurize_and_score(samples, None, None)?;
-        let (index, votes, alarm, rec) = self.settle_scored(&frame, scores);
-        if let Some(rec) = rec {
-            self.commit_decision(rec);
-        }
-        Ok(TraceOutcome {
-            verdict: TraceVerdict::Clean,
-            index: Some(index),
-            votes,
-            alarm,
-            health: self.health.state(),
-        })
-    }
-
-    /// Ingests a batch through the sanitized path. The pure stages
-    /// (screen, featurize, score) fan across the worker pool with a
-    /// chunk layout independent of the worker count; outcomes are
-    /// absorbed serially in trace order, so the result is exactly what
-    /// [`Self::ingest_trace`] on each trace in order would produce.
+    /// Ingests a batch. The pure stages (screen, featurize, score) fan
+    /// across the worker pool with a chunk layout independent of the
+    /// worker count; outcomes are absorbed serially in trace order, so
+    /// the result is exactly what [`Self::ingest_trace`] on each trace
+    /// in order would produce.
     pub fn ingest_batch(&mut self, traces: &[Vec<f64>]) -> BatchOutcome {
-        let _span = telemetry::span("ingest_batch_report");
+        let _span = telemetry::span("ingest_batch");
         let screened: Vec<ScreenedTrace<'_>> = self
             .parallel
             .map(traces.len(), |i| self.screen_and_score(&traces[i]));
@@ -1061,45 +1010,6 @@ impl DetectionPipeline {
         }
         BatchOutcome { outcomes, alarms }
     }
-
-    /// Ingests a batch strictly: featurization and scoring fan across
-    /// the worker pool, and any failure aborts the whole batch with the
-    /// pipeline left unchanged (the lowest-indexed failing chunk's
-    /// error is returned, like every parallel path in the workspace).
-    ///
-    /// # Errors
-    ///
-    /// Forwarded featurization/scoring errors.
-    pub fn try_ingest_batch(&mut self, traces: &[Vec<f64>]) -> Result<BatchOutcome, TrustError> {
-        let _span = telemetry::span("ingest_batch");
-        let scored: Vec<(FeatureFrame<'_>, Vec<Score>)> =
-            self.parallel.try_map(traces.len(), |i| {
-                self.featurize_and_score(&traces[i], None, None)
-            })?;
-        let mut outcomes = Vec::with_capacity(traces.len());
-        let mut alarms = Vec::new();
-        for (frame, scores) in scored {
-            let (index, votes, alarm, rec) = self.settle_scored(&frame, scores);
-            if let Some(rec) = rec {
-                self.commit_decision(rec);
-            }
-            if let Some(a) = &alarm {
-                alarms.push(a.clone());
-            }
-            outcomes.push(TraceOutcome {
-                verdict: TraceVerdict::Clean,
-                index: Some(index),
-                votes,
-                alarm,
-                health: self.health.state(),
-            });
-        }
-        Ok(BatchOutcome { outcomes, alarms })
-    }
-
-    // ---------------------------------------------------------------
-    // Continuous-window entry points.
-    // ---------------------------------------------------------------
 
     /// Screens a continuous window: structural checks without the
     /// per-encryption length gate, plus the sample-rate gate when a
@@ -1129,158 +1039,77 @@ impl DetectionPipeline {
         v
     }
 
-    /// The raw window pass: featurize the spectrum once, score every
-    /// window detector. Returns `Ok(None)` when no window detector is
-    /// registered (the window is not counted).
-    fn window_pass(&mut self, window: &VoltageTrace) -> Result<Option<WindowOutcome>, TrustError> {
-        let _span = telemetry::span("ingest_window");
-        if !self
-            .detectors
-            .iter()
-            .any(|d| d.domain() == DetectorDomain::ContinuousWindow)
-        {
-            return Ok(None);
-        }
-        let spec = self.welch_spec().ok_or(TrustError::InvalidParameter {
-            what: "no Welch-spec provider registered for the feature plan",
-        })?;
-        if let Some(expected_hz) = spec.expected_rate_hz {
-            if (window.sample_rate_hz() - expected_hz).abs() > 1e-6 * expected_hz {
-                return Err(TrustError::InvalidParameter {
-                    what: "suspect sample rate must match the golden trace",
-                });
-            }
-        }
-        let spectrum = Spectrum::welch(
-            window.samples(),
-            window.sample_rate_hz(),
-            spec.window,
-            spec.segments,
-        )?;
-        let mut frame = FeatureFrame::window(window.samples(), window.sample_rate_hz());
-        frame.set_spectrum(spectrum);
-        let scores = self
-            .detectors
-            .iter()
-            .filter(|d| d.domain() == DetectorDomain::ContinuousWindow)
-            .map(|d| d.score(&frame))
-            .collect::<Result<Vec<_>, _>>()?;
-        let index = self.windows_seen;
-        self.windows_seen += 1;
-        telemetry::counter("monitor.windows", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.windows", &self.labels, 1);
-        }
-        let votes = self.votes_for(DetectorDomain::ContinuousWindow, &scores);
-        let digest = self
-            .forensics_active()
-            .then(|| FrameDigest::of(window.samples()));
-        self.absorb_hooks(DetectorDomain::ContinuousWindow, &frame, &scores);
-        let alarm = self.fuse(DetectorDomain::ContinuousWindow, index, &votes);
-        if let Some(digest) = digest {
-            let mut rec = self.scored_decision("window", index, &votes, alarm.as_ref(), digest);
-            self.emit_labeled_votes(DetectorDomain::ContinuousWindow, &rec.detectors);
-            rec.health_transition = self.pending_window_transition.take();
-            self.commit_decision(rec);
-        }
-        Ok(Some(WindowOutcome {
-            verdict: TraceVerdict::Clean,
-            index: Some(index),
-            votes,
-            alarm,
-            health: self.health.state(),
-        }))
-    }
-
-    /// Ingests a continuous window through the sanitized path:
-    /// structural screening and the sample-rate gate, then the shared
-    /// spectral pass. Rejected windows skip scoring, feed the health
-    /// tracker, and never alarm. Never fails.
+    /// Ingests a continuous window: structural screening and the
+    /// sample-rate gate, then the spectrum is computed once and every
+    /// window detector scores it. Rejected windows (screened out, or
+    /// unscoreable) skip scoring, feed the health tracker, and never
+    /// alarm. Without a registered window detector the window is
+    /// screened but not counted. Never fails.
     pub fn ingest_window(&mut self, window: &VoltageTrace) -> WindowOutcome {
-        let _span = telemetry::span("ingest_window_checked");
-        let verdict = self.screen_window(window);
+        let _span = telemetry::span("ingest_window");
+        let has_window_detector = self
+            .detectors
+            .iter()
+            .any(|d| d.domain() == DetectorDomain::ContinuousWindow);
+        let (verdict, scored) = match self.screen_window(window) {
+            v if v.is_rejected() || !has_window_detector => (v, None),
+            v => match self.featurize_window(window) {
+                Ok(scored) => (v, Some(scored)),
+                Err(_) => (
+                    TraceVerdict::Rejected {
+                        reason: TraceDefect::EvaluationFailed,
+                    },
+                    None,
+                ),
+            },
+        };
         if let TraceVerdict::Rejected { reason } = &verdict {
-            let reason = *reason;
-            self.record_window_rejected(&reason);
-            let transitions_before = self.health.transitions().len();
-            let health = self.health.observe(true);
-            if self.forensics_active() {
-                let mut rec = self.rejected_decision("window", &reason);
-                rec.health_transition = self.transition_since(transitions_before);
-                self.commit_decision(rec);
-            }
-            return WindowOutcome {
-                verdict,
-                index: None,
-                votes: Vec::new(),
-                alarm: None,
-                health,
-            };
+            self.record_window_rejected(reason);
         }
         let transitions_before = self.health.transitions().len();
-        let health = self.health.observe(false);
-        self.pending_window_transition = self.transition_since(transitions_before);
-        match self.window_pass(window) {
-            Ok(Some(mut outcome)) => {
-                outcome.verdict = verdict;
-                outcome.health = health;
-                outcome
-            }
-            Ok(None) => {
-                self.pending_window_transition = None;
-                WindowOutcome {
-                    verdict,
-                    index: None,
-                    votes: Vec::new(),
-                    alarm: None,
-                    health,
+        let health = self.health.observe(verdict.is_rejected());
+        let health_transition = self.transition_since(transitions_before);
+        let mut outcome = WindowOutcome {
+            verdict,
+            index: None,
+            votes: Vec::new(),
+            alarm: None,
+            health,
+        };
+        let rec = match (&outcome.verdict, scored) {
+            (TraceVerdict::Rejected { reason }, _) => self
+                .forensics_active()
+                .then(|| self.rejected_decision("window", reason)),
+            (_, Some((frame, scores))) => {
+                let index = self.windows_seen;
+                self.windows_seen += 1;
+                telemetry::counter("monitor.windows", 1);
+                if !self.labels.is_empty() {
+                    telemetry::counter_with("monitor.windows", &self.labels, 1);
                 }
+                let votes = self.votes_for(DetectorDomain::ContinuousWindow, &scores);
+                let digest = self
+                    .forensics_active()
+                    .then(|| FrameDigest::of(window.samples()));
+                self.absorb_hooks(DetectorDomain::ContinuousWindow, &frame, &scores);
+                let alarm = self.fuse(DetectorDomain::ContinuousWindow, index, &votes);
+                let rec = digest.map(|digest| {
+                    let rec = self.scored_decision("window", index, &votes, alarm.as_ref(), digest);
+                    self.emit_labeled_votes(DetectorDomain::ContinuousWindow, &rec.detectors);
+                    rec
+                });
+                outcome.index = Some(index);
+                outcome.votes = votes;
+                outcome.alarm = alarm;
+                rec
             }
-            // The pre-checks cover every scoring error the registered
-            // detectors can currently raise; anything new still
-            // degrades cleanly.
-            Err(_) => {
-                let reason = TraceDefect::EvaluationFailed;
-                self.record_window_rejected(&reason);
-                if self.forensics_active() {
-                    let mut rec = self.rejected_decision("window", &reason);
-                    rec.health_transition = self.pending_window_transition.take();
-                    self.commit_decision(rec);
-                }
-                WindowOutcome {
-                    verdict: TraceVerdict::Rejected { reason },
-                    index: None,
-                    votes: Vec::new(),
-                    alarm: None,
-                    health,
-                }
-            }
+            (_, None) => None,
+        };
+        if let Some(mut rec) = rec {
+            rec.health_transition = health_transition;
+            self.commit_decision(rec);
         }
-    }
-
-    /// Ingests a continuous window strictly: no screening, and any
-    /// featurization or scoring failure is returned with the pipeline
-    /// left unchanged. `Ok` with empty votes when no window detector is
-    /// registered.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded featurization/scoring errors (sample-rate mismatch,
-    /// too-short window).
-    pub fn try_ingest_window(
-        &mut self,
-        window: &VoltageTrace,
-    ) -> Result<WindowOutcome, TrustError> {
-        match self.window_pass(window)? {
-            Some(outcome) => Ok(outcome),
-            None => Ok(WindowOutcome {
-                verdict: TraceVerdict::Clean,
-                index: None,
-                votes: Vec::new(),
-                alarm: None,
-                health: self.health.state(),
-            }),
-        }
+        outcome
     }
 
     // ---------------------------------------------------------------
@@ -1458,7 +1287,12 @@ mod tests {
             DetectorConfig::Euclidean(FingerprintConfig::default()),
             DetectorConfig::Learned(LearnedConfig::default()),
         ];
-        let mut by_config = DetectionPipeline::from_configs(&configs, FusionPolicy::Or).unwrap();
+        let mut by_config = configs
+            .iter()
+            .try_fold(DetectionPipeline::builder(), |b, c| b.detector_config(c))
+            .unwrap()
+            .fusion(FusionPolicy::Or)
+            .build();
         let mut by_hand = DetectionPipeline::builder()
             .detector(Box::new(EuclideanDetector::from_config(
                 FingerprintConfig::default(),
@@ -1478,8 +1312,8 @@ mod tests {
             .cloned()
             .collect();
         for t in &probes {
-            let a = by_config.try_ingest_trace(t).unwrap();
-            let b = by_hand.try_ingest_trace(t).unwrap();
+            let a = by_config.ingest_trace(t);
+            let b = by_hand.ingest_trace(t);
             assert_eq!(a.votes, b.votes, "scores must match bit for bit");
             assert_eq!(a.alarm.is_some(), b.alarm.is_some());
         }
@@ -1497,7 +1331,7 @@ mod tests {
     fn clean_traces_do_not_alarm() {
         let mut p = euclidean_pipeline();
         for t in synthetic_set(8, 1.0, 2).traces() {
-            let o = p.try_ingest_trace(t).unwrap();
+            let o = p.ingest_trace(t);
             assert!(o.alarm.is_none());
             assert_eq!(o.votes.len(), 1);
             assert!(!o.votes[0].suspected);
@@ -1511,12 +1345,11 @@ mod tests {
         let mut p = euclidean_pipeline();
         // A clean trace first: alarm indices count every scored trace.
         assert!(p
-            .try_ingest_trace(&synthetic_set(1, 1.0, 4).traces()[0])
-            .unwrap()
+            .ingest_trace(&synthetic_set(1, 1.0, 4).traces()[0])
             .alarm
             .is_none());
         for (i, t) in synthetic_set(4, 1.4, 3).traces().iter().enumerate() {
-            let o = p.try_ingest_trace(t).unwrap();
+            let o = p.ingest_trace(t);
             let alarm = o.alarm.expect("anomaly must alarm");
             assert_eq!(alarm.domain, DetectorDomain::PerEncryption);
             assert_eq!(alarm.index, i as u64 + 1);
@@ -1542,14 +1375,12 @@ mod tests {
         let mut serial = DetectionPipeline::builder()
             .detector(Box::new(EuclideanDetector::new(fp.clone())))
             .build();
-        let serial_outcomes: Vec<TraceOutcome> = traces
-            .iter()
-            .map(|t| serial.try_ingest_trace(t).unwrap())
-            .collect();
+        let serial_outcomes: Vec<TraceOutcome> =
+            traces.iter().map(|t| serial.ingest_trace(t)).collect();
         let mut batched = DetectionPipeline::builder()
             .detector(Box::new(EuclideanDetector::new(fp.clone())))
             .build();
-        let batch = batched.try_ingest_batch(&traces).unwrap();
+        let batch = batched.ingest_batch(&traces);
         assert_eq!(batch.outcomes, serial_outcomes);
         assert_eq!(serial.alarms(), batched.alarms());
 
@@ -1592,8 +1423,8 @@ mod tests {
                 .build()
         };
         let (mut first, mut second) = (build(), build());
-        let a = first.try_ingest_batch(&traces).unwrap();
-        let b = second.try_ingest_batch(&traces).unwrap();
+        let a = first.ingest_batch(&traces);
+        let b = second.ingest_batch(&traces);
         assert_eq!(a, b);
         assert_eq!(a.alarms.len(), 2);
         assert_eq!(first.alarms(), second.alarms());
@@ -1621,7 +1452,7 @@ mod tests {
         for seed in 0..3 {
             for p in [&mut a, &mut b] {
                 let set = synthetic_set(1, 1.5, 40 + seed);
-                if let Some(alarm) = p.try_ingest_trace(&set.traces()[0]).unwrap().alarm {
+                if let Some(alarm) = p.ingest_trace(&set.traces()[0]).alarm {
                     ids.push(alarm.correlation_id);
                 }
             }
@@ -1681,10 +1512,10 @@ mod tests {
     #[test]
     fn spectral_window_alarms_on_a_new_spot() {
         let mut p = spectral_pipeline(None);
-        let quiet = p.try_ingest_window(&tone_window(640e6, false, 2)).unwrap();
+        let quiet = p.ingest_window(&tone_window(640e6, false, 2));
         assert_eq!(quiet.index, Some(0));
         assert!(quiet.alarm.is_none());
-        let armed = p.try_ingest_window(&tone_window(640e6, true, 3)).unwrap();
+        let armed = p.ingest_window(&tone_window(640e6, true, 3));
         let alarm = armed.alarm.expect("the new spot must alarm");
         assert_eq!(alarm.domain, DetectorDomain::ContinuousWindow);
         assert_eq!(alarm.index, 1);
@@ -1708,13 +1539,11 @@ mod tests {
     fn window_ingest_without_a_window_detector_is_a_no_op() {
         let mut p = euclidean_pipeline();
         let window = VoltageTrace::new(vec![0.0; 1024], 640e6);
-        let strict = p.try_ingest_window(&window).unwrap();
-        let checked = p.ingest_window(&window);
-        for o in [strict, checked] {
-            assert_eq!(o.index, None);
-            assert!(o.votes.is_empty());
-            assert!(o.alarm.is_none());
-        }
+        let o = p.ingest_window(&window);
+        assert!(o.verdict.is_clean());
+        assert_eq!(o.index, None);
+        assert!(o.votes.is_empty());
+        assert!(o.alarm.is_none());
         assert_eq!(p.windows_seen(), 0);
         assert_eq!(p.windows_rejected(), 0);
     }
@@ -1745,8 +1574,20 @@ mod tests {
         assert_eq!(p.windows_rejected(), 2);
         assert_eq!(p.windows_seen(), 1);
         assert!(p.alarms().is_empty());
-        // The strict path errors on the rate mismatch instead.
-        assert!(p.try_ingest_window(&tone_window(1280e6, false, 2)).is_err());
+        // Without a sanitizer the rate mismatch surfaces at scoring: the
+        // window still comes back rejected, counted, and silent.
+        let mut bare = spectral_pipeline(None);
+        let o = bare.ingest_window(&tone_window(1280e6, false, 2));
+        assert!(matches!(
+            o.verdict,
+            TraceVerdict::Rejected {
+                reason: TraceDefect::EvaluationFailed
+            }
+        ));
+        assert!(o.alarm.is_none());
+        assert_eq!(bare.windows_rejected(), 1);
+        assert_eq!(bare.windows_seen(), 0);
+        assert!(bare.alarms().is_empty());
     }
 
     #[test]
@@ -1789,16 +1630,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_batch_leaves_state_unchanged_on_error() {
-        let mut p = euclidean_pipeline();
-        let mut traces = synthetic_set(3, 1.0, 2).traces().to_vec();
-        traces[1] = vec![1.0; 10]; // wrong length → projection error
-        assert!(p.try_ingest_batch(&traces).is_err());
-        assert_eq!(p.traces_seen(), 0);
-        assert!(p.alarms().is_empty());
-    }
-
-    #[test]
     fn fusion_policy_gates_the_alarm() {
         let golden = synthetic_set(32, 1.0, 1);
         let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
@@ -1808,7 +1639,7 @@ mod tests {
             .detector(Box::new(EuclideanDetector::new(fp.clone())))
             .fusion(FusionPolicy::Or)
             .build();
-        assert!(p.try_ingest_trace(&trojan).unwrap().alarm.is_some());
+        assert!(p.ingest_trace(&trojan).alarm.is_some());
         // Weighted with an unreachable threshold: the same vote cannot.
         let mut p = DetectionPipeline::builder()
             .detector(Box::new(EuclideanDetector::new(fp)))
@@ -1817,7 +1648,7 @@ mod tests {
                 threshold: 2.0,
             })
             .build();
-        let o = p.try_ingest_trace(&trojan).unwrap();
+        let o = p.ingest_trace(&trojan);
         assert!(o.votes[0].suspected, "the detector still votes suspected");
         assert!(o.alarm.is_none(), "fusion withholds the alarm");
     }
@@ -1831,13 +1662,24 @@ mod tests {
             )))
             .build();
         assert!(!p.is_fitted());
-        assert!(p.try_ingest_trace(&golden.traces()[0]).is_err());
+        // An unfitted pipeline cannot score: the trace comes back
+        // rejected, counted, and silent.
+        let o = p.ingest_trace(&golden.traces()[0]);
+        assert!(matches!(
+            o.verdict,
+            TraceVerdict::Rejected {
+                reason: TraceDefect::EvaluationFailed
+            }
+        ));
+        assert!(o.alarm.is_none());
+        assert_eq!(p.traces_rejected(), 1);
+        assert_eq!(p.traces_seen(), 0);
         p.fit(&GoldenContext::new().with_traces(&golden)).unwrap();
         assert!(p.is_fitted());
         assert!(p.projector().is_some());
-        assert!(p
-            .try_ingest_trace(&synthetic_set(1, 1.0, 2).traces()[0])
-            .is_ok());
+        let o = p.ingest_trace(&synthetic_set(1, 1.0, 2).traces()[0]);
+        assert!(o.verdict.is_clean());
+        assert_eq!(o.index, Some(0));
     }
 
     fn forensic_pipeline(config: ForensicsConfig) -> DetectionPipeline {

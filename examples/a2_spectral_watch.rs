@@ -30,13 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Dormant: both detectors stay quiet.
     let quiet = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 3)?;
-    assert!(monitor.try_ingest_window(&quiet)?.alarm.is_none());
+    assert!(monitor.ingest_window(&quiet).alarm.is_none());
     println!("A2 dormant: spectrum clean.");
 
     // The trigger wire starts flipping.
     bench.arm_a2(true)?;
     let window = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 4)?;
-    let Some(alarm) = monitor.try_ingest_window(&window)?.alarm else {
+    let Some(alarm) = monitor.ingest_window(&window).alarm else {
         panic!("the spectral detector must catch the A2 trigger");
     };
     for vote in alarm.verdicts.iter().filter(|v| v.suspected) {

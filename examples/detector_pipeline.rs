@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warmup = PersistenceConfig::default().warmup_windows;
     for seed in 0..u64::from(warmup) {
         let quiet = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 10 + seed)?;
-        assert!(pipeline.try_ingest_window(&quiet)?.alarm.is_none());
+        assert!(pipeline.ingest_window(&quiet).alarm.is_none());
     }
     println!("{warmup} quiet windows absorbed: baseline learned, no alarms.");
 
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     bench.arm_a2(true)?;
     for k in 1..=6u64 {
         let armed = bench.collect_continuous(key, 48, None, Channel::OnChipSensor, 100 + k)?;
-        let outcome = pipeline.try_ingest_window(&armed)?;
+        let outcome = pipeline.ingest_window(&armed);
         let votes: Vec<String> = outcome
             .votes
             .iter()

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("monitoring... (Trojan activates after trace 8)");
     let clean = bench.collect_with(key, stimulus, 8, None, Channel::OnChipSensor, 2)?;
     for trace in clean.traces() {
-        let outcome = monitor.try_ingest_trace(trace)?;
+        let outcome = monitor.ingest_trace(trace);
         assert!(outcome.alarm.is_none(), "no false alarms");
     }
     let infected = bench.collect_with(
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         3,
     )?;
     for trace in infected.traces() {
-        if let Some(alarm) = monitor.try_ingest_trace(trace)?.alarm {
+        if let Some(alarm) = monitor.ingest_trace(trace).alarm {
             let score = &alarm.verdicts[0].score;
             println!(
                 "  ALARM: trace {} distance {:.4} > threshold {:.4} (correlation id {})",

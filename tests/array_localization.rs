@@ -5,7 +5,8 @@
 use emtrust::acquisition::TestBench;
 use emtrust::array::{Localizer, SensorArray};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::{DetectionPipeline, EuclideanDetector};
+use emtrust::telemetry::ForensicsConfig;
+use emtrust::{DetectionPipeline, EuclideanDetector, TraceSet};
 use emtrust_em::array::EmArray;
 use emtrust_em::pipeline::EmPipelineConfig;
 use emtrust_layout::floorplan::{Die, Floorplan};
@@ -164,11 +165,7 @@ fn one_by_one_array_is_bit_identical_to_the_legacy_single_sensor_path() {
     let mut monitor = DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::new(fp)))
         .build();
-    let legacy_alarms = monitor
-        .try_ingest_batch(legacy_bad.traces())
-        .unwrap()
-        .alarms
-        .len();
+    let legacy_alarms = monitor.ingest_batch(legacy_bad.traces()).alarms.len();
     array.fit_golden(&array_golden).unwrap();
     let verdict = array.attribute(&array_bad, None).unwrap();
     assert_eq!(verdict.heat().len(), 1);
@@ -202,6 +199,30 @@ fn localizer_is_undefined_on_a_flat_heat_map_and_array_stays_quiet_when_clean() 
     assert!(Localizer::new(vec![(0.0, 0.0); 4])
         .centroid(&[1.0; 4])
         .is_none());
+}
+
+#[test]
+fn wrong_length_tile_set_fails_the_campaign_without_an_alarm() {
+    let chip = ProtectedChip::golden();
+    let mut array = SensorArray::builder(&chip)
+        .with_grid(2, 1)
+        .unwrap()
+        .with_turns(8)
+        .unwrap()
+        .with_forensics(ForensicsConfig::default())
+        .build()
+        .unwrap();
+    let golden = array.collect(KEY, 12, None, 42).unwrap();
+    array.fit_golden(&golden).unwrap();
+    // Tile 0's traces are cut short: its pipeline cannot score them.
+    let mut sets = array.collect(KEY, 4, None, 43).unwrap();
+    let short: Vec<Vec<f64>> = sets[0].traces().iter().map(|t| t[..100].to_vec()).collect();
+    sets[0] = TraceSet::new(short, sets[0].sample_rate_hz()).unwrap();
+    assert!(array.calibrate(&sets).is_err());
+    assert!(array.attribute(&sets, None).is_err());
+    assert_eq!(array.campaigns(), 0);
+    assert!(array.decisions().is_empty());
+    assert!(array.pipelines().iter().all(|p| p.alarms().is_empty()));
 }
 
 #[test]

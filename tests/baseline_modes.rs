@@ -252,8 +252,8 @@ fn golden_baseline_source_is_bit_identical_to_direct_fit() {
         vec![DetectorReadiness::Ready]
     );
 
-    let a = direct.try_ingest_batch(&mixed).expect("direct ingest");
-    let b = via_source.try_ingest_batch(&mixed).expect("source ingest");
+    let a = direct.ingest_batch(&mixed);
+    let b = via_source.ingest_batch(&mixed);
     assert_eq!(a.outcomes.len(), b.outcomes.len());
     assert_eq!(a.alarms.len(), b.alarms.len());
     let mut alarms = 0usize;

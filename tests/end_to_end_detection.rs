@@ -29,7 +29,7 @@ fn trojan_is_caught_at_runtime_through_the_onchip_sensor() {
         .collect_with(KEY, STIMULUS, 6, None, Channel::OnChipSensor, 12)
         .expect("clean traces");
     for t in clean.traces() {
-        assert!(monitor.try_ingest_trace(t).expect("ingest").alarm.is_none());
+        assert!(monitor.ingest_trace(t).alarm.is_none());
     }
 
     // Trojan activates.
@@ -45,7 +45,7 @@ fn trojan_is_caught_at_runtime_through_the_onchip_sensor() {
         .expect("infected traces");
     let mut alarms = 0;
     for t in infected.traces() {
-        if let Some(alarm) = monitor.try_ingest_trace(t).expect("ingest").alarm {
+        if let Some(alarm) = monitor.ingest_trace(t).alarm {
             let score = &alarm.verdicts[0].score;
             assert!(score.statistic > score.threshold);
             alarms += 1;
@@ -79,11 +79,10 @@ fn detection_works_on_the_fabricated_chip_as_well() {
             22,
         )
         .expect("armed");
-    let flagged = armed
-        .traces()
-        .iter()
-        .filter(|t| fp.evaluate(t).expect("evaluate").trojan_suspected)
-        .count();
+    let mut monitor = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .build();
+    let flagged = monitor.ingest_batch(armed.traces()).alarms.len();
     assert!(
         flagged >= 5,
         "T2 must be visible on silicon through the sensor ({flagged}/6 flagged)"
@@ -105,11 +104,11 @@ fn golden_chip_raises_no_alarms_across_benches() {
         let fresh = bench
             .collect_with(KEY, STIMULUS, 6, None, Channel::OnChipSensor, 32)
             .expect("fresh");
-        for t in fresh.traces() {
-            assert!(
-                !fp.evaluate(t).expect("evaluate").trojan_suspected,
-                "golden chip must not alarm"
-            );
-        }
+        let mut monitor = DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp)))
+            .build();
+        let batch = monitor.ingest_batch(fresh.traces());
+        assert_eq!(batch.clean(), fresh.len());
+        assert!(batch.alarms.is_empty(), "golden chip must not alarm");
     }
 }

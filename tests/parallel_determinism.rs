@@ -123,7 +123,7 @@ fn monitor_raises_the_same_alarms_in_the_same_order_for_1_2_8_workers() {
         };
         let fp = GoldenFingerprint::fit(&golden, config).unwrap();
         let mut monitor = euclidean_pipeline(fp);
-        let raised = monitor.try_ingest_batch(&suspects).unwrap().alarms;
+        let raised = monitor.ingest_batch(&suspects).alarms;
         assert!(!raised.is_empty(), "anomalies must alarm");
         assert_eq!(monitor.traces_seen(), suspects.len() as u64);
         assert_eq!(monitor.alarms(), raised.as_slice());
@@ -150,10 +150,10 @@ fn batch_ingest_matches_serial_ingest_exactly() {
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
     let mut serial = euclidean_pipeline(fp.clone());
     for t in &suspects {
-        let _ = serial.try_ingest_trace(t).unwrap();
+        let _ = serial.ingest_trace(t);
     }
     let mut batched = euclidean_pipeline(fp);
-    let _ = batched.try_ingest_batch(&suspects).unwrap();
+    let _ = batched.ingest_batch(&suspects);
     assert_eq!(batched.alarms(), serial.alarms());
     assert_eq!(batched.traces_seen(), serial.traces_seen());
 }
@@ -182,7 +182,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn evaluate_batch_agrees_with_per_trace_evaluate(
+    fn ingest_batch_agrees_with_per_trace_ingest(
         seed in 0u64..1000,
         n in 1usize..12,
         gain in 0.5f64..2.0,
@@ -197,11 +197,7 @@ proptest! {
             })
             .collect();
         let set = emtrust::TraceSet::new(golden, 640e6).unwrap();
-        let config = FingerprintConfig {
-            parallel: ParallelConfig::default().with_workers(4),
-            ..FingerprintConfig::default()
-        };
-        let fp = GoldenFingerprint::fit(&set, config).unwrap();
+        let fp = GoldenFingerprint::fit(&set, FingerprintConfig::default()).unwrap();
         let batch: Vec<Vec<f64>> = (0..n)
             .map(|_| {
                 (0..256)
@@ -209,12 +205,21 @@ proptest! {
                     .collect()
             })
             .collect();
-        let verdicts = fp.evaluate_batch(&batch).unwrap();
-        prop_assert_eq!(verdicts.len(), batch.len());
-        for (v, t) in verdicts.iter().zip(&batch) {
-            let single = fp.evaluate(t).unwrap();
-            prop_assert_eq!(v.distance.to_bits(), single.distance.to_bits());
-            prop_assert_eq!(v.trojan_suspected, single.trojan_suspected);
+        let mut batched = DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp.clone())))
+            .parallel(ParallelConfig::default().with_workers(4))
+            .build();
+        let outcomes = batched.ingest_batch(&batch).outcomes;
+        prop_assert_eq!(outcomes.len(), batch.len());
+        let mut serial = euclidean_pipeline(fp);
+        for (o, t) in outcomes.iter().zip(&batch) {
+            let single = serial.ingest_trace(t);
+            prop_assert_eq!(o.votes.len(), single.votes.len());
+            for (v, s) in o.votes.iter().zip(&single.votes) {
+                prop_assert_eq!(v.score.statistic.to_bits(), s.score.statistic.to_bits());
+            }
+            prop_assert_eq!(&o.alarm, &single.alarm);
         }
+        prop_assert_eq!(batched.alarms(), serial.alarms());
     }
 }

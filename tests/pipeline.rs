@@ -174,16 +174,8 @@ fn or_and_and_fusion_gate_the_same_three_detector_evidence_differently() {
         let quiet = bench
             .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 10 + seed)
             .expect("quiet window");
-        assert!(or_pipe
-            .try_ingest_window(&quiet)
-            .expect("or")
-            .alarm
-            .is_none());
-        assert!(and_pipe
-            .try_ingest_window(&quiet)
-            .expect("and")
-            .alarm
-            .is_none());
+        assert!(or_pipe.ingest_window(&quiet).alarm.is_none());
+        assert!(and_pipe.ingest_window(&quiet).alarm.is_none());
     }
 
     // The A2 trigger starts flipping and stays parked.
@@ -194,22 +186,10 @@ fn or_and_and_fusion_gate_the_same_three_detector_evidence_differently() {
         let armed = bench
             .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 100 + u64::from(k))
             .expect("armed window");
-        if or_pipe
-            .try_ingest_window(&armed)
-            .expect("or")
-            .alarm
-            .is_some()
-            && or_first.is_none()
-        {
+        if or_pipe.ingest_window(&armed).alarm.is_some() && or_first.is_none() {
             or_first = Some(k);
         }
-        if and_pipe
-            .try_ingest_window(&armed)
-            .expect("and")
-            .alarm
-            .is_some()
-            && and_first.is_none()
-        {
+        if and_pipe.ingest_window(&armed).alarm.is_some() && and_first.is_none() {
             and_first = Some(k);
         }
     }

@@ -48,7 +48,7 @@ fn trojan_replay_raises_alarms_with_forensic_context() {
         .collect_with(KEY, STIMULUS, 3, None, Channel::OnChipSensor, 32)
         .expect("clean");
     for t in clean.traces() {
-        assert!(monitor.try_ingest_trace(t).expect("ingest").alarm.is_none());
+        assert!(monitor.ingest_trace(t).alarm.is_none());
     }
     let infected = bench
         .collect_with(
@@ -60,10 +60,7 @@ fn trojan_replay_raises_alarms_with_forensic_context() {
             33,
         )
         .expect("infected");
-    let raised = monitor
-        .try_ingest_batch(infected.traces())
-        .expect("batch")
-        .alarms;
+    let raised = monitor.ingest_batch(infected.traces()).alarms;
     monitor.seal_flight_windows();
     telemetry::uninstall();
 
@@ -144,16 +141,23 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
             .unwrap();
         assert_eq!(set, reference, "workers={workers}");
     }
+    TestBench::simulation(&chip)
+        .unwrap()
+        .collect_continuous(KEY, 2, None, Channel::OnChipSensor, 78)
+        .unwrap();
     telemetry::uninstall();
 
     // The Trojan-free (replayable) branch attributes its simulation
-    // time; the inline single-worker run nests it under `collect`.
+    // time; the inline single-worker run nests it under `collect`. The
+    // continuous path attributes its encryption loop the same way.
     let snap = registry.snapshot();
-    assert!(
-        snap.spans.contains_key("collect.simulate"),
-        "golden collect must record collect.simulate; got {:?}",
-        snap.spans.keys().collect::<Vec<_>>()
-    );
+    for span in ["collect.simulate", "collect_continuous.simulate"] {
+        assert!(
+            snap.spans.contains_key(span),
+            "collect must record {span}; got {:?}",
+            snap.spans.keys().collect::<Vec<_>>()
+        );
+    }
 
     // The pool reported per-worker chunk timings for the fanned-out runs.
     assert!(snap.counters["pool.chunks"] > 0);
