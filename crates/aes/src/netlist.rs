@@ -24,7 +24,8 @@ use crate::sbox::sbox_truth_table;
 use emtrust_netlist::graph::{NetId, Netlist};
 use emtrust_netlist::synth::{BddSynthesizer, TruthTable};
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::Simulator;
+use emtrust_sim::engine::{Program, Simulator};
+use std::sync::OnceLock;
 
 /// The primary ports of a generated AES-128 core.
 #[derive(Debug, Clone)]
@@ -321,6 +322,35 @@ pub fn run_encryption_with(
     word_to_block(sim.bus(&ports.ct))
 }
 
+/// Drives one encryption per lane: `plaintexts[j]` in lane `j`, all
+/// under `key`, lanes `0..plaintexts.len()` live. The same 12 clock edges
+/// as [`run_encryption`]; a recording in progress gains 12 cycles per
+/// live lane. Returns the ciphertexts in lane order.
+///
+/// Each lane continues from its own register state, so lane `j`'s events
+/// equal a serial run of `plaintexts[j]` from that state.
+///
+/// # Panics
+///
+/// Panics if `plaintexts` is empty or longer than [`LANES`](emtrust_sim::LANES).
+pub fn run_encryptions(
+    sim: &mut Simulator<'_>,
+    ports: &AesPorts,
+    key: [u8; 16],
+    plaintexts: &[[u8; 16]],
+) -> Vec<[u8; 16]> {
+    let words: Vec<u128> = plaintexts.iter().map(|&pt| block_to_word(pt)).collect();
+    sim.set_bus(&ports.key, block_to_word(key));
+    sim.set_bus_lanes(&ports.pt, &words);
+    sim.set_input(ports.start, true);
+    sim.step(); // lead-in
+    sim.set_input(ports.start, false);
+    sim.run(CYCLES_PER_BLOCK - 1); // load edge + 10 rounds
+    (0..plaintexts.len())
+        .map(|lane| word_to_block(sim.bus_lane(&ports.ct, lane)))
+        .collect()
+}
+
 /// Number of clock edges one encryption takes (lead-in + load + 10 rounds).
 pub const CYCLES_PER_BLOCK: usize = 12;
 
@@ -329,6 +359,8 @@ pub const CYCLES_PER_BLOCK: usize = 12;
 pub struct AesHarness {
     netlist: Netlist,
     ports: AesPorts,
+    /// The netlist compiled for simulation, on first use.
+    program: OnceLock<Result<Program, NetlistError>>,
 }
 
 impl AesHarness {
@@ -336,7 +368,11 @@ impl AesHarness {
     pub fn new() -> Self {
         let mut netlist = Netlist::new("aes128");
         let ports = build_aes(&mut netlist);
-        Self { netlist, ports }
+        Self {
+            netlist,
+            ports,
+            program: OnceLock::new(),
+        }
     }
 
     /// The generated netlist.
@@ -349,14 +385,20 @@ impl AesHarness {
         &self.ports
     }
 
-    /// Spawns a fresh simulator over the netlist.
+    /// Spawns a fresh simulator over the netlist. The netlist is
+    /// compiled on the first call; later calls only allocate lane state.
     ///
     /// # Errors
     ///
-    /// Propagates structural errors from simulator construction (none occur
-    /// for the generated core; the signature keeps the contract honest).
+    /// Propagates structural errors from compilation (none occur for the
+    /// generated core; the signature keeps the contract honest).
     pub fn simulator(&self) -> Result<Simulator<'_>, NetlistError> {
-        Simulator::new(&self.netlist)
+        let program = self
+            .program
+            .get_or_init(|| Program::compile(&self.netlist))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(Simulator::with_program(&self.netlist, program))
     }
 
     /// Encrypts one block on a fresh simulator (convenience for tests).

@@ -1,16 +1,19 @@
 //! Serial vs. parallel benchmarks for the acquisition → fingerprint →
 //! batch-evaluation engine. Each group sweeps the worker count so
 //! `cargo bench` doubles as the speedup report (`exp_throughput` writes
-//! the machine-readable version to `BENCH_parallel.json`).
+//! the machine-readable version to `BENCH_parallel.json`). The
+//! `simulate` group covers both widths of the word-parallel simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::{DetectionPipeline, EuclideanDetector};
+use emtrust_aes::netlist::{run_encryption, run_encryptions};
 use emtrust_bench::EXPERIMENT_KEY;
 use emtrust_silicon::Channel;
-use emtrust_trojan::ProtectedChip;
+use emtrust_sim::LANES;
+use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -83,8 +86,43 @@ fn parallel_ingest_batch(c: &mut Criterion) {
     g.finish();
 }
 
+/// Recorded encryptions at both lane widths: one live lane on the
+/// all-Trojan chip with T1 armed (how Trojan campaigns run), and a full
+/// word of lanes on the golden chip (how replayable campaigns run).
+fn simulate(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulate");
+    g.sample_size(10);
+
+    let armed = ProtectedChip::with_all_trojans();
+    let mut sim = armed.simulator().expect("simulator");
+    armed.disarm_all(&mut sim);
+    armed.arm(&mut sim, TrojanKind::T1AmLeaker, true);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("one_lane_t1_armed", |b| {
+        b.iter(|| {
+            sim.start_recording();
+            let ct = run_encryption(&mut sim, armed.aes_ports(), EXPERIMENT_KEY, [0x3c; 16]);
+            (ct, sim.take_recording())
+        })
+    });
+
+    let golden = ProtectedChip::golden();
+    let mut sim = golden.simulator().expect("simulator");
+    let plaintexts: Vec<[u8; 16]> = (0..LANES as u8).map(|i| [i; 16]).collect();
+    g.throughput(Throughput::Elements(LANES as u64));
+    g.bench_function("lanes_64_golden", |b| {
+        b.iter(|| {
+            sim.start_recording();
+            let cts = run_encryptions(&mut sim, golden.aes_ports(), EXPERIMENT_KEY, &plaintexts);
+            (cts, sim.take_lane_recordings())
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     parallel,
+    simulate,
     parallel_collect,
     parallel_fit,
     parallel_ingest_batch

@@ -2,10 +2,10 @@
 //! it through either the simulation pipeline (paper §IV) or the
 //! fabricated-chip pipeline (paper §V).
 
+use crate::campaign::{Campaign, Recorded};
 use crate::parallel::ParallelConfig;
 use crate::sanitize::{TraceSanitizer, TraceVerdict};
 use crate::TrustError;
-use emtrust_aes::netlist::run_encryption_with;
 use emtrust_em::coil::Coil;
 use emtrust_em::emf::VoltageTrace;
 use emtrust_em::pipeline::{EmSensor, PointCurrentSource};
@@ -458,9 +458,6 @@ impl<'c> TestBench<'c> {
         let _span = telemetry::span("collect");
         telemetry::counter("acquire.traces", n_traces as u64);
         let mut rng = StdRng::seed_from_u64(seed);
-        let leak_sense = armed
-            .and_then(|k| self.chip.trojan_ports(k))
-            .and_then(|p| p.leak_sense);
 
         // Warm-up block (unrecorded): brings the registers to the steady
         // post-encryption state so every recorded trace starts alike. All
@@ -498,76 +495,18 @@ impl<'c> TestBench<'c> {
             }
         };
 
-        // A Trojan-free netlist is replayable: its post-encryption register
-        // state is a pure function of (key, previous plaintext), so a chunk
-        // of the campaign can rebuild its simulator from scratch, warm up
-        // with the chunk's predecessor plaintext, and reproduce the serial
-        // event stream exactly. Trojan-carrying netlists are not replayable
-        // (T1's counter free-runs even while dormant), so they simulate
-        // serially and fan out only the measurement stage.
-        let replayable = armed.is_none() && self.chip.trojan_kinds().next().is_none();
-        let traces = if replayable {
-            self.parallel
-                .try_map_chunks(n_traces, |range| -> Result<_, TrustError> {
-                    let mut sim = self.chip.simulator()?;
-                    self.chip.disarm_all(&mut sim);
-                    let prev = if range.start == 0 {
-                        warmup
-                    } else {
-                        plaintexts[range.start - 1]
-                    };
-                    let warm_span = telemetry::span("simulate");
-                    let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, prev, |_| {});
-                    drop(warm_span);
-                    let mut out = Vec::with_capacity(range.len());
-                    for i in range {
-                        let simulate = telemetry::span("simulate");
-                        sim.start_recording();
-                        let _ct = run_encryption_with(
-                            &mut sim,
-                            self.chip.aes_ports(),
-                            key,
-                            plaintexts[i],
-                            |_| {},
-                        );
-                        let activity = sim.take_recording();
-                        drop(simulate);
-                        let trace =
-                            self.measure_activity(&activity, None, channel, trace_seed(i), 1)?;
-                        let mut samples = trace.into_samples();
-                        corrupt(i, &mut samples);
-                        out.push(samples);
-                    }
-                    Ok(out)
-                })?
-        } else {
-            let _span = telemetry::span("simulate");
-            let mut sim = self.chip.simulator()?;
-            self.chip.disarm_all(&mut sim);
-            if let Some(kind) = armed {
-                self.chip.arm(&mut sim, kind, true);
-            }
-            let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, warmup, |_| {});
-            let mut recorded = Vec::with_capacity(n_traces);
-            for pt in &plaintexts {
-                sim.start_recording();
-                let mut leak_per_cycle = Vec::new();
-                let _ct = run_encryption_with(&mut sim, self.chip.aes_ports(), key, *pt, |s| {
-                    if let Some(net) = leak_sense {
-                        // Leakage path opens while the sense bit is low.
-                        leak_per_cycle.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
-                    }
-                });
-                let activity = sim.take_recording();
-                recorded.push((activity, leak_sense.is_some().then_some(leak_per_cycle)));
-            }
-            drop(_span);
-            self.parallel
-                .try_map(n_traces, |i| -> Result<_, TrustError> {
-                    let (activity, extra) = &recorded[i];
+        // Each simulated round's measurements fan out across the pool.
+        let campaign = Campaign::new(self.chip, key, armed, Some(warmup), self.parallel);
+        let mut traces = Vec::with_capacity(n_traces);
+        campaign.record(&plaintexts, |first, recorded| {
+            let batch = self
+                .parallel
+                .try_map(recorded.len(), |j| -> Result<_, TrustError> {
+                    let i = first + j;
+                    let Recorded { activity, leak } = &recorded[j];
                     let trace = self.measure_activity(
                         activity,
-                        extra.as_deref(),
+                        leak.as_deref(),
                         channel,
                         trace_seed(i),
                         1,
@@ -575,8 +514,10 @@ impl<'c> TestBench<'c> {
                     let mut samples = trace.into_samples();
                     corrupt(i, &mut samples);
                     Ok(samples)
-                })?
-        };
+                })?;
+            traces.extend(batch);
+            Ok(())
+        })?;
         if self.faults.is_some() {
             // Injected faults may legitimately produce NaN/Inf samples;
             // the sanitizer downstream is the component that judges them.
@@ -604,38 +545,14 @@ impl<'c> TestBench<'c> {
         let _span = telemetry::span("collect_continuous");
         telemetry::counter("acquire.blocks", n_blocks as u64);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sim = self.chip.simulator()?;
-        self.chip.disarm_all(&mut sim);
-        if let Some(kind) = armed {
-            self.chip.arm(&mut sim, kind, true);
-        }
-        let leak_sense = armed
-            .and_then(|k| self.chip.trojan_ports(k))
-            .and_then(|p| p.leak_sense);
-        sim.start_recording();
-        let mut leak_per_cycle = Vec::new();
-        {
-            let _span = telemetry::span("simulate");
-            for _ in 0..n_blocks {
-                let pt: [u8; 16] = rng.gen();
-                let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |s| {
-                    if let Some(net) = leak_sense {
-                        leak_per_cycle.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
-                    }
-                });
-            }
-        }
-        let activity = sim.take_recording();
-        let extra = if leak_sense.is_some() {
-            Some(leak_per_cycle)
-        } else {
-            None
-        };
+        let plaintexts: Vec<[u8; 16]> = (0..n_blocks).map(|_| rng.gen()).collect();
+        let (activity, leak) =
+            Campaign::new(self.chip, key, armed, None, self.parallel).record_window(&plaintexts)?;
         // The long trace parallelizes inside the measurement: current
         // synthesis fans its cycle chunks across the pool.
         let mut trace = self.measure_activity(
             &activity,
-            extra.as_deref(),
+            leak.as_deref(),
             channel,
             seed,
             self.parallel.workers,

@@ -40,9 +40,10 @@
 //! # }
 //! ```
 
-use crate::acquisition::{TraceSet, T2_LEAK_CURRENT_A};
+use crate::acquisition::TraceSet;
 use crate::attribution::{self, Attribution, CellEvidence};
 use crate::baseline::{BaselineSource, CalibrationState, DetectorReadiness, SelfCalibratingConfig};
+use crate::campaign::{Campaign, Recorded};
 use crate::detector::{
     Detector, DetectorDomain, DetectorVerdict, EuclideanDetector, FeaturePlan, GoldenContext,
     Score, ScoreDetail,
@@ -54,7 +55,6 @@ use crate::parallel::ParallelConfig;
 use crate::persistence::PersistenceConfig;
 use crate::pipeline::{DetectionPipeline, DetectorConfig};
 use crate::TrustError;
-use emtrust_aes::netlist::run_encryption_with;
 use emtrust_dsp::stats::median;
 use emtrust_em::array::EmArray;
 use emtrust_em::emf::VoltageTrace;
@@ -668,68 +668,42 @@ impl<'c> SensorArray<'c> {
         let _span = telemetry::span("array.collect");
         telemetry::counter("array.traces", (n_traces * self.array.len()) as u64);
         let pt: [u8; 16] = StdRng::seed_from_u64(seed ^ 0x97).gen();
-        let leak_sense = armed
-            .and_then(|k| self.chip.trojan_ports(k))
-            .and_then(|p| p.leak_sense);
-
-        // One serial simulation pass (Trojan state must evolve in
-        // encryption order), recording every encryption's activity.
-        let recorded = {
-            let _span = telemetry::span("simulate");
-            let mut sim = self.chip.simulator()?;
-            self.chip.disarm_all(&mut sim);
-            if let Some(kind) = armed {
-                self.chip.arm(&mut sim, kind, true);
-            }
-            let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |_| {});
-            let mut recorded = Vec::with_capacity(n_traces);
-            for _ in 0..n_traces {
-                sim.start_recording();
-                let mut leak_per_cycle = Vec::new();
-                let _ct = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |s| {
-                    if let Some(net) = leak_sense {
-                        // Leakage path opens while the sense bit is low.
-                        leak_per_cycle.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
-                    }
-                });
-                let activity = sim.take_recording();
-                recorded.push((activity, leak_sense.is_some().then_some(leak_per_cycle)));
-            }
-            recorded
-        };
-
-        // Measurement fans over traces; inside each trace, one
-        // synthesize_multi pass renders every tile's weighted current.
+        // Each simulated round's measurements fan out across the pool;
+        // inside each trace, one synthesize_multi pass renders every
+        // tile's weighted current.
         let trace_seed = |i: usize| seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let per_trace =
-            self.config
-                .parallel
-                .try_map(n_traces, |i| -> Result<Vec<Vec<f64>>, TrustError> {
-                    let (activity, extra) = &recorded[i];
-                    let tiles = self.array.measure_multi(
-                        self.chip.netlist(),
-                        activity,
-                        extra.as_deref(),
-                        &[],
-                        trace_seed(i),
-                        1,
-                    )?;
-                    Ok(tiles.into_iter().map(VoltageTrace::into_samples).collect())
-                })?;
-
-        // Transpose trace-major → tile-major.
         let mut per_tile: Vec<Vec<Vec<f64>>> = (0..self.array.len())
             .map(|_| Vec::with_capacity(n_traces))
             .collect();
-        for tiles in per_trace {
-            for (t, samples) in tiles.into_iter().enumerate() {
-                per_tile[t].push(samples);
-            }
-        }
         let mut toggles = ToggleActivity::new();
-        for (activity, _) in &recorded {
-            toggles.absorb(activity);
-        }
+        let campaign = Campaign::new(self.chip, key, armed, Some(pt), self.config.parallel);
+        campaign.record(&vec![pt; n_traces], |first, recorded| {
+            let per_trace = self.config.parallel.try_map(
+                recorded.len(),
+                |j| -> Result<Vec<Vec<f64>>, TrustError> {
+                    let Recorded { activity, leak } = &recorded[j];
+                    let tiles = self.array.measure_multi(
+                        self.chip.netlist(),
+                        activity,
+                        leak.as_deref(),
+                        &[],
+                        trace_seed(first + j),
+                        1,
+                    )?;
+                    Ok(tiles.into_iter().map(VoltageTrace::into_samples).collect())
+                },
+            )?;
+            // Transpose trace-major → tile-major.
+            for tiles in per_trace {
+                for (t, samples) in tiles.into_iter().enumerate() {
+                    per_tile[t].push(samples);
+                }
+            }
+            for rec in &recorded {
+                toggles.absorb(&rec.activity);
+            }
+            Ok(())
+        })?;
         let sets = per_tile
             .into_iter()
             .map(|ts| TraceSet::new(ts, self.clock.sample_rate_hz()))

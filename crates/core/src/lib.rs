@@ -94,6 +94,7 @@ pub mod acquisition;
 pub mod array;
 pub mod attribution;
 pub mod baseline;
+mod campaign;
 pub mod detector;
 pub mod error;
 pub mod euclidean;

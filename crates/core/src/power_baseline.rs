@@ -23,8 +23,9 @@
 //! noise, the EM sensor retains margin where the baseline thins out.
 
 use crate::acquisition::{Stimulus, TraceSet};
+use crate::campaign::{Campaign, Recorded};
+use crate::parallel::ParallelConfig;
 use crate::TrustError;
-use emtrust_aes::netlist::run_encryption_with;
 use emtrust_netlist::library::Library;
 use emtrust_power::{ClockConfig, CurrentModel};
 use emtrust_trojan::{ProtectedChip, TrojanKind};
@@ -98,41 +99,44 @@ impl<'c> PowerBaseline<'c> {
     ) -> Result<TraceSet, TrustError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut noise_rng = StdRng::seed_from_u64(seed ^ 0x0b5e);
-        let mut sim = self.chip.simulator()?;
-        self.chip.disarm_all(&mut sim);
-        if let Some(kind) = armed {
-            self.chip.arm(&mut sim, kind, true);
-        }
         let warmup: [u8; 16] = match stimulus {
             Stimulus::Fixed(block) => block,
             Stimulus::RandomPerTrace => rng.gen(),
         };
-        let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, warmup, |_| {});
-        let mut traces = Vec::with_capacity(n_traces);
-        for _ in 0..n_traces {
-            let pt: [u8; 16] = match stimulus {
+        let plaintexts: Vec<[u8; 16]> = (0..n_traces)
+            .map(|_| match stimulus {
                 Stimulus::Fixed(block) => block,
                 Stimulus::RandomPerTrace => rng.gen(),
-            };
-            sim.start_recording();
-            let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |_| {});
-            let activity = sim.take_recording();
-            let trace = self
-                .model
-                .synthesize(self.chip.netlist(), &activity, None, None)
-                .map_err(emtrust_em::EmError::from)?;
-            let mut samples = trace.into_samples();
-            // Package/decap low-pass, then sense noise.
-            let fs = self.model.clock().sample_rate_hz();
-            let rc = 1.0 / (2.0 * std::f64::consts::PI * SUPPLY_SENSE_BANDWIDTH_HZ);
-            let alpha = (1.0 / fs) / (rc + 1.0 / fs);
-            let mut state = samples.first().copied().unwrap_or(0.0);
-            for s in samples.iter_mut() {
-                state += alpha * (*s - state);
-                *s = state + self.noise_rms_a * gaussian(&mut noise_rng);
+            })
+            .collect();
+        let campaign = Campaign::new(
+            self.chip,
+            key,
+            armed,
+            Some(warmup),
+            ParallelConfig::serial(),
+        );
+        let mut traces = Vec::with_capacity(n_traces);
+        campaign.record(&plaintexts, |_, recorded| {
+            for Recorded { activity, .. } in recorded {
+                let trace = self
+                    .model
+                    .synthesize(self.chip.netlist(), &activity, None, None)
+                    .map_err(emtrust_em::EmError::from)?;
+                let mut samples = trace.into_samples();
+                // Package/decap low-pass, then sense noise.
+                let fs = self.model.clock().sample_rate_hz();
+                let rc = 1.0 / (2.0 * std::f64::consts::PI * SUPPLY_SENSE_BANDWIDTH_HZ);
+                let alpha = (1.0 / fs) / (rc + 1.0 / fs);
+                let mut state = samples.first().copied().unwrap_or(0.0);
+                for s in samples.iter_mut() {
+                    state += alpha * (*s - state);
+                    *s = state + self.noise_rms_a * gaussian(&mut noise_rng);
+                }
+                traces.push(samples);
             }
-            traces.push(samples);
-        }
+            Ok(())
+        })?;
         TraceSet::new(traces, self.model.clock().sample_rate_hz())
     }
 }

@@ -39,6 +39,11 @@ impl CycleActivity {
         }
     }
 
+    /// Creates the record of clock cycle `cycle` holding `events`.
+    pub(crate) fn from_events(cycle: u64, events: Vec<ToggleEvent>) -> Self {
+        Self { cycle, events }
+    }
+
     /// The clock cycle index this record belongs to.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -101,9 +106,19 @@ impl ActivityTrace {
         }
     }
 
-    /// Concatenates another trace after this one.
+    /// Concatenates another trace after this one. Its cycles are
+    /// renumbered to continue this trace's clock, so a trace assembled
+    /// block by block counts up by one per cycle, as one recording over
+    /// all the blocks would.
     pub fn extend_from(&mut self, other: ActivityTrace) {
+        let next = self.cycles.last().map(|c| c.cycle + 1);
+        let start = self.cycles.len();
         self.cycles.extend(other.cycles);
+        if let Some(next) = next {
+            for (cycle, c) in (next..).zip(&mut self.cycles[start..]) {
+                c.cycle = cycle;
+            }
+        }
     }
 }
 
@@ -291,6 +306,17 @@ mod tests {
         a.extend_from(b);
         assert_eq!(a.cycle_count(), 2);
         assert_eq!(a.cycles()[1].cycle(), 1);
+        // Appended cycles continue the clock, whatever they were numbered.
+        let mut c = ActivityTrace::new();
+        c.push_cycle(CycleActivity::new(24));
+        c.push_cycle(CycleActivity::new(25));
+        a.extend_from(c);
+        let cycles: Vec<u64> = a.cycles().iter().map(CycleActivity::cycle).collect();
+        assert_eq!(cycles, [0, 1, 2, 3]);
+        // An empty trace takes the other's numbering as it is.
+        let mut d = ActivityTrace::new();
+        d.extend_from(a);
+        assert_eq!(d.cycles()[3].cycle(), 3);
     }
 
     /// A small sequential design plus a seeded stimulus driver, for the

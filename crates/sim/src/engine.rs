@@ -1,61 +1,275 @@
 //! The cycle-based simulation engine.
+//!
+//! A netlist is compiled once into a [`Program`]: flat arrays that hold,
+//! in evaluation order, each combinational cell's 3-input truth table,
+//! its input and output net indices, its switching slot (`level + 1`)
+//! and its [`CellId`](emtrust_netlist::graph::CellId), plus the
+//! flip-flop list. A [`Simulator`] runs a
+//! program word-parallel: every net holds a `u64` whose bit *j* is the
+//! net's value in **lane** *j*, one independent copy of the circuit. A
+//! cell evaluates all [`LANES`] lanes with a handful of bitwise ops, and
+//! its toggles are the mask `(old ^ new) & live`.
+//!
+//! The single-trace API is lane 0: [`Simulator::set_input`] and
+//! [`Simulator::set_bus`] broadcast to every lane, [`Simulator::value`]
+//! and [`Simulator::bus`] read lane 0, and a fresh simulator has lane 0
+//! as its only live lane. [`Simulator::set_bus_lanes`] drives different
+//! values per lane and makes those lanes live;
+//! [`Simulator::take_lane_recordings`] returns one [`ActivityTrace`] per
+//! live lane. Every lane's event stream is bit-identical to a serial run
+//! of the same stimulus.
 
 use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
-use emtrust_netlist::graph::{CellId, NetId, NetSource, Netlist};
+use emtrust_netlist::graph::{NetId, Netlist};
 use emtrust_netlist::level::{levelize, Levels};
 use emtrust_netlist::NetlistError;
+use std::borrow::Cow;
 
-/// A two-phase, cycle-based simulator over a borrowed [`Netlist`].
+/// Lanes per simulator: one independent circuit copy per bit of a `u64`.
+pub const LANES: usize = 64;
+
+/// One combinational cell of a [`Program`]: the data the kernel touches
+/// on every evaluation.
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    /// Input net indices; unused pins repeat pin 0.
+    ins: [u32; 3],
+    /// Output net index.
+    out: u32,
+    /// Truth table: bit `a | b << 1 | c << 2` is the output for inputs
+    /// `(a, b, c)`.
+    table: u8,
+}
+
+/// One flip-flop of a [`Program`].
+#[derive(Debug, Clone, Copy)]
+struct Flop {
+    d: u32,
+    q: u32,
+}
+
+/// A netlist compiled for simulation: validated, levelized and laid out
+/// as flat arrays in evaluation order.
+///
+/// Compiling costs a validation and a levelization pass; owners that
+/// spawn many simulators over one netlist compile once and hand the
+/// program to [`Simulator::with_program`].
+#[derive(Debug, Clone)]
+pub struct Program {
+    /// Combinational cells in evaluation order.
+    gates: Vec<Gate>,
+    /// Flip-flops in id order.
+    flops: Vec<Flop>,
+    /// The event each source emits when it toggles, falling edge: every
+    /// flop (slot 0), then every gate (slot `level + 1`) — the order
+    /// events are emitted in.
+    events: Vec<ToggleEvent>,
+    /// Whether each net is a primary input.
+    is_input: Vec<bool>,
+    const1: u32,
+    cell_count: usize,
+    levels: Levels,
+}
+
+impl Program {
+    /// Compiles `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any structural error from [`Netlist::validate`] and
+    /// [`NetlistError::CombinationalCycle`] from levelization.
+    pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
+        netlist.validate()?;
+        let levels = levelize(netlist)?;
+        let mut flops = Vec::new();
+        let mut events = Vec::new();
+        for (cell, c) in netlist.cells().filter(|(_, c)| c.kind().is_sequential()) {
+            let q = c.output().index() as u32;
+            flops.push(Flop {
+                d: c.inputs()[0].index() as u32,
+                q,
+            });
+            events.push(ToggleEvent {
+                cell,
+                level: 0,
+                rising: false,
+            });
+        }
+        let mut gates = Vec::with_capacity(levels.eval_order().len());
+        for &id in levels.eval_order() {
+            let cell = netlist.cell(id);
+            let kind = cell.kind();
+            let pins = cell.inputs();
+            let mut table = 0u8;
+            for row in 0..8u8 {
+                let bits = [row & 1 != 0, row & 2 != 0, row & 4 != 0];
+                if kind.eval(&bits[..pins.len()]) {
+                    table |= 1 << row;
+                }
+            }
+            let pin = |i: usize| pins.get(i).unwrap_or(&pins[0]).index() as u32;
+            let out = cell.output().index() as u32;
+            gates.push(Gate {
+                ins: [pin(0), pin(1), pin(2)],
+                out,
+                table,
+            });
+            events.push(ToggleEvent {
+                cell: id,
+                level: levels.level_of(id) + 1,
+                rising: false,
+            });
+        }
+        let mut is_input = vec![false; netlist.net_count()];
+        for (_, net) in netlist.primary_inputs() {
+            is_input[net.index()] = true;
+        }
+        Ok(Self {
+            gates,
+            flops,
+            events,
+            is_input,
+            const1: netlist.const1().index() as u32,
+            cell_count: netlist.cell_count(),
+            levels,
+        })
+    }
+
+    /// The levelization the program evaluates in.
+    pub fn levels(&self) -> &Levels {
+        &self.levels
+    }
+
+    fn net_count(&self) -> usize {
+        self.is_input.len()
+    }
+}
+
+/// Evaluates a 3-input truth table on 64 lanes at once. MUX2 (`0xCA`)
+/// and XOR2 (`0x66`), the kinds the AES core is built from, take a
+/// direct formula; any other table goes through a mux tree over the
+/// inputs with the table's bits as all-zero/all-one leaves.
+#[inline(always)]
+fn lut3(table: u8, a: u64, b: u64, c: u64) -> u64 {
+    match table {
+        0xCA => return a ^ ((a ^ b) & c),
+        0x66 => return a ^ b,
+        _ => {}
+    }
+    let leaf = |row: u8| u64::from(table >> row & 1).wrapping_neg();
+    let mux = |sel: u64, lo: u64, hi: u64| lo ^ ((lo ^ hi) & sel);
+    let low = mux(b, mux(a, leaf(0), leaf(1)), mux(a, leaf(2), leaf(3)));
+    let high = mux(b, mux(a, leaf(4), leaf(5)), mux(a, leaf(6), leaf(7)));
+    mux(c, low, high)
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `i` of
+/// `rows[j]` is what bit `j` of `rows[i]` was.
+fn transpose64(rows: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((rows[k] >> width) ^ rows[k + width]) & mask;
+            rows[k] ^= t << width;
+            rows[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// A two-phase, cycle-based, 64-lane simulator over a borrowed
+/// [`Netlist`].
 ///
 /// Each [`Simulator::step`] models one rising clock edge followed by
-/// combinational settling:
+/// combinational settling, in every lane at once:
 ///
 /// 1. all flip-flops capture the `d` value settled at the end of the
 ///    previous cycle,
 /// 2. the combinational cells evaluate once in levelized order.
 ///
 /// Primary inputs are set with [`Simulator::set_input`] /
-/// [`Simulator::set_bus`] and take effect in the combinational phase of
-/// the next `step`.
+/// [`Simulator::set_bus`] (all lanes) or [`Simulator::set_bus_lanes`]
+/// (one value per lane) and take effect in the combinational phase of
+/// the next `step`. Recording captures the toggles of the live lanes
+/// only; lane 0 is live unless `set_bus_lanes` says otherwise.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    levels: Levels,
-    values: Vec<bool>,
-    /// Flip-flop cells in id order, with their (d, q) nets.
-    flops: Vec<(CellId, NetId, NetId)>,
-    staged: Vec<bool>,
-    recording: Option<ActivityTrace>,
+    program: Cow<'a, Program>,
+    /// Net values, one bit per lane.
+    words: Vec<u64>,
+    staged: Vec<u64>,
+    /// Live lanes: `0..live`.
+    live: usize,
+    recording: bool,
+    /// One trace per lane; only live lanes grow while recording.
+    traces: Vec<ActivityTrace>,
+    /// Per source, in this cycle: the live lanes it toggled in and its
+    /// new value (scratch).
+    toggled: Vec<u64>,
+    values: Vec<u64>,
+    /// Per block of 64 sources, per lane: which of the block's sources
+    /// toggled, and their new values (scratch).
+    lane_toggled: Vec<[u64; LANES]>,
+    lane_values: Vec<[u64; LANES]>,
+    /// Lane 0's candidate events when it is the only live lane (scratch).
+    lane0_events: Vec<ToggleEvent>,
     cycle: u64,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator; all nets start at logic 0 (constants excepted).
+    /// Compiles `netlist` and creates a simulator; all nets start at
+    /// logic 0 (constants excepted).
     ///
     /// # Errors
     ///
     /// Propagates [`NetlistError::CombinationalCycle`] from levelization
     /// and any structural error from [`Netlist::validate`].
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        netlist.validate()?;
-        let levels = levelize(netlist)?;
-        let mut values = vec![false; netlist.net_count()];
-        values[netlist.const1().index()] = true;
-        let flops: Vec<(CellId, NetId, NetId)> = netlist
-            .cells()
-            .filter(|(_, c)| c.kind().is_sequential())
-            .map(|(id, c)| (id, c.inputs()[0], c.output()))
-            .collect();
-        let staged = vec![false; flops.len()];
-        Ok(Self {
+        let program = Program::compile(netlist)?;
+        Ok(Self::from_parts(netlist, Cow::Owned(program)))
+    }
+
+    /// Creates a simulator running a program compiled from `netlist`;
+    /// only the lane state is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` was not compiled from a netlist of
+    /// `netlist`'s size.
+    pub fn with_program(netlist: &'a Netlist, program: &'a Program) -> Self {
+        assert!(
+            program.net_count() == netlist.net_count()
+                && program.cell_count == netlist.cell_count(),
+            "program was compiled from another netlist"
+        );
+        Self::from_parts(netlist, Cow::Borrowed(program))
+    }
+
+    fn from_parts(netlist: &'a Netlist, program: Cow<'a, Program>) -> Self {
+        let mut words = vec![0; program.net_count()];
+        words[program.const1 as usize] = !0;
+        let staged = vec![0; program.flops.len()];
+        let sources = program.events.len();
+        Self {
             netlist,
-            levels,
-            values,
-            flops,
+            program,
+            words,
             staged,
-            recording: None,
+            live: 1,
+            recording: false,
+            traces: vec![ActivityTrace::new(); LANES],
+            toggled: Vec::with_capacity(sources),
+            values: Vec::with_capacity(sources),
+            lane_toggled: Vec::new(),
+            lane_values: Vec::new(),
+            lane0_events: Vec::new(),
             cycle: 0,
-        })
+        }
     }
 
     /// The netlist under simulation.
@@ -65,7 +279,7 @@ impl<'a> Simulator<'a> {
 
     /// The levelization used for evaluation order and switching times.
     pub fn levels(&self) -> &Levels {
-        &self.levels
+        self.program.levels()
     }
 
     /// Number of clock edges applied so far.
@@ -73,29 +287,35 @@ impl<'a> Simulator<'a> {
         self.cycle
     }
 
-    /// Current logic value of `net`.
+    /// Current logic value of `net` in lane 0.
     ///
     /// # Panics
     ///
     /// Panics if `net` is out of range.
     pub fn value(&self, net: NetId) -> bool {
-        self.values[net.index()]
+        self.words[net.index()] & 1 != 0
     }
 
-    /// Sets a primary-input net to `value` (effective next `step`).
+    /// Sets a primary-input net to `value` in every lane (effective next
+    /// `step`).
     ///
     /// # Panics
     ///
     /// Panics if `net` is not a primary input.
     pub fn set_input(&mut self, net: NetId, value: bool) {
-        assert!(
-            matches!(self.netlist.net_source(net), NetSource::Input),
-            "set_input on a non-input net"
-        );
-        self.values[net.index()] = value;
+        self.check_input(net);
+        self.words[net.index()] = if value { !0 } else { 0 };
     }
 
-    /// Sets an LSB-first bus of primary inputs from the low bits of `word`.
+    fn check_input(&self, net: NetId) {
+        assert!(
+            self.program.is_input[net.index()],
+            "set_input on a non-input net"
+        );
+    }
+
+    /// Sets an LSB-first bus of primary inputs from the low bits of
+    /// `word`, in every lane.
     ///
     /// # Panics
     ///
@@ -108,89 +328,219 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Reads an LSB-first bus into the low bits of a `u128`.
+    /// Drives an LSB-first bus of primary inputs with one word per lane
+    /// — `words[j]` into lane `j`, zero into the lanes beyond — and makes
+    /// lanes `0..words.len()` the live ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any net is not a primary input, the bus is wider than
+    /// 128 bits, or `words` is empty or longer than [`LANES`].
+    pub fn set_bus_lanes(&mut self, nets: &[NetId], words: &[u128]) {
+        assert!(nets.len() <= 128, "bus wider than 128 bits");
+        assert!(
+            (1..=LANES).contains(&words.len()),
+            "set_bus_lanes takes 1 to {LANES} lane words"
+        );
+        for (i, &n) in nets.iter().enumerate() {
+            self.check_input(n);
+            self.words[n.index()] = words
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (lane, w)| acc | ((w >> i & 1) as u64) << lane);
+        }
+        self.live = words.len();
+    }
+
+    /// Reads an LSB-first bus of lane 0 into the low bits of a `u128`.
     ///
     /// # Panics
     ///
     /// Panics if the bus is wider than 128 bits.
     pub fn bus(&self, nets: &[NetId]) -> u128 {
+        self.bus_lane(nets, 0)
+    }
+
+    /// Reads an LSB-first bus of `lane` into the low bits of a `u128`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus is wider than 128 bits or `lane >= LANES`.
+    pub fn bus_lane(&self, nets: &[NetId], lane: usize) -> u128 {
         assert!(nets.len() <= 128, "bus wider than 128 bits");
-        nets.iter()
-            .enumerate()
-            .fold(0u128, |acc, (i, &n)| acc | (u128::from(self.value(n)) << i))
+        assert!(lane < LANES, "lane {lane} out of range");
+        nets.iter().enumerate().fold(0u128, |acc, (i, &n)| {
+            acc | u128::from(self.words[n.index()] >> lane & 1) << i
+        })
     }
 
-    /// Starts recording switching activity into a fresh trace.
+    /// Starts recording switching activity of every live lane into fresh
+    /// traces.
     pub fn start_recording(&mut self) {
-        self.recording = Some(ActivityTrace::new());
+        self.clear_traces();
+        self.recording = true;
     }
 
-    /// Stops recording and returns the captured trace (empty if recording
+    /// Stops recording and returns lane 0's trace (empty if recording
     /// was never started).
     pub fn take_recording(&mut self) -> ActivityTrace {
-        self.recording.take().unwrap_or_default()
+        self.recording = false;
+        let trace = std::mem::take(&mut self.traces[0]);
+        self.clear_traces();
+        trace
+    }
+
+    /// Stops recording and returns one trace per live lane, lane 0 first
+    /// (empty traces if recording was never started).
+    pub fn take_lane_recordings(&mut self) -> Vec<ActivityTrace> {
+        self.recording = false;
+        let traces = self.traces[..self.live]
+            .iter_mut()
+            .map(std::mem::take)
+            .collect();
+        self.clear_traces();
+        traces
+    }
+
+    fn clear_traces(&mut self) {
+        self.traces.fill_with(ActivityTrace::new);
     }
 
     /// Whether a recording is in progress.
     pub fn is_recording(&self) -> bool {
-        self.recording.is_some()
+        self.recording
     }
 
     /// Settles the combinational logic with the current inputs *without* a
     /// clock edge and without recording activity. Useful to establish a
     /// consistent pre-clock state after setting initial inputs.
     pub fn settle(&mut self) {
-        for &cell_id in self.levels.eval_order() {
-            let cell = self.netlist.cell(cell_id);
-            let new = self.eval_cell(cell_id);
-            self.values[cell.output().index()] = new;
+        let words = &mut self.words;
+        for g in &self.program.gates {
+            let [a, b, c] = g.ins.map(|i| words[i as usize]);
+            words[g.out as usize] = lut3(g.table, a, b, c);
         }
     }
 
     /// Applies one rising clock edge, then settles combinational logic.
-    /// Records toggles if a recording is in progress.
+    /// Records the live lanes' toggles if a recording is in progress.
     pub fn step(&mut self) {
         // Phase 1: capture d.
-        for (i, &(_, d, _)) in self.flops.iter().enumerate() {
-            self.staged[i] = self.values[d.index()];
+        for (s, f) in self.staged.iter_mut().zip(&self.program.flops) {
+            *s = self.words[f.d as usize];
         }
-        let mut cycle_activity = CycleActivity::new(self.cycle);
-        // Phase 2: update q.
-        for (i, &(cell, _, q)) in self.flops.iter().enumerate() {
-            let new = self.staged[i];
-            let old = self.values[q.index()];
-            if new != old {
-                self.values[q.index()] = new;
-                if self.recording.is_some() {
-                    cycle_activity.push(ToggleEvent {
-                        cell,
-                        level: 0,
-                        rising: new,
-                    });
-                }
+        // Phases 2 (update q) and 3 (combinational settle in level order).
+        if self.recording {
+            self.record_edge();
+        } else {
+            for (&s, f) in self.staged.iter().zip(&self.program.flops) {
+                self.words[f.q as usize] = s;
             }
-        }
-        // Phase 3: combinational settle in level order.
-        for idx in 0..self.levels.eval_order().len() {
-            let cell_id = self.levels.eval_order()[idx];
-            let new = self.eval_cell(cell_id);
-            let out = self.netlist.cell(cell_id).output();
-            let old = self.values[out.index()];
-            if new != old {
-                self.values[out.index()] = new;
-                if self.recording.is_some() {
-                    cycle_activity.push(ToggleEvent {
-                        cell: cell_id,
-                        level: self.levels.level_of(cell_id) + 1,
-                        rising: new,
-                    });
-                }
-            }
-        }
-        if let Some(trace) = &mut self.recording {
-            trace.push_cycle(cycle_activity);
+            self.settle();
         }
         self.cycle += 1;
+    }
+
+    /// Phases 2 and 3 with every live lane's toggles recorded.
+    ///
+    /// The evaluation pass only stores each source's toggled-lane mask
+    /// and new value; the events are then emitted lane by lane in source
+    /// order, into a buffer of the cycle's exact size. One live lane, how
+    /// every Trojan campaign runs, skips the lane-major transposes, which
+    /// would cost as much again as the rest of the step.
+    fn record_edge(&mut self) {
+        let program = &*self.program;
+        let words = &mut self.words;
+        let live = u64::MAX >> (LANES - self.live);
+        let (toggled, values) = (&mut self.toggled, &mut self.values);
+        toggled.clear();
+        values.clear();
+        for (&new, f) in self.staged.iter().zip(&program.flops) {
+            let q = &mut words[f.q as usize];
+            toggled.push((*q ^ new) & live);
+            values.push(new);
+            *q = new;
+        }
+        for g in &program.gates {
+            let [a, b, c] = g.ins.map(|i| words[i as usize]);
+            let new = lut3(g.table, a, b, c);
+            let out = &mut words[g.out as usize];
+            toggled.push((*out ^ new) & live);
+            values.push(new);
+            *out = new;
+        }
+        if self.live == 1 {
+            self.emit_lane0();
+        } else {
+            self.emit_lanes();
+        }
+    }
+
+    /// Emits lane 0's events when it is the only live lane. Every source
+    /// writes its candidate event at the cursor, which advances only on
+    /// a toggle, so the loop has no data-dependent branch.
+    fn emit_lane0(&mut self) {
+        let program = &*self.program;
+        let events = &mut self.lane0_events;
+        if events.len() < program.events.len() {
+            events.clone_from(&program.events);
+        }
+        let mut n = 0;
+        for ((&t, &v), e) in self.toggled.iter().zip(&self.values).zip(&program.events) {
+            events[n] = ToggleEvent {
+                rising: v & 1 != 0,
+                ..*e
+            };
+            n += (t & 1) as usize;
+        }
+        let activity = CycleActivity::from_events(self.cycle, events[..n].to_vec());
+        self.traces[0].push_cycle(activity);
+    }
+
+    /// Emits every live lane's events: per block of 64 sources, the
+    /// toggle masks and the new values are turned lane-major, and each
+    /// lane walks its set bits in source order.
+    fn emit_lanes(&mut self) {
+        let (toggled, values) = (&self.toggled, &self.values);
+        let blocks = toggled.len().div_ceil(LANES);
+        self.lane_toggled.resize(blocks, [0; LANES]);
+        self.lane_values.resize(blocks, [0; LANES]);
+        for (b, (lane_toggled, lane_values)) in self
+            .lane_toggled
+            .iter_mut()
+            .zip(&mut self.lane_values)
+            .enumerate()
+        {
+            let range = b * LANES..toggled.len().min((b + 1) * LANES);
+            *lane_toggled = [0; LANES];
+            *lane_values = [0; LANES];
+            lane_toggled[..range.len()].copy_from_slice(&toggled[range.clone()]);
+            lane_values[..range.len()].copy_from_slice(&values[range]);
+            transpose64(lane_toggled);
+            transpose64(lane_values);
+        }
+
+        let sources = &self.program.events;
+        for (lane, trace) in self.traces[..self.live].iter_mut().enumerate() {
+            let count = self
+                .lane_toggled
+                .iter()
+                .map(|m| m[lane].count_ones() as usize)
+                .sum();
+            let mut events = Vec::with_capacity(count);
+            for (b, (t, v)) in self.lane_toggled.iter().zip(&self.lane_values).enumerate() {
+                let (mut t, v) = (t[lane], v[lane]);
+                while t != 0 {
+                    let i = t.trailing_zeros();
+                    t &= t - 1;
+                    events.push(ToggleEvent {
+                        rising: v >> i & 1 != 0,
+                        ..sources[b * LANES + i as usize]
+                    });
+                }
+            }
+            trace.push_cycle(CycleActivity::from_events(self.cycle, events));
+        }
     }
 
     /// Runs `n` clock cycles.
@@ -200,42 +550,24 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Resets all state: nets to 0, cycle counter to 0. Any in-progress
-    /// recording is discarded.
+    /// Resets all state: nets to 0 in every lane, cycle counter to 0,
+    /// lane 0 the only live lane. Any in-progress recording is discarded.
     pub fn reset(&mut self) {
-        for v in self.values.iter_mut() {
-            *v = false;
-        }
-        self.values[self.netlist.const1().index()] = true;
-        for s in self.staged.iter_mut() {
-            *s = false;
-        }
+        self.words.fill(0);
+        self.words[self.program.const1 as usize] = !0;
+        self.staged.fill(0);
         self.cycle = 0;
-        self.recording = None;
-    }
-
-    #[inline]
-    fn eval_cell(&self, cell_id: CellId) -> bool {
-        let cell = self.netlist.cell(cell_id);
-        let ins = cell.inputs();
-        match ins.len() {
-            1 => cell.kind().eval(&[self.values[ins[0].index()]]),
-            2 => cell
-                .kind()
-                .eval(&[self.values[ins[0].index()], self.values[ins[1].index()]]),
-            _ => cell.kind().eval(&[
-                self.values[ins[0].index()],
-                self.values[ins[1].index()],
-                self.values[ins[2].index()],
-            ]),
-        }
+        self.live = 1;
+        self.recording = false;
+        self.clear_traces();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emtrust_netlist::graph::Netlist;
+    use emtrust_netlist::cell::ALL_KINDS;
+    use emtrust_netlist::graph::{NetSource, Netlist};
 
     fn counter2() -> (Netlist, Vec<NetId>) {
         // 2-bit binary counter: q0' = !q0; q1' = q1 ^ q0.
@@ -249,6 +581,46 @@ mod tests {
         n.mark_output("q0", q0);
         n.mark_output("q1", q1);
         (n, vec![q0, q1])
+    }
+
+    #[test]
+    fn word_kernel_matches_every_kind_on_every_row() {
+        // Lane j carries input row j % 8, so one evaluation covers the
+        // whole truth table of a kind.
+        let row = |bit: u32| (0..64u32).fold(0u64, |w, j| w | u64::from((j % 8) >> bit & 1) << j);
+        let (a, b, c) = (row(0), row(1), row(2));
+        for kind in ALL_KINDS.into_iter().filter(|k| !k.is_sequential()) {
+            let mut n = Netlist::new("one");
+            let ins = n.input_bus("i", kind.arity());
+            let y = n.gate(kind, &ins);
+            n.mark_output("y", y);
+            let program = Program::compile(&n).unwrap();
+            let word = lut3(program.gates[0].table, a, b, c);
+            for lane in 0..64 {
+                let bits = [lane & 1 != 0, lane & 2 != 0, lane & 4 != 0];
+                let expect = kind.eval(&bits[..kind.arity()]);
+                assert_eq!(word >> lane & 1 != 0, expect, "{kind:?} lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_matches_the_bitwise_definition() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rows = [0u64; 64];
+        for r in &mut rows {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *r = x;
+        }
+        let mut t = rows;
+        transpose64(&mut t);
+        for (lane, &col) in t.iter().enumerate() {
+            for (i, &row) in rows.iter().enumerate() {
+                assert_eq!(col >> i & 1, row >> lane & 1, "lane {lane} row {i}");
+            }
+        }
     }
 
     #[test]
@@ -311,6 +683,58 @@ mod tests {
     }
 
     #[test]
+    fn lanes_record_their_own_stimulus() {
+        // Lane j drives a = j & 1: only the odd lanes see the inverter
+        // fall, and each lane's trace is its own.
+        let mut n = Netlist::new("inv");
+        let a = n.input("a");
+        let y = n.not(a);
+        n.mark_output("y", y);
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.settle();
+        let words: Vec<u128> = (0..5).map(|j| j & 1).collect();
+        sim.set_bus_lanes(&[a], &words);
+        sim.start_recording();
+        sim.step();
+        let traces = sim.take_lane_recordings();
+        assert_eq!(traces.len(), 5);
+        for (lane, trace) in traces.iter().enumerate() {
+            assert_eq!(trace.total_toggles(), lane & 1, "lane {lane}");
+            assert_eq!(sim.bus_lane(&[y], lane), 1 - (lane as u128 & 1));
+        }
+        assert!(!sim.is_recording());
+    }
+
+    #[test]
+    fn dead_lanes_compute_but_do_not_record() {
+        let mut n = Netlist::new("inv");
+        let a = n.input("a");
+        let y = n.not(a);
+        n.mark_output("y", y);
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.settle();
+        sim.set_bus_lanes(&[a], &[0, 1]);
+        sim.start_recording();
+        sim.step();
+        let first: Vec<usize> = sim
+            .take_lane_recordings()
+            .iter()
+            .map(ActivityTrace::total_toggles)
+            .collect();
+        assert_eq!(first, [0, 1]);
+        sim.set_bus(&[a], 1); // a broadcast keeps both lanes live
+        sim.start_recording();
+        sim.step();
+        let second: Vec<usize> = sim
+            .take_lane_recordings()
+            .iter()
+            .map(ActivityTrace::total_toggles)
+            .collect();
+        assert_eq!(second, [1, 0], "lane 1 was already low");
+        assert_eq!(sim.bus_lane(&[y], 63), 0, "dead lanes still evaluate");
+    }
+
+    #[test]
     fn no_recording_means_empty_trace() {
         let (n, _) = counter2();
         let mut sim = Simulator::new(&n).unwrap();
@@ -341,6 +765,11 @@ mod tests {
         let mut sim = Simulator::new(&n).unwrap();
         sim.set_bus(&ins, 0xA5);
         assert_eq!(sim.bus(&ins), 0xA5);
+        sim.set_bus_lanes(&ins, &[0x01, 0xFE, 0x5A]);
+        assert_eq!(sim.bus(&ins), 0x01);
+        assert_eq!(sim.bus_lane(&ins, 1), 0xFE);
+        assert_eq!(sim.bus_lane(&ins, 2), 0x5A);
+        assert_eq!(sim.bus_lane(&ins, 3), 0, "lanes beyond the words read 0");
     }
 
     #[test]
@@ -357,6 +786,33 @@ mod tests {
         assert!(sim.value(x));
         sim.run(2);
         assert!(sim.value(c1));
+        assert_eq!(sim.bus_lane(&[c1], 63), 1, "constants hold in every lane");
+    }
+
+    #[test]
+    fn compiled_program_is_shared_between_simulators() {
+        let (n, bus) = counter2();
+        let program = Program::compile(&n).unwrap();
+        let mut a = Simulator::with_program(&n, &program);
+        let mut b = Simulator::with_program(&n, &program);
+        a.settle();
+        b.settle();
+        a.run(3);
+        b.run(1);
+        assert_eq!((a.bus(&bus), b.bus(&bus)), (3, 1));
+        assert_eq!(program.levels().eval_order().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "another netlist")]
+    fn program_from_another_netlist_is_rejected() {
+        let (n, _) = counter2();
+        let mut other = Netlist::new("inv");
+        let a = other.input("a");
+        let y = other.not(a);
+        other.mark_output("y", y);
+        let program = Program::compile(&other).unwrap();
+        let _ = Simulator::with_program(&n, &program);
     }
 
     #[test]
@@ -368,6 +824,16 @@ mod tests {
         n.mark_output("y", y);
         let mut sim = Simulator::new(&n).unwrap();
         sim.set_input(y, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane words")]
+    fn set_bus_lanes_rejects_more_than_64_lanes() {
+        let mut n = Netlist::new("t");
+        let a = n.input("a");
+        n.mark_output("a", a);
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.set_bus_lanes(&[a], &[0; LANES + 1]);
     }
 
     #[test]

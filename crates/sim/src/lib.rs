@@ -23,6 +23,9 @@
 //!    semantics; glitches below the cycle resolution are not modelled
 //!    (documented substitution — the detectors operate on aggregate charge
 //!    per transition window, which single-transition-per-cycle preserves).
+//!    A netlist compiles once into an [`engine::Program`], which a
+//!    simulator runs on [`LANES`] independent lanes per machine word:
+//!    up to 64 encryptions at the cost of about one.
 //! 2. **Activity capture** — every output toggle is recorded per cycle as
 //!    an [`activity::ToggleEvent`]; the power model later converts each
 //!    event into a current pulse at `t = cycle·T + level·τ_gate`.
@@ -59,4 +62,4 @@ pub mod engine;
 pub mod vcd;
 
 pub use activity::{ActivityTrace, CycleActivity, ToggleActivity, ToggleEvent};
-pub use engine::Simulator;
+pub use engine::{Program, Simulator, LANES};

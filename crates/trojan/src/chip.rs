@@ -5,8 +5,9 @@ use crate::digital::{insert_trojan, TrojanKind, TrojanPorts, ALL_DIGITAL_TROJANS
 use emtrust_aes::netlist::{build_aes, run_encryption, AesPorts};
 use emtrust_netlist::graph::Netlist;
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::Simulator;
+use emtrust_sim::engine::{Program, Simulator};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// An AES-128 core with a selectable set of inserted Trojans, matching the
 /// silicon the paper fabricates (AES + four Trojans on one die, plus
@@ -16,6 +17,8 @@ pub struct ProtectedChip {
     netlist: Netlist,
     aes: AesPorts,
     trojans: BTreeMap<TrojanKind, TrojanPorts>,
+    /// The netlist compiled for simulation, on first use.
+    program: OnceLock<Result<Program, NetlistError>>,
 }
 
 impl ProtectedChip {
@@ -31,6 +34,7 @@ impl ProtectedChip {
             netlist,
             aes,
             trojans,
+            program: OnceLock::new(),
         }
     }
 
@@ -64,13 +68,19 @@ impl ProtectedChip {
         self.trojans.keys().copied()
     }
 
-    /// Spawns a simulator over the chip.
+    /// Spawns a simulator over the chip. The netlist is compiled on the
+    /// first call; later calls only allocate lane state.
     ///
     /// # Errors
     ///
-    /// Propagates structural errors from simulator construction.
+    /// Propagates structural errors from compilation.
     pub fn simulator(&self) -> Result<Simulator<'_>, NetlistError> {
-        Simulator::new(&self.netlist)
+        let program = self
+            .program
+            .get_or_init(|| Program::compile(&self.netlist))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(Simulator::with_program(&self.netlist, program))
     }
 
     /// Arms (`true`) or disarms (`false`) a Trojan's trigger on a running

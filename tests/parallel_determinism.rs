@@ -78,19 +78,20 @@ fn armed_trojan_and_random_stimulus_stay_deterministic() {
 
 #[test]
 fn continuous_collection_is_bit_identical_for_1_2_8_workers() {
-    // 8 blocks × 12 cycles spans two CYCLE_CHUNK chunks, exercising the
-    // chunked current-synthesis path.
+    // 65 blocks cross the 64-lane word boundary of the simulation, and
+    // their 780 cycles span several CYCLE_CHUNK chunks of the chunked
+    // current-synthesis path.
     let chip = ProtectedChip::golden();
     let reference = TestBench::simulation(&chip)
         .unwrap()
         .with_parallel(pool(1))
-        .collect_continuous(KEY, 8, None, Channel::OnChipSensor, 3)
+        .collect_continuous(KEY, 65, None, Channel::OnChipSensor, 3)
         .unwrap();
     for workers in [2, 8] {
         let trace = TestBench::simulation(&chip)
             .unwrap()
             .with_parallel(pool(workers))
-            .collect_continuous(KEY, 8, None, Channel::OnChipSensor, 3)
+            .collect_continuous(KEY, 65, None, Channel::OnChipSensor, 3)
             .unwrap();
         assert_eq!(trace.samples(), reference.samples(), "workers={workers}");
     }
