@@ -306,17 +306,31 @@ pub fn run_encryption_with(
     pt: [u8; 16],
     mut observe: impl FnMut(&Simulator<'_>),
 ) -> [u8; 16] {
+    run_encryption_stepped(sim, ports, key, pt, |s| {
+        s.step();
+        observe(s);
+    })
+}
+
+/// Like [`run_encryption`], with every clock edge applied by `step`
+/// instead of [`Simulator::step`]: the hook through which a caller
+/// streams each edge's toggles into its own
+/// [`ToggleSink`](emtrust_sim::ToggleSink) with
+/// [`Simulator::step_into`].
+pub fn run_encryption_stepped<'a>(
+    sim: &mut Simulator<'a>,
+    ports: &AesPorts,
+    key: [u8; 16],
+    pt: [u8; 16],
+    mut step: impl FnMut(&mut Simulator<'a>),
+) -> [u8; 16] {
     sim.set_bus(&ports.key, block_to_word(key));
     sim.set_bus(&ports.pt, block_to_word(pt));
     sim.set_input(ports.start, true);
-    sim.step(); // lead-in: load values settle on the register d-pins
-    observe(sim);
+    step(sim); // lead-in: load values settle on the register d-pins
     sim.set_input(ports.start, false);
-    sim.step(); // load edge: state <- pt ^ key, round <- 1
-    observe(sim);
-    for _ in 0..10 {
-        sim.step();
-        observe(sim);
+    for _ in 1..CYCLES_PER_BLOCK {
+        step(sim); // load edge (state <- pt ^ key, round <- 1), 10 rounds
     }
     debug_assert!(sim.value(ports.done), "done must be high after 12 edges");
     word_to_block(sim.bus(&ports.ct))
@@ -339,13 +353,31 @@ pub fn run_encryptions(
     key: [u8; 16],
     plaintexts: &[[u8; 16]],
 ) -> Vec<[u8; 16]> {
+    run_encryptions_stepped(sim, ports, key, plaintexts, Simulator::step)
+}
+
+/// [`run_encryptions`] with every clock edge applied by `step` (see
+/// [`run_encryption_stepped`]).
+///
+/// # Panics
+///
+/// Panics if `plaintexts` is empty or longer than [`LANES`](emtrust_sim::LANES).
+pub fn run_encryptions_stepped<'a>(
+    sim: &mut Simulator<'a>,
+    ports: &AesPorts,
+    key: [u8; 16],
+    plaintexts: &[[u8; 16]],
+    mut step: impl FnMut(&mut Simulator<'a>),
+) -> Vec<[u8; 16]> {
     let words: Vec<u128> = plaintexts.iter().map(|&pt| block_to_word(pt)).collect();
     sim.set_bus(&ports.key, block_to_word(key));
     sim.set_bus_lanes(&ports.pt, &words);
     sim.set_input(ports.start, true);
-    sim.step(); // lead-in
+    step(sim); // lead-in
     sim.set_input(ports.start, false);
-    sim.run(CYCLES_PER_BLOCK - 1); // load edge + 10 rounds
+    for _ in 1..CYCLES_PER_BLOCK {
+        step(sim); // load edge + 10 rounds
+    }
     (0..plaintexts.len())
         .map(|lane| word_to_block(sim.bus_lane(&ports.ct, lane)))
         .collect()

@@ -2,17 +2,21 @@
 //! batch-evaluation engine. Each group sweeps the worker count so
 //! `cargo bench` doubles as the speedup report (`exp_throughput` writes
 //! the machine-readable version to `BENCH_parallel.json`). The
-//! `simulate` group covers both widths of the word-parallel simulator.
+//! `simulate` group covers both widths of the word-parallel simulator;
+//! the `synthesize` group compares binning stored events with binning
+//! the simulator's toggle stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::{DetectionPipeline, EuclideanDetector};
-use emtrust_aes::netlist::{run_encryption, run_encryptions};
+use emtrust_aes::netlist::{run_encryption, run_encryption_stepped, run_encryptions};
 use emtrust_bench::EXPERIMENT_KEY;
+use emtrust_netlist::library::Library;
+use emtrust_power::{ClockConfig, CurrentModel};
 use emtrust_silicon::Channel;
-use emtrust_sim::LANES;
+use emtrust_sim::{ToggleEvent, LANES};
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -120,9 +124,58 @@ fn simulate(c: &mut Criterion) {
     g.finish();
 }
 
+/// Eight weighted currents of one T1-armed encryption (a 4×2 array's
+/// worth) from a charge table compiled once: stored events binned after
+/// a recording, against the simulator's toggle stream binned as it runs.
+fn synthesize(c: &mut Criterion) {
+    let chip = ProtectedChip::with_all_trojans();
+    let netlist = chip.netlist();
+    let model = CurrentModel::new(Library::generic_180nm(), ClockConfig::reference());
+    let weights: Vec<Vec<f64>> = (0..8)
+        .map(|s| {
+            (0..netlist.cell_count())
+                .map(|i| 0.2 + ((i * (s + 3)) % 17) as f64 / 17.0)
+                .collect()
+        })
+        .collect();
+    let sets: Vec<Option<&[f64]>> = weights.iter().map(|w| Some(w.as_slice())).collect();
+    let table = model.charge_table(netlist, &sets).expect("charge table");
+    let mut sim = chip.simulator().expect("simulator");
+    chip.disarm_all(&mut sim);
+    chip.arm(&mut sim, TrojanKind::T1AmLeaker, true);
+    let pt = [0x3c; 16];
+
+    let mut g = c.benchmark_group("synthesize");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("stored_events_to_bins_8_sets", |b| {
+        b.iter(|| {
+            sim.start_recording();
+            let _ = run_encryption(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, pt);
+            let activity = sim.take_recording();
+            let bins = table.bin_trace(&activity, 1);
+            table.render(&bins, None).expect("render")
+        })
+    });
+    g.bench_function("streamed_to_bins_8_sets", |b| {
+        b.iter(|| {
+            let mut bins = table.bins();
+            let mut sink = |_: usize, _: u64, events: &[ToggleEvent]| {
+                table.bin_cycle(events, &mut bins);
+            };
+            let _ = run_encryption_stepped(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, pt, |s| {
+                s.step_into(&mut sink)
+            });
+            table.render(&bins, None).expect("render")
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     parallel,
     simulate,
+    synthesize,
     parallel_collect,
     parallel_fit,
     parallel_ingest_batch

@@ -28,6 +28,7 @@ use emtrust::attribution::Attribution;
 use emtrust::learned::{LogisticModel, TrainSpec};
 use emtrust::telemetry::sink::{json_escape, json_number};
 use emtrust::TrustError;
+use emtrust_netlist::Netlist;
 use emtrust_trojan::TrojanKind;
 
 /// Ranking depths reported per fold.
@@ -55,7 +56,10 @@ impl LabeledAttribution {
     /// Number of truly-Trojan cells.
     pub fn true_cells(&self) -> usize {
         let tag = self.truth_tag();
-        self.attribution.cells().filter(|c| c.region == tag).count()
+        self.attribution
+            .cells()
+            .filter(|c| &*c.region == tag)
+            .count()
     }
 
     /// The labeled training rows: one `(features, is_trojan)` pair per
@@ -64,7 +68,7 @@ impl LabeledAttribution {
         let tag = self.truth_tag();
         self.attribution
             .cells()
-            .map(move |c| (c.features.to_vec(), c.region == tag))
+            .map(move |c| (c.features.to_vec(), &*c.region == tag))
     }
 }
 
@@ -114,8 +118,9 @@ impl FoldMetrics {
     }
 
     /// JSONL records of the fold's top-`k` ranked cells (one object per
-    /// line, for `report::write_jsonl`).
-    pub fn top_cells_jsonl(&self, k: usize) -> Vec<String> {
+    /// line, for `report::write_jsonl`), with module paths resolved in
+    /// `netlist`.
+    pub fn top_cells_jsonl(&self, netlist: &Netlist, k: usize) -> Vec<String> {
         let tag = self.kind.module_tag();
         self.ranked
             .top_cells(k)
@@ -130,9 +135,9 @@ impl FoldMetrics {
                     rank + 1,
                     c.cell.index(),
                     c.kind,
-                    json_escape(&c.module),
+                    json_escape(netlist.module_path(c.module)),
                     json_escape(&c.region),
-                    c.region == tag,
+                    &*c.region == tag,
                     json_number(c.suspicion),
                     json_number(c.location_um.0),
                     json_number(c.location_um.1),
@@ -184,7 +189,7 @@ pub fn leave_one_out(folds: &[LabeledAttribution]) -> Result<Vec<FoldMetrics>, T
         let mut ranked = held.attribution.clone();
         ranked.rescore_cells(|c| model.predict(&c.features.to_vec()).unwrap_or(0.0));
         let tag = held.truth_tag();
-        let truth = |c: &emtrust::attribution::CellScore| c.region == tag;
+        let truth = |c: &emtrust::attribution::CellScore| &*c.region == tag;
         out.push(FoldMetrics {
             kind: held.kind,
             cells: ranked.cell_scores().len(),

@@ -235,7 +235,7 @@ fn main() {
 
     let cell_lines: Vec<String> = folds
         .iter()
-        .flat_map(|f| f.top_cells_jsonl(EXPORT_TOP_K))
+        .flat_map(|f| f.top_cells_jsonl(chip.netlist(), EXPORT_TOP_K))
         .collect();
     write_jsonl("BENCH_attribution_cells.jsonl", &cell_lines);
     report.note("\nwrote BENCH_attribution_cells.jsonl");

@@ -94,8 +94,9 @@ fn hot_path_ratio(report: &mut Report) -> String {
             .or_exit("multi synthesis");
     });
 
-    // Equivalence cross-check while we are here: the fast path must
-    // reproduce the reference bit for bit.
+    // Equivalence cross-check while we are here: one deposit per charge
+    // bin rounds differently from one per event, so the binned path must
+    // stay within 1e-12 of the reference trace's peak.
     let fast = model
         .synthesize_multi(aes.netlist(), &activity, &set_refs, None, 1)
         .or_exit("multi synthesis");
@@ -103,10 +104,20 @@ fn hot_path_ratio(report: &mut Report) -> String {
         let reference = model
             .synthesize_reference(aes.netlist(), &activity, Some(w), None)
             .or_exit("reference synthesis");
-        assert_eq!(
-            got.samples(),
-            reference.samples(),
-            "table-driven synthesis must be bit-identical to the reference"
+        let peak = reference
+            .samples()
+            .iter()
+            .fold(0.0f64, |m, x| m.max(x.abs()));
+        let worst = got
+            .samples()
+            .iter()
+            .zip(reference.samples())
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        assert_eq!(got.len(), reference.len());
+        assert!(
+            worst <= 1e-12 * peak,
+            "binned synthesis strays {:e} of the peak from the reference",
+            worst / peak
         );
     }
 

@@ -2,7 +2,7 @@
 //! it through either the simulation pipeline (paper §IV) or the
 //! fabricated-chip pipeline (paper §V).
 
-use crate::campaign::{Campaign, Recorded};
+use crate::campaign::{Block, Campaign};
 use crate::parallel::ParallelConfig;
 use crate::sanitize::{TraceSanitizer, TraceVerdict};
 use crate::TrustError;
@@ -14,7 +14,7 @@ use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::probe::ExternalProbe;
 use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel};
+use emtrust_power::{ChargeBins, ChargeTable, ClockConfig, CurrentModel};
 use emtrust_silicon::{Channel, FabricatedChip, ProcessVariation};
 use emtrust_telemetry as telemetry;
 use emtrust_trojan::{A2Trojan, ProtectedChip, TrojanKind};
@@ -498,26 +498,26 @@ impl<'c> TestBench<'c> {
         // Each simulated round's measurements fan out across the pool.
         let campaign = Campaign::new(self.chip, key, armed, Some(warmup), self.parallel);
         let mut traces = Vec::with_capacity(n_traces);
-        campaign.record(&plaintexts, |first, recorded| {
-            let batch = self
-                .parallel
-                .try_map(recorded.len(), |j| -> Result<_, TrustError> {
-                    let i = first + j;
-                    let Recorded { activity, leak } = &recorded[j];
-                    let trace = self.measure_activity(
-                        activity,
-                        leak.as_deref(),
-                        channel,
-                        trace_seed(i),
-                        1,
-                    )?;
-                    let mut samples = trace.into_samples();
-                    corrupt(i, &mut samples);
-                    Ok(samples)
-                })?;
-            traces.extend(batch);
-            Ok(())
-        })?;
+        campaign.record(
+            &plaintexts,
+            self.charge_table(channel),
+            None,
+            |first, blocks| {
+                let batch = self
+                    .parallel
+                    .try_map(blocks.len(), |j| -> Result<_, TrustError> {
+                        let i = first + j;
+                        let Block { bins, leak } = &blocks[j];
+                        let trace =
+                            self.measure_bins(bins, leak.as_deref(), channel, trace_seed(i))?;
+                        let mut samples = trace.into_samples();
+                        corrupt(i, &mut samples);
+                        Ok(samples)
+                    })?;
+                traces.extend(batch);
+                Ok(())
+            },
+        )?;
         if self.faults.is_some() {
             // Injected faults may legitimately produce NaN/Inf samples;
             // the sanitizer downstream is the component that judges them.
@@ -546,17 +546,11 @@ impl<'c> TestBench<'c> {
         telemetry::counter("acquire.blocks", n_blocks as u64);
         let mut rng = StdRng::seed_from_u64(seed);
         let plaintexts: Vec<[u8; 16]> = (0..n_blocks).map(|_| rng.gen()).collect();
-        let (activity, leak) =
-            Campaign::new(self.chip, key, armed, None, self.parallel).record_window(&plaintexts)?;
-        // The long trace parallelizes inside the measurement: current
-        // synthesis fans its cycle chunks across the pool.
-        let mut trace = self.measure_activity(
-            &activity,
-            leak.as_deref(),
-            channel,
-            seed,
-            self.parallel.workers,
-        )?;
+        // The blocks are binned as they are simulated (on the pool's
+        // workers when replayable); the window renders once, in order.
+        let (bins, leak) = Campaign::new(self.chip, key, armed, None, self.parallel)
+            .record_window(&plaintexts, self.charge_table(channel))?;
+        let mut trace = self.measure_bins(&bins, leak.as_deref(), channel, seed)?;
         if let Some(plan) = &self.faults {
             let fs = trace.sample_rate_hz();
             plan.apply(0, 0, Some(channel), trace.samples_mut(), fs);
@@ -568,13 +562,7 @@ impl<'c> TestBench<'c> {
     /// powered but idle; the returned trace is pure measurement noise.
     pub fn collect_noise(&self, n_samples: usize, channel: Channel, seed: u64) -> VoltageTrace {
         match &self.backend {
-            Backend::Simulation { onchip, external } => {
-                let sensor = match channel {
-                    Channel::OnChipSensor => onchip,
-                    Channel::ExternalProbe => external,
-                };
-                sensor.measure_noise(n_samples, seed)
-            }
+            Backend::Simulation { .. } => self.sensor(channel).measure_noise(n_samples, seed),
             Backend::Silicon(fab) => fab.measure_noise(channel, n_samples, seed),
         }
     }
@@ -699,39 +687,37 @@ impl<'c> TestBench<'c> {
         })
     }
 
-    fn measure_activity(
+    /// `channel`'s EM sensor (before any scope front-end).
+    fn sensor(&self, channel: Channel) -> &EmSensor {
+        match (&self.backend, channel) {
+            (Backend::Simulation { onchip, .. }, Channel::OnChipSensor) => onchip,
+            (Backend::Simulation { external, .. }, Channel::ExternalProbe) => external,
+            (Backend::Silicon(fab), _) => fab.sensor(channel),
+        }
+    }
+
+    /// The charge table of `channel`'s sensor.
+    fn charge_table(&self, channel: Channel) -> &ChargeTable {
+        self.sensor(channel).charge_table()
+    }
+
+    fn measure_bins(
         &self,
-        activity: &emtrust_sim::ActivityTrace,
+        bins: &ChargeBins,
         extra_leakage: Option<&[f64]>,
         channel: Channel,
         seed: u64,
-        workers: usize,
     ) -> Result<VoltageTrace, TrustError> {
-        let injections = self.a2_injections(activity.cycle_count());
+        let injections = self.a2_injections(bins.cycles());
         match &self.backend {
-            Backend::Simulation { onchip, external } => {
-                let sensor = match channel {
-                    Channel::OnChipSensor => onchip,
-                    Channel::ExternalProbe => external,
-                };
-                Ok(sensor.measure_with(
-                    self.chip.netlist(),
-                    activity,
-                    extra_leakage,
-                    &injections,
-                    seed,
-                    workers,
-                )?)
+            Backend::Simulation { .. } => {
+                Ok(self
+                    .sensor(channel)
+                    .measure_bins(bins, extra_leakage, &injections, seed)?)
             }
-            Backend::Silicon(fab) => Ok(fab.measure_with(
-                self.chip.netlist(),
-                activity,
-                channel,
-                extra_leakage,
-                &injections,
-                seed,
-                workers,
-            )?),
+            Backend::Silicon(fab) => {
+                Ok(fab.measure_bins(bins, channel, extra_leakage, &injections, seed)?)
+            }
         }
     }
 

@@ -43,7 +43,7 @@
 use crate::acquisition::TraceSet;
 use crate::attribution::{self, Attribution, CellEvidence};
 use crate::baseline::{BaselineSource, CalibrationState, DetectorReadiness, SelfCalibratingConfig};
-use crate::campaign::{Campaign, Recorded};
+use crate::campaign::{Block, Campaign};
 use crate::detector::{
     Detector, DetectorDomain, DetectorVerdict, EuclideanDetector, FeaturePlan, GoldenContext,
     Score, ScoreDetail,
@@ -645,15 +645,15 @@ impl<'c> SensorArray<'c> {
         armed: Option<TrojanKind>,
         seed: u64,
     ) -> Result<Vec<TraceSet>, TrustError> {
-        self.collect_with_activity(key, n_traces, armed, seed)
-            .map(|(traces, _)| traces)
+        self.collect_inner(key, n_traces, armed, seed, None)
     }
 
     /// [`Self::collect`], additionally returning the campaign's
     /// accumulated [`ToggleActivity`] — the switching-activity side of
     /// [`CellEvidence`] for cell-level attribution. The trace sets are
-    /// bit-identical to [`Self::collect`]'s (the accumulation reads the
-    /// same recorded activity the measurement fan consumes).
+    /// bit-identical to [`Self::collect`]'s; the counts are taken from
+    /// the same toggle stream the charge bins are, and equal
+    /// [`ToggleActivity::from_trace`] of a recording of the campaign.
     ///
     /// # Errors
     ///
@@ -665,30 +665,41 @@ impl<'c> SensorArray<'c> {
         armed: Option<TrojanKind>,
         seed: u64,
     ) -> Result<(Vec<TraceSet>, ToggleActivity), TrustError> {
+        let mut toggles = ToggleActivity::new();
+        let sets = self.collect_inner(key, n_traces, armed, seed, Some(&mut toggles))?;
+        Ok((sets, toggles))
+    }
+
+    fn collect_inner(
+        &self,
+        key: [u8; 16],
+        n_traces: usize,
+        armed: Option<TrojanKind>,
+        seed: u64,
+        toggles: Option<&mut ToggleActivity>,
+    ) -> Result<Vec<TraceSet>, TrustError> {
         let _span = telemetry::span("array.collect");
         telemetry::counter("array.traces", (n_traces * self.array.len()) as u64);
         let pt: [u8; 16] = StdRng::seed_from_u64(seed ^ 0x97).gen();
         // Each simulated round's measurements fan out across the pool;
-        // inside each trace, one synthesize_multi pass renders every
-        // tile's weighted current.
+        // every toggle was binned once for all tiles as it streamed out
+        // of the simulator, so each trace only renders.
         let trace_seed = |i: usize| seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut per_tile: Vec<Vec<Vec<f64>>> = (0..self.array.len())
             .map(|_| Vec::with_capacity(n_traces))
             .collect();
-        let mut toggles = ToggleActivity::new();
         let campaign = Campaign::new(self.chip, key, armed, Some(pt), self.config.parallel);
-        campaign.record(&vec![pt; n_traces], |first, recorded| {
+        let table = self.array.charge_table();
+        campaign.record(&vec![pt; n_traces], table, toggles, |first, blocks| {
             let per_trace = self.config.parallel.try_map(
-                recorded.len(),
+                blocks.len(),
                 |j| -> Result<Vec<Vec<f64>>, TrustError> {
-                    let Recorded { activity, leak } = &recorded[j];
-                    let tiles = self.array.measure_multi(
-                        self.chip.netlist(),
-                        activity,
+                    let Block { bins, leak } = &blocks[j];
+                    let tiles = self.array.measure_multi_bins(
+                        bins,
                         leak.as_deref(),
                         &[],
                         trace_seed(first + j),
-                        1,
                     )?;
                     Ok(tiles.into_iter().map(VoltageTrace::into_samples).collect())
                 },
@@ -699,16 +710,12 @@ impl<'c> SensorArray<'c> {
                     per_tile[t].push(samples);
                 }
             }
-            for rec in &recorded {
-                toggles.absorb(&rec.activity);
-            }
             Ok(())
         })?;
-        let sets = per_tile
+        per_tile
             .into_iter()
             .map(|ts| TraceSet::new(ts, self.clock.sample_rate_hz()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((sets, toggles))
+            .collect()
     }
 
     /// Fits one golden fingerprint and one detection pipeline per tile.

@@ -37,8 +37,9 @@ use crate::array::{Localizer, RegionScore, TileScore};
 use crate::detector::DetectorVerdict;
 use crate::TrustError;
 use emtrust_layout::floorplan::Floorplan;
-use emtrust_netlist::{CellId, CellKind, Netlist};
+use emtrust_netlist::{CellId, CellKind, ModuleId, Netlist};
 use emtrust_sim::ToggleActivity;
+use std::sync::Arc;
 
 /// Switching-activity evidence for cell-level attribution: the same
 /// stimulus observed with the chip in its baseline (golden or
@@ -109,11 +110,13 @@ pub struct CellScore {
     pub cell: CellId,
     /// Gate kind of the cell.
     pub kind: CellKind,
-    /// Full module path of the cell (`"trojan3/trigger"`, …).
-    pub module: String,
+    /// The cell's module tag; its full path (`"trojan3/trigger"`, …) is
+    /// [`Netlist::module_path`].
+    pub module: ModuleId,
     /// Top-level placement region the cell belongs to (`"aes"`,
-    /// `"trojan1"`, …) — matches the [`RegionScore`] names.
-    pub region: String,
+    /// `"trojan1"`, …) — matches the [`RegionScore`] names. One name is
+    /// shared by every cell of the region.
+    pub region: Arc<str>,
     /// Placed location on the die, in µm.
     pub location_um: (f64, f64),
     /// The feature vector behind the score.
@@ -394,6 +397,25 @@ pub(crate) fn score_cells(
     // (a single-tile array has no pitch; proximity saturates at 1).
     let pitch = mean_nearest_distance(tile_centers);
 
+    // Each module's placement region, as one shared name per region.
+    let mut names: Vec<Arc<str>> = Vec::new();
+    let region_of: Vec<Arc<str>> = netlist
+        .module_paths()
+        .map(|(_, path)| {
+            let tag = match path.split('/').next() {
+                Some(tag) if !tag.is_empty() => tag,
+                _ => "aes",
+            };
+            match names.iter().find(|n| &***n == tag) {
+                Some(name) => Arc::clone(name),
+                None => {
+                    names.push(Arc::from(tag));
+                    Arc::clone(&names[names.len() - 1])
+                }
+            }
+        })
+        .collect();
+
     let mut cells = Vec::with_capacity(netlist.cell_count());
     for (id, cell) in netlist.cells() {
         let loc = locations[id.index()];
@@ -421,16 +443,11 @@ pub(crate) fn score_cells(
         // cell with zero excess — a supply-wide leak moves no toggles).
         let spatial = 0.5 * features.tile_margin + 0.5 * features.centroid_proximity;
         let suspicion = excess.max(0.0) * (0.25 + spatial);
-        let module = netlist.module_path(cell.module()).to_string();
-        let region = match module.split('/').next() {
-            Some(tag) if !tag.is_empty() => tag.to_string(),
-            _ => "aes".to_string(),
-        };
         cells.push(CellScore {
             cell: id,
             kind: cell.kind(),
-            module,
-            region,
+            module: cell.module(),
+            region: Arc::clone(&region_of[cell.module().index()]),
             location_um: (loc.x, loc.y),
             features,
             suspicion,

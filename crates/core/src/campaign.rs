@@ -1,38 +1,71 @@
 //! The one simulation loop behind every acquisition path.
 //!
 //! A [`Campaign`] powers a chip on, disarms every Trojan except the one
-//! under test, and records back-to-back encryptions under one key. Its
-//! only decision is lane width:
+//! under test, and streams back-to-back encryptions under one key. Each
+//! clock edge's toggles go straight from the simulator into the charge
+//! bins of a [`ChargeTable`] (and, when attribution asks, into per-cell
+//! toggle counts); no event is stored. Its only decision is lane width:
 //!
 //! - A Trojan-free chip with nothing armed is **replayable**: its state
 //!   after an encryption is a pure function of the key and that
 //!   encryption's plaintext. The blocks are then split into one chunk per
 //!   pool worker, at most [`LANES`] blocks each, and every chunk runs on
 //!   its own simulator, one block per lane. Lane *i* warms up with its
-//!   predecessor plaintext, then records its own, which reproduces the
+//!   predecessor plaintext, then streams its own, which reproduces the
 //!   serial event stream exactly.
 //! - A Trojan-carrying chip is not: T1's counter free-runs even while
 //!   dormant, so trace *i* depends on every earlier encryption. It runs
 //!   sequentially on one live lane of the same engine, sampling T2's
 //!   leakage-sense net every cycle when T2 is armed.
 //!
-//! The recorded blocks are therefore bit-identical whatever the width
-//! and the worker count.
+//! A cycle's bins depend only on that cycle's events, which arrive in
+//! serial event order whatever the lane, so the blocks' bins are
+//! bit-identical whatever the width and the worker count, and equal the
+//! bins of a stored serial recording.
 
 use crate::acquisition::T2_LEAK_CURRENT_A;
 use crate::parallel::ParallelConfig;
 use crate::TrustError;
-use emtrust_aes::netlist::{run_encryption_with, run_encryptions};
-use emtrust_sim::{ActivityTrace, Simulator, LANES};
+use emtrust_aes::netlist::{
+    run_encryption_stepped, run_encryption_with, run_encryptions, run_encryptions_stepped,
+};
+use emtrust_power::{ChargeBins, ChargeTable};
+use emtrust_sim::{Simulator, ToggleActivity, ToggleEvent, ToggleSink, LANES};
 use emtrust_telemetry as telemetry;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
-/// One recorded encryption. Its cycles carry the clock index of the
-/// simulator that recorded it.
-pub(crate) struct Recorded {
-    pub(crate) activity: ActivityTrace,
+/// One streamed encryption.
+pub(crate) struct Block {
+    pub(crate) bins: ChargeBins,
     /// Per-cycle T2 leakage current, when T2 is armed.
     pub(crate) leak: Option<Vec<f64>>,
+}
+
+/// Bins every live lane's toggles into that lane's block and, when
+/// given, counts them per cell.
+struct BlockSink<'t, 'a> {
+    table: &'t ChargeTable,
+    bins: Vec<ChargeBins>,
+    toggles: Option<&'a mut ToggleActivity>,
+}
+
+impl<'t, 'a> BlockSink<'t, 'a> {
+    fn new(table: &'t ChargeTable, lanes: usize, toggles: Option<&'a mut ToggleActivity>) -> Self {
+        Self {
+            table,
+            bins: vec![table.bins(); lanes],
+            toggles,
+        }
+    }
+}
+
+impl ToggleSink for BlockSink<'_, '_> {
+    fn cycle(&mut self, lane: usize, _cycle: u64, events: &[ToggleEvent]) {
+        self.table.bin_cycle(events, &mut self.bins[lane]);
+        if let Some(toggles) = self.toggles.as_deref_mut() {
+            toggles.absorb_cycle(events);
+        }
+    }
 }
 
 /// A chip under a stream of encryptions (see the module docs).
@@ -79,14 +112,17 @@ impl<'c> Campaign<'c> {
         Ok(sim)
     }
 
-    /// Records `plaintexts` in order. The blocks are simulated in rounds
-    /// (span `simulate`); each round goes to `sink` with the index of its
-    /// first block before the next one is simulated, so at most one
-    /// round of activity is alive at a time.
+    /// Streams `plaintexts` in order, binning each block with `table` and
+    /// adding its toggles to `toggles` when given. The blocks are
+    /// simulated in rounds (span `simulate`); each round goes to `sink`
+    /// with the index of its first block before the next one is
+    /// simulated.
     pub(crate) fn record(
         &self,
         plaintexts: &[[u8; 16]],
-        mut sink: impl FnMut(usize, Vec<Recorded>) -> Result<(), TrustError>,
+        table: &ChargeTable,
+        mut toggles: Option<&mut ToggleActivity>,
+        mut sink: impl FnMut(usize, Vec<Block>) -> Result<(), TrustError>,
     ) -> Result<(), TrustError> {
         if !self.replayable() {
             let mut sim = self.power_on()?;
@@ -94,11 +130,14 @@ impl<'c> Campaign<'c> {
                 let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), self.key, pt, |_| {});
             }
             for (b, batch) in plaintexts.chunks(LANES).enumerate() {
-                let recorded = {
+                let blocks = {
                     let _span = telemetry::span("simulate");
-                    batch.iter().map(|&pt| self.encrypt(&mut sim, pt)).collect()
+                    batch
+                        .iter()
+                        .map(|&pt| self.encrypt(&mut sim, pt, table, toggles.as_deref_mut()))
+                        .collect()
                 };
-                sink(b * LANES, recorded)?;
+                sink(b * LANES, blocks)?;
             }
             return Ok(());
         }
@@ -108,95 +147,122 @@ impl<'c> Campaign<'c> {
             .clamp(1, emtrust_dsp::parallel::host_parallelism());
         let width = plaintexts.len().div_ceil(workers).clamp(1, LANES);
         let pool = self.parallel.with_chunk_size(width);
+        let count = toggles.is_some();
         let mut before = self.warmup;
         for (r, round) in plaintexts.chunks(width * workers).enumerate() {
-            let recorded = {
+            let chunks = {
                 let _span = telemetry::span("simulate");
                 pool.try_map_chunks(round.len(), |range| {
                     let prev = range.start.checked_sub(1).map(|i| round[i]).or(before);
-                    self.replay(prev, &round[range])
+                    let mut counts = count.then(ToggleActivity::new);
+                    let blocks = self.replay(prev, &round[range], table, counts.as_mut())?;
+                    Ok::<_, TrustError>(vec![(blocks, counts)])
                 })?
             };
             before = round.last().copied();
-            sink(r * width * workers, recorded)?;
+            let mut blocks = Vec::with_capacity(round.len());
+            for (chunk, counts) in chunks {
+                blocks.extend(chunk);
+                if let (Some(toggles), Some(counts)) = (toggles.as_deref_mut(), counts) {
+                    toggles.merge(&counts);
+                }
+            }
+            sink(r * width * workers, blocks)?;
         }
         Ok(())
     }
 
-    /// Records `plaintexts`, concatenated into one window trace whose
-    /// cycles count up from the first block's. The blocks' cycles are
-    /// moved into the window, never copied.
+    /// Streams `plaintexts` into one window's bins, whose cycles count up
+    /// from the first block's, plus the window's T2 leakage when armed.
     pub(crate) fn record_window(
         &self,
         plaintexts: &[[u8; 16]],
-    ) -> Result<(ActivityTrace, Option<Vec<f64>>), TrustError> {
-        let mut activity = ActivityTrace::new();
+        table: &ChargeTable,
+    ) -> Result<(ChargeBins, Option<Vec<f64>>), TrustError> {
+        let mut bins = table.bins();
         let mut leak: Option<Vec<f64>> = None;
-        self.record(plaintexts, |_, recorded| {
-            for block in recorded {
-                activity.extend_from(block.activity);
+        self.record(plaintexts, table, None, |_, blocks| {
+            for block in blocks {
+                bins.append(block.bins);
                 if let Some(block_leak) = block.leak {
                     leak.get_or_insert_with(Vec::new).extend(block_leak);
                 }
             }
             Ok(())
         })?;
-        Ok((activity, leak))
+        Ok((bins, leak))
     }
 
-    /// One recorded encryption on lane 0 of a sequential simulator.
-    fn encrypt(&self, sim: &mut Simulator<'c>, pt: [u8; 16]) -> Recorded {
+    /// One streamed encryption on lane 0 of a sequential simulator.
+    fn encrypt(
+        &self,
+        sim: &mut Simulator<'c>,
+        pt: [u8; 16],
+        table: &ChargeTable,
+        toggles: Option<&mut ToggleActivity>,
+    ) -> Block {
         let leak_sense = self
             .armed
             .and_then(|k| self.chip.trojan_ports(k))
             .and_then(|p| p.leak_sense);
-        sim.start_recording();
+        let mut out = BlockSink::new(table, 1, toggles);
         let mut leak = Vec::new();
-        let _ = run_encryption_with(sim, self.chip.aes_ports(), self.key, pt, |s| {
+        let _ = run_encryption_stepped(sim, self.chip.aes_ports(), self.key, pt, |s| {
+            s.step_into(&mut out);
             if let Some(net) = leak_sense {
                 // The leakage path opens while the sense bit is low.
                 leak.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
             }
         });
-        Recorded {
-            activity: sim.take_recording(),
+        Block {
+            bins: out.bins.swap_remove(0),
             leak: leak_sense.map(|_| leak),
         }
     }
 
-    /// Records `blocks` of a replayable campaign side by side on a fresh
+    /// Streams `blocks` of a replayable campaign side by side on a fresh
     /// simulator, after warming each lane up with its predecessor; `prev`
     /// precedes the first block (`None`: it runs alone from power-on).
     fn replay(
         &self,
         prev: Option<[u8; 16]>,
         blocks: &[[u8; 16]],
-    ) -> Result<Vec<Recorded>, TrustError> {
+        table: &ChargeTable,
+        mut toggles: Option<&mut ToggleActivity>,
+    ) -> Result<Vec<Block>, TrustError> {
         let mut sim = self.power_on()?;
         let (mut out, rest, prev) = match prev {
             Some(prev) => (Vec::with_capacity(blocks.len()), blocks, prev),
-            None => (self.lanes(&mut sim, &blocks[..1]), &blocks[1..], blocks[0]),
+            None => {
+                let first = self.lanes(&mut sim, &blocks[..1], table, toggles.as_deref_mut());
+                (first, &blocks[1..], blocks[0])
+            }
         };
         if let Some((_, predecessors)) = rest.split_last() {
             let warmups: Vec<[u8; 16]> = std::iter::once(prev)
                 .chain(predecessors.iter().copied())
                 .collect();
             let _ = run_encryptions(&mut sim, self.chip.aes_ports(), self.key, &warmups);
-            out.extend(self.lanes(&mut sim, rest));
+            out.extend(self.lanes(&mut sim, rest, table, toggles));
         }
         Ok(out)
     }
 
-    /// One recorded encryption per lane.
-    fn lanes(&self, sim: &mut Simulator<'c>, blocks: &[[u8; 16]]) -> Vec<Recorded> {
-        sim.start_recording();
-        let _ = run_encryptions(sim, self.chip.aes_ports(), self.key, blocks);
-        sim.take_lane_recordings()
+    /// One streamed encryption per lane.
+    fn lanes(
+        &self,
+        sim: &mut Simulator<'c>,
+        blocks: &[[u8; 16]],
+        table: &ChargeTable,
+        toggles: Option<&mut ToggleActivity>,
+    ) -> Vec<Block> {
+        let mut out = BlockSink::new(table, blocks.len(), toggles);
+        let _ = run_encryptions_stepped(sim, self.chip.aes_ports(), self.key, blocks, |s| {
+            s.step_into(&mut out)
+        });
+        out.bins
             .into_iter()
-            .map(|activity| Recorded {
-                activity,
-                leak: None,
-            })
+            .map(|bins| Block { bins, leak: None })
             .collect()
     }
 }
@@ -204,6 +270,9 @@ impl<'c> Campaign<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emtrust_netlist::library::Library;
+    use emtrust_power::{ClockConfig, CurrentModel, CurrentTrace};
+    use emtrust_sim::ActivityTrace;
 
     const KEY: [u8; 16] = *b"campaign-key-16B";
 
@@ -211,72 +280,181 @@ mod tests {
         (0..n).map(|i| [(i * 37 % 251) as u8; 16]).collect()
     }
 
-    /// One simulator, one recording per block, on lane 0.
+    fn model() -> CurrentModel {
+        CurrentModel::new(Library::generic_180nm(), ClockConfig::reference())
+    }
+
+    /// Two distinct weight sets over every cell of `chip`.
+    fn weight_sets(chip: &ProtectedChip) -> Vec<Vec<f64>> {
+        let n = chip.netlist().cell_count();
+        (0..2)
+            .map(|s| {
+                (0..n)
+                    .map(|i| 0.2 + ((i * (s + 3)) % 17) as f64 / 17.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn table(chip: &ProtectedChip, sets: &[Vec<f64>]) -> ChargeTable {
+        let sets: Vec<Option<&[f64]>> = sets.iter().map(|w| Some(w.as_slice())).collect();
+        model().charge_table(chip.netlist(), &sets).unwrap()
+    }
+
+    /// `synthesize_multi` over a stored recording.
+    fn stored(
+        chip: &ProtectedChip,
+        sets: &[Vec<f64>],
+        activity: &ActivityTrace,
+        leak: Option<&[f64]>,
+    ) -> Vec<CurrentTrace> {
+        let refs: Vec<&[f64]> = sets.iter().map(Vec::as_slice).collect();
+        model()
+            .synthesize_multi(chip.netlist(), activity, &refs, leak, 1)
+            .unwrap()
+    }
+
+    fn assert_same_bits(got: &[CurrentTrace], expected: &[CurrentTrace], what: &str) {
+        assert_eq!(got.len(), expected.len(), "{what}");
+        for (g, e) in got.iter().zip(expected) {
+            assert_eq!(g.len(), e.len(), "{what}");
+            let same = g
+                .samples()
+                .iter()
+                .zip(e.samples())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{what}: streamed bins render other bits");
+        }
+    }
+
+    /// One simulator, one recording per block, on lane 0, sampling T2's
+    /// leakage-sense net when `armed` is T2.
     fn serial(
         chip: &ProtectedChip,
         pts: &[[u8; 16]],
+        armed: Option<TrojanKind>,
         warmup: Option<[u8; 16]>,
-    ) -> Vec<ActivityTrace> {
+    ) -> Vec<(ActivityTrace, Option<Vec<f64>>)> {
         let mut sim = chip.simulator().unwrap();
         chip.disarm_all(&mut sim);
+        if let Some(kind) = armed {
+            chip.arm(&mut sim, kind, true);
+        }
         if let Some(pt) = warmup {
             let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
         }
+        let sense = armed
+            .and_then(|k| chip.trojan_ports(k))
+            .and_then(|p| p.leak_sense);
         pts.iter()
             .map(|&pt| {
                 sim.start_recording();
-                let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
-                sim.take_recording()
+                let mut leak = Vec::new();
+                let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |s| {
+                    if let Some(net) = sense {
+                        leak.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
+                    }
+                });
+                (sim.take_recording(), sense.map(|_| leak))
             })
             .collect()
     }
 
     #[test]
-    fn windows_equal_one_serial_recording_cycle_for_cycle() {
+    fn streamed_windows_render_like_one_serial_recording() {
         let chip = ProtectedChip::golden();
-        for (n, workers) in [(1, 1), (65, 1), (65, 3)] {
-            let pts = plaintexts(n);
-            let parallel = ParallelConfig::serial().with_workers(workers);
-            let (window, leak) = Campaign::new(&chip, KEY, None, None, parallel)
-                .record_window(&pts)
-                .unwrap();
-            // One simulator from power-on, one recording over every block.
-            let mut sim = chip.simulator().unwrap();
-            sim.start_recording();
-            for &pt in &pts {
-                let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
+        let sets = weight_sets(&chip);
+        let table = table(&chip, &sets);
+        let pts = plaintexts(130);
+        // One simulator from power-on, one recording over every block;
+        // a window of n blocks is its first 12·n cycles.
+        let mut sim = chip.simulator().unwrap();
+        sim.start_recording();
+        for &pt in &pts {
+            let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
+        }
+        let recording = sim.take_recording();
+        for n in [1, 63, 64, 65, 130] {
+            let prefix: ActivityTrace = recording.cycles()[..12 * n].iter().cloned().collect();
+            let expected = stored(&chip, &sets, &prefix, None);
+            for workers in [1, 2, 4] {
+                let parallel = ParallelConfig::serial().with_workers(workers);
+                let (bins, leak) = Campaign::new(&chip, KEY, None, None, parallel)
+                    .record_window(&pts[..n], &table)
+                    .unwrap();
+                assert!(leak.is_none());
+                assert_eq!(bins.cycles(), 12 * n);
+                let got = table.render(&bins, None).unwrap();
+                assert_same_bits(&got, &expected, &format!("{n} blocks, {workers} workers"));
             }
-            let expected = sim.take_recording();
-            assert!(leak.is_none());
-            assert_eq!(window, expected, "{n} blocks, {workers} workers");
-            let cycles: Vec<u64> = window.cycles().iter().map(|c| c.cycle()).collect();
-            assert_eq!(cycles, (0..cycles.len() as u64).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn replayed_blocks_match_serial_events_at_any_worker_count() {
+    fn streamed_blocks_and_toggles_match_the_serial_recording_at_any_worker_count() {
         let chip = ProtectedChip::golden();
+        let sets = weight_sets(&chip);
+        let table = table(&chip, &sets);
         let pts = plaintexts(70);
         let warmup = Some([0xA5; 16]);
-        let expected = serial(&chip, &pts, warmup);
+        let expected = serial(&chip, &pts, None, warmup);
+        let mut all = ActivityTrace::new();
+        for (activity, _) in &expected {
+            all.extend_from(activity.clone());
+        }
+        let expected_toggles = ToggleActivity::from_trace(&all);
         for workers in [1, 2, 4] {
             let parallel = ParallelConfig::serial().with_workers(workers);
             let mut got = Vec::new();
+            let mut toggles = ToggleActivity::new();
             Campaign::new(&chip, KEY, None, warmup, parallel)
-                .record(&pts, |first, recorded| {
+                .record(&pts, &table, Some(&mut toggles), |first, blocks| {
                     assert_eq!(first, got.len());
-                    got.extend(recorded.into_iter().map(|r| r.activity));
+                    got.extend(blocks);
                     Ok(())
                 })
                 .unwrap();
             assert_eq!(got.len(), expected.len());
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                let events = |t: &ActivityTrace| -> Vec<_> {
-                    t.cycles().iter().map(|c| c.events().to_vec()).collect()
-                };
-                assert_eq!(events(g), events(e), "block {i}, {workers} workers");
+            for (i, (block, (activity, _))) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(block.bins, table.bin_trace(activity, 1), "block {i}");
+                let rendered = table.render(&block.bins, None).unwrap();
+                let what = format!("block {i}, {workers} workers");
+                assert_same_bits(&rendered, &stored(&chip, &sets, activity, None), &what);
             }
+            assert_eq!(toggles, expected_toggles, "{workers} workers");
+            assert_eq!(toggles.cell_count(), expected_toggles.cell_count());
+        }
+    }
+
+    #[test]
+    fn each_armed_trojan_streams_like_its_serial_recording() {
+        let chip = ProtectedChip::with_all_trojans();
+        let sets = weight_sets(&chip);
+        let table = table(&chip, &sets);
+        let pts = plaintexts(3);
+        let warmup = Some([0x3C; 16]);
+        for kind in emtrust_trojan::digital::ALL_DIGITAL_TROJANS {
+            let expected = serial(&chip, &pts, Some(kind), warmup);
+            let mut got = Vec::new();
+            let mut toggles = ToggleActivity::new();
+            // Worker count is irrelevant to a Trojan campaign; give it some.
+            let parallel = ParallelConfig::serial().with_workers(4);
+            Campaign::new(&chip, KEY, Some(kind), warmup, parallel)
+                .record(&pts, &table, Some(&mut toggles), |_, blocks| {
+                    got.extend(blocks);
+                    Ok(())
+                })
+                .unwrap();
+            let mut all = ActivityTrace::new();
+            for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(&block.leak, leak, "{kind:?} block {i}");
+                assert_eq!(leak.is_some(), kind == TrojanKind::T2LeakageLeaker);
+                let rendered = table.render(&block.bins, block.leak.as_deref()).unwrap();
+                let reference = stored(&chip, &sets, activity, leak.as_deref());
+                assert_same_bits(&rendered, &reference, &format!("{kind:?} block {i}"));
+                all.extend_from(activity.clone());
+            }
+            assert_eq!(toggles, ToggleActivity::from_trace(&all), "{kind:?}");
         }
     }
 }

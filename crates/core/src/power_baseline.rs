@@ -23,11 +23,11 @@
 //! noise, the EM sensor retains margin where the baseline thins out.
 
 use crate::acquisition::{Stimulus, TraceSet};
-use crate::campaign::{Campaign, Recorded};
+use crate::campaign::{Block, Campaign};
 use crate::parallel::ParallelConfig;
 use crate::TrustError;
 use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel};
+use emtrust_power::{ChargeTable, ClockConfig, CurrentModel};
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,6 +52,8 @@ pub const SUPPLY_SENSE_BANDWIDTH_HZ: f64 = 20e6;
 pub struct PowerBaseline<'c> {
     chip: &'c ProtectedChip,
     model: CurrentModel,
+    /// The unweighted charge table: the total supply current.
+    table: ChargeTable,
     noise_rms_a: f64,
 }
 
@@ -64,9 +66,13 @@ impl<'c> PowerBaseline<'c> {
     /// Propagates simulation/power-model errors from the calibration run.
     pub fn new(chip: &'c ProtectedChip) -> Result<Self, TrustError> {
         let model = CurrentModel::new(Library::generic_180nm(), ClockConfig::reference());
+        let table = model
+            .charge_table(chip.netlist(), &[None])
+            .map_err(emtrust_em::EmError::from)?;
         let mut baseline = Self {
             chip,
             model,
+            table,
             noise_rms_a: 0.0,
         };
         // Calibrate: one golden block sets the current scale.
@@ -117,12 +123,13 @@ impl<'c> PowerBaseline<'c> {
             ParallelConfig::serial(),
         );
         let mut traces = Vec::with_capacity(n_traces);
-        campaign.record(&plaintexts, |_, recorded| {
-            for Recorded { activity, .. } in recorded {
+        campaign.record(&plaintexts, &self.table, None, |_, blocks| {
+            for Block { bins, .. } in blocks {
                 let trace = self
-                    .model
-                    .synthesize(self.chip.netlist(), &activity, None, None)
-                    .map_err(emtrust_em::EmError::from)?;
+                    .table
+                    .render(&bins, None)
+                    .map_err(emtrust_em::EmError::from)?
+                    .swap_remove(0);
                 let mut samples = trace.into_samples();
                 // Package/decap low-pass, then sense noise.
                 let fs = self.model.clock().sample_rate_hz();

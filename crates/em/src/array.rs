@@ -9,12 +9,11 @@
 //! the switching cells — the spatial information a single coil integrates
 //! away.
 //!
-//! The cost discipline is the point of the design: the switching-current
-//! timeline is synthesized **once** per activity trace and deposited into
-//! all `N` per-tile flux-weighted buffers in the same pass
-//! ([`emtrust_power::CurrentModel::synthesize_multi`]), so an `N`-sensor
-//! array costs one event walk plus `N` cheap weight multiplies — not `N`
-//! full simulation passes.
+//! The cost discipline is the point of the design: the array compiles one
+//! [`ChargeTable`] over all `N` tiles' weights, so every toggle is binned
+//! **once** for all `N` flux-weighted currents and each current is
+//! rendered from its bins: an `N`-sensor array costs one event walk plus
+//! `N` cheap per-bin deposits, not `N` full simulation passes.
 
 use crate::coil::Coil;
 use crate::emf::{emf_from_weighted_current, VoltageTrace};
@@ -25,7 +24,7 @@ use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::geometry::{Point, Rect};
 use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::graph::Netlist;
-use emtrust_power::{CurrentModel, CurrentTrace};
+use emtrust_power::{ChargeBins, ChargeTable, CurrentModel, CurrentTrace};
 use emtrust_sim::activity::ActivityTrace;
 
 /// Per-tile noise-seed salt: tile `t` draws its environment noise from
@@ -80,7 +79,8 @@ pub struct EmArray {
     rows: usize,
     cols: usize,
     tiles: Vec<EmTile>,
-    model: CurrentModel,
+    /// One weight set per tile, in tile order.
+    table: ChargeTable,
 }
 
 impl EmArray {
@@ -119,11 +119,14 @@ impl EmArray {
                 sensor,
             });
         }
+        let weight_sets: Vec<Option<&[f64]>> =
+            tiles.iter().map(|t| Some(t.sensor.weights())).collect();
+        let table = model.charge_table(netlist, &weight_sets)?;
         Ok(Self {
             rows,
             cols,
             tiles,
-            model,
+            table,
         })
     }
 
@@ -163,11 +166,23 @@ impl EmArray {
         for tile in &mut self.tiles {
             tile.sensor.scale_weights(factors)?;
         }
+        let weight_sets: Vec<Option<&[f64]>> = self
+            .tiles
+            .iter()
+            .map(|t| Some(t.sensor.weights()))
+            .collect();
+        self.table.reweight(&weight_sets)?;
         Ok(())
     }
 
+    /// The compiled charge table of every tile's weights, one set per
+    /// tile in tile order.
+    pub fn charge_table(&self) -> &ChargeTable {
+        &self.table
+    }
+
     /// Synthesizes the noiseless emf of **every** sub-sensor from one
-    /// shared current-synthesis pass, in tile order.
+    /// shared bin step, in tile order.
     ///
     /// `extra_leakage_a` and `injections` are the same side channels as
     /// [`EmSensor::emf`]; each injection is scaled by each tile's own
@@ -185,16 +200,26 @@ impl EmArray {
         workers: usize,
     ) -> Result<Vec<VoltageTrace>, EmError> {
         let _span = emtrust_telemetry::span("emf_multi");
-        let weight_sets: Vec<&[f64]> = self.tiles.iter().map(|t| t.sensor.weights()).collect();
+        if netlist.cell_count() != self.table.cells() {
+            return Err(emtrust_power::PowerError::LengthMismatch {
+                expected: netlist.cell_count(),
+                actual: self.table.cells(),
+            }
+            .into());
+        }
+        let bins = self.table.bin_trace(activity, workers);
+        self.emf_multi_inner(&bins, extra_leakage_a, injections)
+    }
+
+    fn emf_multi_inner(
+        &self,
+        bins: &ChargeBins,
+        extra_leakage_a: Option<&[f64]>,
+        injections: &[PointCurrentSource],
+    ) -> Result<Vec<VoltageTrace>, EmError> {
         let currents = {
             let _synth = emtrust_telemetry::span("synthesize_multi");
-            self.model.synthesize_multi(
-                netlist,
-                activity,
-                &weight_sets,
-                extra_leakage_a,
-                workers,
-            )?
+            self.table.render(bins, extra_leakage_a)?
         };
         let mut out = Vec::with_capacity(self.tiles.len());
         for (tile, mut weighted) in self.tiles.iter().zip(currents) {
@@ -233,6 +258,34 @@ impl EmArray {
     ) -> Result<Vec<VoltageTrace>, EmError> {
         let _span = emtrust_telemetry::span("measure_multi");
         let mut traces = self.emf_multi(netlist, activity, extra_leakage_a, injections, workers)?;
+        self.add_noise(&mut traces, noise_seed);
+        Ok(traces)
+    }
+
+    /// [`Self::measure_multi`] of binned activity (made with
+    /// [`Self::charge_table`]): the measurement a streamed acquisition
+    /// starts from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates power-model errors.
+    pub fn measure_multi_bins(
+        &self,
+        bins: &ChargeBins,
+        extra_leakage_a: Option<&[f64]>,
+        injections: &[PointCurrentSource],
+        noise_seed: u64,
+    ) -> Result<Vec<VoltageTrace>, EmError> {
+        let _span = emtrust_telemetry::span("measure_multi");
+        let mut traces = {
+            let _emf = emtrust_telemetry::span("emf_multi");
+            self.emf_multi_inner(bins, extra_leakage_a, injections)?
+        };
+        self.add_noise(&mut traces, noise_seed);
+        Ok(traces)
+    }
+
+    fn add_noise(&self, traces: &mut [VoltageTrace], noise_seed: u64) {
         for (t, trace) in traces.iter_mut().enumerate() {
             NoiseModel::environment_for(
                 self.tiles[t].sensor.coil(),
@@ -240,7 +293,6 @@ impl EmArray {
             )
             .add_to(trace);
         }
-        Ok(traces)
     }
 }
 
@@ -290,6 +342,25 @@ mod tests {
         let from_single = single.measure_with(&n, &act, None, &[], 7, 2).unwrap();
         assert_eq!(from_array.len(), 1);
         assert_eq!(from_array[0], from_single);
+    }
+
+    #[test]
+    fn scaled_array_renders_like_a_fresh_multi_synthesis() {
+        let (n, fp) = small_design();
+        let mut arr = EmArray::build(&n, &fp, model(), 2, 2, 4).unwrap();
+        let factors: Vec<f64> = (0..n.cell_count()).map(|i| 1.2 - 0.01 * i as f64).collect();
+        arr.scale_weights(&factors).unwrap();
+        let act = activity(&n, 5);
+        let sets: Vec<&[f64]> = arr.tiles().iter().map(|t| t.sensor().weights()).collect();
+        let fresh = model().synthesize_multi(&n, &act, &sets, None, 1).unwrap();
+        let emfs = arr.emf_multi(&n, &act, None, &[], 1).unwrap();
+        let expected: Vec<VoltageTrace> = fresh.iter().map(emf_from_weighted_current).collect();
+        assert_eq!(emfs, expected);
+        let bins = arr.charge_table().bin_trace(&act, 1);
+        assert_eq!(
+            arr.measure_multi_bins(&bins, None, &[], 3).unwrap(),
+            arr.measure_multi(&n, &act, None, &[], 3, 1).unwrap()
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use emtrust_layout::floorplan::Floorplan;
 use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::graph::Netlist;
 use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel, CurrentTrace};
+use emtrust_power::{ChargeBins, ChargeTable, ClockConfig, CurrentModel, CurrentTrace};
 use emtrust_sim::activity::ActivityTrace;
 
 /// An analog current source at a die location — the A2 Trojan's injection
@@ -126,22 +126,29 @@ impl EmPipelineConfig {
             self.dipole_area_um2.unwrap_or(DEFAULT_DIPOLE_AREA_UM2),
         )?;
         let weights = map.weights_for(netlist, floorplan);
+        let table = model.charge_table(netlist, &[Some(&weights)])?;
         Ok(EmSensor {
             coil,
             map,
             weights,
             model,
+            table,
         })
     }
 }
 
 /// A measurement channel: one coil over one placed netlist.
+///
+/// The sensor compiles its [`ChargeTable`] once, when it is built, and
+/// again whenever [`EmSensor::scale_weights`] changes the weights; every
+/// measurement renders from it.
 #[derive(Debug)]
 pub struct EmSensor {
     coil: Coil,
     map: CouplingMap,
     weights: Vec<f64>,
     model: CurrentModel,
+    table: ChargeTable,
 }
 
 impl EmSensor {
@@ -183,6 +190,7 @@ impl EmSensor {
         for (w, f) in self.weights.iter_mut().zip(factors) {
             *w *= f;
         }
+        self.table.reweight(&[Some(&self.weights)])?;
         Ok(())
     }
 
@@ -206,6 +214,11 @@ impl EmSensor {
         &self.model
     }
 
+    /// The compiled charge table of this sensor's weights (one set).
+    pub fn charge_table(&self) -> &ChargeTable {
+        &self.table
+    }
+
     /// Synthesizes the noiseless sensor emf for an activity trace.
     ///
     /// - `extra_leakage_a`: per-cycle extra leakage (T2's channel),
@@ -224,13 +237,14 @@ impl EmSensor {
         self.emf_with(netlist, activity, extra_leakage_a, injections, 1)
     }
 
-    /// [`Self::emf`] with current synthesis fanned across `workers`
-    /// threads (see [`CurrentModel::synthesize_with`]); the emf is
-    /// bit-identical for every worker count.
+    /// [`Self::emf`] with the bin step of current synthesis fanned
+    /// across `workers` threads (see [`ChargeTable::bin_trace`]); the emf
+    /// is bit-identical for every worker count.
     ///
     /// # Errors
     ///
-    /// Propagates power-model errors (length mismatches).
+    /// Propagates power-model errors (length mismatches, including a
+    /// netlist other than the one the sensor was built over).
     pub fn emf_with(
         &self,
         netlist: &Netlist,
@@ -240,15 +254,54 @@ impl EmSensor {
         workers: usize,
     ) -> Result<VoltageTrace, EmError> {
         let _span = emtrust_telemetry::span("emf");
+        let bins = self.bin(netlist, activity, workers)?;
+        self.emf_inner(&bins, extra_leakage_a, injections)
+    }
+
+    /// The noiseless emf of binned activity (see
+    /// [`ChargeTable::bin_cycle`]), rendered from this sensor's table:
+    /// the measurement a streamed acquisition starts from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates power-model errors (bins of another table, a leakage
+    /// vector that doesn't cover every cycle).
+    pub fn emf_bins(
+        &self,
+        bins: &ChargeBins,
+        extra_leakage_a: Option<&[f64]>,
+        injections: &[PointCurrentSource],
+    ) -> Result<VoltageTrace, EmError> {
+        let _span = emtrust_telemetry::span("emf");
+        self.emf_inner(bins, extra_leakage_a, injections)
+    }
+
+    /// Bins a stored recording with this sensor's table.
+    fn bin(
+        &self,
+        netlist: &Netlist,
+        activity: &ActivityTrace,
+        workers: usize,
+    ) -> Result<ChargeBins, EmError> {
+        if netlist.cell_count() != self.table.cells() {
+            return Err(emtrust_power::PowerError::LengthMismatch {
+                expected: netlist.cell_count(),
+                actual: self.table.cells(),
+            }
+            .into());
+        }
+        Ok(self.table.bin_trace(activity, workers))
+    }
+
+    fn emf_inner(
+        &self,
+        bins: &ChargeBins,
+        extra_leakage_a: Option<&[f64]>,
+        injections: &[PointCurrentSource],
+    ) -> Result<VoltageTrace, EmError> {
         let mut weighted = {
             let _synth = emtrust_telemetry::span("synthesize");
-            self.model.synthesize_with(
-                netlist,
-                activity,
-                Some(&self.weights),
-                extra_leakage_a,
-                workers,
-            )?
+            self.table.render(bins, extra_leakage_a)?.swap_remove(0)
         };
         for src in injections {
             let m = self.map.at(src.location_um.0, src.location_um.1);
@@ -303,6 +356,25 @@ impl EmSensor {
     ) -> Result<VoltageTrace, EmError> {
         let _span = emtrust_telemetry::span("measure");
         let mut trace = self.emf_with(netlist, activity, extra_leakage_a, injections, workers)?;
+        NoiseModel::environment_for(&self.coil, noise_seed).add_to(&mut trace);
+        Ok(trace)
+    }
+
+    /// [`Self::measure`] of binned activity: [`Self::emf_bins`] plus this
+    /// coil's environment noise seeded from `noise_seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates power-model errors.
+    pub fn measure_bins(
+        &self,
+        bins: &ChargeBins,
+        extra_leakage_a: Option<&[f64]>,
+        injections: &[PointCurrentSource],
+        noise_seed: u64,
+    ) -> Result<VoltageTrace, EmError> {
+        let _span = emtrust_telemetry::span("measure");
+        let mut trace = self.emf_bins(bins, extra_leakage_a, injections)?;
         NoiseModel::environment_for(&self.coil, noise_seed).add_to(&mut trace);
         Ok(trace)
     }
@@ -439,6 +511,30 @@ mod tests {
             .build(&n, &fp)
             .unwrap();
         assert_eq!(s.coupling().step_um(), 30.0);
+    }
+
+    #[test]
+    fn cached_table_renders_like_a_fresh_synthesis_after_scaling() {
+        // The sensor's table must follow its weights: after process
+        // variation rescales them, a measurement equals a synthesis from
+        // the scaled weights, bit for bit.
+        let (n, fp) = small_design();
+        let mut s = sensor(&n, &fp);
+        let act = activity(&n, 6);
+        let factors: Vec<f64> = (0..n.cell_count()).map(|i| 0.8 + 0.01 * i as f64).collect();
+        s.scale_weights(&factors).unwrap();
+        let fresh = s
+            .model()
+            .synthesize_with(&n, &act, Some(s.weights()), None, 1)
+            .unwrap();
+        let emf = s.emf(&n, &act, None, &[]).unwrap();
+        assert_eq!(emf, emf_from_weighted_current(&fresh));
+        let bins = s.charge_table().bin_trace(&act, 1);
+        assert_eq!(s.emf_bins(&bins, None, &[]).unwrap(), emf);
+        assert_eq!(
+            s.measure_bins(&bins, None, &[], 9).unwrap(),
+            s.measure(&n, &act, None, &[], 9).unwrap()
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! reproduction's substitute for the paper's Hspice transistor-level
 //! transient simulation (§IV-A, method of \[18\]):
 //!
-//! - every output toggle recorded by `emtrust-sim` deposits a charge
-//!   impulse `Q = C_eff·V_DD` at `t = cycle·T + level·τ_gate` (the
-//!   levelized switching time),
+//! - every output toggle reported by `emtrust-sim` deposits a charge
+//!   impulse `Q = C_eff·V_DD` at `t = cycle·T + (level + ½)·τ_gate` (the
+//!   levelized switching time); the toggles of one (cycle, level) are
+//!   summed into one charge bin first and deposited once
+//!   ([`model::ChargeTable`]),
 //! - every flip-flop draws its clock-load charge at each edge (the clock
 //!   tree),
 //! - a state-independent leakage floor runs underneath, extensible per
@@ -22,7 +24,7 @@ pub mod model;
 pub mod tech;
 pub mod trace;
 
-pub use model::CurrentModel;
+pub use model::{ChargeBins, ChargeTable, CurrentModel};
 pub use tech::ClockConfig;
 pub use trace::CurrentTrace;
 

@@ -12,7 +12,7 @@ use emtrust_layout::probe::ExternalProbe;
 use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::graph::Netlist;
 use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel};
+use emtrust_power::{ChargeBins, ClockConfig, CurrentModel};
 use emtrust_sim::activity::ActivityTrace;
 
 /// Which measurement channel to read.
@@ -158,12 +158,44 @@ impl FabricatedChip {
         workers: usize,
     ) -> Result<VoltageTrace, SiliconError> {
         let _span = emtrust_telemetry::span("silicon_measure");
+        let emf = self.sensor(channel).emf_with(
+            netlist,
+            activity,
+            extra_leakage_a,
+            injections,
+            workers,
+        )?;
+        Ok(self.acquire(channel, emf, seed))
+    }
+
+    /// [`Self::measure`] of binned activity, made with the channel's
+    /// [`EmSensor::charge_table`]: the measurement a streamed acquisition
+    /// starts from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates power/EM pipeline errors.
+    pub fn measure_bins(
+        &self,
+        bins: &ChargeBins,
+        channel: Channel,
+        extra_leakage_a: Option<&[f64]>,
+        injections: &[PointCurrentSource],
+        seed: u64,
+    ) -> Result<VoltageTrace, SiliconError> {
+        let _span = emtrust_telemetry::span("silicon_measure");
+        let emf = self
+            .sensor(channel)
+            .emf_bins(bins, extra_leakage_a, injections)?;
+        Ok(self.acquire(channel, emf, seed))
+    }
+
+    /// Environment noise and the scope front-end on a noiseless emf.
+    fn acquire(&self, channel: Channel, mut emf: VoltageTrace, seed: u64) -> VoltageTrace {
         let sensor = self.sensor(channel);
-        let mut emf = sensor.emf_with(netlist, activity, extra_leakage_a, injections, workers)?;
         NoiseModel::environment_for(sensor.coil(), seed ^ self.chip_id).add_to(&mut emf);
-        Ok(self
-            .scope(channel)
-            .acquire(&emf, seed.wrapping_mul(31) ^ self.chip_id))
+        self.scope(channel)
+            .acquire(&emf, seed.wrapping_mul(31) ^ self.chip_id)
     }
 
     /// The paper's noise-measurement step: chip powered, encryption idle.
@@ -250,6 +282,19 @@ mod tests {
             .unwrap();
         assert_eq!(a.samples(), b.samples());
         assert_ne!(a.samples(), c.samples());
+    }
+
+    #[test]
+    fn binned_measurement_equals_the_recorded_one_on_both_channels() {
+        let n = bank_netlist(16);
+        let chip = FabricatedChip::fabricate(&n, 3, ProcessVariation::nominal()).unwrap();
+        let act = activity(&n, 5);
+        for channel in [Channel::OnChipSensor, Channel::ExternalProbe] {
+            let bins = chip.sensor(channel).charge_table().bin_trace(&act, 1);
+            let binned = chip.measure_bins(&bins, channel, None, &[], 8).unwrap();
+            let recorded = chip.measure(&n, &act, channel, None, &[], 8).unwrap();
+            assert_eq!(binned, recorded, "{channel:?}");
+        }
     }
 
     #[test]

@@ -163,15 +163,35 @@ impl ToggleActivity {
     /// Accumulates a trace's toggles into the per-cell counters.
     pub fn absorb(&mut self, trace: &ActivityTrace) {
         for cycle in trace.cycles() {
-            for event in cycle.events() {
-                let idx = event.cell.index();
-                if idx >= self.counts.len() {
-                    self.counts.resize(idx + 1, 0);
-                }
-                self.counts[idx] += 1;
-            }
+            self.absorb_cycle(cycle.events());
         }
-        self.cycles += trace.cycle_count() as u64;
+    }
+
+    /// Accumulates one cycle's toggles, as a
+    /// [`ToggleSink`](crate::engine::ToggleSink) hands them over: a
+    /// stream absorbed cycle by cycle equals [`Self::from_trace`] of its
+    /// recording.
+    pub fn absorb_cycle(&mut self, events: &[ToggleEvent]) {
+        for event in events {
+            let idx = event.cell.index();
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
+            }
+            self.counts[idx] += 1;
+        }
+        self.cycles += 1;
+    }
+
+    /// Adds another aggregate's counts and cycles, as if its cycles had
+    /// been absorbed here.
+    pub fn merge(&mut self, other: &ToggleActivity) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.cycles += other.cycles;
     }
 
     /// Cycles absorbed so far.
@@ -423,6 +443,19 @@ mod tests {
         b.absorb(&t2);
         assert_eq!(a, b);
         assert_eq!(a.cycles(), 32);
+    }
+
+    #[test]
+    fn merged_aggregates_equal_one_absorption() {
+        let (t1, t2) = (recorded_trace(4, 16), recorded_trace(5, 9));
+        let mut whole = ToggleActivity::from_trace(&t1);
+        whole.absorb(&t2);
+        let mut merged = ToggleActivity::from_trace(&t2);
+        merged.merge(&ToggleActivity::from_trace(&t1));
+        assert_eq!(merged, whole);
+        let mut empty = ToggleActivity::new();
+        empty.merge(&whole);
+        assert_eq!(empty, whole);
     }
 
     #[test]

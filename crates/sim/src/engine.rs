@@ -18,6 +18,12 @@
 //! [`Simulator::take_lane_recordings`] returns one [`ActivityTrace`] per
 //! live lane. Every lane's event stream is bit-identical to a serial run
 //! of the same stimulus.
+//!
+//! A recorded edge hands each live lane's toggles to a [`ToggleSink`],
+//! one cycle at a time, from one reused scratch buffer.
+//! [`Simulator::step_into`] streams them to the caller's sink;
+//! [`Simulator::step`] with a recording in progress stores them in the
+//! lanes' [`ActivityTrace`]s, which is just one such sink.
 
 use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
 use emtrust_netlist::graph::{NetId, Netlist};
@@ -27,6 +33,24 @@ use std::borrow::Cow;
 
 /// Lanes per simulator: one independent circuit copy per bit of a `u64`.
 pub const LANES: usize = 64;
+
+/// Receives every live lane's toggles of one clock edge, lane by lane.
+///
+/// Each lane's events arrive in serial event order: flip-flops in id
+/// order, then the combinational cells in evaluation order, exactly the
+/// order a one-lane recording stores them in. Any
+/// `FnMut(usize, u64, &[ToggleEvent])` closure is a sink.
+pub trait ToggleSink {
+    /// Lane `lane`'s toggles at clock cycle `cycle`. The slice is the
+    /// simulator's scratch, overwritten by the next lane.
+    fn cycle(&mut self, lane: usize, cycle: u64, events: &[ToggleEvent]);
+}
+
+impl<F: FnMut(usize, u64, &[ToggleEvent])> ToggleSink for F {
+    fn cycle(&mut self, lane: usize, cycle: u64, events: &[ToggleEvent]) {
+        self(lane, cycle, events);
+    }
+}
 
 /// One combinational cell of a [`Program`]: the data the kernel touches
 /// on every evaluation.
@@ -181,6 +205,53 @@ fn transpose64(rows: &mut [u64; 64]) {
     }
 }
 
+/// Phases 2 (every flop's `q` takes its captured `d`) and 3 (the
+/// combinational cells settle in level order). `record` sees every
+/// source in event order, with the live lanes it toggled in and its new
+/// value.
+#[inline(always)]
+fn evaluate(
+    program: &Program,
+    staged: &[u64],
+    words: &mut [u64],
+    live: u64,
+    mut record: impl FnMut(u64, u64),
+) {
+    for (&new, f) in staged.iter().zip(&program.flops) {
+        let q = &mut words[f.q as usize];
+        record((*q ^ new) & live, new);
+        *q = new;
+    }
+    for g in &program.gates {
+        let [a, b, c] = g.ins.map(|i| words[i as usize]);
+        let new = lut3(g.table, a, b, c);
+        let out = &mut words[g.out as usize];
+        record((*out ^ new) & live, new);
+        *out = new;
+    }
+}
+
+/// The one event extractor: one lane's `(toggled, new value)` bit words,
+/// 64 sources each, walked in source order into `events`.
+#[inline]
+fn extract(
+    sources: &[ToggleEvent],
+    words: impl Iterator<Item = (u64, u64)>,
+    events: &mut Vec<ToggleEvent>,
+) {
+    events.clear();
+    for (b, (mut t, v)) in words.enumerate() {
+        while t != 0 {
+            let i = t.trailing_zeros();
+            t &= t - 1;
+            events.push(ToggleEvent {
+                rising: v >> i & 1 != 0,
+                ..sources[b * LANES + i as usize]
+            });
+        }
+    }
+}
+
 /// A two-phase, cycle-based, 64-lane simulator over a borrowed
 /// [`Netlist`].
 ///
@@ -209,15 +280,19 @@ pub struct Simulator<'a> {
     /// One trace per lane; only live lanes grow while recording.
     traces: Vec<ActivityTrace>,
     /// Per source, in this cycle: the live lanes it toggled in and its
-    /// new value (scratch).
+    /// new value (scratch, several live lanes).
     toggled: Vec<u64>,
     values: Vec<u64>,
     /// Per block of 64 sources, per lane: which of the block's sources
-    /// toggled, and their new values (scratch).
+    /// toggled, and their new values (scratch, several live lanes).
     lane_toggled: Vec<[u64; LANES]>,
     lane_values: Vec<[u64; LANES]>,
-    /// Lane 0's candidate events when it is the only live lane (scratch).
-    lane0_events: Vec<ToggleEvent>,
+    /// The same for lane 0 when it is the only live lane, packed during
+    /// evaluation (scratch).
+    lane0_toggled: Vec<u64>,
+    lane0_values: Vec<u64>,
+    /// One lane's events of one cycle, as handed to the sink (scratch).
+    events: Vec<ToggleEvent>,
     cycle: u64,
 }
 
@@ -267,7 +342,9 @@ impl<'a> Simulator<'a> {
             values: Vec::with_capacity(sources),
             lane_toggled: Vec::new(),
             lane_values: Vec::new(),
-            lane0_events: Vec::new(),
+            lane0_toggled: Vec::new(),
+            lane0_values: Vec::new(),
+            events: Vec::new(),
             cycle: 0,
         }
     }
@@ -425,83 +502,92 @@ impl<'a> Simulator<'a> {
     /// Applies one rising clock edge, then settles combinational logic.
     /// Records the live lanes' toggles if a recording is in progress.
     pub fn step(&mut self) {
-        // Phase 1: capture d.
-        for (s, f) in self.staged.iter_mut().zip(&self.program.flops) {
-            *s = self.words[f.d as usize];
-        }
-        // Phases 2 (update q) and 3 (combinational settle in level order).
         if self.recording {
-            self.record_edge();
+            let mut traces = std::mem::take(&mut self.traces);
+            self.step_into(&mut |lane: usize, cycle: u64, events: &[ToggleEvent]| {
+                traces[lane].push_cycle(CycleActivity::from_events(cycle, events.to_vec()));
+            });
+            self.traces = traces;
+            return;
+        }
+        self.capture();
+        evaluate(&self.program, &self.staged, &mut self.words, 0, |_, _| {});
+        self.cycle += 1;
+    }
+
+    /// Applies one rising clock edge like [`Self::step`] and hands every
+    /// live lane's toggles to `sink`, lane 0 first. Nothing is stored, so
+    /// no recording needs to be in progress.
+    pub fn step_into<S: ToggleSink + ?Sized>(&mut self, sink: &mut S) {
+        self.capture();
+        if self.live == 1 {
+            self.emit_lane0(sink);
         } else {
-            for (&s, f) in self.staged.iter().zip(&self.program.flops) {
-                self.words[f.q as usize] = s;
-            }
-            self.settle();
+            self.emit_lanes(sink);
         }
         self.cycle += 1;
     }
 
-    /// Phases 2 and 3 with every live lane's toggles recorded.
-    ///
-    /// The evaluation pass only stores each source's toggled-lane mask
-    /// and new value; the events are then emitted lane by lane in source
-    /// order, into a buffer of the cycle's exact size. One live lane, how
-    /// every Trojan campaign runs, skips the lane-major transposes, which
-    /// would cost as much again as the rest of the step.
-    fn record_edge(&mut self) {
-        let program = &*self.program;
-        let words = &mut self.words;
+    /// Phase 1: every flip-flop captures its `d`.
+    fn capture(&mut self) {
+        for (s, f) in self.staged.iter_mut().zip(&self.program.flops) {
+            *s = self.words[f.d as usize];
+        }
+    }
+
+    /// Evaluates lane 0 as the only live lane, which is how every Trojan
+    /// campaign runs, packing each source's toggle and new value into
+    /// one bit per source as it goes: no per-source words are stored and
+    /// no lane-major transposes run, which would cost as much again as
+    /// the rest of the step.
+    fn emit_lane0<S: ToggleSink + ?Sized>(&mut self, sink: &mut S) {
+        let (toggled, values) = (&mut self.lane0_toggled, &mut self.lane0_values);
+        toggled.clear();
+        values.clear();
+        let (mut t, mut v, mut k) = (0u64, 0u64, 0u32);
+        evaluate(
+            &self.program,
+            &self.staged,
+            &mut self.words,
+            1,
+            |tog, new| {
+                t |= (tog & 1) << k;
+                v |= (new & 1) << k;
+                k += 1;
+                if k == 64 {
+                    toggled.push(t);
+                    values.push(v);
+                    (t, v, k) = (0, 0, 0);
+                }
+            },
+        );
+        if k > 0 {
+            toggled.push(t);
+            values.push(v);
+        }
+        let words = toggled.iter().copied().zip(values.iter().copied());
+        extract(&self.program.events, words, &mut self.events);
+        sink.cycle(0, self.cycle, &self.events);
+    }
+
+    /// Evaluates every lane, storing each source's toggled-live-lane mask
+    /// and new value; then, per block of 64 sources, the masks and values
+    /// are turned lane-major and each live lane's events are extracted.
+    fn emit_lanes<S: ToggleSink + ?Sized>(&mut self, sink: &mut S) {
         let live = u64::MAX >> (LANES - self.live);
         let (toggled, values) = (&mut self.toggled, &mut self.values);
         toggled.clear();
         values.clear();
-        for (&new, f) in self.staged.iter().zip(&program.flops) {
-            let q = &mut words[f.q as usize];
-            toggled.push((*q ^ new) & live);
-            values.push(new);
-            *q = new;
-        }
-        for g in &program.gates {
-            let [a, b, c] = g.ins.map(|i| words[i as usize]);
-            let new = lut3(g.table, a, b, c);
-            let out = &mut words[g.out as usize];
-            toggled.push((*out ^ new) & live);
-            values.push(new);
-            *out = new;
-        }
-        if self.live == 1 {
-            self.emit_lane0();
-        } else {
-            self.emit_lanes();
-        }
-    }
-
-    /// Emits lane 0's events when it is the only live lane. Every source
-    /// writes its candidate event at the cursor, which advances only on
-    /// a toggle, so the loop has no data-dependent branch.
-    fn emit_lane0(&mut self) {
-        let program = &*self.program;
-        let events = &mut self.lane0_events;
-        if events.len() < program.events.len() {
-            events.clone_from(&program.events);
-        }
-        let mut n = 0;
-        for ((&t, &v), e) in self.toggled.iter().zip(&self.values).zip(&program.events) {
-            events[n] = ToggleEvent {
-                rising: v & 1 != 0,
-                ..*e
-            };
-            n += (t & 1) as usize;
-        }
-        let activity = CycleActivity::from_events(self.cycle, events[..n].to_vec());
-        self.traces[0].push_cycle(activity);
-    }
-
-    /// Emits every live lane's events: per block of 64 sources, the
-    /// toggle masks and the new values are turned lane-major, and each
-    /// lane walks its set bits in source order.
-    fn emit_lanes(&mut self) {
-        let (toggled, values) = (&self.toggled, &self.values);
+        evaluate(
+            &self.program,
+            &self.staged,
+            &mut self.words,
+            live,
+            |tog, new| {
+                toggled.push(tog);
+                values.push(new);
+            },
+        );
         let blocks = toggled.len().div_ceil(LANES);
         self.lane_toggled.resize(blocks, [0; LANES]);
         self.lane_values.resize(blocks, [0; LANES]);
@@ -519,27 +605,14 @@ impl<'a> Simulator<'a> {
             transpose64(lane_toggled);
             transpose64(lane_values);
         }
-
-        let sources = &self.program.events;
-        for (lane, trace) in self.traces[..self.live].iter_mut().enumerate() {
-            let count = self
+        for lane in 0..self.live {
+            let words = self
                 .lane_toggled
                 .iter()
-                .map(|m| m[lane].count_ones() as usize)
-                .sum();
-            let mut events = Vec::with_capacity(count);
-            for (b, (t, v)) in self.lane_toggled.iter().zip(&self.lane_values).enumerate() {
-                let (mut t, v) = (t[lane], v[lane]);
-                while t != 0 {
-                    let i = t.trailing_zeros();
-                    t &= t - 1;
-                    events.push(ToggleEvent {
-                        rising: v >> i & 1 != 0,
-                        ..sources[b * LANES + i as usize]
-                    });
-                }
-            }
-            trace.push_cycle(CycleActivity::from_events(self.cycle, events));
+                .zip(&self.lane_values)
+                .map(|(t, v)| (t[lane], v[lane]));
+            extract(&self.program.events, words, &mut self.events);
+            sink.cycle(lane, self.cycle, &self.events);
         }
     }
 

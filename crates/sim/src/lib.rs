@@ -26,11 +26,11 @@
 //!    A netlist compiles once into an [`engine::Program`], which a
 //!    simulator runs on [`LANES`] independent lanes per machine word:
 //!    up to 64 encryptions at the cost of about one.
-//! 2. **Activity capture** — every output toggle is recorded per cycle as
-//!    an [`activity::ToggleEvent`]; the power model later converts each
-//!    event into a current pulse at `t = cycle·T + level·τ_gate`.
-//!
-//! There is also a small [`vcd`] writer for waveform inspection.
+//! 2. **Activity capture** — every output toggle of a cycle is handed to
+//!    an [`engine::ToggleSink`] as an [`activity::ToggleEvent`], from a
+//!    reused scratch buffer; storing the events in an
+//!    [`activity::ActivityTrace`] is one such sink. The power model turns
+//!    each event into a current pulse at `t = cycle·T + level·τ_gate`.
 //!
 //! # Examples
 //!
@@ -59,7 +59,6 @@
 
 pub mod activity;
 pub mod engine;
-pub mod vcd;
 
 pub use activity::{ActivityTrace, CycleActivity, ToggleActivity, ToggleEvent};
-pub use engine::{Program, Simulator, LANES};
+pub use engine::{Program, Simulator, ToggleSink, LANES};

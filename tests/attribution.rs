@@ -60,10 +60,10 @@ fn armed_trojan_attributes_to_its_own_cells() {
     // The top of the ranking is the armed Trojan's own placement.
     let tag = KIND.module_tag();
     assert!(
-        attribution.top_cells(10).iter().all(|c| c.region == tag),
+        attribution.top_cells(10).iter().all(|c| &*c.region == tag),
         "top-10 cells must sit in {tag}"
     );
-    let truth = |c: &emtrust::attribution::CellScore| c.region == tag;
+    let truth = |c: &emtrust::attribution::CellScore| &*c.region == tag;
     assert!((attribution.precision_at(10, truth) - 1.0).abs() < 1e-12);
     let auroc = attribution.auroc(truth).unwrap();
     assert!(auroc > 0.9, "AUROC {auroc} too low");
@@ -98,7 +98,11 @@ fn attribution_and_learned_reranking_are_bit_identical_across_worker_counts() {
             .iter()
             .map(|c| c.features.to_vec())
             .collect();
-        let labels: Vec<bool> = att.cell_scores().iter().map(|c| c.region == tag).collect();
+        let labels: Vec<bool> = att
+            .cell_scores()
+            .iter()
+            .map(|c| &*c.region == tag)
+            .collect();
         LogisticModel::train(&rows, &labels, spec).unwrap()
     };
     let (ma, mb) = (train(&serial), train(&fanned));

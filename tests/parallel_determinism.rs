@@ -78,9 +78,8 @@ fn armed_trojan_and_random_stimulus_stay_deterministic() {
 
 #[test]
 fn continuous_collection_is_bit_identical_for_1_2_8_workers() {
-    // 65 blocks cross the 64-lane word boundary of the simulation, and
-    // their 780 cycles span several CYCLE_CHUNK chunks of the chunked
-    // current-synthesis path.
+    // 65 blocks cross the 64-lane word boundary of the simulation, so
+    // the window's charge bins come from several simulator chunks.
     let chip = ProtectedChip::golden();
     let reference = TestBench::simulation(&chip)
         .unwrap()
