@@ -1,153 +1,43 @@
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::todo,
-        clippy::unimplemented
-    )
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
-//! Performance-regression gate for `BENCH_parallel.json` — CI's `perf`
-//! job runs this after `exp_throughput`, comparing the fresh artifact
-//! against the committed `BENCH_baseline.json`:
-//!
-//! - every `workers > 1` speedup must stay at or above 0.95× (the pool's
-//!   host clamp guarantees oversubscription never regresses below 1×, so
-//!   anything under the floor is a scaling bug, not noise),
-//! - the hot-path before/after ratio must stay at or above 1.3× (the SoA
-//!   and amplitude-table kernels must keep paying for themselves),
-//! - when current and baseline ran on hosts with the same CPU count, the
-//!   best throughput must not fall more than 15 % below the baseline
-//!   (wall-clock comparisons across different hosts are meaningless and
-//!   are skipped with a note).
+//! Performance-regression gate for `BENCH_parallel.json`, run by CI's
+//! `perf` job after `exp_throughput` against the committed
+//! `BENCH_baseline.json`: both runs must pass [`gates::RUN`] and the
+//! current one [`gates::REGRESSION`] (`workers > 1` speedups ≥ 0.95×, a
+//! hot-path ratio ≥ 1.3×). On hosts with the same CPU count it may also
+//! be at most 15 % slower than the baseline; across hosts wall clocks do
+//! not compare, so that rule is skipped with a note.
 //!
 //! Usage: `check_bench_regression <current.json> <baseline.json>` —
 //! exits 0 when every gate holds, 1 with per-gate reasons otherwise.
 
+use emtrust_bench::gates::{self, REGRESSION, RUN};
 use emtrust_bench::json::Value;
 
-/// Minimum allowed speedup for any `workers > 1` row.
-const MIN_SPEEDUP: f64 = 0.95;
-/// Minimum allowed hot-path before/after ratio.
-const MIN_HOT_RATIO: f64 = 1.3;
-/// Maximum allowed wall-clock slowdown vs. the baseline (same host
-/// CPU count only): current throughput ≥ baseline / MAX_SLOWDOWN.
+/// Maximum slowdown vs. a same-host baseline: throughput ≥ baseline / MAX_SLOWDOWN.
 const MAX_SLOWDOWN: f64 = 1.15;
 
-fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: read failed: {e}"))?;
-    let doc = Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    match doc.get("benchmark").and_then(Value::as_str) {
-        Some("golden_collect_fit") => Ok(doc),
-        Some(other) => Err(format!(
-            "{path}: expected benchmark \"golden_collect_fit\", got \"{other}\""
-        )),
-        None => Err(format!("{path}: missing \"benchmark\" discriminator")),
+/// The same-host throughput rule; `Ok(Some(note))` when hosts differ.
+fn throughput_vs_baseline(current: &Value, baseline: &Value) -> Result<Option<String>, String> {
+    let cpus = |doc: &Value| doc.get("host_cpus").and_then(Value::as_u64).unwrap_or(0);
+    let (c, b) = (cpus(current), cpus(baseline));
+    let note = format!("current host has {c} CPUs, baseline ran on {b}");
+    if c != b {
+        return Ok(Some(format!(
+            "note: wall-clock comparison skipped — {note}"
+        )));
     }
-}
-
-fn number(doc: &Value, path: &str, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{path}: missing number \"{key}\""))
-}
-
-/// Best throughput across the result rows.
-fn best_traces_per_sec(doc: &Value, path: &str) -> Result<f64, String> {
-    let rows = doc
-        .get("results")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{path}: missing \"results\" array"))?;
-    let mut best = 0.0f64;
-    for row in rows {
-        best = best.max(number(row, path, "traces_per_sec")?);
-    }
-    if best > 0.0 {
-        Ok(best)
-    } else {
-        Err(format!("{path}: no positive \"traces_per_sec\" row"))
-    }
-}
-
-fn check(current_path: &str, baseline_path: &str) -> Vec<String> {
-    let mut failures = Vec::new();
-    let (current, baseline) = match (load(current_path), load(baseline_path)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (c, b) => {
-            failures.extend(c.err());
-            failures.extend(b.err());
-            return failures;
-        }
-    };
-
-    // Gate 1: the scaling floor, on the current run alone.
-    match current.get("results").and_then(Value::as_array) {
-        Some(rows) => {
-            for row in rows {
-                let workers = row.get("workers").and_then(Value::as_u64).unwrap_or(0);
-                let speedup = row.get("speedup").and_then(Value::as_f64).unwrap_or(0.0);
-                if workers > 1 && speedup < MIN_SPEEDUP {
-                    failures.push(format!(
-                        "workers={workers} speedup {speedup:.3} below the {MIN_SPEEDUP} floor"
-                    ));
-                }
-            }
-        }
-        None => failures.push(format!("{current_path}: missing \"results\" array")),
-    }
-
-    // Gate 2: the hot-path ratio, on the current run alone.
-    match current
-        .get("hot_path")
-        .map(|h| number(h, current_path, "ratio"))
-    {
-        Some(Ok(ratio)) => {
-            if ratio < MIN_HOT_RATIO {
-                failures.push(format!(
-                    "hot-path ratio {ratio:.3} below the {MIN_HOT_RATIO} floor"
-                ));
-            }
-        }
-        Some(Err(e)) => failures.push(e),
-        None => failures.push(format!("{current_path}: missing \"hot_path\" object")),
-    }
-
-    // Gate 3: wall-clock vs. the baseline, same-host only.
-    let cur_cpus = current.get("host_cpus").and_then(Value::as_u64);
-    let base_cpus = baseline.get("host_cpus").and_then(Value::as_u64);
-    match (cur_cpus, base_cpus) {
-        (Some(c), Some(b)) if c == b => {
-            match (
-                best_traces_per_sec(&current, current_path),
-                best_traces_per_sec(&baseline, baseline_path),
-            ) {
-                (Ok(cur_tps), Ok(base_tps)) => {
-                    if cur_tps < base_tps / MAX_SLOWDOWN {
-                        failures.push(format!(
-                            "throughput {cur_tps:.2} traces/s is more than \
-                             {:.0}% below baseline {base_tps:.2}",
-                            (MAX_SLOWDOWN - 1.0) * 100.0
-                        ));
-                    }
-                }
-                (c, b) => {
-                    failures.extend(c.err());
-                    failures.extend(b.err());
-                }
-            }
-        }
-        (Some(c), Some(b)) => {
-            println!(
-                "note: wall-clock comparison skipped — current host has {c} CPUs, \
-                 baseline ran on {b}"
-            );
-        }
-        _ => failures.push("missing \"host_cpus\" in current or baseline".into()),
-    }
-
-    failures
+    let best = |doc| gates::numbers(doc, "results[].traces_per_sec").map(|t| t.into_iter());
+    let (cur, base) = (
+        best(current)?.fold(0.0, f64::max),
+        best(baseline)?.fold(0.0, f64::max),
+    );
+    let pct = (MAX_SLOWDOWN - 1.0) * 100.0;
+    let slow = format!("throughput {cur:.2} traces/s is more than {pct:.0}% slower than {base:.2}");
+    (base > 0.0 && cur >= base / MAX_SLOWDOWN)
+        .then_some(None)
+        .ok_or(slow)
 }
 
 fn main() {
@@ -156,13 +46,62 @@ fn main() {
         eprintln!("usage: check_bench_regression <current.json> <baseline.json>");
         std::process::exit(2);
     };
-    let failures = check(current_path, baseline_path);
-    if failures.is_empty() {
-        println!("{current_path}: ok (vs {baseline_path})");
-    } else {
-        for f in &failures {
-            eprintln!("{current_path}: FAIL — {f}");
+    let mut failures = Vec::new();
+    match (gates::load(current_path), gates::load(baseline_path)) {
+        (Ok(current), Ok(baseline)) => {
+            let base = RUN.check(&baseline);
+            let base = base.into_iter().map(|e| format!("{baseline_path}: {e}"));
+            failures.extend(RUN.check(&current).into_iter().chain(base));
+            let comparable = failures.is_empty();
+            failures.extend(REGRESSION.check(&current));
+            match throughput_vs_baseline(&current, &baseline) {
+                _ if !comparable => {}
+                Ok(note) => note.into_iter().for_each(|n| println!("{n}")),
+                Err(e) => failures.push(e),
+            }
         }
+        (c, b) => failures.extend(c.err().into_iter().chain(b.err())),
+    }
+    for f in &failures {
+        eprintln!("{current_path}: FAIL — {f}");
+    }
+    if !failures.is_empty() {
         std::process::exit(1);
+    }
+    println!("{current_path}: ok (vs {baseline_path})");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(host_cpus: u64, traces_per_sec: f64) -> Value {
+        Value::parse(&format!(
+            r#"{{"host_cpus": {host_cpus}, "results": [{{"traces_per_sec": 1.0}}, {{"traces_per_sec": {traces_per_sec}}}]}}"#
+        ))
+        .expect("valid JSON")
+    }
+
+    #[test]
+    fn same_host_slowdown_past_fifteen_percent_fails() {
+        // A 16 % slowdown takes 1.16x the time per trace: 100/1.16 traces/s.
+        let baseline = run(2, 100.0);
+        assert!(throughput_vs_baseline(&run(2, 100.0 / 1.16), &baseline).is_err());
+        assert_eq!(
+            throughput_vs_baseline(&run(2, 100.0 / 1.14), &baseline),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn different_hosts_skip_the_comparison_with_a_note() {
+        let note = throughput_vs_baseline(&run(2, 1.0), &run(1, 100.0));
+        assert_eq!(
+            note,
+            Ok(Some(
+                "note: wall-clock comparison skipped — current host has 2 CPUs, baseline ran on 1"
+                    .into()
+            ))
+        );
     }
 }

@@ -33,11 +33,12 @@
 //!
 //! Every `exp_*` binary accepts `--json` and `--quiet` (see [`report`]);
 //! `exp_telemetry` replays the Table-1 sweep under the telemetry
-//! recorder and writes `BENCH_telemetry.json`, whose schema
-//! `check_bench_schema` validates in CI using the dependency-free
-//! [`json`] parser.
+//! recorder and writes `BENCH_telemetry.json`, which
+//! `check_bench_schema` validates in CI against its table in [`gates`],
+//! using the dependency-free [`json`] parser.
 
 pub mod attribution;
+pub mod gates;
 pub mod json;
 pub mod report;
 

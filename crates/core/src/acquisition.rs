@@ -713,10 +713,10 @@ impl<'c> TestBench<'c> {
             Backend::Simulation { .. } => {
                 Ok(self
                     .sensor(channel)
-                    .measure_bins(bins, extra_leakage, &injections, seed)?)
+                    .measure(bins, extra_leakage, &injections, seed)?)
             }
             Backend::Silicon(fab) => {
-                Ok(fab.measure_bins(bins, channel, extra_leakage, &injections, seed)?)
+                Ok(fab.measure(bins, channel, extra_leakage, &injections, seed)?)
             }
         }
     }

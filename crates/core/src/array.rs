@@ -695,7 +695,7 @@ impl<'c> SensorArray<'c> {
                 blocks.len(),
                 |j| -> Result<Vec<Vec<f64>>, TrustError> {
                     let Block { bins, leak } = &blocks[j];
-                    let tiles = self.array.measure_multi_bins(
+                    let tiles = self.array.measure_multi(
                         bins,
                         leak.as_deref(),
                         &[],

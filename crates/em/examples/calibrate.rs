@@ -25,7 +25,8 @@ fn main() {
     let act = sim.take_recording();
     for coil in [onchip, external] {
         let s = EmSensor::new(coil, aes.netlist(), &fp, model.clone()).unwrap();
-        let emf = s.emf(aes.netlist(), &act, None, &[]).unwrap();
+        let bins = s.charge_table().bin_trace(&act, 1);
+        let emf = s.emf(&bins, None, &[]).unwrap();
         println!("{}: signal RMS = {:.4e} V", s.coil().name(), emf.rms_v());
     }
 }

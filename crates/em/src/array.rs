@@ -18,14 +18,13 @@
 use crate::coil::Coil;
 use crate::emf::{emf_from_weighted_current, VoltageTrace};
 use crate::noise::NoiseModel;
-use crate::pipeline::{EmPipelineConfig, EmSensor, PointCurrentSource};
+use crate::pipeline::{inject, EmPipelineConfig, EmSensor, PointCurrentSource};
 use crate::EmError;
 use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::geometry::{Point, Rect};
 use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::graph::Netlist;
-use emtrust_power::{ChargeBins, ChargeTable, CurrentModel, CurrentTrace};
-use emtrust_sim::activity::ActivityTrace;
+use emtrust_power::{ChargeBins, ChargeTable, CurrentModel};
 
 /// Per-tile noise-seed salt: tile `t` draws its environment noise from
 /// `noise_seed ^ salt(t)`, keeping tile streams independent while leaving
@@ -181,8 +180,8 @@ impl EmArray {
         &self.table
     }
 
-    /// Synthesizes the noiseless emf of **every** sub-sensor from one
-    /// shared bin step, in tile order.
+    /// The noiseless emf of **every** sub-sensor from one shared set of
+    /// bins (made with [`Self::charge_table`]), in tile order.
     ///
     /// `extra_leakage_a` and `injections` are the same side channels as
     /// [`EmSensor::emf`]; each injection is scaled by each tile's own
@@ -190,97 +189,43 @@ impl EmArray {
     ///
     /// # Errors
     ///
-    /// Propagates power-model errors (length mismatches).
+    /// Propagates power-model errors (bins of another table, a leakage
+    /// vector that doesn't cover every cycle).
     pub fn emf_multi(
-        &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        workers: usize,
-    ) -> Result<Vec<VoltageTrace>, EmError> {
-        let _span = emtrust_telemetry::span("emf_multi");
-        if netlist.cell_count() != self.table.cells() {
-            return Err(emtrust_power::PowerError::LengthMismatch {
-                expected: netlist.cell_count(),
-                actual: self.table.cells(),
-            }
-            .into());
-        }
-        let bins = self.table.bin_trace(activity, workers);
-        self.emf_multi_inner(&bins, extra_leakage_a, injections)
-    }
-
-    fn emf_multi_inner(
         &self,
         bins: &ChargeBins,
         extra_leakage_a: Option<&[f64]>,
         injections: &[PointCurrentSource],
     ) -> Result<Vec<VoltageTrace>, EmError> {
+        let _span = emtrust_telemetry::span("emf_multi");
         let currents = {
             let _synth = emtrust_telemetry::span("synthesize_multi");
             self.table.render(bins, extra_leakage_a)?
         };
-        let mut out = Vec::with_capacity(self.tiles.len());
-        for (tile, mut weighted) in self.tiles.iter().zip(currents) {
-            for src in injections {
-                let m = tile
-                    .sensor
-                    .coupling()
-                    .at(src.location_um.0, src.location_um.1);
-                if m == 0.0 || src.samples.is_empty() {
-                    continue;
-                }
-                let scaled: Vec<f64> = src.samples.iter().map(|&i| i * m).collect();
-                weighted.add_assign(&CurrentTrace::new(scaled, weighted.sample_rate_hz()));
-            }
-            out.push(emf_from_weighted_current(&weighted));
-        }
-        Ok(out)
+        let emfs = self.tiles.iter().zip(currents).map(|(tile, mut weighted)| {
+            inject(tile.sensor.coupling(), &mut weighted, injections);
+            emf_from_weighted_current(&weighted)
+        });
+        Ok(emfs.collect())
     }
 
-    /// Synthesizes one *measured* trace per sub-sensor: emf plus each
+    /// One *measured* trace per sub-sensor: [`Self::emf_multi`] plus each
     /// coil's environment noise, seeded per tile from `noise_seed` (tile 0
     /// uses `noise_seed` unchanged, so a `1 × 1` array reproduces
-    /// [`EmSensor::measure_with`] bit for bit).
+    /// [`EmSensor::measure`] bit for bit).
     ///
     /// # Errors
     ///
     /// Propagates power-model errors.
     pub fn measure_multi(
         &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        noise_seed: u64,
-        workers: usize,
-    ) -> Result<Vec<VoltageTrace>, EmError> {
-        let _span = emtrust_telemetry::span("measure_multi");
-        let mut traces = self.emf_multi(netlist, activity, extra_leakage_a, injections, workers)?;
-        self.add_noise(&mut traces, noise_seed);
-        Ok(traces)
-    }
-
-    /// [`Self::measure_multi`] of binned activity (made with
-    /// [`Self::charge_table`]): the measurement a streamed acquisition
-    /// starts from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-model errors.
-    pub fn measure_multi_bins(
-        &self,
         bins: &ChargeBins,
         extra_leakage_a: Option<&[f64]>,
         injections: &[PointCurrentSource],
         noise_seed: u64,
     ) -> Result<Vec<VoltageTrace>, EmError> {
         let _span = emtrust_telemetry::span("measure_multi");
-        let mut traces = {
-            let _emf = emtrust_telemetry::span("emf_multi");
-            self.emf_multi_inner(bins, extra_leakage_a, injections)?
-        };
+        let mut traces = self.emf_multi(bins, extra_leakage_a, injections)?;
         self.add_noise(&mut traces, noise_seed);
         Ok(traces)
     }
@@ -301,6 +246,7 @@ mod tests {
     use super::*;
     use emtrust_netlist::library::Library;
     use emtrust_power::ClockConfig;
+    use emtrust_sim::activity::ActivityTrace;
     use emtrust_sim::engine::Simulator;
 
     fn small_design() -> (Netlist, Floorplan) {
@@ -338,8 +284,10 @@ mod tests {
         let coil: Coil = SpiralSensor::for_die(fp.die()).unwrap().into();
         let single = EmSensor::new(coil, &n, &fp, model()).unwrap();
         let act = activity(&n, 3);
-        let from_array = array.measure_multi(&n, &act, None, &[], 7, 2).unwrap();
-        let from_single = single.measure_with(&n, &act, None, &[], 7, 2).unwrap();
+        let array_bins = array.charge_table().bin_trace(&act, 2);
+        let from_array = array.measure_multi(&array_bins, None, &[], 7).unwrap();
+        let single_bins = single.charge_table().bin_trace(&act, 2);
+        let from_single = single.measure(&single_bins, None, &[], 7).unwrap();
         assert_eq!(from_array.len(), 1);
         assert_eq!(from_array[0], from_single);
     }
@@ -353,14 +301,10 @@ mod tests {
         let act = activity(&n, 5);
         let sets: Vec<&[f64]> = arr.tiles().iter().map(|t| t.sensor().weights()).collect();
         let fresh = model().synthesize_multi(&n, &act, &sets, None, 1).unwrap();
-        let emfs = arr.emf_multi(&n, &act, None, &[], 1).unwrap();
+        let bins = arr.charge_table().bin_trace(&act, 1);
+        let emfs = arr.emf_multi(&bins, None, &[]).unwrap();
         let expected: Vec<VoltageTrace> = fresh.iter().map(emf_from_weighted_current).collect();
         assert_eq!(emfs, expected);
-        let bins = arr.charge_table().bin_trace(&act, 1);
-        assert_eq!(
-            arr.measure_multi_bins(&bins, None, &[], 3).unwrap(),
-            arr.measure_multi(&n, &act, None, &[], 3, 1).unwrap()
-        );
     }
 
     #[test]
@@ -384,8 +328,11 @@ mod tests {
         let (n, fp) = small_design();
         let array = EmArray::build(&n, &fp, model(), 2, 2, 6).unwrap();
         let act = activity(&n, 4);
-        let serial = array.emf_multi(&n, &act, None, &[], 1).unwrap();
-        let parallel = array.emf_multi(&n, &act, None, &[], 4).unwrap();
+        let emf = |workers| {
+            let bins = array.charge_table().bin_trace(&act, workers);
+            array.emf_multi(&bins, None, &[]).unwrap()
+        };
+        let (serial, parallel) = (emf(1), emf(4));
         assert_eq!(serial, parallel);
         assert!(serial.iter().all(|t| t.rms_v() > 0.0));
     }
@@ -394,9 +341,9 @@ mod tests {
     fn tile_noise_streams_differ_between_tiles() {
         let (n, fp) = small_design();
         let array = EmArray::build(&n, &fp, model(), 2, 2, 6).unwrap();
-        let act = activity(&n, 2);
-        let noiseless = array.emf_multi(&n, &act, None, &[], 1).unwrap();
-        let measured = array.measure_multi(&n, &act, None, &[], 9, 1).unwrap();
+        let bins = array.charge_table().bin_trace(&activity(&n, 2), 1);
+        let noiseless = array.emf_multi(&bins, None, &[]).unwrap();
+        let measured = array.measure_multi(&bins, None, &[], 9).unwrap();
         let noise: Vec<Vec<f64>> = measured
             .iter()
             .zip(&noiseless)
@@ -416,7 +363,7 @@ mod tests {
     fn injection_registers_strongest_on_the_nearest_tile() {
         let (n, fp) = small_design();
         let array = EmArray::build(&n, &fp, model(), 2, 2, 6).unwrap();
-        let act = activity(&n, 2);
+        let bins = array.charge_table().bin_trace(&activity(&n, 2), 1);
         // Inject at the centre of tile 3 (NE).
         let c = array.tiles()[3].center();
         let inj = PointCurrentSource {
@@ -425,8 +372,8 @@ mod tests {
                 .map(|i| if i % 2 == 0 { 1e-3 } else { -1e-3 })
                 .collect(),
         };
-        let base = array.emf_multi(&n, &act, None, &[], 1).unwrap();
-        let with = array.emf_multi(&n, &act, None, &[inj], 1).unwrap();
+        let base = array.emf_multi(&bins, None, &[]).unwrap();
+        let with = array.emf_multi(&bins, None, &[inj]).unwrap();
         let gain = |t: usize| with[t].rms_v() - base[t].rms_v();
         for t in 0..3 {
             assert!(

@@ -12,7 +12,6 @@ use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::graph::Netlist;
 use emtrust_netlist::library::Library;
 use emtrust_power::{ChargeBins, ChargeTable, ClockConfig, CurrentModel, CurrentTrace};
-use emtrust_sim::activity::ActivityTrace;
 
 /// An analog current source at a die location — the A2 Trojan's injection
 /// interface (current samples must match the pipeline's sample rate).
@@ -219,162 +218,47 @@ impl EmSensor {
         &self.table
     }
 
-    /// Synthesizes the noiseless sensor emf for an activity trace.
+    /// The noiseless emf of binned activity (see
+    /// [`ChargeTable::bin_cycle`] and [`ChargeTable::bin_trace`]),
+    /// rendered from this sensor's table.
     ///
     /// - `extra_leakage_a`: per-cycle extra leakage (T2's channel),
     /// - `injections`: analog point current sources (A2's channel).
     ///
     /// # Errors
     ///
-    /// Propagates power-model errors (length mismatches).
-    pub fn emf(
-        &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-    ) -> Result<VoltageTrace, EmError> {
-        self.emf_with(netlist, activity, extra_leakage_a, injections, 1)
-    }
-
-    /// [`Self::emf`] with the bin step of current synthesis fanned
-    /// across `workers` threads (see [`ChargeTable::bin_trace`]); the emf
-    /// is bit-identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-model errors (length mismatches, including a
-    /// netlist other than the one the sensor was built over).
-    pub fn emf_with(
-        &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        workers: usize,
-    ) -> Result<VoltageTrace, EmError> {
-        let _span = emtrust_telemetry::span("emf");
-        let bins = self.bin(netlist, activity, workers)?;
-        self.emf_inner(&bins, extra_leakage_a, injections)
-    }
-
-    /// The noiseless emf of binned activity (see
-    /// [`ChargeTable::bin_cycle`]), rendered from this sensor's table:
-    /// the measurement a streamed acquisition starts from.
-    ///
-    /// # Errors
-    ///
     /// Propagates power-model errors (bins of another table, a leakage
     /// vector that doesn't cover every cycle).
-    pub fn emf_bins(
+    pub fn emf(
         &self,
         bins: &ChargeBins,
         extra_leakage_a: Option<&[f64]>,
         injections: &[PointCurrentSource],
     ) -> Result<VoltageTrace, EmError> {
         let _span = emtrust_telemetry::span("emf");
-        self.emf_inner(bins, extra_leakage_a, injections)
-    }
-
-    /// Bins a stored recording with this sensor's table.
-    fn bin(
-        &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        workers: usize,
-    ) -> Result<ChargeBins, EmError> {
-        if netlist.cell_count() != self.table.cells() {
-            return Err(emtrust_power::PowerError::LengthMismatch {
-                expected: netlist.cell_count(),
-                actual: self.table.cells(),
-            }
-            .into());
-        }
-        Ok(self.table.bin_trace(activity, workers))
-    }
-
-    fn emf_inner(
-        &self,
-        bins: &ChargeBins,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-    ) -> Result<VoltageTrace, EmError> {
         let mut weighted = {
             let _synth = emtrust_telemetry::span("synthesize");
             self.table.render(bins, extra_leakage_a)?.swap_remove(0)
         };
-        for src in injections {
-            let m = self.map.at(src.location_um.0, src.location_um.1);
-            if m == 0.0 || src.samples.is_empty() {
-                continue;
-            }
-            let scaled: Vec<f64> = src.samples.iter().map(|&i| i * m).collect();
-            weighted.add_assign(&CurrentTrace::new(scaled, weighted.sample_rate_hz()));
-        }
+        inject(&self.map, &mut weighted, injections);
         Ok(emf_from_weighted_current(&weighted))
     }
 
-    /// Synthesizes a *measured* trace: emf plus this coil's environment
-    /// noise (freshly seeded from `noise_seed`).
+    /// A *measured* trace of binned activity: [`Self::emf`] plus this
+    /// coil's environment noise, freshly seeded from `noise_seed`.
     ///
     /// # Errors
     ///
     /// Propagates power-model errors.
     pub fn measure(
         &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        noise_seed: u64,
-    ) -> Result<VoltageTrace, EmError> {
-        self.measure_with(
-            netlist,
-            activity,
-            extra_leakage_a,
-            injections,
-            noise_seed,
-            1,
-        )
-    }
-
-    /// [`Self::measure`] with current synthesis fanned across `workers`
-    /// threads. The noise stream is seeded from `noise_seed` alone, so the
-    /// measurement is bit-identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-model errors.
-    pub fn measure_with(
-        &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        noise_seed: u64,
-        workers: usize,
-    ) -> Result<VoltageTrace, EmError> {
-        let _span = emtrust_telemetry::span("measure");
-        let mut trace = self.emf_with(netlist, activity, extra_leakage_a, injections, workers)?;
-        NoiseModel::environment_for(&self.coil, noise_seed).add_to(&mut trace);
-        Ok(trace)
-    }
-
-    /// [`Self::measure`] of binned activity: [`Self::emf_bins`] plus this
-    /// coil's environment noise seeded from `noise_seed`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-model errors.
-    pub fn measure_bins(
-        &self,
         bins: &ChargeBins,
         extra_leakage_a: Option<&[f64]>,
         injections: &[PointCurrentSource],
         noise_seed: u64,
     ) -> Result<VoltageTrace, EmError> {
         let _span = emtrust_telemetry::span("measure");
-        let mut trace = self.emf_bins(bins, extra_leakage_a, injections)?;
+        let mut trace = self.emf(bins, extra_leakage_a, injections)?;
         NoiseModel::environment_for(&self.coil, noise_seed).add_to(&mut trace);
         Ok(trace)
     }
@@ -389,6 +273,23 @@ impl EmSensor {
     }
 }
 
+/// Adds each analog injection to a flux-weighted current, scaled by the
+/// coil's coupling at the source location.
+pub(crate) fn inject(
+    map: &CouplingMap,
+    weighted: &mut CurrentTrace,
+    injections: &[PointCurrentSource],
+) {
+    for src in injections {
+        let m = map.at(src.location_um.0, src.location_um.1);
+        if m == 0.0 || src.samples.is_empty() {
+            continue;
+        }
+        let scaled: Vec<f64> = src.samples.iter().map(|&i| i * m).collect();
+        weighted.add_assign(&CurrentTrace::new(scaled, weighted.sample_rate_hz()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,6 +297,7 @@ mod tests {
     use emtrust_layout::spiral::SpiralSensor;
     use emtrust_netlist::library::Library;
     use emtrust_power::ClockConfig;
+    use emtrust_sim::activity::ActivityTrace;
     use emtrust_sim::engine::Simulator;
 
     fn small_design() -> (Netlist, Floorplan) {
@@ -428,12 +330,16 @@ mod tests {
         sim.take_recording()
     }
 
+    /// `cycles` recorded cycles, binned with the sensor's table.
+    fn bins(s: &EmSensor, n: &Netlist, cycles: usize) -> ChargeBins {
+        s.charge_table().bin_trace(&activity(n, cycles), 1)
+    }
+
     #[test]
     fn switching_produces_nonzero_emf() {
         let (n, fp) = small_design();
         let s = sensor(&n, &fp);
-        let act = activity(&n, 4);
-        let emf = s.emf(&n, &act, None, &[]).unwrap();
+        let emf = s.emf(&bins(&s, &n, 4), None, &[]).unwrap();
         assert_eq!(emf.len(), 4 * 64);
         assert!(emf.rms_v() > 0.0, "toggling flops must induce an emf");
     }
@@ -442,12 +348,12 @@ mod tests {
     fn emf_is_deterministic_but_measurement_is_noisy() {
         let (n, fp) = small_design();
         let s = sensor(&n, &fp);
-        let act = activity(&n, 2);
-        let a = s.emf(&n, &act, None, &[]).unwrap();
-        let b = s.emf(&n, &act, None, &[]).unwrap();
+        let bins = bins(&s, &n, 2);
+        let a = s.emf(&bins, None, &[]).unwrap();
+        let b = s.emf(&bins, None, &[]).unwrap();
         assert_eq!(a, b);
-        let m1 = s.measure(&n, &act, None, &[], 1).unwrap();
-        let m2 = s.measure(&n, &act, None, &[], 2).unwrap();
+        let m1 = s.measure(&bins, None, &[], 1).unwrap();
+        let m2 = s.measure(&bins, None, &[], 2).unwrap();
         assert_ne!(m1.samples(), m2.samples());
     }
 
@@ -455,8 +361,8 @@ mod tests {
     fn injection_adds_signal() {
         let (n, fp) = small_design();
         let s = sensor(&n, &fp);
-        let act = activity(&n, 2);
-        let base = s.emf(&n, &act, None, &[]).unwrap();
+        let bins = bins(&s, &n, 2);
+        let base = s.emf(&bins, None, &[]).unwrap();
         let c = fp.die().center();
         let inj = PointCurrentSource {
             location_um: (c.x, c.y),
@@ -464,7 +370,7 @@ mod tests {
                 .map(|i| if i % 2 == 0 { 1e-3 } else { -1e-3 })
                 .collect(),
         };
-        let with = s.emf(&n, &act, None, &[inj]).unwrap();
+        let with = s.emf(&bins, None, &[inj]).unwrap();
         assert!(with.rms_v() > base.rms_v());
     }
 
@@ -473,12 +379,11 @@ mod tests {
         // Clamping to the grid edge keeps the call well-defined.
         let (n, fp) = small_design();
         let s = sensor(&n, &fp);
-        let act = activity(&n, 1);
         let inj = PointCurrentSource {
             location_um: (-1e6, -1e6),
             samples: vec![1.0; 64],
         };
-        assert!(s.emf(&n, &act, None, &[inj]).is_ok());
+        assert!(s.emf(&bins(&s, &n, 1), None, &[inj]).is_ok());
     }
 
     #[test]
@@ -527,14 +432,11 @@ mod tests {
             .model()
             .synthesize_with(&n, &act, Some(s.weights()), None, 1)
             .unwrap();
-        let emf = s.emf(&n, &act, None, &[]).unwrap();
-        assert_eq!(emf, emf_from_weighted_current(&fresh));
         let bins = s.charge_table().bin_trace(&act, 1);
-        assert_eq!(s.emf_bins(&bins, None, &[]).unwrap(), emf);
-        assert_eq!(
-            s.measure_bins(&bins, None, &[], 9).unwrap(),
-            s.measure(&n, &act, None, &[], 9).unwrap()
-        );
+        let mut emf = s.emf(&bins, None, &[]).unwrap();
+        assert_eq!(emf, emf_from_weighted_current(&fresh));
+        NoiseModel::environment_for(s.coil(), 9).add_to(&mut emf);
+        assert_eq!(s.measure(&bins, None, &[], 9).unwrap(), emf);
     }
 
     #[test]

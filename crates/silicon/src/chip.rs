@@ -112,40 +112,37 @@ impl FabricatedChip {
         }
     }
 
-    /// A full bench measurement of recorded activity: emf → environment
-    /// noise → oscilloscope front-end.
+    /// A full bench measurement of binned activity, made with the
+    /// channel's [`EmSensor::charge_table`]: emf → environment noise →
+    /// oscilloscope front-end. Noise and scope randomness are seeded from
+    /// `seed` and the chip id alone.
     ///
     /// # Errors
     ///
     /// Propagates power/EM pipeline errors.
     pub fn measure(
         &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
+        bins: &ChargeBins,
         channel: Channel,
         extra_leakage_a: Option<&[f64]>,
         injections: &[PointCurrentSource],
         seed: u64,
     ) -> Result<VoltageTrace, SiliconError> {
-        self.measure_with(
-            netlist,
-            activity,
-            channel,
-            extra_leakage_a,
-            injections,
-            seed,
-            1,
-        )
+        let _span = emtrust_telemetry::span("silicon_measure");
+        let emf = self
+            .sensor(channel)
+            .emf(bins, extra_leakage_a, injections)?;
+        Ok(self.acquire(channel, emf, seed))
     }
 
-    /// [`Self::measure`] with current synthesis fanned across `workers`
-    /// threads. Noise and scope randomness are seeded from `seed` and the
-    /// chip id alone, so the result is bit-identical for every worker
-    /// count.
+    /// [`Self::measure`] of a stored recording of `netlist`, binned with
+    /// the channel's table across `workers` threads; the result is
+    /// bit-identical for every worker count.
     ///
     /// # Errors
     ///
-    /// Propagates power/EM pipeline errors.
+    /// Fails on a netlist other than the one the chip was fabricated
+    /// from, and propagates power/EM pipeline errors.
     #[allow(clippy::too_many_arguments)]
     pub fn measure_with(
         &self,
@@ -157,37 +154,20 @@ impl FabricatedChip {
         seed: u64,
         workers: usize,
     ) -> Result<VoltageTrace, SiliconError> {
-        let _span = emtrust_telemetry::span("silicon_measure");
-        let emf = self.sensor(channel).emf_with(
-            netlist,
-            activity,
-            extra_leakage_a,
-            injections,
-            workers,
-        )?;
-        Ok(self.acquire(channel, emf, seed))
+        let table = self.sensor(channel).charge_table();
+        if netlist.cell_count() != table.cells() {
+            let (expected, actual) = (netlist.cell_count(), table.cells());
+            let mismatch = emtrust_power::PowerError::LengthMismatch { expected, actual };
+            return Err(SiliconError::Em(mismatch.into()));
+        }
+        let bins = table.bin_trace(activity, workers);
+        self.measure(&bins, channel, extra_leakage_a, injections, seed)
     }
 
-    /// [`Self::measure`] of binned activity, made with the channel's
-    /// [`EmSensor::charge_table`]: the measurement a streamed acquisition
-    /// starts from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates power/EM pipeline errors.
-    pub fn measure_bins(
-        &self,
-        bins: &ChargeBins,
-        channel: Channel,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        seed: u64,
-    ) -> Result<VoltageTrace, SiliconError> {
-        let _span = emtrust_telemetry::span("silicon_measure");
-        let emf = self
-            .sensor(channel)
-            .emf_bins(bins, extra_leakage_a, injections)?;
-        Ok(self.acquire(channel, emf, seed))
+    /// The paper's noise-measurement step: chip powered, encryption idle.
+    pub fn measure_noise(&self, channel: Channel, n_samples: usize, seed: u64) -> VoltageTrace {
+        let rate = self.sensor(channel).model().clock().sample_rate_hz();
+        self.acquire(channel, VoltageTrace::new(vec![0.0; n_samples], rate), seed)
     }
 
     /// Environment noise and the scope front-end on a noiseless emf.
@@ -196,18 +176,6 @@ impl FabricatedChip {
         NoiseModel::environment_for(sensor.coil(), seed ^ self.chip_id).add_to(&mut emf);
         self.scope(channel)
             .acquire(&emf, seed.wrapping_mul(31) ^ self.chip_id)
-    }
-
-    /// The paper's noise-measurement step: chip powered, encryption idle.
-    pub fn measure_noise(&self, channel: Channel, n_samples: usize, seed: u64) -> VoltageTrace {
-        let sensor = self.sensor(channel);
-        let mut trace = VoltageTrace::new(
-            vec![0.0; n_samples],
-            sensor.model().clock().sample_rate_hz(),
-        );
-        NoiseModel::environment_for(sensor.coil(), seed ^ self.chip_id).add_to(&mut trace);
-        self.scope(channel)
-            .acquire(&trace, seed.wrapping_mul(31) ^ self.chip_id)
     }
 }
 
@@ -237,6 +205,13 @@ mod tests {
         sim.take_recording()
     }
 
+    /// `cycles` recorded cycles of `n`, binned with `channel`'s table.
+    fn bins(chip: &FabricatedChip, channel: Channel, n: &Netlist, cycles: usize) -> ChargeBins {
+        chip.sensor(channel)
+            .charge_table()
+            .bin_trace(&activity(n, cycles), 1)
+    }
+
     #[test]
     fn fabrication_succeeds_and_chips_differ() {
         let n = bank_netlist(64);
@@ -254,15 +229,11 @@ mod tests {
     fn onchip_channel_sees_more_signal_than_external() {
         let n = bank_netlist(64);
         let chip = FabricatedChip::fabricate(&n, 7, ProcessVariation::none()).unwrap();
-        let act = activity(&n, 8);
-        let on = chip
-            .sensor(Channel::OnChipSensor)
-            .emf(&n, &act, None, &[])
-            .unwrap();
-        let ext = chip
-            .sensor(Channel::ExternalProbe)
-            .emf(&n, &act, None, &[])
-            .unwrap();
+        let emf = |channel| {
+            let bins = bins(&chip, channel, &n, 8);
+            chip.sensor(channel).emf(&bins, None, &[]).unwrap()
+        };
+        let (on, ext) = (emf(Channel::OnChipSensor), emf(Channel::ExternalProbe));
         assert!(on.rms_v() > 3.0 * ext.rms_v());
     }
 
@@ -270,16 +241,12 @@ mod tests {
     fn measurement_includes_noise_and_is_seed_deterministic() {
         let n = bank_netlist(16);
         let chip = FabricatedChip::fabricate(&n, 1, ProcessVariation::nominal()).unwrap();
-        let act = activity(&n, 4);
-        let a = chip
-            .measure(&n, &act, Channel::OnChipSensor, None, &[], 5)
-            .unwrap();
-        let b = chip
-            .measure(&n, &act, Channel::OnChipSensor, None, &[], 5)
-            .unwrap();
-        let c = chip
-            .measure(&n, &act, Channel::OnChipSensor, None, &[], 6)
-            .unwrap();
+        let bins = bins(&chip, Channel::OnChipSensor, &n, 4);
+        let measure = |seed| {
+            chip.measure(&bins, Channel::OnChipSensor, None, &[], seed)
+                .unwrap()
+        };
+        let (a, b, c) = (measure(5), measure(5), measure(6));
         assert_eq!(a.samples(), b.samples());
         assert_ne!(a.samples(), c.samples());
     }
@@ -291,10 +258,18 @@ mod tests {
         let act = activity(&n, 5);
         for channel in [Channel::OnChipSensor, Channel::ExternalProbe] {
             let bins = chip.sensor(channel).charge_table().bin_trace(&act, 1);
-            let binned = chip.measure_bins(&bins, channel, None, &[], 8).unwrap();
-            let recorded = chip.measure(&n, &act, channel, None, &[], 8).unwrap();
-            assert_eq!(binned, recorded, "{channel:?}");
+            let binned = chip.measure(&bins, channel, None, &[], 8).unwrap();
+            for workers in [1, 3] {
+                let recorded = chip.measure_with(&n, &act, channel, None, &[], 8, workers);
+                assert_eq!(binned, recorded.unwrap(), "{channel:?}, {workers} workers");
+            }
         }
+        let other = bank_netlist(17);
+        let recorded = chip.measure_with(&other, &act, Channel::OnChipSensor, None, &[], 8, 1);
+        assert!(
+            recorded.is_err(),
+            "a netlist other than the chip's must be refused"
+        );
     }
 
     #[test]
@@ -311,13 +286,13 @@ mod tests {
         let n = bank_netlist(16);
         let mut chip = FabricatedChip::fabricate(&n, 1, ProcessVariation::none()).unwrap();
         let noisy = Oscilloscope::new(250e6, 1e-6, 12, 1e-3).unwrap();
-        let act = activity(&n, 4);
+        let bins = bins(&chip, Channel::OnChipSensor, &n, 4);
         let before = chip
-            .measure(&n, &act, Channel::OnChipSensor, None, &[], 2)
+            .measure(&bins, Channel::OnChipSensor, None, &[], 2)
             .unwrap();
         chip.set_scope(Channel::OnChipSensor, noisy);
         let after = chip
-            .measure(&n, &act, Channel::OnChipSensor, None, &[], 2)
+            .measure(&bins, Channel::OnChipSensor, None, &[], 2)
             .unwrap();
         assert!(after.rms_v() > before.rms_v());
     }
@@ -325,17 +300,15 @@ mod tests {
     #[test]
     fn variation_perturbs_the_signal_slightly() {
         let n = bank_netlist(64);
-        let act = activity(&n, 8);
         let ideal = FabricatedChip::fabricate(&n, 3, ProcessVariation::none()).unwrap();
         let real = FabricatedChip::fabricate(&n, 3, ProcessVariation::nominal()).unwrap();
-        let a = ideal
-            .sensor(Channel::OnChipSensor)
-            .emf(&n, &act, None, &[])
-            .unwrap();
-        let b = real
-            .sensor(Channel::OnChipSensor)
-            .emf(&n, &act, None, &[])
-            .unwrap();
+        let emf = |chip: &FabricatedChip| {
+            let bins = bins(chip, Channel::OnChipSensor, &n, 8);
+            chip.sensor(Channel::OnChipSensor)
+                .emf(&bins, None, &[])
+                .unwrap()
+        };
+        let (a, b) = (emf(&ideal), emf(&real));
         let ratio = b.rms_v() / a.rms_v();
         assert!((0.8..1.2).contains(&ratio), "variation ratio {ratio}");
         assert_ne!(a.samples(), b.samples());
