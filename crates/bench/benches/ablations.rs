@@ -7,7 +7,9 @@
 //!   paper's future-work knob),
 //! - `ablation_probe_height` — external-probe coupling vs. standoff
 //!   ("signal intensity is closely related to the distance"),
-//! - `ablation_samples_per_cycle` — acquisition rate vs. detection.
+//! - `ablation_samples_per_cycle` — acquisition rate vs. detection,
+//! - `coupling_map` — build cost of each coil's gridded kernel on a
+//!   630 µm die (the all-Trojan chip's size), probe map included.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emtrust::acquisition::TestBench;
@@ -160,11 +162,28 @@ fn ablation_samples_per_cycle(c: &mut Criterion) {
     g.finish();
 }
 
+fn coupling_map(c: &mut Criterion) {
+    let die = Die::square(630.0).expect("die");
+    let mut g = c.benchmark_group("coupling_map");
+    g.sample_size(10);
+    let coils: [(&str, Coil); 2] = [
+        ("spiral", SpiralSensor::for_die(die).expect("spiral").into()),
+        ("probe", ExternalProbe::over_die(die).into()),
+    ];
+    for (label, coil) in coils {
+        g.bench_function(label, |b| {
+            b.iter(|| CouplingMap::build(&coil, die).unwrap())
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     ablations,
     ablation_pca,
     ablation_coil_turns,
     ablation_probe_height,
-    ablation_samples_per_cycle
+    ablation_samples_per_cycle,
+    coupling_map
 );
 criterion_main!(ablations);

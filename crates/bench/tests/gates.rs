@@ -295,6 +295,45 @@ fn committed_artifacts_pass_every_table() {
     }
 }
 
+/// `exp_forensics` writes `BENCH_forensics.json` and the decision log
+/// from one run, so the artifact's `tiles` must carry the margins of the
+/// log's array record bit for bit; a regenerated log next to a stale
+/// artifact (or the reverse) fails here.
+#[test]
+fn forensics_tiles_match_the_decision_logs_array_record() {
+    let artifact = parse(&read("BENCH_forensics.json"));
+    let tiles = artifact
+        .get("tiles")
+        .and_then(Value::as_array)
+        .expect("BENCH_forensics.json has tiles");
+    let log = read(DECISIONS);
+    let arrays: Vec<Value> = log
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(parse)
+        .filter(|r| r.get("domain").and_then(Value::as_str) == Some("array"))
+        .collect();
+    assert_eq!(arrays.len(), 1, "one array record in {DECISIONS}");
+    let logged = arrays[0]
+        .get("tiles")
+        .and_then(Value::as_array)
+        .expect("the array record has tiles");
+    assert_eq!(tiles.len(), logged.len());
+    for (i, (tile, record)) in tiles.iter().zip(logged).enumerate() {
+        for key in ["row", "col"] {
+            assert_eq!(tile.get(key), record.get(key), "tiles[{i}].{key}");
+        }
+        let margin = |v: &Value| v.get("margin").and_then(Value::as_f64).map(f64::to_bits);
+        assert_eq!(
+            margin(tile),
+            margin(record),
+            "tiles[{i}].margin: {:?} in BENCH_forensics.json, {:?} in {DECISIONS}",
+            tile.get("margin"),
+            record.get("margin")
+        );
+    }
+}
+
 #[test]
 fn every_row_and_invariant_can_fail() {
     let mut survivors = Vec::new();

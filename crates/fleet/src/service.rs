@@ -575,10 +575,6 @@ fn shard_worker(
     let mut alarms = 0u64;
     while let Ok(job) = rx.recv() {
         shared.depth.fetch_sub(1, Ordering::Relaxed);
-        shared
-            .counters
-            .processed_batches
-            .fetch_add(1, Ordering::Relaxed);
         match store.ingest(&job.chip_id, &job.traces) {
             Ok(outcome) => {
                 scored += (outcome.scored + outcome.warmup) as u64;
@@ -610,6 +606,12 @@ fn shard_worker(
                 telemetry::counter_with("fleet.store_errors", &shard_labels, 1);
             }
         }
+        // Counted once the batch's breaker feedback is in, so a reader
+        // that sees the count also sees the breaker it updated.
+        shared
+            .counters
+            .processed_batches
+            .fetch_add(1, Ordering::Release);
     }
     StoreReport {
         chip_stats: store.chip_stats(),
@@ -652,6 +654,20 @@ mod tests {
         }
     }
 
+    /// Blocks until every shard worker has finished (breaker feedback
+    /// included) every batch its queue accepted.
+    fn wait_for_workers(service: &FleetService) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        for shard in &service.shards {
+            let c = &shard.shared.counters;
+            let accepted = c.admitted.load(Ordering::Relaxed) + c.throttled.load(Ordering::Relaxed);
+            while c.processed_batches.load(Ordering::Acquire) < accepted {
+                assert!(std::time::Instant::now() < deadline, "shard worker stalled");
+                std::thread::yield_now();
+            }
+        }
+    }
+
     #[test]
     fn clean_fleet_admits_everything_and_reports_per_chip() {
         let service = FleetService::new(small_config()).unwrap();
@@ -662,6 +678,9 @@ mod tests {
                     .unwrap();
                 assert!(r.verdict.accepted(), "{chip} round {round}: {r:?}");
             }
+            // A round never fills a queue once the last one has drained,
+            // however slowly the workers run.
+            wait_for_workers(&service);
         }
         let summary = service.finish().unwrap();
         assert_eq!(summary.chips.len(), 3);
@@ -689,8 +708,9 @@ mod tests {
             if r.verdict == AdmissionVerdict::Quarantined {
                 refused += 1;
             } else {
-                // Give the worker time to feed the breaker back.
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                // Let the worker feed the breaker back before the next
+                // admission decision.
+                wait_for_workers(&service);
             }
         }
         assert!(refused > 0, "breaker never tripped");
