@@ -314,9 +314,8 @@ pub fn run_encryption_with(
 
 /// Like [`run_encryption`], with every clock edge applied by `step`
 /// instead of [`Simulator::step`]: the hook through which a caller
-/// streams each edge's toggles into its own
-/// [`ToggleSink`](emtrust_sim::ToggleSink) with
-/// [`Simulator::step_into`].
+/// streams each edge's [`ToggleWords`](emtrust_sim::ToggleWords) into
+/// its own sink with [`Simulator::step_words`].
 pub fn run_encryption_stepped<'a>(
     sim: &mut Simulator<'a>,
     ports: &AesPorts,

@@ -1,6 +1,8 @@
 //! Ablation studies over the design choices DESIGN.md calls out. Each
 //! group also *prints* the quality metric it probes, so `cargo bench`
-//! doubles as the ablation report:
+//! doubles as the ablation report; a name filter (`cargo bench --bench
+//! ablations -- coupling_map`) skips the reports, and their set-up, of
+//! the benchmarks it leaves out:
 //!
 //! - `ablation_pca` — detection distance with and without PCA (§III-D),
 //! - `ablation_coil_turns` — sensor coupling vs. spiral turn count (the
@@ -25,11 +27,9 @@ use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 fn ablation_pca(c: &mut Criterion) {
-    let chip = ProtectedChip::with_trojans(&[TrojanKind::T4PowerDegrader]);
-    let bench = TestBench::silicon(&chip, 1).expect("bench");
     let mut g = c.benchmark_group("ablation_pca");
     g.sample_size(10);
-    for (label, config) in [
+    let configs: Vec<_> = [
         ("with_pca8", FingerprintConfig::default()),
         (
             "without_pca",
@@ -38,7 +38,16 @@ fn ablation_pca(c: &mut Criterion) {
                 ..FingerprintConfig::default()
             },
         ),
-    ] {
+    ]
+    .into_iter()
+    .filter(|(label, _)| g.selects(label))
+    .collect();
+    if configs.is_empty() {
+        return;
+    }
+    let chip = ProtectedChip::with_trojans(&[TrojanKind::T4PowerDegrader]);
+    let bench = TestBench::silicon(&chip, 1).expect("bench");
+    for (label, config) in configs {
         // Report the quality metric once.
         let rows = trojan_distance_study(
             &bench,
@@ -79,6 +88,9 @@ fn ablation_coil_turns(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_coil_turns");
     g.sample_size(10);
     for turns in [5usize, 10, 20, 40] {
+        if !g.selects(turns) {
+            continue;
+        }
         let coil: Coil = SpiralSensor::with_turns(die, turns).expect("spiral").into();
         let map = CouplingMap::build(&coil, die).expect("map");
         println!(
@@ -100,6 +112,9 @@ fn ablation_probe_height(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_probe_height");
     g.sample_size(10);
     for z_um in [100.0f64, 300.0, 1000.0, 3000.0] {
+        if !g.selects(z_um as u64) {
+            continue;
+        }
         let probe = ExternalProbe::over_die(die)
             .with_standoff(z_um)
             .expect("probe");
@@ -128,15 +143,22 @@ fn ablation_samples_per_cycle(c: &mut Criterion) {
     use emtrust_sim::engine::Simulator;
 
     // Current-synthesis cost and waveform fidelity vs. acquisition rate.
+    let mut g = c.benchmark_group("ablation_samples_per_cycle");
+    g.sample_size(10);
+    let rates: Vec<usize> = [16, 64, 256]
+        .into_iter()
+        .filter(|&s| g.selects(s))
+        .collect();
+    if rates.is_empty() {
+        return;
+    }
     let aes = emtrust_aes::AesHarness::new();
     let mut sim = Simulator::new(aes.netlist()).expect("sim");
     sim.start_recording();
     let _ = emtrust_aes::netlist::run_encryption(&mut sim, aes.ports(), [1; 16], [2; 16]);
     let activity = sim.take_recording();
 
-    let mut g = c.benchmark_group("ablation_samples_per_cycle");
-    g.sample_size(10);
-    for spc in [16usize, 64, 256] {
+    for spc in rates {
         let model = CurrentModel::new(
             Library::generic_180nm(),
             ClockConfig::new(10e6, spc).expect("clock"),

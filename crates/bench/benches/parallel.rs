@@ -4,19 +4,21 @@
 //! the machine-readable version to `BENCH_parallel.json`). The
 //! `simulate` group covers both widths of the word-parallel simulator;
 //! the `synthesize` group compares binning stored events with binning
-//! the simulator's toggle stream.
+//! the simulator's toggle words as it runs, on one lane and on 64.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::{DetectionPipeline, EuclideanDetector};
-use emtrust_aes::netlist::{run_encryption, run_encryption_stepped, run_encryptions};
+use emtrust_aes::netlist::{
+    run_encryption, run_encryption_stepped, run_encryptions, run_encryptions_stepped,
+};
 use emtrust_bench::EXPERIMENT_KEY;
 use emtrust_netlist::library::Library;
 use emtrust_power::{ClockConfig, CurrentModel};
 use emtrust_silicon::Channel;
-use emtrust_sim::{ToggleEvent, LANES};
+use emtrust_sim::LANES;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -126,24 +128,33 @@ fn simulate(c: &mut Criterion) {
 
 /// Eight weighted currents of one T1-armed encryption (a 4×2 array's
 /// worth) from a charge table compiled once: stored events binned after
-/// a recording, against the simulator's toggle stream binned as it runs.
+/// a recording, against the simulator's toggle words binned as it runs.
+/// Then one weighted current each of 64 fresh encryptions on the golden
+/// chip, one per lane, as `spectral_watch`'s windows stream them.
 fn synthesize(c: &mut Criterion) {
     let chip = ProtectedChip::with_all_trojans();
     let netlist = chip.netlist();
     let model = CurrentModel::new(Library::generic_180nm(), ClockConfig::reference());
-    let weights: Vec<Vec<f64>> = (0..8)
-        .map(|s| {
-            (0..netlist.cell_count())
-                .map(|i| 0.2 + ((i * (s + 3)) % 17) as f64 / 17.0)
-                .collect()
-        })
-        .collect();
-    let sets: Vec<Option<&[f64]>> = weights.iter().map(|w| Some(w.as_slice())).collect();
+    let weights = |cells: usize, s: usize| -> Vec<f64> {
+        (0..cells)
+            .map(|i| 0.2 + ((i * (s + 3)) % 17) as f64 / 17.0)
+            .collect()
+    };
+    let weights8: Vec<Vec<f64>> = (0..8).map(|s| weights(netlist.cell_count(), s)).collect();
+    let sets: Vec<Option<&[f64]>> = weights8.iter().map(|w| Some(w.as_slice())).collect();
     let table = model.charge_table(netlist, &sets).expect("charge table");
     let mut sim = chip.simulator().expect("simulator");
     chip.disarm_all(&mut sim);
     chip.arm(&mut sim, TrojanKind::T1AmLeaker, true);
     let pt = [0x3c; 16];
+
+    let golden = ProtectedChip::golden();
+    let weights1 = weights(golden.netlist().cell_count(), 0);
+    let table1 = model
+        .charge_table(golden.netlist(), &[Some(&weights1)])
+        .expect("charge table");
+    let mut lanes_sim = golden.simulator().expect("simulator");
+    let plaintexts: Vec<[u8; 16]> = (0..LANES as u8).map(|i| [i.wrapping_mul(37); 16]).collect();
 
     let mut g = c.benchmark_group("synthesize");
     g.sample_size(10);
@@ -160,13 +171,24 @@ fn synthesize(c: &mut Criterion) {
     g.bench_function("streamed_to_bins_8_sets", |b| {
         b.iter(|| {
             let mut bins = table.bins();
-            let mut sink = |_: usize, _: u64, events: &[ToggleEvent]| {
-                table.bin_cycle(events, &mut bins);
-            };
             let _ = run_encryption_stepped(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, pt, |s| {
-                s.step_into(&mut sink)
+                s.step_words(|_, words| table.bin_words(words, &mut bins))
             });
             table.render(&bins, None).expect("render")
+        })
+    });
+    g.throughput(Throughput::Elements(LANES as u64));
+    g.bench_function("streamed_64_lanes_to_bins_1_set", |b| {
+        b.iter(|| {
+            let mut bins = vec![table1.bins(); LANES];
+            let ports = golden.aes_ports();
+            let _ =
+                run_encryptions_stepped(&mut lanes_sim, ports, EXPERIMENT_KEY, &plaintexts, |s| {
+                    s.step_words(|lane, words| table1.bin_words(words, &mut bins[lane]))
+                });
+            bins.iter()
+                .map(|bins| table1.render(bins, None).expect("render"))
+                .collect::<Vec<_>>()
         })
     });
     g.finish();

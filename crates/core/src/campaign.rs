@@ -18,8 +18,8 @@
 //!   sequentially on one live lane of the same engine, sampling T2's
 //!   leakage-sense net every cycle when T2 is armed.
 //!
-//! A cycle's bins depend only on that cycle's events, which arrive in
-//! serial event order whatever the lane, so the blocks' bins are
+//! A cycle's bins depend only on that cycle's toggles, which are summed
+//! in serial event order whatever the lane, so the blocks' bins are
 //! bit-identical whatever the width and the worker count, and equal the
 //! bins of a stored serial recording.
 
@@ -30,7 +30,7 @@ use emtrust_aes::netlist::{
     run_encryption_stepped, run_encryption_with, run_encryptions, run_encryptions_stepped,
 };
 use emtrust_power::{ChargeBins, ChargeTable};
-use emtrust_sim::{Simulator, ToggleActivity, ToggleEvent, ToggleSink, LANES};
+use emtrust_sim::{Simulator, ToggleActivity, ToggleWords, LANES};
 use emtrust_telemetry as telemetry;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
@@ -41,7 +41,7 @@ pub(crate) struct Block {
     pub(crate) leak: Option<Vec<f64>>,
 }
 
-/// Bins every live lane's toggles into that lane's block and, when
+/// Bins every live lane's toggle words into that lane's block and, when
 /// given, counts them per cell.
 struct BlockSink<'t, 'a> {
     table: &'t ChargeTable,
@@ -57,13 +57,11 @@ impl<'t, 'a> BlockSink<'t, 'a> {
             toggles,
         }
     }
-}
 
-impl ToggleSink for BlockSink<'_, '_> {
-    fn cycle(&mut self, lane: usize, _cycle: u64, events: &[ToggleEvent]) {
-        self.table.bin_cycle(events, &mut self.bins[lane]);
+    fn cycle(&mut self, lane: usize, words: ToggleWords<'_>) {
+        self.table.bin_words(words, &mut self.bins[lane]);
         if let Some(toggles) = self.toggles.as_deref_mut() {
-            toggles.absorb_cycle(events);
+            toggles.absorb_words(words);
         }
     }
 }
@@ -208,7 +206,7 @@ impl<'c> Campaign<'c> {
         let mut out = BlockSink::new(table, 1, toggles);
         let mut leak = Vec::new();
         let _ = run_encryption_stepped(sim, self.chip.aes_ports(), self.key, pt, |s| {
-            s.step_into(&mut out);
+            s.step_words(|lane, words| out.cycle(lane, words));
             if let Some(net) = leak_sense {
                 // The leakage path opens while the sense bit is low.
                 leak.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
@@ -258,7 +256,7 @@ impl<'c> Campaign<'c> {
     ) -> Vec<Block> {
         let mut out = BlockSink::new(table, blocks.len(), toggles);
         let _ = run_encryptions_stepped(sim, self.chip.aes_ports(), self.key, blocks, |s| {
-            s.step_into(&mut out)
+            s.step_words(|lane, words| out.cycle(lane, words))
         });
         out.bins
             .into_iter()

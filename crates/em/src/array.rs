@@ -107,10 +107,12 @@ impl EmArray {
             let coil = Coil::OnChip(
                 SpiralSensor::with_turns(Die { core: rect }, turns).map_err(EmError::Layout)?,
             );
+            // Every tile's table is the first one's, reweighted.
+            let template = tiles.first().map(|t: &EmTile| t.sensor.charge_table());
             let sensor = EmPipelineConfig::default()
                 .with_coil(coil)
                 .with_model(model.clone())
-                .build(netlist, floorplan)?;
+                .build_from(netlist, floorplan, template)?;
             tiles.push(EmTile {
                 row: i / cols,
                 col: i % cols,
@@ -120,7 +122,11 @@ impl EmArray {
         }
         let weight_sets: Vec<Option<&[f64]>> =
             tiles.iter().map(|t| Some(t.sensor.weights())).collect();
-        let table = model.charge_table(netlist, &weight_sets)?;
+        let mut table = match tiles.first() {
+            Some(tile) => tile.sensor.charge_table().clone(),
+            None => model.charge_table(netlist, &[None])?,
+        };
+        table.reweight(&weight_sets)?;
         Ok(Self {
             rows,
             cols,
@@ -305,6 +311,24 @@ mod tests {
         let emfs = arr.emf_multi(&bins, None, &[]).unwrap();
         let expected: Vec<VoltageTrace> = fresh.iter().map(emf_from_weighted_current).collect();
         assert_eq!(emfs, expected);
+    }
+
+    #[test]
+    fn tables_reweighted_from_the_first_tile_bin_like_fresh_ones() {
+        let (n, fp) = small_design();
+        let arr = EmArray::build(&n, &fp, model(), 2, 2, 4).unwrap();
+        let act = activity(&n, 5);
+        let mut sets = Vec::new();
+        for tile in arr.tiles() {
+            let weights = Some(tile.sensor().weights());
+            let fresh = model().charge_table(&n, &[weights]).unwrap();
+            let got = tile.sensor().charge_table().bin_trace(&act, 1);
+            assert_eq!(got, fresh.bin_trace(&act, 1));
+            sets.push(weights);
+        }
+        let fresh = model().charge_table(&n, &sets).unwrap();
+        let got = arr.charge_table().bin_trace(&act, 1);
+        assert_eq!(got, fresh.bin_trace(&act, 1));
     }
 
     #[test]

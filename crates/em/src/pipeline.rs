@@ -111,6 +111,18 @@ impl EmPipelineConfig {
     /// Propagates layout errors from default-coil construction and
     /// coupling-map construction errors.
     pub fn build(self, netlist: &Netlist, floorplan: &Floorplan) -> Result<EmSensor, EmError> {
+        self.build_from(netlist, floorplan, None)
+    }
+
+    /// [`Self::build`], compiling the charge table from `template` when
+    /// given: a table of the same netlist and model, reweighted, which is
+    /// the same bits as a fresh one and skips the source-order pass.
+    pub(crate) fn build_from(
+        self,
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        template: Option<&ChargeTable>,
+    ) -> Result<EmSensor, EmError> {
         let coil = match self.coil {
             Some(coil) => coil,
             None => Coil::OnChip(SpiralSensor::for_die(floorplan.die()).map_err(EmError::Layout)?),
@@ -125,7 +137,14 @@ impl EmPipelineConfig {
             self.dipole_area_um2.unwrap_or(DEFAULT_DIPOLE_AREA_UM2),
         )?;
         let weights = map.weights_for(netlist, floorplan);
-        let table = model.charge_table(netlist, &[Some(&weights)])?;
+        let table = match template {
+            Some(template) => {
+                let mut table = template.clone();
+                table.reweight(&[Some(&weights)])?;
+                table
+            }
+            None => model.charge_table(netlist, &[Some(&weights)])?,
+        };
         Ok(EmSensor {
             coil,
             map,

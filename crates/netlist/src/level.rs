@@ -61,63 +61,71 @@ impl Levels {
 /// Returns [`NetlistError::CombinationalCycle`] if combinational logic
 /// feeds back on itself without passing through a flip-flop.
 pub fn levelize(netlist: &Netlist) -> Result<Levels, NetlistError> {
+    const NONE: u32 = u32::MAX;
     let n_cells = netlist.cell_count();
-    let mut cell_levels = vec![0u32; n_cells];
-    // Kahn's algorithm over combinational cells only.
+    let comb = |c: CellId| !netlist.cell(c).kind().is_sequential();
+    // Per net: the combinational cell driving it, or `NONE` for primary
+    // inputs, constants and flip-flop outputs (the level-0 sources).
+    let comb_driver: Vec<u32> = (0..netlist.net_count() as u32)
+        .map(|net| match netlist.net_source(NetId(net)) {
+            NetSource::Cell(c) if comb(*c) => c.0,
+            _ => NONE,
+        })
+        .collect();
+    // Kahn's algorithm over combinational cells only. The combinational
+    // cells that read each cell's output are kept flat: cell c's readers
+    // are `fanout[fanout_start[c]..fanout_start[c + 1]]`, in cell-id then
+    // pin order.
     let mut indegree = vec![0u32; n_cells];
-    // fanout[c] = combinational cells that read c's output.
-    let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n_cells];
-
-    let level_of_net = |net: NetId, levels: &[u32], nl: &Netlist| -> u32 {
-        match nl.net_source(net) {
-            NetSource::Cell(c) => {
-                if nl.cell(*c).kind().is_sequential() {
-                    0
-                } else {
-                    levels[c.index()] + 1
-                }
-            }
-            _ => 0,
-        }
-    };
-
-    for (id, cell) in netlist.cells() {
-        if cell.kind().is_sequential() {
-            continue;
-        }
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n_cells * 2);
+    for (id, cell) in netlist.cells().filter(|&(id, _)| comb(id)) {
         for &input in cell.inputs() {
-            if let NetSource::Cell(src) = netlist.net_source(input) {
-                if !netlist.cell(*src).kind().is_sequential() {
-                    indegree[id.index()] += 1;
-                    fanout[src.index()].push(id.0);
-                }
+            let src = comb_driver[input.index()];
+            if src != NONE {
+                indegree[id.index()] += 1;
+                edges.push((src, id.0));
             }
         }
     }
+    let mut fanout_start = vec![0usize; n_cells + 1];
+    for &(src, _) in &edges {
+        fanout_start[src as usize + 1] += 1;
+    }
+    for c in 0..n_cells {
+        fanout_start[c + 1] += fanout_start[c];
+    }
+    let mut fill = fanout_start.clone();
+    let mut fanout = vec![0u32; edges.len()];
+    for (src, id) in edges {
+        fanout[fill[src as usize]] = id;
+        fill[src as usize] += 1;
+    }
 
-    let mut queue: Vec<CellId> = netlist
+    // The queue, once drained, is the evaluation order.
+    let mut cell_levels = vec![0u32; n_cells];
+    let mut order: Vec<CellId> = netlist
         .cells()
-        .filter(|(id, c)| !c.kind().is_sequential() && indegree[id.index()] == 0)
+        .filter(|&(id, _)| comb(id) && indegree[id.index()] == 0)
         .map(|(id, _)| id)
         .collect();
-    let mut order = Vec::with_capacity(n_cells);
     let mut head = 0;
-    while head < queue.len() {
-        let id = queue[head];
+    while head < order.len() {
+        let id = order[head];
         head += 1;
-        let cell = netlist.cell(id);
-        let lvl = cell
+        cell_levels[id.index()] = netlist
+            .cell(id)
             .inputs()
             .iter()
-            .map(|&i| level_of_net(i, &cell_levels, netlist))
+            .map(|&i| match comb_driver[i.index()] {
+                NONE => 0,
+                c => cell_levels[c as usize] + 1,
+            })
             .max()
             .unwrap_or(0);
-        cell_levels[id.index()] = lvl;
-        order.push(id);
-        for &f in &fanout[id.index()] {
+        for &f in &fanout[fanout_start[id.index()]..fanout_start[id.index() + 1]] {
             indegree[f as usize] -= 1;
             if indegree[f as usize] == 0 {
-                queue.push(CellId(f));
+                order.push(CellId(f));
             }
         }
     }
@@ -221,6 +229,88 @@ mod tests {
         };
         assert_eq!(levels.level_of(join_cell), 1);
         assert_eq!(levels.max_level(), 1);
+    }
+
+    /// Kahn's algorithm with one fanout list per cell, in the same queue
+    /// discipline as [`levelize`]: the reference its flat fanout must
+    /// reproduce exactly.
+    fn levelize_reference(netlist: &Netlist) -> (Vec<u32>, Vec<CellId>) {
+        let n = netlist.cell_count();
+        let comb = |c: CellId| !netlist.cell(c).kind().is_sequential();
+        let mut indegree = vec![0u32; n];
+        let mut fanout: Vec<Vec<CellId>> = vec![Vec::new(); n];
+        for (id, cell) in netlist.cells().filter(|&(id, _)| comb(id)) {
+            for &input in cell.inputs() {
+                if let NetSource::Cell(src) = netlist.net_source(input) {
+                    if comb(*src) {
+                        indegree[id.index()] += 1;
+                        fanout[src.index()].push(id);
+                    }
+                }
+            }
+        }
+        let mut queue: Vec<CellId> = netlist
+            .cells()
+            .map(|(id, _)| id)
+            .filter(|&id| comb(id) && indegree[id.index()] == 0)
+            .collect();
+        let mut levels = vec![0u32; n];
+        let mut head = 0;
+        while head < queue.len() {
+            let id = queue[head];
+            head += 1;
+            levels[id.index()] = netlist
+                .cell(id)
+                .inputs()
+                .iter()
+                .map(|&i| match netlist.net_source(i) {
+                    NetSource::Cell(c) if comb(*c) => levels[c.index()] + 1,
+                    _ => 0,
+                })
+                .max()
+                .unwrap_or(0);
+            for &f in &fanout[id.index()] {
+                indegree[f.index()] -= 1;
+                if indegree[f.index()] == 0 {
+                    queue.push(f);
+                }
+            }
+        }
+        (levels, queue)
+    }
+
+    #[test]
+    fn flat_fanout_levelizes_like_per_cell_lists() {
+        use crate::cell::ALL_KINDS;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for _ in 0..8 {
+            let mut n = Netlist::new("random");
+            let mut nets = n.input_bus("i", 4);
+            let deferred: Vec<_> = (0..6).map(|_| n.dff_deferred()).collect();
+            nets.extend(deferred.iter().map(|(q, _)| *q));
+            for _ in 0..300 {
+                let kind = ALL_KINDS[rng.gen_range(0..ALL_KINDS.len())];
+                let ins: Vec<NetId> = (0..kind.arity())
+                    .map(|_| nets[rng.gen_range(0..nets.len())])
+                    .collect();
+                let out = if kind.is_sequential() {
+                    n.dff(ins[0])
+                } else {
+                    n.gate(kind, &ins)
+                };
+                nets.push(out);
+            }
+            for (_, d) in deferred {
+                let net = nets[rng.gen_range(0..nets.len())];
+                n.connect_dff_d(d, net);
+            }
+            let levels = levelize(&n).unwrap();
+            let (reference, order) = levelize_reference(&n);
+            assert_eq!(levels.cell_levels(), reference.as_slice());
+            assert_eq!(levels.eval_order(), order.as_slice());
+            assert_eq!(levels.max_level(), reference.iter().copied().max().unwrap());
+        }
     }
 
     #[test]

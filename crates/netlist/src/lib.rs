@@ -20,8 +20,7 @@
 //! - [`stats`] — gate-count statistics per module (regenerates paper
 //!   Table I),
 //! - [`synth`] — a from-scratch combinational synthesizer (truth table →
-//!   reduced ordered BDD → MUX2 netlist) used to emit the AES S-box,
-//! - [`verilog`] — structural Verilog export of generated netlists.
+//!   reduced ordered BDD → MUX2 netlist) used to emit the AES S-box.
 //!
 //! # Examples
 //!
@@ -51,7 +50,6 @@ pub mod level;
 pub mod library;
 pub mod stats;
 pub mod synth;
-pub mod verilog;
 
 pub use cell::CellKind;
 pub use graph::{CellId, ModuleId, NetId, Netlist};
@@ -99,6 +97,12 @@ pub enum NetlistError {
         /// The conflicting name.
         name: String,
     },
+    /// An evaluation order put a cell below the level of the one before
+    /// it, so the levels would not form one run each.
+    DecreasingLevel {
+        /// The offending cell (raw index).
+        cell: u32,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -123,6 +127,9 @@ impl fmt::Display for NetlistError {
             NetlistError::BadTruthTable { what } => write!(f, "bad truth table: {what}"),
             NetlistError::DuplicateName { name } => {
                 write!(f, "name {name:?} is already in use")
+            }
+            NetlistError::DecreasingLevel { cell } => {
+                write!(f, "cell #{cell} is evaluated after a deeper cell")
             }
         }
     }
@@ -151,6 +158,7 @@ mod tests {
             NetlistError::CombinationalCycle { cell: 1 },
             NetlistError::BadTruthTable { what: "empty" },
             NetlistError::DuplicateName { name: "clk".into() },
+            NetlistError::DecreasingLevel { cell: 4 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

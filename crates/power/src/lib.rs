@@ -47,6 +47,8 @@ pub enum PowerError {
         /// Supplied length.
         actual: usize,
     },
+    /// The netlist could not be levelized into toggle sources.
+    Netlist(emtrust_netlist::NetlistError),
 }
 
 impl fmt::Display for PowerError {
@@ -56,11 +58,25 @@ impl fmt::Display for PowerError {
             PowerError::LengthMismatch { expected, actual } => {
                 write!(f, "length mismatch: expected {expected}, got {actual}")
             }
+            PowerError::Netlist(e) => write!(f, "netlist: {e}"),
         }
     }
 }
 
-impl Error for PowerError {}
+impl Error for PowerError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            PowerError::Netlist(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<emtrust_netlist::NetlistError> for PowerError {
+    fn from(e: emtrust_netlist::NetlistError) -> Self {
+        PowerError::Netlist(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -77,5 +93,7 @@ mod tests {
         }
         .to_string()
         .contains("expected 1"));
+        let cycle = emtrust_netlist::NetlistError::CombinationalCycle { cell: 3 };
+        assert!(PowerError::from(cycle).to_string().contains("cycle"));
     }
 }

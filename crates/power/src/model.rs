@@ -3,12 +3,16 @@
 //! Every toggle of clock cycle `k` at switching level `l` lands at the
 //! same instant, `t = k·T + (l + ½)·τ`, so synthesis runs in two steps:
 //!
-//! 1. **Bin.** A compiled [`ChargeTable`] holds each cell's deposit
-//!    amplitude `(q·w)/dt` per output edge, set-major across the weight
-//!    sets. [`ChargeTable::bin_cycle`] sums one cycle's toggles into one
-//!    [`ChargeBins`] entry per (level, weight set), in the order the
-//!    events arrive: the serial event order of the simulator (flip-flops
-//!    in id order, then evaluation order). The clock edge opens the
+//! 1. **Bin.** A compiled [`ChargeTable`] holds each toggle source's
+//!    deposit amplitude `(q·w)/dt` per output edge, set-major across the
+//!    weight sets, in the simulator's source order (flip-flops in id
+//!    order, then gates in evaluation order; see
+//!    [`emtrust_sim::Sources`]). [`ChargeTable::bin_words`] sums one
+//!    lane's toggle bits of one cycle ([`ToggleWords`]) into one
+//!    [`ChargeBins`] entry per (level, weight set), level run by level
+//!    run; [`ChargeTable::bin_cycle`] does the same for a recorded
+//!    cycle's events. Either way every bin adds its toggles in serial
+//!    event order, so both give the same bits. The clock edge opens the
 //!    level-0 bin.
 //! 2. **Render.** [`ChargeTable::render`] deposits each bin once, split
 //!    linearly over the two samples around its instant, over each set's
@@ -28,8 +32,10 @@ use crate::trace::CurrentTrace;
 use crate::PowerError;
 use emtrust_netlist::cell::CellKind;
 use emtrust_netlist::graph::{CellId, Netlist};
+use emtrust_netlist::level::levelize;
 use emtrust_netlist::library::Library;
 use emtrust_sim::activity::{ActivityTrace, ToggleEvent};
+use emtrust_sim::{Sources, ToggleWords, LANES};
 
 /// Fraction of a flip-flop's `C_eff` switched by its clock pins every
 /// edge, data-independent (the clock tree's contribution).
@@ -38,6 +44,10 @@ const CLOCK_LOAD_FRACTION: f64 = 0.35;
 /// Falling output transitions move slightly less supply charge than
 /// rising ones (PMOS/NMOS asymmetry).
 const FALL_CHARGE_FRACTION: f64 = 0.85;
+
+/// The edge factor by a toggle's new value: a falling edge (0) moves
+/// [`FALL_CHARGE_FRACTION`] of the amplitude, a rising one (1) all of it.
+const EDGE: [f64; 2] = [FALL_CHARGE_FRACTION, 1.0];
 
 /// Synthesizes transient current from switching activity.
 ///
@@ -99,14 +109,16 @@ impl CurrentModel {
     /// # Errors
     ///
     /// Returns [`PowerError::LengthMismatch`] if a weight vector doesn't
-    /// cover every cell, and [`PowerError::InvalidParameter`] for an
-    /// empty weight-set list.
+    /// cover every cell, [`PowerError::InvalidParameter`] for an empty
+    /// weight-set list, and [`PowerError::Netlist`] if the netlist does
+    /// not levelize.
     pub fn charge_table(
         &self,
         netlist: &Netlist,
         weight_sets: &[Option<&[f64]>],
     ) -> Result<ChargeTable, PowerError> {
-        ChargeTable::build(self, netlist, weight_sets)
+        let sources = Sources::new(netlist, &levelize(netlist)?)?;
+        ChargeTable::build(self, netlist, weight_sets, Rows::of(&sources))
     }
 
     /// Synthesizes the supply-current waveform for `activity` recorded on
@@ -152,7 +164,7 @@ impl CurrentModel {
         extra_leakage_a: Option<&[f64]>,
         workers: usize,
     ) -> Result<CurrentTrace, PowerError> {
-        let table = self.charge_table(netlist, &[weights])?;
+        let table = ChargeTable::build(self, netlist, &[weights], Rows::Cells)?;
         let bins = table.bin_trace(activity, workers);
         let mut traces = table.render(&bins, extra_leakage_a)?;
         Ok(traces.swap_remove(0))
@@ -180,7 +192,7 @@ impl CurrentModel {
         workers: usize,
     ) -> Result<Vec<CurrentTrace>, PowerError> {
         let sets: Vec<Option<&[f64]>> = weight_sets.iter().map(|w| Some(*w)).collect();
-        let table = self.charge_table(netlist, &sets)?;
+        let table = ChargeTable::build(self, netlist, &sets, Rows::Cells)?;
         let bins = table.bin_trace(activity, workers);
         table.render(&bins, extra_leakage_a)
     }
@@ -277,22 +289,30 @@ fn mean(w: &[f64]) -> f64 {
 }
 
 /// A netlist's deposit amplitudes under a fixed list of weight sets,
-/// compiled once: the per-cell, per-edge amplitudes `(q·w)/dt`
-/// set-major (one event's amplitudes for every set share a cache line),
-/// plus each set's leakage floor, clock-edge amplitude and mean weight.
+/// compiled once: the per-source, per-edge amplitudes `(q·w)/dt`
+/// set-major (one toggle's amplitudes for every set share a cache line)
+/// in the simulator's source order, plus each set's leakage floor,
+/// clock-edge amplitude and mean weight. (The tables that
+/// [`CurrentModel::synthesize_with`] and
+/// [`CurrentModel::synthesize_multi`] compile for one recording keep
+/// cell order instead and skip the levelization; both orders bin to the
+/// same bits.)
 ///
-/// Build it with [`CurrentModel::charge_table`]; bin a cycle's toggles
-/// with [`Self::bin_cycle`] (or a whole recording with
-/// [`Self::bin_trace`]); render the currents with [`Self::render`].
+/// Build it with [`CurrentModel::charge_table`]; bin a simulated cycle's
+/// toggle bits with [`Self::bin_words`], a recorded cycle's events with
+/// [`Self::bin_cycle`] (or a whole recording with [`Self::bin_trace`]);
+/// render the currents with [`Self::render`].
 #[derive(Debug, Clone)]
 pub struct ChargeTable {
     /// Each cell kind's library data, and per cell its index in it.
     kinds: Vec<KindCharge>,
     cell_kind: Vec<u8>,
+    /// The order of the amplitude rows.
+    rows: Rows,
     /// The clock-load charge of one flip-flop per edge.
     clock_q: f64,
     sets: usize,
-    /// `amps[cell·sets + s]`: the rising-edge amplitude `(q·w)/dt`; a
+    /// `amps[source·sets + s]`: the rising-edge amplitude `(q·w)/dt`; a
     /// falling edge moves [`FALL_CHARGE_FRACTION`] of it.
     amps: Vec<f64>,
     /// Per set: the clock edge's amplitude, which opens the level-0 bin.
@@ -304,6 +324,47 @@ pub struct ChargeTable {
     samples_per_cycle: usize,
     sample_rate_hz: f64,
     gate_delay_s: f64,
+}
+
+/// The order of a [`ChargeTable`]'s amplitude rows.
+#[derive(Debug, Clone)]
+enum Rows {
+    /// The simulator's source order, which [`ChargeTable::bin_words`]
+    /// needs.
+    Sources {
+        /// Per cell: its source index, the row of its amplitudes.
+        source_of: Vec<u32>,
+        /// Per level `l`: one past its last source
+        /// ([`Sources::level_ends`]).
+        level_ends: Vec<usize>,
+        /// The [`Sources::digest`] of the order.
+        digest: u64,
+    },
+    /// Cell order, for the tables `CurrentModel::synthesize_*` compile to
+    /// bin one recording: no levelization, and they never see words.
+    Cells,
+}
+
+impl Rows {
+    fn of(sources: &Sources) -> Self {
+        let mut source_of = vec![0; sources.len()];
+        for (source, event) in sources.events().iter().enumerate() {
+            source_of[event.cell.index()] = source as u32;
+        }
+        Rows::Sources {
+            source_of,
+            level_ends: sources.level_ends().to_vec(),
+            digest: sources.digest(),
+        }
+    }
+
+    /// Cell `cell`'s amplitude row.
+    fn row(&self, cell: usize) -> usize {
+        match self {
+            Rows::Sources { source_of, .. } => source_of[cell] as usize,
+            Rows::Cells => cell,
+        }
+    }
 }
 
 /// One cell kind's library data, as the table weighs it.
@@ -320,6 +381,7 @@ impl ChargeTable {
         model: &CurrentModel,
         netlist: &Netlist,
         weight_sets: &[Option<&[f64]>],
+        rows: Rows,
     ) -> Result<Self, PowerError> {
         let library = &model.library;
         // The library is searched once per kind, not once per cell.
@@ -345,6 +407,7 @@ impl ChargeTable {
         let mut table = Self {
             kinds,
             cell_kind,
+            rows,
             clock_q: library.charge_per_transition_c(CellKind::Dff) * CLOCK_LOAD_FRACTION,
             sets: 0,
             amps: Vec::new(),
@@ -393,14 +456,10 @@ impl ChargeTable {
         let mut weight_sum = vec![0.0; sets];
         // One pass over the cells, every set at once; each set's sums
         // still add its cells in cell order.
-        for (cell, (amps, &kind)) in self
-            .amps
-            .chunks_exact_mut(sets)
-            .zip(&self.cell_kind)
-            .enumerate()
-        {
+        for (cell, &kind) in self.cell_kind.iter().enumerate() {
             let c = &self.kinds[usize::from(kind)];
-            for (s, amp) in amps.iter_mut().enumerate() {
+            let row = self.rows.row(cell) * sets;
+            for (s, amp) in self.amps[row..row + sets].iter_mut().enumerate() {
                 let w = weight_sets[s].map_or(1.0, |w| w[cell]);
                 *amp = (c.q0 * w) * fs;
                 leakage_a[s] += w * c.leakage_na * 1e-9;
@@ -438,37 +497,160 @@ impl ChargeTable {
         }
     }
 
-    /// Appends one cycle to `bins`: the clock edge opens the level-0 bin,
-    /// then every event adds its amplitudes to its level's bin, in the
-    /// order given.
+    /// Opens the next cycle in `bins` with the clock edge's level-0 bin,
+    /// then sums its toggles group by group of sets with `group`. The
+    /// sets are binned in groups of a fixed width, so that a run of
+    /// same-level toggles sums in registers rather than through memory;
+    /// each set still adds its toggles in serial event order.
+    #[inline(always)]
+    fn bin_groups(
+        &self,
+        bins: &mut ChargeBins,
+        mut group8: impl FnMut(&mut ChargeBins, usize, usize),
+        mut group1: impl FnMut(&mut ChargeBins, usize, usize),
+    ) {
+        let start = bins.sums.len();
+        bins.starts.push(start);
+        bins.sums.extend_from_slice(&self.clock_amp);
+        let mut first = 0;
+        while first + 8 <= self.sets {
+            group8(bins, start, first);
+            first += 8;
+        }
+        while first < self.sets {
+            group1(bins, start, first);
+            first += 1;
+        }
+    }
+
+    /// Appends one simulated cycle to `bins` from one lane's toggle bits:
+    /// the clock edge opens the level-0 bin, then every toggled source
+    /// adds its amplitudes times its edge factor to its level's bin, in
+    /// source order. The bins are the same bits as [`Self::bin_cycle`]
+    /// over [`ToggleWords::events`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was compiled for another netlist than the
+    /// words' program.
+    pub fn bin_words(&self, words: ToggleWords<'_>, bins: &mut ChargeBins) {
+        let level_ends = match &self.rows {
+            Rows::Sources {
+                level_ends, digest, ..
+            } if *digest == words.sources().digest() => level_ends,
+            _ => panic!("charge table was compiled for another netlist"),
+        };
+        let (toggled, values) = (words.toggled(), words.values());
+        let group8 = |bins: &mut ChargeBins, start, first| {
+            self.bin_words_group::<8>(level_ends, toggled, values, bins, start, first)
+        };
+        let group1 = |bins: &mut ChargeBins, start, first| {
+            self.bin_words_group::<1>(level_ends, toggled, values, bins, start, first)
+        };
+        self.bin_groups(bins, group8, group1);
+    }
+
+    /// [`Self::bin_words`] for sets `first..first + N` of the cycle whose
+    /// level-0 bin starts at `start`.
+    #[inline(always)]
+    fn bin_words_group<const N: usize>(
+        &self,
+        level_ends: &[usize],
+        toggled: &[u64],
+        values: &[u64],
+        bins: &mut ChargeBins,
+        start: usize,
+        first: usize,
+    ) {
+        let sets = self.sets;
+        let mut lo = 0;
+        for (level, &hi) in level_ends.iter().enumerate() {
+            let run = lo..hi;
+            lo = hi;
+            if run.is_empty() {
+                continue;
+            }
+            let (first_word, last_word) = (run.start / LANES, (run.end - 1) / LANES);
+            let mut at = None;
+            let mut acc = [0.0; N];
+            for b in first_word..=last_word {
+                let mut t = toggled[b];
+                if b == first_word {
+                    t &= u64::MAX << (run.start % LANES);
+                }
+                if b == last_word {
+                    t &= u64::MAX >> (LANES - 1 - (run.end - 1) % LANES);
+                }
+                if t == 0 {
+                    continue;
+                }
+                if at.is_none() {
+                    let bin = start + level * sets;
+                    if bin + sets > bins.sums.len() {
+                        bins.sums.resize(bin + sets, 0.0);
+                    }
+                    acc.copy_from_slice(&bins.sums[bin + first..bin + first + N]);
+                    at = Some(bin + first);
+                }
+                let v = values[b];
+                while t != 0 {
+                    let i = t.trailing_zeros() as usize;
+                    t &= t - 1;
+                    let base = (b * LANES + i) * sets + first;
+                    let amps = &self.amps[base..base + N];
+                    // Multiplying by 1 is exact: a rising edge adds its
+                    // amplitude.
+                    let edge = EDGE[(v >> i & 1) as usize];
+                    for (a, &amp) in acc.iter_mut().zip(amps) {
+                        *a += amp * edge;
+                    }
+                }
+            }
+            if let Some(at) = at {
+                bins.sums[at..at + N].copy_from_slice(&acc);
+            }
+        }
+    }
+
+    /// Appends one recorded cycle to `bins`: the clock edge opens the
+    /// level-0 bin, then every event adds its amplitudes to its level's
+    /// bin, in the order given.
     ///
     /// # Panics
     ///
     /// Panics if an event's cell is not covered by the table.
     pub fn bin_cycle(&self, events: &[ToggleEvent], bins: &mut ChargeBins) {
-        let start = bins.sums.len();
-        bins.starts.push(start);
-        bins.sums.extend_from_slice(&self.clock_amp);
-        // The sets are binned in groups of a fixed width, so that a run
-        // of same-level events sums in registers rather than through
-        // memory; each set still adds its events in the order given.
-        let mut first = 0;
-        while first + 8 <= self.sets {
-            self.bin_group::<8>(events, bins, start, first);
-            first += 8;
+        // One copy of the loop per row order, so no event branches on it.
+        match &self.rows {
+            Rows::Sources { source_of, .. } => {
+                self.bin_events(events, bins, |cell| source_of[cell] as usize)
+            }
+            Rows::Cells => self.bin_events(events, bins, |cell| cell),
         }
-        while first < self.sets {
-            self.bin_group::<1>(events, bins, start, first);
-            first += 1;
-        }
+    }
+
+    /// [`Self::bin_cycle`] with each cell's amplitude row given by `row`.
+    #[inline(always)]
+    fn bin_events(
+        &self,
+        events: &[ToggleEvent],
+        bins: &mut ChargeBins,
+        row: impl Fn(usize) -> usize + Copy,
+    ) {
+        self.bin_groups(
+            bins,
+            |bins, start, first| self.bin_events_group::<8>(events, row, bins, start, first),
+            |bins, start, first| self.bin_events_group::<1>(events, row, bins, start, first),
+        );
     }
 
     /// [`Self::bin_cycle`] for sets `first..first + N` of the cycle whose
     /// level-0 bin starts at `start`.
     #[inline(always)]
-    fn bin_group<const N: usize>(
+    fn bin_events_group<const N: usize>(
         &self,
         events: &[ToggleEvent],
+        row: impl Fn(usize) -> usize,
         bins: &mut ChargeBins,
         start: usize,
         first: usize,
@@ -489,10 +671,9 @@ impl ChargeTable {
                 at = bin + first;
                 acc.copy_from_slice(&bins.sums[at..at + N]);
             }
-            let base = e.cell.index() * sets + first;
+            let base = row(e.cell.index()) * sets + first;
             let amps = &self.amps[base..base + N];
-            // Multiplying by 1 is exact: a rising edge adds its amplitude.
-            let edge = if e.rising { 1.0 } else { FALL_CHARGE_FRACTION };
+            let edge = EDGE[usize::from(e.rising)];
             for (a, &amp) in acc.iter_mut().zip(amps) {
                 *a += amp * edge;
             }
@@ -1001,7 +1182,8 @@ mod tests {
         let table = model().charge_table(&n, &[Some(&w)]).unwrap();
         let bins = table.bin_trace(&act, 1);
         let amp = |e: &ToggleEvent| {
-            table.amps[e.cell.index()] * if e.rising { 1.0 } else { FALL_CHARGE_FRACTION }
+            table.amps[table.rows.row(e.cell.index())]
+                * if e.rising { 1.0 } else { FALL_CHARGE_FRACTION }
         };
         let mut reordered = false;
         for (k, cycle) in act.cycles().iter().enumerate() {
@@ -1055,6 +1237,93 @@ mod tests {
                 proptest::prop_assert!(charge_gap <= 1e-12, "charge gap {:e}", charge_gap);
             }
         }
+    }
+
+    /// One AES core for the word-sink tests, generated once.
+    fn aes() -> &'static emtrust_aes::AesHarness {
+        static AES: std::sync::OnceLock<emtrust_aes::AesHarness> = std::sync::OnceLock::new();
+        AES.get_or_init(emtrust_aes::AesHarness::new)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+
+        #[test]
+        fn word_sink_bins_and_counts_equal_the_recorded_events(seed in 1u64..u64::MAX) {
+            use emtrust_aes::netlist::{run_encryptions, run_encryptions_stepped};
+            use emtrust_sim::ToggleActivity;
+            let aes = aes();
+            let n = aes.netlist();
+            let mut x = seed;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            // Weights over twelve decades make each bin's summation
+            // order visible in its bits.
+            let weight_sets: Vec<Vec<f64>> = (0..8)
+                .map(|_| {
+                    (0..n.cell_count())
+                        .map(|_| 10f64.powi((next() % 13) as i32 - 6) * (1.0 + (next() % 97) as f64 / 7.0))
+                        .collect()
+                })
+                .collect();
+            for lanes in [1usize, 64] {
+                // Two encryptions per lane: the second starts from the
+                // state the first left.
+                let rounds: Vec<Vec<[u8; 16]>> = (0..2)
+                    .map(|_| (0..lanes).map(|_| (u128::from(next()) << 64 | u128::from(next())).to_le_bytes()).collect())
+                    .collect();
+                let key = (u128::from(next()) << 64 | u128::from(next())).to_le_bytes();
+                for sets in [1usize, 8] {
+                    let refs: Vec<Option<&[f64]>> =
+                        weight_sets[..sets].iter().map(|w| Some(w.as_slice())).collect();
+                    let table = model().charge_table(n, &refs).unwrap();
+                    let mut sim = aes.simulator().unwrap();
+                    let mut words_bins = vec![table.bins(); lanes];
+                    let mut events_bins = vec![table.bins(); lanes];
+                    let mut counts = vec![ToggleActivity::new(); lanes];
+                    for pts in &rounds {
+                        let _ = run_encryptions_stepped(&mut sim, aes.ports(), key, pts, |s| {
+                            s.step_words(|lane, words| {
+                                table.bin_words(words, &mut words_bins[lane]);
+                                table.bin_cycle(&words.events(), &mut events_bins[lane]);
+                                counts[lane].absorb_words(words);
+                            })
+                        });
+                    }
+                    proptest::prop_assert_eq!(&words_bins, &events_bins);
+                    let mut recorder = aes.simulator().unwrap();
+                    let mut recordings = vec![ActivityTrace::new(); lanes];
+                    for pts in &rounds {
+                        recorder.start_recording();
+                        let _ = run_encryptions(&mut recorder, aes.ports(), key, pts);
+                        for (all, trace) in recordings.iter_mut().zip(recorder.take_lane_recordings()) {
+                            all.extend_from(trace);
+                        }
+                    }
+                    for lane in 0..lanes {
+                        let recorded = &recordings[lane];
+                        proptest::prop_assert_eq!(&words_bins[lane], &table.bin_trace(recorded, 1));
+                        let expected = ToggleActivity::from_trace(recorded);
+                        proptest::prop_assert_eq!(&counts[lane], &expected);
+                        proptest::prop_assert_eq!(counts[lane].cell_count(), expected.cell_count());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another netlist")]
+    fn binding_a_table_of_another_netlist_is_refused() {
+        let (ladder, _) = ladder_netlist();
+        let table = model().charge_table(&toggle_netlist(), &[None]).unwrap();
+        let mut bins = table.bins();
+        let mut sim = Simulator::new(&ladder).unwrap();
+        sim.step_words(|_, words| table.bin_words(words, &mut bins));
     }
 
     #[test]

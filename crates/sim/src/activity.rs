@@ -10,6 +10,7 @@
 //! the clock edge); a combinational cell at levelization depth `d` reports
 //! level `d + 1`.
 
+use crate::engine::{ToggleWords, LANES};
 use emtrust_netlist::graph::CellId;
 
 /// One output transition of one cell.
@@ -163,23 +164,34 @@ impl ToggleActivity {
     /// Accumulates a trace's toggles into the per-cell counters.
     pub fn absorb(&mut self, trace: &ActivityTrace) {
         for cycle in trace.cycles() {
-            self.absorb_cycle(cycle.events());
+            for event in cycle.events() {
+                self.count(event.cell.index());
+            }
+            self.cycles += 1;
         }
     }
 
-    /// Accumulates one cycle's toggles, as a
-    /// [`ToggleSink`](crate::engine::ToggleSink) hands them over: a
-    /// stream absorbed cycle by cycle equals [`Self::from_trace`] of its
-    /// recording.
-    pub fn absorb_cycle(&mut self, events: &[ToggleEvent]) {
-        for event in events {
-            let idx = event.cell.index();
-            if idx >= self.counts.len() {
-                self.counts.resize(idx + 1, 0);
+    /// Accumulates one lane's toggles of one cycle, straight from the
+    /// simulator's bits: a stream absorbed edge by edge equals
+    /// [`Self::from_trace`] of its recording.
+    pub fn absorb_words(&mut self, words: ToggleWords<'_>) {
+        let sources = words.sources().events();
+        for (b, &t) in words.toggled().iter().enumerate() {
+            let mut t = t;
+            while t != 0 {
+                let i = t.trailing_zeros() as usize;
+                t &= t - 1;
+                self.count(sources[b * LANES + i].cell.index());
             }
-            self.counts[idx] += 1;
         }
         self.cycles += 1;
+    }
+
+    fn count(&mut self, idx: usize) {
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        self.counts[idx] += 1;
     }
 
     /// Adds another aggregate's counts and cycles, as if its cycles had

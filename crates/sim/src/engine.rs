@@ -2,9 +2,8 @@
 //!
 //! A netlist is compiled once into a [`Program`]: flat arrays that hold,
 //! in evaluation order, each combinational cell's 3-input truth table,
-//! its input and output net indices, its switching slot (`level + 1`)
-//! and its [`CellId`](emtrust_netlist::graph::CellId), plus the
-//! flip-flop list. A [`Simulator`] runs a
+//! its input and output net indices, plus the flip-flop list and the
+//! program's [`Sources`]. A [`Simulator`] runs a
 //! program word-parallel: every net holds a `u64` whose bit *j* is the
 //! net's value in **lane** *j*, one independent copy of the circuit. A
 //! cell evaluates all [`LANES`] lanes with a handful of bitwise ops, and
@@ -19,14 +18,14 @@
 //! live lane. Every lane's event stream is bit-identical to a serial run
 //! of the same stimulus.
 //!
-//! A recorded edge hands each live lane's toggles to a [`ToggleSink`],
-//! one cycle at a time, from one reused scratch buffer.
-//! [`Simulator::step_into`] streams them to the caller's sink;
-//! [`Simulator::step`] with a recording in progress stores them in the
-//! lanes' [`ActivityTrace`]s, which is just one such sink.
+//! An edge hands each live lane's toggles over as [`ToggleWords`]: one
+//! bit per source for "toggled" and one for its new value, 64 sources a
+//! word, from reused scratch. [`Simulator::step_words`] streams them to
+//! the caller; [`Simulator::step`] with a recording in progress expands
+//! them into the lanes' [`ActivityTrace`]s with [`ToggleWords::events`].
 
 use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
-use emtrust_netlist::graph::{NetId, Netlist};
+use emtrust_netlist::graph::{CellId, NetId, Netlist};
 use emtrust_netlist::level::{levelize, Levels};
 use emtrust_netlist::NetlistError;
 use std::borrow::Cow;
@@ -34,21 +33,152 @@ use std::borrow::Cow;
 /// Lanes per simulator: one independent circuit copy per bit of a `u64`.
 pub const LANES: usize = 64;
 
-/// Receives every live lane's toggles of one clock edge, lane by lane.
+/// A netlist's toggle sources in the order a [`Simulator`] emits them:
+/// every flip-flop in id order (level 0), then every combinational cell
+/// in evaluation order (level `depth + 1`). Levels never decrease along
+/// the order, so each level's sources form one run.
 ///
-/// Each lane's events arrive in serial event order: flip-flops in id
-/// order, then the combinational cells in evaluation order, exactly the
-/// order a one-lane recording stores them in. Any
-/// `FnMut(usize, u64, &[ToggleEvent])` closure is a sink.
-pub trait ToggleSink {
-    /// Lane `lane`'s toggles at clock cycle `cycle`. The slice is the
-    /// simulator's scratch, overwritten by the next lane.
-    fn cycle(&mut self, lane: usize, cycle: u64, events: &[ToggleEvent]);
+/// A [`Program`] holds its sources. The power model lays its per-source
+/// data out in the same order, computed from the netlist, and checks it
+/// against the words it bins by [`Self::digest`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sources {
+    /// Per source: the event it emits when it toggles, falling edge.
+    events: Vec<ToggleEvent>,
+    /// Per level `l`: one past the last level-`l` source.
+    level_ends: Vec<usize>,
+    /// FNV-1a over the netlist's cell count and every source's cell and
+    /// level.
+    digest: u64,
 }
 
-impl<F: FnMut(usize, u64, &[ToggleEvent])> ToggleSink for F {
-    fn cycle(&mut self, lane: usize, cycle: u64, events: &[ToggleEvent]) {
-        self(lane, cycle, events);
+impl Sources {
+    /// The sources of `netlist` under its levelization `levels`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::DecreasingLevel`] if the evaluation order
+    /// puts a cell below the level of the one before it.
+    pub fn new(netlist: &Netlist, levels: &Levels) -> Result<Self, NetlistError> {
+        let flops = netlist
+            .cells()
+            .filter(|(_, c)| c.kind().is_sequential())
+            .map(|(cell, _)| (cell, 0));
+        let gates = levels
+            .eval_order()
+            .iter()
+            .map(|&cell| (cell, levels.level_of(cell) + 1));
+        Self::from_order(netlist.cell_count(), flops.chain(gates))
+    }
+
+    /// The sources `(cell, level)` in emission order, of a netlist with
+    /// `cells` cells.
+    fn from_order(
+        cells: usize,
+        order: impl Iterator<Item = (CellId, u32)>,
+    ) -> Result<Self, NetlistError> {
+        const PRIME: u64 = 0x0000_0100_0000_01B3;
+        let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(PRIME);
+        let mut digest = mix(0xCBF2_9CE4_8422_2325, cells as u64);
+        let mut events = Vec::new();
+        let mut level_ends: Vec<usize> = Vec::new();
+        for (cell, level) in order {
+            let l = level as usize;
+            if l + 1 < level_ends.len() {
+                return Err(NetlistError::DecreasingLevel {
+                    cell: cell.index() as u32,
+                });
+            }
+            // Levels with no source get empty runs.
+            level_ends.resize(l + 1, events.len());
+            events.push(ToggleEvent {
+                cell,
+                level,
+                rising: false,
+            });
+            level_ends[l] = events.len();
+            digest = mix(mix(digest, cell.index() as u64), u64::from(level));
+        }
+        Ok(Self {
+            events,
+            level_ends,
+            digest,
+        })
+    }
+
+    /// Number of sources.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether the netlist has no cell.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Per source, in order: the falling-edge event it emits.
+    pub fn events(&self) -> &[ToggleEvent] {
+        &self.events
+    }
+
+    /// Per level `l`: one past the last level-`l` source; level `l` is
+    /// sources `level_ends[l - 1]..level_ends[l]` (from 0 for level 0).
+    pub fn level_ends(&self) -> &[usize] {
+        &self.level_ends
+    }
+
+    /// A fingerprint of the order: two netlists whose sources differ in
+    /// any cell or level, or whose cell counts differ, almost surely get
+    /// different digests.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
+/// One live lane's toggles of one clock edge: bit `i` of word `b` stands
+/// for source `64·b + i` of [`Self::sources`]. A set bit of
+/// [`Self::toggled`] means the source toggled, and the same bit of
+/// [`Self::values`] is its new value (1: a rising edge).
+#[derive(Debug, Clone, Copy)]
+pub struct ToggleWords<'a> {
+    sources: &'a Sources,
+    toggled: &'a [u64],
+    values: &'a [u64],
+}
+
+impl<'a> ToggleWords<'a> {
+    /// The sources the bits stand for.
+    pub fn sources(&self) -> &'a Sources {
+        self.sources
+    }
+
+    /// Per word of 64 sources: which toggled.
+    pub fn toggled(&self) -> &'a [u64] {
+        self.toggled
+    }
+
+    /// Per word of 64 sources: their new values.
+    pub fn values(&self) -> &'a [u64] {
+        self.values
+    }
+
+    /// The toggles as events, in serial event order: the order a
+    /// one-lane recording stores them in.
+    pub fn events(&self) -> Vec<ToggleEvent> {
+        let count = self.toggled.iter().map(|t| t.count_ones() as usize).sum();
+        let mut events = Vec::with_capacity(count);
+        for (b, (&t, &v)) in self.toggled.iter().zip(self.values).enumerate() {
+            let mut t = t;
+            while t != 0 {
+                let i = t.trailing_zeros();
+                t &= t - 1;
+                events.push(ToggleEvent {
+                    rising: v >> i & 1 != 0,
+                    ..self.sources.events[b * LANES + i as usize]
+                });
+            }
+        }
+        events
     }
 }
 
@@ -84,15 +214,12 @@ pub struct Program {
     gates: Vec<Gate>,
     /// Flip-flops in id order.
     flops: Vec<Flop>,
-    /// The event each source emits when it toggles, falling edge: every
-    /// flop (slot 0), then every gate (slot `level + 1`) — the order
-    /// events are emitted in.
-    events: Vec<ToggleEvent>,
+    /// Every flop, then every gate: the order toggles are emitted in.
+    sources: Sources,
     /// Whether each net is a primary input.
     is_input: Vec<bool>,
     const1: u32,
     cell_count: usize,
-    levels: Levels,
 }
 
 impl Program {
@@ -105,20 +232,15 @@ impl Program {
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
         netlist.validate()?;
         let levels = levelize(netlist)?;
-        let mut flops = Vec::new();
-        let mut events = Vec::new();
-        for (cell, c) in netlist.cells().filter(|(_, c)| c.kind().is_sequential()) {
-            let q = c.output().index() as u32;
-            flops.push(Flop {
+        let sources = Sources::new(netlist, &levels)?;
+        let flops = netlist
+            .cells()
+            .filter(|(_, c)| c.kind().is_sequential())
+            .map(|(_, c)| Flop {
                 d: c.inputs()[0].index() as u32,
-                q,
-            });
-            events.push(ToggleEvent {
-                cell,
-                level: 0,
-                rising: false,
-            });
-        }
+                q: c.output().index() as u32,
+            })
+            .collect();
         let mut gates = Vec::with_capacity(levels.eval_order().len());
         for &id in levels.eval_order() {
             let cell = netlist.cell(id);
@@ -138,11 +260,6 @@ impl Program {
                 out,
                 table,
             });
-            events.push(ToggleEvent {
-                cell: id,
-                level: levels.level_of(id) + 1,
-                rising: false,
-            });
         }
         let mut is_input = vec![false; netlist.net_count()];
         for (_, net) in netlist.primary_inputs() {
@@ -151,17 +268,16 @@ impl Program {
         Ok(Self {
             gates,
             flops,
-            events,
+            sources,
             is_input,
             const1: netlist.const1().index() as u32,
             cell_count: netlist.cell_count(),
-            levels,
         })
     }
 
-    /// The levelization the program evaluates in.
-    pub fn levels(&self) -> &Levels {
-        &self.levels
+    /// The toggle sources, in the order the simulator emits them.
+    pub fn sources(&self) -> &Sources {
+        &self.sources
     }
 
     fn net_count(&self) -> usize {
@@ -231,27 +347,6 @@ fn evaluate(
     }
 }
 
-/// The one event extractor: one lane's `(toggled, new value)` bit words,
-/// 64 sources each, walked in source order into `events`.
-#[inline]
-fn extract(
-    sources: &[ToggleEvent],
-    words: impl Iterator<Item = (u64, u64)>,
-    events: &mut Vec<ToggleEvent>,
-) {
-    events.clear();
-    for (b, (mut t, v)) in words.enumerate() {
-        while t != 0 {
-            let i = t.trailing_zeros();
-            t &= t - 1;
-            events.push(ToggleEvent {
-                rising: v >> i & 1 != 0,
-                ..sources[b * LANES + i as usize]
-            });
-        }
-    }
-}
-
 /// A two-phase, cycle-based, 64-lane simulator over a borrowed
 /// [`Netlist`].
 ///
@@ -279,20 +374,11 @@ pub struct Simulator<'a> {
     recording: bool,
     /// One trace per lane; only live lanes grow while recording.
     traces: Vec<ActivityTrace>,
-    /// Per source, in this cycle: the live lanes it toggled in and its
-    /// new value (scratch, several live lanes).
-    toggled: Vec<u64>,
-    values: Vec<u64>,
-    /// Per block of 64 sources, per lane: which of the block's sources
-    /// toggled, and their new values (scratch, several live lanes).
-    lane_toggled: Vec<[u64; LANES]>,
-    lane_values: Vec<[u64; LANES]>,
-    /// The same for lane 0 when it is the only live lane, packed during
-    /// evaluation (scratch).
-    lane0_toggled: Vec<u64>,
-    lane0_values: Vec<u64>,
-    /// One lane's events of one cycle, as handed to the sink (scratch).
-    events: Vec<ToggleEvent>,
+    /// Per live lane, per block of 64 sources: which of the block's
+    /// sources toggled and their new values, lane-major (scratch), packed
+    /// or transposed during evaluation.
+    lane_toggled: Vec<u64>,
+    lane_values: Vec<u64>,
     cycle: u64,
 }
 
@@ -329,7 +415,6 @@ impl<'a> Simulator<'a> {
         let mut words = vec![0; program.net_count()];
         words[program.const1 as usize] = !0;
         let staged = vec![0; program.flops.len()];
-        let sources = program.events.len();
         Self {
             netlist,
             program,
@@ -338,13 +423,8 @@ impl<'a> Simulator<'a> {
             live: 1,
             recording: false,
             traces: vec![ActivityTrace::new(); LANES],
-            toggled: Vec::with_capacity(sources),
-            values: Vec::with_capacity(sources),
             lane_toggled: Vec::new(),
             lane_values: Vec::new(),
-            lane0_toggled: Vec::new(),
-            lane0_values: Vec::new(),
-            events: Vec::new(),
             cycle: 0,
         }
     }
@@ -352,11 +432,6 @@ impl<'a> Simulator<'a> {
     /// The netlist under simulation.
     pub fn netlist(&self) -> &Netlist {
         self.netlist
-    }
-
-    /// The levelization used for evaluation order and switching times.
-    pub fn levels(&self) -> &Levels {
-        self.program.levels()
     }
 
     /// Number of clock edges applied so far.
@@ -504,8 +579,9 @@ impl<'a> Simulator<'a> {
     pub fn step(&mut self) {
         if self.recording {
             let mut traces = std::mem::take(&mut self.traces);
-            self.step_into(&mut |lane: usize, cycle: u64, events: &[ToggleEvent]| {
-                traces[lane].push_cycle(CycleActivity::from_events(cycle, events.to_vec()));
+            let cycle = self.cycle;
+            self.step_words(|lane, words| {
+                traces[lane].push_cycle(CycleActivity::from_events(cycle, words.events()));
             });
             self.traces = traces;
             return;
@@ -516,14 +592,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// Applies one rising clock edge like [`Self::step`] and hands every
-    /// live lane's toggles to `sink`, lane 0 first. Nothing is stored, so
-    /// no recording needs to be in progress.
-    pub fn step_into<S: ToggleSink + ?Sized>(&mut self, sink: &mut S) {
+    /// live lane's [`ToggleWords`] to `sink` with the lane's index, lane
+    /// 0 first. Nothing is stored, so no recording needs to be in
+    /// progress.
+    pub fn step_words(&mut self, mut sink: impl FnMut(usize, ToggleWords<'_>)) {
         self.capture();
         if self.live == 1 {
-            self.emit_lane0(sink);
+            self.emit_lane0(&mut sink);
         } else {
-            self.emit_lanes(sink);
+            self.emit_lanes(&mut sink);
         }
         self.cycle += 1;
     }
@@ -540,8 +617,8 @@ impl<'a> Simulator<'a> {
     /// one bit per source as it goes: no per-source words are stored and
     /// no lane-major transposes run, which would cost as much again as
     /// the rest of the step.
-    fn emit_lane0<S: ToggleSink + ?Sized>(&mut self, sink: &mut S) {
-        let (toggled, values) = (&mut self.lane0_toggled, &mut self.lane0_values);
+    fn emit_lane0(&mut self, sink: &mut impl FnMut(usize, ToggleWords<'_>)) {
+        let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
         toggled.clear();
         values.clear();
         let (mut t, mut v, mut k) = (0u64, 0u64, 0u32);
@@ -565,54 +642,63 @@ impl<'a> Simulator<'a> {
             toggled.push(t);
             values.push(v);
         }
-        let words = toggled.iter().copied().zip(values.iter().copied());
-        extract(&self.program.events, words, &mut self.events);
-        sink.cycle(0, self.cycle, &self.events);
+        sink(
+            0,
+            ToggleWords {
+                sources: &self.program.sources,
+                toggled,
+                values,
+            },
+        );
     }
 
-    /// Evaluates every lane, storing each source's toggled-live-lane mask
-    /// and new value; then, per block of 64 sources, the masks and values
-    /// are turned lane-major and each live lane's events are extracted.
-    fn emit_lanes<S: ToggleSink + ?Sized>(&mut self, sink: &mut S) {
-        let live = u64::MAX >> (LANES - self.live);
-        let (toggled, values) = (&mut self.toggled, &mut self.values);
-        toggled.clear();
-        values.clear();
+    /// Evaluates every lane, gathering each block of 64 sources'
+    /// toggled-live-lane masks and new values as it goes; each full block
+    /// is transposed and laid out lane-major, so no per-source word is
+    /// stored. Then each live lane's words go to the sink.
+    fn emit_lanes(&mut self, sink: &mut impl FnMut(usize, ToggleWords<'_>)) {
+        let lanes = self.live;
+        let blocks = self.program.sources.len().div_ceil(LANES);
+        let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
+        toggled.resize(lanes * blocks, 0);
+        values.resize(lanes * blocks, 0);
+        let (mut t, mut v) = ([0u64; LANES], [0u64; LANES]);
+        let (mut b, mut k) = (0, 0);
+        let mut flush = |t: &mut [u64; LANES], v: &mut [u64; LANES], b: usize| {
+            for (block, to) in [(t, &mut *toggled), (v, &mut *values)] {
+                transpose64(block);
+                for (lane, &word) in block[..lanes].iter().enumerate() {
+                    to[lane * blocks + b] = word;
+                }
+                *block = [0; LANES];
+            }
+        };
         evaluate(
             &self.program,
             &self.staged,
             &mut self.words,
-            live,
+            u64::MAX >> (LANES - lanes),
             |tog, new| {
-                toggled.push(tog);
-                values.push(new);
+                t[k] = tog;
+                v[k] = new;
+                k += 1;
+                if k == LANES {
+                    flush(&mut t, &mut v, b);
+                    (b, k) = (b + 1, 0);
+                }
             },
         );
-        let blocks = toggled.len().div_ceil(LANES);
-        self.lane_toggled.resize(blocks, [0; LANES]);
-        self.lane_values.resize(blocks, [0; LANES]);
-        for (b, (lane_toggled, lane_values)) in self
-            .lane_toggled
-            .iter_mut()
-            .zip(&mut self.lane_values)
-            .enumerate()
-        {
-            let range = b * LANES..toggled.len().min((b + 1) * LANES);
-            *lane_toggled = [0; LANES];
-            *lane_values = [0; LANES];
-            lane_toggled[..range.len()].copy_from_slice(&toggled[range.clone()]);
-            lane_values[..range.len()].copy_from_slice(&values[range]);
-            transpose64(lane_toggled);
-            transpose64(lane_values);
+        if k > 0 {
+            flush(&mut t, &mut v, b);
         }
-        for lane in 0..self.live {
-            let words = self
-                .lane_toggled
-                .iter()
-                .zip(&self.lane_values)
-                .map(|(t, v)| (t[lane], v[lane]));
-            extract(&self.program.events, words, &mut self.events);
-            sink.cycle(lane, self.cycle, &self.events);
+        for lane in 0..lanes {
+            let words = lane * blocks..(lane + 1) * blocks;
+            let words = ToggleWords {
+                sources: &self.program.sources,
+                toggled: &self.lane_toggled[words.clone()],
+                values: &self.lane_values[words],
+            };
+            sink(lane, words);
         }
     }
 
@@ -873,7 +959,28 @@ mod tests {
         a.run(3);
         b.run(1);
         assert_eq!((a.bus(&bus), b.bus(&bus)), (3, 1));
-        assert_eq!(program.levels().eval_order().len(), 2);
+        assert_eq!(program.sources().len(), 4, "two flops, two gates");
+    }
+
+    #[test]
+    fn source_levels_never_decrease() {
+        let (n, _) = counter2();
+        let ids: Vec<CellId> = n.cells().map(|(id, _)| id).collect();
+        // A level with no source gets an empty run.
+        let order = [(ids[0], 0), (ids[1], 2), (ids[2], 2)];
+        let sources = Sources::from_order(4, order.into_iter()).unwrap();
+        assert_eq!(sources.level_ends(), [1, 1, 3]);
+        let order = [(ids[0], 0), (ids[1], 2), (ids[2], 1)];
+        assert_eq!(
+            Sources::from_order(4, order.into_iter()),
+            Err(NetlistError::DecreasingLevel {
+                cell: ids[2].index() as u32
+            })
+        );
+        let program = Program::compile(&n).unwrap();
+        let levels: Vec<u32> = program.sources().events().iter().map(|e| e.level).collect();
+        assert_eq!(levels, [0, 0, 1, 1]);
+        assert_eq!(program.sources().level_ends(), [2, 4]);
     }
 
     #[test]

@@ -26,11 +26,18 @@
 //!    A netlist compiles once into an [`engine::Program`], which a
 //!    simulator runs on [`LANES`] independent lanes per machine word:
 //!    up to 64 encryptions at the cost of about one.
-//! 2. **Activity capture** — every output toggle of a cycle is handed to
-//!    an [`engine::ToggleSink`] as an [`activity::ToggleEvent`], from a
-//!    reused scratch buffer; storing the events in an
-//!    [`activity::ActivityTrace`] is one such sink. The power model turns
-//!    each event into a current pulse at `t = cycle·T + level·τ_gate`.
+//! 2. **Activity capture** — each clock edge hands every live lane's
+//!    toggles to the caller of [`engine::Simulator::step_words`] as
+//!    [`engine::ToggleWords`]: per word of 64 sources (the program's
+//!    [`engine::Sources`]: flip-flops, then gates in evaluation order),
+//!    which toggled and their new values, from reused scratch. The power
+//!    model bins those bits into per-level charge, and
+//!    [`activity::ToggleActivity`] counts them per cell, with no event
+//!    object in between. A recording ([`engine::Simulator::step`] after
+//!    `start_recording`) expands the same words into
+//!    [`activity::ToggleEvent`]s in an [`activity::ActivityTrace`]; the
+//!    power model turns each into a current pulse at
+//!    `t = cycle·T + level·τ_gate`.
 //!
 //! # Examples
 //!
@@ -61,4 +68,4 @@ pub mod activity;
 pub mod engine;
 
 pub use activity::{ActivityTrace, CycleActivity, ToggleActivity, ToggleEvent};
-pub use engine::{Program, Simulator, ToggleSink, LANES};
+pub use engine::{Program, Simulator, Sources, ToggleWords, LANES};

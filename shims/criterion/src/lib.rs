@@ -49,6 +49,14 @@ impl Criterion {
         }
     }
 
+    /// Whether the command line's name filter selects the benchmark
+    /// `id` (every benchmark when there is no filter).
+    fn selects(&self, id: &str) -> bool {
+        self.filter
+            .as_deref()
+            .is_none_or(|filter| id.contains(filter))
+    }
+
     /// Runs one stand-alone benchmark.
     pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
     where
@@ -109,6 +117,13 @@ impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
         self
+    }
+
+    /// Whether the command line's name filter selects this group's
+    /// benchmark `id`: work done outside the timed bodies, such as a
+    /// printed report, can skip what the filter leaves out.
+    pub fn selects(&self, id: impl fmt::Display) -> bool {
+        self.criterion.selects(&format!("{}/{}", self.name, id))
     }
 
     /// Declares the per-iteration throughput (echoed, not verified).
@@ -172,10 +187,8 @@ impl Bencher {
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(criterion: &Criterion, id: &str, samples: usize, mut f: F) {
-    if let Some(filter) = &criterion.filter {
-        if !id.contains(filter.as_str()) {
-            return;
-        }
+    if !criterion.selects(id) {
+        return;
     }
     let mut b = Bencher {
         samples,
@@ -263,5 +276,25 @@ mod tests {
             g.finish();
         }
         assert_eq!(ran, 1);
+    }
+
+    #[test]
+    fn groups_tell_which_benchmarks_the_filter_selects() {
+        let mut c = Criterion {
+            test_mode: true,
+            filter: Some("g/on".into()),
+        };
+        let mut ran = Vec::new();
+        {
+            let mut g = c.benchmark_group("g");
+            assert!(g.selects("one") && !g.selects("two"));
+            for id in ["one", "two"] {
+                g.bench_function(id, |b| b.iter(|| ran.push(id)));
+            }
+        }
+        assert_eq!(ran, ["one"]);
+        assert!(!c.benchmark_group("h").selects("one"));
+        c.filter = None;
+        assert!(c.benchmark_group("h").selects("one"));
     }
 }
