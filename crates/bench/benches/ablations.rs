@@ -164,7 +164,7 @@ fn ablation_samples_per_cycle(c: &mut Criterion) {
             ClockConfig::new(10e6, spc).expect("clock"),
         );
         let trace = model
-            .synthesize(aes.netlist(), &activity, None, None)
+            .synthesize_with(aes.netlist(), &activity, None, None, 1)
             .expect("trace");
         println!(
             "ablation_samples_per_cycle/{spc}: peak current {:.3e} A over {} samples",
@@ -176,7 +176,7 @@ fn ablation_samples_per_cycle(c: &mut Criterion) {
                 CurrentModel::new(Library::generic_180nm(), ClockConfig::new(10e6, s).unwrap());
             b.iter(|| {
                 model
-                    .synthesize(aes.netlist(), &activity, None, None)
+                    .synthesize_with(aes.netlist(), &activity, None, None, 1)
                     .unwrap()
             })
         });

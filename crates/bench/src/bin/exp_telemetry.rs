@@ -155,7 +155,8 @@ fn run_sweep(
     let detector = SpectralDetector::fit(&golden_window, SpectralConfig::default())?;
     let mut builder = DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::new(fp)))
-        .detector(Box::new(SpectralWindowDetector::new(detector)));
+        .detector(Box::new(SpectralWindowDetector::new(detector)))
+        .parallel(pool);
     if labeled {
         builder = builder.labels(LabelSet::new().with("chip_id", "chip0"));
     }

@@ -190,8 +190,7 @@ fn main() {
     let mut serial_s = 0.0f64;
     let mut reference = None;
     for workers in [1usize, 2, 4, 8] {
-        let pool = ParallelConfig::default().with_workers(workers);
-        let effective = pool.effective_workers(N_TRACES);
+        let pool = ParallelConfig::serial().with_workers(workers);
         let bench = TestBench::simulation(&chip)
             .or_exit("bench")
             .with_parallel(pool);
@@ -232,40 +231,25 @@ fn main() {
         report.scalar(&format!("workers_{workers}_seconds"), elapsed);
         rows.push(vec![
             workers.to_string(),
-            effective.to_string(),
             format!("{elapsed:.2}"),
             format!("{tps:.2}"),
             format!("{speedup:.2}x"),
         ]);
         json_rows.push(format!(
-            "    {{\"workers\": {workers}, \"effective_workers\": {effective}, \
-             \"seconds\": {elapsed:.4}, \
+            "    {{\"workers\": {workers}, \"seconds\": {elapsed:.4}, \
              \"traces_per_sec\": {tps:.4}, \"speedup\": {speedup:.4}}}"
         ));
     }
     report.table(
         &format!("Golden-set collect+fit throughput ({N_TRACES} traces)"),
-        &["workers", "effective", "seconds", "traces/s", "speedup"],
+        &["workers", "seconds", "traces/s", "speedup"],
         &rows,
     );
     let hot_path = hot_path_ratio(&mut report);
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let auto = ParallelConfig::auto_for(N_TRACES);
     ArtifactDoc::new("golden_collect_fit")
         .field_u64("n_traces", N_TRACES as u64)
         .field_u64("host_cpus", host_cpus as u64)
-        .field_raw(
-            "auto_tuned",
-            format!(
-                "{{\"workers\": {}, \"chunk_size\": {}}}",
-                auto.workers, auto.chunk_size
-            ),
-        )
-        .field_str(
-            "note",
-            "speedup is bounded by host_cpus; requested workers are clamped \
-             to the host so oversubscription cannot regress below 1x",
-        )
         .field_array("results", &json_rows)
         .field_raw("hot_path", hot_path)
         .write("BENCH_parallel.json", &mut report);

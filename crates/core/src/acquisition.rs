@@ -291,7 +291,7 @@ impl<'c> TestBench<'c> {
             backend: Backend::Simulation { onchip, external },
             clock,
             a2: None,
-            parallel: ParallelConfig::default(),
+            parallel: ParallelConfig::serial(),
             faults: None,
         })
     }
@@ -311,7 +311,7 @@ impl<'c> TestBench<'c> {
             backend: Backend::Silicon(fab),
             clock: ClockConfig::reference(),
             a2: None,
-            parallel: ParallelConfig::default(),
+            parallel: ParallelConfig::serial(),
             faults: None,
         })
     }
@@ -374,11 +374,6 @@ impl<'c> TestBench<'c> {
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self
-    }
-
-    /// The parallel execution policy.
-    pub fn parallel(&self) -> ParallelConfig {
-        self.parallel
     }
 
     /// Installs a fault-injection plan: every subsequent `collect*` call

@@ -108,7 +108,7 @@ impl Default for ArrayConfig {
             fingerprint: FingerprintConfig::default(),
             persistence: None,
             fusion: FusionPolicy::Or,
-            parallel: ParallelConfig::default(),
+            parallel: ParallelConfig::serial(),
             labels: LabelSet::new(),
             forensics: None,
             consensus: ConsensusConfig::default(),

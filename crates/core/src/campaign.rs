@@ -144,13 +144,12 @@ impl<'c> Campaign<'c> {
             .workers
             .clamp(1, emtrust_dsp::parallel::host_parallelism());
         let width = plaintexts.len().div_ceil(workers).clamp(1, LANES);
-        let pool = self.parallel.with_chunk_size(width);
         let count = toggles.is_some();
         let mut before = self.warmup;
         for (r, round) in plaintexts.chunks(width * workers).enumerate() {
             let chunks = {
                 let _span = telemetry::span("simulate");
-                pool.try_map_chunks(round.len(), |range| {
+                emtrust_dsp::parallel::chunked_try_map(round.len(), width, workers, |range| {
                     let prev = range.start.checked_sub(1).map(|i| round[i]).or(before);
                     let mut counts = count.then(ToggleActivity::new);
                     let blocks = self.replay(prev, &round[range], table, counts.as_mut())?;

@@ -2,7 +2,7 @@
 
 use crate::acquisition::TraceSet;
 use crate::features::{bin_rms, l2_norm, DEFAULT_RMS_BIN};
-use crate::parallel::ParallelConfig;
+use crate::parallel::{ParallelConfig, CHUNK};
 use crate::TrustError;
 use emtrust_dsp::distance;
 use emtrust_dsp::pca::Pca;
@@ -31,7 +31,7 @@ impl Default for FingerprintConfig {
             rms_bin: DEFAULT_RMS_BIN,
             pca_components: Some(8),
             threshold_margin: 1.0,
-            parallel: ParallelConfig::default(),
+            parallel: ParallelConfig::serial(),
         }
     }
 }
@@ -110,11 +110,8 @@ impl GoldenFingerprint {
         // The O(n²) Eq. 1 pair scan, row-fanned across the pool.
         let threshold = {
             let _span = telemetry::span("threshold_scan");
-            distance::eq1_threshold_with(
-                &projected,
-                config.parallel.workers,
-                config.parallel.chunk_size,
-            )? * config.threshold_margin
+            distance::eq1_threshold_with(&projected, config.parallel.workers, CHUNK)?
+                * config.threshold_margin
         };
         telemetry::gauge("fingerprint.threshold", threshold);
         Ok(Self {
@@ -223,7 +220,7 @@ impl GoldenFingerprint {
         Ok(distance::pairwise_distances_with(
             &self.golden,
             self.config.parallel.workers,
-            self.config.parallel.chunk_size,
+            CHUNK,
         )?)
     }
 

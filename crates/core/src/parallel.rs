@@ -2,128 +2,50 @@
 //! hot paths.
 //!
 //! The paper's monitor "works in parallel with the circuit's normal
-//! execution"; this module makes the *reproduction* itself multi-core.
-//! A [`ParallelConfig`] names a worker count and a chunk size; every
-//! parallel stage in the workspace splits its work into **fixed chunks
-//! whose layout depends only on the chunk size**, so results are
-//! bit-identical for every worker count — serial (`workers = 1`) and
-//! 8-wide runs produce the same traces, the same distances, and the same
-//! alarms in the same order. Randomness is never drawn from worker
-//! identity: every trace's noise seed is derived from the campaign seed
-//! and the trace index alone.
+//! execution"; this module lets the *reproduction* fan its batch work
+//! across cores when a caller asks for it. Everything runs serially by
+//! default: a [`ParallelConfig`] names only a worker count, and threads
+//! start only where a caller sets one above 1. Every parallel stage in
+//! the workspace splits its work into **fixed chunks whose layout never
+//! depends on the worker count**, so results are bit-identical for every
+//! worker count — serial (`workers = 1`) and 8-wide runs produce the same
+//! traces, the same distances, and the same alarms in the same order.
+//! Randomness is never drawn from worker identity: every trace's noise
+//! seed is derived from the campaign seed and the trace index alone.
 
 use emtrust_dsp::parallel as substrate;
 
-/// Worker-pool configuration shared by the parallel hot paths.
+/// Items per work chunk: small enough to load balance trace collection,
+/// large enough to amortize dispatch. Chunk boundaries are a pure
+/// function of this value, never of the worker count, which is what
+/// keeps parallel runs bit-identical to serial ones.
+pub(crate) const CHUNK: usize = 4;
+
+/// Worker-pool configuration shared by the parallel hot paths. The
+/// default is [`Self::serial`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Number of worker threads. `1` runs inline on the caller's thread
     /// (the degenerate pool — no threads are spawned at all).
     pub workers: usize,
-    /// Items per work chunk. Chunk boundaries are a pure function of this
-    /// value, never of `workers`, which is what keeps parallel runs
-    /// bit-identical to serial ones.
-    pub chunk_size: usize,
 }
 
 impl Default for ParallelConfig {
-    /// All available cores, four items per chunk — small enough to load
-    /// balance trace collection, large enough to amortize dispatch.
     fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism().map_or(1, usize::from),
-            chunk_size: 4,
-        }
+        Self::serial()
     }
 }
 
 impl ParallelConfig {
     /// A configuration that runs everything inline on one thread.
     pub fn serial() -> Self {
-        Self {
-            workers: 1,
-            chunk_size: 4,
-        }
+        Self { workers: 1 }
     }
 
     /// Sets the worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    /// Sets the chunk size (clamped to at least 1).
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Self-tunes the configuration for a workload of `n_items` items.
-    ///
-    /// The policy:
-    ///
-    /// - **Workers** are clamped to the host's available parallelism and
-    ///   to the item count — a pool can never go slower than serial by
-    ///   oversubscribing cores, and never spawns a thread with nothing
-    ///   to do.
-    /// - **Chunk size** targets [`Self::CHUNKS_PER_WORKER`] chunks per
-    ///   worker so the atomic-cursor scheduler can load-balance uneven
-    ///   items, bounded to `1..=MAX_AUTO_CHUNK` so tiny workloads stay
-    ///   fine-grained and huge ones still amortize dispatch.
-    ///
-    /// Chunk boundaries remain a pure function of the chunk size, so a
-    /// tuned configuration keeps the workspace-wide guarantee: results
-    /// are bit-identical to any other worker count for the same chunk
-    /// size, and every chunk-pure stage (trace collection, featurize,
-    /// distance scans) is bit-identical for *any* chunk size too.
-    pub fn tuned_for(self, n_items: usize) -> Self {
-        let host = emtrust_dsp::parallel::host_parallelism();
-        let workers = self.workers.min(host).min(n_items.max(1)).max(1);
-        let chunk_size =
-            (n_items / (workers * Self::CHUNKS_PER_WORKER).max(1)).clamp(1, Self::MAX_AUTO_CHUNK);
-        Self {
-            workers,
-            chunk_size,
-        }
-    }
-
-    /// [`Self::tuned_for`] starting from the default configuration (all
-    /// cores): the zero-knob entry point for batch workloads.
-    pub fn auto_for(n_items: usize) -> Self {
-        Self::default().tuned_for(n_items)
-    }
-
-    /// Target number of chunks per worker picked by [`Self::tuned_for`]:
-    /// enough slack for the cursor scheduler to absorb uneven chunk
-    /// costs, few enough to keep dispatch overhead negligible.
-    pub const CHUNKS_PER_WORKER: usize = 4;
-
-    /// Upper bound on the auto-tuned chunk size.
-    pub const MAX_AUTO_CHUNK: usize = 32;
-
-    /// The worker count the substrate will actually use for `n_items`
-    /// items after its oversubscription clamp.
-    pub fn effective_workers(&self, n_items: usize) -> usize {
-        let n_chunks = n_items.div_ceil(self.chunk_size.max(1)).max(1);
-        self.workers
-            .max(1)
-            .min(emtrust_dsp::parallel::host_parallelism())
-            .min(n_chunks)
-    }
-
-    /// Maps chunk ranges of `0..n_items` with `f` across the pool and
-    /// concatenates the chunk outputs in chunk order.
-    ///
-    /// # Errors
-    ///
-    /// Forwards the error of the lowest-indexed failing chunk.
-    pub fn try_map_chunks<R, E, F>(&self, n_items: usize, f: F) -> Result<Vec<R>, E>
-    where
-        R: Send,
-        E: Send,
-        F: Fn(std::ops::Range<usize>) -> Result<Vec<R>, E> + Sync,
-    {
-        substrate::chunked_try_map(n_items, self.chunk_size, self.workers, f)
     }
 
     /// Maps every index of `0..n_items` with `f` across the pool,
@@ -138,7 +60,9 @@ impl ParallelConfig {
         E: Send,
         F: Fn(usize) -> Result<R, E> + Sync,
     {
-        self.try_map_chunks(n_items, |range| range.map(&f).collect())
+        substrate::chunked_try_map(n_items, CHUNK, self.workers, |range| {
+            range.map(&f).collect()
+        })
     }
 
     /// Maps every index of `0..n_items` with an infallible `f` across the
@@ -150,11 +74,9 @@ impl ParallelConfig {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let wrapped: Result<Vec<R>, std::convert::Infallible> = self.try_map(n_items, |i| Ok(f(i)));
-        match wrapped {
-            Ok(v) => v,
-            Err(never) => match never {},
-        }
+        substrate::chunked_map(n_items, CHUNK, self.workers, |range| {
+            range.map(&f).collect()
+        })
     }
 }
 
@@ -163,115 +85,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_uses_every_core() {
-        let cfg = ParallelConfig::default();
-        assert!(cfg.workers >= 1);
-        assert_eq!(cfg.chunk_size, 4);
-    }
-
-    #[test]
-    fn builders_clamp_to_one() {
-        let cfg = ParallelConfig::serial().with_workers(0).with_chunk_size(0);
-        assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.chunk_size, 1);
+    fn default_is_serial_and_builder_clamps_to_one() {
+        assert_eq!(ParallelConfig::default(), ParallelConfig::serial());
+        assert_eq!(ParallelConfig::serial().workers, 1);
+        assert_eq!(ParallelConfig::serial().with_workers(0).workers, 1);
     }
 
     #[test]
     fn indexed_map_preserves_order() {
-        let cfg = ParallelConfig::default().with_workers(4).with_chunk_size(3);
+        let cfg = ParallelConfig::serial().with_workers(4);
         let got: Vec<usize> = cfg.try_map::<_, (), _>(20, |i| Ok(i * 2)).unwrap();
         assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn infallible_map_matches_serial() {
-        let cfg = ParallelConfig::default().with_workers(4).with_chunk_size(2);
+        let cfg = ParallelConfig::serial().with_workers(4);
         let got = cfg.map(15, |i| i * i);
         assert_eq!(got, (0..15).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn tuned_config_never_exceeds_items_or_host() {
-        let host = emtrust_dsp::parallel::host_parallelism();
-        for n_items in [0usize, 1, 2, 3, 7, 32, 1000] {
-            let cfg = ParallelConfig::auto_for(n_items);
-            assert!(cfg.workers >= 1);
-            assert!(cfg.workers <= host, "n_items={n_items}");
-            assert!(cfg.workers <= n_items.max(1), "n_items={n_items}");
-            assert!(cfg.chunk_size >= 1);
-            assert!(cfg.chunk_size <= ParallelConfig::MAX_AUTO_CHUNK);
-        }
-    }
-
-    #[test]
-    fn tuned_map_is_bit_identical_to_serial() {
-        let n = 97;
-        let serial: Vec<f64> = ParallelConfig::serial().map(n, |i| (i as f64 * 0.3).sin());
-        let tuned: Vec<f64> = ParallelConfig::auto_for(n).map(n, |i| (i as f64 * 0.3).sin());
-        for (a, b) in serial.iter().zip(&tuned) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn effective_workers_accounts_for_chunks_and_host() {
-        let cfg = ParallelConfig::default()
-            .with_workers(usize::MAX)
-            .with_chunk_size(4);
-        let host = emtrust_dsp::parallel::host_parallelism();
-        // 8 items in chunks of 4 = 2 chunks; the host cap also applies.
-        assert_eq!(cfg.effective_workers(8), host.min(2));
-        assert_eq!(ParallelConfig::serial().effective_workers(1000), 1);
-        assert_eq!(cfg.effective_workers(0), 1);
-    }
-
-    #[test]
     fn errors_pick_the_lowest_chunk() {
-        let cfg = ParallelConfig::default().with_workers(8).with_chunk_size(2);
+        let cfg = ParallelConfig::serial().with_workers(8);
         let got: Result<Vec<usize>, usize> =
             cfg.try_map(50, |i| if i >= 11 { Err(i) } else { Ok(i) });
-        // Chunk [10, 12) is the lowest failing chunk; within a chunk the
+        // Chunk [8, 12) is the lowest failing chunk; within a chunk the
         // scan is sequential, so index 11 is the reported error.
         assert_eq!(got.unwrap_err(), 11);
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Auto-tuning never exceeds the host's parallelism or the item
-        /// count, and always yields a sane chunk size, no matter the
-        /// workload or the (possibly absurd) requested worker count.
-        #[test]
-        fn tuned_configs_respect_host_and_item_bounds(
-            n_items in 0usize..100_000,
-            requested in 1usize..4096,
-        ) {
-            let host = emtrust_dsp::parallel::host_parallelism();
-            for cfg in [
-                ParallelConfig::auto_for(n_items),
-                ParallelConfig::default().with_workers(requested).tuned_for(n_items),
-            ] {
-                prop_assert!(cfg.workers >= 1);
-                prop_assert!(cfg.workers <= host);
-                prop_assert!(cfg.workers <= n_items.max(1));
-                prop_assert!(cfg.chunk_size >= 1);
-                prop_assert!(cfg.chunk_size <= ParallelConfig::MAX_AUTO_CHUNK);
-                prop_assert!(cfg.effective_workers(n_items) <= cfg.workers);
-            }
-        }
-
-        /// An auto-tuned map is bit-identical to the serial path for any
-        /// workload size — the determinism guarantee is worker- and
-        /// chunk-independent.
-        #[test]
-        fn tuned_map_is_bit_identical_to_serial_for_any_size(n in 1usize..300) {
-            let serial: Vec<f64> =
-                ParallelConfig::serial().map(n, |i| (i as f64 * 0.37).sin() * 1e-6);
-            let tuned: Vec<f64> =
-                ParallelConfig::auto_for(n).map(n, |i| (i as f64 * 0.37).sin() * 1e-6);
-            for (a, b) in serial.iter().zip(&tuned) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 }

@@ -249,7 +249,7 @@ pub struct PipelineBuilder {
     fusion: FusionPolicy,
     sanitizer: Option<TraceSanitizer>,
     health: Option<HealthConfig>,
-    parallel: Option<ParallelConfig>,
+    parallel: ParallelConfig,
     labels: LabelSet,
     forensics: Option<ForensicsConfig>,
 }
@@ -293,11 +293,10 @@ impl PipelineBuilder {
         self
     }
 
-    /// Overrides the worker-pool configuration for batch paths. The
-    /// default is the first projection provider's parallel policy
-    /// (falling back to [`ParallelConfig::default`]).
+    /// Sets the worker pool batch paths fan across (default:
+    /// [`ParallelConfig::serial`]).
     pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = Some(parallel);
+        self.parallel = parallel;
         self
     }
 
@@ -320,9 +319,6 @@ impl PipelineBuilder {
     /// Assembles the pipeline.
     pub fn build(self) -> DetectionPipeline {
         let projector = self.detectors.iter().find_map(|d| d.projector());
-        let parallel = self
-            .parallel
-            .unwrap_or_else(|| projector.map(|fp| fp.config().parallel).unwrap_or_default());
         // A sanitizer without an expected length inherits it from the
         // projection provider.
         let sanitizer = self
@@ -349,7 +345,7 @@ impl PipelineBuilder {
             health: self
                 .health
                 .map_or_else(HealthTracker::default, HealthTracker::new),
-            parallel,
+            parallel: self.parallel,
             labels: self.labels,
             trace_detector_labels,
             window_detector_labels,
@@ -1191,11 +1187,6 @@ impl DetectionPipeline {
     /// The installed sanitizer, if any.
     pub fn sanitizer(&self) -> Option<&TraceSanitizer> {
         self.sanitizer.as_ref()
-    }
-
-    /// The worker-pool configuration batch paths fan across.
-    pub fn parallel(&self) -> ParallelConfig {
-        self.parallel
     }
 
     /// The bounded label set stamped on this pipeline's metrics and

@@ -15,6 +15,7 @@
 //! the builder-pattern guidance for complex values.
 
 use crate::cell::CellKind;
+use crate::level::Levels;
 use crate::NetlistError;
 
 /// Identifier of a net (wire) within one [`Netlist`].
@@ -523,14 +524,16 @@ impl Netlist {
     }
 
     /// Validates structural sanity: every cell input driven, no
-    /// combinational cycles, all primary outputs driven.
+    /// combinational cycles, all primary outputs driven. Returns the
+    /// levelization the cycle check computed, so a caller that needs an
+    /// evaluation order does not levelize twice.
     ///
     /// # Errors
     ///
     /// - [`NetlistError::UndrivenNet`] for a floating cell input or output
     ///   port,
     /// - [`NetlistError::CombinationalCycle`] if levelization fails.
-    pub fn validate(&self) -> Result<(), NetlistError> {
+    pub fn validate(&self) -> Result<Levels, NetlistError> {
         for cell in &self.cells {
             for &i in &cell.inputs {
                 if matches!(self.nets[i.index()].source, NetSource::Undriven) {
@@ -549,7 +552,7 @@ impl Netlist {
                 });
             }
         }
-        crate::level::levelize(self).map(|_| ())
+        crate::level::levelize(self)
     }
 }
 

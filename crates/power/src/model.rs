@@ -73,7 +73,7 @@ const EDGE: [f64; 2] = [FALL_CHARGE_FRACTION, 1.0];
 /// let activity = sim.take_recording();
 ///
 /// let model = CurrentModel::new(Library::generic_180nm(), ClockConfig::reference());
-/// let trace = model.synthesize(&n, &activity, None, None)?;
+/// let trace = model.synthesize_with(&n, &activity, None, None, 1)?;
 /// assert_eq!(trace.len(), 4 * 64);
 /// assert!(trace.total_charge_c() > 0.0);
 /// # Ok(())
@@ -122,7 +122,10 @@ impl CurrentModel {
     }
 
     /// Synthesizes the supply-current waveform for `activity` recorded on
-    /// `netlist`.
+    /// `netlist`, with the bin step fanned across `workers` threads in
+    /// cycle chunks ([`ChargeTable::bin_trace`]). Each cycle's bins depend
+    /// only on its own events, so the waveform is bit-identical for every
+    /// `workers` value.
     ///
     /// - `weights`: optional per-cell factors (indexed by
     ///   [`emtrust_netlist::graph::CellId::index`]); when given, each
@@ -132,25 +135,6 @@ impl CurrentModel {
     /// - `extra_leakage_a`: optional per-cycle additional leakage current
     ///   in amperes (Trojan T2's leakage channel), one entry per recorded
     ///   cycle. Applied with weight 1 (or the mean weight when weighting).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::LengthMismatch`] if `weights` doesn't cover
-    /// every cell or `extra_leakage_a` doesn't cover every cycle.
-    pub fn synthesize(
-        &self,
-        netlist: &Netlist,
-        activity: &ActivityTrace,
-        weights: Option<&[f64]>,
-        extra_leakage_a: Option<&[f64]>,
-    ) -> Result<CurrentTrace, PowerError> {
-        self.synthesize_with(netlist, activity, weights, extra_leakage_a, 1)
-    }
-
-    /// [`Self::synthesize`] with the bin step fanned across `workers`
-    /// threads in cycle chunks ([`ChargeTable::bin_trace`]). Each cycle's
-    /// bins depend only on its own events, so the waveform is
-    /// bit-identical for every `workers` value.
     ///
     /// # Errors
     ///
@@ -208,7 +192,7 @@ impl CurrentModel {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::synthesize`].
+    /// Same as [`Self::synthesize_with`].
     pub fn synthesize_reference(
         &self,
         netlist: &Netlist,
@@ -878,7 +862,7 @@ mod tests {
     fn trace_length_matches_cycles_times_spc() {
         let n = toggle_netlist();
         let act = record(&n, 5);
-        let t = model().synthesize(&n, &act, None, None).unwrap();
+        let t = model().synthesize_with(&n, &act, None, None, 1).unwrap();
         assert_eq!(t.len(), 5 * 64);
         assert_eq!(t.sample_rate_hz(), 640e6);
     }
@@ -887,7 +871,7 @@ mod tests {
     fn charge_accounting_is_conserved() {
         let n = toggle_netlist();
         let act = record(&n, 4);
-        let t = model().synthesize(&n, &act, None, None).unwrap();
+        let t = model().synthesize_with(&n, &act, None, None, 1).unwrap();
         let lib = Library::generic_180nm();
         // Expected: per cycle, clock load + dff toggle + inverter toggle
         // (alternating rise/fall) + leakage.
@@ -920,8 +904,10 @@ mod tests {
         let act_big = record(&big, 4);
         let act_small = record(&small, 4);
         let m = model();
-        let tb = m.synthesize(&big, &act_big, None, None).unwrap();
-        let ts = m.synthesize(&small, &act_small, None, None).unwrap();
+        let tb = m.synthesize_with(&big, &act_big, None, None, 1).unwrap();
+        let ts = m
+            .synthesize_with(&small, &act_small, None, None, 1)
+            .unwrap();
         assert!(tb.total_charge_c() > 2.0 * ts.total_charge_c());
     }
 
@@ -930,9 +916,9 @@ mod tests {
         let n = toggle_netlist();
         let act = record(&n, 4);
         let m = model();
-        let unweighted = m.synthesize(&n, &act, None, None).unwrap();
+        let unweighted = m.synthesize_with(&n, &act, None, None, 1).unwrap();
         let w = vec![0.5; n.cell_count()];
-        let weighted = m.synthesize(&n, &act, Some(&w), None).unwrap();
+        let weighted = m.synthesize_with(&n, &act, Some(&w), None, 1).unwrap();
         assert!(
             (weighted.total_charge_c() - 0.5 * unweighted.total_charge_c()).abs()
                 < 1e-6 * unweighted.total_charge_c()
@@ -944,7 +930,9 @@ mod tests {
         let n = toggle_netlist();
         let act = record(&n, 2);
         let w = vec![0.0; n.cell_count()];
-        let t = model().synthesize(&n, &act, Some(&w), None).unwrap();
+        let t = model()
+            .synthesize_with(&n, &act, Some(&w), None, 1)
+            .unwrap();
         assert!(t.samples().iter().all(|&x| x.abs() < 1e-18));
     }
 
@@ -953,9 +941,9 @@ mod tests {
         let n = toggle_netlist();
         let act = record(&n, 4);
         let m = model();
-        let base = m.synthesize(&n, &act, None, None).unwrap();
+        let base = m.synthesize_with(&n, &act, None, None, 1).unwrap();
         let extra = vec![1e-6; 4]; // 1 µA for every cycle
-        let with = m.synthesize(&n, &act, None, Some(&extra)).unwrap();
+        let with = m.synthesize_with(&n, &act, None, Some(&extra), 1).unwrap();
         let delta = with.total_charge_c() - base.total_charge_c();
         let expect = 1e-6 * with.duration_s();
         assert!((delta - expect).abs() < 0.01 * expect);
@@ -967,11 +955,11 @@ mod tests {
         let act = record(&n, 2);
         let m = model();
         assert!(matches!(
-            m.synthesize(&n, &act, Some(&[1.0]), None),
+            m.synthesize_with(&n, &act, Some(&[1.0]), None, 1),
             Err(PowerError::LengthMismatch { .. })
         ));
         assert!(matches!(
-            m.synthesize(&n, &act, None, Some(&[0.0])),
+            m.synthesize_with(&n, &act, None, Some(&[0.0]), 1),
             Err(PowerError::LengthMismatch { .. })
         ));
     }
@@ -980,7 +968,7 @@ mod tests {
     fn clock_pulse_lands_at_cycle_start() {
         let n = toggle_netlist();
         let act = record(&n, 1);
-        let t = model().synthesize(&n, &act, None, None).unwrap();
+        let t = model().synthesize_with(&n, &act, None, None, 1).unwrap();
         // The biggest sample should be among the first few of the cycle
         // (clock edge + level-0/1 toggles near the edge).
         let (max_idx, _) = t
@@ -1013,7 +1001,7 @@ mod tests {
         let n = toggle_netlist();
         let act = record(&n, 12);
         let m = model();
-        let serial = m.synthesize(&n, &act, None, None).unwrap();
+        let serial = m.synthesize_with(&n, &act, None, None, 1).unwrap();
         let par = m.synthesize_with(&n, &act, None, None, 8).unwrap();
         for (a, b) in par.samples().iter().zip(serial.samples()) {
             assert_eq!(a.to_bits(), b.to_bits());

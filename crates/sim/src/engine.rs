@@ -26,7 +26,7 @@
 
 use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
 use emtrust_netlist::graph::{CellId, NetId, Netlist};
-use emtrust_netlist::level::{levelize, Levels};
+use emtrust_netlist::level::Levels;
 use emtrust_netlist::NetlistError;
 use std::borrow::Cow;
 
@@ -227,11 +227,10 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Propagates any structural error from [`Netlist::validate`] and
-    /// [`NetlistError::CombinationalCycle`] from levelization.
+    /// Propagates any structural error from [`Netlist::validate`],
+    /// including [`NetlistError::CombinationalCycle`] from levelization.
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
-        netlist.validate()?;
-        let levels = levelize(netlist)?;
+        let levels = netlist.validate()?;
         let sources = Sources::new(netlist, &levels)?;
         let flops = netlist
             .cells()

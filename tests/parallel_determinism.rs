@@ -161,7 +161,7 @@ fn batch_ingest_matches_serial_ingest_exactly() {
 #[test]
 fn workers_one_is_a_degenerate_pool() {
     // `ParallelConfig::serial()` must behave exactly like the default
-    // all-core pool — and both must accept a clamped zero worker count.
+    // pool — and both must accept a clamped zero worker count.
     let cfg = ParallelConfig::default();
     assert!(cfg.workers >= 1);
     assert_eq!(pool(0).workers, 1);
