@@ -11,13 +11,21 @@
 //!   ("signal intensity is closely related to the distance"),
 //! - `ablation_samples_per_cycle` — acquisition rate vs. detection,
 //! - `coupling_map` — build cost of each coil's gridded kernel on a
-//!   630 µm die (the all-Trojan chip's size), probe map included.
+//!   630 µm die (the all-Trojan chip's size), probe map included,
+//! - `welch` — one `spectral_watch` window's Welch spectrum (36 864
+//!   samples, 4 Hann segments padded to 16 384 points): the per-segment
+//!   complex-FFT reference, the one-shot `Spectrum::welch` and a kept
+//!   `WelchPlan`; the report prints the plan's largest distance from the
+//!   reference, relative to its peak bin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emtrust::acquisition::TestBench;
 use emtrust::euclidean::trojan_distance_study;
 use emtrust::fingerprint::FingerprintConfig;
 use emtrust_bench::EXPERIMENT_KEY;
+use emtrust_dsp::fft::{fft_in_place, next_power_of_two, Complex};
+use emtrust_dsp::spectrum::{Spectrum, WelchPlan};
+use emtrust_dsp::window::Window;
 use emtrust_em::coil::Coil;
 use emtrust_em::coupling::CouplingMap;
 use emtrust_layout::floorplan::Die;
@@ -200,12 +208,86 @@ fn coupling_map(c: &mut Criterion) {
     g.finish();
 }
 
+const WELCH_LEN: usize = 36_864;
+const WELCH_SEGMENTS: usize = 4;
+const WELCH_FS: f64 = 640e6;
+
+/// Welch magnitudes as `Spectrum::welch` computed them before it was
+/// planned: per segment, a Hann table for the taper and another for the
+/// coherent gain, a full complex FFT of the zero-padded real segment, and
+/// `Complex::abs` per bin.
+fn reference_welch(signal: &[f64]) -> Vec<f64> {
+    let seg_len = 2 * signal.len() / (WELCH_SEGMENTS + 1);
+    let n = next_power_of_two(seg_len);
+    let mut acc = vec![0.0; n / 2 + 1];
+    let mut count = 0.0;
+    let mut start = 0;
+    while start + seg_len <= signal.len() {
+        let taper = Window::Hann.coefficients(n);
+        let mut bins: Vec<Complex> = signal[start..start + seg_len]
+            .iter()
+            .zip(&taper)
+            .map(|(x, w)| Complex::from(x * w))
+            .collect();
+        bins.resize(n, Complex::ZERO);
+        let gain = Window::Hann.coefficients(n).iter().sum::<f64>() / n as f64;
+        fft_in_place(&mut bins).unwrap();
+        let scale = 2.0 / (n as f64 * gain);
+        for (k, (a, c)) in acc.iter_mut().zip(&bins).enumerate() {
+            let edge = k == 0 || k == n / 2;
+            *a += c.abs() * if edge { scale / 2.0 } else { scale };
+        }
+        count += 1.0;
+        start += seg_len / 2;
+    }
+    acc.iter_mut().for_each(|a| *a /= count);
+    acc
+}
+
+fn welch(c: &mut Criterion) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    // A clock line and a weak trigger line over noise.
+    let signal: Vec<f64> = (0..WELCH_LEN)
+        .map(|i| {
+            let t = i as f64 / WELCH_FS;
+            (2.0 * std::f64::consts::PI * 10e6 * t).sin()
+                + 0.05 * (2.0 * std::f64::consts::PI * 25e6 * t).sin()
+                + 0.1 * rng.gen_range(-1.0..1.0)
+        })
+        .collect();
+    let plan = WelchPlan::new(WELCH_LEN, WELCH_FS, Window::Hann, WELCH_SEGMENTS).expect("plan");
+    let mut g = c.benchmark_group("welch");
+    g.sample_size(20);
+    if g.selects("plan") {
+        let reference = reference_welch(&signal);
+        let planned = plan.estimate(&signal).expect("estimate");
+        let peak = reference.iter().fold(0.0f64, |m, &x| m.max(x));
+        let gap = planned
+            .magnitudes()
+            .iter()
+            .zip(&reference)
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        println!(
+            "welch/plan: max |plan − reference| / peak = {:.2e}",
+            gap / peak
+        );
+    }
+    g.bench_function("reference", |b| b.iter(|| reference_welch(&signal)));
+    g.bench_function("spectrum_welch", |b| {
+        b.iter(|| Spectrum::welch(&signal, WELCH_FS, Window::Hann, WELCH_SEGMENTS).unwrap())
+    });
+    g.bench_function("plan", |b| b.iter(|| plan.estimate(&signal).unwrap()));
+    g.finish();
+}
+
 criterion_group!(
     ablations,
     ablation_pca,
     ablation_coil_turns,
     ablation_probe_height,
     ablation_samples_per_cycle,
-    coupling_map
+    coupling_map,
+    welch
 );
 criterion_main!(ablations);

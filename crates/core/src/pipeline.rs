@@ -55,7 +55,7 @@ use crate::persistence::{PersistenceConfig, SpectralPersistenceDetector};
 use crate::sanitize::{SanitizerConfig, TraceDefect, TraceSanitizer, TraceVerdict};
 use crate::spectral::SpectralConfig;
 use crate::TrustError;
-use emtrust_dsp::spectrum::Spectrum;
+use emtrust_dsp::spectrum::WelchPlan;
 use emtrust_dsp::DspError;
 use emtrust_em::emf::VoltageTrace;
 use emtrust_telemetry::{
@@ -357,6 +357,7 @@ impl PipelineBuilder {
             windows_seen: 0,
             windows_rejected: 0,
             alarms: Vec::new(),
+            welch_plan: None,
         }
     }
 }
@@ -419,6 +420,10 @@ pub struct DetectionPipeline {
     windows_seen: u64,
     windows_rejected: u64,
     alarms: Vec<PipelineAlarm>,
+    /// The Welch plan for the last window shape seen; rebuilt by
+    /// [`Self::ingest_window`] when the window length, sample rate or
+    /// shared [`WelchSpec`] changes.
+    welch_plan: Option<WelchPlan>,
 }
 
 impl DetectionPipeline {
@@ -611,28 +616,47 @@ impl DetectionPipeline {
         Ok((frame, scores))
     }
 
-    /// The pure window pass: the Welch spectrum is computed once and
-    /// every window detector scores it.
-    fn featurize_window<'a>(
-        &self,
-        window: &'a VoltageTrace,
-    ) -> Result<(FeatureFrame<'a>, Vec<Score>), TrustError> {
+    /// Readies the Welch plan for `window`: checks the sample rate
+    /// against a reference-based detector's pin, and rebuilds the plan
+    /// when the window's shape or the shared [`WelchSpec`] changed since
+    /// the last window.
+    fn plan_window(&mut self, window: &VoltageTrace) -> Result<(), TrustError> {
         let spec = self.welch_spec().ok_or(TrustError::InvalidParameter {
             what: "no Welch-spec provider registered for the feature plan",
         })?;
+        let fs = window.sample_rate_hz();
         if let Some(expected_hz) = spec.expected_rate_hz {
-            if (window.sample_rate_hz() - expected_hz).abs() > 1e-6 * expected_hz {
+            if (fs - expected_hz).abs() > 1e-6 * expected_hz {
                 return Err(TrustError::InvalidParameter {
                     what: "suspect sample rate must match the golden trace",
                 });
             }
         }
-        let spectrum = Spectrum::welch(
-            window.samples(),
-            window.sample_rate_hz(),
-            spec.window,
-            spec.segments,
-        )?;
+        let len = window.samples().len();
+        let current = self
+            .welch_plan
+            .as_ref()
+            .is_some_and(|p| p.matches(len, fs, spec.window, spec.segments));
+        if !current {
+            self.welch_plan = Some(WelchPlan::new(len, fs, spec.window, spec.segments)?);
+        }
+        Ok(())
+    }
+
+    /// The pure window pass: the Welch spectrum is computed once, with
+    /// the plan [`Self::plan_window`] readied, and every window detector
+    /// scores it.
+    fn featurize_window<'a>(
+        &self,
+        window: &'a VoltageTrace,
+    ) -> Result<(FeatureFrame<'a>, Vec<Score>), TrustError> {
+        let plan = self
+            .welch_plan
+            .as_ref()
+            .ok_or(TrustError::InvalidParameter {
+                what: "no Welch plan readied for the window",
+            })?;
+        let spectrum = plan.estimate(window.samples())?;
         let mut frame = FeatureFrame::window(window.samples(), window.sample_rate_hz());
         frame.set_spectrum(spectrum);
         let scores = self
@@ -1049,7 +1073,10 @@ impl DetectionPipeline {
             .any(|d| d.domain() == DetectorDomain::ContinuousWindow);
         let (verdict, scored) = match self.screen_window(window) {
             v if v.is_rejected() || !has_window_detector => (v, None),
-            v => match self.featurize_window(window) {
+            v => match self
+                .plan_window(window)
+                .and_then(|()| self.featurize_window(window))
+            {
                 Ok(scored) => (v, Some(scored)),
                 Err(_) => (
                     TraceVerdict::Rejected {
@@ -1241,6 +1268,8 @@ mod tests {
     use crate::detector::{EuclideanDetector, ScoreDetail};
     use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
     use crate::spectral::SpectralDetector;
+    use emtrust_dsp::spectrum::Spectrum;
+    use emtrust_dsp::window::Window;
     use emtrust_telemetry::FlightRecorderConfig;
 
     fn synthetic_set(n: usize, amplitude: f64, seed: u64) -> TraceSet {
@@ -1524,6 +1553,32 @@ mod tests {
         assert_eq!(p.alarms().len(), 1);
         p.acknowledge_alarms();
         assert!(p.alarms().is_empty());
+    }
+
+    #[test]
+    fn window_plan_follows_the_window_length() {
+        let mut p = spectral_pipeline(None);
+        let long = tone_window(640e6, false, 2);
+        let short = VoltageTrace::new(
+            tone_window(640e6, true, 3).samples()[..12_000].to_vec(),
+            640e6,
+        );
+        for (i, window) in [&long, &short, &long].into_iter().enumerate() {
+            let o = p.ingest_window(window);
+            assert_eq!(o.index, Some(i as u64));
+            let plan = p
+                .welch_plan
+                .as_ref()
+                .expect("an ingested window readies a plan");
+            assert!(plan.matches(window.samples().len(), 640e6, Window::Hann, 4));
+            let (frame, _) = p.featurize_window(window).unwrap();
+            let fresh = Spectrum::welch(window.samples(), 640e6, Window::Hann, 4).unwrap();
+            let kept = frame.spectrum().unwrap();
+            assert_eq!(kept.freqs_hz(), fresh.freqs_hz());
+            for (a, b) in kept.magnitudes().iter().zip(fresh.magnitudes()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -109,8 +109,11 @@ impl SpectralDetector {
 
     /// Estimates a suspect window's spectrum with the detector's own
     /// Welch settings, after checking the sample rate against the golden
-    /// trace's. The pipeline's featurizer uses this so the spectrum is
-    /// computed once and shared by every spectral consumer.
+    /// trace's. The estimate is a one-shot [`WelchPlan`], bit for bit
+    /// the one a [`DetectionPipeline`] makes with the plan it keeps.
+    ///
+    /// [`DetectionPipeline`]: crate::DetectionPipeline
+    /// [`WelchPlan`]: emtrust_dsp::spectrum::WelchPlan
     ///
     /// # Errors
     ///

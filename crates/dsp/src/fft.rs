@@ -157,23 +157,6 @@ pub fn next_power_of_two(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// Zero-pads `signal` to the next power of two and returns its FFT.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `signal` is empty.
-pub fn fft_real_padded(signal: &[f64]) -> Result<Vec<Complex>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let n = next_power_of_two(signal.len());
-    let mut buf: Vec<Complex> = Vec::with_capacity(n);
-    buf.extend(signal.iter().map(|&x| Complex::from(x)));
-    buf.resize(n, Complex::ZERO);
-    fft_in_place(&mut buf)?;
-    Ok(buf)
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Direction {
     Forward,
@@ -254,11 +237,12 @@ fn bit_reverse_permute(buf: &mut [Complex]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn naive_dft(signal: &[f64]) -> Vec<Complex> {
+    /// The O(N²) DFT, the oracle for every fast transform in the crate.
+    pub(crate) fn naive_dft(signal: &[f64]) -> Vec<Complex> {
         let n = signal.len();
         (0..n)
             .map(|k| {
@@ -318,12 +302,6 @@ mod tests {
         let bins = fft_real(&[42.0]).unwrap();
         assert_eq!(bins.len(), 1);
         assert!((bins[0].re - 42.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn padded_fft_extends_to_power_of_two() {
-        let bins = fft_real_padded(&[1.0; 100]).unwrap();
-        assert_eq!(bins.len(), 128);
     }
 
     #[test]

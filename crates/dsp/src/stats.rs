@@ -26,9 +26,13 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// Median of `xs` (upper median for even lengths). Returns `0.0` for an
-/// empty slice. NaNs compare equal to everything and end up wherever the
-/// sort leaves them — callers screening for finiteness first get the
-/// exact order statistic.
+/// empty slice.
+///
+/// The order statistic at index `len / 2` is selected in `O(n)`, not
+/// sorted for. NaNs order after every number, so a NaN-bearing slice
+/// never panics and yields a NaN only when at most `len / 2` of its
+/// entries are numbers; on finite input the value is the sorted slice's
+/// element at `len / 2`.
 ///
 /// The spectral detectors use this as a robust per-spectrum noise-floor
 /// estimate: a handful of strong clock harmonics cannot drag the median
@@ -38,8 +42,15 @@ pub fn median(xs: &[f64]) -> f64 {
         return 0.0;
     }
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    v[v.len() / 2]
+    let mid = v.len() / 2;
+    *v.select_nth_unstable_by(mid, nan_last).1
+}
+
+/// `partial_cmp` made total: every NaN equals every other and orders
+/// after every number.
+fn nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 /// Root-mean-square value of `xs`. Returns `0.0` for an empty slice.
@@ -191,6 +202,32 @@ mod tests {
     }
 
     #[test]
+    fn median_orders_nan_last_and_never_panics() {
+        assert_eq!(median(&[f64::NAN, 3.0, 1.0, 2.0, f64::NAN]), 3.0);
+        assert_eq!(median(&[2.0, f64::NAN, 1.0]), 2.0);
+        assert!(median(&[f64::NAN, f64::NAN, 1.0]).is_nan());
+        // Shapes that made a sort with an inconsistent comparator panic
+        // ("does not correctly implement a total order").
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for _ in 0..2000 {
+            let n = rng.gen_range(1..64);
+            let xs: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        f64::NAN
+                    } else {
+                        rng.gen_range(-10.0..10.0)
+                    }
+                })
+                .collect();
+            let m = median(&xs);
+            let finite = xs.iter().filter(|x| !x.is_nan()).count();
+            assert_eq!(m.is_nan(), finite <= n / 2, "{xs:?}");
+        }
+    }
+
+    #[test]
     fn snr_matches_paper_equations() {
         // A 10:1 voltage ratio is exactly 20 dB.
         assert!((snr_db(10.0, 1.0) - 20.0).abs() < 1e-12);
@@ -252,6 +289,18 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn median_equals_the_sorted_order_statistic(
+            xs in proptest::collection::vec(-1e3f64..1e3, 1..200),
+            dup in proptest::collection::vec(-3i8..3, 0..40),
+        ) {
+            // Mixes in small integers so ties and repeats occur.
+            let xs: Vec<f64> = xs.into_iter().chain(dup.into_iter().map(f64::from)).collect();
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            prop_assert!(median(&xs) == sorted[xs.len() / 2]);
+        }
+
         #[test]
         fn rms_is_nonnegative_and_bounded_by_max_abs(
             xs in proptest::collection::vec(-1e6f64..1e6, 1..200)

@@ -55,26 +55,6 @@ impl Window {
             })
             .collect()
     }
-
-    /// Applies the window to `signal` in place.
-    pub fn apply(self, signal: &mut [f64]) {
-        if matches!(self, Window::Rectangular) {
-            return;
-        }
-        let coeffs = self.coefficients(signal.len());
-        for (s, w) in signal.iter_mut().zip(coeffs) {
-            *s *= w;
-        }
-    }
-
-    /// The coherent gain (mean coefficient), used to renormalize amplitudes.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        let coeffs = self.coefficients(n);
-        coeffs.iter().sum::<f64>() / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -125,24 +105,5 @@ mod tests {
             assert!(w.coefficients(0).is_empty());
             assert_eq!(w.coefficients(1), vec![1.0]);
         }
-    }
-
-    #[test]
-    fn apply_scales_signal() {
-        let mut s = vec![2.0; 8];
-        Window::Hann.apply(&mut s);
-        assert!(s[0].abs() < 1e-12);
-        assert!(s[3] > 1.5);
-    }
-
-    #[test]
-    fn coherent_gain_of_rectangular_is_one() {
-        assert!((Window::Rectangular.coherent_gain(128) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn coherent_gain_of_hann_is_about_half() {
-        let g = Window::Hann.coherent_gain(4096);
-        assert!((g - 0.5).abs() < 1e-3, "{g}");
     }
 }
