@@ -321,8 +321,24 @@ pub fn run_encryption_stepped<'a>(
     ports: &AesPorts,
     key: [u8; 16],
     pt: [u8; 16],
-    mut step: impl FnMut(&mut Simulator<'a>),
+    step: impl FnMut(&mut Simulator<'a>),
 ) -> [u8; 16] {
+    drive_encryption(sim, ports, key, pt, step);
+    debug_assert!(sim.value(ports.done), "done must be high after 12 edges");
+    word_to_block(sim.bus(&ports.ct))
+}
+
+/// Drives one encryption's inputs around the 12 clock edges that `step`
+/// applies, and reads nothing back: the stimulus of
+/// [`run_encryption_stepped`] for a `step` that advances only part of
+/// the circuit ([`Simulator::step_cone`]).
+pub fn drive_encryption<'a>(
+    sim: &mut Simulator<'a>,
+    ports: &AesPorts,
+    key: [u8; 16],
+    pt: [u8; 16],
+    mut step: impl FnMut(&mut Simulator<'a>),
+) {
     sim.set_bus(&ports.key, block_to_word(key));
     sim.set_bus(&ports.pt, block_to_word(pt));
     sim.set_input(ports.start, true);
@@ -331,8 +347,6 @@ pub fn run_encryption_stepped<'a>(
     for _ in 1..CYCLES_PER_BLOCK {
         step(sim); // load edge (state <- pt ^ key, round <- 1), 10 rounds
     }
-    debug_assert!(sim.value(ports.done), "done must be high after 12 edges");
-    word_to_block(sim.bus(&ports.ct))
 }
 
 /// Drives one encryption per lane: `plaintexts[j]` in lane `j`, all

@@ -12,7 +12,8 @@ use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_aes::netlist::{
-    run_encryption, run_encryption_stepped, run_encryptions, run_encryptions_stepped,
+    drive_encryption, run_encryption, run_encryption_stepped, run_encryptions,
+    run_encryptions_stepped,
 };
 use emtrust_bench::EXPERIMENT_KEY;
 use emtrust_netlist::library::Library;
@@ -93,8 +94,11 @@ fn parallel_ingest_batch(c: &mut Criterion) {
 }
 
 /// Recorded encryptions at both lane widths: one live lane on the
-/// all-Trojan chip with T1 armed (how Trojan campaigns run), and a full
-/// word of lanes on the golden chip (how replayable campaigns run).
+/// all-Trojan chip with T1 armed (a one-lane recording, as a campaign's
+/// power-on block and the sim tests run), and a full word of lanes on
+/// the golden chip. Then a 16-encryption T1-armed campaign on the
+/// all-Trojan chip, as `monitor` collects a batch, and its serial pass
+/// over the Trojans' state cone alone.
 fn simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
     g.sample_size(10);
@@ -121,6 +125,35 @@ fn simulate(c: &mut Criterion) {
             sim.start_recording();
             let cts = run_encryptions(&mut sim, golden.aes_ports(), EXPERIMENT_KEY, &plaintexts);
             (cts, sim.take_lane_recordings())
+        })
+    });
+
+    let bench = TestBench::simulation(&armed).expect("bench");
+    let t1 = Some(TrojanKind::T1AmLeaker);
+    g.throughput(Throughput::Elements(16));
+    g.bench_function("campaign_16_t1_armed", |b| {
+        b.iter(|| {
+            bench
+                .collect(EXPERIMENT_KEY, 16, t1, Channel::OnChipSensor, 5)
+                .expect("campaign")
+        })
+    });
+    let cone = armed.state_cone().expect("state cone");
+    let mut sim = armed.simulator().expect("simulator");
+    armed.disarm_all(&mut sim);
+    armed.arm(&mut sim, TrojanKind::T1AmLeaker, true);
+    g.bench_function("cone_pass_16_t1_armed", |b| {
+        b.iter(|| {
+            (0..16u8)
+                .map(|i| {
+                    let entry = sim.cone_state(cone);
+                    let pt = [i; 16];
+                    drive_encryption(&mut sim, armed.aes_ports(), EXPERIMENT_KEY, pt, |s| {
+                        s.step_cone(cone)
+                    });
+                    entry
+                })
+                .collect::<Vec<_>>()
         })
     });
     g.finish();

@@ -4,19 +4,34 @@
 //! under test, and streams back-to-back encryptions under one key. Each
 //! clock edge's toggles go straight from the simulator into the charge
 //! bins of a [`ChargeTable`] (and, when attribution asks, into per-cell
-//! toggle counts); no event is stored. Its only decision is lane width:
+//! toggle counts); no event is stored.
 //!
-//! - A Trojan-free chip with nothing armed is **replayable**: its state
-//!   after an encryption is a pure function of the key and that
-//!   encryption's plaintext. The blocks are then split into one chunk per
-//!   pool worker, at most [`LANES`] blocks each, and every chunk runs on
-//!   its own simulator, one block per lane. Lane *i* warms up with its
-//!   predecessor plaintext, then streams its own, which reproduces the
-//!   serial event stream exactly.
-//! - A Trojan-carrying chip is not: T1's counter free-runs even while
-//!   dormant, so trace *i* depends on every earlier encryption. It runs
-//!   sequentially on one live lane of the same engine, sampling T2's
-//!   leakage-sense net every cycle when T2 is armed.
+//! Every chip takes the same path. Its flops split in two:
+//!
+//! - The chip's **state cone** ([`ProtectedChip::state_cone`]): every
+//!   Trojan flop, closed under sequential fan-in and under the flops that
+//!   read it. It carries history — T1's counter free-runs even while
+//!   dormant, so a Trojan's state at block *i* depends on every earlier
+//!   encryption — but it reads only primary inputs and its own state, so
+//!   it runs forward on its own. Once per round, a serial pass on the
+//!   calling thread steps the cone alone through every block on lane 0
+//!   and records each block's entry state. A golden chip's cone is empty
+//!   and the pass is skipped.
+//! - Everything else, the AES core: no flop of it reads the cone, and its
+//!   state after an encryption is a pure function of the key and that
+//!   encryption's plaintext.
+//!
+//! The round's blocks are then split into one chunk per pool worker, at
+//! most [`LANES`] blocks each, and every chunk runs on its own simulator,
+//! one block per lane. Lane *i* warms up with its predecessor plaintext,
+//! which puts the core in its serial state, then loads its entry state
+//! of the cone and settles: at a block boundary every combinational net
+//! is a fixed point of the flops and the inputs, so the lane now holds
+//! the serial simulation's nets exactly. It then streams its own
+//! plaintext, sampling T2's leakage-sense net per lane when T2 is armed.
+//! A campaign from power-on runs its first block alone on lane 0, from
+//! the power-on state. A netlist whose cone grew to every flop would
+//! load every flop and stay exact.
 //!
 //! A cycle's bins depend only on that cycle's toggles, which are summed
 //! in serial event order whatever the lane, so the blocks' bins are
@@ -26,11 +41,9 @@
 use crate::acquisition::T2_LEAK_CURRENT_A;
 use crate::parallel::ParallelConfig;
 use crate::TrustError;
-use emtrust_aes::netlist::{
-    run_encryption_stepped, run_encryption_with, run_encryptions, run_encryptions_stepped,
-};
+use emtrust_aes::netlist::{drive_encryption, run_encryptions, run_encryptions_stepped};
 use emtrust_power::{ChargeBins, ChargeTable};
-use emtrust_sim::{Simulator, ToggleActivity, ToggleWords, LANES};
+use emtrust_sim::{Cone, ConeState, Simulator, ToggleActivity, ToggleWords, LANES};
 use emtrust_telemetry as telemetry;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
@@ -79,7 +92,7 @@ pub(crate) struct Campaign<'c> {
 
 impl<'c> Campaign<'c> {
     /// A campaign on `chip` with only `armed` triggered, simulating on
-    /// `parallel`'s workers when replayable.
+    /// `parallel`'s workers.
     pub(crate) fn new(
         chip: &'c ProtectedChip,
         key: [u8; 16],
@@ -94,10 +107,6 @@ impl<'c> Campaign<'c> {
             warmup,
             parallel,
         }
-    }
-
-    fn replayable(&self) -> bool {
-        self.armed.is_none() && self.chip.trojan_kinds().next().is_none()
     }
 
     /// A powered-on simulator with only `armed` triggered.
@@ -122,23 +131,8 @@ impl<'c> Campaign<'c> {
         mut toggles: Option<&mut ToggleActivity>,
         mut sink: impl FnMut(usize, Vec<Block>) -> Result<(), TrustError>,
     ) -> Result<(), TrustError> {
-        if !self.replayable() {
-            let mut sim = self.power_on()?;
-            if let Some(pt) = self.warmup {
-                let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), self.key, pt, |_| {});
-            }
-            for (b, batch) in plaintexts.chunks(LANES).enumerate() {
-                let blocks = {
-                    let _span = telemetry::span("simulate");
-                    batch
-                        .iter()
-                        .map(|&pt| self.encrypt(&mut sim, pt, table, toggles.as_deref_mut()))
-                        .collect()
-                };
-                sink(b * LANES, blocks)?;
-            }
-            return Ok(());
-        }
+        let cone = self.chip.state_cone()?;
+        let mut tracker = None;
         let workers = self
             .parallel
             .workers
@@ -149,10 +143,18 @@ impl<'c> Campaign<'c> {
         for (r, round) in plaintexts.chunks(width * workers).enumerate() {
             let chunks = {
                 let _span = telemetry::span("simulate");
+                let entries = self.entries(cone, &mut tracker, round)?;
                 emtrust_dsp::parallel::chunked_try_map(round.len(), width, workers, |range| {
                     let prev = range.start.checked_sub(1).map(|i| round[i]).or(before);
                     let mut counts = count.then(ToggleActivity::new);
-                    let blocks = self.replay(prev, &round[range], table, counts.as_mut())?;
+                    let blocks = self.replay(
+                        prev,
+                        &round[range.clone()],
+                        cone,
+                        &entries[range],
+                        table,
+                        counts.as_mut(),
+                    )?;
                     Ok::<_, TrustError>(vec![(blocks, counts)])
                 })?
             };
@@ -190,49 +192,65 @@ impl<'c> Campaign<'c> {
         Ok((bins, leak))
     }
 
-    /// One streamed encryption on lane 0 of a sequential simulator.
-    fn encrypt(
+    /// Each block of `round`'s entry state of `cone`, read off `tracker`
+    /// as it runs the cone forward on lane 0; the tracker starts from
+    /// power-on and the warm-up on first use. An empty cone has empty
+    /// states and no tracker.
+    fn entries(
         &self,
-        sim: &mut Simulator<'c>,
-        pt: [u8; 16],
-        table: &ChargeTable,
-        toggles: Option<&mut ToggleActivity>,
-    ) -> Block {
-        let leak_sense = self
-            .armed
-            .and_then(|k| self.chip.trojan_ports(k))
-            .and_then(|p| p.leak_sense);
-        let mut out = BlockSink::new(table, 1, toggles);
-        let mut leak = Vec::new();
-        let _ = run_encryption_stepped(sim, self.chip.aes_ports(), self.key, pt, |s| {
-            s.step_words(|lane, words| out.cycle(lane, words));
-            if let Some(net) = leak_sense {
-                // The leakage path opens while the sense bit is low.
-                leak.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
-            }
-        });
-        Block {
-            bins: out.bins.swap_remove(0),
-            leak: leak_sense.map(|_| leak),
+        cone: &Cone,
+        tracker: &mut Option<Simulator<'c>>,
+        round: &[[u8; 16]],
+    ) -> Result<Vec<ConeState>, TrustError> {
+        if cone.is_empty() {
+            return Ok(vec![ConeState::default(); round.len()]);
         }
+        let sim = match tracker {
+            Some(sim) => sim,
+            None => {
+                let mut sim = self.power_on()?;
+                if let Some(pt) = self.warmup {
+                    self.step_cone(&mut sim, cone, pt);
+                }
+                tracker.insert(sim)
+            }
+        };
+        Ok(round
+            .iter()
+            .map(|&pt| {
+                let entry = sim.cone_state(cone);
+                self.step_cone(sim, cone, pt);
+                entry
+            })
+            .collect())
     }
 
-    /// Streams `blocks` of a replayable campaign side by side on a fresh
-    /// simulator, after warming each lane up with its predecessor; `prev`
-    /// precedes the first block (`None`: it runs alone from power-on).
+    /// One encryption of `cone` alone.
+    fn step_cone(&self, sim: &mut Simulator<'c>, cone: &Cone, pt: [u8; 16]) {
+        let ports = self.chip.aes_ports();
+        drive_encryption(sim, ports, self.key, pt, |s| s.step_cone(cone));
+    }
+
+    /// Streams `blocks` side by side on a fresh simulator, after warming
+    /// each lane up with its predecessor and loading its block's entry
+    /// state of `cone` from `entries`; `prev` precedes the first block
+    /// (`None`: it runs alone from power-on, where the cone is in its
+    /// power-on state).
     fn replay(
         &self,
         prev: Option<[u8; 16]>,
         blocks: &[[u8; 16]],
+        cone: &Cone,
+        entries: &[ConeState],
         table: &ChargeTable,
         mut toggles: Option<&mut ToggleActivity>,
     ) -> Result<Vec<Block>, TrustError> {
         let mut sim = self.power_on()?;
-        let (mut out, rest, prev) = match prev {
-            Some(prev) => (Vec::with_capacity(blocks.len()), blocks, prev),
+        let (mut out, rest, entries, prev) = match prev {
+            Some(prev) => (Vec::with_capacity(blocks.len()), blocks, entries, prev),
             None => {
                 let first = self.lanes(&mut sim, &blocks[..1], table, toggles.as_deref_mut());
-                (first, &blocks[1..], blocks[0])
+                (first, &blocks[1..], &entries[1..], blocks[0])
             }
         };
         if let Some((_, predecessors)) = rest.split_last() {
@@ -240,12 +258,14 @@ impl<'c> Campaign<'c> {
                 .chain(predecessors.iter().copied())
                 .collect();
             let _ = run_encryptions(&mut sim, self.chip.aes_ports(), self.key, &warmups);
+            sim.load_cone(cone, entries);
             out.extend(self.lanes(&mut sim, rest, table, toggles));
         }
         Ok(out)
     }
 
-    /// One streamed encryption per lane.
+    /// One streamed encryption per lane, sampling T2's leakage-sense net
+    /// in every lane when T2 is armed.
     fn lanes(
         &self,
         sim: &mut Simulator<'c>,
@@ -253,13 +273,30 @@ impl<'c> Campaign<'c> {
         table: &ChargeTable,
         toggles: Option<&mut ToggleActivity>,
     ) -> Vec<Block> {
+        let leak_sense = self
+            .armed
+            .and_then(|k| self.chip.trojan_ports(k))
+            .and_then(|p| p.leak_sense);
         let mut out = BlockSink::new(table, blocks.len(), toggles);
+        let mut leak = leak_sense.map_or(Vec::new(), |_| vec![Vec::new(); blocks.len()]);
         let _ = run_encryptions_stepped(sim, self.chip.aes_ports(), self.key, blocks, |s| {
-            s.step_words(|lane, words| out.cycle(lane, words))
+            s.step_words(|lane, words| out.cycle(lane, words));
+            if let Some(net) = leak_sense {
+                let sense = s.value_lanes(net);
+                for (lane, leak) in leak.iter_mut().enumerate() {
+                    // The leakage path opens while the sense bit is low.
+                    let open = sense >> lane & 1 == 0;
+                    leak.push(if open { T2_LEAK_CURRENT_A } else { 0.0 });
+                }
+            }
         });
+        let mut leak = leak.into_iter();
         out.bins
             .into_iter()
-            .map(|bins| Block { bins, leak: None })
+            .map(|bins| Block {
+                bins,
+                leak: leak.next(),
+            })
             .collect()
     }
 }
@@ -267,6 +304,7 @@ impl<'c> Campaign<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emtrust_aes::netlist::run_encryption_with;
     use emtrust_netlist::library::Library;
     use emtrust_power::{ClockConfig, CurrentModel, CurrentTrace};
     use emtrust_sim::ActivityTrace;
@@ -425,33 +463,45 @@ mod tests {
 
     #[test]
     fn each_armed_trojan_streams_like_its_serial_recording() {
+        // 70 blocks cross a 64-lane round; the cone carries T1's
+        // free-running counter and every Trojan's key state across it.
         let chip = ProtectedChip::with_all_trojans();
         let sets = weight_sets(&chip);
         let table = table(&chip, &sets);
-        let pts = plaintexts(3);
-        let warmup = Some([0x3C; 16]);
-        for kind in emtrust_trojan::digital::ALL_DIGITAL_TROJANS {
-            let expected = serial(&chip, &pts, Some(kind), warmup);
-            let mut got = Vec::new();
-            let mut toggles = ToggleActivity::new();
-            // Worker count is irrelevant to a Trojan campaign; give it some.
-            let parallel = ParallelConfig::serial().with_workers(4);
-            Campaign::new(&chip, KEY, Some(kind), warmup, parallel)
-                .record(&pts, &table, Some(&mut toggles), |_, blocks| {
-                    got.extend(blocks);
-                    Ok(())
-                })
-                .unwrap();
-            let mut all = ActivityTrace::new();
-            for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(&block.leak, leak, "{kind:?} block {i}");
-                assert_eq!(leak.is_some(), kind == TrojanKind::T2LeakageLeaker);
+        let pts = plaintexts(70);
+        let kinds = emtrust_trojan::digital::ALL_DIGITAL_TROJANS.map(Some);
+        for warmup in [None, Some([0x3C; 16])] {
+            for armed in std::iter::once(None).chain(kinds) {
+                let what = format!("{armed:?}, warm-up {}", warmup.is_some());
+                let expected = serial(&chip, &pts, armed, warmup);
+                let mut got = Vec::new();
+                let mut toggles = ToggleActivity::new();
+                let parallel = ParallelConfig::serial().with_workers(2);
+                Campaign::new(&chip, KEY, armed, warmup, parallel)
+                    .record(&pts, &table, Some(&mut toggles), |first, blocks| {
+                        assert_eq!(first, got.len(), "{what}");
+                        got.extend(blocks);
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(got.len(), expected.len(), "{what}");
+                let mut all = ActivityTrace::new();
+                for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
+                    assert_eq!(&block.leak, leak, "{what}, block {i}");
+                    assert_eq!(leak.is_some(), armed == Some(TrojanKind::T2LeakageLeaker));
+                    assert_eq!(
+                        block.bins,
+                        table.bin_trace(activity, 1),
+                        "{what}, block {i}"
+                    );
+                    all.extend_from(activity.clone());
+                }
+                let (block, (activity, leak)) = (&got[69], &expected[69]);
                 let rendered = table.render(&block.bins, block.leak.as_deref()).unwrap();
                 let reference = stored(&chip, &sets, activity, leak.as_deref());
-                assert_same_bits(&rendered, &reference, &format!("{kind:?} block {i}"));
-                all.extend_from(activity.clone());
+                assert_same_bits(&rendered, &reference, &what);
+                assert_eq!(toggles, ToggleActivity::from_trace(&all), "{what}");
             }
-            assert_eq!(toggles, ToggleActivity::from_trace(&all), "{kind:?}");
         }
     }
 }

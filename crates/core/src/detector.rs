@@ -121,8 +121,9 @@ pub enum ScoreDetail {
     },
     /// The spectral-persistence detector's run bookkeeping.
     Persistence {
-        /// Hot bins outside the self-referenced baseline this window.
-        fresh_hot_bins: usize,
+        /// Hot bins outside the self-referenced baseline this window,
+        /// ascending.
+        fresh_bins: Vec<usize>,
         /// Longest consecutive-window run over those bins, this window
         /// included.
         longest_run: u32,

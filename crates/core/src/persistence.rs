@@ -215,19 +215,18 @@ impl Detector for SpectralPersistenceDetector {
                 statistic: 0.0,
                 threshold,
                 detail: ScoreDetail::Persistence {
-                    fresh_hot_bins: 0,
+                    fresh_bins: Vec::new(),
                     longest_run: 0,
                 },
             });
         }
-        let hot = self.hot_bins(spectrum);
-        let mut fresh_hot_bins = 0usize;
+        let mut fresh_bins = Vec::new();
         let mut longest_run = 0u32;
-        for (i, &h) in hot.iter().enumerate() {
+        for (i, &h) in self.hot_bins(spectrum).iter().enumerate() {
             if !h || self.baseline.get(i).copied().unwrap_or(false) {
                 continue;
             }
-            fresh_hot_bins += 1;
+            fresh_bins.push(i);
             // The run if this window is counted on top of the history.
             let projected = self.runs.get(i).copied().unwrap_or(0) + 1;
             longest_run = longest_run.max(projected);
@@ -236,7 +235,7 @@ impl Detector for SpectralPersistenceDetector {
             statistic: f64::from(longest_run),
             threshold,
             detail: ScoreDetail::Persistence {
-                fresh_hot_bins,
+                fresh_bins,
                 longest_run,
             },
         })
@@ -249,14 +248,19 @@ impl Detector for SpectralPersistenceDetector {
         score.statistic >= score.threshold
     }
 
-    fn absorb(&mut self, frame: &FeatureFrame<'_>, _score: &Score) {
+    /// During warm-up, whitelists the frame's hot bins at the lower
+    /// floor. Afterwards extends the run of each fresh hot bin that
+    /// `score`, this detector's score of `frame`, lists, and ends every
+    /// other run: the watch-phase mask is built once per window, in
+    /// [`Detector::score`].
+    fn absorb(&mut self, frame: &FeatureFrame<'_>, score: &Score) {
         let Some(spectrum) = frame.spectrum() else {
             return;
         };
-        let hot = self.hot_bins(spectrum);
-        if self.baseline.len() < hot.len() {
-            self.baseline.resize(hot.len(), false);
-            self.runs.resize(hot.len(), 0);
+        let bins = spectrum.magnitudes().len();
+        if self.baseline.len() < bins {
+            self.baseline.resize(bins, false);
+            self.runs.resize(bins, 0);
         }
         if self.in_warmup() {
             for (i, &w) in self.whitelist_bins(spectrum).iter().enumerate() {
@@ -265,9 +269,14 @@ impl Detector for SpectralPersistenceDetector {
                 }
             }
         } else {
-            for (i, &h) in hot.iter().enumerate() {
-                self.runs[i] = if h && !self.baseline[i] {
-                    self.runs[i] + 1
+            let fresh = match &score.detail {
+                ScoreDetail::Persistence { fresh_bins, .. } => fresh_bins.as_slice(),
+                _ => &[],
+            };
+            let mut fresh = fresh.iter().peekable();
+            for (i, run) in self.runs[..bins].iter_mut().enumerate() {
+                *run = if fresh.next_if_eq(&&i).is_some() {
+                    *run + 1
                 } else {
                     0
                 };

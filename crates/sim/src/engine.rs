@@ -23,6 +23,13 @@
 //! word, from reused scratch. [`Simulator::step_words`] streams them to
 //! the caller; [`Simulator::step`] with a recording in progress expands
 //! them into the lanes' [`ActivityTrace`]s with [`ToggleWords::events`].
+//!
+//! A [`Cone`] is the part of a circuit that some flops' next state
+//! depends on ([`Program::cone`]). [`Simulator::step_cone`] runs it
+//! forward alone, [`Simulator::cone_state`] snapshots its flops in lane
+//! 0 and [`Simulator::load_cone`] puts one snapshot into each lane: the
+//! way a history-carrying block of state is carried across lanes that
+//! otherwise each replay from their own stimulus.
 
 use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
 use emtrust_netlist::graph::{CellId, NetId, Netlist};
@@ -282,7 +289,118 @@ impl Program {
     fn net_count(&self) -> usize {
         self.is_input.len()
     }
+
+    /// The cell of every flop, in the program's flop order (id order).
+    fn flop_cells(&self) -> impl Iterator<Item = CellId> + '_ {
+        self.sources.events[..self.flops.len()]
+            .iter()
+            .map(|e| e.cell)
+    }
+
+    /// The sequential fan-in of the flops `seeds`: the seeds, every flop
+    /// whose output reaches one of its members' `d` pins through gates,
+    /// repeated to a fixed point, and the gates in between, in
+    /// evaluation order. Its next state reads only its own flops and
+    /// primary inputs, so [`Simulator::step_cone`] can run it forward
+    /// without the rest of the circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed is not a flop of this program.
+    pub fn cone(&self, seeds: &[CellId]) -> Cone {
+        let cells: Vec<CellId> = self.flop_cells().collect();
+        let mut flop_of = vec![u32::MAX; self.net_count()];
+        for (i, f) in self.flops.iter().enumerate() {
+            flop_of[f.q as usize] = i as u32;
+        }
+        let mut gate_of = vec![u32::MAX; self.net_count()];
+        for (i, g) in self.gates.iter().enumerate() {
+            gate_of[g.out as usize] = i as u32;
+        }
+        let mut in_flops = vec![false; self.flops.len()];
+        let mut in_gates = vec![false; self.gates.len()];
+        let mut nets: Vec<u32> = Vec::new();
+        for seed in seeds {
+            let found = cells.binary_search(seed);
+            assert!(found.is_ok(), "cone seed {seed:?} is not a flop");
+            let i = found.unwrap_or_default();
+            if !std::mem::replace(&mut in_flops[i], true) {
+                nets.push(self.flops[i].d);
+            }
+        }
+        while let Some(net) = nets.pop() {
+            let (f, g) = (flop_of[net as usize], gate_of[net as usize]);
+            if f != u32::MAX && !std::mem::replace(&mut in_flops[f as usize], true) {
+                nets.push(self.flops[f as usize].d);
+            } else if g != u32::MAX && !std::mem::replace(&mut in_gates[g as usize], true) {
+                nets.extend(self.gates[g as usize].ins);
+            }
+        }
+        fn members(set: &[bool]) -> impl Iterator<Item = usize> + '_ {
+            (0..set.len()).filter(|&i| set[i])
+        }
+        Cone {
+            cells: members(&in_flops).map(|i| cells[i]).collect(),
+            flops: members(&in_flops).map(|i| self.flops[i]).collect(),
+            gates: members(&in_gates).map(|i| self.gates[i]).collect(),
+        }
+    }
+
+    /// The flops outside `cone` whose next state reads its state: those
+    /// whose `d` pin a cone flop's output reaches through gates.
+    pub fn readers(&self, cone: &Cone) -> Vec<CellId> {
+        let mut reads = vec![false; self.net_count()];
+        for f in &cone.flops {
+            reads[f.q as usize] = true;
+        }
+        for g in &self.gates {
+            if g.ins.iter().any(|&i| reads[i as usize]) {
+                reads[g.out as usize] = true;
+            }
+        }
+        // The cone's flops are the only flops whose outputs are marked.
+        self.flop_cells()
+            .zip(&self.flops)
+            .filter(|(_, f)| !reads[f.q as usize] && reads[f.d as usize])
+            .map(|(cell, _)| cell)
+            .collect()
+    }
 }
+
+/// A set of flops closed under sequential fan-in, with the gates that
+/// compute its next state ([`Program::cone`]), copied out of its
+/// program so that stepping it touches nothing else.
+#[derive(Debug, Clone, Default)]
+pub struct Cone {
+    /// Each member flop's cell, ascending.
+    cells: Vec<CellId>,
+    /// The member flops, in the same order.
+    flops: Vec<Flop>,
+    /// The gates in the members' fan-in, in evaluation order.
+    gates: Vec<Gate>,
+}
+
+impl Cone {
+    /// The member flops' cells, ascending.
+    pub fn flops(&self) -> &[CellId] {
+        &self.cells
+    }
+
+    /// Number of gates in the members' fan-in.
+    pub fn gate_count(&self) -> usize {
+        self.gates.len()
+    }
+
+    /// Whether the cone holds no flop (and so no gate).
+    pub fn is_empty(&self) -> bool {
+        self.flops.is_empty()
+    }
+}
+
+/// Lane 0's values of a [`Cone`]'s flops ([`Simulator::cone_state`]):
+/// bit `k % 64` of word `k / 64` is member `k`'s output.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConeState(Vec<u64>);
 
 /// Evaluates a 3-input truth table on 64 lanes at once. MUX2 (`0xCA`)
 /// and XOR2 (`0x66`), the kinds the AES core is built from, take a
@@ -302,18 +420,43 @@ fn lut3(table: u8, a: u64, b: u64, c: u64) -> u64 {
     mux(c, low, high)
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `i` of
-/// `rows[j]` is what bit `j` of `rows[i]` was.
-fn transpose64(rows: &mut [u64; 64]) {
+/// Transposes a 64×64 bit matrix in place as far as its first `need`
+/// rows go, `need` a power of two: afterwards bit `i` of `rows[j]`, for
+/// `j < need`, is what bit `j` of `rows[i]` was, and the other rows are
+/// garbage. A stage at least as wide as `need` updates only the rows the
+/// later stages read, so 16 rows cost about 40 % of the full 64. Each
+/// width is compiled with its own constant bounds, which keeps the full
+/// transpose as fast as a fixed 64-row one.
+fn transpose64(rows: &mut [u64; 64], need: usize) {
+    match need {
+        1 => transpose_rows::<1>(rows),
+        2 => transpose_rows::<2>(rows),
+        4 => transpose_rows::<4>(rows),
+        8 => transpose_rows::<8>(rows),
+        16 => transpose_rows::<16>(rows),
+        32 => transpose_rows::<32>(rows),
+        _ => transpose_rows::<64>(rows),
+    }
+}
+
+#[inline(always)]
+fn transpose_rows<const NEED: usize>(rows: &mut [u64; 64]) {
     let mut width = 32;
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
     while width != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((rows[k] >> width) ^ rows[k + width]) & mask;
-            rows[k] ^= t << width;
-            rows[k + width] ^= t;
-            k = (k + width + 1) & !width;
+        if width >= NEED {
+            for k in 0..width {
+                let t = ((rows[k] >> width) ^ rows[k + width]) & mask;
+                rows[k] ^= t << width;
+            }
+        } else {
+            let mut k = 0;
+            while k < NEED {
+                let t = ((rows[k] >> width) ^ rows[k + width]) & mask;
+                rows[k] ^= t << width;
+                rows[k + width] ^= t;
+                k = (k + width + 1) & !width;
+            }
         }
         width >>= 1;
         mask ^= mask << width;
@@ -445,6 +588,15 @@ impl<'a> Simulator<'a> {
     /// Panics if `net` is out of range.
     pub fn value(&self, net: NetId) -> bool {
         self.words[net.index()] & 1 != 0
+    }
+
+    /// Current logic values of `net` in every lane: bit `j` is lane `j`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
+    pub fn value_lanes(&self, net: NetId) -> u64 {
+        self.words[net.index()]
     }
 
     /// Sets a primary-input net to `value` in every lane (effective next
@@ -611,11 +763,82 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Evaluates lane 0 as the only live lane, which is how every Trojan
-    /// campaign runs, packing each source's toggle and new value into
-    /// one bit per source as it goes: no per-source words are stored and
-    /// no lane-major transposes run, which would cost as much again as
-    /// the rest of the step.
+    /// Applies one rising clock edge to `cone`, a cone of this
+    /// simulator's program, in lane 0 alone, then settles its gates;
+    /// nothing is recorded. Afterwards the cone's nets read 0 in every
+    /// other lane and every net outside the cone keeps its value, so a
+    /// simulator stepped this way is read only through lane 0 of the cone
+    /// ([`Self::cone_state`]). One lane costs a table lookup per gate,
+    /// well under the 64-lane kernel's generic mux tree.
+    pub fn step_cone(&mut self, cone: &Cone) {
+        let words = &mut self.words;
+        let staged = &mut self.staged[..cone.flops.len()];
+        for (s, f) in staged.iter_mut().zip(&cone.flops) {
+            *s = words[f.d as usize] & 1;
+        }
+        for (&s, f) in staged.iter().zip(&cone.flops) {
+            words[f.q as usize] = s;
+        }
+        for g in &cone.gates {
+            let [a, b, c] = g.ins.map(|i| words[i as usize] & 1);
+            words[g.out as usize] = u64::from(g.table) >> (a | b << 1 | c << 2) & 1;
+        }
+        self.cycle += 1;
+    }
+
+    /// Lane 0's values of `cone`'s flops.
+    pub fn cone_state(&self, cone: &Cone) -> ConeState {
+        let mut bits = vec![0u64; cone.flops.len().div_ceil(LANES)];
+        for (k, f) in cone.flops.iter().enumerate() {
+            let q = self.words[f.q as usize];
+            bits[k / LANES] |= (q & 1) << (k % LANES);
+        }
+        ConeState(bits)
+    }
+
+    /// Loads `states[j]` into lane `j`'s `cone` flops, then settles the
+    /// combinational logic ([`Self::settle`]); an empty cone or no state
+    /// loads and settles nothing.
+    ///
+    /// At a clock-edge boundary whose inputs have not changed since the
+    /// edge, every net is a fixed point of the flops and the inputs. If
+    /// no flop outside the cone reads the cone ([`Program::readers`]),
+    /// each loaded lane then holds exactly the nets of a simulator that
+    /// reached its flops itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`LANES`] states or a state was not
+    /// taken from `cone`.
+    pub fn load_cone(&mut self, cone: &Cone, states: &[ConeState]) {
+        if cone.is_empty() || states.is_empty() {
+            return;
+        }
+        assert!(states.len() <= LANES, "load_cone takes 1 to {LANES} states");
+        let words = cone.flops.len().div_ceil(LANES);
+        assert!(
+            states.iter().all(|s| s.0.len() == words),
+            "cone state of another cone"
+        );
+        let lanes = u64::MAX >> (LANES - states.len());
+        for (k, f) in cone.flops.iter().enumerate() {
+            let bits = states.iter().enumerate().fold(0u64, |acc, (j, s)| {
+                acc | (s.0[k / LANES] >> (k % LANES) & 1) << j
+            });
+            let q = &mut self.words[f.q as usize];
+            *q = (*q & !lanes) | bits;
+        }
+        self.settle();
+    }
+
+    /// Evaluates lane 0 as the only live lane — a campaign's power-on
+    /// block and every one-lane [`Self::step`] recording — packing each
+    /// source's toggle and new value into one bit per source as it goes:
+    /// no per-source words are stored and no lane-major transposes run.
+    /// Sending one lane through [`Self::emit_lanes`] instead costs about
+    /// 1.1× as much per encryption on the all-Trojan chip (487–519 µs
+    /// against 440–452 µs with a sink that only counts words, 2-vCPU
+    /// host).
     fn emit_lane0(&mut self, sink: &mut impl FnMut(usize, ToggleWords<'_>)) {
         let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
         toggled.clear();
@@ -663,9 +886,10 @@ impl<'a> Simulator<'a> {
         values.resize(lanes * blocks, 0);
         let (mut t, mut v) = ([0u64; LANES], [0u64; LANES]);
         let (mut b, mut k) = (0, 0);
+        let need = lanes.next_power_of_two();
         let mut flush = |t: &mut [u64; LANES], v: &mut [u64; LANES], b: usize| {
             for (block, to) in [(t, &mut *toggled), (v, &mut *values)] {
-                transpose64(block);
+                transpose64(block, need);
                 for (lane, &word) in block[..lanes].iter().enumerate() {
                     to[lane * blocks + b] = word;
                 }
@@ -741,6 +965,98 @@ mod tests {
         (n, vec![q0, q1])
     }
 
+    fn flop_of(n: &Netlist, q: NetId) -> CellId {
+        match n.net_source(q) {
+            NetSource::Cell(c) => *c,
+            _ => unreachable!(),
+        }
+    }
+
+    /// `counter2` plus a register `r` that samples `q1 & a` for an input
+    /// `a`, and an output gate `y = q0 ^ r` that no flop reads.
+    fn counter_with_reader() -> (Netlist, [NetId; 4], NetId) {
+        let (mut n, bus) = counter2();
+        let a = n.input("a");
+        let (r, dr) = n.dff_deferred();
+        let sample = n.and2(bus[1], a);
+        n.connect_dff_d(dr, sample);
+        let y = n.xor2(bus[0], r);
+        n.mark_output("y", y);
+        (n, [bus[0], bus[1], r, y], a)
+    }
+
+    #[test]
+    fn cones_close_over_fan_in_and_readers_are_found() {
+        let (n, [q0, q1, r, _], _) = counter_with_reader();
+        let program = Program::compile(&n).unwrap();
+        let [f0, f1, fr] = [q0, q1, r].map(|q| flop_of(&n, q));
+        let low = program.cone(&[f0]);
+        assert_eq!(low.flops(), [f0]);
+        assert_eq!(low.gate_count(), 1, "the inverter");
+        assert_eq!(program.readers(&low), [f1], "q1 ^ q0 reads q0");
+        let counter = program.cone(&[f1, f1]);
+        assert_eq!(counter.flops(), [f0, f1]);
+        assert_eq!(counter.gate_count(), 2, "the inverter and the xor");
+        assert_eq!(program.readers(&counter), [fr]);
+        let all = program.cone(&[fr]);
+        assert_eq!(all.flops(), [f0, f1, fr]);
+        assert_eq!(all.gate_count(), 3, "y is in no flop's fan-in");
+        assert!(program.readers(&all).is_empty());
+        assert!(program.cone(&[]).is_empty());
+    }
+
+    #[test]
+    fn a_stepped_cone_follows_the_full_circuit_and_loads_per_lane() {
+        let (n, [q0, q1, r, y], a) = counter_with_reader();
+        let program = Program::compile(&n).unwrap();
+        let cone = program.cone(&[flop_of(&n, q1)]);
+        let mut full = Simulator::with_program(&n, &program);
+        let mut alone = Simulator::with_program(&n, &program);
+        let (mut states, mut counts) = (Vec::new(), Vec::new());
+        for step in 0..6 {
+            full.set_input(a, step % 3 == 0);
+            full.step();
+            alone.step_cone(&cone);
+            assert_eq!(
+                alone.cone_state(&cone),
+                full.cone_state(&cone),
+                "step {step}"
+            );
+            states.push(full.cone_state(&cone));
+            counts.push(full.bus(&[q0, q1]));
+        }
+        assert_eq!(alone.cycle(), 6);
+        assert_eq!(counts[1..5], [1, 2, 3, 0], "the counter counts");
+        // Lane j takes the counter state after step j + 1; r and the
+        // input keep their values, and `y` settles to each lane's q0 ^ r.
+        let mut loaded = Simulator::with_program(&n, &program);
+        loaded.set_input(a, true);
+        loaded.settle();
+        loaded.run(3);
+        let (r_before, kept) = (loaded.value_lanes(r), loaded.bus_lane(&[q0, q1], 4));
+        assert_ne!(r_before, 0);
+        loaded.load_cone(&cone, &states[1..5]);
+        assert_eq!(loaded.value_lanes(r), r_before);
+        for (lane, &count) in counts[1..5].iter().enumerate() {
+            assert_eq!(loaded.bus_lane(&[q0, q1], lane), count, "lane {lane}");
+            let expect = (count & 1) as u64 ^ (r_before >> lane & 1);
+            assert_eq!(loaded.value_lanes(y) >> lane & 1, expect, "lane {lane}");
+        }
+        assert_eq!(
+            loaded.bus_lane(&[q0, q1], 4),
+            kept,
+            "lanes beyond the states keep theirs"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a flop")]
+    fn cone_seeds_must_be_flops() {
+        let (n, [.., y], _) = counter_with_reader();
+        let program = Program::compile(&n).unwrap();
+        let _ = program.cone(&[flop_of(&n, y)]);
+    }
+
     #[test]
     fn word_kernel_matches_every_kind_on_every_row() {
         // Lane j carries input row j % 8, so one evaluation covers the
@@ -772,11 +1088,13 @@ mod tests {
             x ^= x << 17;
             *r = x;
         }
-        let mut t = rows;
-        transpose64(&mut t);
-        for (lane, &col) in t.iter().enumerate() {
-            for (i, &row) in rows.iter().enumerate() {
-                assert_eq!(col >> i & 1, row >> lane & 1, "lane {lane} row {i}");
+        for need in (0..7).map(|p| 1 << p) {
+            let mut t = rows;
+            transpose64(&mut t, need);
+            for (lane, &col) in t[..need].iter().enumerate() {
+                for (i, &row) in rows.iter().enumerate() {
+                    assert_eq!(col >> i & 1, row >> lane & 1, "{need}: lane {lane} row {i}");
+                }
             }
         }
     }

@@ -68,4 +68,4 @@ pub mod activity;
 pub mod engine;
 
 pub use activity::{ActivityTrace, CycleActivity, ToggleActivity, ToggleEvent};
-pub use engine::{Program, Simulator, Sources, ToggleWords, LANES};
+pub use engine::{Cone, ConeState, Program, Simulator, Sources, ToggleWords, LANES};

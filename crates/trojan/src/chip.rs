@@ -3,9 +3,9 @@
 
 use crate::digital::{insert_trojan, TrojanKind, TrojanPorts, ALL_DIGITAL_TROJANS};
 use emtrust_aes::netlist::{build_aes, run_encryption, AesPorts};
-use emtrust_netlist::graph::Netlist;
+use emtrust_netlist::graph::{CellId, Netlist};
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::{Program, Simulator};
+use emtrust_sim::engine::{Cone, Program, Simulator};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -19,6 +19,8 @@ pub struct ProtectedChip {
     trojans: BTreeMap<TrojanKind, TrojanPorts>,
     /// The netlist compiled for simulation, on first use.
     program: OnceLock<Result<Program, NetlistError>>,
+    /// The Trojans' state cone, on first use.
+    cone: OnceLock<Cone>,
 }
 
 impl ProtectedChip {
@@ -35,6 +37,7 @@ impl ProtectedChip {
             aes,
             trojans,
             program: OnceLock::new(),
+            cone: OnceLock::new(),
         }
     }
 
@@ -75,12 +78,51 @@ impl ProtectedChip {
     ///
     /// Propagates structural errors from compilation.
     pub fn simulator(&self) -> Result<Simulator<'_>, NetlistError> {
-        let program = self
-            .program
+        Ok(Simulator::with_program(&self.netlist, self.program()?))
+    }
+
+    fn program(&self) -> Result<&Program, NetlistError> {
+        self.program
             .get_or_init(|| Program::compile(&self.netlist))
             .as_ref()
-            .map_err(Clone::clone)?;
-        Ok(Simulator::with_program(&self.netlist, program))
+            .map_err(Clone::clone)
+    }
+
+    /// The Trojans' state cone: the smallest set of flops that holds
+    /// every Trojan flop, the sequential fan-in of each member
+    /// ([`Program::cone`]) and every flop that reads a member
+    /// ([`Program::readers`]). No flop outside it depends on its state,
+    /// so the rest of the chip forgets its history with every encryption
+    /// just as a Trojan-free core does, and the cone alone carries a
+    /// campaign's past from block to block. On a netlist where it grew
+    /// to every flop, that would still hold. A golden chip's cone is
+    /// empty.
+    ///
+    /// # Errors
+    ///
+    /// Propagates structural errors from compilation.
+    pub fn state_cone(&self) -> Result<&Cone, NetlistError> {
+        let program = self.program()?;
+        Ok(self.cone.get_or_init(|| {
+            let mut seeds: Vec<CellId> = self
+                .netlist
+                .cells()
+                .filter(|(_, c)| c.kind().is_sequential())
+                .filter(|(_, c)| {
+                    let top = self.netlist.module_path(c.module()).split('/').next();
+                    self.trojans.keys().any(|k| top == Some(k.module_tag()))
+                })
+                .map(|(id, _)| id)
+                .collect();
+            loop {
+                let cone = program.cone(&seeds);
+                let readers = program.readers(&cone);
+                if readers.is_empty() {
+                    return cone;
+                }
+                seeds.extend(readers);
+            }
+        }))
     }
 
     /// Arms (`true`) or disarms (`false`) a Trojan's trigger on a running
@@ -181,6 +223,52 @@ mod tests {
         // divider excepted — that is its cover behaviour).
         assert!(tagged("trojan2") < 10, "dormant trojan must stay quiet");
         assert!(tagged("trojan3") < 10, "dormant trojan must stay quiet");
+    }
+
+    #[test]
+    fn state_cone_is_the_trojan_flops() {
+        let chip = ProtectedChip::with_all_trojans();
+        let netlist = chip.netlist();
+        let trojan_flops: Vec<CellId> = netlist
+            .cells()
+            .filter(|(_, c)| c.kind().is_sequential())
+            .filter(|(_, c)| netlist.module_path(c.module()).starts_with("trojan"))
+            .map(|(id, _)| id)
+            .collect();
+        let cone = chip.state_cone().unwrap();
+        assert_eq!(cone.flops(), trojan_flops);
+        assert_eq!(cone.flops().len(), 716);
+        assert!(cone.gate_count() > 0);
+        assert!(ProtectedChip::golden().state_cone().unwrap().is_empty());
+    }
+
+    #[test]
+    fn cone_pass_tracks_the_full_simulation_at_every_block_boundary() {
+        use emtrust_aes::netlist::drive_encryption;
+        let chip = ProtectedChip::with_all_trojans();
+        let cone = chip.state_cone().unwrap();
+        let armed = std::iter::once(None).chain(ALL_DIGITAL_TROJANS.map(Some));
+        for kind in armed {
+            let mut full = chip.simulator().unwrap();
+            let mut alone = chip.simulator().unwrap();
+            for sim in [&mut full, &mut alone] {
+                chip.disarm_all(sim);
+                if let Some(kind) = kind {
+                    chip.arm(sim, kind, true);
+                }
+            }
+            let mut seen = std::collections::BTreeSet::new();
+            for block in 0..24u8 {
+                let state = full.cone_state(cone);
+                assert_eq!(alone.cone_state(cone), state, "{kind:?}, block {block}");
+                seen.insert(format!("{state:?}"));
+                let pt = [block.wrapping_mul(59); 16];
+                let _ = chip.encrypt(&mut full, KEY, pt);
+                drive_encryption(&mut alone, chip.aes_ports(), KEY, pt, |s| s.step_cone(cone));
+            }
+            assert_eq!(alone.cone_state(cone), full.cone_state(cone), "{kind:?}");
+            assert!(seen.len() > 1, "{kind:?}: the Trojan state never moved");
+        }
     }
 
     #[test]

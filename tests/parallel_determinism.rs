@@ -44,35 +44,28 @@ fn golden_collection_is_bit_identical_for_1_2_8_workers() {
 
 #[test]
 fn armed_trojan_and_random_stimulus_stay_deterministic() {
-    // A Trojan-carrying netlist takes the serial-simulation path (its
-    // state is not replayable), so this exercises the measurement fan-out.
-    let chip = ProtectedChip::with_trojans(&[TrojanKind::T2LeakageLeaker]);
-    let reference = TestBench::simulation(&chip)
-        .unwrap()
-        .with_parallel(pool(1))
-        .collect_with(
-            KEY,
-            Stimulus::RandomPerTrace,
-            4,
-            Some(TrojanKind::T2LeakageLeaker),
-            Channel::OnChipSensor,
-            7,
-        )
-        .unwrap();
-    for workers in [2, 8] {
-        let set = TestBench::simulation(&chip)
+    // On the all-Trojan die the state cone runs forward serially and the
+    // blocks stream on the pool's workers; 65 traces cross a 64-lane
+    // round, so the cone's state is carried across rounds and chunks.
+    let chip = ProtectedChip::with_all_trojans();
+    let collect = |workers: usize| {
+        TestBench::simulation(&chip)
             .unwrap()
             .with_parallel(pool(workers))
             .collect_with(
                 KEY,
                 Stimulus::RandomPerTrace,
-                4,
+                65,
                 Some(TrojanKind::T2LeakageLeaker),
                 Channel::OnChipSensor,
                 7,
             )
-            .unwrap();
-        assert_eq!(set, reference, "workers={workers}");
+            .unwrap()
+    };
+    let reference = collect(1);
+    assert_eq!(reference.len(), 65);
+    for workers in [2, 8] {
+        assert_eq!(collect(workers), reference, "workers={workers}");
     }
 }
 
