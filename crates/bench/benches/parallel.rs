@@ -2,9 +2,12 @@
 //! batch-evaluation engine. Each group sweeps the worker count so
 //! `cargo bench` doubles as the speedup report (`exp_throughput` writes
 //! the machine-readable version to `BENCH_parallel.json`). The
-//! `simulate` group covers both widths of the word-parallel simulator;
+//! `simulate` group covers both widths of the word-parallel simulator
+//! and the Trojans' state-cone pass, with and without the chip's memo;
 //! the `synthesize` group compares binning stored events with binning
-//! the simulator's toggle words as it runs, on one lane and on 64.
+//! the simulator's toggle words as it runs, on one lane, on 16 lanes of
+//! one plaintext (blocks the lanes share are binned once) and on 64 lanes
+//! of distinct plaintexts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emtrust::acquisition::TestBench;
@@ -19,7 +22,7 @@ use emtrust_bench::EXPERIMENT_KEY;
 use emtrust_netlist::library::Library;
 use emtrust_power::{ClockConfig, CurrentModel};
 use emtrust_silicon::Channel;
-use emtrust_sim::LANES;
+use emtrust_sim::{ToggleActivity, LANES};
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -97,8 +100,10 @@ fn parallel_ingest_batch(c: &mut Criterion) {
 /// all-Trojan chip with T1 armed (a one-lane recording, as a campaign's
 /// power-on block and the sim tests run), and a full word of lanes on
 /// the golden chip. Then a 16-encryption T1-armed campaign on the
-/// all-Trojan chip, as `monitor` collects a batch, and its serial pass
-/// over the Trojans' state cone alone.
+/// all-Trojan chip, as `monitor` collects a batch; the serial pass over
+/// the Trojans' state cone alone that a first campaign under a key runs;
+/// and the same 17 entry states read back from the chip's memo, as every
+/// later campaign under that key does.
 fn simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
     g.sample_size(10);
@@ -156,14 +161,30 @@ fn simulate(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    let stream = [[0x5a; 16]; 17];
+    armed
+        .cone_entries(EXPERIMENT_KEY, t1, &stream)
+        .expect("cone entries");
+    g.bench_function("cone_memo_16_t1_armed", |b| {
+        b.iter(|| {
+            armed
+                .cone_entries(EXPERIMENT_KEY, t1, &stream)
+                .expect("cone entries")
+        })
+    });
     g.finish();
 }
 
 /// Eight weighted currents of one T1-armed encryption (a 4×2 array's
 /// worth) from a charge table compiled once: stored events binned after
 /// a recording, against the simulator's toggle words binned as it runs.
-/// Then one weighted current each of 64 fresh encryptions on the golden
-/// chip, one per lane, as `spectral_watch`'s windows stream them.
+/// Then 16 lanes of one plaintext on the all-Trojan chip with T1 armed,
+/// each lane warmed up and loaded with its own state-cone entry, as a
+/// `monitor` batch (1 set) or an `array_attribution` campaign (8 sets)
+/// streams them: the blocks every lane toggles alike are binned and
+/// counted once. Last, one weighted current each of 64 fresh encryptions
+/// on the golden chip, one per lane, as `spectral_watch`'s windows
+/// stream them, where few blocks are shared.
 fn synthesize(c: &mut Criterion) {
     let chip = ProtectedChip::with_all_trojans();
     let netlist = chip.netlist();
@@ -176,6 +197,9 @@ fn synthesize(c: &mut Criterion) {
     let weights8: Vec<Vec<f64>> = (0..8).map(|s| weights(netlist.cell_count(), s)).collect();
     let sets: Vec<Option<&[f64]>> = weights8.iter().map(|w| Some(w.as_slice())).collect();
     let table = model.charge_table(netlist, &sets).expect("charge table");
+    let table_t1 = model
+        .charge_table(netlist, &sets[..1])
+        .expect("charge table");
     let mut sim = chip.simulator().expect("simulator");
     chip.disarm_all(&mut sim);
     chip.arm(&mut sim, TrojanKind::T1AmLeaker, true);
@@ -203,13 +227,41 @@ fn synthesize(c: &mut Criterion) {
     });
     g.bench_function("streamed_to_bins_8_sets", |b| {
         b.iter(|| {
-            let mut bins = table.bins();
+            let mut bins = [table.bins()];
             let _ = run_encryption_stepped(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, pt, |s| {
-                s.step_words(|_, words| table.bin_words(words, &mut bins))
+                s.step_words(|words| table.bin_words(words, &mut bins))
             });
-            table.render(&bins, None).expect("render")
+            table.render(&bins[0], None).expect("render")
         })
     });
+    let t1 = Some(TrojanKind::T1AmLeaker);
+    let fixed = [pt; 16];
+    let entries = chip
+        .cone_entries(EXPERIMENT_KEY, t1, &[pt; 17])
+        .expect("cone entries");
+    let cone = chip.state_cone().expect("state cone");
+    g.throughput(Throughput::Elements(16));
+    for (sets, table) in [(1, &table_t1), (8, &table)] {
+        let mut fixed_sim = chip.power_on(t1).expect("simulator");
+        let _ = run_encryptions(&mut fixed_sim, chip.aes_ports(), EXPERIMENT_KEY, &fixed);
+        fixed_sim.load_cone(cone, &entries[1..]);
+        let name = format!("streamed_16_lanes_fixed_t1_{sets}_sets");
+        g.bench_function(name.as_str(), |b| {
+            b.iter(|| {
+                let mut bins = vec![table.bins(); 16];
+                let mut toggles = ToggleActivity::new();
+                let ports = chip.aes_ports();
+                let _ =
+                    run_encryptions_stepped(&mut fixed_sim, ports, EXPERIMENT_KEY, &fixed, |s| {
+                        s.step_words(|words| {
+                            table.bin_words(words, &mut bins);
+                            toggles.absorb_words(words);
+                        })
+                    });
+                (bins, toggles)
+            })
+        });
+    }
     g.throughput(Throughput::Elements(LANES as u64));
     g.bench_function("streamed_64_lanes_to_bins_1_set", |b| {
         b.iter(|| {
@@ -217,7 +269,7 @@ fn synthesize(c: &mut Criterion) {
             let ports = golden.aes_ports();
             let _ =
                 run_encryptions_stepped(&mut lanes_sim, ports, EXPERIMENT_KEY, &plaintexts, |s| {
-                    s.step_words(|lane, words| table1.bin_words(words, &mut bins[lane]))
+                    s.step_words(|words| table1.bin_words(words, &mut bins))
                 });
             bins.iter()
                 .map(|bins| table1.render(bins, None).expect("render"))

@@ -430,17 +430,14 @@ impl<'c> TestBench<'c> {
         channel: Channel,
         seed: u64,
     ) -> Result<TraceSet, TrustError> {
-        self.collect_attempt(key, stimulus, n_traces, armed, channel, seed, 0)
+        self.acquire(key, stimulus, n_traces, armed, channel, seed, None)
     }
 
-    /// One acquisition pass at re-acquisition ordinal `attempt`.
-    ///
-    /// Attempt 0 reproduces [`Self::collect_with`] exactly (the noise
-    /// seed mix leaves the legacy seeds untouched); attempt `k > 0`
-    /// draws fresh, still-deterministic measurement noise per trace, so
-    /// a retry re-measures instead of replaying the same corruption.
+    /// Simulates `n_traces` encryptions under `stimulus` and measures each
+    /// at re-acquisition ordinal 0, as [`Self::collect_with`]; with
+    /// `keep`, every block is also appended to it, to re-measure.
     #[allow(clippy::too_many_arguments)]
-    fn collect_attempt(
+    fn acquire(
         &self,
         key: [u8; 16],
         stimulus: Stimulus,
@@ -448,8 +445,49 @@ impl<'c> TestBench<'c> {
         armed: Option<TrojanKind>,
         channel: Channel,
         seed: u64,
-        attempt: u32,
+        mut keep: Option<&mut Vec<Block>>,
     ) -> Result<TraceSet, TrustError> {
+        let mut traces = Vec::with_capacity(n_traces);
+        self.simulate(
+            key,
+            stimulus,
+            n_traces,
+            armed,
+            channel,
+            seed,
+            |first, blocks| {
+                let round: Vec<(usize, &Block)> = (first..).zip(&blocks).collect();
+                traces.extend(self.measure_traces(&round, channel, seed, 0)?);
+                if let Some(keep) = keep.as_deref_mut() {
+                    keep.extend(blocks);
+                }
+                Ok(())
+            },
+        )?;
+        if self.faults.is_some() {
+            // Injected faults may legitimately produce NaN/Inf samples;
+            // the sanitizer downstream is the component that judges them.
+            TraceSet::from_raw(traces, self.clock.sample_rate_hz())
+        } else {
+            TraceSet::new(traces, self.clock.sample_rate_hz())
+        }
+    }
+
+    /// Streams the campaign of `n_traces` encryptions under `stimulus`
+    /// (span `collect`), binned with `channel`'s charge table; each
+    /// simulated round's blocks go to `sink` with the index of the
+    /// round's first trace.
+    #[allow(clippy::too_many_arguments)]
+    fn simulate(
+        &self,
+        key: [u8; 16],
+        stimulus: Stimulus,
+        n_traces: usize,
+        armed: Option<TrojanKind>,
+        channel: Channel,
+        seed: u64,
+        sink: impl FnMut(usize, Vec<Block>) -> Result<(), TrustError>,
+    ) -> Result<(), TrustError> {
         let _span = telemetry::span("collect");
         telemetry::counter("acquire.traces", n_traces as u64);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -468,58 +506,49 @@ impl<'c> TestBench<'c> {
                 Stimulus::RandomPerTrace => rng.gen(),
             })
             .collect();
-        // Per-trace noise seed: campaign seed, trace index, and attempt
-        // ordinal only — never worker identity — so parallel runs are
-        // bit-identical to serial, and attempt 0 matches the legacy
-        // (pre-retry) seeds exactly.
-        let trace_seed = |i: usize| {
-            seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ u64::from(attempt).wrapping_mul(0xA24B_AED4_963E_E407)
-        };
-        // The fault plan corrupts the digitized record in place, keyed on
-        // (trace, attempt) so retries re-roll transient strikes.
-        let corrupt = |i: usize, samples: &mut Vec<f64>| {
+        let campaign = Campaign::new(self.chip, key, armed, Some(warmup), self.parallel);
+        campaign.record(&plaintexts, self.charge_table(channel), None, sink)
+    }
+
+    /// Measures each `(i, block)` as trace `i` on `channel` at
+    /// re-acquisition ordinal `attempt`, fanned out across the pool.
+    ///
+    /// Attempt 0 reproduces [`Self::collect_with`] exactly (the noise
+    /// seed mix leaves the legacy seeds untouched); attempt `k > 0` draws
+    /// fresh, still-deterministic measurement noise per trace, so a retry
+    /// re-measures instead of replaying the same corruption.
+    fn measure_traces(
+        &self,
+        traces: &[(usize, &Block)],
+        channel: Channel,
+        seed: u64,
+        attempt: u32,
+    ) -> Result<Vec<Vec<f64>>, TrustError> {
+        self.parallel.try_map(traces.len(), |j| {
+            let (i, Block { bins, leak }) = traces[j];
+            // Per-trace noise seed: campaign seed, trace index, and
+            // attempt ordinal only — never worker identity — so parallel
+            // runs are bit-identical to serial, and attempt 0 matches the
+            // legacy (pre-retry) seeds exactly.
+            let trace_seed = seed
+                ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ u64::from(attempt).wrapping_mul(0xA24B_AED4_963E_E407);
+            let trace = self.measure_bins(bins, leak.as_deref(), channel, trace_seed)?;
+            let mut samples = trace.into_samples();
+            // The fault plan corrupts the digitized record in place,
+            // keyed on (trace, attempt) so retries re-roll transient
+            // strikes.
             if let Some(plan) = &self.faults {
                 plan.apply(
                     i as u64,
                     attempt,
                     Some(channel),
-                    samples,
+                    &mut samples,
                     self.clock.sample_rate_hz(),
                 );
             }
-        };
-
-        // Each simulated round's measurements fan out across the pool.
-        let campaign = Campaign::new(self.chip, key, armed, Some(warmup), self.parallel);
-        let mut traces = Vec::with_capacity(n_traces);
-        campaign.record(
-            &plaintexts,
-            self.charge_table(channel),
-            None,
-            |first, blocks| {
-                let batch = self
-                    .parallel
-                    .try_map(blocks.len(), |j| -> Result<_, TrustError> {
-                        let i = first + j;
-                        let Block { bins, leak } = &blocks[j];
-                        let trace =
-                            self.measure_bins(bins, leak.as_deref(), channel, trace_seed(i))?;
-                        let mut samples = trace.into_samples();
-                        corrupt(i, &mut samples);
-                        Ok(samples)
-                    })?;
-                traces.extend(batch);
-                Ok(())
-            },
-        )?;
-        if self.faults.is_some() {
-            // Injected faults may legitimately produce NaN/Inf samples;
-            // the sanitizer downstream is the component that judges them.
-            TraceSet::from_raw(traces, self.clock.sample_rate_hz())
-        } else {
-            TraceSet::new(traces, self.clock.sample_rate_hz())
-        }
+            Ok(samples)
+        })
     }
 
     /// Collects one long continuous trace spanning `n_blocks` back-to-back
@@ -567,12 +596,14 @@ impl<'c> TestBench<'c> {
     /// data to the fingerprint:
     ///
     /// 1. **Retry with backoff** — rejected traces are re-acquired up to
-    ///    `policy.max_attempts` times; each round re-measures with fresh
-    ///    (still deterministic) noise and re-rolls transient fault
-    ///    strikes, with exponential backoff recorded per round.
+    ///    `policy.max_attempts` times; each round re-measures the kept
+    ///    blocks of the first simulation with fresh (still
+    ///    deterministic) noise and re-rolls transient fault strikes, with
+    ///    exponential backoff recorded per round.
     /// 2. **Channel fallback** — traces still rejected are re-measured on
-    ///    `policy.fallback`; between the two channels' verdicts the
-    ///    better one wins, ties keeping the primary.
+    ///    `policy.fallback`, from one more simulation binned for that
+    ///    channel; between the two channels' verdicts the better one
+    ///    wins, ties keeping the primary.
     /// 3. **Sensor-fault escalation** — if more than
     ///    `policy.max_reject_fraction` of the campaign is still rejected,
     ///    the collection fails with [`TrustError::SensorFault`].
@@ -598,7 +629,16 @@ impl<'c> TestBench<'c> {
         let _span = telemetry::span("collect_robust");
         let pt: [u8; 16] = StdRng::seed_from_u64(seed ^ 0x97).gen();
         let stimulus = Stimulus::Fixed(pt);
-        let first = self.collect_attempt(key, stimulus, n_traces, armed, channel, seed, 0)?;
+        let mut blocks = Vec::with_capacity(n_traces);
+        let first = self.acquire(
+            key,
+            stimulus,
+            n_traces,
+            armed,
+            channel,
+            seed,
+            Some(&mut blocks),
+        )?;
         let rate = first.sample_rate_hz();
         let mut traces = first.traces().to_vec();
         let mut verdicts: Vec<TraceVerdict> = traces.iter().map(|t| sanitizer.inspect(t)).collect();
@@ -620,11 +660,11 @@ impl<'c> TestBench<'c> {
             telemetry::counter("acquire.backoff_us", backoff);
             telemetry::counter("acquire.retries", pending.len() as u64);
             retries += pending.len() as u64;
-            let again =
-                self.collect_attempt(key, stimulus, n_traces, armed, channel, seed, attempt)?;
-            for &i in &pending {
-                traces[i] = again.traces()[i].clone();
-                verdicts[i] = sanitizer.inspect(&traces[i]);
+            let kept: Vec<(usize, &Block)> = pending.iter().map(|&i| (i, &blocks[i])).collect();
+            let again = self.measure_traces(&kept, channel, seed, attempt)?;
+            for (&i, samples) in pending.iter().zip(again) {
+                verdicts[i] = sanitizer.inspect(&samples);
+                traces[i] = samples;
                 attempts[i] += 1;
             }
         }
@@ -634,18 +674,23 @@ impl<'c> TestBench<'c> {
                 .filter(|&i| verdicts[i].is_rejected())
                 .collect();
             if !pending.is_empty() && fb != channel {
-                let alt = self.collect_attempt(key, stimulus, n_traces, armed, fb, seed, 0)?;
+                let mut alt = Vec::with_capacity(n_traces);
+                self.simulate(key, stimulus, n_traces, armed, fb, seed, |_, blocks| {
+                    alt.extend(blocks);
+                    Ok(())
+                })?;
+                let kept: Vec<(usize, &Block)> = pending.iter().map(|&i| (i, &alt[i])).collect();
+                let fresh = self.measure_traces(&kept, fb, seed, 0)?;
                 let rank = |v: &TraceVerdict| match v {
                     TraceVerdict::Clean => 0,
                     TraceVerdict::Degraded { .. } => 1,
                     TraceVerdict::Rejected { .. } => 2,
                 };
-                for &i in &pending {
-                    let fresh = &alt.traces()[i];
-                    let v = sanitizer.inspect(fresh);
+                for (&i, fresh) in pending.iter().zip(fresh) {
+                    let v = sanitizer.inspect(&fresh);
                     attempts[i] += 1;
                     if rank(&v) < rank(&verdicts[i]) {
-                        traces[i] = fresh.clone();
+                        traces[i] = fresh;
                         verdicts[i] = v;
                         channels[i] = fb;
                         fallbacks += 1;

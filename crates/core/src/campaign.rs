@@ -13,10 +13,16 @@
 //!   read it. It carries history — T1's counter free-runs even while
 //!   dormant, so a Trojan's state at block *i* depends on every earlier
 //!   encryption — but it reads only primary inputs and its own state, so
-//!   it runs forward on its own. Once per round, a serial pass on the
-//!   calling thread steps the cone alone through every block on lane 0
-//!   and records each block's entry state. A golden chip's cone is empty
-//!   and the pass is skipped.
+//!   it runs forward on its own: a serial pass on the calling thread
+//!   steps the cone alone on lane 0 and records each block's entry state
+//!   ([`ProtectedChip::cone_entries`]). The cone reads the key, the start
+//!   strobe and the triggers but no plaintext net (the chip checks this
+//!   on its compiled program), so its trajectory from power-on depends
+//!   only on the key and the armed Trojan. The chip keeps it, for one key
+//!   at a time: a campaign with a warm-up reads entries `1..=n`, one from
+//!   power-on `0..n`, and only blocks past the kept end are passed over.
+//!   Every campaign under one key after the first runs no pass at all. A
+//!   golden chip's cone is empty and has no pass.
 //! - Everything else, the AES core: no flop of it reads the cone, and its
 //!   state after an encryption is a pure function of the key and that
 //!   encryption's plaintext.
@@ -33,17 +39,24 @@
 //! the power-on state. A netlist whose cone grew to every flop would
 //! load every flop and stay exact.
 //!
-//! A cycle's bins depend only on that cycle's toggles, which are summed
-//! in serial event order whatever the lane, so the blocks' bins are
-//! bit-identical whatever the width and the worker count, and equal the
-//! bins of a stored serial recording.
+//! Lanes that encrypt one plaintext from one state toggle alike, except
+//! where their cone states differ and in what those states reach. Each
+//! clock edge hands all lanes' toggles to one sink, which bins and counts
+//! a block of 64 sources that every lane toggled alike once
+//! ([`ChargeTable::bin_words`], [`ToggleActivity::absorb_words`]).
+//! Whether a block is shared is read off the toggle masks alone, never
+//! off the plaintexts. A cycle's bins depend only on that cycle's
+//! toggles, and each lane still adds its own in serial event order,
+//! shared or not, so the blocks' bins are bit-identical whatever the
+//! width and the worker count, and equal the bins of a stored serial
+//! recording.
 
 use crate::acquisition::T2_LEAK_CURRENT_A;
 use crate::parallel::ParallelConfig;
 use crate::TrustError;
-use emtrust_aes::netlist::{drive_encryption, run_encryptions, run_encryptions_stepped};
+use emtrust_aes::netlist::{run_encryptions, run_encryptions_stepped};
 use emtrust_power::{ChargeBins, ChargeTable};
-use emtrust_sim::{Cone, ConeState, Simulator, ToggleActivity, ToggleWords, LANES};
+use emtrust_sim::{Cone, ConeState, Simulator, ToggleActivity, LANES};
 use emtrust_telemetry as telemetry;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
@@ -52,31 +65,6 @@ pub(crate) struct Block {
     pub(crate) bins: ChargeBins,
     /// Per-cycle T2 leakage current, when T2 is armed.
     pub(crate) leak: Option<Vec<f64>>,
-}
-
-/// Bins every live lane's toggle words into that lane's block and, when
-/// given, counts them per cell.
-struct BlockSink<'t, 'a> {
-    table: &'t ChargeTable,
-    bins: Vec<ChargeBins>,
-    toggles: Option<&'a mut ToggleActivity>,
-}
-
-impl<'t, 'a> BlockSink<'t, 'a> {
-    fn new(table: &'t ChargeTable, lanes: usize, toggles: Option<&'a mut ToggleActivity>) -> Self {
-        Self {
-            table,
-            bins: vec![table.bins(); lanes],
-            toggles,
-        }
-    }
-
-    fn cycle(&mut self, lane: usize, words: ToggleWords<'_>) {
-        self.table.bin_words(words, &mut self.bins[lane]);
-        if let Some(toggles) = self.toggles.as_deref_mut() {
-            toggles.absorb_words(words);
-        }
-    }
 }
 
 /// A chip under a stream of encryptions (see the module docs).
@@ -109,16 +97,6 @@ impl<'c> Campaign<'c> {
         }
     }
 
-    /// A powered-on simulator with only `armed` triggered.
-    fn power_on(&self) -> Result<Simulator<'c>, TrustError> {
-        let mut sim = self.chip.simulator()?;
-        self.chip.disarm_all(&mut sim);
-        if let Some(kind) = self.armed {
-            self.chip.arm(&mut sim, kind, true);
-        }
-        Ok(sim)
-    }
-
     /// Streams `plaintexts` in order, binning each block with `table` and
     /// adding its toggles to `toggles` when given. The blocks are
     /// simulated in rounds (span `simulate`); each round goes to `sink`
@@ -132,7 +110,7 @@ impl<'c> Campaign<'c> {
         mut sink: impl FnMut(usize, Vec<Block>) -> Result<(), TrustError>,
     ) -> Result<(), TrustError> {
         let cone = self.chip.state_cone()?;
-        let mut tracker = None;
+        let mut entries: Option<Vec<ConeState>> = None;
         let workers = self
             .parallel
             .workers
@@ -143,7 +121,11 @@ impl<'c> Campaign<'c> {
         for (r, round) in plaintexts.chunks(width * workers).enumerate() {
             let chunks = {
                 let _span = telemetry::span("simulate");
-                let entries = self.entries(cone, &mut tracker, round)?;
+                let entries = match &mut entries {
+                    Some(entries) => entries,
+                    None => entries.insert(self.entries(plaintexts)?),
+                };
+                let entries = &entries[r * width * workers..][..round.len()];
                 emtrust_dsp::parallel::chunked_try_map(round.len(), width, workers, |range| {
                     let prev = range.start.checked_sub(1).map(|i| round[i]).or(before);
                     let mut counts = count.then(ToggleActivity::new);
@@ -192,43 +174,17 @@ impl<'c> Campaign<'c> {
         Ok((bins, leak))
     }
 
-    /// Each block of `round`'s entry state of `cone`, read off `tracker`
-    /// as it runs the cone forward on lane 0; the tracker starts from
-    /// power-on and the warm-up on first use. An empty cone has empty
-    /// states and no tracker.
-    fn entries(
-        &self,
-        cone: &Cone,
-        tracker: &mut Option<Simulator<'c>>,
-        round: &[[u8; 16]],
-    ) -> Result<Vec<ConeState>, TrustError> {
-        if cone.is_empty() {
-            return Ok(vec![ConeState::default(); round.len()]);
-        }
-        let sim = match tracker {
-            Some(sim) => sim,
-            None => {
-                let mut sim = self.power_on()?;
-                if let Some(pt) = self.warmup {
-                    self.step_cone(&mut sim, cone, pt);
-                }
-                tracker.insert(sim)
-            }
-        };
-        Ok(round
-            .iter()
-            .map(|&pt| {
-                let entry = sim.cone_state(cone);
-                self.step_cone(sim, cone, pt);
-                entry
-            })
-            .collect())
-    }
-
-    /// One encryption of `cone` alone.
-    fn step_cone(&self, sim: &mut Simulator<'c>, cone: &Cone, pt: [u8; 16]) {
-        let ports = self.chip.aes_ports();
-        drive_encryption(sim, ports, self.key, pt, |s| s.step_cone(cone));
+    /// Each block's entry state of the chip's state cone, from the
+    /// chip's memo ([`ProtectedChip::cone_entries`]): entries `1..=n` of
+    /// the stream from power-on after a warm-up, `0..n` without one.
+    fn entries(&self, plaintexts: &[[u8; 16]]) -> Result<Vec<ConeState>, TrustError> {
+        let stream: Vec<[u8; 16]> = self
+            .warmup
+            .into_iter()
+            .chain(plaintexts.iter().copied())
+            .collect();
+        let mut entries = self.chip.cone_entries(self.key, self.armed, &stream)?;
+        Ok(entries.split_off(usize::from(self.warmup.is_some())))
     }
 
     /// Streams `blocks` side by side on a fresh simulator, after warming
@@ -245,7 +201,7 @@ impl<'c> Campaign<'c> {
         table: &ChargeTable,
         mut toggles: Option<&mut ToggleActivity>,
     ) -> Result<Vec<Block>, TrustError> {
-        let mut sim = self.power_on()?;
+        let mut sim = self.chip.power_on(self.armed)?;
         let (mut out, rest, entries, prev) = match prev {
             Some(prev) => (Vec::with_capacity(blocks.len()), blocks, entries, prev),
             None => {
@@ -271,16 +227,21 @@ impl<'c> Campaign<'c> {
         sim: &mut Simulator<'c>,
         blocks: &[[u8; 16]],
         table: &ChargeTable,
-        toggles: Option<&mut ToggleActivity>,
+        mut toggles: Option<&mut ToggleActivity>,
     ) -> Vec<Block> {
         let leak_sense = self
             .armed
             .and_then(|k| self.chip.trojan_ports(k))
             .and_then(|p| p.leak_sense);
-        let mut out = BlockSink::new(table, blocks.len(), toggles);
+        let mut bins = vec![table.bins(); blocks.len()];
         let mut leak = leak_sense.map_or(Vec::new(), |_| vec![Vec::new(); blocks.len()]);
         let _ = run_encryptions_stepped(sim, self.chip.aes_ports(), self.key, blocks, |s| {
-            s.step_words(|lane, words| out.cycle(lane, words));
+            s.step_words(|words| {
+                table.bin_words(words, &mut bins);
+                if let Some(toggles) = toggles.as_deref_mut() {
+                    toggles.absorb_words(words);
+                }
+            });
             if let Some(net) = leak_sense {
                 let sense = s.value_lanes(net);
                 for (lane, leak) in leak.iter_mut().enumerate() {
@@ -291,8 +252,7 @@ impl<'c> Campaign<'c> {
             }
         });
         let mut leak = leak.into_iter();
-        out.bins
-            .into_iter()
+        bins.into_iter()
             .map(|bins| Block {
                 bins,
                 leak: leak.next(),
@@ -430,20 +390,33 @@ mod tests {
         let chip = ProtectedChip::golden();
         let sets = weight_sets(&chip);
         let table = table(&chip, &sets);
-        let pts = plaintexts(70);
         let warmup = Some([0xA5; 16]);
-        let expected = serial(&chip, &pts, None, warmup);
+        // Distinct plaintexts, and one plaintext in every lane (where the
+        // lanes share every block).
+        for pts in [plaintexts(70), vec![[0x5A; 16]; 70]] {
+            streams_like_the_serial_recording(&chip, &sets, &table, &pts, warmup);
+        }
+    }
+
+    fn streams_like_the_serial_recording(
+        chip: &ProtectedChip,
+        sets: &[Vec<f64>],
+        table: &ChargeTable,
+        pts: &[[u8; 16]],
+        warmup: Option<[u8; 16]>,
+    ) {
+        let expected = serial(chip, pts, None, warmup);
         let mut all = ActivityTrace::new();
         for (activity, _) in &expected {
             all.extend_from(activity.clone());
         }
         let expected_toggles = ToggleActivity::from_trace(&all);
-        for workers in [1, 2, 4] {
+        for workers in [1, 2, 8] {
             let parallel = ParallelConfig::serial().with_workers(workers);
             let mut got = Vec::new();
             let mut toggles = ToggleActivity::new();
-            Campaign::new(&chip, KEY, None, warmup, parallel)
-                .record(&pts, &table, Some(&mut toggles), |first, blocks| {
+            Campaign::new(chip, KEY, None, warmup, parallel)
+                .record(pts, table, Some(&mut toggles), |first, blocks| {
                     assert_eq!(first, got.len());
                     got.extend(blocks);
                     Ok(())
@@ -454,7 +427,7 @@ mod tests {
                 assert_eq!(block.bins, table.bin_trace(activity, 1), "block {i}");
                 let rendered = table.render(&block.bins, None).unwrap();
                 let what = format!("block {i}, {workers} workers");
-                assert_same_bits(&rendered, &stored(&chip, &sets, activity, None), &what);
+                assert_same_bits(&rendered, &stored(chip, sets, activity, None), &what);
             }
             assert_eq!(toggles, expected_toggles, "{workers} workers");
             assert_eq!(toggles.cell_count(), expected_toggles.cell_count());
@@ -463,45 +436,89 @@ mod tests {
 
     #[test]
     fn each_armed_trojan_streams_like_its_serial_recording() {
-        // 70 blocks cross a 64-lane round; the cone carries T1's
+        // 70 distinct blocks cross a 64-lane round; the cone carries T1's
         // free-running counter and every Trojan's key state across it.
+        // 33 blocks of one plaintext stream 17 and 16 lanes wide on 2
+        // workers: every block the lanes' cone states leave alike is
+        // shared.
         let chip = ProtectedChip::with_all_trojans();
         let sets = weight_sets(&chip);
         let table = table(&chip, &sets);
-        let pts = plaintexts(70);
         let kinds = emtrust_trojan::digital::ALL_DIGITAL_TROJANS.map(Some);
-        for warmup in [None, Some([0x3C; 16])] {
-            for armed in std::iter::once(None).chain(kinds) {
-                let what = format!("{armed:?}, warm-up {}", warmup.is_some());
-                let expected = serial(&chip, &pts, armed, warmup);
-                let mut got = Vec::new();
-                let mut toggles = ToggleActivity::new();
-                let parallel = ParallelConfig::serial().with_workers(2);
-                Campaign::new(&chip, KEY, armed, warmup, parallel)
-                    .record(&pts, &table, Some(&mut toggles), |first, blocks| {
-                        assert_eq!(first, got.len(), "{what}");
-                        got.extend(blocks);
-                        Ok(())
-                    })
-                    .unwrap();
-                assert_eq!(got.len(), expected.len(), "{what}");
-                let mut all = ActivityTrace::new();
-                for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
-                    assert_eq!(&block.leak, leak, "{what}, block {i}");
-                    assert_eq!(leak.is_some(), armed == Some(TrojanKind::T2LeakageLeaker));
-                    assert_eq!(
-                        block.bins,
-                        table.bin_trace(activity, 1),
-                        "{what}, block {i}"
+        let cases = [(plaintexts(70), 2), (vec![[0x5A; 16]; 33], 2)];
+        for (pts, workers) in &cases {
+            for warmup in [None, Some([0x3C; 16])] {
+                for armed in std::iter::once(None).chain(kinds) {
+                    let what = format!(
+                        "{} blocks, {workers} workers, {armed:?}, warm-up {}",
+                        pts.len(),
+                        warmup.is_some()
                     );
-                    all.extend_from(activity.clone());
+                    let expected = serial(&chip, pts, armed, warmup);
+                    let mut got = Vec::new();
+                    let mut toggles = ToggleActivity::new();
+                    let parallel = ParallelConfig::serial().with_workers(*workers);
+                    Campaign::new(&chip, KEY, armed, warmup, parallel)
+                        .record(pts, &table, Some(&mut toggles), |first, blocks| {
+                            assert_eq!(first, got.len(), "{what}");
+                            got.extend(blocks);
+                            Ok(())
+                        })
+                        .unwrap();
+                    assert_eq!(got.len(), expected.len(), "{what}");
+                    let mut all = ActivityTrace::new();
+                    for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
+                        assert_eq!(&block.leak, leak, "{what}, block {i}");
+                        assert_eq!(leak.is_some(), armed == Some(TrojanKind::T2LeakageLeaker));
+                        assert_eq!(
+                            block.bins,
+                            table.bin_trace(activity, 1),
+                            "{what}, block {i}"
+                        );
+                        all.extend_from(activity.clone());
+                    }
+                    let (block, (activity, leak)) = (&got[pts.len() - 1], &expected[pts.len() - 1]);
+                    let rendered = table.render(&block.bins, block.leak.as_deref()).unwrap();
+                    let reference = stored(&chip, &sets, activity, leak.as_deref());
+                    assert_same_bits(&rendered, &reference, &what);
+                    let expected_toggles = ToggleActivity::from_trace(&all);
+                    assert_eq!(toggles, expected_toggles, "{what}");
+                    assert_eq!(
+                        toggles.cell_count(),
+                        expected_toggles.cell_count(),
+                        "{what}"
+                    );
                 }
-                let (block, (activity, leak)) = (&got[69], &expected[69]);
-                let rendered = table.render(&block.bins, block.leak.as_deref()).unwrap();
-                let reference = stored(&chip, &sets, activity, leak.as_deref());
-                assert_same_bits(&rendered, &reference, &what);
-                assert_eq!(toggles, ToggleActivity::from_trace(&all), "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn entries_read_from_the_memo_equal_a_fresh_serial_pass() {
+        let chip = ProtectedChip::with_all_trojans();
+        let cone = chip.state_cone().unwrap();
+        let pts = plaintexts(20);
+        let armed = Some(TrojanKind::T1AmLeaker);
+        for warmup in [None, Some([0x3C; 16]), None] {
+            let campaign = Campaign::new(&chip, KEY, armed, warmup, ParallelConfig::serial());
+            let expected: Vec<ConeState> = {
+                let mut sim = chip.power_on(armed).unwrap();
+                if let Some(pt) = warmup {
+                    let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
+                }
+                pts.iter()
+                    .map(|&pt| {
+                        let entry = sim.cone_state(cone);
+                        let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
+                        entry
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                campaign.entries(&pts).unwrap(),
+                expected,
+                "warm-up {warmup:?}"
+            );
         }
     }
 }

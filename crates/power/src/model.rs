@@ -8,9 +8,10 @@
 //!    weight sets, in the simulator's source order (flip-flops in id
 //!    order, then gates in evaluation order; see
 //!    [`emtrust_sim::Sources`]). [`ChargeTable::bin_words`] sums one
-//!    lane's toggle bits of one cycle ([`ToggleWords`]) into one
-//!    [`ChargeBins`] entry per (level, weight set), level run by level
-//!    run; [`ChargeTable::bin_cycle`] does the same for a recorded
+//!    clock edge's toggle bits of every live lane ([`ToggleWords`]) into
+//!    one [`ChargeBins`] entry per (lane, level, weight set), level run
+//!    by level run, and does the work of the blocks the lanes share
+//!    once; [`ChargeTable::bin_cycle`] does the same for a recorded
 //!    cycle's events. Either way every bin adds its toggles in serial
 //!    event order, so both give the same bits. The clock edge opens the
 //!    level-0 bin.
@@ -273,8 +274,8 @@ fn mean(w: &[f64]) -> f64 {
 }
 
 /// A netlist's deposit amplitudes under a fixed list of weight sets,
-/// compiled once: the per-source, per-edge amplitudes `(q·w)/dt`
-/// set-major (one toggle's amplitudes for every set share a cache line)
+/// compiled once: the per-source amplitudes `(q·w)/dt` set-major (one
+/// toggle's amplitudes for every set share a cache line)
 /// in the simulator's source order, plus each set's leakage floor,
 /// clock-edge amplitude and mean weight. (The tables that
 /// [`CurrentModel::synthesize_with`] and
@@ -282,7 +283,7 @@ fn mean(w: &[f64]) -> f64 {
 /// cell order instead and skip the levelization; both orders bin to the
 /// same bits.)
 ///
-/// Build it with [`CurrentModel::charge_table`]; bin a simulated cycle's
+/// Build it with [`CurrentModel::charge_table`]; bin a simulated edge's
 /// toggle bits with [`Self::bin_words`], a recorded cycle's events with
 /// [`Self::bin_cycle`] (or a whole recording with [`Self::bin_trace`]);
 /// render the currents with [`Self::render`].
@@ -297,7 +298,8 @@ pub struct ChargeTable {
     clock_q: f64,
     sets: usize,
     /// `amps[source·sets + s]`: the rising-edge amplitude `(q·w)/dt`; a
-    /// falling edge moves [`FALL_CHARGE_FRACTION`] of it.
+    /// falling edge moves [`FALL_CHARGE_FRACTION`] of it. (Storing both
+    /// edges' products instead doubles the table for no measured gain.)
     amps: Vec<f64>,
     /// Per set: the clock edge's amplitude, which opens the level-0 bin.
     clock_amp: Vec<f64>,
@@ -481,72 +483,122 @@ impl ChargeTable {
         }
     }
 
-    /// Opens the next cycle in `bins` with the clock edge's level-0 bin,
-    /// then sums its toggles group by group of sets with `group`. The
-    /// sets are binned in groups of a fixed width, so that a run of
-    /// same-level toggles sums in registers rather than through memory;
-    /// each set still adds its toggles in serial event order.
+    /// Sums a cycle's toggles into `bins` group by group of sets, with
+    /// `group8` or `group1` given the group's first set. The sets are
+    /// binned in groups of a fixed width, so that a run of same-level
+    /// toggles sums in registers rather than through memory; each set
+    /// still adds its toggles in serial event order.
     #[inline(always)]
-    fn bin_groups(
+    fn bin_groups<B: ?Sized>(
         &self,
-        bins: &mut ChargeBins,
-        mut group8: impl FnMut(&mut ChargeBins, usize, usize),
-        mut group1: impl FnMut(&mut ChargeBins, usize, usize),
+        bins: &mut B,
+        group8: impl Fn(&mut B, usize),
+        group1: impl Fn(&mut B, usize),
     ) {
-        let start = bins.sums.len();
-        bins.starts.push(start);
-        bins.sums.extend_from_slice(&self.clock_amp);
         let mut first = 0;
         while first + 8 <= self.sets {
-            group8(bins, start, first);
+            group8(bins, first);
             first += 8;
         }
         while first < self.sets {
-            group1(bins, start, first);
+            group1(bins, first);
             first += 1;
         }
     }
 
-    /// Appends one simulated cycle to `bins` from one lane's toggle bits:
-    /// the clock edge opens the level-0 bin, then every toggled source
-    /// adds its amplitudes times its edge factor to its level's bin, in
-    /// source order. The bins are the same bits as [`Self::bin_cycle`]
-    /// over [`ToggleWords::events`].
+    /// Appends one simulated clock edge to every live lane's bins, from
+    /// the edge's toggle bits: `bins[j]` is lane `j`'s. In each lane the
+    /// clock edge opens the level-0 bin, then every toggled source adds
+    /// its amplitudes to its level's bin, in source order, so lane `j`'s
+    /// bins are the same bits as [`Self::bin_cycle`] over
+    /// [`ToggleWords::events`] of lane `j`.
+    ///
+    /// Per level, the blocks every lane shares ([`ToggleWords::shared`])
+    /// up to the first that they do not are summed once, into one
+    /// accumulator. From there each lane has its own: a shared block's
+    /// amplitudes are read once and added to every lane's, and a run of
+    /// other blocks is binned lane by lane.
     ///
     /// # Panics
     ///
     /// Panics if the table was compiled for another netlist than the
-    /// words' program.
-    pub fn bin_words(&self, words: ToggleWords<'_>, bins: &mut ChargeBins) {
+    /// words' program, or `bins` does not hold one entry per live lane.
+    pub fn bin_words(&self, words: ToggleWords<'_>, bins: &mut [ChargeBins]) {
         let level_ends = match &self.rows {
             Rows::Sources {
                 level_ends, digest, ..
             } if *digest == words.sources().digest() => level_ends,
             _ => panic!("charge table was compiled for another netlist"),
         };
-        let (toggled, values) = (words.toggled(), words.values());
-        let group8 = |bins: &mut ChargeBins, start, first| {
-            self.bin_words_group::<8>(level_ends, toggled, values, bins, start, first)
-        };
-        let group1 = |bins: &mut ChargeBins, start, first| {
-            self.bin_words_group::<1>(level_ends, toggled, values, bins, start, first)
-        };
-        self.bin_groups(bins, group8, group1);
+        assert_eq!(
+            bins.len(),
+            words.lanes(),
+            "one charge bin run per live lane"
+        );
+        let mut starts = [0; LANES];
+        for (start, bins) in starts.iter_mut().zip(bins.iter_mut()) {
+            *start = bins.open(&self.clock_amp);
+        }
+        let starts = &starts[..bins.len()];
+        self.bin_groups(
+            bins,
+            |bins, first| self.bin_words_group::<8>(level_ends, &words, bins, starts, first),
+            |bins, first| self.bin_words_group::<1>(level_ends, &words, bins, starts, first),
+        );
     }
 
-    /// [`Self::bin_words`] for sets `first..first + N` of the cycle whose
-    /// level-0 bin starts at `start`.
+    /// Adds the toggles `t` of source word `b`, new values `v`, to `acc`
+    /// for sets `first..first + N`, in source order.
+    #[inline(always)]
+    fn add_word<const N: usize>(
+        &self,
+        acc: &mut [f64; N],
+        b: usize,
+        mut t: u64,
+        v: u64,
+        first: usize,
+    ) {
+        while t != 0 {
+            let i = t.trailing_zeros() as usize;
+            t &= t - 1;
+            let deposit = self.deposit::<N>(b * LANES + i, (v >> i & 1) as usize, first);
+            for (a, d) in acc.iter_mut().zip(deposit) {
+                *a += d;
+            }
+        }
+    }
+
+    /// What a toggle of amplitude row `row` with new value `rising`
+    /// deposits in sets `first..first + N`: its amplitudes times its
+    /// edge factor (multiplying by 1 is exact, so a rising edge adds its
+    /// amplitude).
+    #[inline(always)]
+    fn deposit<const N: usize>(&self, row: usize, rising: usize, first: usize) -> [f64; N] {
+        let base = row * self.sets + first;
+        let edge = EDGE[rising];
+        let mut deposit = [0.0; N];
+        for (d, &amp) in deposit.iter_mut().zip(&self.amps[base..base + N]) {
+            *d = amp * edge;
+        }
+        deposit
+    }
+
+    /// [`Self::bin_words`] for sets `first..first + N` of the edge whose
+    /// level-0 bin starts at `starts[j]` in lane `j`'s bins.
     #[inline(always)]
     fn bin_words_group<const N: usize>(
         &self,
         level_ends: &[usize],
-        toggled: &[u64],
-        values: &[u64],
-        bins: &mut ChargeBins,
-        start: usize,
+        words: &ToggleWords<'_>,
+        bins: &mut [ChargeBins],
+        starts: &[usize],
         first: usize,
     ) {
-        let sets = self.sets;
+        let (sets, lanes, shared) = (self.sets, words.lanes(), words.shared());
+        let (toggled0, values0) = words.rows(0);
+        let mut acc = [[0.0; N]; LANES];
+        let mut touched = [false; LANES];
+        let (acc, touched) = (&mut acc[..lanes], &mut touched[..lanes]);
         let mut lo = 0;
         for (level, &hi) in level_ends.iter().enumerate() {
             let run = lo..hi;
@@ -555,43 +607,81 @@ impl ChargeTable {
                 continue;
             }
             let (first_word, last_word) = (run.start / LANES, (run.end - 1) / LANES);
-            let mut at = None;
-            let mut acc = [0.0; N];
-            for b in first_word..=last_word {
-                let mut t = toggled[b];
+            let in_level = |b: usize, mut t: u64| {
                 if b == first_word {
                     t &= u64::MAX << (run.start % LANES);
                 }
                 if b == last_word {
                     t &= u64::MAX >> (LANES - 1 - (run.end - 1) % LANES);
                 }
-                if t == 0 {
+                t
+            };
+            let mut common = [0.0; N];
+            if level == 0 {
+                common.copy_from_slice(&self.clock_amp[first..first + N]);
+            }
+            let mut any = false;
+            let mut b = first_word;
+            while b <= last_word && shared[b] {
+                let t = in_level(b, toggled0[b]);
+                any |= t != 0;
+                self.add_word(&mut common, b, t, values0[b], first);
+                b += 1;
+            }
+            if b > last_word {
+                if any {
+                    for (bins, &start) in bins.iter_mut().zip(starts) {
+                        bins.store(start + level * sets, sets, first, &common);
+                    }
+                }
+                continue;
+            }
+            acc.fill(common);
+            touched.fill(any);
+            while b <= last_word {
+                if shared[b] {
+                    let mut t = in_level(b, toggled0[b]);
+                    if t != 0 {
+                        touched.fill(true);
+                    }
+                    let v = values0[b];
+                    while t != 0 {
+                        let i = t.trailing_zeros() as usize;
+                        t &= t - 1;
+                        let deposit =
+                            self.deposit::<N>(b * LANES + i, (v >> i & 1) as usize, first);
+                        for acc in acc.iter_mut() {
+                            for (a, d) in acc.iter_mut().zip(deposit) {
+                                *a += d;
+                            }
+                        }
+                    }
+                    b += 1;
                     continue;
                 }
-                if at.is_none() {
-                    let bin = start + level * sets;
-                    if bin + sets > bins.sums.len() {
-                        bins.sums.resize(bin + sets, 0.0);
+                let end = (b..=last_word)
+                    .find(|&e| shared[e])
+                    .unwrap_or(last_word + 1);
+                for (lane, (acc, touched)) in acc.iter_mut().zip(touched.iter_mut()).enumerate() {
+                    let (toggled, values) = words.rows(lane);
+                    let mut sum = *acc;
+                    for w in b..end {
+                        let t = in_level(w, toggled[w]);
+                        *touched |= t != 0;
+                        self.add_word(&mut sum, w, t, values[w], first);
                     }
-                    acc.copy_from_slice(&bins.sums[bin + first..bin + first + N]);
-                    at = Some(bin + first);
+                    *acc = sum;
                 }
-                let v = values[b];
-                while t != 0 {
-                    let i = t.trailing_zeros() as usize;
-                    t &= t - 1;
-                    let base = (b * LANES + i) * sets + first;
-                    let amps = &self.amps[base..base + N];
-                    // Multiplying by 1 is exact: a rising edge adds its
-                    // amplitude.
-                    let edge = EDGE[(v >> i & 1) as usize];
-                    for (a, &amp) in acc.iter_mut().zip(amps) {
-                        *a += amp * edge;
-                    }
-                }
+                b = end;
             }
-            if let Some(at) = at {
-                bins.sums[at..at + N].copy_from_slice(&acc);
+            for ((bins, &start), (acc, &touched)) in bins
+                .iter_mut()
+                .zip(starts)
+                .zip(acc.iter().zip(touched.iter()))
+            {
+                if touched {
+                    bins.store(start + level * sets, sets, first, acc);
+                }
             }
         }
     }
@@ -621,10 +711,11 @@ impl ChargeTable {
         bins: &mut ChargeBins,
         row: impl Fn(usize) -> usize + Copy,
     ) {
+        let start = bins.open(&self.clock_amp);
         self.bin_groups(
             bins,
-            |bins, start, first| self.bin_events_group::<8>(events, row, bins, start, first),
-            |bins, start, first| self.bin_events_group::<1>(events, row, bins, start, first),
+            |bins, first| self.bin_events_group::<8>(events, row, bins, start, first),
+            |bins, first| self.bin_events_group::<1>(events, row, bins, start, first),
         );
     }
 
@@ -655,11 +746,9 @@ impl ChargeTable {
                 at = bin + first;
                 acc.copy_from_slice(&bins.sums[at..at + N]);
             }
-            let base = row(e.cell.index()) * sets + first;
-            let amps = &self.amps[base..base + N];
-            let edge = EDGE[usize::from(e.rising)];
-            for (a, &amp) in acc.iter_mut().zip(amps) {
-                *a += amp * edge;
+            let deposit = self.deposit::<N>(row(e.cell.index()), usize::from(e.rising), first);
+            for (a, d) in acc.iter_mut().zip(deposit) {
+                *a += d;
             }
         }
         bins.sums[at..at + N].copy_from_slice(&acc);
@@ -783,6 +872,25 @@ pub struct ChargeBins {
 }
 
 impl ChargeBins {
+    /// Opens the next cycle with the clock edge's level-0 bins
+    /// `clock_amp` and returns where it starts in `sums`.
+    fn open(&mut self, clock_amp: &[f64]) -> usize {
+        let start = self.sums.len();
+        self.starts.push(start);
+        self.sums.extend_from_slice(clock_amp);
+        start
+    }
+
+    /// Writes `values` to sets `first..` of the `sets` bins from `bin`,
+    /// growing the open cycle over the levels up to them (the levels in
+    /// between stay 0).
+    fn store(&mut self, bin: usize, sets: usize, first: usize, values: &[f64]) {
+        if bin + sets > self.sums.len() {
+            self.sums.resize(bin + sets, 0.0);
+        }
+        self.sums[bin + first..bin + first + values.len()].copy_from_slice(values);
+    }
+
     /// Number of binned cycles.
     pub fn cycles(&self) -> usize {
         self.starts.len()
@@ -1258,11 +1366,20 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            for lanes in [1usize, 64] {
-                // Two encryptions per lane: the second starts from the
-                // state the first left.
-                let rounds: Vec<Vec<[u8; 16]>> = (0..2)
-                    .map(|_| (0..lanes).map(|_| (u128::from(next()) << 64 | u128::from(next())).to_le_bytes()).collect())
+            for lanes in [1usize, 2, 16, 64] {
+                // Three encryptions per lane, each from the state the one
+                // before left: first one plaintext in every lane (every
+                // block shared), then lanes that draw from three
+                // plaintexts (equal plaintexts after unequal states),
+                // then one plaintext per lane.
+                let rounds: Vec<Vec<[u8; 16]>> = [1, 3, lanes]
+                    .into_iter()
+                    .map(|distinct| {
+                        let pool: Vec<[u8; 16]> = (0..distinct)
+                            .map(|_| (u128::from(next()) << 64 | u128::from(next())).to_le_bytes())
+                            .collect();
+                        (0..lanes).map(|_| pool[next() as usize % distinct]).collect()
+                    })
                     .collect();
                 let key = (u128::from(next()) << 64 | u128::from(next())).to_le_bytes();
                 for sets in [1usize, 8] {
@@ -1272,16 +1389,21 @@ mod tests {
                     let mut sim = aes.simulator().unwrap();
                     let mut words_bins = vec![table.bins(); lanes];
                     let mut events_bins = vec![table.bins(); lanes];
-                    let mut counts = vec![ToggleActivity::new(); lanes];
+                    let mut counts = ToggleActivity::new();
+                    let mut shared = 0;
                     for pts in &rounds {
                         let _ = run_encryptions_stepped(&mut sim, aes.ports(), key, pts, |s| {
-                            s.step_words(|lane, words| {
-                                table.bin_words(words, &mut words_bins[lane]);
-                                table.bin_cycle(&words.events(), &mut events_bins[lane]);
-                                counts[lane].absorb_words(words);
+                            s.step_words(|words| {
+                                table.bin_words(words, &mut words_bins);
+                                for (lane, bins) in events_bins.iter_mut().enumerate() {
+                                    table.bin_cycle(&words.events(lane), bins);
+                                }
+                                counts.absorb_words(words);
+                                shared += words.shared().iter().filter(|&&s| s).count();
                             })
                         });
                     }
+                    proptest::prop_assert!(shared > 0, "no block was shared");
                     proptest::prop_assert_eq!(&words_bins, &events_bins);
                     let mut recorder = aes.simulator().unwrap();
                     let mut recordings = vec![ActivityTrace::new(); lanes];
@@ -1292,13 +1414,13 @@ mod tests {
                             all.extend_from(trace);
                         }
                     }
-                    for lane in 0..lanes {
-                        let recorded = &recordings[lane];
-                        proptest::prop_assert_eq!(&words_bins[lane], &table.bin_trace(recorded, 1));
-                        let expected = ToggleActivity::from_trace(recorded);
-                        proptest::prop_assert_eq!(&counts[lane], &expected);
-                        proptest::prop_assert_eq!(counts[lane].cell_count(), expected.cell_count());
+                    let mut expected = ToggleActivity::new();
+                    for (bins, recorded) in words_bins.iter().zip(&recordings) {
+                        proptest::prop_assert_eq!(bins, &table.bin_trace(recorded, 1));
+                        expected.absorb(recorded);
                     }
+                    proptest::prop_assert_eq!(&counts, &expected);
+                    proptest::prop_assert_eq!(counts.cell_count(), expected.cell_count());
                 }
             }
         }
@@ -1311,7 +1433,7 @@ mod tests {
         let table = model().charge_table(&toggle_netlist(), &[None]).unwrap();
         let mut bins = table.bins();
         let mut sim = Simulator::new(&ladder).unwrap();
-        sim.step_words(|_, words| table.bin_words(words, &mut bins));
+        sim.step_words(|words| table.bin_words(words, std::slice::from_mut(&mut bins)));
     }
 
     #[test]

@@ -165,33 +165,44 @@ impl ToggleActivity {
     pub fn absorb(&mut self, trace: &ActivityTrace) {
         for cycle in trace.cycles() {
             for event in cycle.events() {
-                self.count(event.cell.index());
+                self.count(event.cell.index(), 1);
             }
             self.cycles += 1;
         }
     }
 
-    /// Accumulates one lane's toggles of one cycle, straight from the
-    /// simulator's bits: a stream absorbed edge by edge equals
-    /// [`Self::from_trace`] of its recording.
+    /// Accumulates one clock edge of every live lane, straight from the
+    /// simulator's bits: a shared block is counted once, times the
+    /// lanes. A stream absorbed edge by edge equals [`Self::from_trace`]
+    /// of its lanes' recordings, absorbed one after another.
     pub fn absorb_words(&mut self, words: ToggleWords<'_>) {
         let sources = words.sources().events();
-        for (b, &t) in words.toggled().iter().enumerate() {
-            let mut t = t;
+        let lanes = words.lanes();
+        let mut count = |b: usize, mut t: u64, by: u64| {
             while t != 0 {
                 let i = t.trailing_zeros() as usize;
                 t &= t - 1;
-                self.count(sources[b * LANES + i].cell.index());
+                self.count(sources[b * LANES + i].cell.index(), by);
+            }
+        };
+        for lane in 0..lanes {
+            let (toggled, _) = words.rows(lane);
+            for (b, (&t, &shared)) in toggled.iter().zip(words.shared()).enumerate() {
+                match (shared, lane) {
+                    (false, _) => count(b, t, 1),
+                    (true, 0) => count(b, t, lanes as u64),
+                    (true, _) => {}
+                }
             }
         }
-        self.cycles += 1;
+        self.cycles += lanes as u64;
     }
 
-    fn count(&mut self, idx: usize) {
+    fn count(&mut self, idx: usize, by: u64) {
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += 1;
+        self.counts[idx] += by;
     }
 
     /// Adds another aggregate's counts and cycles, as if its cycles had

@@ -18,11 +18,14 @@
 //! live lane. Every lane's event stream is bit-identical to a serial run
 //! of the same stimulus.
 //!
-//! An edge hands each live lane's toggles over as [`ToggleWords`]: one
-//! bit per source for "toggled" and one for its new value, 64 sources a
-//! word, from reused scratch. [`Simulator::step_words`] streams them to
-//! the caller; [`Simulator::step`] with a recording in progress expands
-//! them into the lanes' [`ActivityTrace`]s with [`ToggleWords::events`].
+//! An edge hands every live lane's toggles over at once as
+//! [`ToggleWords`]: per lane, one bit per source for "toggled" and one
+//! for its new value, 64 sources a word, from reused scratch, plus which
+//! blocks of 64 sources every lane toggled alike. Such a **shared** block
+//! is stored once, in lane 0, and a sink does its work once for all the
+//! lanes. [`Simulator::step_words`] streams the edges to the caller;
+//! [`Simulator::step`] with a recording in progress expands them into
+//! the lanes' [`ActivityTrace`]s with [`ToggleWords::events`].
 //!
 //! A [`Cone`] is the part of a circuit that some flops' next state
 //! depends on ([`Program::cone`]). [`Simulator::step_cone`] runs it
@@ -142,15 +145,30 @@ impl Sources {
     }
 }
 
-/// One live lane's toggles of one clock edge: bit `i` of word `b` stands
-/// for source `64·b + i` of [`Self::sources`]. A set bit of
-/// [`Self::toggled`] means the source toggled, and the same bit of
-/// [`Self::values`] is its new value (1: a rising edge).
+/// Every live lane's toggles of one clock edge, 64 sources a word: in
+/// lane `j`'s word `b`, bit `i` stands for source `64·b + i` of
+/// [`Self::sources`]. A set bit of its toggled word means the source
+/// toggled, and the same bit of its value word is its new value (1: a
+/// rising edge).
+///
+/// A block of 64 sources is **shared** when it toggled the same way in
+/// every live lane: each source toggled in all of them or in none, with
+/// one new value. Only lane 0's words of a shared block are stored, and
+/// they stand for every lane ([`Self::events`] reads them so), so a sink
+/// can do the work of a shared block once for all lanes. The flags are
+/// read off the toggle masks alone; a single live lane shares every
+/// block.
 #[derive(Debug, Clone, Copy)]
 pub struct ToggleWords<'a> {
     sources: &'a Sources,
+    lanes: usize,
+    /// Words per lane.
+    blocks: usize,
+    /// Lane-major: lane `j`'s word `b` at `j·blocks + b`.
     toggled: &'a [u64],
     values: &'a [u64],
+    /// Per block: whether it is shared.
+    shared: &'a [bool],
 }
 
 impl<'a> ToggleWords<'a> {
@@ -159,22 +177,46 @@ impl<'a> ToggleWords<'a> {
         self.sources
     }
 
-    /// Per word of 64 sources: which toggled.
-    pub fn toggled(&self) -> &'a [u64] {
-        self.toggled
+    /// Number of live lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
-    /// Per word of 64 sources: their new values.
-    pub fn values(&self) -> &'a [u64] {
-        self.values
+    /// Per block of 64 sources: whether it is shared by every lane.
+    pub fn shared(&self) -> &'a [bool] {
+        self.shared
     }
 
-    /// The toggles as events, in serial event order: the order a
-    /// one-lane recording stores them in.
-    pub fn events(&self) -> Vec<ToggleEvent> {
-        let count = self.toggled.iter().map(|t| t.count_ones() as usize).sum();
+    /// Lane `lane`'s stored words, toggled and values. A shared block's
+    /// words are stored in lane 0 only; elsewhere they are stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.lanes()`.
+    pub fn rows(&self, lane: usize) -> (&'a [u64], &'a [u64]) {
+        assert!(lane < self.lanes, "lane {lane} is not live");
+        let row = lane * self.blocks..(lane + 1) * self.blocks;
+        (&self.toggled[row.clone()], &self.values[row])
+    }
+
+    /// Lane `lane`'s words of block `b`, toggled and values.
+    fn word(&self, lane: usize, b: usize) -> (u64, u64) {
+        let lane = if self.shared[b] { 0 } else { lane };
+        let (toggled, values) = self.rows(lane);
+        (toggled[b], values[b])
+    }
+
+    /// Lane `lane`'s toggles as events, in serial event order: the order
+    /// a one-lane recording stores them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.lanes()`.
+    pub fn events(&self, lane: usize) -> Vec<ToggleEvent> {
+        let words = (0..self.blocks).map(|b| self.word(lane, b));
+        let count = words.clone().map(|(t, _)| t.count_ones() as usize).sum();
         let mut events = Vec::with_capacity(count);
-        for (b, (&t, &v)) in self.toggled.iter().zip(self.values).enumerate() {
+        for (b, (t, v)) in words.enumerate() {
             let mut t = t;
             while t != 0 {
                 let i = t.trailing_zeros();
@@ -395,6 +437,22 @@ impl Cone {
     pub fn is_empty(&self) -> bool {
         self.flops.is_empty()
     }
+
+    /// Whether a member flop or gate reads one of `nets` directly: the
+    /// cone's next state depends on a net outside it only through such a
+    /// read.
+    pub fn reads_any(&self, nets: &[NetId]) -> bool {
+        let Some(top) = nets.iter().map(|n| n.index()).max() else {
+            return false;
+        };
+        let mut wanted = vec![false; top + 1];
+        for n in nets {
+            wanted[n.index()] = true;
+        }
+        let read = |net: u32| wanted.get(net as usize).copied().unwrap_or(false);
+        self.flops.iter().any(|f| read(f.d))
+            || self.gates.iter().any(|g| g.ins.into_iter().any(read))
+    }
 }
 
 /// Lane 0's values of a [`Cone`]'s flops ([`Simulator::cone_state`]):
@@ -521,6 +579,8 @@ pub struct Simulator<'a> {
     /// or transposed during evaluation.
     lane_toggled: Vec<u64>,
     lane_values: Vec<u64>,
+    /// Per block: whether every live lane toggled it alike (scratch).
+    shared: Vec<bool>,
     cycle: u64,
 }
 
@@ -567,6 +627,7 @@ impl<'a> Simulator<'a> {
             traces: vec![ActivityTrace::new(); LANES],
             lane_toggled: Vec::new(),
             lane_values: Vec::new(),
+            shared: Vec::new(),
             cycle: 0,
         }
     }
@@ -731,8 +792,10 @@ impl<'a> Simulator<'a> {
         if self.recording {
             let mut traces = std::mem::take(&mut self.traces);
             let cycle = self.cycle;
-            self.step_words(|lane, words| {
-                traces[lane].push_cycle(CycleActivity::from_events(cycle, words.events()));
+            self.step_words(|words| {
+                for (lane, trace) in traces[..words.lanes()].iter_mut().enumerate() {
+                    trace.push_cycle(CycleActivity::from_events(cycle, words.events(lane)));
+                }
             });
             self.traces = traces;
             return;
@@ -742,11 +805,11 @@ impl<'a> Simulator<'a> {
         self.cycle += 1;
     }
 
-    /// Applies one rising clock edge like [`Self::step`] and hands every
-    /// live lane's [`ToggleWords`] to `sink` with the lane's index, lane
-    /// 0 first. Nothing is stored, so no recording needs to be in
-    /// progress.
-    pub fn step_words(&mut self, mut sink: impl FnMut(usize, ToggleWords<'_>)) {
+    /// Applies one rising clock edge like [`Self::step`] and hands the
+    /// edge's [`ToggleWords`], every live lane's toggles with the blocks
+    /// they share, to `sink`. Nothing is stored, so no recording needs to
+    /// be in progress.
+    pub fn step_words(&mut self, mut sink: impl FnMut(ToggleWords<'_>)) {
         self.capture();
         if self.live == 1 {
             self.emit_lane0(&mut sink);
@@ -835,11 +898,11 @@ impl<'a> Simulator<'a> {
     /// block and every one-lane [`Self::step`] recording — packing each
     /// source's toggle and new value into one bit per source as it goes:
     /// no per-source words are stored and no lane-major transposes run.
-    /// Sending one lane through [`Self::emit_lanes`] instead costs about
-    /// 1.1× as much per encryption on the all-Trojan chip (487–519 µs
-    /// against 440–452 µs with a sink that only counts words, 2-vCPU
-    /// host).
-    fn emit_lane0(&mut self, sink: &mut impl FnMut(usize, ToggleWords<'_>)) {
+    /// One lane shares every block. Sending one lane through
+    /// [`Self::emit_lanes`] instead costs about 1.1× as much per
+    /// encryption on the all-Trojan chip (487–519 µs against 440–452 µs
+    /// with a sink that only counts words, 2-vCPU host).
+    fn emit_lane0(&mut self, sink: &mut impl FnMut(ToggleWords<'_>)) {
         let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
         toggled.clear();
         values.clear();
@@ -864,43 +927,69 @@ impl<'a> Simulator<'a> {
             toggled.push(t);
             values.push(v);
         }
-        sink(
-            0,
-            ToggleWords {
-                sources: &self.program.sources,
-                toggled,
-                values,
-            },
-        );
+        self.shared.clear();
+        self.shared.resize(toggled.len(), true);
+        sink(ToggleWords {
+            sources: &self.program.sources,
+            lanes: 1,
+            blocks: toggled.len(),
+            toggled,
+            values,
+            shared: &self.shared,
+        });
     }
 
     /// Evaluates every lane, gathering each block of 64 sources'
-    /// toggled-live-lane masks and new values as it goes; each full block
-    /// is transposed and laid out lane-major, so no per-source word is
-    /// stored. Then each live lane's words go to the sink.
-    fn emit_lanes(&mut self, sink: &mut impl FnMut(usize, ToggleWords<'_>)) {
+    /// toggled-live-lane masks and new values as it goes. A block is
+    /// shared when every source's mask is empty or all the live lanes and
+    /// its new value is one bit for all of them; then lane 0's bits stand
+    /// for every lane and are packed from the masks' low bits. Any other
+    /// block is transposed and laid out lane-major. No per-source word is
+    /// stored. Then the whole edge goes to the sink.
+    fn emit_lanes(&mut self, sink: &mut impl FnMut(ToggleWords<'_>)) {
         let lanes = self.live;
+        let live = u64::MAX >> (LANES - lanes);
         let blocks = self.program.sources.len().div_ceil(LANES);
         let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
         toggled.resize(lanes * blocks, 0);
         values.resize(lanes * blocks, 0);
+        let shared = &mut self.shared;
+        shared.clear();
+        shared.resize(blocks, false);
         let (mut t, mut v) = ([0u64; LANES], [0u64; LANES]);
         let (mut b, mut k) = (0, 0);
         let need = lanes.next_power_of_two();
         let mut flush = |t: &mut [u64; LANES], v: &mut [u64; LANES], b: usize| {
+            // A mask is empty or all the live lanes exactly when each of
+            // its live bits equals the next one up; so must the rising
+            // bits be.
+            let mut d = 0u64;
+            for (&tog, &new) in t.iter().zip(v.iter()) {
+                let rising = new & tog;
+                d |= (tog ^ (tog >> 1)) | (rising ^ (rising >> 1));
+            }
+            let alike = d & (live >> 1) == 0;
+            if alike {
+                let lane0 = |rows: &[u64; LANES]| {
+                    rows.iter()
+                        .enumerate()
+                        .fold(0, |word, (k, &row)| word | (row & 1) << k)
+                };
+                (toggled[b], values[b], shared[b]) = (lane0(t), lane0(v), true);
+                return;
+            }
             for (block, to) in [(t, &mut *toggled), (v, &mut *values)] {
                 transpose64(block, need);
                 for (lane, &word) in block[..lanes].iter().enumerate() {
                     to[lane * blocks + b] = word;
                 }
-                *block = [0; LANES];
             }
         };
         evaluate(
             &self.program,
             &self.staged,
             &mut self.words,
-            u64::MAX >> (LANES - lanes),
+            live,
             |tog, new| {
                 t[k] = tog;
                 v[k] = new;
@@ -912,17 +1001,19 @@ impl<'a> Simulator<'a> {
             },
         );
         if k > 0 {
+            // The rows past the last source stand for no source.
+            t[k..].fill(0);
+            v[k..].fill(0);
             flush(&mut t, &mut v, b);
         }
-        for lane in 0..lanes {
-            let words = lane * blocks..(lane + 1) * blocks;
-            let words = ToggleWords {
-                sources: &self.program.sources,
-                toggled: &self.lane_toggled[words.clone()],
-                values: &self.lane_values[words],
-            };
-            sink(lane, words);
-        }
+        sink(ToggleWords {
+            sources: &self.program.sources,
+            lanes,
+            blocks,
+            toggled: &self.lane_toggled,
+            values: &self.lane_values,
+            shared: &self.shared,
+        });
     }
 
     /// Runs `n` clock cycles.
@@ -1179,6 +1270,35 @@ mod tests {
             assert_eq!(sim.bus_lane(&[y], lane), 1 - (lane as u128 & 1));
         }
         assert!(!sim.is_recording());
+    }
+
+    #[test]
+    fn lanes_share_a_block_only_with_the_same_toggles_and_values() {
+        // One flop sampling a per-lane input: lanes whose flop toggles
+        // with opposite edges do not share its block, lanes whose flops
+        // fall together do.
+        let mut n = Netlist::new("sample");
+        let a = n.input("a");
+        let r = n.dff(a);
+        n.mark_output("r", r);
+        let mut sim = Simulator::new(&n).unwrap();
+        let mut seen = Vec::new();
+        for inputs in [[0, 1], [1, 0], [1, 1], [0, 0]] {
+            sim.set_bus_lanes(&[a], &inputs);
+            sim.step_words(|words| {
+                let events: Vec<Vec<bool>> = (0..words.lanes())
+                    .map(|lane| words.events(lane).iter().map(|e| e.rising).collect())
+                    .collect();
+                seen.push((words.shared()[0], events));
+            });
+        }
+        let expected = [
+            (false, vec![vec![], vec![true]]),
+            (false, vec![vec![true], vec![false]]),
+            (false, vec![vec![], vec![true]]),
+            (true, vec![vec![false], vec![false]]),
+        ];
+        assert_eq!(seen, expected);
     }
 
     #[test]

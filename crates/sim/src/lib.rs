@@ -26,14 +26,18 @@
 //!    A netlist compiles once into an [`engine::Program`], which a
 //!    simulator runs on [`LANES`] independent lanes per machine word:
 //!    up to 64 encryptions at the cost of about one.
-//! 2. **Activity capture** — each clock edge hands every live lane's
-//!    toggles to the caller of [`engine::Simulator::step_words`] as
-//!    [`engine::ToggleWords`]: per word of 64 sources (the program's
-//!    [`engine::Sources`]: flip-flops, then gates in evaluation order),
-//!    which toggled and their new values, from reused scratch. The power
-//!    model bins those bits into per-level charge, and
-//!    [`activity::ToggleActivity`] counts them per cell, with no event
-//!    object in between. A recording ([`engine::Simulator::step`] after
+//! 2. **Activity capture** — each clock edge hands the toggles of every
+//!    live lane at once to the one sink of
+//!    [`engine::Simulator::step_words`] as [`engine::ToggleWords`]: per
+//!    lane and word of 64 sources (the program's [`engine::Sources`]:
+//!    flip-flops, then gates in evaluation order), which toggled and
+//!    their new values, from reused scratch. A word that every lane
+//!    toggled alike, each source in all lanes or in none and with one new
+//!    value, is marked shared and stored once; that is read off the
+//!    toggle masks alone. The power model bins those bits into per-level
+//!    charge and [`activity::ToggleActivity`] counts them per cell, each
+//!    doing a shared word's work once for all lanes, with no event object
+//!    in between. A recording ([`engine::Simulator::step`] after
 //!    `start_recording`) expands the same words into
 //!    [`activity::ToggleEvent`]s in an [`activity::ActivityTrace`]; the
 //!    power model turns each into a current pulse at

@@ -2,12 +2,12 @@
 //! four digital Trojans, each with its own trigger control.
 
 use crate::digital::{insert_trojan, TrojanKind, TrojanPorts, ALL_DIGITAL_TROJANS};
-use emtrust_aes::netlist::{build_aes, run_encryption, AesPorts};
+use emtrust_aes::netlist::{block_to_word, build_aes, drive_encryption, run_encryption, AesPorts};
 use emtrust_netlist::graph::{CellId, Netlist};
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::{Cone, Program, Simulator};
+use emtrust_sim::engine::{Cone, ConeState, Program, Simulator};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// An AES-128 core with a selectable set of inserted Trojans, matching the
 /// silicon the paper fabricates (AES + four Trojans on one die, plus
@@ -19,8 +19,20 @@ pub struct ProtectedChip {
     trojans: BTreeMap<TrojanKind, TrojanPorts>,
     /// The netlist compiled for simulation, on first use.
     program: OnceLock<Result<Program, NetlistError>>,
-    /// The Trojans' state cone, on first use.
-    cone: OnceLock<Cone>,
+    /// The Trojans' state cone and whether it reads a plaintext net, on
+    /// first use.
+    cone: OnceLock<(Cone, bool)>,
+    /// The cone's entry states from power-on ([`Self::cone_entries`]).
+    memo: Mutex<ConeMemo>,
+}
+
+/// The state cone's entry states from power-on under one key: per armed
+/// Trojan (`None`: every Trojan dormant), the state before each block,
+/// as many blocks as the longest stream has asked for.
+#[derive(Debug, Default)]
+struct ConeMemo {
+    key: [u8; 16],
+    runs: BTreeMap<Option<TrojanKind>, Vec<ConeState>>,
 }
 
 impl ProtectedChip {
@@ -38,6 +50,7 @@ impl ProtectedChip {
             trojans,
             program: OnceLock::new(),
             cone: OnceLock::new(),
+            memo: Mutex::default(),
         }
     }
 
@@ -102,6 +115,11 @@ impl ProtectedChip {
     ///
     /// Propagates structural errors from compilation.
     pub fn state_cone(&self) -> Result<&Cone, NetlistError> {
+        Ok(&self.cone_and_plaintext_read()?.0)
+    }
+
+    /// [`Self::state_cone`], and whether it reads a plaintext net.
+    fn cone_and_plaintext_read(&self) -> Result<&(Cone, bool), NetlistError> {
         let program = self.program()?;
         Ok(self.cone.get_or_init(|| {
             let mut seeds: Vec<CellId> = self
@@ -118,11 +136,117 @@ impl ProtectedChip {
                 let cone = program.cone(&seeds);
                 let readers = program.readers(&cone);
                 if readers.is_empty() {
-                    return cone;
+                    let reads_plaintext = cone.reads_any(&self.aes.pt);
+                    return (cone, reads_plaintext);
                 }
                 seeds.extend(readers);
             }
         }))
+    }
+
+    /// The state cone's entry state before each block of a stream that
+    /// encrypts `plaintexts` in order under `key` from power-on with only
+    /// `armed` triggered ([`Self::power_on`]): one state per plaintext,
+    /// the first the power-on state. A golden chip's are empty.
+    ///
+    /// The states come from a serial pass of the cone alone
+    /// ([`Simulator::step_cone`]) on the calling thread. When the cone
+    /// reads no plaintext net (on every chip built here it reads only the
+    /// key, the start strobe and the triggers), they depend only on the
+    /// key, `armed` and the block's index, so the chip keeps them, for
+    /// one key at a time (another key replaces them), per armed Trojan,
+    /// as many as the longest stream asked for: about 100 B per block on
+    /// the all-Trojan chip. A later stream reads them back and passes
+    /// only over the blocks beyond; it resumes from the last kept state,
+    /// loaded into a powered-on simulator with the key on its inputs. A
+    /// cone that reads a plaintext net is passed over from power-on
+    /// every time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates structural errors from compilation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip does not carry `armed`.
+    pub fn cone_entries(
+        &self,
+        key: [u8; 16],
+        armed: Option<TrojanKind>,
+        plaintexts: &[[u8; 16]],
+    ) -> Result<Vec<ConeState>, NetlistError> {
+        let (cone, reads_plaintext) = self.cone_and_plaintext_read()?;
+        let n = plaintexts.len();
+        if cone.is_empty() || n == 0 {
+            return Ok(vec![ConeState::default(); n]);
+        }
+        if *reads_plaintext {
+            let mut sim = self.power_on(armed)?;
+            return Ok(self.cone_pass(&mut sim, cone, key, plaintexts));
+        }
+        // Every update leaves each run a correct prefix of its states, so
+        // a guard poisoned by a panic (an unknown `armed`) holds valid
+        // data.
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if memo.key != key {
+            *memo = ConeMemo {
+                key,
+                runs: BTreeMap::new(),
+            };
+        }
+        let kept = memo.runs.entry(armed).or_default();
+        let done = kept.len();
+        if done < n {
+            let mut sim = self.power_on(armed)?;
+            // The power-on state is not settled, unlike a block
+            // boundary, so a pass resumes only after the first block.
+            let from = if done >= 2 {
+                sim.set_bus(&self.aes.key, block_to_word(key));
+                sim.load_cone(cone, &kept[done - 1..]);
+                done - 1
+            } else {
+                0
+            };
+            let fresh = self.cone_pass(&mut sim, cone, key, &plaintexts[from..]);
+            kept.extend(fresh.into_iter().skip(done - from));
+        }
+        Ok(kept[..n].to_vec())
+    }
+
+    /// The state before each of `plaintexts`, stepping `cone` alone on
+    /// `sim` through every block but the last.
+    fn cone_pass(
+        &self,
+        sim: &mut Simulator<'_>,
+        cone: &Cone,
+        key: [u8; 16],
+        plaintexts: &[[u8; 16]],
+    ) -> Vec<ConeState> {
+        let mut states = vec![sim.cone_state(cone)];
+        for &pt in &plaintexts[..plaintexts.len() - 1] {
+            drive_encryption(sim, &self.aes, key, pt, |s| s.step_cone(cone));
+            states.push(sim.cone_state(cone));
+        }
+        states
+    }
+
+    /// A simulator at power-on with every Trojan disarmed except `armed`,
+    /// which is triggered.
+    ///
+    /// # Errors
+    ///
+    /// Propagates structural errors from compilation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip does not carry `armed`.
+    pub fn power_on(&self, armed: Option<TrojanKind>) -> Result<Simulator<'_>, NetlistError> {
+        let mut sim = self.simulator()?;
+        self.disarm_all(&mut sim);
+        if let Some(kind) = armed {
+            self.arm(&mut sim, kind, true);
+        }
+        Ok(sim)
     }
 
     /// Arms (`true`) or disarms (`false`) a Trojan's trigger on a running
@@ -269,6 +393,74 @@ mod tests {
             assert_eq!(alone.cone_state(cone), full.cone_state(cone), "{kind:?}");
             assert!(seen.len() > 1, "{kind:?}: the Trojan state never moved");
         }
+    }
+
+    #[test]
+    fn state_cone_reads_the_key_strobe_and_triggers_but_no_plaintext() {
+        let chip = ProtectedChip::with_all_trojans();
+        let cone = chip.state_cone().unwrap();
+        let ports = chip.aes_ports();
+        assert!(!cone.reads_any(&ports.pt));
+        assert!(cone.reads_any(&ports.key));
+        assert!(cone.reads_any(&[ports.start]));
+        for kind in ALL_DIGITAL_TROJANS {
+            let trigger = chip.trojan_ports(kind).unwrap().trigger;
+            assert!(cone.reads_any(&[trigger]), "{kind:?}");
+        }
+        assert!(!cone.reads_any(&[]));
+    }
+
+    /// The cone's state before each of `plaintexts`, from one full
+    /// simulation from power-on.
+    fn serial_entries(
+        chip: &ProtectedChip,
+        key: [u8; 16],
+        armed: Option<TrojanKind>,
+        plaintexts: &[[u8; 16]],
+    ) -> Vec<ConeState> {
+        let cone = chip.state_cone().unwrap();
+        let mut sim = chip.power_on(armed).unwrap();
+        plaintexts
+            .iter()
+            .map(|&pt| {
+                let entry = sim.cone_state(cone);
+                let _ = chip.encrypt(&mut sim, key, pt);
+                entry
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cone_entries_equal_a_fresh_serial_pass_through_the_memo() {
+        const OTHER: [u8; 16] = *b"another test key";
+        let chip = ProtectedChip::with_all_trojans();
+        let t1 = Some(TrojanKind::T1AmLeaker);
+        let t2 = Some(TrojanKind::T2LeakageLeaker);
+        // Each request after the first reads the memo: a longer one
+        // resumes past its end (from power-on while it holds only the
+        // power-on state), another Trojan or key gets its own states, and
+        // the plaintexts never matter.
+        let requests = [
+            (KEY, t1, 1, 0x11),
+            (KEY, t1, 2, 0x22),
+            (KEY, t1, 5, 0x33),
+            (KEY, t1, 24, 0x44),
+            (KEY, None, 24, 0x55),
+            (KEY, t2, 3, 0x66),
+            (KEY, t1, 9, 0x77),
+            (OTHER, t1, 9, 0x88),
+            (OTHER, t1, 30, 0x99),
+            (KEY, t1, 24, 0xAA),
+        ];
+        for (key, armed, n, seed) in requests {
+            let plaintexts: Vec<[u8; 16]> = (0..n).map(|i| [seed ^ (i as u8 * 29); 16]).collect();
+            let got = chip.cone_entries(key, armed, &plaintexts).unwrap();
+            let expected = serial_entries(&chip, key, armed, &plaintexts);
+            assert_eq!(got, expected, "{armed:?}, {n} blocks, seed {seed:#x}");
+        }
+        let golden = ProtectedChip::golden();
+        let entries = golden.cone_entries(KEY, None, &[PT; 3]).unwrap();
+        assert_eq!(entries, vec![ConeState::default(); 3]);
     }
 
     #[test]

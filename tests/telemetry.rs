@@ -193,3 +193,48 @@ fn correlation_ids_stay_unique_across_concurrent_monitors() {
     sorted.dedup();
     assert_eq!(sorted.len(), ids.len(), "ids must be unique");
 }
+
+#[test]
+fn robust_collection_simulates_once_per_channel() {
+    use emtrust::faults::{FaultKind, FaultPlan, FaultSpec};
+    use emtrust::{RetryPolicy, TraceSanitizer};
+    let _guard = lock();
+    let chip = ProtectedChip::golden();
+    // A persistent flatline on the on-chip channel: both retry rounds
+    // re-measure every trace and fail, and the external probe clears it.
+    let plan = FaultPlan::new(3)
+        .with(FaultSpec::new(FaultKind::Flatline, 1.0).on_channel(Channel::OnChipSensor));
+    let bench = TestBench::simulation(&chip).unwrap().with_faults(plan);
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        fallback: Some(Channel::ExternalProbe),
+        ..Default::default()
+    };
+    let registry = Arc::new(InMemoryRecorder::new());
+    telemetry::install(registry.clone());
+    let robust = bench.collect_robust(
+        KEY,
+        4,
+        None,
+        Channel::OnChipSensor,
+        4,
+        &TraceSanitizer::default(),
+        policy,
+    );
+    telemetry::uninstall();
+    let robust = robust.unwrap();
+    assert_eq!((robust.retries, robust.fallbacks), (8, 4));
+    let snap = registry.snapshot();
+    let simulations: u64 = snap
+        .spans
+        .iter()
+        .filter(|(path, _)| path.starts_with("collect_robust.") && path.ends_with(".simulate"))
+        .map(|(_, span)| span.count)
+        .sum();
+    assert_eq!(
+        simulations,
+        2,
+        "one simulation per channel; got {:?}",
+        snap.spans.keys().collect::<Vec<_>>()
+    );
+}
