@@ -7,18 +7,23 @@
 //! the `synthesize` group compares binning stored events with binning
 //! the simulator's toggle words as it runs, on one lane, on 16 lanes of
 //! one plaintext (blocks the lanes share are binned once) and on 64 lanes
-//! of distinct plaintexts.
+//! of distinct plaintexts. The `frontend` and `fleet` groups time the
+//! per-trace work of a fleet shard on 768-sample traces: the trace
+//! screen alone, one `ingest_trace` through a fitted per-chip pipeline,
+//! and a whole shard epoch through one `PipelineStore`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
-use emtrust::{DetectionPipeline, EuclideanDetector};
+use emtrust::telemetry::LabelSet;
+use emtrust::{DetectionPipeline, EuclideanDetector, TraceSanitizer, TraceSet};
 use emtrust_aes::netlist::{
     drive_encryption, run_encryption, run_encryption_stepped, run_encryptions,
     run_encryptions_stepped,
 };
 use emtrust_bench::EXPERIMENT_KEY;
+use emtrust_fleet::{BaselineMode, FleetConfig, PipelineStore};
 use emtrust_netlist::library::Library;
 use emtrust_power::{ClockConfig, CurrentModel};
 use emtrust_silicon::Channel;
@@ -279,8 +284,93 @@ fn synthesize(c: &mut Criterion) {
     g.finish();
 }
 
+/// Continuous-valued 768-sample on-chip traces of the golden chip, one
+/// fixed plaintext, as a fleet shard receives them.
+fn fleet_traces(n: usize) -> TraceSet {
+    let chip = ProtectedChip::golden();
+    let set = TestBench::simulation(&chip)
+        .expect("bench")
+        .collect(EXPERIMENT_KEY, n, None, Channel::OnChipSensor, 11)
+        .expect("trace set");
+    assert!(set.traces().iter().all(|t| t.len() == 768));
+    set
+}
+
+/// The screen alone, then one trace through a per-chip pipeline built
+/// like the fleet store's (Euclidean on raw RMS features, default
+/// sanitizer). Each iteration takes the next of 40 traces.
+fn frontend(c: &mut Criterion) {
+    let set = fleet_traces(40);
+    let traces = set.traces();
+    let mut g = c.benchmark_group("frontend");
+    g.sample_size(20_000);
+    g.throughput(Throughput::Elements(1));
+    let screen = TraceSanitizer::default().with_expected_len(768);
+    let mut i = 0;
+    g.bench_function("sanitize_768", |b| {
+        b.iter(|| {
+            i = (i + 1) % traces.len();
+            screen.inspect(&traces[i])
+        })
+    });
+    let golden = TraceSet::new(traces[..8].to_vec(), set.sample_rate_hz()).expect("golden");
+    let config = FingerprintConfig {
+        pca_components: None,
+        threshold_margin: 1.25,
+        ..FingerprintConfig::default()
+    };
+    let fp = GoldenFingerprint::fit(&golden, config).expect("fit");
+    let mut pipeline = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .sanitizer(TraceSanitizer::default())
+        .build();
+    g.bench_function("ingest_trace_768", |b| {
+        b.iter(|| {
+            i = (i + 1) % traces.len();
+            pipeline.ingest_trace(&traces[i])
+        })
+    });
+    g.finish();
+}
+
+/// One shard epoch as `fleet_replay` drives it, without the service's
+/// thread: 1024 chips, each 8 batches of 4 traces in a row, through one
+/// store of 512 hot chips (so every chip past the 512th evicts one).
+/// Each chip reads the 40-trace pool from its own offset.
+fn fleet(c: &mut Criterion) {
+    let set = fleet_traces(40);
+    let pool = set.traces();
+    let chips: Vec<String> = (0..1024).map(|c| format!("chip-{c:05}")).collect();
+    let mut g = c.benchmark_group("fleet");
+    g.sample_size(5);
+    g.throughput(Throughput::Elements(1024 * 8 * 4));
+    g.bench_function("store_1024_chips_4x768", |b| {
+        b.iter(|| {
+            let cfg = FleetConfig::default();
+            let mut store = PipelineStore::new(
+                cfg.store,
+                cfg.golden_traces,
+                BaselineMode::Golden,
+                LabelSet::new(),
+            );
+            for (c, id) in chips.iter().enumerate() {
+                for round in 0..8 {
+                    let batch: Vec<Vec<f64>> = (0..4)
+                        .map(|j| pool[(c * 7 + round * 4 + j) % pool.len()].clone())
+                        .collect();
+                    store.ingest(id, &batch).expect("ingest");
+                }
+            }
+            store.evictions()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     parallel,
+    frontend,
+    fleet,
     simulate,
     synthesize,
     parallel_collect,

@@ -15,6 +15,33 @@
 //!
 //! Every check is a pure function of the samples (plus the optional
 //! golden energy ratio), so sanitized runs replay deterministically.
+//!
+//! # Cost: about one serial energy sum
+//!
+//! The one order-bound statistic is the energy `Σ x²`: one accumulator
+//! added in sample order, so the RMS and the crest factor keep their
+//! bits. Everything else is order-free — the extremes, the smallest
+//! `|x|`, how many samples sit exactly on an extreme and how many
+//! adjacent pairs are bit-identical — so it is kept in four independent
+//! lanes that are combined at the end:
+//!
+//! - The extremes ride along in the energy pass as `<`/`>` selects, not
+//!   `f64::min`, whose NaN handling chains every step to the one
+//!   before. Their chains hide under the energy sum's.
+//! - The pinned and duplicate counts take a second pass of integer adds,
+//!   which costs a fraction of the first (about 0.4 µs against 0.6 µs on
+//!   a 768-sample trace, x86-64).
+//!
+//! Two facts make the lanes exact:
+//!
+//! - NaN never matters. Any NaN or ±inf sample makes the energy
+//!   non-finite, and only then are non-finite samples counted; a trace
+//!   with any is rejected before an extreme or a count is read.
+//! - A ±0.0 extreme may come out with either sign, but every use reads
+//!   it through `abs` or `==`, which ignore the sign.
+//!
+//! The longest run of identical samples is walked only when some
+//! adjacent pair repeats, which a continuous-valued trace never does.
 
 /// A concrete defect the sanitizer can attribute to a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,6 +275,239 @@ impl TraceSanitizer {
     pub fn inspect_scaled(&self, samples: &[f64], energy_ratio: Option<f64>) -> TraceVerdict {
         let cfg = &self.config;
         let len = samples.len();
+        let Some(SampleStats {
+            sum_sq,
+            min,
+            max,
+            min_abs,
+            pinned,
+            duplicates,
+        }) = SampleStats::measure(samples)
+        else {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::Empty,
+            };
+        };
+        // Any NaN or ±inf sample makes the energy non-finite; a finite
+        // energy proves there is none to count.
+        if !sum_sq.is_finite() {
+            let non_finite = samples.iter().filter(|x| !x.is_finite()).count();
+            if non_finite > 0 {
+                return TraceVerdict::Rejected {
+                    reason: TraceDefect::NonFinite { count: non_finite },
+                };
+            }
+        }
+        if let Some(expected) = cfg.expected_len {
+            if len != expected {
+                return TraceVerdict::Rejected {
+                    reason: TraceDefect::WrongLength {
+                        expected,
+                        actual: len,
+                    },
+                };
+            }
+        }
+        if min == max {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::Flatline,
+            };
+        }
+        let longest_equal_run = if duplicates == 0 {
+            1
+        } else {
+            longest_equal_run(samples)
+        };
+
+        let run_frac = longest_equal_run as f64 / len as f64;
+        if run_frac >= cfg.dead_run_reject_fraction {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::DeadSamples {
+                    longest_run: longest_equal_run,
+                },
+            };
+        }
+        let pinned_fraction = pinned as f64 / len as f64;
+        if pinned_fraction >= cfg.saturation_reject_fraction && pinned >= cfg.saturation_min_pinned
+        {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::Saturated { pinned_fraction },
+            };
+        }
+        let peak = min.abs().max(max.abs());
+        let rms = (sum_sq / len as f64).sqrt();
+        let crest = if rms > 0.0 { peak / rms } else { 0.0 };
+        if crest >= cfg.crest_reject {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::GlitchSuspected {
+                    crest_factor: crest,
+                },
+            };
+        }
+        if peak > 0.0 && min_abs > cfg.zero_floor_ratio * peak {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::StuckRange {
+                    floor_ratio: min_abs / peak,
+                },
+            };
+        }
+        let duplicate_fraction = duplicates as f64 / (len - 1).max(1) as f64;
+        if duplicate_fraction >= cfg.duplicate_reject_fraction {
+            return TraceVerdict::Rejected {
+                reason: TraceDefect::RepeatedSamples { duplicate_fraction },
+            };
+        }
+        if let (Some((lo, hi)), Some(ratio)) = (cfg.energy_bounds, energy_ratio) {
+            if ratio < lo || ratio > hi {
+                return TraceVerdict::Rejected {
+                    reason: TraceDefect::EnergyOutOfRange { ratio },
+                };
+            }
+        }
+
+        let mut reasons = Vec::new();
+        if run_frac >= cfg.dead_run_degrade_fraction {
+            reasons.push(TraceDefect::DeadSamples {
+                longest_run: longest_equal_run,
+            });
+        }
+        if crest >= cfg.crest_degrade {
+            reasons.push(TraceDefect::GlitchSuspected {
+                crest_factor: crest,
+            });
+        }
+        if reasons.is_empty() {
+            TraceVerdict::Clean
+        } else {
+            TraceVerdict::Degraded { reasons }
+        }
+    }
+}
+
+impl Default for TraceSanitizer {
+    fn default() -> Self {
+        Self::new(SanitizerConfig::default())
+    }
+}
+
+/// Independent accumulators per order-free statistic (see module docs).
+const LANES: usize = 4;
+
+/// What one trace's screen reads off its samples. Only `sum_sq` is
+/// order-bound; the rest are meaningless when `sum_sq` is not finite.
+struct SampleStats {
+    /// `Σ x²`, added in sample order.
+    sum_sq: f64,
+    min: f64,
+    max: f64,
+    /// Smallest `|x|`.
+    min_abs: f64,
+    /// Samples equal to `min` or to `max`.
+    pinned: usize,
+    /// Adjacent pairs that compare equal.
+    duplicates: usize,
+}
+
+impl SampleStats {
+    /// Measures a trace in two passes (`None` when it is empty). The
+    /// first adds the energy serially and keeps the extremes in
+    /// [`LANES`] lanes of `<`/`>` selects; the second counts pinned
+    /// samples and duplicate pairs in lanes of integer adds.
+    fn measure(samples: &[f64]) -> Option<Self> {
+        let &first = samples.first()?;
+        let mut sum_sq = 0.0;
+        let mut lo = [first; LANES];
+        let mut hi = [first; LANES];
+        let mut floor = [first.abs(); LANES];
+        let chunks = samples.chunks_exact(LANES);
+        let tail = chunks.remainder();
+        let mut extremes = |j: usize, x: f64| {
+            lo[j] = if x < lo[j] { x } else { lo[j] };
+            hi[j] = if x > hi[j] { x } else { hi[j] };
+            let a = x.abs();
+            floor[j] = if a < floor[j] { a } else { floor[j] };
+        };
+        for c in chunks {
+            for &x in c {
+                sum_sq += x * x;
+            }
+            for (j, &x) in c.iter().enumerate() {
+                extremes(j, x);
+            }
+        }
+        for (j, &x) in tail.iter().enumerate() {
+            sum_sq += x * x;
+            extremes(j, x);
+        }
+        let (mut min, mut max, mut min_abs) = (first, first, first.abs());
+        for j in 0..LANES {
+            min = if lo[j] < min { lo[j] } else { min };
+            max = if hi[j] > max { hi[j] } else { max };
+            min_abs = if floor[j] < min_abs {
+                floor[j]
+            } else {
+                min_abs
+            };
+        }
+
+        // `rest[i]` follows `samples[i]`.
+        let rest = &samples[1..];
+        let mut pinned = [0usize; LANES];
+        let mut duplicates = [0usize; LANES];
+        let mut counts = |j: usize, x: f64, prev: f64| {
+            pinned[j] += usize::from((x == min) | (x == max));
+            duplicates[j] += usize::from(x == prev);
+        };
+        let cur = rest.chunks_exact(LANES);
+        let cur_tail = cur.remainder();
+        let prev_tail = &samples[rest.len() - cur_tail.len()..rest.len()];
+        for (c, p) in cur.zip(samples.chunks_exact(LANES)) {
+            for (j, (&x, &prev)) in c.iter().zip(p).enumerate() {
+                counts(j, x, prev);
+            }
+        }
+        for (j, (&x, &prev)) in cur_tail.iter().zip(prev_tail).enumerate() {
+            counts(j, x, prev);
+        }
+        Some(Self {
+            sum_sq,
+            min,
+            max,
+            min_abs,
+            pinned: usize::from((first == min) | (first == max)) + pinned.iter().sum::<usize>(),
+            duplicates: duplicates.iter().sum(),
+        })
+    }
+}
+
+/// Length of the longest run of adjacent samples that compare equal.
+fn longest_equal_run(samples: &[f64]) -> usize {
+    let mut longest = 1;
+    let mut run = 1;
+    for (x, prev) in samples[1..].iter().zip(samples) {
+        run = if x == prev { run + 1 } else { 1 };
+        longest = longest.max(run);
+    }
+    longest
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference screen: a `filter` count of the non-finite
+    /// samples, one `f64::min`/`f64::max` chain with the energy sum,
+    /// then a branchy pass for runs, duplicates and pinned samples. The
+    /// lane-based screen must match it bit for bit.
+    fn reference_verdict(
+        cfg: &SanitizerConfig,
+        samples: &[f64],
+        energy_ratio: Option<f64>,
+    ) -> TraceVerdict {
+        let len = samples.len();
         if len == 0 {
             return TraceVerdict::Rejected {
                 reason: TraceDefect::Empty,
@@ -270,7 +530,6 @@ impl TraceSanitizer {
             }
         }
 
-        // One pass: extremes, energy, pinned counts/runs, identical runs.
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         let mut min_abs = f64::INFINITY;
@@ -368,17 +627,291 @@ impl TraceSanitizer {
             TraceVerdict::Degraded { reasons }
         }
     }
-}
 
-impl Default for TraceSanitizer {
-    fn default() -> Self {
-        Self::new(SanitizerConfig::default())
+    /// Every payload float as its bits, so `-0.0 != 0.0` and NaN equals
+    /// itself: equal keys mean bit-identical verdicts.
+    fn defect_bits(d: &TraceDefect) -> (&'static str, u64, u64) {
+        match *d {
+            TraceDefect::NonFinite { count } => ("non_finite", count as u64, 0),
+            TraceDefect::WrongLength { expected, actual } => {
+                ("wrong_length", expected as u64, actual as u64)
+            }
+            TraceDefect::SampleRateMismatch {
+                expected_hz,
+                actual_hz,
+            } => ("rate", expected_hz.to_bits(), actual_hz.to_bits()),
+            TraceDefect::Saturated { pinned_fraction } => {
+                ("saturated", pinned_fraction.to_bits(), 0)
+            }
+            TraceDefect::DeadSamples { longest_run } => ("dead", longest_run as u64, 0),
+            TraceDefect::GlitchSuspected { crest_factor } => ("glitch", crest_factor.to_bits(), 0),
+            TraceDefect::EnergyOutOfRange { ratio } => ("energy", ratio.to_bits(), 0),
+            TraceDefect::StuckRange { floor_ratio } => ("stuck", floor_ratio.to_bits(), 0),
+            TraceDefect::RepeatedSamples { duplicate_fraction } => {
+                ("repeated", duplicate_fraction.to_bits(), 0)
+            }
+            ref other => (other.label(), 0, 0),
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn verdict_bits(v: &TraceVerdict) -> (&'static str, Vec<(&'static str, u64, u64)>) {
+        match v {
+            TraceVerdict::Clean => ("clean", Vec::new()),
+            TraceVerdict::Degraded { reasons } => {
+                ("degraded", reasons.iter().map(defect_bits).collect())
+            }
+            TraceVerdict::Rejected { reason } => ("rejected", vec![defect_bits(reason)]),
+        }
+    }
+
+    fn assert_matches_reference(s: &TraceSanitizer, t: &[f64], ratio: Option<f64>) -> TraceVerdict {
+        let got = s.inspect_scaled(t, ratio);
+        let want = reference_verdict(&s.config(), t, ratio);
+        assert_eq!(
+            verdict_bits(&got),
+            verdict_bits(&want),
+            "screen and reference disagree on {t:?} (ratio {ratio:?})"
+        );
+        got
+    }
+
+    /// A random trace with the defects the screen looks for mixed in.
+    fn hostile_trace(rng: &mut StdRng) -> Vec<f64> {
+        let len = match rng.gen_range(0..6u32) {
+            0 => rng.gen_range(0..4usize),
+            1 => rng.gen_range(4..40usize),
+            _ => rng.gen_range(700..840usize),
+        };
+        let scale = [1e-3, 1.0, 1e3, 1e160][rng.gen_range(0..4usize)];
+        let mut t: Vec<f64> = (0..len)
+            .map(|i| {
+                let phase = (i % 64) as f64;
+                let spike = (-phase / 6.0).exp() * if (i / 64) % 2 == 0 { 1.0 } else { -1.0 };
+                scale * (spike + rng.gen_range(-0.05..0.05))
+            })
+            .collect();
+        if len == 0 {
+            return t;
+        }
+        for _ in 0..rng.gen_range(0..4u32) {
+            match rng.gen_range(0..9u32) {
+                // Non-finite samples.
+                0 => {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    for _ in 0..rng.gen_range(1..4u32) {
+                        let i = rng.gen_range(0..len);
+                        t[i] = bad[rng.gen_range(0..3usize)];
+                    }
+                }
+                // Signed zeros, sometimes as the trace's only extreme.
+                1 => {
+                    for _ in 0..rng.gen_range(1..16u32) {
+                        let i = rng.gen_range(0..len);
+                        t[i] = if rng.gen_range(0..2u32) == 0 {
+                            0.0
+                        } else {
+                            -0.0
+                        };
+                    }
+                    if rng.gen_range(0..2u32) == 0 {
+                        for x in &mut t {
+                            *x = x.abs();
+                        }
+                        // `abs` clears every sign; put some back on the zeros.
+                        for x in &mut t {
+                            if *x == 0.0 && rng.gen_range(0..2u32) == 0 {
+                                *x = -0.0;
+                            }
+                        }
+                    }
+                }
+                // A run of one held value.
+                2 => {
+                    let run = rng.gen_range(1..len.clamp(2, 80));
+                    let at = rng.gen_range(0..len);
+                    let v = t[at];
+                    for x in t.iter_mut().skip(at).take(run) {
+                        *x = v;
+                    }
+                }
+                // Clipped plateaus at both rails.
+                3 => {
+                    let peak = t.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                    let clip = peak * rng.gen_range(0.2..0.9);
+                    for x in &mut t {
+                        *x = x.clamp(-clip, clip);
+                    }
+                }
+                // Scattered re-reads of the previous sample.
+                4 => {
+                    let every = rng.gen_range(2..12usize);
+                    for i in (1..len).step_by(every) {
+                        t[i] = t[i - 1];
+                    }
+                }
+                // A flatline.
+                5 => {
+                    let v = [0.0, -0.0, 0.25, -3.0][rng.gen_range(0..4usize)];
+                    t.iter_mut().for_each(|x| *x = v);
+                }
+                // A glitch spike.
+                6 => {
+                    let i = rng.gen_range(0..len);
+                    t[i] *= rng.gen_range(5.0..60.0);
+                }
+                // A biased baseline (stuck bit).
+                7 => {
+                    let bias = scale * rng.gen_range(0.0..0.3);
+                    for x in &mut t {
+                        *x = x.signum() * (x.abs() + bias);
+                    }
+                }
+                // Coarse quantization: many repeats, pinned codes.
+                _ => {
+                    let step = scale * rng.gen_range(0.01..0.3);
+                    for x in &mut t {
+                        *x = (*x / step).round() * step;
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    /// One seeded oracle case: a hostile trace, a config with the
+    /// length gate and the energy bounds each on or off, and an energy
+    /// ratio inside, outside or absent.
+    fn oracle_case(seed: u64) -> TraceVerdict {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = hostile_trace(&mut rng);
+        let cfg = SanitizerConfig {
+            expected_len: match rng.gen_range(0..3u32) {
+                0 => None,
+                1 => Some(t.len()),
+                _ => Some(768),
+            },
+            energy_bounds: if rng.gen_range(0..2u32) == 0 {
+                None
+            } else {
+                Some((0.5, 2.0))
+            },
+            ..SanitizerConfig::default()
+        };
+        let ratio = match rng.gen_range(0..3u32) {
+            0 => None,
+            1 => Some(rng.gen_range(0.8..1.2)),
+            _ => Some(rng.gen_range(0.0..4.0)),
+        };
+        assert_matches_reference(&TraceSanitizer::new(cfg), &t, ratio)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn lane_screen_matches_the_reference_bit_for_bit(seed in 0u64..u64::MAX) {
+            oracle_case(seed);
+        }
+    }
+
+    #[test]
+    fn oracle_cases_reach_every_verdict() {
+        let mut seen = std::collections::BTreeMap::new();
+        for seed in 0..2048 {
+            let label = match oracle_case(seed) {
+                TraceVerdict::Rejected { reason } => reason.label(),
+                TraceVerdict::Degraded { reasons } => reasons[0].label(),
+                TraceVerdict::Clean => "clean",
+            };
+            *seen.entry(label).or_insert(0usize) += 1;
+        }
+        for label in [
+            "clean",
+            "empty",
+            "non_finite",
+            "wrong_length",
+            "saturated",
+            "flatline",
+            "dead_samples",
+            "glitch_suspected",
+            "energy_out_of_range",
+            "stuck_range",
+            "repeated_samples",
+        ] {
+            assert!(
+                seen.contains_key(label),
+                "no case reached {label}: {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_zero_extremes_keep_every_verdict_bit() {
+        // Non-negative traces whose minimum is zero, with the zeros'
+        // signs in every order: the lane minimum may keep either
+        // sign; the pinned count and every payload may not move.
+        let base: Vec<f64> = (0..96).map(|i| ((i * 37 % 23) as f64) * 0.125).collect();
+        let zeros: Vec<usize> = base
+            .iter()
+            .enumerate()
+            .filter(|(_, &x)| x == 0.0)
+            .map(|(i, _)| i)
+            .collect();
+        assert!(zeros.len() >= 4);
+        let mut verdicts = Vec::new();
+        for signs in 0u32..1 << zeros.len() {
+            let mut t = base.clone();
+            for (k, &i) in zeros.iter().enumerate() {
+                t[i] = if signs >> k & 1 == 1 { -0.0 } else { 0.0 };
+            }
+            let mut negated: Vec<f64> = t.iter().map(|x| -x).collect();
+            let s = sanitizer();
+            verdicts.push(verdict_bits(&assert_matches_reference(&s, &t, None)));
+            assert_matches_reference(&s, &negated, None);
+            // The all-zero trace of mixed signs is flat.
+            negated
+                .iter_mut()
+                .for_each(|x| *x = if *x > 0.0 { 0.0 } else { -0.0 });
+            assert_eq!(
+                assert_matches_reference(&s, &negated, None),
+                TraceVerdict::Rejected {
+                    reason: TraceDefect::Flatline
+                }
+            );
+            let stats = SampleStats::measure(&t).expect("non-empty");
+            assert_eq!(stats.min, 0.0);
+            let at_max = t.iter().filter(|&&x| x == stats.max).count();
+            assert_eq!(stats.pinned, zeros.len() + at_max);
+        }
+        assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn twelve_bit_front_end_traces_match_the_reference() -> Result<(), crate::TrustError> {
+        // The on-chip scope channel at 12 bits repeats about 29 % of
+        // adjacent samples on clean traces, so every trace walks the
+        // identical-run path the continuous-valued fleet traces skip.
+        use crate::TestBench;
+        use emtrust_silicon::Channel;
+        use emtrust_trojan::ProtectedChip;
+        let chip = ProtectedChip::golden();
+        let bench = TestBench::silicon(&chip, 1)?;
+        let set = bench.collect([0x2b; 16], 6, None, Channel::OnChipSensor, 3)?;
+        let loosened = TraceSanitizer::new(SanitizerConfig {
+            duplicate_reject_fraction: 0.5,
+            saturation_reject_fraction: 0.05,
+            ..SanitizerConfig::default()
+        });
+        for t in set.traces() {
+            let repeats = t.windows(2).filter(|w| w[0] == w[1]).count();
+            assert!(repeats * 10 > t.len(), "{repeats} repeats in {}", t.len());
+            assert!(assert_matches_reference(&sanitizer(), t, None).is_rejected());
+            assert!(!assert_matches_reference(&loosened, t, None).is_rejected());
+            for ratio in [None, Some(0.9), Some(3.0)] {
+                assert_matches_reference(&loosened, t, ratio);
+            }
+        }
+        Ok(())
+    }
 
     fn clean_trace() -> Vec<f64> {
         // Impulsive-ish waveform with noise: decaying spikes per "cycle".

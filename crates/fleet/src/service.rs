@@ -308,21 +308,29 @@ impl FleetService {
     ) -> Result<IngestReceipt, FleetError> {
         let shard_index = self.shard_of(chip_id);
         let shard = &self.shards[shard_index];
-        let labels = LabelSet::new()
-            .with("shard", shard_index.to_string())
-            .with("chip", chip_id);
+        // Only the refusal and throttle paths label their metrics, so
+        // an admitted batch builds no label set.
+        let labels = || {
+            LabelSet::new()
+                .with("shard", shard_index.to_string())
+                .with("chip", chip_id)
+        };
 
         // 1. Circuit breaker — the bulkhead. Refusal consumes no queue
         //    slot and no dispatch budget.
         let (follow_up, submitted, last_health) = {
             let mut control = shard.shared.lock_control();
-            let chip = control
-                .entry(chip_id.to_string())
-                .or_insert_with(|| ChipControl {
-                    breaker: CircuitBreaker::new(self.cfg.breaker),
-                    health: SensorHealth::Healthy,
-                    submitted: 0,
-                });
+            // A known chip is found without allocating its id.
+            let chip = match control.get_mut(chip_id) {
+                Some(chip) => chip,
+                None => control
+                    .entry(chip_id.to_string())
+                    .or_insert_with(|| ChipControl {
+                        breaker: CircuitBreaker::new(self.cfg.breaker),
+                        health: SensorHealth::Healthy,
+                        submitted: 0,
+                    }),
+            };
             if !chip.breaker.admit() {
                 shard
                     .shared
@@ -330,6 +338,7 @@ impl FleetService {
                     .quarantined
                     .fetch_add(1, Ordering::Relaxed);
                 drop(control);
+                let labels = labels();
                 telemetry::counter_with("fleet.quarantine_refusals", &labels, 1);
                 self.forensics(&labels, "quarantined", "circuit_open");
                 return Ok(IngestReceipt {
@@ -392,6 +401,7 @@ impl FleetService {
                             break;
                         }
                         shard.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+                        let labels = labels();
                         telemetry::counter_with("fleet.shed", &labels, 1);
                         self.forensics_health(
                             &labels,
@@ -427,7 +437,7 @@ impl FleetService {
                 .counters
                 .throttled
                 .fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_with("fleet.throttled", &labels, 1);
+            telemetry::counter_with("fleet.throttled", &labels(), 1);
             AdmissionVerdict::Throttled
         } else {
             shard

@@ -82,7 +82,7 @@ struct ChipEntry {
 }
 
 struct ColdRecord {
-    baseline: Vec<Vec<f64>>,
+    baseline: VecDeque<Vec<f64>>,
     streak: u64,
     stats: ChipStats,
     evicted_at: u64,
@@ -265,7 +265,13 @@ impl PipelineStore {
                             out.scored += 1;
                         }
                         entry.stats.scored += 1;
-                        push_baseline(&mut entry.baseline, trace, baseline_window);
+                        // The pipeline's sanitizer has already rejected
+                        // every non-finite trace; only the length is
+                        // left to check.
+                        debug_assert!(trace.iter().all(|s| s.is_finite()));
+                        if same_length(&entry.baseline, trace) {
+                            push_baseline(&mut entry.baseline, trace, baseline_window);
+                        }
                     } else {
                         out.rejected += 1;
                         entry.stats.rejected += 1;
@@ -312,7 +318,7 @@ impl PipelineStore {
     /// self-calibrating mode.
     fn revive(&mut self, chip_id: &str, rec: ColdRecord) -> Result<ChipEntry, FleetError> {
         let labels = self.shard_labels.with("chip", chip_id);
-        let baseline: VecDeque<Vec<f64>> = rec.baseline.into_iter().collect();
+        let baseline = rec.baseline;
         let pipeline = match self.mode {
             BaselineMode::Golden => {
                 if baseline.len() >= 2 {
@@ -351,10 +357,12 @@ impl PipelineStore {
         if self.hot.len() < self.config.capacity {
             return;
         }
+        // Ids are unique, so the least `(last_used, id)` is one chip;
+        // only its id is cloned.
         let victim = self
             .hot
             .iter()
-            .min_by_key(|(id, e)| (e.last_used, (*id).clone()))
+            .min_by(|(a, x), (b, y)| (x.last_used, a).cmp(&(y.last_used, b)))
             .map(|(id, _)| id.clone());
         let Some(victim) = victim else { return };
         if let Some(entry) = self.hot.remove(&victim) {
@@ -365,7 +373,7 @@ impl PipelineStore {
             self.demote_cold(
                 victim,
                 ColdRecord {
-                    baseline: entry.baseline.into_iter().collect(),
+                    baseline: entry.baseline,
                     streak: entry.streak,
                     stats,
                     evicted_at: self.clock,
@@ -379,7 +387,7 @@ impl PipelineStore {
             let oldest = self
                 .cold
                 .iter()
-                .min_by_key(|(id, r)| (r.evicted_at, (*id).clone()))
+                .min_by(|(a, x), (b, y)| (x.evicted_at, a).cmp(&(y.evicted_at, b)))
                 .map(|(id, _)| id.clone());
             if let Some(oldest) = oldest {
                 self.cold.remove(&oldest);
@@ -393,19 +401,34 @@ impl PipelineStore {
 /// Whether a trace can join the chip's baseline: finite samples and a
 /// length agreeing with what the baseline already holds.
 fn baseline_compatible(baseline: &VecDeque<Vec<f64>>, trace: &[f64]) -> bool {
-    if trace.is_empty() || trace.iter().any(|s| !s.is_finite()) {
-        return false;
-    }
-    baseline
-        .front()
-        .is_none_or(|first| first.len() == trace.len())
+    same_length(baseline, trace) && trace.iter().all(|s| s.is_finite())
 }
 
+/// Whether a trace is non-empty and as long as the baseline's traces.
+fn same_length(baseline: &VecDeque<Vec<f64>>, trace: &[f64]) -> bool {
+    !trace.is_empty()
+        && baseline
+            .front()
+            .is_none_or(|first| first.len() == trace.len())
+}
+
+/// Appends a copy of `trace` to the rolling baseline, keeping the
+/// newest `window` traces. Once the window is full the evicted trace's
+/// buffer holds the copy, so a full ring allocates nothing.
 fn push_baseline(baseline: &mut VecDeque<Vec<f64>>, trace: &[f64], window: usize) {
-    if !baseline_compatible(baseline, trace) {
-        return;
+    let recycled = if baseline.len() >= window {
+        baseline.pop_front()
+    } else {
+        None
+    };
+    match recycled {
+        Some(mut buf) => {
+            buf.clear();
+            buf.extend_from_slice(trace);
+            baseline.push_back(buf);
+        }
+        None => baseline.push_back(trace.to_vec()),
     }
-    baseline.push_back(trace.to_vec());
     while baseline.len() > window {
         baseline.pop_front();
     }
@@ -536,6 +559,13 @@ mod tests {
         assert!(out.fully_rejected);
     }
 
+    /// The hot chips and the cold ones, each sorted by id.
+    fn residency(s: &PipelineStore) -> (Vec<String>, Vec<String>) {
+        let (hot, cold): (Vec<_>, Vec<_>) = s.chip_stats().into_iter().partition(|(_, st)| st.hot);
+        let ids = |v: Vec<(String, ChipStats)>| v.into_iter().map(|(id, _)| id).collect();
+        (ids(hot), ids(cold))
+    }
+
     #[test]
     fn lru_eviction_demotes_and_revival_refits() {
         let mut s = store(2);
@@ -548,27 +578,85 @@ mod tests {
         assert_eq!(s.hot_len(), 2);
         assert_eq!(s.evictions(), 1);
         assert_eq!(s.cold_len(), 1);
+        assert_eq!(
+            residency(&s),
+            (vec!["b".into(), "c".into()], vec!["a".into()])
+        );
         // "a" returns: re-fitted from its retained baseline, scoring
-        // immediately (no warm-up).
+        // immediately (no warm-up). "b", last used before "c", goes.
         let out = s.ingest("a", &[clean_trace(11)]).unwrap();
         assert_eq!(out.scored, 1);
         assert_eq!(out.warmup, 0);
         assert_eq!(s.refits(), 1);
-        // Its cumulative stats survived the round-trip.
+        assert_eq!(
+            residency(&s),
+            (vec!["a".into(), "c".into()], vec!["b".into()])
+        );
+        // Touch "a"; the next newcomer evicts "c", then "a" in turn.
+        s.ingest("a", &[clean_trace(12)]).unwrap();
+        warm(&mut s, "d");
+        assert_eq!(
+            residency(&s),
+            (vec!["a".into(), "d".into()], vec!["b".into(), "c".into()])
+        );
+        s.ingest("e", &[clean_trace(0)]).unwrap();
+        assert_eq!(
+            residency(&s),
+            (
+                vec!["d".into(), "e".into()],
+                vec!["a".into(), "b".into(), "c".into()]
+            )
+        );
+        assert_eq!(s.evictions(), 4);
+        // Its cumulative stats survived the round-trips.
         let stats = s.chip_stats();
         let a = stats.iter().find(|(id, _)| id == "a").unwrap();
-        assert_eq!(a.1.scored, 4);
+        assert_eq!(a.1.scored, 5);
     }
 
     #[test]
     fn cold_map_is_bounded() {
         let mut s = store(1);
-        for i in 0..12 {
-            warm(&mut s, &format!("chip-{i}"));
+        for i in 0..12usize {
+            warm(&mut s, &format!("chip-{i:02}"));
+            // Each newcomer evicts its predecessor; the cold map keeps
+            // the 8 most recently evicted and drops the oldest first.
+            let expect_cold: Vec<String> = (i.saturating_sub(8)..i)
+                .map(|k| format!("chip-{k:02}"))
+                .collect();
+            assert_eq!(residency(&s), (vec![format!("chip-{i:02}")], expect_cold));
+            assert_eq!(s.cold_drops(), i.saturating_sub(8) as u64);
         }
         assert_eq!(s.hot_len(), 1);
-        assert!(s.cold_len() <= 8);
-        assert!(s.cold_drops() > 0);
+        assert_eq!(s.cold_len(), 8);
+        assert_eq!(s.evictions(), 11);
+    }
+
+    #[test]
+    fn baseline_ring_keeps_the_newest_traces_in_order() {
+        // The ring as it was: push a copy, then drop from the front.
+        fn reference(ring: &mut VecDeque<Vec<f64>>, trace: &[f64], window: usize) {
+            ring.push_back(trace.to_vec());
+            while ring.len() > window {
+                ring.pop_front();
+            }
+        }
+        for window in [1, 2, 8] {
+            let mut ring = VecDeque::new();
+            let mut want = VecDeque::new();
+            for k in 0..3 * window as u64 + 2 {
+                let t = noisy_trace(k);
+                push_baseline(&mut ring, &t, window);
+                reference(&mut want, &t, window);
+                let bits = |r: &VecDeque<Vec<f64>>| -> Vec<Vec<u64>> {
+                    r.iter()
+                        .map(|t| t.iter().map(|x| x.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(bits(&ring), bits(&want), "window {window}, push {k}");
+                assert_eq!(ring.len(), (k as usize + 1).min(window));
+            }
+        }
     }
 
     #[test]

@@ -453,7 +453,9 @@ mod tests {
             (KEY, t1, 24, 0xAA),
         ];
         for (key, armed, n, seed) in requests {
-            let plaintexts: Vec<[u8; 16]> = (0..n).map(|i| [seed ^ (i as u8 * 29); 16]).collect();
+            let plaintexts: Vec<[u8; 16]> = (0..n)
+                .map(|i| [seed ^ (i as u8).wrapping_mul(29); 16])
+                .collect();
             let got = chip.cone_entries(key, armed, &plaintexts).unwrap();
             let expected = serial_entries(&chip, key, armed, &plaintexts);
             assert_eq!(got, expected, "{armed:?}, {n} blocks, seed {seed:#x}");
