@@ -30,8 +30,15 @@ fn snr_simulation(c: &mut Criterion) {
     let bench = TestBench::simulation(&chip).expect("bench");
     let mut g = c.benchmark_group("snr");
     g.sample_size(10);
+    // A fresh seed per iteration, as in every timed collection of these
+    // benches: a bench keeps fixed-stimulus campaigns, so a repeated one
+    // would time kept work instead of a simulation.
+    let mut seed = 1;
     g.bench_function("simulation_onchip_8_blocks", |b| {
-        b.iter(|| measure_snr(&bench, Channel::OnChipSensor, 8, 1).unwrap())
+        b.iter(|| {
+            seed += 1;
+            measure_snr(&bench, Channel::OnChipSensor, 8, seed).unwrap()
+        })
     });
     g.finish();
 }
@@ -41,8 +48,12 @@ fn snr_silicon(c: &mut Criterion) {
     let bench = TestBench::silicon(&chip, 1).expect("bench");
     let mut g = c.benchmark_group("snr");
     g.sample_size(10);
+    let mut seed = 1;
     g.bench_function("silicon_onchip_8_blocks", |b| {
-        b.iter(|| measure_snr(&bench, Channel::OnChipSensor, 8, 1).unwrap())
+        b.iter(|| {
+            seed += 1;
+            measure_snr(&bench, Channel::OnChipSensor, 8, seed).unwrap()
+        })
     });
     g.finish();
 }

@@ -42,10 +42,15 @@ fn parallel_collect(c: &mut Criterion) {
         let bench = TestBench::simulation(&chip)
             .expect("bench")
             .with_parallel(ParallelConfig::default().with_workers(workers));
+        // A fresh seed (so a fresh plaintext) per iteration: the bench
+        // keeps a fixed-stimulus campaign, and a repeat would time
+        // kept blocks instead of a simulation.
+        let mut seed = 42;
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
             b.iter(|| {
+                seed += 1;
                 bench
-                    .collect(EXPERIMENT_KEY, n_traces, None, Channel::OnChipSensor, 42)
+                    .collect(EXPERIMENT_KEY, n_traces, None, Channel::OnChipSensor, seed)
                     .unwrap()
             })
         });
@@ -105,10 +110,13 @@ fn parallel_ingest_batch(c: &mut Criterion) {
 /// all-Trojan chip with T1 armed (a one-lane recording, as a campaign's
 /// power-on block and the sim tests run), and a full word of lanes on
 /// the golden chip. Then a 16-encryption T1-armed campaign on the
-/// all-Trojan chip, as `monitor` collects a batch; the serial pass over
-/// the Trojans' state cone alone that a first campaign under a key runs;
-/// and the same 17 entry states read back from the chip's memo, as every
-/// later campaign under that key does.
+/// all-Trojan chip, as `monitor` collects a batch, each under a fresh
+/// plaintext, and then one campaign repeated, whose blocks every
+/// iteration after the first reads from the bench's memo and only
+/// measures; the serial pass over the Trojans' state cone alone that a
+/// first campaign under a key runs; and the same 17 entry states read
+/// back from the chip's memo, as every later campaign under that key
+/// does.
 fn simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
     g.sample_size(10);
@@ -141,7 +149,16 @@ fn simulate(c: &mut Criterion) {
     let bench = TestBench::simulation(&armed).expect("bench");
     let t1 = Some(TrojanKind::T1AmLeaker);
     g.throughput(Throughput::Elements(16));
+    let mut seed = 5;
     g.bench_function("campaign_16_t1_armed", |b| {
+        b.iter(|| {
+            seed += 1;
+            bench
+                .collect(EXPERIMENT_KEY, 16, t1, Channel::OnChipSensor, seed)
+                .expect("campaign")
+        })
+    });
+    g.bench_function("campaign_16_t1_armed_repeat", |b| {
         b.iter(|| {
             bench
                 .collect(EXPERIMENT_KEY, 16, t1, Channel::OnChipSensor, 5)

@@ -20,6 +20,7 @@ use emtrust_telemetry as telemetry;
 use emtrust_trojan::{A2Trojan, ProtectedChip, TrojanKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Extra leakage current drawn while Trojan T2's sense bit is low and its
 /// trigger is high, in amperes (the PMOS–NMOS leakage path of §IV-A).
@@ -247,8 +248,93 @@ enum Backend {
     Silicon(FabricatedChip),
 }
 
+/// Blocks a bench keeps of its fixed-stimulus campaigns, in all: room
+/// for `monitor`'s two 64-trace fits and every 16-trace batch it
+/// streams on one die (at most 144 blocks, about 1.7 KB each).
+const MEMO_BLOCKS: usize = 256;
+
+/// What fully determines a fixed-stimulus campaign's blocks on one
+/// bench. Noise, A2 injections and fault plans act only when a block is
+/// measured, and the blocks are bit-identical at any worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CampaignKey {
+    channel: Channel,
+    key: [u8; 16],
+    armed: Option<TrojanKind>,
+    plaintext: [u8; 16],
+    n_traces: usize,
+}
+
+/// The blocks of a bench's recent fixed-stimulus campaigns, least
+/// recently used first, at most `capacity` blocks in all. A stored
+/// campaign is shared immutable data: a hit clones no block.
+#[derive(Debug)]
+struct CampaignMemo {
+    capacity: usize,
+    entries: Mutex<Vec<(CampaignKey, Arc<[Block]>)>>,
+}
+
+impl CampaignMemo {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<(CampaignKey, Arc<[Block]>)>> {
+        // Every update leaves a list of complete campaigns, so a panic
+        // while the lock was held loses at most a memo entry.
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The campaign's blocks, if kept; a hit becomes the most recent.
+    fn get(&self, key: &CampaignKey) -> Option<Arc<[Block]>> {
+        let mut entries = self.lock();
+        let i = entries.iter().position(|(k, _)| k == key)?;
+        let entry = entries.remove(i);
+        let blocks = Arc::clone(&entry.1);
+        entries.push(entry);
+        Some(blocks)
+    }
+
+    /// Keeps a campaign's blocks, shrunk to what they hold, evicting the
+    /// least recently used campaigns until they fit; a campaign larger
+    /// than the whole memo is not kept.
+    fn insert(&self, key: CampaignKey, mut blocks: Vec<Block>) -> Arc<[Block]> {
+        if blocks.len() > self.capacity {
+            return blocks.into();
+        }
+        for Block { bins, leak } in &mut blocks {
+            bins.shrink_to_fit();
+            if let Some(leak) = leak {
+                leak.shrink_to_fit();
+            }
+        }
+        let blocks: Arc<[Block]> = blocks.into();
+        let mut entries = self.lock();
+        entries.retain(|(k, _)| *k != key);
+        let mut held = entries.iter().map(|(_, b)| b.len()).sum::<usize>() + blocks.len();
+        // The new campaign fits on its own, so the kept ones run out
+        // before `held` can stay above the capacity.
+        let mut evicted = 0;
+        while held > self.capacity {
+            held -= entries[evicted].1.len();
+            evicted += 1;
+        }
+        entries.drain(..evicted);
+        entries.push((key, Arc::clone(&blocks)));
+        blocks
+    }
+}
+
 /// The assembled experiment: a Trojan-carrying chip, its floorplan, both
 /// measurement channels, and (optionally) an A2 analog Trojan.
+///
+/// A bench simulates each fixed-stimulus campaign once and keeps its
+/// blocks (bounded, least recently used evicted): collecting the same
+/// key, armed Trojan, plaintext, trace count and channel again only
+/// measures them anew, with the new seed's noise.
 #[derive(Debug)]
 pub struct TestBench<'c> {
     chip: &'c ProtectedChip,
@@ -258,6 +344,7 @@ pub struct TestBench<'c> {
     a2: Option<A2Trojan>,
     parallel: ParallelConfig,
     faults: Option<FaultPlan>,
+    memo: CampaignMemo,
 }
 
 impl<'c> TestBench<'c> {
@@ -293,6 +380,7 @@ impl<'c> TestBench<'c> {
             a2: None,
             parallel: ParallelConfig::serial(),
             faults: None,
+            memo: CampaignMemo::new(MEMO_BLOCKS),
         })
     }
 
@@ -313,6 +401,7 @@ impl<'c> TestBench<'c> {
             a2: None,
             parallel: ParallelConfig::serial(),
             faults: None,
+            memo: CampaignMemo::new(MEMO_BLOCKS),
         })
     }
 
@@ -430,12 +519,13 @@ impl<'c> TestBench<'c> {
         channel: Channel,
         seed: u64,
     ) -> Result<TraceSet, TrustError> {
-        self.acquire(key, stimulus, n_traces, armed, channel, seed, None)
+        self.acquire(key, stimulus, n_traces, armed, channel, seed)
+            .map(|(set, _)| set)
     }
 
     /// Simulates `n_traces` encryptions under `stimulus` and measures each
-    /// at re-acquisition ordinal 0, as [`Self::collect_with`]; with
-    /// `keep`, every block is also appended to it, to re-measure.
+    /// at re-acquisition ordinal 0, as [`Self::collect_with`]; also
+    /// returns the campaign's blocks, to re-measure.
     #[allow(clippy::too_many_arguments)]
     fn acquire(
         &self,
@@ -445,40 +535,34 @@ impl<'c> TestBench<'c> {
         armed: Option<TrojanKind>,
         channel: Channel,
         seed: u64,
-        mut keep: Option<&mut Vec<Block>>,
-    ) -> Result<TraceSet, TrustError> {
-        let mut traces = Vec::with_capacity(n_traces);
-        self.simulate(
-            key,
-            stimulus,
-            n_traces,
-            armed,
-            channel,
-            seed,
-            |first, blocks| {
-                let round: Vec<(usize, &Block)> = (first..).zip(&blocks).collect();
-                traces.extend(self.measure_traces(&round, channel, seed, 0)?);
-                if let Some(keep) = keep.as_deref_mut() {
-                    keep.extend(blocks);
-                }
-                Ok(())
-            },
-        )?;
-        if self.faults.is_some() {
+    ) -> Result<(TraceSet, Arc<[Block]>), TrustError> {
+        let (traces, blocks) =
+            self.simulate(key, stimulus, n_traces, armed, channel, seed, |blocks| {
+                let all: Vec<(usize, &Block)> = blocks.iter().enumerate().collect();
+                self.measure_traces(&all, channel, seed, 0)
+            })?;
+        let set = if self.faults.is_some() {
             // Injected faults may legitimately produce NaN/Inf samples;
             // the sanitizer downstream is the component that judges them.
             TraceSet::from_raw(traces, self.clock.sample_rate_hz())
         } else {
             TraceSet::new(traces, self.clock.sample_rate_hz())
-        }
+        }?;
+        Ok((set, blocks))
     }
 
-    /// Streams the campaign of `n_traces` encryptions under `stimulus`
-    /// (span `collect`), binned with `channel`'s charge table; each
-    /// simulated round's blocks go to `sink` with the index of the
-    /// round's first trace.
+    /// Runs the campaign of `n_traces` encryptions under `stimulus`,
+    /// binned with `channel`'s charge table, and hands its blocks to
+    /// `sink` (both within span `collect`); returns what `sink` made and
+    /// the blocks.
+    ///
+    /// A fixed-stimulus campaign comes from the bench's memo when it is
+    /// kept there (`acquire.campaign_memo.hits`) and is kept there once
+    /// simulated (`acquire.campaign_memo.misses`); a fresh and a kept
+    /// campaign take the same `sink`. A random one never repeats and is
+    /// never kept.
     #[allow(clippy::too_many_arguments)]
-    fn simulate(
+    fn simulate<T>(
         &self,
         key: [u8; 16],
         stimulus: Stimulus,
@@ -486,10 +570,27 @@ impl<'c> TestBench<'c> {
         armed: Option<TrojanKind>,
         channel: Channel,
         seed: u64,
-        sink: impl FnMut(usize, Vec<Block>) -> Result<(), TrustError>,
-    ) -> Result<(), TrustError> {
+        sink: impl FnOnce(&[Block]) -> Result<T, TrustError>,
+    ) -> Result<(T, Arc<[Block]>), TrustError> {
         let _span = telemetry::span("collect");
         telemetry::counter("acquire.traces", n_traces as u64);
+        let memo_key = match stimulus {
+            Stimulus::Fixed(plaintext) => Some(CampaignKey {
+                channel,
+                key,
+                armed,
+                plaintext,
+                n_traces,
+            }),
+            Stimulus::RandomPerTrace => None,
+        };
+        if let Some(memo_key) = &memo_key {
+            if let Some(blocks) = self.memo.get(memo_key) {
+                telemetry::counter("acquire.campaign_memo.hits", 1);
+                return Ok((sink(&blocks)?, blocks));
+            }
+            telemetry::counter("acquire.campaign_memo.misses", 1);
+        }
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Warm-up block (unrecorded): brings the registers to the steady
@@ -507,7 +608,16 @@ impl<'c> TestBench<'c> {
             })
             .collect();
         let campaign = Campaign::new(self.chip, key, armed, Some(warmup), self.parallel);
-        campaign.record(&plaintexts, self.charge_table(channel), None, sink)
+        let mut blocks = Vec::with_capacity(n_traces);
+        campaign.record(&plaintexts, self.charge_table(channel), None, |_, round| {
+            blocks.extend(round);
+            Ok(())
+        })?;
+        let blocks = match memo_key {
+            Some(memo_key) => self.memo.insert(memo_key, blocks),
+            None => blocks.into(),
+        };
+        Ok((sink(&blocks)?, blocks))
     }
 
     /// Measures each `(i, block)` as trace `i` on `channel` at
@@ -596,14 +706,15 @@ impl<'c> TestBench<'c> {
     /// data to the fingerprint:
     ///
     /// 1. **Retry with backoff** — rejected traces are re-acquired up to
-    ///    `policy.max_attempts` times; each round re-measures the kept
-    ///    blocks of the first simulation with fresh (still
-    ///    deterministic) noise and re-rolls transient fault strikes, with
-    ///    exponential backoff recorded per round.
+    ///    `policy.max_attempts` times; each round re-measures the
+    ///    campaign's blocks with fresh (still deterministic) noise and
+    ///    re-rolls transient fault strikes, with exponential backoff
+    ///    recorded per round.
     /// 2. **Channel fallback** — traces still rejected are re-measured on
-    ///    `policy.fallback`, from one more simulation binned for that
-    ///    channel; between the two channels' verdicts the better one
-    ///    wins, ties keeping the primary.
+    ///    `policy.fallback`, from the campaign binned for that channel
+    ///    (simulated unless the bench keeps it); between the two
+    ///    channels' verdicts the better one wins, ties keeping the
+    ///    primary.
     /// 3. **Sensor-fault escalation** — if more than
     ///    `policy.max_reject_fraction` of the campaign is still rejected,
     ///    the collection fails with [`TrustError::SensorFault`].
@@ -629,16 +740,7 @@ impl<'c> TestBench<'c> {
         let _span = telemetry::span("collect_robust");
         let pt: [u8; 16] = StdRng::seed_from_u64(seed ^ 0x97).gen();
         let stimulus = Stimulus::Fixed(pt);
-        let mut blocks = Vec::with_capacity(n_traces);
-        let first = self.acquire(
-            key,
-            stimulus,
-            n_traces,
-            armed,
-            channel,
-            seed,
-            Some(&mut blocks),
-        )?;
+        let (first, blocks) = self.acquire(key, stimulus, n_traces, armed, channel, seed)?;
         let rate = first.sample_rate_hz();
         let mut traces = first.traces().to_vec();
         let mut verdicts: Vec<TraceVerdict> = traces.iter().map(|t| sanitizer.inspect(t)).collect();
@@ -674,11 +776,8 @@ impl<'c> TestBench<'c> {
                 .filter(|&i| verdicts[i].is_rejected())
                 .collect();
             if !pending.is_empty() && fb != channel {
-                let mut alt = Vec::with_capacity(n_traces);
-                self.simulate(key, stimulus, n_traces, armed, fb, seed, |_, blocks| {
-                    alt.extend(blocks);
-                    Ok(())
-                })?;
+                let ((), alt) =
+                    self.simulate(key, stimulus, n_traces, armed, fb, seed, |_| Ok(()))?;
                 let kept: Vec<(usize, &Block)> = pending.iter().map(|&i| (i, &alt[i])).collect();
                 let fresh = self.measure_traces(&kept, fb, seed, 0)?;
                 let rank = |v: &TraceVerdict| match v {
@@ -977,6 +1076,193 @@ mod tests {
                 total: 2
             })
         ));
+        Ok(())
+    }
+
+    /// Every sample's bits, in order.
+    fn bits(set: &TraceSet) -> Vec<u64> {
+        set.traces().iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// Blocks the memo holds, in all.
+    fn held(memo: &CampaignMemo) -> usize {
+        memo.lock().iter().map(|(_, blocks)| blocks.len()).sum()
+    }
+
+    #[test]
+    fn kept_campaigns_measure_bit_for_bit_like_fresh_ones() -> Result<(), TrustError> {
+        use emtrust_faults::{FaultKind, FaultSpec};
+        let chip = ProtectedChip::with_all_trojans();
+        let kinds =
+            std::iter::once(None).chain(emtrust_trojan::digital::ALL_DIGITAL_TROJANS.map(Some));
+        let channels = [Channel::OnChipSensor, Channel::ExternalProbe];
+        for silicon in [false, true] {
+            let build = || {
+                if silicon {
+                    TestBench::silicon(&chip, 3)
+                } else {
+                    TestBench::simulation(&chip)
+                }
+            };
+            // `kept` sees every campaign on both channels, most of them
+            // twice; each channel's `fresh` bench sees each of its
+            // campaigns first in the comparison.
+            let mut kept = build()?;
+            for (channel, fallback) in channels.into_iter().zip(channels.into_iter().rev()) {
+                let mut fresh = build()?;
+                for armed in kinds.clone() {
+                    let what = format!("silicon {silicon}, {armed:?}, {channel:?}");
+                    let first = kept.collect(KEY, 2, armed, channel, 11)?;
+                    let pt: [u8; 16] = StdRng::seed_from_u64(11 ^ 0x97).gen();
+                    let stimulus = Stimulus::Fixed(pt);
+                    let (_, blocks) = kept.acquire(KEY, stimulus, 2, armed, channel, 11)?;
+                    // The kept blocks are the blocks a campaign streams.
+                    let mut direct = Vec::new();
+                    Campaign::new(&chip, KEY, armed, Some(pt), kept.parallel).record(
+                        &[pt; 2],
+                        kept.charge_table(channel),
+                        None,
+                        |_, round| {
+                            direct.extend(round);
+                            Ok(())
+                        },
+                    )?;
+                    for (got, expected) in blocks.iter().zip(&direct) {
+                        assert_eq!(got.bins, expected.bins, "{what}");
+                        assert_eq!(got.leak, expected.leak, "{what}");
+                    }
+                    assert_eq!(blocks.len(), direct.len());
+                    let t2 = armed == Some(TrojanKind::T2LeakageLeaker);
+                    assert!(blocks.iter().all(|b| b.leak.is_some() == t2), "{what}");
+                    // Fresh campaigns in between: random, and another
+                    // plaintext.
+                    kept.collect_with(KEY, Stimulus::RandomPerTrace, 1, armed, channel, 12)?;
+                    kept.collect(KEY, 2, armed, channel, 13)?;
+                    let hit = kept.collect(KEY, 2, armed, channel, 11)?;
+                    assert_eq!(bits(&hit), bits(&first), "{what}: collect");
+                    // The kept blocks under another seed's noise.
+                    let hit = kept.collect_with(KEY, stimulus, 2, armed, channel, 21)?;
+                    let expected = fresh.collect_with(KEY, stimulus, 2, armed, channel, 21)?;
+                    assert_eq!(bits(&hit), bits(&expected), "{what}: collect_with");
+                    assert_ne!(bits(&hit), bits(&first), "{what}: noise must differ");
+                    let (_, again) = kept.acquire(KEY, stimulus, 2, armed, channel, 21)?;
+                    assert!(Arc::ptr_eq(&blocks, &again), "{what}: a hit");
+
+                    // A robust collection that retries on its channel and
+                    // falls back to the other, under faults on the first.
+                    let policy = RetryPolicy {
+                        max_attempts: 2,
+                        fallback: Some(fallback),
+                        ..Default::default()
+                    };
+                    let sanitizer = TraceSanitizer::default();
+                    let plan = FaultPlan::new(3)
+                        .with(FaultSpec::new(FaultKind::Flatline, 1.0).on_channel(channel));
+                    let robust = |bench: &mut TestBench| {
+                        bench.set_faults(Some(plan.clone()));
+                        let got =
+                            bench.collect_robust(KEY, 2, armed, channel, 31, &sanitizer, policy);
+                        bench.set_faults(None);
+                        got
+                    };
+                    let miss = robust(&mut kept)?;
+                    let hit = robust(&mut kept)?;
+                    let expected = robust(&mut fresh)?;
+                    // Every trace was retried and measured on the fallback.
+                    assert!(miss.reports.iter().all(|r| r.attempts == 3), "{what}");
+                    assert_eq!(bits(&miss.set), bits(&expected.set), "{what}: robust");
+                    assert_eq!(bits(&hit.set), bits(&expected.set), "{what}: robust");
+                    assert_eq!(hit.reports, expected.reports, "{what}: robust");
+                }
+            }
+            assert!(held(&kept.memo) <= MEMO_BLOCKS);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_campaign_differing_in_any_key_field_is_simulated_anew() -> Result<(), TrustError> {
+        let chip = ProtectedChip::with_all_trojans();
+        let bench = TestBench::simulation(&chip)?;
+        let pt = [0x5A; 16];
+        let on = Channel::OnChipSensor;
+        let (_, blocks) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 1)?;
+        let (_, again) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 2)?;
+        assert!(Arc::ptr_eq(&blocks, &again), "only the seed differs: a hit");
+        let t1 = Some(TrojanKind::T1AmLeaker);
+        let other_key = *b"another key, 16B";
+        let variants = [
+            (Channel::ExternalProbe, KEY, None, pt, 2),
+            (on, other_key, None, pt, 2),
+            (on, KEY, t1, pt, 2),
+            (on, KEY, None, [0xA5; 16], 2),
+            (on, KEY, None, pt, 3),
+        ];
+        for (channel, key, armed, plaintext, n) in variants {
+            let stimulus = Stimulus::Fixed(plaintext);
+            let (set, other) = bench.acquire(key, stimulus, n, armed, channel, 1)?;
+            let what = format!("{channel:?} {armed:?} {plaintext:?} {n}");
+            assert!(!Arc::ptr_eq(&blocks, &other), "{what}");
+            assert_eq!((other.len(), set.len()), (n, n), "{what}");
+        }
+        assert_eq!(bench.memo.lock().len(), 1 + variants.len());
+        Ok(())
+    }
+
+    #[test]
+    fn random_campaigns_are_never_kept() -> Result<(), TrustError> {
+        let chip = ProtectedChip::golden();
+        let bench = TestBench::simulation(&chip)?;
+        let random = Stimulus::RandomPerTrace;
+        let a = bench.collect_with(KEY, random, 2, None, Channel::OnChipSensor, 5)?;
+        let b = bench.collect_with(KEY, random, 2, None, Channel::OnChipSensor, 5)?;
+        assert_eq!(bits(&a), bits(&b));
+        assert!(bench.memo.lock().is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn the_memo_evicts_the_least_recently_used_campaigns_to_stay_in_bounds(
+    ) -> Result<(), TrustError> {
+        let chip = ProtectedChip::golden();
+        let bench = TestBench::simulation(&chip)?;
+        let empty = bench.charge_table(Channel::OnChipSensor).bins();
+        let key = |n: usize| CampaignKey {
+            channel: Channel::OnChipSensor,
+            key: KEY,
+            armed: None,
+            plaintext: [n as u8; 16],
+            n_traces: n,
+        };
+        let blocks = |n: usize| -> Vec<Block> {
+            (0..n)
+                .map(|_| Block {
+                    bins: empty.clone(),
+                    leak: None,
+                })
+                .collect()
+        };
+        let memo = CampaignMemo::new(4);
+        let kept = |memo: &CampaignMemo| -> Vec<usize> {
+            memo.lock().iter().map(|(k, _)| k.n_traces).collect()
+        };
+        let two = memo.insert(key(2), blocks(2));
+        memo.insert(key(1), blocks(1));
+        assert_eq!(kept(&memo), [2, 1]);
+        // A hit becomes the most recent, so `1` goes first.
+        assert!(memo.get(&key(2)).is_some_and(|b| Arc::ptr_eq(&b, &two)));
+        memo.insert(key(3), blocks(3));
+        assert_eq!(kept(&memo), [3]);
+        // Larger than the whole memo: simulated, never kept.
+        assert_eq!(memo.insert(key(5), blocks(5)).len(), 5);
+        assert_eq!(kept(&memo), [3]);
+        memo.insert(key(1), blocks(1));
+        memo.insert(key(1), blocks(1));
+        assert_eq!(kept(&memo), [3, 1], "a campaign is kept once");
+        memo.insert(key(2), blocks(2));
+        assert_eq!(kept(&memo), [1, 2]);
+        assert!(memo.get(&key(3)).is_none());
+        assert!(held(&memo) <= 4);
         Ok(())
     }
 

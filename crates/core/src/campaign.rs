@@ -61,6 +61,7 @@ use emtrust_telemetry as telemetry;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 /// One streamed encryption.
+#[derive(Debug)]
 pub(crate) struct Block {
     pub(crate) bins: ChargeBins,
     /// Per-cycle T2 leakage current, when T2 is armed.

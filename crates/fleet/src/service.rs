@@ -176,11 +176,13 @@ impl FleetSummary {
 }
 
 struct Job {
-    chip_id: String,
+    chip_id: Arc<str>,
     traces: Vec<Vec<f64>>,
 }
 
 struct ChipControl {
+    /// The chip's id, interned once: every batch's [`Job`] shares it.
+    id: Arc<str>,
     breaker: CircuitBreaker,
     health: SensorHealth,
     submitted: u64,
@@ -318,7 +320,7 @@ impl FleetService {
 
         // 1. Circuit breaker — the bulkhead. Refusal consumes no queue
         //    slot and no dispatch budget.
-        let (follow_up, submitted, last_health) = {
+        let (follow_up, submitted, last_health, id) = {
             let mut control = shard.shared.lock_control();
             // A known chip is found without allocating its id.
             let chip = match control.get_mut(chip_id) {
@@ -326,6 +328,7 @@ impl FleetService {
                 None => control
                     .entry(chip_id.to_string())
                     .or_insert_with(|| ChipControl {
+                        id: Arc::from(chip_id),
                         breaker: CircuitBreaker::new(self.cfg.breaker),
                         health: SensorHealth::Healthy,
                         submitted: 0,
@@ -350,7 +353,12 @@ impl FleetService {
                 });
             }
             chip.submitted += 1;
-            (chip.health.needs_followup(), chip.submitted, chip.health)
+            (
+                chip.health.needs_followup(),
+                chip.submitted,
+                chip.health,
+                Arc::clone(&chip.id),
+            )
         };
 
         // 2. Dispatch under a deadline budget with jittered retry.
@@ -359,7 +367,7 @@ impl FleetService {
             .as_ref()
             .ok_or(FleetError::ShardDown { shard: shard_index })?;
         let mut job = Job {
-            chip_id: chip_id.to_string(),
+            chip_id: id,
             traces,
         };
         let mut attempts: u32 = 0;
@@ -592,13 +600,13 @@ fn shard_worker(
                 alarms += outcome.alarms as u64;
                 telemetry::counter_with("fleet.traces", &shard_labels, job.traces.len() as u64);
                 let mut control = shared.lock_control();
-                if let Some(chip) = control.get_mut(&job.chip_id) {
+                if let Some(chip) = control.get_mut(&*job.chip_id) {
                     let was_open = chip.breaker.state() != BreakerState::Closed;
                     chip.breaker
                         .record(outcome.consecutive_rejections, outcome.fully_rejected);
                     chip.health = outcome.health;
                     if !was_open && chip.breaker.state() == BreakerState::Open {
-                        let labels = shard_labels.with("chip", &job.chip_id);
+                        let labels = shard_labels.with("chip", &*job.chip_id);
                         telemetry::counter_with("fleet.breaker_trips", &labels, 1);
                         let mut rec = DecisionRecord::new("fleet");
                         rec.verdict = "quarantined".to_string();

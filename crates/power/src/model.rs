@@ -891,6 +891,13 @@ impl ChargeBins {
         self.sums[bin + first..bin + first + values.len()].copy_from_slice(values);
     }
 
+    /// Releases the capacity binning reserved beyond the bins' cycles,
+    /// for bins that are kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.starts.shrink_to_fit();
+        self.sums.shrink_to_fit();
+    }
+
     /// Number of binned cycles.
     pub fn cycles(&self) -> usize {
         self.starts.len()

@@ -134,12 +134,16 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
     let registry = Arc::new(InMemoryRecorder::with_clock(Box::new(ManualClock::new(10))));
     telemetry::install(registry.clone());
     for workers in [1usize, 2, 8] {
-        let set = TestBench::simulation(&chip)
+        let bench = TestBench::simulation(&chip)
             .unwrap()
-            .with_parallel(ParallelConfig::serial().with_workers(workers))
-            .collect(KEY, 5, None, Channel::OnChipSensor, 77)
-            .unwrap();
-        assert_eq!(set, reference, "workers={workers}");
+            .with_parallel(ParallelConfig::serial().with_workers(workers));
+        // The second collection measures the blocks the bench kept.
+        for _ in 0..2 {
+            let set = bench
+                .collect(KEY, 5, None, Channel::OnChipSensor, 77)
+                .unwrap();
+            assert_eq!(set, reference, "workers={workers}");
+        }
     }
     TestBench::simulation(&chip)
         .unwrap()
@@ -158,6 +162,10 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
             snap.spans.keys().collect::<Vec<_>>()
         );
     }
+
+    // Each bench simulated its campaign once and kept it.
+    assert_eq!(snap.counters["acquire.campaign_memo.misses"], 3);
+    assert_eq!(snap.counters["acquire.campaign_memo.hits"], 3);
 
     // The pool reported per-worker chunk timings for the fanned-out runs.
     assert!(snap.counters["pool.chunks"] > 0);
