@@ -1,20 +1,16 @@
 //! Trace acquisition: driving the Trojan-carrying AES chip and measuring
-//! it through either the simulation pipeline (paper §IV) or the
-//! fabricated-chip pipeline (paper §V).
+//! it on one die, the ideal die of the simulation (paper §IV) or a
+//! fabricated one (paper §V).
 
 use crate::campaign::{Block, Campaign};
 use crate::parallel::ParallelConfig;
 use crate::sanitize::{TraceSanitizer, TraceVerdict};
 use crate::TrustError;
-use emtrust_em::coil::Coil;
 use emtrust_em::emf::VoltageTrace;
-use emtrust_em::pipeline::{EmSensor, PointCurrentSource};
+use emtrust_em::pipeline::PointCurrentSource;
 use emtrust_faults::FaultPlan;
-use emtrust_layout::floorplan::{Die, Floorplan};
-use emtrust_layout::probe::ExternalProbe;
-use emtrust_layout::spiral::SpiralSensor;
-use emtrust_netlist::library::Library;
-use emtrust_power::{ChargeBins, ChargeTable, ClockConfig, CurrentModel};
+use emtrust_layout::floorplan::Floorplan;
+use emtrust_power::{ChargeBins, ChargeTable, ClockConfig};
 use emtrust_silicon::{Channel, FabricatedChip, ProcessVariation};
 use emtrust_telemetry as telemetry;
 use emtrust_trojan::{A2Trojan, ProtectedChip, TrojanKind};
@@ -236,18 +232,6 @@ impl RobustCollection {
     }
 }
 
-/// Which measurement backend the bench uses.
-#[derive(Debug)]
-enum Backend {
-    /// Paper §IV: EM pipeline plus environment noise only.
-    Simulation {
-        onchip: EmSensor,
-        external: EmSensor,
-    },
-    /// Paper §V: process variation, package and oscilloscope included.
-    Silicon(FabricatedChip),
-}
-
 /// Blocks a bench keeps of its fixed-stimulus campaigns, in all: room
 /// for `monitor`'s two 64-trace fits and every 16-trace batch it
 /// streams on one die (at most 144 blocks, about 1.7 KB each).
@@ -328,8 +312,8 @@ impl CampaignMemo {
     }
 }
 
-/// The assembled experiment: a Trojan-carrying chip, its floorplan, both
-/// measurement channels, and (optionally) an A2 analog Trojan.
+/// The assembled experiment: a Trojan-carrying chip, the die it is
+/// measured on (both channels), and (optionally) an A2 analog Trojan.
 ///
 /// A bench simulates each fixed-stimulus campaign once and keeps its
 /// blocks (bounded, least recently used evicted): collecting the same
@@ -338,9 +322,7 @@ impl CampaignMemo {
 #[derive(Debug)]
 pub struct TestBench<'c> {
     chip: &'c ProtectedChip,
-    floorplan: Floorplan,
-    backend: Backend,
-    clock: ClockConfig,
+    die: FabricatedChip,
     a2: Option<A2Trojan>,
     parallel: ParallelConfig,
     faults: Option<FaultPlan>,
@@ -348,40 +330,14 @@ pub struct TestBench<'c> {
 }
 
 impl<'c> TestBench<'c> {
-    /// Builds the simulation bench (paper §IV): default die, spiral
-    /// sensor, external probe, reference clock.
+    /// Builds the simulation bench (paper §IV) on the chip's ideal die
+    /// ([`FabricatedChip::ideal`]).
     ///
     /// # Errors
     ///
     /// Propagates layout and EM-pipeline construction errors.
     pub fn simulation(chip: &'c ProtectedChip) -> Result<Self, TrustError> {
-        let library = Library::generic_180nm();
-        let die = Die::for_netlist(chip.netlist(), &library, 0.7)?;
-        let floorplan = Floorplan::place(chip.netlist(), &library, die)?;
-        let clock = ClockConfig::reference();
-        let model = CurrentModel::new(library, clock);
-        let onchip = EmSensor::new(
-            Coil::OnChip(SpiralSensor::for_die(die).map_err(TrustError::Layout)?),
-            chip.netlist(),
-            &floorplan,
-            model.clone(),
-        )?;
-        let external = EmSensor::new(
-            Coil::External(ExternalProbe::over_die(die)),
-            chip.netlist(),
-            &floorplan,
-            model,
-        )?;
-        Ok(Self {
-            chip,
-            floorplan,
-            backend: Backend::Simulation { onchip, external },
-            clock,
-            a2: None,
-            parallel: ParallelConfig::serial(),
-            faults: None,
-            memo: CampaignMemo::new(MEMO_BLOCKS),
-        })
+        Ok(Self::on(chip, FabricatedChip::ideal(chip.netlist())?))
     }
 
     /// Builds the fabricated-chip bench (paper §V) for die number
@@ -391,25 +347,26 @@ impl<'c> TestBench<'c> {
     ///
     /// Propagates silicon-model construction errors.
     pub fn silicon(chip: &'c ProtectedChip, chip_id: u64) -> Result<Self, TrustError> {
-        let fab = FabricatedChip::fabricate(chip.netlist(), chip_id, ProcessVariation::nominal())?;
-        let floorplan = fab.floorplan().clone();
-        Ok(Self {
+        let die = FabricatedChip::fabricate(chip.netlist(), chip_id, ProcessVariation::nominal())?;
+        Ok(Self::on(chip, die))
+    }
+
+    fn on(chip: &'c ProtectedChip, die: FabricatedChip) -> Self {
+        Self {
             chip,
-            floorplan,
-            backend: Backend::Silicon(fab),
-            clock: ClockConfig::reference(),
+            die,
             a2: None,
             parallel: ParallelConfig::serial(),
             faults: None,
             memo: CampaignMemo::new(MEMO_BLOCKS),
-        })
+        }
     }
 
     /// Installs an A2-style analog Trojan. If the Trojan is at the
     /// default origin it is placed near the middle of the core area.
     pub fn with_a2(mut self, a2: A2Trojan) -> Self {
         let placed = if a2.location_um() == (0.0, 0.0) {
-            let c = self.floorplan.die().center();
+            let c = self.floorplan().die().center();
             a2.with_location(c.x * 0.8, c.y * 1.1)
         } else {
             a2
@@ -442,12 +399,12 @@ impl<'c> TestBench<'c> {
 
     /// The floorplan in use.
     pub fn floorplan(&self) -> &Floorplan {
-        &self.floorplan
+        self.die.floorplan()
     }
 
     /// The clock configuration.
     pub fn clock(&self) -> ClockConfig {
-        self.clock
+        self.die.sensor(Channel::OnChipSensor).model().clock()
     }
 
     /// The installed A2 Trojan, if any.
@@ -544,9 +501,9 @@ impl<'c> TestBench<'c> {
         let set = if self.faults.is_some() {
             // Injected faults may legitimately produce NaN/Inf samples;
             // the sanitizer downstream is the component that judges them.
-            TraceSet::from_raw(traces, self.clock.sample_rate_hz())
+            TraceSet::from_raw(traces, self.clock().sample_rate_hz())
         } else {
-            TraceSet::new(traces, self.clock.sample_rate_hz())
+            TraceSet::new(traces, self.clock().sample_rate_hz())
         }?;
         Ok((set, blocks))
     }
@@ -654,7 +611,7 @@ impl<'c> TestBench<'c> {
                     attempt,
                     Some(channel),
                     &mut samples,
-                    self.clock.sample_rate_hz(),
+                    self.clock().sample_rate_hz(),
                 );
             }
             Ok(samples)
@@ -695,10 +652,7 @@ impl<'c> TestBench<'c> {
     /// The paper's noise-measurement step (§V-A step 1): the chip is
     /// powered but idle; the returned trace is pure measurement noise.
     pub fn collect_noise(&self, n_samples: usize, channel: Channel, seed: u64) -> VoltageTrace {
-        match &self.backend {
-            Backend::Simulation { .. } => self.sensor(channel).measure_noise(n_samples, seed),
-            Backend::Silicon(fab) => fab.measure_noise(channel, n_samples, seed),
-        }
+        self.die.measure_noise(channel, n_samples, seed)
     }
 
     /// Collects like [`Self::collect`], but screens every trace through
@@ -826,18 +780,9 @@ impl<'c> TestBench<'c> {
         })
     }
 
-    /// `channel`'s EM sensor (before any scope front-end).
-    fn sensor(&self, channel: Channel) -> &EmSensor {
-        match (&self.backend, channel) {
-            (Backend::Simulation { onchip, .. }, Channel::OnChipSensor) => onchip,
-            (Backend::Simulation { external, .. }, Channel::ExternalProbe) => external,
-            (Backend::Silicon(fab), _) => fab.sensor(channel),
-        }
-    }
-
     /// The charge table of `channel`'s sensor.
     fn charge_table(&self, channel: Channel) -> &ChargeTable {
-        self.sensor(channel).charge_table()
+        self.die.sensor(channel).charge_table()
     }
 
     fn measure_bins(
@@ -848,25 +793,18 @@ impl<'c> TestBench<'c> {
         seed: u64,
     ) -> Result<VoltageTrace, TrustError> {
         let injections = self.a2_injections(bins.cycles());
-        match &self.backend {
-            Backend::Simulation { .. } => {
-                Ok(self
-                    .sensor(channel)
-                    .measure(bins, extra_leakage, &injections, seed)?)
-            }
-            Backend::Silicon(fab) => {
-                Ok(fab.measure(bins, channel, extra_leakage, &injections, seed)?)
-            }
-        }
+        Ok(self
+            .die
+            .measure(bins, channel, extra_leakage, &injections, seed)?)
     }
 
     fn a2_injections(&self, cycles: usize) -> Vec<PointCurrentSource> {
         match &self.a2 {
             Some(a2) if a2.is_triggering() => {
-                let n = cycles * self.clock.samples_per_cycle();
+                let n = cycles * self.clock().samples_per_cycle();
                 vec![PointCurrentSource {
                     location_um: a2.location_um(),
-                    samples: a2.current_samples(n, self.clock.sample_rate_hz()),
+                    samples: a2.current_samples(n, self.clock().sample_rate_hz()),
                 }]
             }
             _ => Vec::new(),
@@ -1357,6 +1295,78 @@ mod tests {
             "armed A2 must inject measurable energy: {injected_rms:.3e} vs floor {:.3e}",
             0.02 * dormant.rms_v()
         );
+        Ok(())
+    }
+
+    #[test]
+    fn simulation_bench_measures_like_sensors_built_by_hand() -> Result<(), TrustError> {
+        use emtrust_em::coil::Coil;
+        use emtrust_em::pipeline::EmSensor;
+        use emtrust_layout::floorplan::Die;
+        use emtrust_layout::probe::ExternalProbe;
+        use emtrust_layout::spiral::SpiralSensor;
+        use emtrust_netlist::library::Library;
+        use emtrust_power::CurrentModel;
+        let chip = ProtectedChip::with_all_trojans();
+        let library = Library::generic_180nm();
+        let die = Die::for_netlist(chip.netlist(), &library, 0.7)?;
+        let floorplan = Floorplan::place(chip.netlist(), &library, die)?;
+        let model = CurrentModel::new(library, ClockConfig::reference());
+        let sensor = |coil| EmSensor::new(coil, chip.netlist(), &floorplan, model.clone());
+        let onchip = sensor(Coil::OnChip(SpiralSensor::for_die(die)?))?;
+        let external = sensor(Coil::External(ExternalProbe::over_die(die)))?;
+        let mut bench = TestBench::simulation(&chip)?.with_a2(A2Trojan::new(10e6));
+        bench.arm_a2(true)?;
+        let a2 = bench.a2().cloned().ok_or(TrustError::InvalidParameter {
+            what: "no A2 trojan installed",
+        })?;
+        let fs = model.clock().sample_rate_hz();
+        let armed = Some(TrojanKind::T2LeakageLeaker);
+        for (channel, sensor) in [
+            (Channel::OnChipSensor, &onchip),
+            (Channel::ExternalProbe, &external),
+        ] {
+            let injections = |cycles: usize| {
+                let n = cycles * model.clock().samples_per_cycle();
+                vec![PointCurrentSource {
+                    location_um: a2.location_um(),
+                    samples: a2.current_samples(n, fs),
+                }]
+            };
+            // `collect`: a fixed plaintext, trace `i` seeded per index.
+            let got = bench.collect(KEY, 2, armed, channel, 5)?;
+            let pt: [u8; 16] = StdRng::seed_from_u64(5 ^ 0x97).gen();
+            let mut expected = Vec::new();
+            let campaign = Campaign::new(&chip, KEY, armed, Some(pt), ParallelConfig::serial());
+            campaign.record(&[pt; 2], sensor.charge_table(), None, |_, blocks| {
+                for Block { bins, leak } in blocks {
+                    let i = expected.len() as u64;
+                    let seed = 5 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let inj = injections(bins.cycles());
+                    let trace = sensor.measure(&bins, leak.as_deref(), &inj, seed)?;
+                    expected.push(trace.into_samples());
+                }
+                Ok(())
+            })?;
+            let expected = TraceSet::new(expected, fs)?;
+            assert_eq!(bits(&got), bits(&expected), "{channel:?}: collect");
+            // `collect_continuous`: one window of random plaintexts.
+            let got = bench.collect_continuous(KEY, 3, armed, channel, 6)?;
+            let mut rng = StdRng::seed_from_u64(6);
+            let plaintexts: Vec<[u8; 16]> = (0..3).map(|_| rng.gen()).collect();
+            let (bins, leak) = Campaign::new(&chip, KEY, armed, None, ParallelConfig::serial())
+                .record_window(&plaintexts, sensor.charge_table())?;
+            let inj = injections(bins.cycles());
+            let expected = sensor.measure(&bins, leak.as_deref(), &inj, 6)?;
+            let bits_of = |t: &VoltageTrace| -> Vec<u64> {
+                t.samples().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits_of(&got), bits_of(&expected), "{channel:?}: window");
+            // `collect_noise`.
+            let got = bench.collect_noise(512, channel, 7);
+            let expected = sensor.measure_noise(512, 7);
+            assert_eq!(bits_of(&got), bits_of(&expected), "{channel:?}: noise");
+        }
         Ok(())
     }
 

@@ -58,9 +58,9 @@ use crate::TrustError;
 use emtrust_dsp::stats::median;
 use emtrust_em::array::EmArray;
 use emtrust_em::emf::VoltageTrace;
-use emtrust_layout::floorplan::{Die, Floorplan};
-use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel};
+use emtrust_layout::floorplan::Floorplan;
+use emtrust_power::ClockConfig;
+use emtrust_silicon::chip::reference_design;
 use emtrust_sim::ToggleActivity;
 use emtrust_telemetry::{self as telemetry, DecisionRecord, ForensicsConfig, LabelSet, TileMargin};
 use emtrust_trojan::{ProtectedChip, TrojanKind};
@@ -233,11 +233,8 @@ impl<'c> ArrayBuilder<'c> {
     /// Propagates placement errors and tile-coil design-rule violations
     /// (too many turns for the tile size).
     pub fn build(self) -> Result<SensorArray<'c>, TrustError> {
-        let library = Library::generic_180nm();
-        let die = Die::for_netlist(self.chip.netlist(), &library, 0.7)?;
-        let floorplan = Floorplan::place(self.chip.netlist(), &library, die)?;
-        let clock = ClockConfig::reference();
-        let model = CurrentModel::new(library, clock);
+        let (floorplan, model) = reference_design(self.chip.netlist())?;
+        let clock = model.clock();
         let array = EmArray::build(
             self.chip.netlist(),
             &floorplan,

@@ -26,6 +26,7 @@ use crate::acquisition::{Stimulus, TraceSet};
 use crate::campaign::{Block, Campaign};
 use crate::parallel::ParallelConfig;
 use crate::TrustError;
+use emtrust_em::noise::standard_normal;
 use emtrust_netlist::library::Library;
 use emtrust_power::{ChargeTable, ClockConfig, CurrentModel};
 use emtrust_trojan::{ProtectedChip, TrojanKind};
@@ -138,7 +139,7 @@ impl<'c> PowerBaseline<'c> {
                 let mut state = samples.first().copied().unwrap_or(0.0);
                 for s in samples.iter_mut() {
                     state += alpha * (*s - state);
-                    *s = state + self.noise_rms_a * gaussian(&mut noise_rng);
+                    *s = state + self.noise_rms_a * standard_normal(&mut noise_rng);
                 }
                 traces.push(samples);
             }
@@ -146,12 +147,6 @@ impl<'c> PowerBaseline<'c> {
         })?;
         TraceSet::new(traces, self.model.clock().sample_rate_hz())
     }
-}
-
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 //! spectra bin-wise with a noise-calibrated margin.
 
 use crate::TrustError;
-use emtrust_dsp::sliding::SlidingDft;
 use emtrust_dsp::spectrum::Spectrum;
 use emtrust_dsp::stats::median;
 use emtrust_dsp::window::Window;
@@ -213,178 +212,6 @@ impl SpectralDetector {
     }
 }
 
-/// Anomalies found in one analysis window of a streamed trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowAnomalies {
-    /// Index one past the window's last sample in the scanned trace
-    /// (the window covers `end_sample - window_len .. end_sample`).
-    pub end_sample: usize,
-    /// Anomalous spots in that window, strongest first.
-    pub anomalies: Vec<SpectralAnomaly>,
-}
-
-/// A streaming spectral detector over continuous acquisitions.
-///
-/// [`SpectralDetector`] re-estimates a Welch spectrum per suspect trace —
-/// fine for block captures, wasteful for a continuous stream that should
-/// be re-checked every few microseconds. `SpectralStream` instead slides a
-/// rectangular window across the trace with an incremental DFT
-/// ([`SlidingDft`], `O(window)` bin updates per sample instead of an
-/// `O(window log window)` FFT per hop) and runs the same bin-wise decision
-/// stage on every hop, so an anomaly is localized to the window where it
-/// first appears.
-#[derive(Debug, Clone)]
-pub struct SpectralStream {
-    detector: SpectralDetector,
-    window_len: usize,
-    hop: usize,
-}
-
-impl SpectralStream {
-    /// Fits a streaming detector on a golden continuous trace: the golden
-    /// baseline is the average of every hop's sliding-window magnitude
-    /// spectrum, and the noise floor its median bin.
-    ///
-    /// `config.window` and `config.welch_segments` are ignored — the
-    /// sliding estimator is inherently rectangular-windowed and averages
-    /// across hops instead of Welch segments; the margin, floor and band
-    /// settings apply unchanged.
-    ///
-    /// # Errors
-    ///
-    /// - [`TrustError::InvalidParameter`] if `hop == 0` or the golden
-    ///   trace is shorter than one window,
-    /// - forwarded [`SlidingDft`] errors for an invalid `window_len`.
-    pub fn fit(
-        golden: &VoltageTrace,
-        window_len: usize,
-        hop: usize,
-        config: SpectralConfig,
-    ) -> Result<Self, TrustError> {
-        if hop == 0 {
-            return Err(TrustError::InvalidParameter {
-                what: "hop must be at least one sample",
-            });
-        }
-        if golden.samples().len() < window_len {
-            return Err(TrustError::InvalidParameter {
-                what: "golden trace is shorter than the analysis window",
-            });
-        }
-        let fs = golden.sample_rate_hz();
-        let mut dft = SlidingDft::new(window_len)?;
-        let mut sum: Vec<f64> = Vec::new();
-        let mut freqs: Vec<f64> = Vec::new();
-        let mut windows = 0usize;
-        for_each_window(&mut dft, golden.samples(), hop, |d| {
-            let spec = d.spectrum(fs)?;
-            if sum.is_empty() {
-                sum = spec.magnitudes().to_vec();
-                freqs = spec.freqs_hz().to_vec();
-            } else {
-                for (a, m) in sum.iter_mut().zip(spec.magnitudes()) {
-                    *a += m;
-                }
-            }
-            windows += 1;
-            Ok(())
-        })?;
-        for a in sum.iter_mut() {
-            *a /= windows as f64;
-        }
-        let golden_spectrum = Spectrum::from_one_sided_parts(freqs, sum, fs)?;
-        // The absolute floor term must be calibrated on the bins that are
-        // actually compared: an EM trace's high-frequency emphasis would
-        // otherwise push the whole-axis median far above the quiet
-        // low-frequency bins where trigger lines appear.
-        let in_band = match config.analysis_band_hz {
-            Some(band) => golden_spectrum
-                .freqs_hz()
-                .iter()
-                .take_while(|&&f| f <= band)
-                .count()
-                .max(1),
-            None => golden_spectrum.magnitudes().len(),
-        };
-        let noise_floor = median(&golden_spectrum.magnitudes()[..in_band]);
-        Ok(Self {
-            detector: SpectralDetector {
-                golden: golden_spectrum,
-                noise_floor,
-                config,
-            },
-            window_len,
-            hop,
-        })
-    }
-
-    /// Scans a suspect trace, returning every window that contains at
-    /// least one anomalous spot (in stream order). An empty result means
-    /// the whole trace stayed within the golden margins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrustError::InvalidParameter`] if the suspect trace's
-    /// sample rate differs from the golden trace's.
-    pub fn scan(&self, suspect: &VoltageTrace) -> Result<Vec<WindowAnomalies>, TrustError> {
-        let fs = self.detector.golden.sample_rate_hz();
-        if (suspect.sample_rate_hz() - fs).abs() > 1e-6 * fs {
-            return Err(TrustError::InvalidParameter {
-                what: "suspect sample rate must match the golden trace",
-            });
-        }
-        let mut dft = SlidingDft::new(self.window_len)?;
-        let mut flagged = Vec::new();
-        let mut end = self.window_len;
-        let hop = self.hop;
-        for_each_window(&mut dft, suspect.samples(), hop, |d| {
-            let anomalies = self.detector.compare_spectrum(&d.spectrum(fs)?);
-            if !anomalies.is_empty() {
-                flagged.push(WindowAnomalies {
-                    end_sample: end,
-                    anomalies,
-                });
-            }
-            end += hop;
-            Ok(())
-        })?;
-        Ok(flagged)
-    }
-
-    /// The fitted per-window detector (golden spectrum, noise floor).
-    pub fn detector(&self) -> &SpectralDetector {
-        &self.detector
-    }
-
-    /// The analysis window length in samples.
-    pub fn window_len(&self) -> usize {
-        self.window_len
-    }
-
-    /// The hop between analyzed windows in samples.
-    pub fn hop(&self) -> usize {
-        self.hop
-    }
-}
-
-/// Streams `samples` through `dft`, invoking `emit` at the first full
-/// window and every `hop` samples thereafter.
-fn for_each_window(
-    dft: &mut SlidingDft,
-    samples: &[f64],
-    hop: usize,
-    mut emit: impl FnMut(&SlidingDft) -> Result<(), TrustError>,
-) -> Result<(), TrustError> {
-    let window_len = dft.window_len();
-    for (i, &x) in samples.iter().enumerate() {
-        dft.push(x);
-        if i + 1 >= window_len && (i + 1 - window_len).is_multiple_of(hop) {
-            emit(dft)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,75 +333,6 @@ mod tests {
         );
         let spec = det.suspect_spectrum(&suspect).unwrap();
         assert_eq!(det.compare_spectrum(&spec), det.compare(&suspect).unwrap());
-    }
-
-    #[test]
-    fn streaming_scan_of_a_clean_trace_raises_nothing() {
-        let stream = SpectralStream::fit(&golden(), 1024, 512, SpectralConfig::default()).unwrap();
-        let fresh = tone_trace(&[(CLOCK, 1.0), (2.0 * CLOCK, 0.4)], FS, 16384, 0.01, 12);
-        assert!(stream.scan(&fresh).unwrap().is_empty());
-    }
-
-    #[test]
-    fn streaming_scan_localizes_a_mid_trace_burst() {
-        let stream = SpectralStream::fit(&golden(), 1024, 512, SpectralConfig::default()).unwrap();
-        // Golden-looking trace with a 25 MHz intruder line only in the
-        // second half (an intermittently-armed trigger).
-        let n = 16384;
-        let burst_start = n / 2;
-        let base = tone_trace(&[(CLOCK, 1.0), (2.0 * CLOCK, 0.4)], FS, n, 0.01, 13);
-        let samples: Vec<f64> = base
-            .samples()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if i >= burst_start {
-                    v + 0.5 * (2.0 * std::f64::consts::PI * 25e6 * i as f64 / FS).sin()
-                } else {
-                    v
-                }
-            })
-            .collect();
-        let suspect = VoltageTrace::new(samples, FS);
-        let flagged = stream.scan(&suspect).unwrap();
-        assert!(!flagged.is_empty(), "the burst must be caught");
-        for w in &flagged {
-            assert!(
-                w.end_sample > burst_start,
-                "window ending at {} flagged before the burst",
-                w.end_sample
-            );
-            assert!(!w.anomalies.is_empty());
-        }
-        // The burst is present once windows fully cover it.
-        let fully_covered = flagged
-            .iter()
-            .any(|w| w.end_sample >= burst_start + stream.window_len());
-        assert!(fully_covered);
-    }
-
-    #[test]
-    fn streaming_detector_reuses_the_bin_wise_decision() {
-        let stream = SpectralStream::fit(&golden(), 1024, 512, SpectralConfig::default()).unwrap();
-        assert_eq!(stream.window_len(), 1024);
-        assert_eq!(stream.hop(), 512);
-        let det = stream.detector();
-        assert!(det.noise_floor() > 0.0);
-        // The averaged golden baseline keeps the clock line on its bin.
-        let clock_mag = det.golden_spectrum().magnitude_at(CLOCK).unwrap();
-        assert!(clock_mag > 20.0 * det.noise_floor());
-    }
-
-    #[test]
-    fn streaming_fit_and_scan_reject_bad_input() {
-        let g = golden();
-        assert!(SpectralStream::fit(&g, 1024, 0, SpectralConfig::default()).is_err());
-        assert!(SpectralStream::fit(&g, 1000, 512, SpectralConfig::default()).is_err());
-        let short = tone_trace(&[(CLOCK, 1.0)], FS, 256, 0.01, 14);
-        assert!(SpectralStream::fit(&short, 1024, 512, SpectralConfig::default()).is_err());
-        let stream = SpectralStream::fit(&g, 1024, 512, SpectralConfig::default()).unwrap();
-        let wrong_rate = tone_trace(&[(CLOCK, 1.0)], FS / 2.0, 4096, 0.01, 15);
-        assert!(stream.scan(&wrong_rate).is_err());
     }
 
     #[test]

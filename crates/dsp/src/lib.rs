@@ -27,9 +27,7 @@
 //! - [`matrix`] — the small dense symmetric-matrix support PCA needs,
 //! - [`histogram`] — fixed-bin histograms (paper Fig. 6 panels a–h),
 //! - [`parallel`] — deterministic chunked execution on scoped threads,
-//!   the substrate of every multi-core hot path in the workspace,
-//! - [`sliding`] — an incremental sliding-window DFT (`O(window)` per
-//!   update) for streaming spectra over continuous acquisitions.
+//!   the substrate of every multi-core hot path in the workspace.
 //!
 //! # Examples
 //!
@@ -52,7 +50,6 @@ pub mod histogram;
 pub mod matrix;
 pub mod parallel;
 pub mod pca;
-pub mod sliding;
 pub mod spectrum;
 pub mod stats;
 pub mod window;

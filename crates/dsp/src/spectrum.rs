@@ -80,43 +80,6 @@ impl Spectrum {
         WelchPlan::new(signal.len(), sample_rate_hz, window, segments)?.estimate(signal)
     }
 
-    /// Assembles a spectrum from an already-computed one-sided frequency
-    /// axis and magnitude vector — the constructor behind streaming
-    /// estimators (the sliding DFT, window-averaged baselines) that
-    /// produce magnitudes without going through [`Self::compute`].
-    ///
-    /// # Errors
-    ///
-    /// - [`DspError::EmptyInput`] if `magnitudes` is empty,
-    /// - [`DspError::LengthMismatch`] if the axis and magnitudes disagree
-    ///   in length,
-    /// - [`DspError::InvalidParameter`] if `sample_rate_hz <= 0`.
-    pub fn from_one_sided_parts(
-        freqs_hz: Vec<f64>,
-        magnitudes: Vec<f64>,
-        sample_rate_hz: f64,
-    ) -> Result<Self, DspError> {
-        if magnitudes.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        if freqs_hz.len() != magnitudes.len() {
-            return Err(DspError::LengthMismatch {
-                expected: freqs_hz.len(),
-                actual: magnitudes.len(),
-            });
-        }
-        if sample_rate_hz <= 0.0 {
-            return Err(DspError::InvalidParameter {
-                what: "sample rate must be positive",
-            });
-        }
-        Ok(Self {
-            freqs_hz,
-            magnitudes,
-            sample_rate_hz,
-        })
-    }
-
     /// The frequency axis in hertz.
     pub fn freqs_hz(&self) -> &[f64] {
         &self.freqs_hz

@@ -122,10 +122,8 @@ impl EmArray {
         }
         let weight_sets: Vec<Option<&[f64]>> =
             tiles.iter().map(|t| Some(t.sensor.weights())).collect();
-        let mut table = match tiles.first() {
-            Some(tile) => tile.sensor.charge_table().clone(),
-            None => model.charge_table(netlist, &[None])?,
-        };
+        // `Die::tiles` rejects an empty grid, so tile 0 exists.
+        let mut table = tiles[0].sensor.charge_table().clone();
         table.reweight(&weight_sets)?;
         Ok(Self {
             rows,

@@ -77,7 +77,9 @@ impl NoiseModel {
         }
     }
 
-    /// One Gaussian sample with the configured RMS (Box–Muller).
+    /// One Gaussian sample with the configured RMS (Box–Muller). Kept
+    /// apart from [`standard_normal`]: scaling its result by the RMS
+    /// rounds differently and would move every measured trace.
     fn next_sample(&mut self) -> f64 {
         if self.rms_v == 0.0 {
             return 0.0;
@@ -86,6 +88,17 @@ impl NoiseModel {
         let u2: f64 = self.rng.gen_range(0.0..1.0);
         self.rms_v * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
+}
+
+/// One standard normal draw from `rng` (Box–Muller, cosine half): the
+/// Gaussian sampler of the scope, the process variation and the supply
+/// sense noise. Inlined so their per-sample loops keep it in line across
+/// the crate boundary.
+#[inline]
+pub fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

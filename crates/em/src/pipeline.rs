@@ -117,7 +117,11 @@ impl EmPipelineConfig {
     /// [`Self::build`], compiling the charge table from `template` when
     /// given: a table of the same netlist and model, reweighted, which is
     /// the same bits as a fresh one and skips the source-order pass.
-    pub(crate) fn build_from(
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::build`], plus a template of another cell count.
+    pub fn build_from(
         self,
         netlist: &Netlist,
         floorplan: &Floorplan,

@@ -1,12 +1,11 @@
-//! One fabricated die with both measurement channels.
+//! One die of the reference design with both measurement channels.
 
 use crate::scope::Oscilloscope;
 use crate::variation::ProcessVariation;
 use crate::SiliconError;
 use emtrust_em::coil::Coil;
 use emtrust_em::emf::VoltageTrace;
-use emtrust_em::noise::NoiseModel;
-use emtrust_em::pipeline::{EmSensor, PointCurrentSource};
+use emtrust_em::pipeline::{EmPipelineConfig, EmSensor, PointCurrentSource};
 use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::probe::ExternalProbe;
 use emtrust_layout::spiral::SpiralSensor;
@@ -24,23 +23,72 @@ pub enum Channel {
     ExternalProbe,
 }
 
-/// A fabricated die: a placed netlist with one specific process-variation
-/// draw, measurable through both channels.
+/// The reference physical design of `netlist`: a die sized for 0.7
+/// utilization in the generic 180 nm library, the netlist placed on it,
+/// and the library's power model at the reference clock. Every die and
+/// every sensor array lays its netlist out this way.
+///
+/// # Errors
+///
+/// Propagates die-sizing and placement errors.
+pub fn reference_design(netlist: &Netlist) -> Result<(Floorplan, CurrentModel), SiliconError> {
+    let library = Library::generic_180nm();
+    let die = Die::for_netlist(netlist, &library, 0.7)?;
+    let floorplan = Floorplan::place(netlist, &library, die)?;
+    Ok((
+        floorplan,
+        CurrentModel::new(library, ClockConfig::reference()),
+    ))
+}
+
+/// A die of the reference design, measurable through both channels: the
+/// ideal die of the paper's simulation (§IV), or a fabricated one with
+/// its own process-variation draw behind oscilloscope front-ends (§V).
 #[derive(Debug)]
 pub struct FabricatedChip {
     chip_id: u64,
     floorplan: Floorplan,
     onchip: EmSensor,
     external: EmSensor,
-    onchip_scope: Oscilloscope,
-    external_scope: Oscilloscope,
+    onchip_scope: Option<Oscilloscope>,
+    external_scope: Option<Oscilloscope>,
 }
 
 impl FabricatedChip {
-    /// "Fabricates" chip number `chip_id` of `netlist`: sizes and places
-    /// the die, draws the chip's process variation, builds both coils and
-    /// their coupling kernels, and attaches the default oscilloscope
-    /// channels.
+    /// The ideal die of `netlist` (paper §IV): chip id 0, nominal cells
+    /// and no oscilloscope, so a measurement is the emf plus environment
+    /// noise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layout and EM-pipeline construction errors.
+    pub fn ideal(netlist: &Netlist) -> Result<Self, SiliconError> {
+        let (floorplan, model) = reference_design(netlist)?;
+        let die = floorplan.die();
+        let onchip = EmSensor::new(
+            Coil::OnChip(SpiralSensor::for_die(die)?),
+            netlist,
+            &floorplan,
+            model.clone(),
+        )?;
+        // The probe reweights the spiral's table: one compile per die.
+        let external = EmPipelineConfig::default()
+            .with_coil(Coil::External(ExternalProbe::over_die(die)))
+            .with_model(model)
+            .build_from(netlist, &floorplan, Some(onchip.charge_table()))?;
+        Ok(Self {
+            chip_id: 0,
+            floorplan,
+            onchip,
+            external,
+            onchip_scope: None,
+            external_scope: None,
+        })
+    }
+
+    /// "Fabricates" chip number `chip_id` of `netlist`: the ideal die
+    /// with the chip's process-variation draw applied to both channels'
+    /// weights and the default oscilloscope channels attached.
     ///
     /// # Errors
     ///
@@ -50,33 +98,14 @@ impl FabricatedChip {
         chip_id: u64,
         variation: ProcessVariation,
     ) -> Result<Self, SiliconError> {
-        let library = Library::generic_180nm();
-        let die = Die::for_netlist(netlist, &library, 0.7)?;
-        let floorplan = Floorplan::place(netlist, &library, die)?;
-        let model = CurrentModel::new(library, ClockConfig::reference());
-        let mut onchip = EmSensor::new(
-            Coil::OnChip(SpiralSensor::for_die(die)?),
-            netlist,
-            &floorplan,
-            model.clone(),
-        )?;
-        let mut external = EmSensor::new(
-            Coil::External(ExternalProbe::over_die(die)),
-            netlist,
-            &floorplan,
-            model,
-        )?;
+        let mut chip = Self::ideal(netlist)?;
         let factors = variation.factors(chip_id, netlist.cell_count());
-        onchip.scale_weights(&factors)?;
-        external.scale_weights(&factors)?;
-        Ok(Self {
-            chip_id,
-            floorplan,
-            onchip,
-            external,
-            onchip_scope: Oscilloscope::onchip_channel(),
-            external_scope: Oscilloscope::external_channel(),
-        })
+        chip.onchip.scale_weights(&factors)?;
+        chip.external.scale_weights(&factors)?;
+        chip.chip_id = chip_id;
+        chip.onchip_scope = Some(Oscilloscope::onchip_channel());
+        chip.external_scope = Some(Oscilloscope::external_channel());
+        Ok(chip)
     }
 
     /// This die's serial number.
@@ -100,22 +129,16 @@ impl FabricatedChip {
     /// Replaces a channel's oscilloscope front-end.
     pub fn set_scope(&mut self, channel: Channel, scope: Oscilloscope) {
         match channel {
-            Channel::OnChipSensor => self.onchip_scope = scope,
-            Channel::ExternalProbe => self.external_scope = scope,
-        }
-    }
-
-    fn scope(&self, channel: Channel) -> &Oscilloscope {
-        match channel {
-            Channel::OnChipSensor => &self.onchip_scope,
-            Channel::ExternalProbe => &self.external_scope,
+            Channel::OnChipSensor => self.onchip_scope = Some(scope),
+            Channel::ExternalProbe => self.external_scope = Some(scope),
         }
     }
 
     /// A full bench measurement of binned activity, made with the
-    /// channel's [`EmSensor::charge_table`]: emf → environment noise →
-    /// oscilloscope front-end. Noise and scope randomness are seeded from
-    /// `seed` and the chip id alone.
+    /// channel's [`EmSensor::charge_table`]: [`EmSensor::measure`] (emf
+    /// and environment noise), then the channel's oscilloscope, if any.
+    /// Noise and scope randomness are seeded from `seed` and the chip id
+    /// alone.
     ///
     /// # Errors
     ///
@@ -128,11 +151,10 @@ impl FabricatedChip {
         injections: &[PointCurrentSource],
         seed: u64,
     ) -> Result<VoltageTrace, SiliconError> {
-        let _span = emtrust_telemetry::span("silicon_measure");
-        let emf = self
-            .sensor(channel)
-            .emf(bins, extra_leakage_a, injections)?;
-        Ok(self.acquire(channel, emf, seed))
+        let trace =
+            self.sensor(channel)
+                .measure(bins, extra_leakage_a, injections, seed ^ self.chip_id)?;
+        Ok(self.digitize(channel, trace, seed))
     }
 
     /// [`Self::measure`] of a stored recording of `netlist`, binned with
@@ -166,16 +188,23 @@ impl FabricatedChip {
 
     /// The paper's noise-measurement step: chip powered, encryption idle.
     pub fn measure_noise(&self, channel: Channel, n_samples: usize, seed: u64) -> VoltageTrace {
-        let rate = self.sensor(channel).model().clock().sample_rate_hz();
-        self.acquire(channel, VoltageTrace::new(vec![0.0; n_samples], rate), seed)
+        let noise = self
+            .sensor(channel)
+            .measure_noise(n_samples, seed ^ self.chip_id);
+        self.digitize(channel, noise, seed)
     }
 
-    /// Environment noise and the scope front-end on a noiseless emf.
-    fn acquire(&self, channel: Channel, mut emf: VoltageTrace, seed: u64) -> VoltageTrace {
-        let sensor = self.sensor(channel);
-        NoiseModel::environment_for(sensor.coil(), seed ^ self.chip_id).add_to(&mut emf);
-        self.scope(channel)
-            .acquire(&emf, seed.wrapping_mul(31) ^ self.chip_id)
+    /// The channel's oscilloscope front-end on a measured trace; the
+    /// trace itself on a channel without one.
+    fn digitize(&self, channel: Channel, trace: VoltageTrace, seed: u64) -> VoltageTrace {
+        let scope = match channel {
+            Channel::OnChipSensor => &self.onchip_scope,
+            Channel::ExternalProbe => &self.external_scope,
+        };
+        match scope {
+            Some(scope) => scope.acquire(&trace, seed.wrapping_mul(31) ^ self.chip_id),
+            None => trace,
+        }
     }
 }
 
@@ -270,6 +299,44 @@ mod tests {
             recorded.is_err(),
             "a netlist other than the chip's must be refused"
         );
+    }
+
+    #[test]
+    fn die_tables_bin_like_tables_compiled_from_their_weights() {
+        let n = bank_netlist(16);
+        let chip = FabricatedChip::fabricate(&n, 3, ProcessVariation::nominal()).unwrap();
+        let act = activity(&n, 5);
+        for channel in [Channel::OnChipSensor, Channel::ExternalProbe] {
+            let sensor = chip.sensor(channel);
+            let fresh = sensor
+                .model()
+                .charge_table(&n, &[Some(sensor.weights())])
+                .unwrap();
+            let got = sensor.charge_table().bin_trace(&act, 1);
+            let expected = fresh.bin_trace(&act, 1);
+            assert_eq!(got, expected, "{channel:?}");
+            let render = |table: &emtrust_power::ChargeTable| table.render(&got, None).unwrap();
+            assert_eq!(render(sensor.charge_table()), render(&fresh), "{channel:?}");
+        }
+    }
+
+    #[test]
+    fn ideal_die_measures_emf_plus_environment_noise() {
+        use emtrust_em::noise::NoiseModel;
+        let n = bank_netlist(16);
+        let chip = FabricatedChip::ideal(&n).unwrap();
+        assert_eq!(chip.chip_id(), 0);
+        for channel in [Channel::OnChipSensor, Channel::ExternalProbe] {
+            let bins = bins(&chip, channel, &n, 4);
+            let sensor = chip.sensor(channel);
+            let mut expected = sensor.emf(&bins, None, &[]).unwrap();
+            NoiseModel::environment_for(sensor.coil(), 9).add_to(&mut expected);
+            let got = chip.measure(&bins, channel, None, &[], 9).unwrap();
+            assert_eq!(got, expected, "{channel:?}: no scope, no quantization");
+            let mut noise = VoltageTrace::new(vec![0.0; 256], got.sample_rate_hz());
+            NoiseModel::environment_for(sensor.coil(), 9).add_to(&mut noise);
+            assert_eq!(chip.measure_noise(channel, 256, 9), noise, "{channel:?}");
+        }
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //!   within-die random component),
 //! - [`scope`] — the oscilloscope front-end: bandwidth, input-referred
 //!   noise (cabling/preamp included) and 8-bit quantization,
-//! - [`chip`] — [`chip::FabricatedChip`]: a placed netlist with one
-//!   specific variation draw, carrying both measurement channels (on-chip
-//!   sensor through `Sensor In`/`Sensor Out`, external probe over the
-//!   package) behind their oscilloscope front-ends.
+//! - [`chip`] — [`chip::FabricatedChip`]: a netlist placed in the
+//!   [`chip::reference_design`], carrying both measurement channels
+//!   (on-chip sensor through `Sensor In`/`Sensor Out`, external probe over
+//!   the package). [`FabricatedChip::fabricate`] gives it one specific
+//!   variation draw and oscilloscope front-ends;
+//!   [`FabricatedChip::ideal`] is the simulation's die, with neither.
 //!
 //! The paper's empirical deltas reproduce through these models: the
 //! external probe loses several dB going from simulation to silicon

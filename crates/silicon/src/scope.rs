@@ -9,8 +9,9 @@
 
 use crate::SiliconError;
 use emtrust_em::emf::VoltageTrace;
+use emtrust_em::noise::standard_normal;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// An oscilloscope acquisition channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +117,7 @@ impl Oscilloscope {
             .samples()
             .iter()
             .map(|&v| {
-                let noisy = v + self.input_noise_rms_v * gaussian(&mut rng);
+                let noisy = v + self.input_noise_rms_v * standard_normal(&mut rng);
                 state += alpha * (noisy - state);
                 let clipped = state.clamp(-self.full_scale_v, self.full_scale_v);
                 (clipped / lsb).round() * lsb
@@ -124,12 +125,6 @@ impl Oscilloscope {
             .collect();
         VoltageTrace::new(samples, fs)
     }
-}
-
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

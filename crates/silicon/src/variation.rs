@@ -6,8 +6,9 @@
 //! Gaussian factors on the cell's switched charge (and hence its EM
 //! contribution): `factor = (1 + die_offset) · (1 + N(0, σ_wid))`.
 
+use emtrust_em::noise::standard_normal;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Default die-to-die sigma (3 %).
 pub const DEFAULT_D2D_SIGMA: f64 = 0.03;
@@ -71,10 +72,10 @@ impl ProcessVariation {
     /// `n_cells` cells. Deterministic per `(chip_id, n_cells)`.
     pub fn factors(&self, chip_id: u64, n_cells: usize) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(0x51C0_D1E5 ^ chip_id);
-        let die_offset = self.d2d_sigma * gaussian(&mut rng);
+        let die_offset = self.d2d_sigma * standard_normal(&mut rng);
         (0..n_cells)
             .map(|_| {
-                let wid = self.wid_sigma * gaussian(&mut rng);
+                let wid = self.wid_sigma * standard_normal(&mut rng);
                 ((1.0 + die_offset) * (1.0 + wid)).max(0.05)
             })
             .collect()
@@ -85,12 +86,6 @@ impl Default for ProcessVariation {
     fn default() -> Self {
         Self::nominal()
     }
-}
-
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

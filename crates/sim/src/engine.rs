@@ -899,9 +899,10 @@ impl<'a> Simulator<'a> {
     /// source's toggle and new value into one bit per source as it goes:
     /// no per-source words are stored and no lane-major transposes run.
     /// One lane shares every block. Sending one lane through
-    /// [`Self::emit_lanes`] instead costs about 1.1× as much per
-    /// encryption on the all-Trojan chip (487–519 µs against 440–452 µs
-    /// with a sink that only counts words, 2-vCPU host).
+    /// [`Self::emit_lanes`] instead costs about 1.4× as much per
+    /// encryption on the all-Trojan chip with T1 armed (589–643 µs
+    /// against 415–431 µs with a sink that only counts words, best of 5
+    /// runs of 400 encryptions, 2-vCPU host).
     fn emit_lane0(&mut self, sink: &mut impl FnMut(ToggleWords<'_>)) {
         let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
         toggled.clear();

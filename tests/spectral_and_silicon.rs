@@ -3,7 +3,7 @@
 //! chain's reproducibility guarantees.
 
 use emtrust::acquisition::TestBench;
-use emtrust::spectral::{SpectralConfig, SpectralDetector, SpectralStream};
+use emtrust::spectral::{SpectralConfig, SpectralDetector};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{A2Trojan, ProtectedChip, TrojanKind};
 
@@ -42,63 +42,6 @@ fn a2_trigger_is_caught_in_the_frequency_domain() {
             a.frequency_hz / 1e6
         );
     }
-}
-
-#[test]
-fn streaming_scan_catches_the_a2_trigger_per_window() {
-    // The same A2 scenario, but through the incremental sliding-DFT
-    // stream: no per-window FFT recompute, and the verdict comes with the
-    // window position it first tripped at.
-    let chip = ProtectedChip::golden();
-    // A hungrier A2 instance (double the trigger-wire charge): single
-    // 1024-sample windows lack the Welch-averaged contrast the batch
-    // detector enjoys, so the reference-strength trigger only rises out
-    // of the per-window floor once the wire load is of this order.
-    let mut bench = TestBench::simulation(&chip)
-        .expect("bench")
-        .with_a2(A2Trojan::new(10e6).with_charge_per_toggle(3e-12));
-    let golden = bench
-        .collect_continuous(KEY, 24, None, Channel::OnChipSensor, 1)
-        .expect("golden window");
-    // Per-window spectra are noisier than the batch detector's Welch
-    // average: widen the ratio margin, and confine the comparison (and
-    // with it the noise-floor calibration) to the band below the third
-    // clock harmonic where the trigger comb lives.
-    let config = SpectralConfig {
-        margin_ratio: 2.5,
-        floor_multiplier: 2.0,
-        analysis_band_hz: Some(30e6),
-        ..SpectralConfig::default()
-    };
-    let stream = SpectralStream::fit(&golden, 1024, 512, config).expect("stream");
-
-    let dormant = bench
-        .collect_continuous(KEY, 24, None, Channel::OnChipSensor, 2)
-        .expect("dormant window");
-    assert!(
-        stream.scan(&dormant).expect("scan").is_empty(),
-        "dormant trace must stay within golden margins"
-    );
-
-    bench.arm_a2(true).expect("A2 installed above");
-    let armed = bench
-        .collect_continuous(KEY, 24, None, Channel::OnChipSensor, 3)
-        .expect("armed window");
-    let flagged = stream.scan(&armed).expect("scan");
-    assert!(!flagged.is_empty(), "A2 trigger must be visible");
-    // Every flagged window carries a valid position and the strongest
-    // anomalies sit on the trigger's 5 MHz odd-harmonic comb.
-    for w in &flagged {
-        assert!(w.end_sample >= stream.window_len());
-        assert!(w.end_sample <= armed.samples().len());
-    }
-    let top = flagged[0].anomalies[0];
-    let harmonic = (top.frequency_hz / 5e6).round();
-    assert!(
-        (top.frequency_hz - harmonic * 5e6).abs() < 2e6 && harmonic as u64 % 2 == 1,
-        "top anomaly at {:.2} MHz off the comb",
-        top.frequency_hz / 1e6
-    );
 }
 
 #[test]
