@@ -350,7 +350,9 @@ fn frontend(c: &mut Criterion) {
     g.finish();
 }
 
-/// One shard epoch as `fleet_replay` drives it, without the service's
+/// A new chip's cold start in a fresh store: its 8 warm-up traces in
+/// one batch, and the fingerprint fit the eighth completes. Then one
+/// shard epoch as `fleet_replay` drives it, without the service's
 /// thread: 1024 chips, each 8 batches of 4 traces in a row, through one
 /// store of 512 hot chips (so every chip past the 512th evicts one).
 /// Each chip reads the 40-trace pool from its own offset.
@@ -358,12 +360,27 @@ fn fleet(c: &mut Criterion) {
     let set = fleet_traces(40);
     let pool = set.traces();
     let chips: Vec<String> = (0..1024).map(|c| format!("chip-{c:05}")).collect();
+    let cfg = FleetConfig::default();
     let mut g = c.benchmark_group("fleet");
+    g.sample_size(2_000);
+    g.throughput(Throughput::Elements(8));
+    g.bench_function("new_chip_warmup_and_fit_768", |b| {
+        b.iter(|| {
+            let mut store = PipelineStore::new(
+                cfg.store,
+                cfg.golden_traces,
+                BaselineMode::Golden,
+                LabelSet::new(),
+            );
+            let out = store.ingest(&chips[0], &pool[..8]).expect("ingest");
+            assert!(out.fitted_now);
+            store
+        })
+    });
     g.sample_size(5);
     g.throughput(Throughput::Elements(1024 * 8 * 4));
     g.bench_function("store_1024_chips_4x768", |b| {
         b.iter(|| {
-            let cfg = FleetConfig::default();
             let mut store = PipelineStore::new(
                 cfg.store,
                 cfg.golden_traces,

@@ -29,12 +29,18 @@
 //!   without a quarantined neighbour on the same shard;
 //! - **ingest latency** — per-call p50/p99/max latency and sustained
 //!   traces/sec are measured and published (the schema gate bounds
-//!   p99).
+//!   p99);
+//! - **baseline footprint** — the floats one store's rolling baselines
+//!   retain, counted on a serial run at `fleet_replay`'s shape, so the
+//!   count is exact on every host (the schema gate pins it to one
+//!   trace's 96 RMS features per retained trace).
 
 use emtrust::faults::{TransportFaultKind, TransportFaultSpec, TransportPlan};
+use emtrust::telemetry::LabelSet;
 use emtrust_bench::{ArtifactDoc, Report};
 use emtrust_fleet::{
-    BreakerConfig, ChaosTransport, FleetConfig, FleetService, FleetSummary, StoreConfig,
+    BaselineMode, BreakerConfig, ChaosTransport, FleetConfig, FleetService, FleetSummary,
+    PipelineStore, StoreConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,12 +53,17 @@ const ROUNDS: usize = 4;
 const BATCH: usize = 2;
 const TRACE_LEN: usize = 64;
 const PLAN_SEED: u64 = 0xF1EE7;
+/// The baseline-footprint run: `fleet_replay`'s chips per cycle, trace
+/// length and batch size, and rounds enough to fill every ring.
+const FOOTPRINT_CHIPS: usize = 1024;
+const FOOTPRINT_TRACE_LEN: usize = 768;
+const FOOTPRINT_ROUNDS: u64 = 3;
 
-fn clean_batch(chip: u64, round: u64, n: usize) -> Vec<Vec<f64>> {
+fn clean_batch(chip: u64, round: u64, n: usize, len: usize) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(chip.wrapping_mul(0x9E37_79B9).wrapping_add(round));
     (0..n)
         .map(|_| {
-            (0..TRACE_LEN)
+            (0..len)
                 .map(|j| (j as f64 / 7.0).sin() + 0.02 * rng.gen_range(-1.0..1.0))
                 .collect()
         })
@@ -110,7 +121,7 @@ fn run_scale() -> Result<ScaleOutcome, String> {
     for chip in 0..N_CHIPS as u64 {
         let chip_id = format!("chip-{chip:05}");
         for round in 0..ROUNDS as u64 {
-            let batch = clean_batch(chip, round, BATCH);
+            let batch = clean_batch(chip, round, BATCH, TRACE_LEN);
             traces_offered += batch.len() as u64;
             let t0 = Instant::now();
             let receipts = link
@@ -182,7 +193,7 @@ fn run_leakage_probe(poison: bool) -> Result<FleetSummary, String> {
     for round in 0..12u64 {
         for (c, chip) in chips.iter().enumerate() {
             let receipt = service
-                .ingest(chip, clean_batch(c as u64 + 1, round, BATCH))
+                .ingest(chip, clean_batch(c as u64 + 1, round, BATCH, TRACE_LEN))
                 .map_err(|e| e.to_string())?;
             if !receipt.verdict.accepted() {
                 return Err(format!("healthy {chip} refused in round {round}"));
@@ -196,6 +207,29 @@ fn run_leakage_probe(poison: bool) -> Result<FleetSummary, String> {
         }
     }
     service.finish().map_err(|e| e.to_string())
+}
+
+/// The floats a golden-mode store's rolling baselines retain after
+/// [`FOOTPRINT_CHIPS`] chips each send [`FOOTPRINT_ROUNDS`] batches of
+/// 4 traces, through the default store (512 hot chips, 8-trace rings):
+/// one store driven on this thread, so the count depends on nothing
+/// but the traces.
+fn baseline_footprint() -> Result<usize, String> {
+    let cfg = FleetConfig::default();
+    let mut store = PipelineStore::new(
+        cfg.store,
+        cfg.golden_traces,
+        BaselineMode::Golden,
+        LabelSet::new(),
+    );
+    for chip in 0..FOOTPRINT_CHIPS as u64 {
+        let chip_id = format!("chip-{chip:05}");
+        for round in 0..FOOTPRINT_ROUNDS {
+            let batch = clean_batch(chip, round, 4, FOOTPRINT_TRACE_LEN);
+            store.ingest(&chip_id, &batch).map_err(|e| e.to_string())?;
+        }
+    }
+    Ok(store.baseline_floats())
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -274,6 +308,11 @@ fn main() {
                 .is_some_and(|b| a.stats == b.stats && a.health == b.health && !b.quarantined)
         });
 
+    let baseline_floats = match baseline_footprint() {
+        Ok(floats) => floats,
+        Err(e) => fail(report, &format!("baseline footprint run: {e}")),
+    };
+
     // Hard gates — the artifact only exists if the claims hold.
     if !zero_panics {
         fail(report, "panic observed");
@@ -332,6 +371,19 @@ fn main() {
                 poisoned_quarantined.to_string(),
             ],
             vec!["alarms".into(), scale.summary.total_alarms().to_string()],
+        ],
+    );
+    report.table(
+        "Baseline footprint (one serial store)",
+        &["metric", "value"],
+        &[
+            vec!["chips".into(), FOOTPRINT_CHIPS.to_string()],
+            vec!["trace length".into(), FOOTPRINT_TRACE_LEN.to_string()],
+            vec!["baseline floats".into(), baseline_floats.to_string()],
+            vec![
+                "floats per chip".into(),
+                (baseline_floats / FOOTPRINT_CHIPS).to_string(),
+            ],
         ],
     );
     report.table(
@@ -415,6 +467,13 @@ fn main() {
             format!(
                 "{{\"fits\": {}, \"refits\": {}, \"evictions\": {}, \"hot\": {}, \"cold\": {}}}",
                 store_totals.0, store_totals.1, store_totals.2, store_totals.3, store_totals.4
+            ),
+        )
+        .field_raw(
+            "baseline",
+            format!(
+                "{{\"chips\": {FOOTPRINT_CHIPS}, \"trace_len\": {FOOTPRINT_TRACE_LEN}, \
+                 \"floats\": {baseline_floats}}}"
             ),
         )
         .field_raw(

@@ -373,13 +373,16 @@ pub const SCHEMAS: &[Table] = &[
         row("p99_ingest_us", U64, Le(lit(100_000.0))), // the 100 ms sanity ceiling
         row("max_queue_depth", U64, Le(lin(1.0, "queue_capacity", 1.0))), // +1 in transit
         row("bounded_queue zero_panics leakage_bit_identical", Bool, Is(true)),
-        row("admissions transport store breakers leakage_probe", Object, Any),
+        row("admissions transport store baseline breakers leakage_probe", Object, Any),
         row("admissions.admitted admissions.throttled admissions.shed", U64, Any),
         row("admissions.quarantined transport.offered transport.dropped", U64, Any),
         row("transport.duplicated transport.reordered transport.corrupted", U64, Any),
         row("transport.delivered transport.delay_us store.fits store.refits", U64, Any),
         row("store.evictions store.hot store.cold breakers.refusals", U64, Any),
         row("breakers.tripped_chips", U64, POS), // the poison cohort must trip
+        row("baseline.chips", U64, POS), row("baseline.trace_len", U64, Eq(lit(768.0))),
+        // Each chip retains 8 traces' 96 RMS features: 768 floats, not 8 × 768 samples.
+        row("baseline.floats", U64, Eq(lin(768.0, "baseline.chips", 0.0))),
         row("leakage_probe.victim_tripped leakage_probe.bit_identical", Bool, Is(true)),
     ], invariants: &[] },
     Table { name: "localization", rows: &[

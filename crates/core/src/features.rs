@@ -133,6 +133,12 @@ impl<'a> FeatureFrame<'a> {
         self.spectrum.as_ref()
     }
 
+    /// Consumes the frame, handing back its RMS energy features (if
+    /// computed) without a copy.
+    pub fn into_rms(self) -> Option<Vec<f64>> {
+        self.rms
+    }
+
     /// Stores the RMS energy features.
     pub fn set_rms(&mut self, rms: Vec<f64>) {
         self.rms = Some(rms);

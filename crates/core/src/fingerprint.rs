@@ -52,7 +52,8 @@ pub struct GoldenFingerprint {
 }
 
 impl GoldenFingerprint {
-    /// Fits the fingerprint on a golden trace set.
+    /// Fits the fingerprint on a golden trace set: extracts each
+    /// trace's RMS features, then fits [`Self::from_features`] on them.
     ///
     /// # Errors
     ///
@@ -61,7 +62,35 @@ impl GoldenFingerprint {
     /// - forwarded DSP errors from PCA/distance computation.
     pub fn fit(golden: &TraceSet, config: FingerprintConfig) -> Result<Self, TrustError> {
         let _span = telemetry::span("fit");
-        if golden.len() < 2 {
+        // Feature extraction, one trace per work item.
+        let traces = golden.traces();
+        let raw: Vec<Vec<f64>> = {
+            let _span = telemetry::span("features");
+            config
+                .parallel
+                .try_map(traces.len(), |i| bin_rms(&traces[i], config.rms_bin))?
+        };
+        Self::from_features(&raw, traces.first().map_or(0, Vec::len), config)
+    }
+
+    /// Fits the fingerprint on golden traces already reduced to their
+    /// raw RMS features ([`Self::features`] at `config.rms_bin`), each
+    /// row from a trace of `trace_len` samples. On the features of a
+    /// trace set it is bit-identical to [`Self::fit`] on that set. It
+    /// opens no telemetry span; [`Self::fit`]'s `fit` span covers it.
+    ///
+    /// # Errors
+    ///
+    /// - [`TrustError::InvalidParameter`] if fewer than two rows are
+    ///   supplied, a row is not the `rms_bin`-sample bins of
+    ///   `trace_len` samples, or the configuration is degenerate,
+    /// - forwarded DSP errors from PCA/distance computation.
+    pub fn from_features(
+        raw: &[Vec<f64>],
+        trace_len: usize,
+        config: FingerprintConfig,
+    ) -> Result<Self, TrustError> {
+        if raw.len() < 2 {
             return Err(TrustError::InvalidParameter {
                 what: "fingerprint needs at least two golden traces",
             });
@@ -71,14 +100,12 @@ impl GoldenFingerprint {
                 what: "threshold margin must be positive",
             });
         }
-        // Feature extraction, one trace per work item.
-        let traces = golden.traces();
-        let raw: Vec<Vec<f64>> = {
-            let _span = telemetry::span("features");
-            config
-                .parallel
-                .try_map(traces.len(), |i| bin_rms(&traces[i], config.rms_bin))?
-        };
+        let bins = (config.rms_bin > 0).then(|| trace_len.div_ceil(config.rms_bin));
+        if trace_len == 0 || raw.iter().any(|f| Some(f.len()) != bins) {
+            return Err(TrustError::InvalidParameter {
+                what: "golden features must be the RMS bins of trace_len samples",
+            });
+        }
         // Scale normalization: golden magnitude becomes O(1) so distances
         // are dimensionless (comparable to the paper's 0.05–0.28 range).
         let scale = raw.iter().map(|f| l2_norm(f)).sum::<f64>() / raw.len() as f64;
@@ -121,7 +148,7 @@ impl GoldenFingerprint {
             golden: projected,
             centroid,
             threshold,
-            trace_len: traces.first().map_or(0, Vec::len),
+            trace_len,
         })
     }
 
@@ -269,6 +296,11 @@ impl GoldenFingerprint {
         self.trace_len
     }
 
+    /// The golden centroid in detection space.
+    pub fn centroid(&self) -> &[f64] {
+        &self.centroid
+    }
+
     /// The Eq. 1 threshold in effect (margin applied).
     pub fn threshold(&self) -> f64 {
         self.threshold
@@ -386,6 +418,30 @@ mod tests {
         assert!(GoldenFingerprint::fit(&golden, cfg).is_err());
         let silent = TraceSet::new(vec![vec![0.0; 64]; 4], 1.0).unwrap();
         assert!(GoldenFingerprint::fit(&silent, FingerprintConfig::default()).is_err());
+    }
+
+    #[test]
+    fn features_of_another_shape_are_refused() {
+        let golden = synthetic_set(4, 1.0, 1);
+        let cfg = FingerprintConfig::default();
+        let raw: Vec<Vec<f64>> = golden
+            .traces()
+            .iter()
+            .map(|t| bin_rms(t, cfg.rms_bin).unwrap())
+            .collect();
+        assert!(GoldenFingerprint::from_features(&raw, 256, cfg).is_ok());
+        // 264 samples make 33 bins, not 32; no samples make none.
+        for trace_len in [264, 0] {
+            assert!(GoldenFingerprint::from_features(&raw, trace_len, cfg).is_err());
+        }
+        for rms_bin in [16, 0] {
+            let cfg = FingerprintConfig { rms_bin, ..cfg };
+            assert!(GoldenFingerprint::from_features(&raw, 256, cfg).is_err());
+        }
+        let mut ragged = raw.clone();
+        ragged[2].pop();
+        assert!(GoldenFingerprint::from_features(&ragged, 256, cfg).is_err());
+        assert!(GoldenFingerprint::from_features(&raw[..1], 256, cfg).is_err());
     }
 
     #[test]

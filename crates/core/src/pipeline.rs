@@ -103,6 +103,10 @@ pub struct TraceOutcome {
     pub alarm: Option<PipelineAlarm>,
     /// Sensor health after absorbing this trace's outcome.
     pub health: SensorHealth,
+    /// The trace's per-bin RMS features, when it was scored and its
+    /// feature plan computed them: the frame's own vector, moved out,
+    /// so a caller that keeps them pays no second extraction.
+    pub rms: Option<Vec<f64>>,
 }
 
 /// The pipeline's outcome for one continuous monitoring window.
@@ -927,7 +931,7 @@ impl DetectionPipeline {
     /// Turns one screened trace into its outcome: counters, fusion,
     /// alarm bookkeeping, health — the serial tail of the trace paths.
     fn absorb_trace(&mut self, screened: ScreenedTrace<'_>) -> TraceOutcome {
-        let (verdict, index, votes, alarm, rec) = match screened {
+        let (verdict, index, votes, alarm, rec, rms) = match screened {
             ScreenedTrace::Rejected(reason) => {
                 self.record_rejected(&reason);
                 let rec = self
@@ -939,6 +943,7 @@ impl DetectionPipeline {
                     Vec::new(),
                     None,
                     rec,
+                    None,
                 )
             }
             ScreenedTrace::Scored {
@@ -977,7 +982,7 @@ impl DetectionPipeline {
                     self.emit_labeled_votes(DetectorDomain::PerEncryption, &rec.detectors);
                     rec
                 });
-                (verdict, Some(index), votes, alarm, rec)
+                (verdict, Some(index), votes, alarm, rec, frame.into_rms())
             }
         };
         let transitions_before = self.health.transitions().len();
@@ -992,6 +997,7 @@ impl DetectionPipeline {
             votes,
             alarm,
             health,
+            rms,
         }
     }
 

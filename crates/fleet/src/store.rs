@@ -13,24 +13,28 @@
 //! `golden_traces` clean traces become its golden set, after which the
 //! fingerprint is fitted and scoring begins.
 //!
+//! In [`BaselineMode::Golden`] the baseline keeps each trace's raw RMS
+//! features, all a fit reads: an eighth of the samples at the
+//! fingerprint's 8-sample bins. A warming chip extracts them once on
+//! arrival; a scored trace hands over the features its pipeline already
+//! extracted. [`BaselineMode::SelfCalibrating`] keeps the samples,
+//! which a revival replays through the chip's live pipeline.
+//!
 //! All state is per-chip — nothing a poisoned neighbour does can
 //! perturb another chip's baseline, fingerprint or counters, which is
 //! what makes the fleet's quarantine-isolation guarantee bit-exact.
 
 use std::collections::{HashMap, VecDeque};
 
+use emtrust::features::bin_rms;
 use emtrust::telemetry::LabelSet;
 use emtrust::{
     BaselineSource, DetectionPipeline, EuclideanDetector, FingerprintConfig, GoldenFingerprint,
-    SelfCalibratingConfig, SensorHealth, TraceSanitizer, TraceSet,
+    SelfCalibratingConfig, SensorHealth, TraceSanitizer,
 };
 
 use crate::config::{BaselineMode, StoreConfig};
 use crate::FleetError;
-
-/// Nominal acquisition rate stamped on refit golden sets — matches the
-/// 640 MHz convention used across the suite's benches.
-pub const SAMPLE_RATE_HZ: f64 = 640e6;
 
 /// What happened to one chip's batch inside the store.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +77,7 @@ pub struct ChipStats {
 struct ChipEntry {
     /// `None` while the chip is still warming up its baseline.
     pipeline: Option<DetectionPipeline>,
-    /// Rolling clean-trace baseline, newest at the back.
-    baseline: VecDeque<Vec<f64>>,
+    baseline: Baseline,
     last_used: u64,
     streak: u64,
     stats: ChipStats,
@@ -82,10 +85,49 @@ struct ChipEntry {
 }
 
 struct ColdRecord {
-    baseline: VecDeque<Vec<f64>>,
+    baseline: Baseline,
     streak: u64,
     stats: ChipStats,
     evicted_at: u64,
+}
+
+/// A chip's rolling clean-trace baseline: one row per accepted trace,
+/// newest at the back — its raw RMS features in golden mode, its
+/// samples in self-calibrating mode (see the module docs).
+#[derive(Default)]
+struct Baseline {
+    rows: VecDeque<Vec<f64>>,
+    /// Sample count of the traces the rows came from.
+    trace_len: usize,
+}
+
+impl Baseline {
+    /// Whether a trace is non-empty and as long as the baseline's
+    /// traces.
+    fn same_length(&self, trace: &[f64]) -> bool {
+        !trace.is_empty() && (self.rows.is_empty() || self.trace_len == trace.len())
+    }
+
+    /// Whether a trace can join the baseline: finite samples and a
+    /// length agreeing with what the baseline already holds.
+    fn compatible(&self, trace: &[f64]) -> bool {
+        self.same_length(trace) && trace.iter().all(|s| s.is_finite())
+    }
+
+    /// Appends the row of a `trace_len`-sample trace, keeping the
+    /// newest `window` rows.
+    fn push(&mut self, row: Vec<f64>, trace_len: usize, window: usize) {
+        self.trace_len = trace_len;
+        self.rows.push_back(row);
+        while self.rows.len() > window {
+            self.rows.pop_front();
+        }
+    }
+
+    /// Floats the rows hold.
+    fn floats(&self) -> usize {
+        self.rows.iter().map(Vec::len).sum()
+    }
 }
 
 /// One shard's bounded chip-pipeline cache.
@@ -164,6 +206,16 @@ impl PipelineStore {
         self.refits
     }
 
+    /// Floats the rolling baselines of every hot and cold chip retain:
+    /// `golden_traces`-to-`baseline_window` rows per chip, each a
+    /// trace's RMS features in golden mode and its samples in
+    /// self-calibrating mode.
+    pub fn baseline_floats(&self) -> usize {
+        let hot = self.hot.values().map(|e| e.baseline.floats());
+        let cold = self.cold.values().map(|r| r.baseline.floats());
+        hot.chain(cold).sum()
+    }
+
     /// Cumulative stats for every chip the store has ever seen (hot and
     /// cold), in unspecified order.
     pub fn chip_stats(&self) -> Vec<(String, ChipStats)> {
@@ -206,7 +258,7 @@ impl PipelineStore {
                     };
                     ChipEntry {
                         pipeline,
-                        baseline: VecDeque::new(),
+                        baseline: Baseline::default(),
                         last_used: 0,
                         streak: 0,
                         stats: ChipStats {
@@ -221,6 +273,7 @@ impl PipelineStore {
         }
         let golden_traces = self.golden_traces;
         let baseline_window = self.config.baseline_window;
+        let golden = self.mode == BaselineMode::Golden;
         let clock = self.clock;
         let entry = match self.hot.get_mut(chip_id) {
             Some(e) => e,
@@ -250,7 +303,7 @@ impl PipelineStore {
             match &mut entry.pipeline {
                 Some(pipeline) => {
                     let was_armed = pipeline.calibration_state().is_armed();
-                    let o = pipeline.ingest_trace(trace);
+                    let mut o = pipeline.ingest_trace(trace);
                     if o.index.is_some() {
                         let armed = pipeline.calibration_state().is_armed();
                         if pipeline.is_self_calibrating() && !was_armed {
@@ -267,10 +320,18 @@ impl PipelineStore {
                         entry.stats.scored += 1;
                         // The pipeline's sanitizer has already rejected
                         // every non-finite trace; only the length is
-                        // left to check.
+                        // left to check. A golden chip keeps the
+                        // features its pipeline extracted.
                         debug_assert!(trace.iter().all(|s| s.is_finite()));
-                        if same_length(&entry.baseline, trace) {
-                            push_baseline(&mut entry.baseline, trace, baseline_window);
+                        if entry.baseline.same_length(trace) {
+                            let row = if golden {
+                                o.rms.take()
+                            } else {
+                                Some(trace.to_vec())
+                            };
+                            if let Some(row) = row {
+                                entry.baseline.push(row, trace.len(), baseline_window);
+                            }
                         }
                     } else {
                         out.rejected += 1;
@@ -284,12 +345,17 @@ impl PipelineStore {
                     out.health = o.health;
                 }
                 None => {
-                    if baseline_compatible(&entry.baseline, trace) {
-                        push_baseline(&mut entry.baseline, trace, baseline_window);
+                    // Only a golden chip warms without a pipeline.
+                    let row = entry
+                        .baseline
+                        .compatible(trace)
+                        .then(|| golden_features(trace));
+                    if let Some(Ok(row)) = row {
+                        entry.baseline.push(row, trace.len(), baseline_window);
                         out.warmup += 1;
                         entry.stats.scored += 1;
                         entry.streak = 0;
-                        if entry.baseline.len() >= golden_traces {
+                        if entry.baseline.rows.len() >= golden_traces {
                             fit_wanted = true;
                         }
                     } else {
@@ -301,7 +367,7 @@ impl PipelineStore {
             }
             if fit_wanted && entry.pipeline.is_none() {
                 let labels = entry.labels.clone();
-                entry.pipeline = Some(build_pipeline(&entry.baseline, labels)?);
+                entry.pipeline = Some(build_pipeline(&mut entry.baseline, labels)?);
                 out.fitted_now = true;
                 self.fits += 1;
             }
@@ -318,21 +384,21 @@ impl PipelineStore {
     /// self-calibrating mode.
     fn revive(&mut self, chip_id: &str, rec: ColdRecord) -> Result<ChipEntry, FleetError> {
         let labels = self.shard_labels.with("chip", chip_id);
-        let baseline = rec.baseline;
+        let mut baseline = rec.baseline;
         let pipeline = match self.mode {
             BaselineMode::Golden => {
-                if baseline.len() >= 2 {
+                if baseline.rows.len() >= 2 {
                     self.refits += 1;
-                    Some(build_pipeline(&baseline, labels.clone())?)
+                    Some(build_pipeline(&mut baseline, labels.clone())?)
                 } else {
                     None
                 }
             }
             BaselineMode::SelfCalibrating => {
                 let mut pipeline = build_selfcal_pipeline(self.golden_traces, labels.clone())?;
-                if !baseline.is_empty() {
+                if !baseline.rows.is_empty() {
                     self.refits += 1;
-                    for trace in &baseline {
+                    for trace in &baseline.rows {
                         let _ = pipeline.ingest_trace(trace);
                     }
                 }
@@ -398,56 +464,35 @@ impl PipelineStore {
     }
 }
 
-/// Whether a trace can join the chip's baseline: finite samples and a
-/// length agreeing with what the baseline already holds.
-fn baseline_compatible(baseline: &VecDeque<Vec<f64>>, trace: &[f64]) -> bool {
-    same_length(baseline, trace) && trace.iter().all(|s| s.is_finite())
-}
-
-/// Whether a trace is non-empty and as long as the baseline's traces.
-fn same_length(baseline: &VecDeque<Vec<f64>>, trace: &[f64]) -> bool {
-    !trace.is_empty()
-        && baseline
-            .front()
-            .is_none_or(|first| first.len() == trace.len())
-}
-
-/// Appends a copy of `trace` to the rolling baseline, keeping the
-/// newest `window` traces. Once the window is full the evicted trace's
-/// buffer holds the copy, so a full ring allocates nothing.
-fn push_baseline(baseline: &mut VecDeque<Vec<f64>>, trace: &[f64], window: usize) {
-    let recycled = if baseline.len() >= window {
-        baseline.pop_front()
-    } else {
-        None
-    };
-    match recycled {
-        Some(mut buf) => {
-            buf.clear();
-            buf.extend_from_slice(trace);
-            baseline.push_back(buf);
-        }
-        None => baseline.push_back(trace.to_vec()),
-    }
-    while baseline.len() > window {
-        baseline.pop_front();
-    }
-}
-
-/// Fits a golden fingerprint from the baseline and wraps it in a fresh
-/// per-chip pipeline. PCA is disabled: fleet-scale per-chip fits trade
-/// the projection's compaction for constant-time cold starts.
-fn build_pipeline(
-    baseline: &VecDeque<Vec<f64>>,
-    labels: LabelSet,
-) -> Result<DetectionPipeline, FleetError> {
-    let golden = TraceSet::new(baseline.iter().cloned().collect(), SAMPLE_RATE_HZ)?;
-    let config = FingerprintConfig {
+/// The fingerprint settings of every golden chip. PCA is disabled:
+/// fleet-scale per-chip fits trade the projection's compaction for
+/// constant-time cold starts.
+fn golden_config() -> FingerprintConfig {
+    FingerprintConfig {
         pca_components: None,
         threshold_margin: 1.25,
         ..FingerprintConfig::default()
-    };
-    let fingerprint = GoldenFingerprint::fit(&golden, config)?;
+    }
+}
+
+/// A warming golden chip's baseline row: the trace's raw RMS features,
+/// as its fitted pipeline will extract them.
+fn golden_features(trace: &[f64]) -> Result<Vec<f64>, emtrust::TrustError> {
+    bin_rms(trace, golden_config().rms_bin)
+}
+
+/// Fits a golden fingerprint from the baseline's features and wraps it
+/// in a fresh per-chip pipeline.
+fn build_pipeline(
+    baseline: &mut Baseline,
+    labels: LabelSet,
+) -> Result<DetectionPipeline, FleetError> {
+    let _span = emtrust::telemetry::span("fit");
+    let fingerprint = GoldenFingerprint::from_features(
+        baseline.rows.make_contiguous(),
+        baseline.trace_len,
+        golden_config(),
+    )?;
     Ok(DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::new(fingerprint)))
         .sanitizer(TraceSanitizer::default())
@@ -632,31 +677,92 @@ mod tests {
         assert_eq!(s.evictions(), 11);
     }
 
+    /// The fingerprint `GoldenFingerprint::fit` gives on a trace set of
+    /// `traces`, with the store's settings.
+    fn fit_on_traces(traces: &[Vec<f64>]) -> GoldenFingerprint {
+        let set = emtrust::TraceSet::new(traces.to_vec(), 640e6).unwrap();
+        GoldenFingerprint::fit(&set, golden_config()).unwrap()
+    }
+
+    /// Asserts that hot chip `chip`'s fingerprint is bit-equal to
+    /// [`fit_on_traces`] on `traces`.
+    fn assert_fitted_on(s: &PipelineStore, chip: &str, traces: &[Vec<f64>]) {
+        let got = s.hot[chip].pipeline.as_ref().and_then(|p| p.projector());
+        let got = got.expect("a fitted golden chip");
+        let want = fit_on_traces(traces);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            got.scale().to_bits(),
+            want.scale().to_bits(),
+            "{chip} scale"
+        );
+        assert_eq!(
+            bits(got.centroid()),
+            bits(want.centroid()),
+            "{chip} centroid"
+        );
+        assert_eq!(got.threshold().to_bits(), want.threshold().to_bits());
+        assert_eq!(got.expected_trace_len(), want.expected_trace_len());
+        assert_eq!(got.golden_count(), traces.len());
+    }
+
     #[test]
-    fn baseline_ring_keeps_the_newest_traces_in_order() {
-        // The ring as it was: push a copy, then drop from the front.
-        fn reference(ring: &mut VecDeque<Vec<f64>>, trace: &[f64], window: usize) {
-            ring.push_back(trace.to_vec());
-            while ring.len() > window {
-                ring.pop_front();
-            }
-        }
-        for window in [1, 2, 8] {
-            let mut ring = VecDeque::new();
-            let mut want = VecDeque::new();
-            for k in 0..3 * window as u64 + 2 {
-                let t = noisy_trace(k);
-                push_baseline(&mut ring, &t, window);
-                reference(&mut want, &t, window);
-                let bits = |r: &VecDeque<Vec<f64>>| -> Vec<Vec<u64>> {
-                    r.iter()
-                        .map(|t| t.iter().map(|x| x.to_bits()).collect())
-                        .collect()
-                };
-                assert_eq!(bits(&ring), bits(&want), "window {window}, push {k}");
-                assert_eq!(ring.len(), (k as usize + 1).min(window));
-            }
-        }
+    fn fits_and_refits_from_features_equal_fits_from_traces() {
+        let t: Vec<Vec<f64>> = (0..9).map(noisy_trace).collect();
+        let mut s = store(2);
+        // Cold start: the third clean trace completes the fit.
+        assert!(!s.ingest("a", &t[..2]).unwrap().fitted_now);
+        assert!(s.ingest("a", &t[2..3]).unwrap().fitted_now);
+        assert_fitted_on(&s, "a", &t[..3]);
+        // Each trace keeps its 8 features, an eighth of its 64 samples.
+        assert_eq!(s.baseline_floats(), 3 * 8);
+        // Scored rounds fill the 6-trace ring with t2..t7.
+        assert_eq!(s.ingest("a", &t[3..5]).unwrap().scored, 2);
+        assert_eq!(s.ingest("a", &t[5..8]).unwrap().scored, 3);
+        assert_eq!(s.baseline_floats(), 6 * 8);
+        // An LRU eviction, then a revival refit from the retained ring.
+        warm(&mut s, "b");
+        warm(&mut s, "c");
+        assert_eq!(residency(&s).1, ["a"]);
+        assert_eq!(s.ingest("a", &t[8..9]).unwrap().scored, 1);
+        assert_eq!(s.refits(), 1);
+        assert_fitted_on(&s, "a", &t[2..8]);
+        assert_eq!(s.baseline_floats(), (6 + 3 + 3) * 8);
+    }
+
+    #[test]
+    fn warmup_refuses_bad_traces_and_counts_them_in_the_streak() {
+        let t: Vec<Vec<f64>> = (0..3).map(noisy_trace).collect();
+        let with = |k: usize, x: f64| {
+            let mut bad = t[0].clone();
+            bad[k] = x;
+            bad
+        };
+        let mut s = store(4);
+        let out = s.ingest("a", &t[..1]).unwrap();
+        assert_eq!((out.warmup, out.consecutive_rejections), (1, 0));
+        // NaN and ±inf samples and an empty trace, before and after a
+        // clean one, then traces shorter and longer than the first.
+        let bad = [with(5, f64::NAN), with(0, f64::INFINITY)];
+        let out = s.ingest("a", &bad).unwrap();
+        assert_eq!((out.rejected, out.consecutive_rejections), (2, 2));
+        assert!(out.fully_rejected);
+        let bad = [with(63, f64::NEG_INFINITY), Vec::new()];
+        let out = s.ingest("a", &bad).unwrap();
+        assert_eq!((out.rejected, out.consecutive_rejections), (2, 4));
+        let out = s.ingest("a", &t[1..2]).unwrap();
+        assert_eq!((out.warmup, out.consecutive_rejections), (1, 0));
+        let bad = [t[2][..32].to_vec(), [t[2].as_slice(), &[0.5]].concat()];
+        let out = s.ingest("a", &bad).unwrap();
+        assert_eq!((out.rejected, out.consecutive_rejections), (2, 2));
+        assert_eq!(s.baseline_floats(), 2 * 8);
+        // The fit reads the three clean traces and nothing else.
+        let out = s.ingest("a", &t[2..3]).unwrap();
+        assert!(out.fitted_now);
+        assert_eq!(out.consecutive_rejections, 0);
+        assert_fitted_on(&s, "a", &t);
+        let stats = s.chip_stats();
+        assert_eq!((stats[0].1.scored, stats[0].1.rejected), (3, 6));
     }
 
     #[test]
@@ -708,6 +814,8 @@ mod tests {
         // Evict "a" by introducing "b".
         s.ingest("b", &[clean_trace(0)]).unwrap();
         assert_eq!(s.evictions(), 1);
+        // A self-calibrating chip keeps its samples for the replay.
+        assert_eq!(s.baseline_floats(), (4 + 1) * 64);
         // "a" returns armed: its retained baseline re-warmed the fresh
         // rolling statistics, so scoring resumes immediately.
         let out = s.ingest("a", &[clean_trace(5)]).unwrap();

@@ -9,27 +9,18 @@ use emtrust::telemetry::ForensicsConfig;
 use emtrust::{DetectionPipeline, EuclideanDetector, TraceSet};
 use emtrust_em::array::EmArray;
 use emtrust_em::pipeline::EmPipelineConfig;
-use emtrust_layout::floorplan::{Die, Floorplan};
+use emtrust_layout::floorplan::Die;
 use emtrust_layout::spiral::SpiralSensor;
-use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel};
+use emtrust_silicon::chip::reference_design;
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const KEY: [u8; 16] = *b"sixteen byte key";
 
-fn placed_chip(chip: &ProtectedChip) -> (Floorplan, CurrentModel) {
-    let library = Library::generic_180nm();
-    let die = Die::for_netlist(chip.netlist(), &library, 0.7).unwrap();
-    let floorplan = Floorplan::place(chip.netlist(), &library, die).unwrap();
-    let model = CurrentModel::new(library, ClockConfig::reference());
-    (floorplan, model)
-}
-
 #[test]
 fn one_by_one_tile_weights_equal_the_full_die_coil() {
     let chip = ProtectedChip::golden();
-    let (floorplan, model) = placed_chip(&chip);
+    let (floorplan, model) = reference_design(chip.netlist()).unwrap();
     let array = EmArray::build(chip.netlist(), &floorplan, model.clone(), 1, 1, 20).unwrap();
     let single = EmPipelineConfig::default()
         .with_model(model)
@@ -41,7 +32,7 @@ fn one_by_one_tile_weights_equal_the_full_die_coil() {
 #[test]
 fn partitioned_tile_weights_track_the_full_die_coil() {
     let chip = ProtectedChip::golden();
-    let (floorplan, model) = placed_chip(&chip);
+    let (floorplan, model) = reference_design(chip.netlist()).unwrap();
     let array = EmArray::build(chip.netlist(), &floorplan, model.clone(), 2, 2, 10).unwrap();
     let single = EmPipelineConfig::default()
         .with_model(model)
@@ -109,7 +100,7 @@ fn partitioned_tile_weights_track_the_full_die_coil() {
 #[test]
 fn sub_coil_turns_never_double_count_a_die_position() {
     let chip = ProtectedChip::golden();
-    let (floorplan, _) = placed_chip(&chip);
+    let (floorplan, _) = reference_design(chip.netlist()).unwrap();
     let die = floorplan.die();
     let coils: Vec<SpiralSensor> = die
         .tiles(2, 3)

@@ -13,10 +13,8 @@ use emtrust_em::coil::Coil;
 use emtrust_em::emf::emf_from_weighted_current;
 use emtrust_em::noise::NoiseModel;
 use emtrust_em::pipeline::EmSensor;
-use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::spiral::SpiralSensor;
-use emtrust_netlist::library::Library;
-use emtrust_power::{ClockConfig, CurrentModel};
+use emtrust_silicon::chip::reference_design;
 use emtrust_silicon::Channel;
 use emtrust_trojan::ProtectedChip;
 use rand::rngs::StdRng;
@@ -26,11 +24,8 @@ const KEY: [u8; 16] = *b"continuous-key!!";
 
 /// The simulation bench's on-chip channel, rebuilt from its parts.
 fn onchip_sensor(chip: &ProtectedChip) -> EmSensor {
-    let library = Library::generic_180nm();
-    let die = Die::for_netlist(chip.netlist(), &library, 0.7).unwrap();
-    let floorplan = Floorplan::place(chip.netlist(), &library, die).unwrap();
-    let model = CurrentModel::new(library, ClockConfig::reference());
-    let coil = Coil::OnChip(SpiralSensor::for_die(die).unwrap());
+    let (floorplan, model) = reference_design(chip.netlist()).unwrap();
+    let coil = Coil::OnChip(SpiralSensor::for_die(floorplan.die()).unwrap());
     EmSensor::new(coil, chip.netlist(), &floorplan, model).unwrap()
 }
 
