@@ -2,12 +2,12 @@
 //! batch-evaluation engine. Each group sweeps the worker count so
 //! `cargo bench` doubles as the speedup report (`exp_throughput` writes
 //! the machine-readable version to `BENCH_parallel.json`). The
-//! `simulate` group covers both widths of the word-parallel simulator
-//! and the Trojans' state-cone pass, with and without the chip's memo;
-//! the `synthesize` group compares binning stored events with binning
-//! the simulator's toggle words as it runs, on one lane, on 16 lanes of
-//! one plaintext (blocks the lanes share are binned once) and on 64 lanes
-//! of distinct plaintexts. The `frontend` and `fleet` groups time the
+//! `simulate` group covers both widths of the word-parallel simulator, a
+//! 48-block recording and the Trojans' state-cone pass, with and without
+//! the chip's memo; the `synthesize` group compares binning a stored
+//! recording with binning the simulator's toggle words as it runs, on
+//! one lane, on 16 lanes of one plaintext (blocks the lanes share are
+//! binned once) and on 64 lanes of distinct plaintexts. The `frontend` and `fleet` groups time the
 //! per-trace work of a fleet shard on 768-sample traces: the trace
 //! screen alone, one `ingest_trace` through a fitted per-chip pipeline,
 //! and a whole shard epoch through one `PipelineStore`.
@@ -109,7 +109,9 @@ fn parallel_ingest_batch(c: &mut Criterion) {
 /// Recorded encryptions at both lane widths: one live lane on the
 /// all-Trojan chip with T1 armed (a one-lane recording, as a campaign's
 /// power-on block and the sim tests run), and a full word of lanes on
-/// the golden chip. Then a 16-encryption T1-armed campaign on the
+/// the golden chip. Then a 48-block one-lane recording of the golden
+/// chip under fresh plaintexts, the window `spectral_watch` records to
+/// check its ciphertexts and to replay a measurement. Then a 16-encryption T1-armed campaign on the
 /// all-Trojan chip, as `monitor` collects a batch, each under a fresh
 /// plaintext, and then one campaign repeated, whose blocks every
 /// iteration after the first reads from the bench's memo and only
@@ -143,6 +145,26 @@ fn simulate(c: &mut Criterion) {
             sim.start_recording();
             let cts = run_encryptions(&mut sim, golden.aes_ports(), EXPERIMENT_KEY, &plaintexts);
             (cts, sim.take_lane_recordings())
+        })
+    });
+
+    let mut sim = golden.simulator().expect("simulator");
+    let mut block = 0u128;
+    g.throughput(Throughput::Elements(48));
+    g.bench_function("record_48_blocks_one_lane", |b| {
+        b.iter(|| {
+            sim.start_recording();
+            for _ in 0..48 {
+                block += 1;
+                let pt = block.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
+                let _ = run_encryption(
+                    &mut sim,
+                    golden.aes_ports(),
+                    EXPERIMENT_KEY,
+                    pt.to_le_bytes(),
+                );
+            }
+            sim.take_recording()
         })
     });
 
@@ -198,8 +220,8 @@ fn simulate(c: &mut Criterion) {
 }
 
 /// Eight weighted currents of one T1-armed encryption (a 4×2 array's
-/// worth) from a charge table compiled once: stored events binned after
-/// a recording, against the simulator's toggle words binned as it runs.
+/// worth) from a charge table compiled once: a recording binned after it
+/// is stored, against the simulator's toggle words binned as it runs.
 /// Then 16 lanes of one plaintext on the all-Trojan chip with T1 armed,
 /// each lane warmed up and loaded with its own state-cone entry, as a
 /// `monitor` batch (1 set) or an `array_attribution` campaign (8 sets)
@@ -238,7 +260,7 @@ fn synthesize(c: &mut Criterion) {
     let mut g = c.benchmark_group("synthesize");
     g.sample_size(10);
     g.throughput(Throughput::Elements(1));
-    g.bench_function("stored_events_to_bins_8_sets", |b| {
+    g.bench_function("stored_words_to_bins_8_sets", |b| {
         b.iter(|| {
             sim.start_recording();
             let _ = run_encryption(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, pt);

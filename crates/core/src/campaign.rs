@@ -371,7 +371,8 @@ mod tests {
         }
         let recording = sim.take_recording();
         for n in [1, 63, 64, 65, 130] {
-            let prefix: ActivityTrace = recording.cycles()[..12 * n].iter().cloned().collect();
+            let mut prefix = recording.clone();
+            prefix.truncate(12 * n);
             let expected = stored(&chip, &sets, &prefix, None);
             for workers in [1, 2, 4] {
                 let parallel = ParallelConfig::serial().with_workers(workers);

@@ -242,7 +242,7 @@ impl EmSensor {
     }
 
     /// The noiseless emf of binned activity (see
-    /// [`ChargeTable::bin_cycle`] and [`ChargeTable::bin_trace`]),
+    /// [`ChargeTable::bin_words`] and [`ChargeTable::bin_trace`]),
     /// rendered from this sensor's table.
     ///
     /// - `extra_leakage_a`: per-cycle extra leakage (T2's channel),

@@ -11,19 +11,19 @@
 //!    clock edge's toggle bits of every live lane ([`ToggleWords`]) into
 //!    one [`ChargeBins`] entry per (lane, level, weight set), level run
 //!    by level run, and does the work of the blocks the lanes share
-//!    once; [`ChargeTable::bin_cycle`] does the same for a recorded
-//!    cycle's events. Either way every bin adds its toggles in serial
-//!    event order, so both give the same bits. The clock edge opens the
-//!    level-0 bin.
+//!    once. Every bin adds its toggles in serial event order; the clock
+//!    edge opens the level-0 bin. A stored [`ActivityTrace`] keeps the
+//!    same words, one lane's per cycle, and [`ChargeTable::bin_trace`]
+//!    bins them with the same kernel.
 //! 2. **Render.** [`ChargeTable::render`] deposits each bin once, split
 //!    linearly over the two samples around its instant, over each set's
 //!    leakage floor, then adds the per-cycle extra leakage.
 //!
-//! A cycle's bins depend only on its own events, so the bins of a stream
-//! (binned cycle by cycle while the simulator runs) and of a stored
-//! [`ActivityTrace`] are the same bits, and windows render serially in
-//! cycle order. One deposit per bin instead of one per event rounds
-//! differently from the per-event renderer
+//! A cycle's bins depend only on its own toggles, so the bins of a
+//! stream (binned cycle by cycle while the simulator runs) and of a
+//! stored [`ActivityTrace`] are the same bits, and windows render
+//! serially in cycle order. One deposit per bin instead of one per
+//! event rounds differently from the per-event renderer
 //! ([`CurrentModel::synthesize_reference`]); the difference is a few
 //! ulps of the bin sums, bounded by the tests at 1e-12 of the trace's
 //! peak.
@@ -35,7 +35,7 @@ use emtrust_netlist::cell::CellKind;
 use emtrust_netlist::graph::{CellId, Netlist};
 use emtrust_netlist::level::levelize;
 use emtrust_netlist::library::Library;
-use emtrust_sim::activity::{ActivityTrace, ToggleEvent};
+use emtrust_sim::activity::ActivityTrace;
 use emtrust_sim::{Sources, ToggleWords, LANES};
 
 /// Fraction of a flip-flop's `C_eff` switched by its clock pins every
@@ -122,10 +122,31 @@ impl CurrentModel {
         ChargeTable::build(self, netlist, weight_sets, Rows::of(&sources))
     }
 
+    /// The charge table of `activity`, recorded on `netlist`, in the
+    /// source order of its recording: a trace with no cycle has none, and
+    /// takes the netlist's.
+    fn recording_table(
+        &self,
+        netlist: &Netlist,
+        activity: &ActivityTrace,
+        weight_sets: &[Option<&[f64]>],
+    ) -> Result<ChargeTable, PowerError> {
+        let Some(sources) = activity.sources() else {
+            return self.charge_table(netlist, weight_sets);
+        };
+        if sources.len() != netlist.cell_count() {
+            return Err(PowerError::LengthMismatch {
+                expected: netlist.cell_count(),
+                actual: sources.len(),
+            });
+        }
+        ChargeTable::build(self, netlist, weight_sets, Rows::of(sources))
+    }
+
     /// Synthesizes the supply-current waveform for `activity` recorded on
     /// `netlist`, with the bin step fanned across `workers` threads in
     /// cycle chunks ([`ChargeTable::bin_trace`]). Each cycle's bins depend
-    /// only on its own events, so the waveform is bit-identical for every
+    /// only on its own toggles, so the waveform is bit-identical for every
     /// `workers` value.
     ///
     /// - `weights`: optional per-cell factors (indexed by
@@ -140,7 +161,8 @@ impl CurrentModel {
     /// # Errors
     ///
     /// Returns [`PowerError::LengthMismatch`] if `weights` doesn't cover
-    /// every cell or `extra_leakage_a` doesn't cover every cycle.
+    /// every cell, `extra_leakage_a` doesn't cover every cycle or
+    /// `activity` was recorded on a netlist of another size.
     pub fn synthesize_with(
         &self,
         netlist: &Netlist,
@@ -149,25 +171,26 @@ impl CurrentModel {
         extra_leakage_a: Option<&[f64]>,
         workers: usize,
     ) -> Result<CurrentTrace, PowerError> {
-        let table = ChargeTable::build(self, netlist, &[weights], Rows::Cells)?;
+        let table = self.recording_table(netlist, activity, &[weights])?;
         let bins = table.bin_trace(activity, workers);
         let mut traces = table.render(&bins, extra_leakage_a)?;
         Ok(traces.swap_remove(0))
     }
 
-    /// Synthesizes one waveform **per weight vector** from a single walk
-    /// over the activity's events: the sensor-array path, one simulation
+    /// Synthesizes one waveform **per weight vector** from a single pass
+    /// over the activity's words: the sensor-array path, one simulation
     /// pass, N coupling kernels, N flux-weighted currents.
     ///
-    /// The bins of every set are summed from the same event walk, so the
-    /// `k`-th output is bit-identical to `synthesize_with(netlist,
-    /// activity, Some(weight_sets[k]), extra_leakage_a, workers)`.
+    /// The bins of every set are summed in the same pass, so the `k`-th
+    /// output is bit-identical to `synthesize_with(netlist, activity,
+    /// Some(weight_sets[k]), extra_leakage_a, workers)`.
     ///
     /// # Errors
     ///
     /// Returns [`PowerError::LengthMismatch`] if any weight vector doesn't
-    /// cover every cell or `extra_leakage_a` doesn't cover every cycle,
-    /// and [`PowerError::InvalidParameter`] for an empty weight-set list.
+    /// cover every cell, `extra_leakage_a` doesn't cover every cycle or
+    /// `activity` was recorded on a netlist of another size, and
+    /// [`PowerError::InvalidParameter`] for an empty weight-set list.
     pub fn synthesize_multi(
         &self,
         netlist: &Netlist,
@@ -177,15 +200,16 @@ impl CurrentModel {
         workers: usize,
     ) -> Result<Vec<CurrentTrace>, PowerError> {
         let sets: Vec<Option<&[f64]>> = weight_sets.iter().map(|w| Some(*w)).collect();
-        let table = ChargeTable::build(self, netlist, &sets, Rows::Cells)?;
+        let table = self.recording_table(netlist, activity, &sets)?;
         let bins = table.bin_trace(activity, workers);
         table.render(&bins, extra_leakage_a)
     }
 
     /// The per-event oracle: netlist/library lookups, a charge division
-    /// and one deposit on every event, one weight set, serial. It shares
-    /// only the model with the binned path (the instant of a level-`l`
-    /// toggle in its cycle), not the table or the bins.
+    /// and one deposit on every event the recording decodes, one weight
+    /// set, serial. It shares only the model with the binned path (the
+    /// instant of a level-`l` toggle in its cycle), not the table or the
+    /// bins.
     ///
     /// Kept public for two jobs: tests bound the binned renderer against
     /// it, and `exp_throughput` times it as the before side of the
@@ -237,7 +261,7 @@ impl CurrentModel {
             .sum();
         let mean_weight = weights.map_or(1.0, mean);
 
-        for (k, cycle) in activity.cycles().iter().enumerate() {
+        for (k, cycle) in activity.cycles().enumerate() {
             let base = k * spc;
             deposit(&mut output, dt, base, tau * 0.5, clock_charge_weighted);
             for event in cycle.events() {
@@ -279,20 +303,19 @@ fn mean(w: &[f64]) -> f64 {
 /// in the simulator's source order, plus each set's leakage floor,
 /// clock-edge amplitude and mean weight. (The tables that
 /// [`CurrentModel::synthesize_with`] and
-/// [`CurrentModel::synthesize_multi`] compile for one recording keep
-/// cell order instead and skip the levelization; both orders bin to the
-/// same bits.)
+/// [`CurrentModel::synthesize_multi`] compile for one recording take
+/// that order from the recording's [`Sources`] and skip the
+/// levelization.)
 ///
 /// Build it with [`CurrentModel::charge_table`]; bin a simulated edge's
-/// toggle bits with [`Self::bin_words`], a recorded cycle's events with
-/// [`Self::bin_cycle`] (or a whole recording with [`Self::bin_trace`]);
-/// render the currents with [`Self::render`].
+/// toggle bits with [`Self::bin_words`], a whole recording with
+/// [`Self::bin_trace`]; render the currents with [`Self::render`].
 #[derive(Debug, Clone)]
 pub struct ChargeTable {
     /// Each cell kind's library data, and per cell its index in it.
     kinds: Vec<KindCharge>,
     cell_kind: Vec<u8>,
-    /// The order of the amplitude rows.
+    /// The source order of the amplitude rows.
     rows: Rows,
     /// The clock-load charge of one flip-flop per edge.
     clock_q: f64,
@@ -312,23 +335,16 @@ pub struct ChargeTable {
     gate_delay_s: f64,
 }
 
-/// The order of a [`ChargeTable`]'s amplitude rows.
+/// The order of a [`ChargeTable`]'s amplitude rows: the simulator's
+/// source order, which [`ChargeTable::bin_words`] needs.
 #[derive(Debug, Clone)]
-enum Rows {
-    /// The simulator's source order, which [`ChargeTable::bin_words`]
-    /// needs.
-    Sources {
-        /// Per cell: its source index, the row of its amplitudes.
-        source_of: Vec<u32>,
-        /// Per level `l`: one past its last source
-        /// ([`Sources::level_ends`]).
-        level_ends: Vec<usize>,
-        /// The [`Sources::digest`] of the order.
-        digest: u64,
-    },
-    /// Cell order, for the tables `CurrentModel::synthesize_*` compile to
-    /// bin one recording: no levelization, and they never see words.
-    Cells,
+struct Rows {
+    /// Per cell: its source index, the row of its amplitudes.
+    source_of: Vec<u32>,
+    /// Per level `l`: one past its last source ([`Sources::level_ends`]).
+    level_ends: Vec<usize>,
+    /// The [`Sources::digest`] of the order.
+    digest: u64,
 }
 
 impl Rows {
@@ -337,7 +353,7 @@ impl Rows {
         for (source, event) in sources.events().iter().enumerate() {
             source_of[event.cell.index()] = source as u32;
         }
-        Rows::Sources {
+        Rows {
             source_of,
             level_ends: sources.level_ends().to_vec(),
             digest: sources.digest(),
@@ -346,10 +362,7 @@ impl Rows {
 
     /// Cell `cell`'s amplitude row.
     fn row(&self, cell: usize) -> usize {
-        match self {
-            Rows::Sources { source_of, .. } => source_of[cell] as usize,
-            Rows::Cells => cell,
-        }
+        self.source_of[cell] as usize
     }
 }
 
@@ -509,9 +522,9 @@ impl ChargeTable {
     /// Appends one simulated clock edge to every live lane's bins, from
     /// the edge's toggle bits: `bins[j]` is lane `j`'s. In each lane the
     /// clock edge opens the level-0 bin, then every toggled source adds
-    /// its amplitudes to its level's bin, in source order, so lane `j`'s
-    /// bins are the same bits as [`Self::bin_cycle`] over
-    /// [`ToggleWords::events`] of lane `j`.
+    /// its amplitudes to its level's bin, in source order: lane `j`'s
+    /// bins are each level's left fold of [`ToggleWords::events`] of
+    /// lane `j`, bit for bit.
     ///
     /// Per level, the blocks every lane shares ([`ToggleWords::shared`])
     /// up to the first that they do not are summed once, into one
@@ -524,12 +537,11 @@ impl ChargeTable {
     /// Panics if the table was compiled for another netlist than the
     /// words' program, or `bins` does not hold one entry per live lane.
     pub fn bin_words(&self, words: ToggleWords<'_>, bins: &mut [ChargeBins]) {
-        let level_ends = match &self.rows {
-            Rows::Sources {
-                level_ends, digest, ..
-            } if *digest == words.sources().digest() => level_ends,
-            _ => panic!("charge table was compiled for another netlist"),
-        };
+        assert!(
+            self.rows.digest == words.sources().digest(),
+            "charge table was compiled for another netlist"
+        );
+        let level_ends = &self.rows.level_ends;
         assert_eq!(
             bins.len(),
             words.lanes(),
@@ -686,94 +698,31 @@ impl ChargeTable {
         }
     }
 
-    /// Appends one recorded cycle to `bins`: the clock edge opens the
-    /// level-0 bin, then every event adds its amplitudes to its level's
-    /// bin, in the order given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event's cell is not covered by the table.
-    pub fn bin_cycle(&self, events: &[ToggleEvent], bins: &mut ChargeBins) {
-        // One copy of the loop per row order, so no event branches on it.
-        match &self.rows {
-            Rows::Sources { source_of, .. } => {
-                self.bin_events(events, bins, |cell| source_of[cell] as usize)
-            }
-            Rows::Cells => self.bin_events(events, bins, |cell| cell),
-        }
-    }
-
-    /// [`Self::bin_cycle`] with each cell's amplitude row given by `row`.
-    #[inline(always)]
-    fn bin_events(
-        &self,
-        events: &[ToggleEvent],
-        bins: &mut ChargeBins,
-        row: impl Fn(usize) -> usize + Copy,
-    ) {
-        let start = bins.open(&self.clock_amp);
-        self.bin_groups(
-            bins,
-            |bins, first| self.bin_events_group::<8>(events, row, bins, start, first),
-            |bins, first| self.bin_events_group::<1>(events, row, bins, start, first),
-        );
-    }
-
-    /// [`Self::bin_cycle`] for sets `first..first + N` of the cycle whose
-    /// level-0 bin starts at `start`.
-    #[inline(always)]
-    fn bin_events_group<const N: usize>(
-        &self,
-        events: &[ToggleEvent],
-        row: impl Fn(usize) -> usize,
-        bins: &mut ChargeBins,
-        start: usize,
-        first: usize,
-    ) {
-        let sets = self.sets;
-        let mut level = 0;
-        let mut at = start + first;
-        let mut acc = [0.0; N];
-        acc.copy_from_slice(&bins.sums[at..at + N]);
-        for e in events {
-            if e.level != level {
-                bins.sums[at..at + N].copy_from_slice(&acc);
-                level = e.level;
-                let bin = start + level as usize * sets;
-                if bin + sets > bins.sums.len() {
-                    bins.sums.resize(bin + sets, 0.0);
-                }
-                at = bin + first;
-                acc.copy_from_slice(&bins.sums[at..at + N]);
-            }
-            let deposit = self.deposit::<N>(row(e.cell.index()), usize::from(e.rising), first);
-            for (a, d) in acc.iter_mut().zip(deposit) {
-                *a += d;
-            }
-        }
-        bins.sums[at..at + N].copy_from_slice(&acc);
-    }
-
-    /// Bins every cycle of a stored recording. With `workers > 1` the
+    /// Bins every cycle of a stored recording, each as a one-lane edge
+    /// of [`Self::bin_words`], so a stored cycle bins to the same bits as
+    /// the streamed edge it was recorded from. With `workers > 1` the
     /// cycles are split into one chunk per worker and the chunks' bins
     /// concatenated in order; bins are per cycle, so the result is the
     /// same bits for every `workers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was compiled for another netlist than the one
+    /// `activity` was recorded on.
     pub fn bin_trace(&self, activity: &ActivityTrace, workers: usize) -> ChargeBins {
-        let cycles = activity.cycles();
-        let bin = |cycles: &[emtrust_sim::CycleActivity]| {
+        let cycles = activity.cycle_count();
+        let bin = |range: std::ops::Range<usize>| {
             let mut bins = self.bins();
-            for c in cycles {
-                self.bin_cycle(c.events(), &mut bins);
+            for k in range {
+                self.bin_words(activity.cycle(k).words(), std::slice::from_mut(&mut bins));
             }
             bins
         };
-        let chunk = cycles.len().div_ceil(workers.max(1)).max(1);
-        if chunk >= cycles.len() {
-            return bin(cycles);
+        let chunk = cycles.div_ceil(workers.max(1)).max(1);
+        if chunk >= cycles {
+            return bin(0..cycles);
         }
-        let parts = emtrust_dsp::parallel::chunked_map(cycles.len(), chunk, workers, |r| {
-            vec![bin(&cycles[r])]
-        });
+        let parts = emtrust_dsp::parallel::chunked_map(cycles, chunk, workers, |r| vec![bin(r)]);
         let mut bins = self.bins();
         for part in parts {
             bins.append(part);
@@ -859,9 +808,9 @@ impl ChargeTable {
 /// its levels up to the highest one that toggled (at least level 0,
 /// which holds the clock edge).
 ///
-/// Made by [`ChargeTable::bins`] and filled by
-/// [`ChargeTable::bin_cycle`]; an encryption's bins are about 200 values
-/// per set, where its events would be tens of thousands.
+/// Made by [`ChargeTable::bins`] and filled by [`ChargeTable::bin_words`]
+/// or [`ChargeTable::bin_trace`]; an encryption's bins are about 200
+/// values per set, where its events would be tens of thousands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChargeBins {
     sets: usize,
@@ -951,6 +900,84 @@ mod tests {
     use super::*;
     use emtrust_netlist::graph::Netlist;
     use emtrust_sim::engine::Simulator;
+    use emtrust_sim::ToggleEvent;
+
+    /// A table's amplitudes in cell order, the rows the tables that
+    /// `CurrentModel::synthesize_*` compiled for a recording kept
+    /// (`Rows::Cells`) while recordings stored one event per toggle.
+    fn cell_rows(table: &ChargeTable) -> Vec<f64> {
+        let sets = table.sets;
+        let mut amps = vec![0.0; table.amps.len()];
+        for (cell, row) in amps.chunks_exact_mut(sets).enumerate() {
+            let at = table.rows.row(cell) * sets;
+            row.copy_from_slice(&table.amps[at..at + sets]);
+        }
+        amps
+    }
+
+    /// The event walk that binned a stored cycle while recordings stored
+    /// one event per toggle, kept as the oracle of the word kernel: the
+    /// clock edge opens the level-0 bin, then every event adds its
+    /// amplitudes (`amps`, in cell order) to its level's bin, in the order
+    /// given.
+    fn bin_cycle(table: &ChargeTable, amps: &[f64], events: &[ToggleEvent], bins: &mut ChargeBins) {
+        let start = bins.open(&table.clock_amp);
+        table.bin_groups(
+            bins,
+            |bins, first| bin_events_group::<8>(table, amps, events, bins, start, first),
+            |bins, first| bin_events_group::<1>(table, amps, events, bins, start, first),
+        );
+    }
+
+    /// [`bin_cycle`] for sets `first..first + N` of the cycle whose
+    /// level-0 bin starts at `start`.
+    fn bin_events_group<const N: usize>(
+        table: &ChargeTable,
+        amps: &[f64],
+        events: &[ToggleEvent],
+        bins: &mut ChargeBins,
+        start: usize,
+        first: usize,
+    ) {
+        let sets = table.sets;
+        let mut level = 0;
+        let mut at = start + first;
+        let mut acc = [0.0; N];
+        acc.copy_from_slice(&bins.sums[at..at + N]);
+        for e in events {
+            if e.level != level {
+                bins.sums[at..at + N].copy_from_slice(&acc);
+                level = e.level;
+                let bin = start + level as usize * sets;
+                if bin + sets > bins.sums.len() {
+                    bins.sums.resize(bin + sets, 0.0);
+                }
+                at = bin + first;
+                acc.copy_from_slice(&bins.sums[at..at + N]);
+            }
+            let base = e.cell.index() * sets + first;
+            let edge = EDGE[usize::from(e.rising)];
+            for (a, &amp) in acc.iter_mut().zip(&amps[base..base + N]) {
+                *a += amp * edge;
+            }
+        }
+        bins.sums[at..at + N].copy_from_slice(&acc);
+    }
+
+    /// [`bin_cycle`] over every cycle of `cycles`, each a list of events.
+    fn bin_events(table: &ChargeTable, cycles: &[Vec<ToggleEvent>]) -> ChargeBins {
+        let amps = cell_rows(table);
+        let mut bins = table.bins();
+        for events in cycles {
+            bin_cycle(table, &amps, events, &mut bins);
+        }
+        bins
+    }
+
+    /// A recording's cycles, decoded into events.
+    fn decoded(activity: &ActivityTrace) -> Vec<Vec<ToggleEvent>> {
+        activity.cycles().map(|c| c.events().collect()).collect()
+    }
 
     fn toggle_netlist() -> Netlist {
         let mut n = Netlist::new("toggle");
@@ -1289,10 +1316,10 @@ mod tests {
                 * if e.rising { 1.0 } else { FALL_CHARGE_FRACTION }
         };
         let mut reordered = false;
-        for (k, cycle) in act.cycles().iter().enumerate() {
+        for (k, cycle) in decoded(&act).iter().enumerate() {
             let got = bins.cycle(k);
             for (level, &sum) in got.iter().enumerate() {
-                let events = cycle.events().iter().filter(|e| e.level as usize == level);
+                let events = cycle.iter().filter(|e| e.level as usize == level);
                 let start = if level == 0 { table.clock_amp[0] } else { 0.0 };
                 let forward = events.clone().fold(start, |acc, e| acc + amp(e));
                 let backward = events.rev().fold(start, |acc, e| acc + amp(e));
@@ -1393,6 +1420,7 @@ mod tests {
                     let refs: Vec<Option<&[f64]>> =
                         weight_sets[..sets].iter().map(|w| Some(w.as_slice())).collect();
                     let table = model().charge_table(n, &refs).unwrap();
+                    let amps = cell_rows(&table);
                     let mut sim = aes.simulator().unwrap();
                     let mut words_bins = vec![table.bins(); lanes];
                     let mut events_bins = vec![table.bins(); lanes];
@@ -1403,7 +1431,7 @@ mod tests {
                             s.step_words(|words| {
                                 table.bin_words(words, &mut words_bins);
                                 for (lane, bins) in events_bins.iter_mut().enumerate() {
-                                    table.bin_cycle(&words.events(lane), bins);
+                                    bin_cycle(&table, &amps, &words.events(lane), bins);
                                 }
                                 counts.absorb_words(words);
                                 shared += words.shared().iter().filter(|&&s| s).count();
@@ -1428,6 +1456,108 @@ mod tests {
                     }
                     proptest::prop_assert_eq!(&counts, &expected);
                     proptest::prop_assert_eq!(counts.cell_count(), expected.cell_count());
+                }
+            }
+        }
+    }
+
+    /// A random sequential netlist and its inputs: up to 6 inputs, 24
+    /// flip-flops and 160 gates of every combinational kind, each gate
+    /// reading nets made before it and each flop any net.
+    fn random_netlist(
+        rng: &mut rand::rngs::StdRng,
+    ) -> (Netlist, Vec<emtrust_netlist::graph::NetId>) {
+        use emtrust_netlist::cell::ALL_KINDS;
+        use rand::Rng;
+        let mut n = Netlist::new("random");
+        let inputs = n.input_bus("i", rng.gen_range(1..=6));
+        let mut nets = inputs.clone();
+        let flops: Vec<_> = (0..rng.gen_range(0..=24))
+            .map(|_| n.dff_deferred())
+            .collect();
+        nets.extend(flops.iter().map(|(q, _)| *q));
+        let kinds: Vec<CellKind> = ALL_KINDS
+            .into_iter()
+            .filter(|k| !k.is_sequential() && k.arity() > 0)
+            .collect();
+        for _ in 0..rng.gen_range(1..=160) {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            let ins: Vec<_> = (0..kind.arity())
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            let y = n.gate(kind, &ins);
+            nets.push(y);
+        }
+        for (_, d) in flops {
+            let net = nets[rng.gen_range(0..nets.len())];
+            n.connect_dff_d(d, net);
+        }
+        n.mark_output("y", nets[nets.len() - 1]);
+        (n, inputs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn stored_words_bin_and_decode_like_the_event_walk(
+            seed in 1u64..u64::MAX,
+            lanes in 1usize..=LANES,
+            sets in 1usize..=9,
+            workers in 1usize..=8,
+            cycles in 1usize..=40,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n, inputs) = random_netlist(&mut rng);
+            // Each edge's lanes draw their inputs from a pool of 1 to
+            // `lanes` words, so some edges share every block and others
+            // few.
+            let stimulus: Vec<Vec<u128>> = (0..cycles)
+                .map(|_| {
+                    let pool: Vec<u128> = (0..rng.gen_range(1..=lanes))
+                        .map(|_| u128::from(rng.gen::<u64>()))
+                        .collect();
+                    (0..lanes).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+                })
+                .collect();
+            let mut recorder = Simulator::new(&n).unwrap();
+            let mut streamer = Simulator::new(&n).unwrap();
+            recorder.start_recording();
+            let mut streamed: Vec<Vec<Vec<ToggleEvent>>> = vec![Vec::new(); lanes];
+            for words in &stimulus {
+                recorder.set_bus_lanes(&inputs, words);
+                recorder.step();
+                streamer.set_bus_lanes(&inputs, words);
+                streamer.step_words(|words| {
+                    for (lane, cycles) in streamed.iter_mut().enumerate() {
+                        cycles.push(words.events(lane));
+                    }
+                });
+            }
+            let traces = recorder.take_lane_recordings();
+            proptest::prop_assert_eq!(traces.len(), lanes);
+            // Weights over twelve decades make each bin's summation order
+            // visible in its bits.
+            let weight_sets: Vec<Vec<f64>> = (0..sets)
+                .map(|_| {
+                    (0..n.cell_count())
+                        .map(|_| 10f64.powi(rng.gen_range(0..13) - 6) * (1.0 + rng.gen::<f64>()))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<Option<&[f64]>> = weight_sets.iter().map(|w| Some(w.as_slice())).collect();
+            let multi: Vec<&[f64]> = weight_sets.iter().map(Vec::as_slice).collect();
+            let table = model().charge_table(&n, &refs).unwrap();
+            for (lane, (trace, events)) in traces.iter().zip(&streamed).enumerate() {
+                proptest::prop_assert_eq!(&decoded(trace), events, "lane {}", lane);
+                let expected = bin_events(&table, events);
+                proptest::prop_assert_eq!(&table.bin_trace(trace, workers), &expected, "lane {}", lane);
+                let currents = model().synthesize_multi(&n, trace, &multi, None, workers).unwrap();
+                for (got, want) in currents.iter().zip(table.render(&expected, None).unwrap()) {
+                    let same = got.len() == want.len()
+                        && got.samples().iter().zip(want.samples()).all(|(a, b)| a.to_bits() == b.to_bits());
+                    proptest::prop_assert!(same, "lane {}: synthesize_multi", lane);
                 }
             }
         }

@@ -6,12 +6,19 @@
 //! `t = cycle·T_clk + level·τ_gate`, which is how the within-cycle current
 //! profile (and hence the EM spectrum) arises.
 //!
+//! An [`ActivityTrace`] stores a recorded lane's toggles as the simulator
+//! hands them out ([`ToggleWords`]): per cycle, one toggled and one value
+//! bit per source of the program's [`Sources`], 64 sources a word, in one
+//! flat buffer. A [`CycleActivity`] decodes its cycle's events from those
+//! words on demand, in serial event order.
+//!
 //! Level convention: flip-flop `q` transitions are level 0 (they fire at
 //! the clock edge); a combinational cell at levelization depth `d` reports
 //! level `d + 1`.
 
-use crate::engine::{ToggleWords, LANES};
+use crate::engine::{Sources, ToggleWords, LANES};
 use emtrust_netlist::graph::CellId;
+use std::sync::Arc;
 
 /// One output transition of one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,52 +31,99 @@ pub struct ToggleEvent {
     pub rising: bool,
 }
 
-/// All toggles of one clock cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CycleActivity {
+/// One recorded clock cycle: a view of its toggled and value words in an
+/// [`ActivityTrace`].
+#[derive(Debug, Clone, Copy)]
+pub struct CycleActivity<'a> {
     cycle: u64,
-    events: Vec<ToggleEvent>,
+    sources: &'a Sources,
+    toggled: &'a [u64],
+    values: &'a [u64],
 }
 
-impl CycleActivity {
-    /// Creates an empty record for clock cycle `cycle`.
-    pub fn new(cycle: u64) -> Self {
-        Self {
-            cycle,
-            events: Vec::new(),
-        }
-    }
-
-    /// Creates the record of clock cycle `cycle` holding `events`.
-    pub(crate) fn from_events(cycle: u64, events: Vec<ToggleEvent>) -> Self {
-        Self { cycle, events }
-    }
-
+impl<'a> CycleActivity<'a> {
     /// The clock cycle index this record belongs to.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Appends an event.
-    pub fn push(&mut self, event: ToggleEvent) {
-        self.events.push(event);
-    }
-
-    /// The recorded events, in evaluation order.
-    pub fn events(&self) -> &[ToggleEvent] {
-        &self.events
+    /// The cycle's toggles as events, decoded from its words in serial
+    /// event order: source by source, flip-flops first.
+    pub fn events(&self) -> Events<'a> {
+        Events {
+            sources: self.sources.events(),
+            toggled: self.toggled.iter(),
+            values: self.values.iter(),
+            next_base: 0,
+            base: 0,
+            t: 0,
+            v: 0,
+        }
     }
 
     /// Number of toggles this cycle.
     pub fn toggle_count(&self) -> usize {
-        self.events.len()
+        self.toggled.iter().map(|t| t.count_ones() as usize).sum()
+    }
+
+    /// The cycle as the words of a one-lane clock edge, for
+    /// [`ToggleWords`] sinks such as the power model's binning.
+    pub fn words(&self) -> ToggleWords<'a> {
+        ToggleWords::one_lane(self.sources, self.toggled, self.values)
     }
 }
 
-/// A multi-cycle switching-activity trace.
+/// The events of a [`CycleActivity`], decoded one set toggle bit at a
+/// time ([`CycleActivity::events`]).
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    sources: &'a [ToggleEvent],
+    toggled: std::slice::Iter<'a, u64>,
+    values: std::slice::Iter<'a, u64>,
+    /// The first source of the next word.
+    next_base: usize,
+    /// The current word: its first source, its toggles not yet decoded
+    /// and its values.
+    base: usize,
+    t: u64,
+    v: u64,
+}
+
+impl Iterator for Events<'_> {
+    type Item = ToggleEvent;
+
+    fn next(&mut self) -> Option<ToggleEvent> {
+        while self.t == 0 {
+            (self.t, self.v) = (*self.toggled.next()?, *self.values.next()?);
+            self.base = self.next_base;
+            self.next_base += LANES;
+        }
+        let i = self.t.trailing_zeros();
+        self.t &= self.t - 1;
+        Some(ToggleEvent {
+            rising: self.v >> i & 1 != 0,
+            ..self.sources[self.base + i as usize]
+        })
+    }
+}
+
+/// A multi-cycle switching-activity trace: one lane's recording.
+///
+/// Each cycle keeps the lane's toggled words, then its value words, as
+/// [`ToggleWords`] hands them out, a shared block resolved to lane 0's
+/// words: `2·⌈sources/64⌉` words a cycle in one buffer for the whole
+/// trace (316 on the golden AES chip, against about 4 250 12-byte events).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActivityTrace {
-    cycles: Vec<CycleActivity>,
+    /// The sources the bits stand for; `None` before the first cycle.
+    sources: Option<Arc<Sources>>,
+    /// Words per cycle and kind (toggled, values).
+    blocks: usize,
+    /// The clock cycle of the first recorded cycle.
+    first: u64,
+    cycles: usize,
+    /// Per cycle: `blocks` toggled words, then `blocks` value words.
+    words: Vec<u64>,
 }
 
 impl ActivityTrace {
@@ -78,47 +132,121 @@ impl ActivityTrace {
         Self::default()
     }
 
-    /// Appends one cycle of activity.
-    pub fn push_cycle(&mut self, cycle: CycleActivity) {
-        self.cycles.push(cycle);
+    /// Appends lane `lane`'s words of one clock edge, clock cycle `cycle`
+    /// if the trace is empty, of a program with sources `sources`.
+    pub(crate) fn push_lane(
+        &mut self,
+        sources: &Arc<Sources>,
+        cycle: u64,
+        words: &ToggleWords<'_>,
+        lane: usize,
+    ) {
+        if self.sources.is_none() {
+            self.blocks = sources.len().div_ceil(LANES);
+            self.first = cycle;
+            self.sources = Some(Arc::clone(sources));
+        }
+        let ((toggled, values), (toggled0, values0)) = (words.rows(lane), words.rows(0));
+        let shared = words.shared();
+        for (own, lane0) in [(toggled, toggled0), (values, values0)] {
+            let resolved = (0..self.blocks).map(|b| if shared[b] { lane0[b] } else { own[b] });
+            self.words.extend(resolved);
+        }
+        self.cycles += 1;
+    }
+
+    /// Releases the capacity recording reserved beyond the trace's cycles.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
+    /// The sources of the program the trace was recorded on (`None` for
+    /// a trace with no cycle).
+    pub fn sources(&self) -> Option<&Sources> {
+        self.sources.as_deref()
+    }
+
+    /// Cycle `k` of the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.cycle_count()`.
+    pub fn cycle(&self, k: usize) -> CycleActivity<'_> {
+        assert!(
+            k < self.cycles,
+            "cycle {k} of a {}-cycle trace",
+            self.cycles
+        );
+        let sources = self
+            .sources
+            .as_deref()
+            .unwrap_or_else(|| unreachable!("a trace with a cycle has its sources"));
+        let at = 2 * self.blocks * k;
+        let (toggled, values) = self.words[at..at + 2 * self.blocks].split_at(self.blocks);
+        CycleActivity {
+            cycle: self.first + k as u64,
+            sources,
+            toggled,
+            values,
+        }
     }
 
     /// The recorded cycles in order.
-    pub fn cycles(&self) -> &[CycleActivity] {
-        &self.cycles
+    pub fn cycles(&self) -> impl ExactSizeIterator<Item = CycleActivity<'_>> + Clone + '_ {
+        (0..self.cycles).map(|k| self.cycle(k))
     }
 
     /// Number of recorded cycles.
     pub fn cycle_count(&self) -> usize {
-        self.cycles.len()
+        self.cycles
     }
 
     /// Total toggles across all cycles.
     pub fn total_toggles(&self) -> usize {
-        self.cycles.iter().map(CycleActivity::toggle_count).sum()
+        self.cycles().map(|c| c.toggle_count()).sum()
     }
 
     /// Mean toggles per cycle (0 for an empty trace).
     pub fn mean_toggles_per_cycle(&self) -> f64 {
-        if self.cycles.is_empty() {
+        if self.cycles == 0 {
             0.0
         } else {
-            self.total_toggles() as f64 / self.cycles.len() as f64
+            self.total_toggles() as f64 / self.cycles as f64
         }
     }
 
     /// Concatenates another trace after this one. Its cycles are
     /// renumbered to continue this trace's clock, so a trace assembled
     /// block by block counts up by one per cycle, as one recording over
-    /// all the blocks would.
+    /// all the blocks would. An empty trace takes the other as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both traces have cycles, recorded on programs with
+    /// different sources.
     pub fn extend_from(&mut self, other: ActivityTrace) {
-        let next = self.cycles.last().map(|c| c.cycle + 1);
-        let start = self.cycles.len();
-        self.cycles.extend(other.cycles);
-        if let Some(next) = next {
-            for (cycle, c) in (next..).zip(&mut self.cycles[start..]) {
-                c.cycle = cycle;
-            }
+        if other.cycles == 0 {
+            return;
+        }
+        if self.cycles == 0 {
+            *self = other;
+            return;
+        }
+        assert_eq!(
+            self.sources().map(Sources::digest),
+            other.sources().map(Sources::digest),
+            "traces of different netlists"
+        );
+        self.words.extend(other.words);
+        self.cycles += other.cycles;
+    }
+
+    /// Keeps the first `cycles` cycles and drops the rest (nothing if the
+    /// trace is no longer).
+    pub fn truncate(&mut self, cycles: usize) {
+        if cycles < self.cycles {
+            self.words.truncate(2 * self.blocks * cycles);
+            self.cycles = cycles;
         }
     }
 }
@@ -270,67 +398,55 @@ impl ToggleActivity {
     }
 }
 
-impl FromIterator<CycleActivity> for ActivityTrace {
-    fn from_iter<T: IntoIterator<Item = CycleActivity>>(iter: T) -> Self {
-        Self {
-            cycles: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<CycleActivity> for ActivityTrace {
-    fn extend<T: IntoIterator<Item = CycleActivity>>(&mut self, iter: T) {
-        self.cycles.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(cell: u32, level: u32) -> ToggleEvent {
-        // CellId's constructor is crate-private to emtrust-netlist; build
-        // one through a real netlist.
-        let mut n = emtrust_netlist::graph::Netlist::new("t");
-        let a = n.input("a");
-        let mut last = a;
-        for _ in 0..=cell {
-            last = n.not(last);
-        }
-        let id = match n.net_source(last) {
-            emtrust_netlist::graph::NetSource::Cell(c) => *c,
-            _ => unreachable!(),
-        };
-        ToggleEvent {
-            cell: id,
-            level,
-            rising: true,
-        }
+    /// A toggle flip-flop: every cycle its `q` (level 0) and the
+    /// inverter that feeds it back (level 1) toggle, in opposite
+    /// directions.
+    fn toggle_flop() -> emtrust_netlist::graph::Netlist {
+        let mut n = emtrust_netlist::graph::Netlist::new("toggle");
+        let (q, d) = n.dff_deferred();
+        let nq = n.not(q);
+        n.connect_dff_d(d, nq);
+        n.mark_output("q", q);
+        n
+    }
+
+    /// `cycles` recorded cycles of `n` after `skip` unrecorded ones.
+    fn record(n: &emtrust_netlist::graph::Netlist, skip: usize, cycles: usize) -> ActivityTrace {
+        let mut sim = crate::engine::Simulator::new(n).unwrap();
+        sim.settle();
+        sim.run(skip);
+        sim.start_recording();
+        sim.run(cycles);
+        sim.take_recording()
     }
 
     #[test]
-    fn cycle_activity_accumulates() {
-        let mut c = CycleActivity::new(3);
-        assert_eq!(c.cycle(), 3);
-        c.push(ev(0, 0));
-        c.push(ev(1, 2));
-        assert_eq!(c.toggle_count(), 2);
-        assert_eq!(c.events()[1].level, 2);
+    fn cycles_decode_their_events() {
+        let trace = record(&toggle_flop(), 0, 3);
+        for (k, cycle) in trace.cycles().enumerate() {
+            assert_eq!(cycle.cycle(), k as u64);
+            assert_eq!(cycle.toggle_count(), 2);
+            let events: Vec<(u32, bool)> = cycle.events().map(|e| (e.level, e.rising)).collect();
+            // q rises out of reset, then alternates; the inverter follows.
+            let rising = k % 2 == 0;
+            assert_eq!(events, [(0, rising), (1, !rising)], "cycle {k}");
+            let words = cycle.words();
+            assert_eq!((words.lanes(), words.shared()), (1, &[true][..]));
+            assert_eq!(words.events(0), cycle.events().collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn trace_statistics() {
-        let mut t = ActivityTrace::new();
-        let mut c0 = CycleActivity::new(0);
-        c0.push(ev(0, 0));
-        let mut c1 = CycleActivity::new(1);
-        c1.push(ev(0, 0));
-        c1.push(ev(1, 1));
-        t.push_cycle(c0);
-        t.push_cycle(c1);
-        assert_eq!(t.cycle_count(), 2);
-        assert_eq!(t.total_toggles(), 3);
-        assert!((t.mean_toggles_per_cycle() - 1.5).abs() < 1e-12);
+        let t = record(&toggle_flop(), 0, 3);
+        assert_eq!(t.cycle_count(), 3);
+        assert_eq!(t.total_toggles(), 6);
+        assert!((t.mean_toggles_per_cycle() - 2.0).abs() < 1e-12);
+        assert_eq!(t.sources().map(Sources::len), Some(2));
     }
 
     #[test]
@@ -338,28 +454,46 @@ mod tests {
         let t = ActivityTrace::new();
         assert_eq!(t.total_toggles(), 0);
         assert_eq!(t.mean_toggles_per_cycle(), 0.0);
+        assert_eq!(t.cycles().len(), 0);
+        assert!(t.sources().is_none());
     }
 
     #[test]
     fn traces_concatenate() {
-        let mut a = ActivityTrace::new();
-        a.push_cycle(CycleActivity::new(0));
-        let mut b = ActivityTrace::new();
-        b.push_cycle(CycleActivity::new(1));
-        a.extend_from(b);
+        let n = toggle_flop();
+        let mut a = record(&n, 0, 2);
+        a.extend_from(ActivityTrace::new());
         assert_eq!(a.cycle_count(), 2);
-        assert_eq!(a.cycles()[1].cycle(), 1);
         // Appended cycles continue the clock, whatever they were numbered.
-        let mut c = ActivityTrace::new();
-        c.push_cycle(CycleActivity::new(24));
-        c.push_cycle(CycleActivity::new(25));
-        a.extend_from(c);
-        let cycles: Vec<u64> = a.cycles().iter().map(CycleActivity::cycle).collect();
+        let b = record(&n, 24, 2);
+        assert_eq!(b.cycle(0).cycle(), 24);
+        a.extend_from(b.clone());
+        let cycles: Vec<u64> = a.cycles().map(|c| c.cycle()).collect();
         assert_eq!(cycles, [0, 1, 2, 3]);
+        let events = |t: &ActivityTrace, k: usize| t.cycle(k).events().collect::<Vec<_>>();
+        assert_eq!(events(&a, 3), events(&b, 1));
         // An empty trace takes the other's numbering as it is.
         let mut d = ActivityTrace::new();
-        d.extend_from(a);
-        assert_eq!(d.cycles()[3].cycle(), 3);
+        d.extend_from(b);
+        assert_eq!(d.cycle(1).cycle(), 25);
+        // A prefix keeps its cycles' words.
+        let mut prefix = a.clone();
+        prefix.truncate(3);
+        prefix.truncate(5);
+        assert_eq!(prefix.cycle_count(), 3);
+        assert_eq!(events(&prefix, 2), events(&a, 2));
+        assert_eq!(prefix.total_toggles(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "different netlists")]
+    fn traces_of_different_netlists_do_not_concatenate() {
+        let mut other = emtrust_netlist::graph::Netlist::new("inv");
+        let a = other.input("a");
+        let y = other.not(a);
+        other.mark_output("y", y);
+        let mut trace = record(&toggle_flop(), 0, 1);
+        trace.extend_from(record(&other, 0, 1));
     }
 
     /// A small sequential design plus a seeded stimulus driver, for the
@@ -393,28 +527,22 @@ mod tests {
         // Absorbing more cycles can only grow every counter: per-cell
         // counts, the total, and the cycle count are all monotone.
         let trace = recorded_trace(11, 48);
-        let mut agg = ToggleActivity::new();
-        let mut prev_counts: Vec<u64> = Vec::new();
-        let mut prev_total = 0u64;
-        let mut prev_cycles = 0u64;
-        for cycle in trace.cycles() {
-            let mut one = ActivityTrace::new();
-            one.push_cycle(cycle.clone());
-            agg.absorb(&one);
-            assert!(agg.cycles() > prev_cycles);
-            assert!(agg.total_toggles() >= prev_total);
-            for (i, &p) in prev_counts.iter().enumerate() {
+        let mut prev = ToggleActivity::new();
+        for k in 1..=trace.cycle_count() {
+            let mut prefix = trace.clone();
+            prefix.truncate(k);
+            let agg = ToggleActivity::from_trace(&prefix);
+            assert!(agg.cycles() > prev.cycles());
+            assert!(agg.total_toggles() >= prev.total_toggles());
+            for i in 0..prev.cell_count() {
                 assert!(
-                    agg.toggle_count_at(i) >= p,
+                    agg.toggle_count_at(i) >= prev.toggle_count_at(i),
                     "cell {i} count shrank after absorbing a cycle"
                 );
             }
-            prev_counts = (0..agg.cell_count())
-                .map(|i| agg.toggle_count_at(i))
-                .collect();
-            prev_total = agg.total_toggles();
-            prev_cycles = agg.cycles();
+            prev = agg;
         }
+        let agg = prev;
         assert_eq!(agg.cycles(), trace.cycle_count() as u64);
     }
 
@@ -479,14 +607,5 @@ mod tests {
         let mut empty = ToggleActivity::new();
         empty.merge(&whole);
         assert_eq!(empty, whole);
-    }
-
-    #[test]
-    fn trace_collects_from_iterator() {
-        let t: ActivityTrace = (0..4).map(CycleActivity::new).collect();
-        assert_eq!(t.cycle_count(), 4);
-        let mut t2 = ActivityTrace::new();
-        t2.extend((0..2).map(CycleActivity::new));
-        assert_eq!(t2.cycle_count(), 2);
     }
 }

@@ -24,8 +24,9 @@
 //! blocks of 64 sources every lane toggled alike. Such a **shared** block
 //! is stored once, in lane 0, and a sink does its work once for all the
 //! lanes. [`Simulator::step_words`] streams the edges to the caller;
-//! [`Simulator::step`] with a recording in progress expands them into
-//! the lanes' [`ActivityTrace`]s with [`ToggleWords::events`].
+//! [`Simulator::step`] with a recording in progress appends each live
+//! lane's words, a shared block resolved to lane 0's, to that lane's
+//! [`ActivityTrace`].
 //!
 //! A [`Cone`] is the part of a circuit that some flops' next state
 //! depends on ([`Program::cone`]). [`Simulator::step_cone`] runs it
@@ -34,11 +35,12 @@
 //! way a history-carrying block of state is carried across lanes that
 //! otherwise each replay from their own stimulus.
 
-use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
+use crate::activity::{ActivityTrace, ToggleEvent};
 use emtrust_netlist::graph::{CellId, NetId, Netlist};
 use emtrust_netlist::level::Levels;
 use emtrust_netlist::NetlistError;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Lanes per simulator: one independent circuit copy per bit of a `u64`.
 pub const LANES: usize = 64;
@@ -48,9 +50,10 @@ pub const LANES: usize = 64;
 /// in evaluation order (level `depth + 1`). Levels never decrease along
 /// the order, so each level's sources form one run.
 ///
-/// A [`Program`] holds its sources. The power model lays its per-source
-/// data out in the same order, computed from the netlist, and checks it
-/// against the words it bins by [`Self::digest`].
+/// A [`Program`] holds its sources, and every [`ActivityTrace`] recorded
+/// on it shares them. The power model lays its per-source data out in
+/// the same order, computed from the netlist or a recording's sources,
+/// and checks it against the words it bins by [`Self::digest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sources {
     /// Per source: the event it emits when it toggles, falling edge.
@@ -60,6 +63,9 @@ pub struct Sources {
     /// FNV-1a over the netlist's cell count and every source's cell and
     /// level.
     digest: u64,
+    /// Per block of 64 sources: `true`. The shared flags of a one-lane
+    /// edge, where every block is shared.
+    one_lane: Vec<bool>,
 }
 
 impl Sources {
@@ -109,10 +115,12 @@ impl Sources {
             level_ends[l] = events.len();
             digest = mix(mix(digest, cell.index() as u64), u64::from(level));
         }
+        let one_lane = vec![true; events.len().div_ceil(LANES)];
         Ok(Self {
             events,
             level_ends,
             digest,
+            one_lane,
         })
     }
 
@@ -172,6 +180,18 @@ pub struct ToggleWords<'a> {
 }
 
 impl<'a> ToggleWords<'a> {
+    /// The words of a one-lane edge, every block shared.
+    pub(crate) fn one_lane(sources: &'a Sources, toggled: &'a [u64], values: &'a [u64]) -> Self {
+        Self {
+            sources,
+            lanes: 1,
+            blocks: toggled.len(),
+            toggled,
+            values,
+            shared: &sources.one_lane[..toggled.len()],
+        }
+    }
+
     /// The sources the bits stand for.
     pub fn sources(&self) -> &'a Sources {
         self.sources
@@ -207,7 +227,7 @@ impl<'a> ToggleWords<'a> {
     }
 
     /// Lane `lane`'s toggles as events, in serial event order: the order
-    /// a one-lane recording stores them in.
+    /// [`crate::CycleActivity::events`] decodes a recorded cycle's in.
     ///
     /// # Panics
     ///
@@ -264,7 +284,7 @@ pub struct Program {
     /// Flip-flops in id order.
     flops: Vec<Flop>,
     /// Every flop, then every gate: the order toggles are emitted in.
-    sources: Sources,
+    sources: Arc<Sources>,
     /// Whether each net is a primary input.
     is_input: Vec<bool>,
     const1: u32,
@@ -316,7 +336,7 @@ impl Program {
         Ok(Self {
             gates,
             flops,
-            sources,
+            sources: Arc::new(sources),
             is_input,
             const1: netlist.const1().index() as u32,
             cell_count: netlist.cell_count(),
@@ -749,7 +769,8 @@ impl<'a> Simulator<'a> {
     /// was never started).
     pub fn take_recording(&mut self) -> ActivityTrace {
         self.recording = false;
-        let trace = std::mem::take(&mut self.traces[0]);
+        let mut trace = std::mem::take(&mut self.traces[0]);
+        trace.shrink_to_fit();
         self.clear_traces();
         trace
     }
@@ -760,7 +781,10 @@ impl<'a> Simulator<'a> {
         self.recording = false;
         let traces = self.traces[..self.live]
             .iter_mut()
-            .map(std::mem::take)
+            .map(|trace| {
+                trace.shrink_to_fit();
+                std::mem::take(trace)
+            })
             .collect();
         self.clear_traces();
         traces
@@ -791,10 +815,10 @@ impl<'a> Simulator<'a> {
     pub fn step(&mut self) {
         if self.recording {
             let mut traces = std::mem::take(&mut self.traces);
-            let cycle = self.cycle;
+            let (sources, cycle) = (Arc::clone(&self.program.sources), self.cycle);
             self.step_words(|words| {
                 for (lane, trace) in traces[..words.lanes()].iter_mut().enumerate() {
-                    trace.push_cycle(CycleActivity::from_events(cycle, words.events(lane)));
+                    trace.push_lane(&sources, cycle, &words, lane);
                 }
             });
             self.traces = traces;
@@ -928,15 +952,13 @@ impl<'a> Simulator<'a> {
             toggled.push(t);
             values.push(v);
         }
-        self.shared.clear();
-        self.shared.resize(toggled.len(), true);
         sink(ToggleWords {
             sources: &self.program.sources,
             lanes: 1,
             blocks: toggled.len(),
             toggled,
             values,
-            shared: &self.shared,
+            shared: &self.program.sources.one_lane,
         });
     }
 
@@ -1243,7 +1265,7 @@ mod tests {
         sim.step(); // 00 -> 01: q0 rises, nq0 falls, xor rises.
         let trace = sim.take_recording();
         assert_eq!(trace.cycle_count(), 1);
-        let events = trace.cycles()[0].events();
+        let events: Vec<ToggleEvent> = trace.cycle(0).events().collect();
         // q0 toggles (level 0), inverter (level 1), xor (level 1).
         assert_eq!(events.len(), 3);
         assert!(events.iter().any(|e| e.level == 0 && e.rising));

@@ -38,10 +38,11 @@
 //!    charge and [`activity::ToggleActivity`] counts them per cell, each
 //!    doing a shared word's work once for all lanes, with no event object
 //!    in between. A recording ([`engine::Simulator::step`] after
-//!    `start_recording`) expands the same words into
-//!    [`activity::ToggleEvent`]s in an [`activity::ActivityTrace`]; the
-//!    power model turns each into a current pulse at
-//!    `t = cycle·T + level·τ_gate`.
+//!    `start_recording`) stores the same words, one lane's per cycle, in
+//!    an [`activity::ActivityTrace`], and decodes them into
+//!    [`activity::ToggleEvent`]s on demand; the power model bins them
+//!    like streamed words, and its per-event oracle turns each event into
+//!    a current pulse at `t = cycle·T + level·τ_gate`.
 //!
 //! # Examples
 //!

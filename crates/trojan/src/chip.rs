@@ -332,7 +332,6 @@ mod tests {
         let tagged = |prefix: &str| {
             trace
                 .cycles()
-                .iter()
                 .flat_map(|c| c.events())
                 .filter(|e| {
                     chip.netlist()

@@ -428,7 +428,6 @@ mod tests {
             let count_trojan = |trace: &emtrust_sim::ActivityTrace| {
                 trace
                     .cycles()
-                    .iter()
                     .flat_map(|c| c.events())
                     .filter(|e| {
                         n.module_path(n.cell(e.cell).module())
@@ -455,7 +454,6 @@ mod tests {
         for cycle in trace.cycles() {
             let t4_flops = cycle
                 .events()
-                .iter()
                 .filter(|e| {
                     e.level == 0
                         && n.module_path(n.cell(e.cell).module())
