@@ -31,25 +31,35 @@ use std::time::Instant;
 
 const N_TRACES: usize = 32;
 
+/// Worker counts of the collect+fit measurement; the first is serial.
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 /// Weight sets in the multi-sensor hot-path measurement (a 2×2 array).
 const HOT_SETS: usize = 4;
-/// Timing repeats; the minimum is recorded (least-noise estimator).
-const HOT_REPEATS: usize = 3;
-/// Repeats of each worker-count collect+fit measurement. Higher than
-/// [`HOT_REPEATS`] because the regression gate compares these rows
-/// across CI runs, where scheduler noise is worst.
-const WORKER_REPEATS: usize = 5;
+/// Timing repeats of each hot-path stage; the minimum is recorded
+/// (least-noise estimator). A synthesis pass takes about a millisecond,
+/// so only a long run of repeats finds its floor on a busy host.
+const HOT_REPEATS: usize = 60;
+/// Rounds of the collect+fit measurement. Each round times every worker
+/// count once, back to back and starting one count later than the last
+/// round, so a slow host phase slows all counts alike; each count's
+/// minimum over the rounds is recorded.
+const ROUNDS: u64 = 40;
 /// Golden-set shape for the Eq. 1 scan: vectors × window samples.
 const HOT_VECS: usize = 32;
 const HOT_WINDOW: usize = 256;
 
-/// Minimum wall-clock seconds of `f` over [`HOT_REPEATS`] runs.
-fn best_of(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
+/// Minimum wall-clock seconds of `before` and of `after` over
+/// [`HOT_REPEATS`] rounds that run the two back to back, so a slow host
+/// phase slows both sides of their ratio alike.
+fn best_of_pair(mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for _ in 0..HOT_REPEATS {
         let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        before();
+        let t1 = Instant::now();
+        after();
+        best.0 = best.0.min((t1 - t0).as_secs_f64());
+        best.1 = best.1.min(t1.elapsed().as_secs_f64());
     }
     best
 }
@@ -79,20 +89,22 @@ fn hot_path_ratio(report: &mut Report) -> String {
         .collect();
     let set_refs: Vec<&[f64]> = weight_sets.iter().map(Vec::as_slice).collect();
 
-    // Before: one full scalar-renderer pass per sensor.
-    let synth_before_s = best_of(|| {
-        for w in &weight_sets {
+    // Before: one full scalar-renderer pass per sensor. After: one
+    // shared event walk deposits into all sensors.
+    let (synth_before_s, synth_after_s) = best_of_pair(
+        || {
+            for w in &weight_sets {
+                let _ = model
+                    .synthesize_reference(aes.netlist(), &activity, Some(w), None)
+                    .or_exit("reference synthesis");
+            }
+        },
+        || {
             let _ = model
-                .synthesize_reference(aes.netlist(), &activity, Some(w), None)
-                .or_exit("reference synthesis");
-        }
-    });
-    // After: one shared event walk deposits into all sensors.
-    let synth_after_s = best_of(|| {
-        let _ = model
-            .synthesize_multi(aes.netlist(), &activity, &set_refs, None, 1)
-            .or_exit("multi synthesis");
-    });
+                .synthesize_multi(aes.netlist(), &activity, &set_refs, None, 1)
+                .or_exit("multi synthesis");
+        },
+    );
 
     // Equivalence cross-check while we are here: one deposit per charge
     // bin rounds differently from one per event, so the binned path must
@@ -130,13 +142,15 @@ fn hot_path_ratio(report: &mut Report) -> String {
                 .collect()
         })
         .collect();
-    let scan_before_s = best_of(|| {
-        let _ = distance::eq1_threshold_reference(&golden).or_exit("reference scan");
-    });
     // Serial on purpose: this isolates the SoA kernel, not the pool.
-    let scan_after_s = best_of(|| {
-        let _ = distance::eq1_threshold_with(&golden, 1, usize::MAX).or_exit("scan");
-    });
+    let (scan_before_s, scan_after_s) = best_of_pair(
+        || {
+            let _ = distance::eq1_threshold_reference(&golden).or_exit("reference scan");
+        },
+        || {
+            let _ = distance::eq1_threshold_with(&golden, 1, usize::MAX).or_exit("scan");
+        },
+    );
     let th_before = distance::eq1_threshold_reference(&golden).or_exit("reference scan");
     let th_after = distance::eq1_threshold_with(&golden, 1, usize::MAX).or_exit("scan");
     assert!(
@@ -185,11 +199,7 @@ fn hot_path_ratio(report: &mut Report) -> String {
 fn main() {
     let mut report = Report::from_env("exp_throughput");
     let chip = ProtectedChip::golden();
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut serial_s = 0.0f64;
-    let mut reference = None;
-    for workers in [1usize, 2, 4, 8] {
+    let setups = WORKERS.map(|workers| {
         let pool = ParallelConfig::serial().with_workers(workers);
         let bench = TestBench::simulation(&chip)
             .or_exit("bench")
@@ -198,15 +208,17 @@ fn main() {
             parallel: pool,
             ..FingerprintConfig::default()
         };
-        // Minimum of WORKER_REPEATS runs: a single collect+fit is short
-        // enough that scheduler noise would otherwise dominate the
-        // speedup column the CI regression gate checks. Each repeat
-        // collects under its own seed (so its own plaintext): the bench
-        // keeps a fixed-stimulus campaign, and a repeated one would
-        // time a measurement of kept blocks, not a simulation.
-        let mut elapsed = f64::INFINITY;
-        let mut fp = None;
-        for repeat in 0..WORKER_REPEATS as u64 {
+        (bench, config)
+    });
+    let mut elapsed = [f64::INFINITY; WORKERS.len()];
+    for round in 0..ROUNDS {
+        // Each round collects under its own seed (so its own plaintext):
+        // a bench keeps its fixed-stimulus campaigns, and a repeated one
+        // would time a measurement of kept blocks, not a simulation.
+        let mut serial_threshold = None;
+        for k in 0..WORKERS.len() {
+            let i = (k + round as usize) % WORKERS.len();
+            let (bench, config) = &setups[i];
             let t0 = Instant::now();
             let set = bench
                 .collect(
@@ -214,27 +226,25 @@ fn main() {
                     N_TRACES,
                     None,
                     Channel::OnChipSensor,
-                    42 + repeat,
+                    42 + round,
                 )
                 .or_exit("collect");
-            let fitted = GoldenFingerprint::fit(&set, config).or_exit("fit");
-            elapsed = elapsed.min(t0.elapsed().as_secs_f64());
-            fp = Some(fitted);
-        }
-        let fp = fp.or_exit("at least one repeat");
-        // Determinism cross-check while we are here: every worker count
-        // must reproduce the serial threshold bit for bit.
-        match reference {
-            None => {
-                serial_s = elapsed;
-                reference = Some(fp.threshold());
-            }
-            Some(th) => assert_eq!(
-                fp.threshold().to_bits(),
-                th.to_bits(),
+            let fp = GoldenFingerprint::fit(&set, *config).or_exit("fit");
+            elapsed[i] = elapsed[i].min(t0.elapsed().as_secs_f64());
+            // Determinism cross-check while we are here: every worker
+            // count must reproduce the serial threshold bit for bit.
+            let threshold = fp.threshold().to_bits();
+            assert_eq!(
+                *serial_threshold.get_or_insert(threshold),
+                threshold,
                 "threshold must not depend on the worker count"
-            ),
+            );
         }
+    }
+    let serial_s = elapsed[0];
+    let mut rows = Vec::new();
+    let mut json_rows = Vec::new();
+    for (workers, elapsed) in WORKERS.into_iter().zip(elapsed) {
         let tps = N_TRACES as f64 / elapsed;
         let speedup = serial_s / elapsed;
         report.scalar(&format!("workers_{workers}_seconds"), elapsed);

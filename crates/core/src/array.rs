@@ -50,9 +50,7 @@ use crate::detector::{
 };
 use crate::features::FeatureFrame;
 use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use crate::fusion::FusionPolicy;
 use crate::parallel::ParallelConfig;
-use crate::persistence::PersistenceConfig;
 use crate::pipeline::{DetectionPipeline, DetectorConfig};
 use crate::TrustError;
 use emtrust_dsp::stats::median;
@@ -80,11 +78,6 @@ pub struct ArrayConfig {
     pub turns: usize,
     /// Per-tile fingerprint fitting configuration.
     pub fingerprint: FingerprintConfig,
-    /// Optional reference-free persistence detector added to every
-    /// tile's pipeline.
-    pub persistence: Option<PersistenceConfig>,
-    /// Fusion policy of each tile's pipeline.
-    pub fusion: FusionPolicy,
     /// Worker pool shared by collection and scoring.
     pub parallel: ParallelConfig,
     /// Identity labels (`chip_id`, …) stamped on every tile pipeline's
@@ -106,8 +99,6 @@ impl Default for ArrayConfig {
             cols: 2,
             turns: 12,
             fingerprint: FingerprintConfig::default(),
-            persistence: None,
-            fusion: FusionPolicy::Or,
             parallel: ParallelConfig::serial(),
             labels: LabelSet::new(),
             forensics: None,
@@ -127,12 +118,6 @@ pub struct ArrayBuilder<'c> {
 }
 
 impl<'c> ArrayBuilder<'c> {
-    /// Replaces the whole configuration at once.
-    pub fn with_config(mut self, config: ArrayConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Sets the grid shape.
     ///
     /// # Errors
@@ -172,18 +157,6 @@ impl<'c> ArrayBuilder<'c> {
         self
     }
 
-    /// Adds the reference-free persistence detector to every tile.
-    pub fn with_persistence(mut self, config: PersistenceConfig) -> Self {
-        self.config.persistence = Some(config);
-        self
-    }
-
-    /// Sets each tile pipeline's fusion policy.
-    pub fn with_fusion(mut self, fusion: FusionPolicy) -> Self {
-        self.config.fusion = fusion;
-        self
-    }
-
     /// Sets the worker pool shared by collection and scoring.
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.config.parallel = parallel;
@@ -194,13 +167,6 @@ impl<'c> ArrayBuilder<'c> {
     /// array decision records.
     pub fn with_chip_id(mut self, chip_id: &str) -> Self {
         self.config.labels = self.config.labels.with("chip_id", chip_id);
-        self
-    }
-
-    /// Sets the full identity label set shared by every tile (each tile
-    /// pipeline adds its own `tile=rXcY` pair on top).
-    pub fn with_labels(mut self, labels: LabelSet) -> Self {
-        self.config.labels = labels;
         self
     }
 
@@ -738,14 +704,10 @@ impl<'c> SensorArray<'c> {
                 .with("tile", format!("r{}c{}", tile.row(), tile.col()));
             let mut builder = DetectionPipeline::builder()
                 .detector(Box::new(EuclideanDetector::new(fp)))
-                .fusion(self.config.fusion.clone())
                 .parallel(self.config.parallel)
                 .labels(labels);
             if let Some(cfg) = self.config.forensics.clone() {
                 builder = builder.forensics(cfg);
-            }
-            if let Some(cfg) = self.config.persistence {
-                builder = builder.detector_config(&DetectorConfig::SpectralPersistence(cfg))?;
             }
             pipelines.push(builder.build());
         }
@@ -778,14 +740,10 @@ impl<'c> SensorArray<'c> {
                 .with("tile", format!("r{}c{}", tile.row(), tile.col()));
             let mut builder = DetectionPipeline::builder()
                 .detector_config(&DetectorConfig::Euclidean(self.config.fingerprint))?
-                .fusion(self.config.fusion.clone())
                 .parallel(self.config.parallel)
                 .labels(labels);
             if let Some(fcfg) = self.config.forensics.clone() {
                 builder = builder.forensics(fcfg);
-            }
-            if let Some(pcfg) = self.config.persistence {
-                builder = builder.detector_config(&DetectorConfig::SpectralPersistence(pcfg))?;
             }
             let mut pipeline = builder.build();
             pipeline.fit_baseline(&source)?;
@@ -1009,8 +967,7 @@ mod tests {
         let c = ArrayConfig::default();
         assert_eq!((c.rows, c.cols), (2, 2));
         assert!(c.turns > 0);
-        assert!(c.persistence.is_none());
-        assert_eq!(c.fusion, FusionPolicy::Or);
+        assert!(c.forensics.is_none());
     }
 
     #[test]

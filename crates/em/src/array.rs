@@ -18,7 +18,7 @@
 use crate::coil::Coil;
 use crate::emf::{emf_from_weighted_current, VoltageTrace};
 use crate::noise::NoiseModel;
-use crate::pipeline::{inject, EmPipelineConfig, EmSensor, PointCurrentSource};
+use crate::pipeline::{inject, EmSensor, PointCurrentSource};
 use crate::EmError;
 use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::geometry::{Point, Rect};
@@ -102,17 +102,16 @@ impl EmArray {
         turns: usize,
     ) -> Result<Self, EmError> {
         let rects = floorplan.die().tiles(rows, cols).map_err(EmError::Layout)?;
-        let mut tiles = Vec::with_capacity(rects.len());
+        let mut tiles: Vec<EmTile> = Vec::with_capacity(rects.len());
         for (i, rect) in rects.into_iter().enumerate() {
             let coil = Coil::OnChip(
                 SpiralSensor::with_turns(Die { core: rect }, turns).map_err(EmError::Layout)?,
             );
-            // Every tile's table is the first one's, reweighted.
-            let template = tiles.first().map(|t: &EmTile| t.sensor.charge_table());
-            let sensor = EmPipelineConfig::default()
-                .with_coil(coil)
-                .with_model(model.clone())
-                .build_from(netlist, floorplan, template)?;
+            // Every tile after the first reweights the first one's table.
+            let sensor = match tiles.first() {
+                None => EmSensor::new(coil, netlist, floorplan, model.clone())?,
+                Some(first) => first.sensor.for_coil(coil, netlist, floorplan)?,
+            };
             tiles.push(EmTile {
                 row: i / cols,
                 col: i % cols,
@@ -254,9 +253,13 @@ mod tests {
     use emtrust_sim::engine::Simulator;
 
     fn small_design() -> (Netlist, Floorplan) {
+        design(32)
+    }
+
+    fn design(flops: usize) -> (Netlist, Floorplan) {
         let mut n = Netlist::new("bank");
         n.push_module("aes");
-        for _ in 0..32 {
+        for _ in 0..flops {
             let (q, d) = n.dff_deferred();
             let nq = n.not(q);
             n.connect_dff_d(d, nq);
@@ -327,6 +330,21 @@ mod tests {
         let fresh = model().charge_table(&n, &sets).unwrap();
         let got = arr.charge_table().bin_trace(&act, 1);
         assert_eq!(got, fresh.bin_trace(&act, 1));
+    }
+
+    #[test]
+    fn another_coil_over_another_design_is_an_error() {
+        let (n, fp) = small_design();
+        let (other_n, other_fp) = design(16);
+        let coil = || Coil::from(SpiralSensor::for_die(fp.die()).unwrap());
+        let first = EmSensor::new(coil(), &n, &fp, model()).unwrap();
+        for (netlist, floorplan) in [(&other_n, &fp), (&n, &other_fp)] {
+            assert!(matches!(
+                first.for_coil(coil(), netlist, floorplan),
+                Err(EmError::InvalidParameter { .. })
+            ));
+        }
+        assert!(first.for_coil(coil(), &n, &fp).is_ok());
     }
 
     #[test]

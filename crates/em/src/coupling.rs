@@ -6,7 +6,7 @@
 //! a uniform grid over the die once, and every cell samples it bilinearly.
 
 use crate::coil::Coil;
-use crate::dipole::{mutual_inductance_row_per_um2, DEFAULT_DIPOLE_AREA_UM2};
+use crate::dipole::{mutual_inductance_row_per_um2, DIPOLE_AREA_UM2};
 use crate::EmError;
 use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_netlist::graph::Netlist;
@@ -15,7 +15,7 @@ use emtrust_netlist::graph::Netlist;
 pub const DEFAULT_COUPLING_STEP_UM: f64 = 10.0;
 
 /// A gridded mutual-inductance kernel `M(x, y)` for one coil, in henries
-/// per cell (the default effective dipole area is baked in).
+/// per cell (the cell dipole area [`DIPOLE_AREA_UM2`] is baked in).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CouplingMap {
     x0: f64,
@@ -29,36 +29,24 @@ pub struct CouplingMap {
 
 impl CouplingMap {
     /// Builds the kernel for `coil` over `die` with the default grid step
-    /// (10 µm) and the default cell dipole area.
+    /// (10 µm).
     ///
     /// # Errors
     ///
     /// Propagates [`CouplingMap::build_with_step`] errors.
     pub fn build(coil: &Coil, die: Die) -> Result<Self, EmError> {
-        Self::build_with_step(coil, die, DEFAULT_COUPLING_STEP_UM, DEFAULT_DIPOLE_AREA_UM2)
+        Self::build_with_step(coil, die, DEFAULT_COUPLING_STEP_UM)
     }
 
-    /// Builds the kernel with a custom grid step (µm) and cell dipole
-    /// area (µm²).
+    /// Builds the kernel with a custom grid step (µm).
     ///
     /// # Errors
     ///
-    /// Returns [`EmError::InvalidParameter`] if `step_um <= 0` or
-    /// `dipole_area_um2 <= 0`.
-    pub fn build_with_step(
-        coil: &Coil,
-        die: Die,
-        step_um: f64,
-        dipole_area_um2: f64,
-    ) -> Result<Self, EmError> {
+    /// Returns [`EmError::InvalidParameter`] if `step_um <= 0`.
+    pub fn build_with_step(coil: &Coil, die: Die, step_um: f64) -> Result<Self, EmError> {
         if step_um <= 0.0 {
             return Err(EmError::InvalidParameter {
                 what: "grid step must be positive",
-            });
-        }
-        if dipole_area_um2 <= 0.0 {
-            return Err(EmError::InvalidParameter {
-                what: "dipole area must be positive",
             });
         }
         let x0 = die.core.min.x;
@@ -96,7 +84,7 @@ impl CouplingMap {
             }
         }
         for v in values.iter_mut() {
-            *v *= dipole_area_um2;
+            *v *= DIPOLE_AREA_UM2;
         }
         Ok(Self {
             x0,
@@ -170,7 +158,7 @@ mod tests {
 
     fn onchip_map() -> CouplingMap {
         let coil: Coil = SpiralSensor::for_die(die()).unwrap().into();
-        CouplingMap::build_with_step(&coil, die(), 30.0, DEFAULT_DIPOLE_AREA_UM2).unwrap()
+        CouplingMap::build_with_step(&coil, die(), 30.0).unwrap()
     }
 
     #[test]
@@ -190,8 +178,7 @@ mod tests {
         let die = die();
         let on = onchip_map();
         let ext_coil: Coil = ExternalProbe::over_die(die).into();
-        let ext =
-            CouplingMap::build_with_step(&ext_coil, die, 30.0, DEFAULT_DIPOLE_AREA_UM2).unwrap();
+        let ext = CouplingMap::build_with_step(&ext_coil, die, 30.0).unwrap();
         // The paper's core claim, emerging from geometry: the on-chip
         // sensor couples far more strongly than the probe at 100 µm.
         assert!(
@@ -221,8 +208,7 @@ mod tests {
     #[test]
     fn invalid_parameters_are_rejected() {
         let coil: Coil = SpiralSensor::for_die(die()).unwrap().into();
-        assert!(CouplingMap::build_with_step(&coil, die(), 0.0, 30.0).is_err());
-        assert!(CouplingMap::build_with_step(&coil, die(), 10.0, -1.0).is_err());
+        assert!(CouplingMap::build_with_step(&coil, die(), 0.0).is_err());
     }
 
     #[test]
@@ -267,7 +253,7 @@ mod tests {
                 let x = die.core.min.x + ix as f64 * step;
                 let y = die.core.min.y + iy as f64 * step;
                 let m: f64 = polys.iter().map(|p| kernel(p, z, x, y)).sum();
-                values.push(m * DEFAULT_DIPOLE_AREA_UM2);
+                values.push(m * DIPOLE_AREA_UM2);
             }
         }
         values
@@ -288,8 +274,7 @@ mod tests {
         let die = die();
         let step = 30.0;
         for coil in both_coils(die) {
-            let map =
-                CouplingMap::build_with_step(&coil, die, step, DEFAULT_DIPOLE_AREA_UM2).unwrap();
+            let map = CouplingMap::build_with_step(&coil, die, step).unwrap();
             let reference = point_outer_reference(&coil, die, step, mutual_inductance_per_um2);
             assert_eq!(map.values.len(), reference.len());
             for (i, (v, r)) in map.values.iter().zip(&reference).enumerate() {

@@ -20,9 +20,9 @@ use emtrust_layout::geometry::Point;
 /// Vacuum permeability, H/m.
 pub const MU0: f64 = 4.0e-7 * std::f64::consts::PI;
 
-/// Default effective supply-loop area of one standard cell, in µm²
+/// Effective supply-loop area of one standard cell, in µm²
 /// (local loop length ≈ 10 µm × metal-stack height ≈ 3 µm).
-pub const DEFAULT_DIPOLE_AREA_UM2: f64 = 30.0;
+pub const DIPOLE_AREA_UM2: f64 = 30.0;
 
 /// Mutual inductance (in henries) between a unit-area vertical dipole at
 /// `(dipole_x_um, dipole_y_um, 0)` and a closed polygon loop at height

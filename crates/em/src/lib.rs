@@ -36,7 +36,10 @@
 //!    evaluates Eq. 2/Eq. 3.
 //!
 //! [`pipeline::EmSensor`] wires the full chain together for a placed
-//! netlist and a coil.
+//! netlist and a coil. [`EmSensor::new`] is the one constructor that
+//! compiles the design's charge table; every other coil over the same
+//! design (a die's external probe, an array's later tiles) comes from
+//! [`EmSensor::for_coil`], which reweights that table.
 
 pub mod array;
 pub mod coil;
@@ -52,7 +55,7 @@ pub use coil::Coil;
 pub use coupling::CouplingMap;
 pub use emf::VoltageTrace;
 pub use noise::NoiseModel;
-pub use pipeline::{EmPipelineConfig, EmSensor};
+pub use pipeline::EmSensor;
 
 use std::error::Error;
 use std::fmt;

@@ -2,16 +2,13 @@
 //! emf → noisy sensor output.
 
 use crate::coil::Coil;
-use crate::coupling::{CouplingMap, DEFAULT_COUPLING_STEP_UM};
-use crate::dipole::DEFAULT_DIPOLE_AREA_UM2;
+use crate::coupling::CouplingMap;
 use crate::emf::{emf_from_weighted_current, VoltageTrace};
 use crate::noise::NoiseModel;
 use crate::EmError;
 use emtrust_layout::floorplan::Floorplan;
-use emtrust_layout::spiral::SpiralSensor;
 use emtrust_netlist::graph::Netlist;
-use emtrust_netlist::library::Library;
-use emtrust_power::{ChargeBins, ChargeTable, ClockConfig, CurrentModel, CurrentTrace};
+use emtrust_power::{ChargeBins, ChargeTable, CurrentModel, CurrentTrace};
 
 /// An analog current source at a die location — the A2 Trojan's injection
 /// interface (current samples must match the pipeline's sample rate).
@@ -23,147 +20,11 @@ pub struct PointCurrentSource {
     pub samples: Vec<f64>,
 }
 
-/// Assembly configuration for an [`EmSensor`], replacing the pipeline's
-/// historical positional constructor with the same consuming builder
-/// idiom as [`emtrust_layout::probe::ExternalProbe`]
-/// (`ExternalProbe::over_die(..).with_standoff(..)`).
-///
-/// Every knob has a sensible default: the coil defaults to the paper's
-/// on-chip spiral over the floorplan's die, the power model to the
-/// generic 180 nm library at the reference clock, and the coupling grid
-/// to the map's default step and dipole area. With the defaults,
-/// [`EmPipelineConfig::build`] is bit-identical to the legacy
-/// [`EmSensor::new`] path.
-///
-/// # Examples
-///
-/// ```no_run
-/// # use emtrust_em::pipeline::EmPipelineConfig;
-/// # fn demo(netlist: &emtrust_netlist::graph::Netlist,
-/// #         floorplan: &emtrust_layout::floorplan::Floorplan)
-/// #         -> Result<(), emtrust_em::EmError> {
-/// let sensor = EmPipelineConfig::default()
-///     .with_coupling_step(20.0)?
-///     .build(netlist, floorplan)?;
-/// # let _ = sensor; Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EmPipelineConfig {
-    coil: Option<Coil>,
-    model: Option<CurrentModel>,
-    coupling_step_um: Option<f64>,
-    dipole_area_um2: Option<f64>,
-}
-
-impl EmPipelineConfig {
-    /// Uses an explicit coil instead of the default on-chip spiral.
-    pub fn with_coil(mut self, coil: Coil) -> Self {
-        self.coil = Some(coil);
-        self
-    }
-
-    /// Uses an explicit power model instead of the generic 180 nm
-    /// library at the reference clock.
-    pub fn with_model(mut self, model: CurrentModel) -> Self {
-        self.model = Some(model);
-        self
-    }
-
-    /// Overrides the coupling-map grid step
-    /// ([`DEFAULT_COUPLING_STEP_UM`] by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmError::InvalidParameter`] if `step_um <= 0`.
-    pub fn with_coupling_step(mut self, step_um: f64) -> Result<Self, EmError> {
-        if step_um <= 0.0 {
-            return Err(EmError::InvalidParameter {
-                what: "grid step must be positive",
-            });
-        }
-        self.coupling_step_um = Some(step_um);
-        Ok(self)
-    }
-
-    /// Overrides the effective cell dipole area
-    /// ([`DEFAULT_DIPOLE_AREA_UM2`] by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmError::InvalidParameter`] if `area_um2 <= 0`.
-    pub fn with_dipole_area(mut self, area_um2: f64) -> Result<Self, EmError> {
-        if area_um2 <= 0.0 {
-            return Err(EmError::InvalidParameter {
-                what: "dipole area must be positive",
-            });
-        }
-        self.dipole_area_um2 = Some(area_um2);
-        Ok(self)
-    }
-
-    /// Assembles the sensor over a placed netlist: resolves the coil and
-    /// model defaults, computes the coupling map, and samples the
-    /// per-cell weight vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout errors from default-coil construction and
-    /// coupling-map construction errors.
-    pub fn build(self, netlist: &Netlist, floorplan: &Floorplan) -> Result<EmSensor, EmError> {
-        self.build_from(netlist, floorplan, None)
-    }
-
-    /// [`Self::build`], compiling the charge table from `template` when
-    /// given: a table of the same netlist and model, reweighted, which is
-    /// the same bits as a fresh one and skips the source-order pass.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::build`], plus a template of another cell count.
-    pub fn build_from(
-        self,
-        netlist: &Netlist,
-        floorplan: &Floorplan,
-        template: Option<&ChargeTable>,
-    ) -> Result<EmSensor, EmError> {
-        let coil = match self.coil {
-            Some(coil) => coil,
-            None => Coil::OnChip(SpiralSensor::for_die(floorplan.die()).map_err(EmError::Layout)?),
-        };
-        let model = self.model.unwrap_or_else(|| {
-            CurrentModel::new(Library::generic_180nm(), ClockConfig::reference())
-        });
-        let map = CouplingMap::build_with_step(
-            &coil,
-            floorplan.die(),
-            self.coupling_step_um.unwrap_or(DEFAULT_COUPLING_STEP_UM),
-            self.dipole_area_um2.unwrap_or(DEFAULT_DIPOLE_AREA_UM2),
-        )?;
-        let weights = map.weights_for(netlist, floorplan);
-        let table = match template {
-            Some(template) => {
-                let mut table = template.clone();
-                table.reweight(&[Some(&weights)])?;
-                table
-            }
-            None => model.charge_table(netlist, &[Some(&weights)])?,
-        };
-        Ok(EmSensor {
-            coil,
-            map,
-            weights,
-            model,
-            table,
-        })
-    }
-}
-
 /// A measurement channel: one coil over one placed netlist.
 ///
-/// The sensor compiles its [`ChargeTable`] once, when it is built, and
-/// again whenever [`EmSensor::scale_weights`] changes the weights; every
-/// measurement renders from it.
+/// [`EmSensor::new`] compiles the sensor's [`ChargeTable`];
+/// [`EmSensor::for_coil`] and [`EmSensor::scale_weights`] reweight one.
+/// Every measurement renders from it.
 #[derive(Debug)]
 pub struct EmSensor {
     coil: Coil,
@@ -175,24 +36,64 @@ pub struct EmSensor {
 
 impl EmSensor {
     /// Builds the channel: computes the coil's coupling map over the
-    /// floorplan's die and the per-cell weight vector.
-    ///
-    /// A thin delegate to [`EmPipelineConfig`], kept for the common case
-    /// where both the coil and the model are explicit.
+    /// floorplan's die and the per-cell weight vector, and compiles the
+    /// design's charge table. Every other coil over the same design is
+    /// built from this sensor with [`Self::for_coil`].
     ///
     /// # Errors
     ///
-    /// Propagates coupling-map construction errors.
+    /// Propagates coupling-map and power-model errors.
     pub fn new(
         coil: Coil,
         netlist: &Netlist,
         floorplan: &Floorplan,
         model: CurrentModel,
     ) -> Result<Self, EmError> {
-        EmPipelineConfig::default()
-            .with_coil(coil)
-            .with_model(model)
-            .build(netlist, floorplan)
+        let map = CouplingMap::build(&coil, floorplan.die())?;
+        let weights = map.weights_for(netlist, floorplan);
+        let table = model.charge_table(netlist, &[Some(&weights)])?;
+        Ok(Self {
+            coil,
+            map,
+            weights,
+            model,
+            table,
+        })
+    }
+
+    /// Another coil's channel over this sensor's design (the same
+    /// netlist and floorplan, and this sensor's model): this sensor's
+    /// table reweighted with the coil's weights, which bins and renders
+    /// like a freshly compiled one without walking the netlist again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmError::InvalidParameter`] if the netlist or the
+    /// floorplan has another cell count than this sensor's design, and
+    /// propagates coupling-map errors.
+    pub fn for_coil(
+        &self,
+        coil: Coil,
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+    ) -> Result<Self, EmError> {
+        let cells = self.weights.len();
+        if netlist.cell_count() != cells || floorplan.locations().len() != cells {
+            return Err(EmError::InvalidParameter {
+                what: "another coil must sit over the sensor's own design",
+            });
+        }
+        let map = CouplingMap::build(&coil, floorplan.die())?;
+        let weights = map.weights_for(netlist, floorplan);
+        let mut table = self.table.clone();
+        table.reweight(&[Some(&weights)])?;
+        Ok(Self {
+            coil,
+            map,
+            weights,
+            model: self.model.clone(),
+            table,
+        })
     }
 
     /// Scales the per-cell weights element-wise — the hook through which
@@ -416,29 +317,6 @@ mod tests {
         let noise = s.measure_noise(40_000, 5);
         let expected = crate::noise::ONCHIP_ENV_NOISE_RMS_V;
         assert!((noise.rms_v() - expected).abs() < 0.05 * expected);
-    }
-
-    #[test]
-    fn config_defaults_match_the_legacy_constructor() {
-        let (n, fp) = small_design();
-        let legacy = sensor(&n, &fp);
-        let built = EmPipelineConfig::default().build(&n, &fp).unwrap();
-        assert_eq!(built.weights(), legacy.weights());
-        assert_eq!(built.coupling(), legacy.coupling());
-        assert_eq!(built.coil().name(), legacy.coil().name());
-    }
-
-    #[test]
-    fn config_knobs_validate_and_apply() {
-        assert!(EmPipelineConfig::default().with_coupling_step(0.0).is_err());
-        assert!(EmPipelineConfig::default().with_dipole_area(-1.0).is_err());
-        let (n, fp) = small_design();
-        let s = EmPipelineConfig::default()
-            .with_coupling_step(30.0)
-            .unwrap()
-            .build(&n, &fp)
-            .unwrap();
-        assert_eq!(s.coupling().step_um(), 30.0);
     }
 
     #[test]

@@ -12,16 +12,15 @@
 //! # emtrust-layout
 //!
 //! Physical substrate for the on-chip EM sensor framework: the die, the
-//! placement of every cell, the power grid, and — the paper's key
-//! artifact — the **one-way spiral EM sensor** occupying the topmost metal
-//! layer plus the **external probe** it is compared against.
+//! placement of every cell, and — the paper's key artifact — the
+//! **one-way spiral EM sensor** occupying the topmost metal layer plus
+//! the **external probe** it is compared against.
 //!
 //! - [`geometry`] — points, segments and rectangles in micrometres,
 //! - [`floorplan`] — die sizing and a deterministic row placer that puts
 //!   the AES core in the main region and each Trojan in the east strip
 //!   (paper Fig. 3 shows the four Trojans beside the AES), plus the pad
 //!   ring (VDD, VSS, `Sensor In`, `Sensor Out`),
-//! - [`grid`] — power-grid straps on the upper routing layers,
 //! - [`spiral`] — the on-chip sensor: a square spiral from the die centre
 //!   to the corner covering the entire circuit (paper Fig. 2(b)), with the
 //!   coil width respecting the technology's minimum-width rule,
@@ -34,7 +33,6 @@
 
 pub mod floorplan;
 pub mod geometry;
-pub mod grid;
 pub mod probe;
 pub mod spiral;
 

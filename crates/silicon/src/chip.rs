@@ -5,7 +5,7 @@ use crate::variation::ProcessVariation;
 use crate::SiliconError;
 use emtrust_em::coil::Coil;
 use emtrust_em::emf::VoltageTrace;
-use emtrust_em::pipeline::{EmPipelineConfig, EmSensor, PointCurrentSource};
+use emtrust_em::pipeline::{EmSensor, PointCurrentSource};
 use emtrust_layout::floorplan::{Die, Floorplan};
 use emtrust_layout::probe::ExternalProbe;
 use emtrust_layout::spiral::SpiralSensor;
@@ -69,13 +69,14 @@ impl FabricatedChip {
             Coil::OnChip(SpiralSensor::for_die(die)?),
             netlist,
             &floorplan,
-            model.clone(),
+            model,
         )?;
         // The probe reweights the spiral's table: one compile per die.
-        let external = EmPipelineConfig::default()
-            .with_coil(Coil::External(ExternalProbe::over_die(die)))
-            .with_model(model)
-            .build_from(netlist, &floorplan, Some(onchip.charge_table()))?;
+        let external = onchip.for_coil(
+            Coil::External(ExternalProbe::over_die(die)),
+            netlist,
+            &floorplan,
+        )?;
         Ok(Self {
             chip_id: 0,
             floorplan,

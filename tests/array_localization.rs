@@ -8,7 +8,7 @@ use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::telemetry::ForensicsConfig;
 use emtrust::{DetectionPipeline, EuclideanDetector, TraceSet};
 use emtrust_em::array::EmArray;
-use emtrust_em::pipeline::EmPipelineConfig;
+use emtrust_em::pipeline::EmSensor;
 use emtrust_layout::floorplan::Die;
 use emtrust_layout::spiral::SpiralSensor;
 use emtrust_silicon::chip::reference_design;
@@ -22,10 +22,8 @@ fn one_by_one_tile_weights_equal_the_full_die_coil() {
     let chip = ProtectedChip::golden();
     let (floorplan, model) = reference_design(chip.netlist()).unwrap();
     let array = EmArray::build(chip.netlist(), &floorplan, model.clone(), 1, 1, 20).unwrap();
-    let single = EmPipelineConfig::default()
-        .with_model(model)
-        .build(chip.netlist(), &floorplan)
-        .unwrap();
+    let coil = SpiralSensor::for_die(floorplan.die()).unwrap().into();
+    let single = EmSensor::new(coil, chip.netlist(), &floorplan, model).unwrap();
     assert_eq!(array.tiles()[0].sensor().weights(), single.weights());
 }
 
@@ -34,10 +32,8 @@ fn partitioned_tile_weights_track_the_full_die_coil() {
     let chip = ProtectedChip::golden();
     let (floorplan, model) = reference_design(chip.netlist()).unwrap();
     let array = EmArray::build(chip.netlist(), &floorplan, model.clone(), 2, 2, 10).unwrap();
-    let single = EmPipelineConfig::default()
-        .with_model(model)
-        .build(chip.netlist(), &floorplan)
-        .unwrap();
+    let coil = SpiralSensor::for_die(floorplan.die()).unwrap().into();
+    let single = EmSensor::new(coil, chip.netlist(), &floorplan, model).unwrap();
     // Coupling weights are signed (the flux reverses outside a
     // winding), so the partition is compared in magnitude: per-cell sum
     // of |coupling| over the tiles against the full-die coil's
