@@ -32,6 +32,8 @@ use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
+/// A fresh 8-trace golden campaign per iteration; it simulates on the
+/// calling thread, so only its measurements fan across the pool.
 fn parallel_collect(c: &mut Criterion) {
     let chip = ProtectedChip::golden();
     let n_traces = 8usize;
@@ -59,8 +61,8 @@ fn parallel_collect(c: &mut Criterion) {
 }
 
 fn parallel_fit(c: &mut Criterion) {
-    // Fit cost is dominated by feature extraction plus the O(n²) Eq. 1
-    // pair scan, both fanned across the pool.
+    // Feature extraction and projection fan across the pool; the O(n²)
+    // Eq. 1 pair scan runs on the calling thread.
     let chip = ProtectedChip::golden();
     let golden = TestBench::simulation(&chip)
         .expect("bench")
@@ -76,6 +78,27 @@ fn parallel_fit(c: &mut Criterion) {
         };
         g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
             b.iter(|| GoldenFingerprint::fit(&golden, config).unwrap())
+        });
+    }
+    g.finish();
+}
+
+/// 16 traces of a kept campaign measured on a fabricated die: the warm-up
+/// call simulates the campaign and every timed one reads its blocks from
+/// the bench's memo, so the timed loop is the measurement fan-out alone.
+fn parallel_measure(c: &mut Criterion) {
+    let chip = ProtectedChip::golden();
+    let mut g = c.benchmark_group("parallel_measure");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(16));
+    for workers in [1, 2] {
+        let pool = ParallelConfig::default().with_workers(workers);
+        let bench = TestBench::silicon(&chip, 3)
+            .expect("bench")
+            .with_parallel(pool);
+        let collect = || bench.collect(EXPERIMENT_KEY, 16, None, Channel::OnChipSensor, 9);
+        g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
+            b.iter(collect)
         });
     }
     g.finish();
@@ -431,6 +454,7 @@ criterion_group!(
     synthesize,
     parallel_collect,
     parallel_fit,
+    parallel_measure,
     parallel_ingest_batch
 );
 criterion_main!(parallel);

@@ -10,7 +10,10 @@
 )]
 
 //! Throughput of the parallel acquisition engine: golden-set collect+fit
-//! at 1/2/4/8 workers, plus the hot-path before/after ratio (scalar
+//! at 1/2/4/8 workers, where the pool fans out the traces' measurements,
+//! features and projections (the 32-trace campaign simulates, like the
+//! Eq. 1 scan, on the calling thread), plus the hot-path before/after
+//! ratio (scalar
 //! reference kernels vs. the SoA/table fast paths for multi-sensor
 //! synthesis and the Eq. 1 distance scan). Prints tables and writes the
 //! machine-readable record to `BENCH_parallel.json` in the working
@@ -142,17 +145,16 @@ fn hot_path_ratio(report: &mut Report) -> String {
                 .collect()
         })
         .collect();
-    // Serial on purpose: this isolates the SoA kernel, not the pool.
     let (scan_before_s, scan_after_s) = best_of_pair(
         || {
             let _ = distance::eq1_threshold_reference(&golden).or_exit("reference scan");
         },
         || {
-            let _ = distance::eq1_threshold_with(&golden, 1, usize::MAX).or_exit("scan");
+            let _ = distance::eq1_threshold(&golden).or_exit("scan");
         },
     );
     let th_before = distance::eq1_threshold_reference(&golden).or_exit("reference scan");
-    let th_after = distance::eq1_threshold_with(&golden, 1, usize::MAX).or_exit("scan");
+    let th_after = distance::eq1_threshold(&golden).or_exit("scan");
     assert!(
         (th_before - th_after).abs() <= 1e-9 * th_before.abs().max(1e-300),
         "lane-kernel threshold {th_after} drifted from reference {th_before}"

@@ -174,18 +174,20 @@ impl RetryPolicy {
     /// from [`Self::backoff_base_us`], jittered by
     /// [`Self::backoff_jitter`], capped at [`Self::backoff_cap_us`].
     /// Pure in `(policy, attempt, seed)`, so a replayed campaign charges
-    /// the exact same schedule.
+    /// the exact same schedule. A jitter too small to widen `1 ± jitter`
+    /// past 1, or NaN, charges the un-jittered schedule.
     pub fn backoff_us(&self, attempt: u32, seed: u64) -> u64 {
         let exp = u64::from(attempt.saturating_sub(1)).min(20);
         let nominal = self.backoff_base_us.saturating_mul(1u64 << exp);
         let jitter = self.backoff_jitter.clamp(0.0, 1.0);
-        if jitter == 0.0 {
+        let band = (1.0 - jitter)..(1.0 + jitter);
+        if band.is_empty() {
             return nominal.min(self.backoff_cap_us);
         }
         let mut rng = StdRng::seed_from_u64(
             seed ^ (u64::from(attempt).wrapping_add(1)).wrapping_mul(0xA24B_AED4_963E_E407),
         );
-        let factor = rng.gen_range((1.0 - jitter)..(1.0 + jitter));
+        let factor = rng.gen_range(band);
         let jittered = (nominal as f64 * factor).round() as u64;
         jittered.min(self.backoff_cap_us)
     }
@@ -412,7 +414,9 @@ impl<'c> TestBench<'c> {
         self.a2.as_ref()
     }
 
-    /// Sets the parallel execution policy used by the `collect*` methods.
+    /// Sets the worker pool of the `collect*` methods: it measures a
+    /// campaign's traces, one trace per task; the campaign itself
+    /// simulates on the calling thread.
     ///
     /// The policy only affects wall-clock time: every collection result is
     /// bit-identical for every worker count (noise seeds derive from the
@@ -564,7 +568,7 @@ impl<'c> TestBench<'c> {
                 Stimulus::RandomPerTrace => rng.gen(),
             })
             .collect();
-        let campaign = Campaign::new(self.chip, key, armed, Some(warmup), self.parallel);
+        let campaign = Campaign::new(self.chip, key, armed, Some(warmup));
         let mut blocks = Vec::with_capacity(n_traces);
         campaign.record(&plaintexts, self.charge_table(channel), None, |_, round| {
             blocks.extend(round);
@@ -637,9 +641,9 @@ impl<'c> TestBench<'c> {
         telemetry::counter("acquire.blocks", n_blocks as u64);
         let mut rng = StdRng::seed_from_u64(seed);
         let plaintexts: Vec<[u8; 16]> = (0..n_blocks).map(|_| rng.gen()).collect();
-        // The blocks are binned as they are simulated (on the pool's
-        // workers when replayable); the window renders once, in order.
-        let (bins, leak) = Campaign::new(self.chip, key, armed, None, self.parallel)
+        // The blocks are binned as they are simulated; the window renders
+        // once, in order.
+        let (bins, leak) = Campaign::new(self.chip, key, armed, None)
             .record_window(&plaintexts, self.charge_table(channel))?;
         let mut trace = self.measure_bins(&bins, leak.as_deref(), channel, seed)?;
         if let Some(plan) = &self.faults {
@@ -876,13 +880,17 @@ mod tests {
         let other: Vec<u64> = (1..=6).map(|a| policy.backoff_us(a, 0xBACD)).collect();
         assert_ne!(schedule, other);
         assert!(other.iter().all(|&b| b <= 350));
-        // Zero jitter restores the fixed doubling schedule.
-        let fixed = RetryPolicy {
-            backoff_jitter: 0.0,
-            ..policy
-        };
-        let plain: Vec<u64> = (1..=4).map(|a| fixed.backoff_us(a, 0xBACC)).collect();
-        assert_eq!(plain, vec![100, 200, 350, 350]);
+        // Zero jitter restores the fixed doubling schedule, and so do a
+        // jitter too small to widen 1 ± jitter past 1 and NaN, which
+        // leave no band to draw from.
+        for backoff_jitter in [0.0, 1e-17, f64::NAN] {
+            let fixed = RetryPolicy {
+                backoff_jitter,
+                ..policy
+            };
+            let plain: Vec<u64> = (1..=4).map(|a| fixed.backoff_us(a, 0xBACC)).collect();
+            assert_eq!(plain, vec![100, 200, 350, 350], "jitter {backoff_jitter}");
+        }
     }
 
     #[test]
@@ -1056,7 +1064,7 @@ mod tests {
                     let (_, blocks) = kept.acquire(KEY, stimulus, 2, armed, channel, 11)?;
                     // The kept blocks are the blocks a campaign streams.
                     let mut direct = Vec::new();
-                    Campaign::new(&chip, KEY, armed, Some(pt), kept.parallel).record(
+                    Campaign::new(&chip, KEY, armed, Some(pt)).record(
                         &[pt; 2],
                         kept.charge_table(channel),
                         None,
@@ -1337,7 +1345,7 @@ mod tests {
             let got = bench.collect(KEY, 2, armed, channel, 5)?;
             let pt: [u8; 16] = StdRng::seed_from_u64(5 ^ 0x97).gen();
             let mut expected = Vec::new();
-            let campaign = Campaign::new(&chip, KEY, armed, Some(pt), ParallelConfig::serial());
+            let campaign = Campaign::new(&chip, KEY, armed, Some(pt));
             campaign.record(&[pt; 2], sensor.charge_table(), None, |_, blocks| {
                 for Block { bins, leak } in blocks {
                     let i = expected.len() as u64;
@@ -1354,7 +1362,7 @@ mod tests {
             let got = bench.collect_continuous(KEY, 3, armed, channel, 6)?;
             let mut rng = StdRng::seed_from_u64(6);
             let plaintexts: Vec<[u8; 16]> = (0..3).map(|_| rng.gen()).collect();
-            let (bins, leak) = Campaign::new(&chip, KEY, armed, None, ParallelConfig::serial())
+            let (bins, leak) = Campaign::new(&chip, KEY, armed, None)
                 .record_window(&plaintexts, sensor.charge_table())?;
             let inj = injections(bins.cycles());
             let expected = sensor.measure(&bins, leak.as_deref(), &inj, 6)?;

@@ -651,7 +651,7 @@ impl<'c> SensorArray<'c> {
         let mut per_tile: Vec<Vec<Vec<f64>>> = (0..self.array.len())
             .map(|_| Vec::with_capacity(n_traces))
             .collect();
-        let campaign = Campaign::new(self.chip, key, armed, Some(pt), self.config.parallel);
+        let campaign = Campaign::new(self.chip, key, armed, Some(pt));
         let table = self.array.charge_table();
         campaign.record(&vec![pt; n_traces], table, toggles, |first, blocks| {
             let per_trace = self.config.parallel.try_map(

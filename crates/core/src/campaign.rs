@@ -27,9 +27,10 @@
 //!   state after an encryption is a pure function of the key and that
 //!   encryption's plaintext.
 //!
-//! The round's blocks are then split into one chunk per pool worker, at
-//! most [`LANES`] blocks each, and every chunk runs on its own simulator,
-//! one block per lane. Lane *i* warms up with its predecessor plaintext,
+//! The blocks then stream in rounds of at most [`LANES`], each round on
+//! one simulator on the calling thread, one block per lane: the pool fans
+//! out whole traces, never a campaign's lanes (EXPERIMENTS.md, "Which
+//! thread paths pay"). Lane *i* warms up with its predecessor plaintext,
 //! which puts the core in its serial state, then loads its entry state
 //! of the cone and settles: at a block boundary every combinational net
 //! is a fixed point of the flops and the inputs, so the lane now holds
@@ -48,11 +49,9 @@
 //! off the plaintexts. A cycle's bins depend only on that cycle's
 //! toggles, and each lane still adds its own in serial event order,
 //! shared or not, so the blocks' bins are bit-identical whatever the
-//! width and the worker count, and equal the bins of a stored serial
-//! recording.
+//! width, and equal the bins of a stored serial recording.
 
 use crate::acquisition::T2_LEAK_CURRENT_A;
-use crate::parallel::ParallelConfig;
 use crate::TrustError;
 use emtrust_aes::netlist::{run_encryptions, run_encryptions_stepped};
 use emtrust_power::{ChargeBins, ChargeTable};
@@ -76,25 +75,21 @@ pub(crate) struct Campaign<'c> {
     /// The block encrypted, unrecorded, before the first recorded one;
     /// `None` records from the power-on state.
     warmup: Option<[u8; 16]>,
-    parallel: ParallelConfig,
 }
 
 impl<'c> Campaign<'c> {
-    /// A campaign on `chip` with only `armed` triggered, simulating on
-    /// `parallel`'s workers.
+    /// A campaign on `chip` with only `armed` triggered.
     pub(crate) fn new(
         chip: &'c ProtectedChip,
         key: [u8; 16],
         armed: Option<TrojanKind>,
         warmup: Option<[u8; 16]>,
-        parallel: ParallelConfig,
     ) -> Self {
         Self {
             chip,
             key,
             armed,
             warmup,
-            parallel,
         }
     }
 
@@ -112,44 +107,19 @@ impl<'c> Campaign<'c> {
     ) -> Result<(), TrustError> {
         let cone = self.chip.state_cone()?;
         let mut entries: Option<Vec<ConeState>> = None;
-        let workers = self
-            .parallel
-            .workers
-            .clamp(1, emtrust_dsp::parallel::host_parallelism());
-        let width = plaintexts.len().div_ceil(workers).clamp(1, LANES);
-        let count = toggles.is_some();
-        let mut before = self.warmup;
-        for (r, round) in plaintexts.chunks(width * workers).enumerate() {
-            let chunks = {
+        let mut prev = self.warmup;
+        for (r, round) in plaintexts.chunks(LANES).enumerate() {
+            let blocks = {
                 let _span = telemetry::span("simulate");
                 let entries = match &mut entries {
                     Some(entries) => entries,
                     None => entries.insert(self.entries(plaintexts)?),
                 };
-                let entries = &entries[r * width * workers..][..round.len()];
-                emtrust_dsp::parallel::chunked_try_map(round.len(), width, workers, |range| {
-                    let prev = range.start.checked_sub(1).map(|i| round[i]).or(before);
-                    let mut counts = count.then(ToggleActivity::new);
-                    let blocks = self.replay(
-                        prev,
-                        &round[range.clone()],
-                        cone,
-                        &entries[range],
-                        table,
-                        counts.as_mut(),
-                    )?;
-                    Ok::<_, TrustError>(vec![(blocks, counts)])
-                })?
+                let entries = &entries[r * LANES..][..round.len()];
+                self.replay(prev, round, cone, entries, table, toggles.as_deref_mut())?
             };
-            before = round.last().copied();
-            let mut blocks = Vec::with_capacity(round.len());
-            for (chunk, counts) in chunks {
-                blocks.extend(chunk);
-                if let (Some(toggles), Some(counts)) = (toggles.as_deref_mut(), counts) {
-                    toggles.merge(&counts);
-                }
-            }
-            sink(r * width * workers, blocks)?;
+            prev = round.last().copied();
+            sink(r * LANES, blocks)?;
         }
         Ok(())
     }
@@ -374,21 +344,18 @@ mod tests {
             let mut prefix = recording.clone();
             prefix.truncate(12 * n);
             let expected = stored(&chip, &sets, &prefix, None);
-            for workers in [1, 2, 4] {
-                let parallel = ParallelConfig::serial().with_workers(workers);
-                let (bins, leak) = Campaign::new(&chip, KEY, None, None, parallel)
-                    .record_window(&pts[..n], &table)
-                    .unwrap();
-                assert!(leak.is_none());
-                assert_eq!(bins.cycles(), 12 * n);
-                let got = table.render(&bins, None).unwrap();
-                assert_same_bits(&got, &expected, &format!("{n} blocks, {workers} workers"));
-            }
+            let (bins, leak) = Campaign::new(&chip, KEY, None, None)
+                .record_window(&pts[..n], &table)
+                .unwrap();
+            assert!(leak.is_none());
+            assert_eq!(bins.cycles(), 12 * n);
+            let got = table.render(&bins, None).unwrap();
+            assert_same_bits(&got, &expected, &format!("{n} blocks"));
         }
     }
 
     #[test]
-    fn streamed_blocks_and_toggles_match_the_serial_recording_at_any_worker_count() {
+    fn streamed_blocks_and_toggles_match_the_serial_recording() {
         let chip = ProtectedChip::golden();
         let sets = weight_sets(&chip);
         let table = table(&chip, &sets);
@@ -413,55 +380,49 @@ mod tests {
             all.extend_from(activity.clone());
         }
         let expected_toggles = ToggleActivity::from_trace(&all);
-        for workers in [1, 2, 8] {
-            let parallel = ParallelConfig::serial().with_workers(workers);
-            let mut got = Vec::new();
-            let mut toggles = ToggleActivity::new();
-            Campaign::new(chip, KEY, None, warmup, parallel)
-                .record(pts, table, Some(&mut toggles), |first, blocks| {
-                    assert_eq!(first, got.len());
-                    got.extend(blocks);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(got.len(), expected.len());
-            for (i, (block, (activity, _))) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(block.bins, table.bin_trace(activity, 1), "block {i}");
-                let rendered = table.render(&block.bins, None).unwrap();
-                let what = format!("block {i}, {workers} workers");
-                assert_same_bits(&rendered, &stored(chip, sets, activity, None), &what);
-            }
-            assert_eq!(toggles, expected_toggles, "{workers} workers");
-            assert_eq!(toggles.cell_count(), expected_toggles.cell_count());
+        let mut got = Vec::new();
+        let mut toggles = ToggleActivity::new();
+        Campaign::new(chip, KEY, None, warmup)
+            .record(pts, table, Some(&mut toggles), |first, blocks| {
+                assert_eq!(first, got.len());
+                got.extend(blocks);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(got.len(), expected.len());
+        for (i, (block, (activity, _))) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(block.bins, table.bin_trace(activity, 1), "block {i}");
+            let rendered = table.render(&block.bins, None).unwrap();
+            let what = format!("block {i}");
+            assert_same_bits(&rendered, &stored(chip, sets, activity, None), &what);
         }
+        assert_eq!(toggles, expected_toggles);
+        assert_eq!(toggles.cell_count(), expected_toggles.cell_count());
     }
 
     #[test]
     fn each_armed_trojan_streams_like_its_serial_recording() {
         // 70 distinct blocks cross a 64-lane round; the cone carries T1's
         // free-running counter and every Trojan's key state across it.
-        // 33 blocks of one plaintext stream 17 and 16 lanes wide on 2
-        // workers: every block the lanes' cone states leave alike is
-        // shared.
+        // 33 blocks of one plaintext stream 33 lanes wide: every block the
+        // lanes' cone states leave alike is shared.
         let chip = ProtectedChip::with_all_trojans();
         let sets = weight_sets(&chip);
         let table = table(&chip, &sets);
         let kinds = emtrust_trojan::digital::ALL_DIGITAL_TROJANS.map(Some);
-        let cases = [(plaintexts(70), 2), (vec![[0x5A; 16]; 33], 2)];
-        for (pts, workers) in &cases {
+        for pts in [plaintexts(70), vec![[0x5A; 16]; 33]] {
             for warmup in [None, Some([0x3C; 16])] {
                 for armed in std::iter::once(None).chain(kinds) {
                     let what = format!(
-                        "{} blocks, {workers} workers, {armed:?}, warm-up {}",
+                        "{} blocks, {armed:?}, warm-up {}",
                         pts.len(),
                         warmup.is_some()
                     );
-                    let expected = serial(&chip, pts, armed, warmup);
+                    let expected = serial(&chip, &pts, armed, warmup);
                     let mut got = Vec::new();
                     let mut toggles = ToggleActivity::new();
-                    let parallel = ParallelConfig::serial().with_workers(*workers);
-                    Campaign::new(&chip, KEY, armed, warmup, parallel)
-                        .record(pts, &table, Some(&mut toggles), |first, blocks| {
+                    Campaign::new(&chip, KEY, armed, warmup)
+                        .record(&pts, &table, Some(&mut toggles), |first, blocks| {
                             assert_eq!(first, got.len(), "{what}");
                             got.extend(blocks);
                             Ok(())
@@ -502,7 +463,7 @@ mod tests {
         let pts = plaintexts(20);
         let armed = Some(TrojanKind::T1AmLeaker);
         for warmup in [None, Some([0x3C; 16]), None] {
-            let campaign = Campaign::new(&chip, KEY, armed, warmup, ParallelConfig::serial());
+            let campaign = Campaign::new(&chip, KEY, armed, warmup);
             let expected: Vec<ConeState> = {
                 let mut sim = chip.power_on(armed).unwrap();
                 if let Some(pt) = warmup {

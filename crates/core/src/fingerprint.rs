@@ -2,7 +2,7 @@
 
 use crate::acquisition::TraceSet;
 use crate::features::{bin_rms, l2_norm, DEFAULT_RMS_BIN};
-use crate::parallel::{ParallelConfig, CHUNK};
+use crate::parallel::ParallelConfig;
 use crate::TrustError;
 use emtrust_dsp::distance;
 use emtrust_dsp::pca::Pca;
@@ -19,9 +19,10 @@ pub struct FingerprintConfig {
     /// Threshold head-room multiplier on Eq. 1 (1.0 = the literal paper
     /// rule).
     pub threshold_margin: f64,
-    /// Parallel execution policy for fitting and batch evaluation. Only
-    /// affects wall-clock time: per-trace work and the `f64::max`
-    /// threshold reduction are bit-identical for every worker count.
+    /// Worker pool for the per-trace work of fitting (features and PCA
+    /// projections) and of batch evaluation; the Eq. 1 and pairwise
+    /// scans run on the calling thread. Only affects wall-clock time:
+    /// every result is bit-identical for every worker count.
     pub parallel: ParallelConfig,
 }
 
@@ -134,11 +135,10 @@ impl GoldenFingerprint {
             None => (None, scaled),
         };
         let centroid = distance::centroid(&projected)?;
-        // The O(n²) Eq. 1 pair scan, row-fanned across the pool.
+        // The O(n²) Eq. 1 pair scan.
         let threshold = {
             let _span = telemetry::span("threshold_scan");
-            distance::eq1_threshold_with(&projected, config.parallel.workers, CHUNK)?
-                * config.threshold_margin
+            distance::eq1_threshold(&projected)? * config.threshold_margin
         };
         telemetry::gauge("fingerprint.threshold", threshold);
         Ok(Self {
@@ -244,11 +244,7 @@ impl GoldenFingerprint {
     ///
     /// Forwarded distance errors.
     pub fn golden_pairwise(&self) -> Result<Vec<f64>, TrustError> {
-        Ok(distance::pairwise_distances_with(
-            &self.golden,
-            self.config.parallel.workers,
-            CHUNK,
-        )?)
+        Ok(distance::pairwise_distances(&self.golden)?)
     }
 
     /// Cross distances between the golden set and a suspect set (the blue

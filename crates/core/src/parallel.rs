@@ -5,10 +5,14 @@
 //! execution"; this module lets the *reproduction* fan its batch work
 //! across cores when a caller asks for it. Everything runs serially by
 //! default: a [`ParallelConfig`] names only a worker count, and threads
-//! start only where a caller sets one above 1. Every parallel stage in
-//! the workspace splits its work into **fixed chunks whose layout never
-//! depends on the worker count**, so results are bit-identical for every
-//! worker count — serial (`workers = 1`) and 8-wide runs produce the same
+//! start only where a caller sets one above 1. A pool fans out **whole
+//! traces** (measurement, features, projections, scoring) and nothing
+//! below them: a campaign's lanes and a scan's rows run on the calling
+//! thread, where no workload gained 1.3× from a second worker
+//! (EXPERIMENTS.md, "Which thread paths pay"). Its work is cut into
+//! **fixed chunks whose layout never depends on the worker count**, so
+//! results are bit-identical for every worker count — serial
+//! (`workers = 1`) and 8-wide runs produce the same
 //! traces, the same distances, and the same alarms in the same order.
 //! Randomness is never drawn from worker identity: every trace's noise
 //! seed is derived from the campaign seed and the trace index alone.
@@ -19,9 +23,10 @@ use emtrust_dsp::parallel as substrate;
 /// large enough to amortize dispatch. Chunk boundaries are a pure
 /// function of this value, never of the worker count, which is what
 /// keeps parallel runs bit-identical to serial ones.
-pub(crate) const CHUNK: usize = 4;
+const CHUNK: usize = 4;
 
-/// Worker-pool configuration shared by the parallel hot paths. The
+/// Worker-pool configuration shared by the parallel hot paths: it fans
+/// out whole traces and nothing below them (see the module docs). The
 /// default is [`Self::serial`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {

@@ -24,7 +24,6 @@
 
 use crate::acquisition::{Stimulus, TraceSet};
 use crate::campaign::{Block, Campaign};
-use crate::parallel::ParallelConfig;
 use crate::TrustError;
 use emtrust_em::noise::standard_normal;
 use emtrust_netlist::library::Library;
@@ -116,13 +115,7 @@ impl<'c> PowerBaseline<'c> {
                 Stimulus::RandomPerTrace => rng.gen(),
             })
             .collect();
-        let campaign = Campaign::new(
-            self.chip,
-            key,
-            armed,
-            Some(warmup),
-            ParallelConfig::serial(),
-        );
+        let campaign = Campaign::new(self.chip, key, armed, Some(warmup));
         let mut traces = Vec::with_capacity(n_traces);
         campaign.record(&plaintexts, &self.table, None, |_, blocks| {
             for Block { bins, .. } in blocks {

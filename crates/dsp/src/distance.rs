@@ -135,36 +135,17 @@ fn flatten_set(set: &[Vec<f64>]) -> Result<(Vec<f64>, usize), DspError> {
 /// Returns [`DspError::LengthMismatch`] if any vector disagrees in length
 /// with the first.
 pub fn pairwise_distances(set: &[Vec<f64>]) -> Result<Vec<f64>, DspError> {
-    pairwise_distances_with(set, 1, usize::MAX)
-}
-
-/// [`pairwise_distances`] with the row space fanned across `workers`
-/// threads in chunks of `row_chunk` rows. Row-major output order — and
-/// hence every bit of the result — is independent of the worker count.
-///
-/// # Errors
-///
-/// Returns [`DspError::LengthMismatch`] if any vector disagrees in length
-/// with the first.
-pub fn pairwise_distances_with(
-    set: &[Vec<f64>],
-    workers: usize,
-    row_chunk: usize,
-) -> Result<Vec<f64>, DspError> {
     let _span = emtrust_telemetry::span("pairwise_scan");
     let n = set.len();
     let (flat, dim) = flatten_set(set)?;
     let row = |i: usize| &flat[i * dim..(i + 1) * dim];
-    let rows = crate::parallel::chunked_map(n, row_chunk.min(n.max(1)), workers, |range| {
-        let mut out = Vec::new();
-        for i in range {
-            for j in (i + 1)..n {
-                out.push(sum_sq_diff(row(i), row(j)).sqrt());
-            }
+    let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            out.push(sum_sq_diff(row(i), row(j)).sqrt());
         }
-        vec![out]
-    });
-    Ok(rows.into_iter().flatten().collect())
+    }
+    Ok(out)
 }
 
 /// All cross distances between two sets (`|a|·|b|` values).
@@ -193,23 +174,6 @@ pub fn cross_distances(a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<Vec<f64>, DspEr
 /// are supplied (no pair exists), or [`DspError::LengthMismatch`] on
 /// inconsistent vector lengths.
 pub fn eq1_threshold(golden: &[Vec<f64>]) -> Result<f64, DspError> {
-    eq1_threshold_with(golden, 1, usize::MAX)
-}
-
-/// [`eq1_threshold`] with the `O(n²)` pair scan fanned across `workers`
-/// threads in chunks of `row_chunk` rows. `f64::max` is associative and
-/// commutative, so the threshold is bit-identical for every worker count.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] if fewer than two golden vectors
-/// are supplied (no pair exists), or [`DspError::LengthMismatch`] on
-/// inconsistent vector lengths.
-pub fn eq1_threshold_with(
-    golden: &[Vec<f64>],
-    workers: usize,
-    row_chunk: usize,
-) -> Result<f64, DspError> {
     let _span = emtrust_telemetry::span("eq1_scan");
     let n = golden.len();
     if n < 2 {
@@ -219,15 +183,12 @@ pub fn eq1_threshold_with(
     }
     let (flat, dim) = flatten_set(golden)?;
     let row = |i: usize| &flat[i * dim..(i + 1) * dim];
-    let best = crate::parallel::chunked_max(n, row_chunk.min(n), workers, 0.0, |range| {
-        let mut best = 0.0f64;
-        for i in range {
-            for j in (i + 1)..n {
-                best = best.max(sum_sq_diff(row(i), row(j)));
-            }
+    let mut best = 0.0f64;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            best = best.max(sum_sq_diff(row(i), row(j)));
         }
-        best
-    });
+    }
     Ok(best.sqrt())
 }
 

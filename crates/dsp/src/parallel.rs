@@ -1,6 +1,8 @@
 //! Deterministic chunked parallel execution on scoped threads.
 //!
-//! The substrate every parallel hot path in the workspace builds on.
+//! The substrate of the workspace's worker pools: `emtrust`'s
+//! `ParallelConfig`, which fans out whole traces, and the cycle chunks of
+//! `ChargeTable::bin_trace`.
 //! Work is split into **fixed-size chunks whose boundaries depend only on
 //! the chunk size, never on the worker count**; workers pull chunks from a
 //! shared atomic cursor and results are merged back in chunk order. Any
@@ -9,8 +11,8 @@
 //! the property the trust monitor's determinism guarantee rests on.
 //!
 //! Scoped `std::thread` workers are used rather than an external pool
-//! crate: the build environment is offline, and the chunk granularity here
-//! (whole EM traces, blocks of distance pairs) makes pool reuse overhead
+//! crate: the build environment is offline, and the chunk granularity
+//! here (whole EM traces, blocks of cycles) makes pool reuse overhead
 //! irrelevant.
 
 use emtrust_telemetry as telemetry;
@@ -135,19 +137,6 @@ where
     }
 }
 
-/// Parallel max-reduction over chunks. `f` maps an item range to a partial
-/// maximum; partials are folded with `f64::max`, which is associative and
-/// commutative, so the result is bit-identical for every worker count.
-/// Returns `neutral` when `n_items` is zero.
-pub fn chunked_max<F>(n_items: usize, chunk_size: usize, workers: usize, neutral: f64, f: F) -> f64
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    chunked_map(n_items, chunk_size, workers, |r| vec![f(r)])
-        .into_iter()
-        .fold(neutral, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,18 +171,6 @@ mod tests {
                 }
             });
             assert_eq!(got.unwrap_err(), 30, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn max_reduction_matches_serial_fold() {
-        let values: Vec<f64> = (0..517).map(|i| ((i * 37 % 101) as f64).sin()).collect();
-        let serial = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for workers in [1, 2, 5, 16] {
-            let par = chunked_max(values.len(), 13, workers, f64::NEG_INFINITY, |r| {
-                values[r].iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            });
-            assert_eq!(par.to_bits(), serial.to_bits(), "workers={workers}");
         }
     }
 

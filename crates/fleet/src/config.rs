@@ -5,6 +5,7 @@
 //! bad deployment fails at construction, not mid-ingest.
 
 use crate::FleetError;
+use emtrust::RetryPolicy;
 
 /// Per-chip circuit-breaker thresholds (see [`crate::breaker`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +47,20 @@ pub struct DispatchConfig {
     /// Jitter fraction in `[0, 1]`: each step is drawn uniformly from
     /// `nominal * [1 - jitter, 1 + jitter)`.
     pub retry_jitter: f64,
+}
+
+impl DispatchConfig {
+    /// The backoff schedule of re-dispatch attempts.
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: self.retry_max.saturating_add(1).max(1),
+            backoff_base_us: self.retry_base_us,
+            backoff_cap_us: self.retry_cap_us,
+            backoff_jitter: self.retry_jitter,
+            fallback: None,
+            max_reject_fraction: 1.0,
+        }
+    }
 }
 
 impl Default for DispatchConfig {
@@ -230,6 +245,16 @@ mod tests {
         }
         .validate()
         .is_ok());
+    }
+
+    #[test]
+    fn a_vanishing_retry_jitter_validates_and_backs_off_on_schedule() {
+        let mut cfg = FleetConfig::default();
+        cfg.dispatch.retry_jitter = 1e-17;
+        assert!(cfg.validate().is_ok());
+        let policy = cfg.dispatch.retry_policy();
+        let schedule: Vec<u64> = (1..=4).map(|a| policy.backoff_us(a, 7)).collect();
+        assert_eq!(schedule, vec![50, 100, 200, 400]);
     }
 
     #[test]

@@ -242,14 +242,7 @@ impl FleetService {
     /// Validates `cfg` and spawns one worker thread per shard.
     pub fn new(cfg: FleetConfig) -> Result<Self, FleetError> {
         cfg.validate()?;
-        let dispatch_policy = RetryPolicy {
-            max_attempts: cfg.dispatch.retry_max.saturating_add(1).max(1),
-            backoff_base_us: cfg.dispatch.retry_base_us,
-            backoff_cap_us: cfg.dispatch.retry_cap_us,
-            backoff_jitter: cfg.dispatch.retry_jitter,
-            fallback: None,
-            max_reject_fraction: 1.0,
-        };
+        let dispatch_policy = cfg.dispatch.retry_policy();
         let mut shards = Vec::with_capacity(cfg.shards);
         for shard_index in 0..cfg.shards {
             let (tx, rx) = sync_channel::<Job>(cfg.queue_capacity);

@@ -333,18 +333,6 @@ impl ToggleActivity {
         self.counts[idx] += by;
     }
 
-    /// Adds another aggregate's counts and cycles, as if its cycles had
-    /// been absorbed here.
-    pub fn merge(&mut self, other: &ToggleActivity) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.cycles += other.cycles;
-    }
-
     /// Cycles absorbed so far.
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -594,18 +582,5 @@ mod tests {
         b.absorb(&t2);
         assert_eq!(a, b);
         assert_eq!(a.cycles(), 32);
-    }
-
-    #[test]
-    fn merged_aggregates_equal_one_absorption() {
-        let (t1, t2) = (recorded_trace(4, 16), recorded_trace(5, 9));
-        let mut whole = ToggleActivity::from_trace(&t1);
-        whole.absorb(&t2);
-        let mut merged = ToggleActivity::from_trace(&t2);
-        merged.merge(&ToggleActivity::from_trace(&t1));
-        assert_eq!(merged, whole);
-        let mut empty = ToggleActivity::new();
-        empty.merge(&whole);
-        assert_eq!(empty, whole);
     }
 }
