@@ -10,10 +10,13 @@
 //! binned once) and on 64 lanes of distinct plaintexts. The `frontend` and `fleet` groups time the
 //! per-trace work of a fleet shard on 768-sample traces: the trace
 //! screen alone, one `ingest_trace` through a fitted per-chip pipeline,
-//! and a whole shard epoch through one `PipelineStore`.
+//! and a whole shard epoch through one `PipelineStore`. The `array`
+//! group times one `array_attribution` round: a golden campaign and the
+//! four armed campaigns that replay its seed and its noise.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emtrust::acquisition::TestBench;
+use emtrust::array::SensorArray;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::telemetry::LabelSet;
@@ -28,6 +31,7 @@ use emtrust_netlist::library::Library;
 use emtrust_power::{ClockConfig, CurrentModel};
 use emtrust_silicon::Channel;
 use emtrust_sim::{ToggleActivity, LANES};
+use emtrust_trojan::digital::ALL_DIGITAL_TROJANS;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -446,8 +450,42 @@ fn fleet(c: &mut Criterion) {
     g.finish();
 }
 
+/// One round of the all-Trojan chip's 4×2 array (8 turns, serial), as
+/// `array_attribution` runs it: a 16-trace golden campaign under a fresh
+/// seed per iteration, then T1–T4 armed at the same seed, each with its
+/// toggle counts. The golden campaign draws the round's environment
+/// noise; the armed ones add the array's kept draws.
+fn array(c: &mut Criterion) {
+    let mut g = c.benchmark_group("array");
+    g.sample_size(10);
+    let chip = ProtectedChip::with_all_trojans();
+    let array = SensorArray::builder(&chip)
+        .with_grid(4, 2)
+        .and_then(|b| b.with_turns(8))
+        .expect("grid")
+        .build()
+        .expect("array");
+    g.throughput(Throughput::Elements(5 * 16));
+    let mut seed = 0;
+    g.bench_function("round_golden_and_four_armed", |b| {
+        b.iter(|| {
+            seed += 1;
+            let armed = std::iter::once(None).chain(ALL_DIGITAL_TROJANS.map(Some));
+            armed
+                .map(|kind| {
+                    array
+                        .collect_with_activity(EXPERIMENT_KEY, 16, kind, seed)
+                        .expect("campaign")
+                })
+                .collect::<Vec<_>>()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     parallel,
+    array,
     frontend,
     fleet,
     simulate,

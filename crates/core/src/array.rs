@@ -64,6 +64,7 @@ use emtrust_telemetry::{self as telemetry, DecisionRecord, ForensicsConfig, Labe
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard};
 
 /// Geometry and detection knobs of a [`SensorArray`], with defaults
 /// matching the single-sensor path wherever they overlap.
@@ -220,6 +221,7 @@ impl<'c> ArrayBuilder<'c> {
             campaigns: 0,
             decisions: Vec::new(),
             decisions_dropped: 0,
+            noise: Mutex::default(),
         })
     }
 }
@@ -461,6 +463,65 @@ impl Localizer {
     }
 }
 
+/// One trace's samples on every tile, in tile order.
+type TileSamples = Vec<Vec<f64>>;
+
+/// The environment noise of one campaign seed: per trace index, each
+/// tile's draw as [`EmArray::noise`] makes it. Suspect campaigns replay
+/// the golden campaign's seed, so they add the kept draws to their own
+/// noiseless emf instead of drawing them again; the sums round exactly
+/// as fresh draws added in place do.
+///
+/// It holds one campaign: a new seed or trace length replaces it, and a
+/// longer campaign at the same key extends it.
+#[derive(Debug, Default)]
+struct NoiseMemo {
+    /// Campaign seed and samples per trace of the kept draws.
+    key: Option<(u64, usize)>,
+    /// Per trace index, each tile's samples added.
+    traces: Vec<TileSamples>,
+}
+
+impl NoiseMemo {
+    /// Forgets the draws of any other seed, before a campaign at `seed`
+    /// draws its own, so two campaigns' draws are never held at once.
+    fn forget_unless(&mut self, seed: u64) {
+        if self.key.is_some_and(|(kept, _)| kept != seed) {
+            *self = Self::default();
+        }
+    }
+
+    /// The kept draws of trace `index` under `key`, if held.
+    fn get(&self, key: (u64, usize), index: usize) -> Option<&[Vec<f64>]> {
+        if self.key != Some(key) {
+            return None;
+        }
+        self.traces.get(index).map(Vec::as_slice)
+    }
+
+    /// Keeps the fresh draws of trace `index` under `key`, replacing the
+    /// draws of any other key. Only the draws that continue the kept
+    /// traces are kept, so the memo always holds traces `0..n`.
+    fn keep(&mut self, key: (u64, usize), index: usize, draws: TileSamples) {
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.traces.clear();
+        }
+        if index == self.traces.len() {
+            self.traces.push(draws);
+        }
+    }
+}
+
+/// Adds each tile's noise draw to its noiseless emf, sample by sample.
+fn add_noise(emfs: &mut [VoltageTrace], draws: &[Vec<f64>]) {
+    for (emf, draw) in emfs.iter_mut().zip(draws) {
+        for (x, n) in emf.samples_mut().iter_mut().zip(draw) {
+            *x += n;
+        }
+    }
+}
+
 /// The assembled multi-sensor experiment: one chip, one shared
 /// simulation/synthesis path, `rows × cols` sub-sensors each feeding its
 /// own detection pipeline.
@@ -483,6 +544,8 @@ pub struct SensorArray<'c> {
     decisions: Vec<DecisionRecord>,
     /// Campaign records dropped after the log filled.
     decisions_dropped: u64,
+    /// The environment noise of the last campaign seed measured.
+    noise: Mutex<NoiseMemo>,
 }
 
 impl<'c> SensorArray<'c> {
@@ -598,6 +661,12 @@ impl<'c> SensorArray<'c> {
     /// single-sensor turn count reproduces
     /// [`crate::acquisition::TestBench::collect`] bit for bit.
     ///
+    /// The array keeps the environment noise of its last campaign seed:
+    /// a campaign at that seed (the suspect campaigns that replay the
+    /// golden one) adds the kept draws instead of drawing them again and
+    /// counts `array.noise_memo.hits`; one that draws counts
+    /// `array.noise_memo.misses`. The traces are the same bits either way.
+    ///
     /// # Errors
     ///
     /// Propagates simulation and measurement errors.
@@ -644,41 +713,85 @@ impl<'c> SensorArray<'c> {
         let _span = telemetry::span("array.collect");
         telemetry::counter("array.traces", (n_traces * self.array.len()) as u64);
         let pt: [u8; 16] = StdRng::seed_from_u64(seed ^ 0x97).gen();
-        // Each simulated round's measurements fan out across the pool;
-        // every toggle was binned once for all tiles as it streamed out
-        // of the simulator, so each trace only renders.
-        let trace_seed = |i: usize| seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The memo is taken for the campaign, so the pool reads it
+        // without a lock; a concurrent campaign finds it empty.
+        let mut memo = std::mem::take(&mut *self.lock_noise());
+        memo.forget_unless(seed);
+        let mut drew = false;
         let mut per_tile: Vec<Vec<Vec<f64>>> = (0..self.array.len())
             .map(|_| Vec::with_capacity(n_traces))
             .collect();
         let campaign = Campaign::new(self.chip, key, armed, Some(pt));
         let table = self.array.charge_table();
-        campaign.record(&vec![pt; n_traces], table, toggles, |first, blocks| {
-            let per_trace = self.config.parallel.try_map(
-                blocks.len(),
-                |j| -> Result<Vec<Vec<f64>>, TrustError> {
-                    let Block { bins, leak } = &blocks[j];
-                    let tiles = self.array.measure_multi(
-                        bins,
-                        leak.as_deref(),
-                        &[],
-                        trace_seed(first + j),
-                    )?;
-                    Ok(tiles.into_iter().map(VoltageTrace::into_samples).collect())
-                },
-            )?;
+        let recorded = campaign.record(&vec![pt; n_traces], table, toggles, |first, blocks| {
+            // Each simulated round's measurements fan out across the
+            // pool; every toggle was binned once for all tiles as it
+            // streamed out of the simulator, so each trace only renders
+            // and adds its noise.
+            let per_trace = self.config.parallel.try_map(blocks.len(), |j| {
+                self.measure_block(&blocks[j], &memo, seed, first + j)
+            })?;
             // Transpose trace-major → tile-major.
-            for tiles in per_trace {
+            for (j, (tiles, fresh)) in per_trace.into_iter().enumerate() {
+                if let Some((len, draws)) = fresh {
+                    drew = true;
+                    memo.keep((seed, len), first + j, draws);
+                }
                 for (t, samples) in tiles.into_iter().enumerate() {
                     per_tile[t].push(samples);
                 }
             }
             Ok(())
-        })?;
+        });
+        *self.lock_noise() = memo;
+        recorded?;
+        if n_traces > 0 {
+            let outcome = if drew {
+                "array.noise_memo.misses"
+            } else {
+                "array.noise_memo.hits"
+            };
+            telemetry::counter(outcome, 1);
+        }
         per_tile
             .into_iter()
             .map(|ts| TraceSet::new(ts, self.clock.sample_rate_hz()))
             .collect()
+    }
+
+    /// Measures trace `index` of the campaign at `seed` on every tile:
+    /// the block's noiseless emf plus the memo's draws when it keeps
+    /// them, or else fresh draws, which come back with the trace length
+    /// for the memo to keep.
+    fn measure_block(
+        &self,
+        Block { bins, leak }: &Block,
+        memo: &NoiseMemo,
+        seed: u64,
+        index: usize,
+    ) -> Result<(TileSamples, Option<(usize, TileSamples)>), TrustError> {
+        let mut tiles = self.array.emf_multi(bins, leak.as_deref(), &[])?;
+        let len = tiles.first().map_or(0, VoltageTrace::len);
+        let fresh = match memo.get((seed, len), index) {
+            Some(kept) => {
+                add_noise(&mut tiles, kept);
+                None
+            }
+            None => {
+                let trace_seed = seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let draws = self.array.noise(trace_seed, len);
+                add_noise(&mut tiles, &draws);
+                Some((len, draws))
+            }
+        };
+        let samples = tiles.into_iter().map(VoltageTrace::into_samples).collect();
+        Ok((samples, fresh))
+    }
+
+    fn lock_noise(&self) -> MutexGuard<'_, NoiseMemo> {
+        // The memo is only ever replaced whole, so a panic while the
+        // lock was held leaves a complete one.
+        self.noise.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Fits one golden fingerprint and one detection pipeline per tile.
@@ -794,8 +907,8 @@ impl<'c> SensorArray<'c> {
     /// # Errors
     ///
     /// [`TrustError::InvalidParameter`] if the array is unfitted, the
-    /// set count mismatches, or the evidence is degenerate; forwarded
-    /// scoring errors otherwise.
+    /// set count mismatches, a tile's set holds no trace, or the
+    /// evidence is degenerate; forwarded scoring errors otherwise.
     pub fn attribute(
         &mut self,
         suspects: &[TraceSet],
@@ -838,6 +951,12 @@ impl<'c> SensorArray<'c> {
         if suspects.len() != self.array.len() {
             return Err(TrustError::InvalidParameter {
                 what: "attribute needs one suspect trace set per tile",
+            });
+        }
+        // An empty campaign carries no evidence, so it gets no verdict.
+        if suspects.iter().any(TraceSet::is_empty) {
+            return Err(TrustError::InvalidParameter {
+                what: "attribute needs at least one suspect trace per tile",
             });
         }
         let mut heat = Vec::with_capacity(self.array.len());
@@ -961,6 +1080,117 @@ impl<'c> SensorArray<'c> {
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use emtrust_trojan::TrojanKind::{T1AmLeaker, T2LeakageLeaker, T3CdmaLeaker, T4PowerDegrader};
+
+    const KEY: [u8; 16] = *b"sixteen byte key";
+
+    /// One campaign: armed Trojan, traces, seed, and whether the toggle
+    /// counts are asked for too.
+    type Step = (Option<TrojanKind>, usize, u64, bool);
+
+    fn collect_step(
+        array: &SensorArray<'_>,
+        (armed, n_traces, seed, activity): Step,
+    ) -> Result<Vec<TraceSet>, TrustError> {
+        if activity {
+            Ok(array.collect_with_activity(KEY, n_traces, armed, seed)?.0)
+        } else {
+            array.collect(KEY, n_traces, armed, seed)
+        }
+    }
+
+    #[test]
+    fn kept_noise_measures_like_a_fresh_array() -> Result<(), TrustError> {
+        let chip = ProtectedChip::with_all_trojans();
+        let build = |workers| {
+            SensorArray::builder(&chip)
+                .with_grid(2, 2)?
+                .with_turns(8)?
+                .with_parallel(ParallelConfig::serial().with_workers(workers))
+                .build()
+        };
+        // Each step with the traces the memo holds after it.
+        let steps: [(Step, usize); 9] = [
+            // A golden campaign and the four armed ones that replay it.
+            ((None, 3, 42, false), 3),
+            ((Some(T1AmLeaker), 3, 42, true), 3),
+            ((Some(T2LeakageLeaker), 3, 42, false), 3),
+            ((Some(T3CdmaLeaker), 3, 42, true), 3),
+            ((Some(T4PowerDegrader), 3, 42, false), 3),
+            // A longer campaign at the same seed extends the memo, a
+            // shorter one reads a prefix of it.
+            ((None, 5, 42, true), 5),
+            ((Some(T1AmLeaker), 2, 42, false), 5),
+            // A new seed replaces it, and so does the old one after it.
+            ((None, 2, 7, false), 2),
+            ((Some(T2LeakageLeaker), 4, 42, true), 4),
+        ];
+        // The reference forgets its noise before every campaign, like a
+        // freshly built array.
+        let reference = build(1)?;
+        let mut fresh = Vec::new();
+        for (step, _) in steps {
+            *reference.lock_noise() = NoiseMemo::default();
+            fresh.push(collect_step(&reference, step)?);
+        }
+        for workers in [1, 2] {
+            let array = build(workers)?;
+            for ((step, kept), expected) in steps.iter().zip(&fresh) {
+                let got = collect_step(&array, *step)?;
+                assert!(got == *expected, "{step:?} at {workers} workers");
+                let memo = array.lock_noise();
+                assert_eq!(memo.key.map(|k| k.0), Some(step.2));
+                assert_eq!(memo.traces.len(), *kept, "{step:?} at {workers} workers");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn noise_memo_keys_on_the_seed_and_the_trace_length() {
+        let draws = |x: f64| vec![vec![x; 4], vec![-x; 4]];
+        let mut memo = NoiseMemo::default();
+        assert!(memo.get((1, 4), 0).is_none());
+        memo.keep((1, 4), 0, draws(0.5));
+        assert_eq!(memo.get((1, 4), 0), Some(&draws(0.5)[..]));
+        assert!(memo.get((1, 5), 0).is_none());
+        assert!(memo.get((2, 4), 0).is_none());
+        assert!(memo.get((1, 4), 1).is_none());
+        // Only draws that continue the kept traces are kept.
+        memo.keep((1, 4), 2, draws(0.7));
+        assert!(memo.get((1, 4), 2).is_none());
+        memo.keep((1, 4), 1, draws(0.6));
+        assert_eq!(memo.get((1, 4), 1), Some(&draws(0.6)[..]));
+        // Another length at the same seed replaces the memo.
+        memo.keep((1, 5), 0, draws(0.8));
+        assert!(memo.get((1, 4), 0).is_none());
+        assert_eq!(memo.traces.len(), 1);
+        // Only another seed is forgotten before a campaign.
+        memo.forget_unless(1);
+        assert_eq!(memo.get((1, 5), 0), Some(&draws(0.8)[..]));
+        memo.forget_unless(2);
+        assert_eq!((memo.key, memo.traces.len()), (None, 0));
+    }
+
+    #[test]
+    fn an_empty_suspect_campaign_gets_no_verdict() -> Result<(), TrustError> {
+        let chip = ProtectedChip::golden();
+        let mut array = SensorArray::builder(&chip).with_grid(2, 1)?.build()?;
+        let golden = array.collect(KEY, 4, None, 42)?;
+        array.fit_golden(&golden)?;
+        let rate = golden[0].sample_rate_hz();
+        let empty = vec![TraceSet::new(Vec::new(), rate)?; array.len()];
+        assert!(matches!(
+            array.attribute(&empty, None),
+            Err(TrustError::InvalidParameter { .. })
+        ));
+        // One empty tile is refused too, and nothing was scored.
+        let mut one_empty = array.collect(KEY, 2, None, 42)?;
+        one_empty[1] = TraceSet::new(Vec::new(), rate)?;
+        assert!(array.attribute(&one_empty, None).is_err());
+        assert_eq!(array.campaigns(), 0);
+        Ok(())
+    }
 
     #[test]
     fn config_defaults_are_sane() {

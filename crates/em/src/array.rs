@@ -212,35 +212,21 @@ impl EmArray {
         Ok(emfs.collect())
     }
 
-    /// One *measured* trace per sub-sensor: [`Self::emf_multi`] plus each
-    /// coil's environment noise, seeded per tile from `noise_seed` (tile 0
-    /// uses `noise_seed` unchanged, so a `1 × 1` array reproduces
-    /// [`EmSensor::measure`] bit for bit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-model errors.
-    pub fn measure_multi(
-        &self,
-        bins: &ChargeBins,
-        extra_leakage_a: Option<&[f64]>,
-        injections: &[PointCurrentSource],
-        noise_seed: u64,
-    ) -> Result<Vec<VoltageTrace>, EmError> {
-        let _span = emtrust_telemetry::span("measure_multi");
-        let mut traces = self.emf_multi(bins, extra_leakage_a, injections)?;
-        self.add_noise(&mut traces, noise_seed);
-        Ok(traces)
-    }
-
-    fn add_noise(&self, traces: &mut [VoltageTrace], noise_seed: u64) {
-        for (t, trace) in traces.iter_mut().enumerate() {
-            NoiseModel::environment_for(
-                self.tiles[t].sensor.coil(),
-                noise_seed ^ tile_noise_salt(t),
-            )
-            .add_to(trace);
-        }
+    /// Each tile's environment noise for one measured trace of `len`
+    /// samples, in tile order. Tile `t` draws from `noise_seed ^ salt(t)`
+    /// and tile 0 from `noise_seed` unchanged, so a `1 × 1` array draws
+    /// the noise [`EmSensor::measure`] adds. A measured trace is
+    /// [`Self::emf_multi`] with each tile's draw added sample by sample,
+    /// which rounds exactly as [`NoiseModel::add_to`] does.
+    pub fn noise(&self, noise_seed: u64, len: usize) -> Vec<Vec<f64>> {
+        self.tiles
+            .iter()
+            .enumerate()
+            .map(|(t, tile)| {
+                NoiseModel::environment_for(tile.sensor.coil(), noise_seed ^ tile_noise_salt(t))
+                    .samples(len)
+            })
+            .collect()
     }
 }
 
@@ -292,10 +278,14 @@ mod tests {
         let single = EmSensor::new(coil, &n, &fp, model()).unwrap();
         let act = activity(&n, 3);
         let array_bins = array.charge_table().bin_trace(&act, 2);
-        let from_array = array.measure_multi(&array_bins, None, &[], 7).unwrap();
+        let mut from_array = array.emf_multi(&array_bins, None, &[]).unwrap();
+        let noise = array.noise(7, from_array[0].len());
+        for (x, n) in from_array[0].samples_mut().iter_mut().zip(&noise[0]) {
+            *x += n;
+        }
         let single_bins = single.charge_table().bin_trace(&act, 2);
         let from_single = single.measure(&single_bins, None, &[], 7).unwrap();
-        assert_eq!(from_array.len(), 1);
+        assert_eq!((from_array.len(), noise.len()), (1, 1));
         assert_eq!(from_array[0], from_single);
     }
 
@@ -381,22 +371,16 @@ mod tests {
     fn tile_noise_streams_differ_between_tiles() {
         let (n, fp) = small_design();
         let array = EmArray::build(&n, &fp, model(), 2, 2, 6).unwrap();
-        let bins = array.charge_table().bin_trace(&activity(&n, 2), 1);
-        let noiseless = array.emf_multi(&bins, None, &[]).unwrap();
-        let measured = array.measure_multi(&bins, None, &[], 9).unwrap();
-        let noise: Vec<Vec<f64>> = measured
-            .iter()
-            .zip(&noiseless)
-            .map(|(m, e)| {
-                m.samples()
-                    .iter()
-                    .zip(e.samples())
-                    .map(|(a, b)| a - b)
-                    .collect()
-            })
-            .collect();
+        let noise = array.noise(9, 64);
         assert_ne!(noise[0], noise[1]);
         assert_ne!(noise[1], noise[2]);
+        // Each draw is what the tile's salted noise model adds to a trace.
+        for (t, (tile, draw)) in array.tiles().iter().zip(&noise).enumerate() {
+            let mut trace = VoltageTrace::new(vec![0.0; 64], 1.0);
+            NoiseModel::environment_for(tile.sensor().coil(), 9 ^ tile_noise_salt(t))
+                .add_to(&mut trace);
+            assert_eq!(trace.samples(), &draw[..]);
+        }
     }
 
     #[test]
