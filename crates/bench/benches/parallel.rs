@@ -12,11 +12,16 @@
 //! screen alone, one `ingest_trace` through a fitted per-chip pipeline,
 //! and a whole shard epoch through one `PipelineStore`. The `array`
 //! group times one `array_attribution` round: a golden campaign and the
-//! four armed campaigns that replay its seed and its noise.
+//! four armed campaigns that replay its seed and its noise; then one
+//! armed campaign's attribution, by the tiles alone and with the cell
+//! ranking.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use emtrust::acquisition::TestBench;
 use emtrust::array::SensorArray;
+use emtrust::attribution::CellEvidence;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::telemetry::LabelSet;
@@ -350,6 +355,47 @@ fn synthesize(c: &mut Criterion) {
     g.finish();
 }
 
+/// One armed campaign's attribution on the same array, fitted to a
+/// 16-trace golden campaign: a T3 campaign of 16 scored by the tiles
+/// alone (`attribute(.., None)`), and with its toggle counts ranked
+/// cell by cell too. Their difference is the cell tier.
+fn attribute(g: &mut BenchmarkGroup<'_>, chip: &ProtectedChip) {
+    const TILES_ONLY: &str = "attribute_16_tiles_only";
+    const WITH_CELLS: &str = "attribute_16_with_cells";
+    if !g.selects(TILES_ONLY) && !g.selects(WITH_CELLS) {
+        return;
+    }
+    let mut array = SensorArray::builder(chip)
+        .with_grid(4, 2)
+        .and_then(|b| b.with_turns(8))
+        .expect("grid")
+        .build()
+        .expect("array");
+    let (golden, baseline) = array
+        .collect_with_activity(EXPERIMENT_KEY, 16, None, 1)
+        .expect("golden campaign");
+    array.fit_golden(&golden).expect("fit");
+    let (suspects, suspect) = array
+        .collect_with_activity(EXPERIMENT_KEY, 16, Some(TrojanKind::T3CdmaLeaker), 1)
+        .expect("T3 campaign");
+    let evidence = CellEvidence {
+        baseline: &baseline,
+        suspect: &suspect,
+    };
+    g.sample_size(100);
+    g.throughput(Throughput::Elements(16));
+    g.bench_function(TILES_ONLY, |b| {
+        b.iter(|| array.attribute(&suspects, None).expect("attribute"))
+    });
+    g.bench_function(WITH_CELLS, |b| {
+        b.iter(|| {
+            array
+                .attribute(&suspects, Some(&evidence))
+                .expect("attribute")
+        })
+    });
+}
+
 /// Continuous-valued 768-sample on-chip traces of the golden chip, one
 /// fixed plaintext, as a fleet shard receives them.
 fn fleet_traces(n: usize) -> TraceSet {
@@ -480,6 +526,7 @@ fn array(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    attribute(&mut g, &chip);
     g.finish();
 }
 

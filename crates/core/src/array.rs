@@ -41,7 +41,7 @@
 //! ```
 
 use crate::acquisition::TraceSet;
-use crate::attribution::{self, Attribution, CellEvidence};
+use crate::attribution::{self, Attribution, CellEvidence, CellMap};
 use crate::baseline::{BaselineSource, CalibrationState, DetectorReadiness, SelfCalibratingConfig};
 use crate::campaign::{Block, Campaign};
 use crate::detector::{
@@ -210,9 +210,19 @@ impl<'c> ArrayBuilder<'c> {
             self.config.cols,
             self.config.turns,
         )?;
+        let centers = array
+            .tiles()
+            .iter()
+            .map(|t| {
+                let c = t.center();
+                (c.x, c.y)
+            })
+            .collect();
+        let cells = CellMap::new(self.chip.netlist(), &floorplan, centers)?;
         Ok(SensorArray {
             chip: self.chip,
             floorplan,
+            cells,
             clock,
             array,
             config: self.config,
@@ -529,6 +539,8 @@ fn add_noise(emfs: &mut [VoltageTrace], draws: &[Vec<f64>]) {
 pub struct SensorArray<'c> {
     chip: &'c ProtectedChip,
     floorplan: Floorplan,
+    /// The tile centres and what the cell tier reads of the design.
+    cells: CellMap,
     clock: ClockConfig,
     array: EmArray,
     config: ArrayConfig,
@@ -639,16 +651,7 @@ impl<'c> SensorArray<'c> {
 
     /// A localizer over this array's tile centres.
     pub fn localizer(&self) -> Localizer {
-        Localizer::new(
-            self.array
-                .tiles()
-                .iter()
-                .map(|t| {
-                    let c = t.center();
-                    (c.x, c.y)
-                })
-                .collect(),
-        )
+        Localizer::new(self.cells.tile_centers().to_vec())
     }
 
     /// Collects `n_traces` single-encryption traces **per tile** with the
@@ -908,34 +911,29 @@ impl<'c> SensorArray<'c> {
     ///
     /// [`TrustError::InvalidParameter`] if the array is unfitted, the
     /// set count mismatches, a tile's set holds no trace, or the
-    /// evidence is degenerate; forwarded scoring errors otherwise.
+    /// evidence is degenerate or counts cells past the chip's netlist
+    /// (no campaign is scored then); forwarded scoring errors otherwise.
     pub fn attribute(
         &mut self,
         suspects: &[TraceSet],
         evidence: Option<&CellEvidence<'_>>,
     ) -> Result<Attribution, TrustError> {
+        if let Some(ev) = evidence {
+            ev.validate_for(self.chip.netlist())?;
+        }
         let regions = self.evaluate_inner(suspects)?;
         let Some(ev) = evidence else {
             return Ok(regions);
         };
-        let centers: Vec<(f64, f64)> = self
-            .array
-            .tiles()
-            .iter()
-            .map(|t| {
-                let c = t.center();
-                (c.x, c.y)
-            })
-            .collect();
         let cells = attribution::score_cells(
             self.chip.netlist(),
             &self.floorplan,
-            &centers,
+            &self.cells,
             regions.heat(),
             regions.centroid_um(),
             ev,
         )?;
-        Ok(regions.with_cells(cells))
+        Ok(regions.with_ranked_cells(cells))
     }
 
     /// The tile and region tiers of [`Self::attribute`]: scores every
@@ -1189,6 +1187,51 @@ mod tests {
         one_empty[1] = TraceSet::new(Vec::new(), rate)?;
         assert!(array.attribute(&one_empty, None).is_err());
         assert_eq!(array.campaigns(), 0);
+        Ok(())
+    }
+
+    #[test]
+    fn evidence_from_another_design_is_refused() -> Result<(), TrustError> {
+        let golden_chip = ProtectedChip::golden();
+        let mut array = SensorArray::builder(&golden_chip)
+            .with_grid(2, 1)?
+            .build()?;
+        let (golden, own) = array.collect_with_activity(KEY, 2, None, 42)?;
+        array.fit_golden(&golden)?;
+        // The all-Trojan chip's activities count cells past the golden
+        // netlist's last one.
+        let trojan_chip = ProtectedChip::with_all_trojans();
+        let other = SensorArray::builder(&trojan_chip)
+            .with_grid(1, 1)?
+            .build()?;
+        let (_, foreign) = other.collect_with_activity(KEY, 2, Some(T1AmLeaker), 42)?;
+        assert!(foreign.cell_count() > golden_chip.netlist().cell_count());
+        for evidence in [
+            CellEvidence {
+                baseline: &own,
+                suspect: &foreign,
+            },
+            CellEvidence {
+                baseline: &foreign,
+                suspect: &own,
+            },
+        ] {
+            assert!(matches!(
+                array.attribute(&golden, Some(&evidence)),
+                Err(TrustError::InvalidParameter { .. })
+            ));
+        }
+        // Nothing was scored; the design's own evidence is accepted.
+        assert_eq!(array.campaigns(), 0);
+        let evidence = CellEvidence {
+            baseline: &own,
+            suspect: &own,
+        };
+        let attribution = array.attribute(&golden, Some(&evidence))?;
+        assert_eq!(
+            attribution.cell_scores().len(),
+            golden_chip.netlist().cell_count()
+        );
         Ok(())
     }
 

@@ -39,6 +39,7 @@ use crate::TrustError;
 use emtrust_layout::floorplan::Floorplan;
 use emtrust_netlist::{CellId, CellKind, ModuleId, Netlist};
 use emtrust_sim::ToggleActivity;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Switching-activity evidence for cell-level attribution: the same
@@ -63,6 +64,24 @@ impl CellEvidence<'_> {
         if self.baseline.cycles() == 0 || self.suspect.cycles() == 0 {
             return Err(TrustError::InvalidParameter {
                 what: "cell evidence needs at least one recorded cycle on both sides",
+            });
+        }
+        Ok(())
+    }
+
+    /// [`Self::validate`], and checks that neither activity counts a
+    /// cell past the end of `netlist` — evidence recorded on another
+    /// design.
+    ///
+    /// # Errors
+    ///
+    /// [`TrustError::InvalidParameter`] on an empty or foreign activity.
+    pub(crate) fn validate_for(&self, netlist: &Netlist) -> Result<(), TrustError> {
+        self.validate()?;
+        let cells = netlist.cell_count();
+        if self.baseline.cell_count() > cells || self.suspect.cell_count() > cells {
+            return Err(TrustError::InvalidParameter {
+                what: "cell evidence counts cells the array's netlist does not have",
             });
         }
         Ok(())
@@ -165,9 +184,9 @@ impl Attribution {
         }
     }
 
-    /// Sets the cell tier, re-sorted by descending suspicion.
-    pub(crate) fn with_cells(mut self, mut cells: Vec<CellScore>) -> Self {
-        sort_cells(&mut cells);
+    /// Sets the cell tier from cells already in rank order (as
+    /// [`score_cells`] returns them).
+    pub(crate) fn with_ranked_cells(mut self, cells: Vec<CellScore>) -> Self {
         self.cells = cells;
         self
     }
@@ -280,11 +299,13 @@ impl Attribution {
 /// Descending suspicion, with the cell id as a total tie-break so the
 /// ranking is deterministic.
 fn sort_cells(cells: &mut [CellScore]) {
-    cells.sort_by(|a, b| {
-        b.suspicion
-            .total_cmp(&a.suspicion)
-            .then_with(|| a.cell.index().cmp(&b.cell.index()))
-    });
+    cells.sort_by(|a, b| rank_cmp((a.suspicion, a.cell.index()), (b.suspicion, b.cell.index())));
+}
+
+/// The rank order of two `(suspicion, cell index)` pairs: descending
+/// suspicion under `total_cmp`, then ascending index.
+fn rank_cmp(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
 }
 
 /// Precision@k over ranked truth labels (`ranked_truth[i]` = whether
@@ -366,19 +387,102 @@ pub fn auroc(scores: &[f64], truth: &[bool]) -> Option<f64> {
     Some((rank_sum_pos - n_pos_f * (n_pos_f + 1.0) / 2.0) / (n_pos_f * n_neg as f64))
 }
 
+/// What the cell tier reads of an array's design that no campaign
+/// changes, kept once per array: the tile centres, each cell's nearest
+/// tile, each module's placement region and the tile pitch. Cell
+/// locations, kinds and modules are read from the array's own floorplan
+/// and netlist, so they are not copied here.
+#[derive(Debug, Clone)]
+pub(crate) struct CellMap {
+    /// Tile centres on the die, in µm, in tile order.
+    tile_centers: Vec<(f64, f64)>,
+    /// Per cell, the index of its nearest tile centre.
+    nearest_tile: Vec<u32>,
+    /// Per module, its top-level placement region, one shared name per
+    /// region.
+    region_of: Vec<Arc<str>>,
+    /// Proximity length scale: the mean nearest-neighbour tile pitch
+    /// (a single-tile array has no pitch; proximity saturates at 1).
+    pitch: Option<f64>,
+}
+
+impl CellMap {
+    /// Maps every placed cell of `netlist` onto the tiles centred at
+    /// `tile_centers`.
+    ///
+    /// # Errors
+    ///
+    /// [`TrustError::InvalidParameter`] when the floorplan does not cover
+    /// the netlist or there is no tile.
+    pub(crate) fn new(
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        tile_centers: Vec<(f64, f64)>,
+    ) -> Result<Self, TrustError> {
+        let locations = floorplan.locations();
+        if locations.len() != netlist.cell_count() {
+            return Err(TrustError::InvalidParameter {
+                what: "floorplan does not cover the netlist",
+            });
+        }
+        let nearest_tile = locations
+            .iter()
+            .map(|loc| {
+                nearest_index(&tile_centers, (loc.x, loc.y))
+                    .and_then(|t| u32::try_from(t).ok())
+                    .ok_or(TrustError::InvalidParameter {
+                        what: "a cell map needs at least one tile",
+                    })
+            })
+            .collect::<Result<_, _>>()?;
+        let mut names: Vec<Arc<str>> = Vec::new();
+        let region_of = netlist
+            .module_paths()
+            .map(|(_, path)| {
+                let tag = match path.split('/').next() {
+                    Some(tag) if !tag.is_empty() => tag,
+                    _ => "aes",
+                };
+                match names.iter().find(|n| &***n == tag) {
+                    Some(name) => Arc::clone(name),
+                    None => {
+                        names.push(Arc::from(tag));
+                        Arc::clone(&names[names.len() - 1])
+                    }
+                }
+            })
+            .collect();
+        Ok(Self {
+            pitch: mean_nearest_distance(&tile_centers),
+            tile_centers,
+            nearest_tile,
+            region_of,
+        })
+    }
+
+    /// Tile centres on the die, in µm, in tile order.
+    pub(crate) fn tile_centers(&self) -> &[(f64, f64)] {
+        &self.tile_centers
+    }
+}
+
 /// Scores every placed cell from the tile heat map and the toggle
-/// evidence. Rank order is finalized by [`Attribution::with_cells`].
+/// evidence (checked by [`CellEvidence::validate_for`]), and returns the
+/// cells in rank order.
+///
+/// Two passes: the first computes each cell's proximity and suspicion,
+/// the second builds the [`CellScore`]s in the order [`rank_order`]
+/// gives, so only the cells whose suspicion is not `+0.0` are sorted.
 pub(crate) fn score_cells(
     netlist: &Netlist,
     floorplan: &Floorplan,
-    tile_centers: &[(f64, f64)],
+    map: &CellMap,
     heat: &[TileScore],
     centroid_um: Option<(f64, f64)>,
     evidence: &CellEvidence<'_>,
 ) -> Result<Vec<CellScore>, TrustError> {
-    evidence.validate()?;
     let locations = floorplan.locations();
-    if locations.len() != netlist.cell_count() {
+    if locations.len() != netlist.cell_count() || map.nearest_tile.len() != locations.len() {
         return Err(TrustError::InvalidParameter {
             what: "floorplan does not cover the netlist",
         });
@@ -392,37 +496,20 @@ pub(crate) fn score_cells(
         .iter()
         .map(|&w| if max_w > 0.0 { w / max_w } else { 0.0 })
         .collect();
+    let tile_margin = |i: usize| {
+        tile_weight
+            .get(map.nearest_tile[i] as usize)
+            .map_or(0.0, |&w| w)
+    };
+    let excess_at = |i: usize| {
+        let suspect_rate = evidence.suspect.rate_at(i);
+        (suspect_rate, suspect_rate - evidence.baseline.rate_at(i))
+    };
 
-    // Proximity length scale: the mean nearest-neighbour tile pitch
-    // (a single-tile array has no pitch; proximity saturates at 1).
-    let pitch = mean_nearest_distance(tile_centers);
-
-    // Each module's placement region, as one shared name per region.
-    let mut names: Vec<Arc<str>> = Vec::new();
-    let region_of: Vec<Arc<str>> = netlist
-        .module_paths()
-        .map(|(_, path)| {
-            let tag = match path.split('/').next() {
-                Some(tag) if !tag.is_empty() => tag,
-                _ => "aes",
-            };
-            match names.iter().find(|n| &***n == tag) {
-                Some(name) => Arc::clone(name),
-                None => {
-                    names.push(Arc::from(tag));
-                    Arc::clone(&names[names.len() - 1])
-                }
-            }
-        })
-        .collect();
-
-    let mut cells = Vec::with_capacity(netlist.cell_count());
-    for (id, cell) in netlist.cells() {
-        let loc = locations[id.index()];
-        let tile = nearest_index(tile_centers, (loc.x, loc.y));
-        let suspect_rate = evidence.suspect.rate_at(id.index());
-        let excess = suspect_rate - evidence.baseline.rate_at(id.index());
-        let proximity = match (centroid_um, pitch) {
+    let mut proximity = Vec::with_capacity(locations.len());
+    let mut suspicion = Vec::with_capacity(locations.len());
+    for (i, loc) in locations.iter().enumerate() {
+        let prox = match (centroid_um, map.pitch) {
             (Some((cx, cy)), Some(p)) if p > 0.0 => {
                 let d = ((loc.x - cx).powi(2) + (loc.y - cy).powi(2)).sqrt();
                 (-d / p).exp()
@@ -430,30 +517,65 @@ pub(crate) fn score_cells(
             (Some(_), _) => 1.0,
             (None, _) => 0.0,
         };
-        let features = CellFeatures {
-            tile_margin: tile.map_or(0.0, |t| tile_weight[t]),
-            activity_rate: suspect_rate,
-            activity_excess: excess,
-            centroid_proximity: proximity,
-        };
         // Default heuristic: a cell is suspect when it toggles more than
         // its baseline says it should, weighted up when the EM excess
         // points at it. The floor keeps pure activity evidence alive on
         // a cold map (and vice versa the spatial term never resurrects a
         // cell with zero excess — a supply-wide leak moves no toggles).
-        let spatial = 0.5 * features.tile_margin + 0.5 * features.centroid_proximity;
-        let suspicion = excess.max(0.0) * (0.25 + spatial);
+        let spatial = 0.5 * tile_margin(i) + 0.5 * prox;
+        suspicion.push(excess_at(i).1.max(0.0) * (0.25 + spatial));
+        proximity.push(prox);
+    }
+
+    let mut cells = Vec::with_capacity(locations.len());
+    for i in rank_order(&suspicion) {
+        let (id, cell) = netlist.cell_at(i).ok_or(TrustError::InvalidParameter {
+            what: "floorplan does not cover the netlist",
+        })?;
+        let loc = locations[i];
+        let (activity_rate, activity_excess) = excess_at(i);
         cells.push(CellScore {
             cell: id,
             kind: cell.kind(),
             module: cell.module(),
-            region: Arc::clone(&region_of[cell.module().index()]),
+            region: Arc::clone(&map.region_of[cell.module().index()]),
             location_um: (loc.x, loc.y),
-            features,
-            suspicion,
+            features: CellFeatures {
+                tile_margin: tile_margin(i),
+                activity_rate,
+                activity_excess,
+                centroid_proximity: proximity[i],
+            },
+            suspicion: suspicion[i],
         });
     }
     Ok(cells)
+}
+
+/// The cell indices in [`sort_cells`]' order of `suspicion` (indexed by
+/// cell). Only the cells above and below `+0.0` are sorted: in that
+/// order every cell that is exactly `+0.0` sits between the two groups,
+/// in id order, since the id is the tie-break and `total_cmp` puts
+/// `-0.0` below `+0.0`.
+fn rank_order(suspicion: &[f64]) -> impl Iterator<Item = usize> + '_ {
+    let mut above = Vec::new();
+    let mut below = Vec::new();
+    for (i, s) in suspicion.iter().enumerate() {
+        match s.total_cmp(&0.0) {
+            Ordering::Greater => above.push(i),
+            Ordering::Less => below.push(i),
+            Ordering::Equal => {}
+        }
+    }
+    let by_rank = |&a: &usize, &b: &usize| rank_cmp((suspicion[a], a), (suspicion[b], b));
+    above.sort_unstable_by(by_rank);
+    below.sort_unstable_by(by_rank);
+    let zeros = suspicion
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.total_cmp(&0.0).is_eq())
+        .map(|(i, _)| i);
+    above.into_iter().chain(zeros).chain(below)
 }
 
 /// Index of the nearest point to `p` (`None` on an empty set).
@@ -490,6 +612,300 @@ fn mean_nearest_distance(points: &[(f64, f64)]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::SensorArray;
+    use emtrust_trojan::digital::ALL_DIGITAL_TROJANS;
+    use emtrust_trojan::{ProtectedChip, TrojanKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const KEY: [u8; 16] = *b"sixteen byte key";
+
+    /// The cell tier as it was scored before [`CellMap`]: every cell in
+    /// id order with its nearest tile, region and the pitch worked out
+    /// anew, then the whole list sorted by [`sort_cells`].
+    fn reference_cells(
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        tile_centers: &[(f64, f64)],
+        heat: &[TileScore],
+        centroid_um: Option<(f64, f64)>,
+        evidence: &CellEvidence<'_>,
+    ) -> Vec<CellScore> {
+        let locations = floorplan.locations();
+        let margins: Vec<f64> = heat.iter().map(|h| h.margin).collect();
+        let whitened = Localizer::whiten(&margins);
+        let max_w = whitened.iter().copied().fold(0.0_f64, f64::max);
+        let tile_weight: Vec<f64> = whitened
+            .iter()
+            .map(|&w| if max_w > 0.0 { w / max_w } else { 0.0 })
+            .collect();
+        let pitch = mean_nearest_distance(tile_centers);
+        let mut names: Vec<Arc<str>> = Vec::new();
+        let region_of: Vec<Arc<str>> = netlist
+            .module_paths()
+            .map(|(_, path)| {
+                let tag = match path.split('/').next() {
+                    Some(tag) if !tag.is_empty() => tag,
+                    _ => "aes",
+                };
+                match names.iter().find(|n| &***n == tag) {
+                    Some(name) => Arc::clone(name),
+                    None => {
+                        names.push(Arc::from(tag));
+                        Arc::clone(&names[names.len() - 1])
+                    }
+                }
+            })
+            .collect();
+        let mut cells = Vec::with_capacity(netlist.cell_count());
+        for (id, cell) in netlist.cells() {
+            let loc = locations[id.index()];
+            let tile = nearest_index(tile_centers, (loc.x, loc.y));
+            let suspect_rate = evidence.suspect.rate_at(id.index());
+            let excess = suspect_rate - evidence.baseline.rate_at(id.index());
+            let proximity = match (centroid_um, pitch) {
+                (Some((cx, cy)), Some(p)) if p > 0.0 => {
+                    let d = ((loc.x - cx).powi(2) + (loc.y - cy).powi(2)).sqrt();
+                    (-d / p).exp()
+                }
+                (Some(_), _) => 1.0,
+                (None, _) => 0.0,
+            };
+            let features = CellFeatures {
+                tile_margin: tile.map_or(0.0, |t| tile_weight[t]),
+                activity_rate: suspect_rate,
+                activity_excess: excess,
+                centroid_proximity: proximity,
+            };
+            let spatial = 0.5 * features.tile_margin + 0.5 * features.centroid_proximity;
+            let suspicion = excess.max(0.0) * (0.25 + spatial);
+            cells.push(CellScore {
+                cell: id,
+                kind: cell.kind(),
+                module: cell.module(),
+                region: Arc::clone(&region_of[cell.module().index()]),
+                location_um: (loc.x, loc.y),
+                features,
+                suspicion,
+            });
+        }
+        sort_cells(&mut cells);
+        cells
+    }
+
+    /// A cell score with every float as its bits.
+    fn bits(c: &CellScore) -> (CellId, CellKind, ModuleId, &str, [u64; 7]) {
+        let f = &c.features;
+        (
+            c.cell,
+            c.kind,
+            c.module,
+            &c.region,
+            [
+                c.location_um.0,
+                c.location_um.1,
+                f.tile_margin,
+                f.activity_rate,
+                f.activity_excess,
+                f.centroid_proximity,
+                c.suspicion,
+            ]
+            .map(f64::to_bits),
+        )
+    }
+
+    /// Asserts two rankings hold the same cells, bit for bit, in the
+    /// same order.
+    fn assert_same_ranking(got: &[CellScore], want: &[CellScore], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (rank, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(bits(g), bits(w), "{what}: rank {rank}");
+        }
+    }
+
+    #[test]
+    fn cell_tier_matches_the_full_sort_on_armed_and_clean_campaigns() -> Result<(), TrustError> {
+        let chip = ProtectedChip::with_all_trojans();
+        let mut array = SensorArray::builder(&chip)
+            .with_grid(2, 2)?
+            .with_turns(8)?
+            .build()?;
+        let centers: Vec<(f64, f64)> = array
+            .em_array()
+            .tiles()
+            .iter()
+            .map(|t| (t.center().x, t.center().y))
+            .collect();
+        let (golden, golden_activity) = array.collect_with_activity(KEY, 4, None, 42)?;
+        array.fit_golden(&golden)?;
+        let mut campaigns = vec![("clean", array.collect_with_activity(KEY, 4, None, 43)?)];
+        for kind in ALL_DIGITAL_TROJANS {
+            campaigns.push((
+                kind.label(),
+                array.collect_with_activity(KEY, 4, Some(kind), 42)?,
+            ));
+        }
+        for (what, (suspects, activity)) in &campaigns {
+            let evidence = CellEvidence {
+                baseline: &golden_activity,
+                suspect: activity,
+            };
+            let got = array.attribute(suspects, Some(&evidence))?;
+            if *what == "clean" {
+                assert!(
+                    got.centroid_um().is_none(),
+                    "a clean campaign has no centroid"
+                );
+            } else {
+                assert!(got.centroid_um().is_some(), "{what} localizes");
+            }
+            assert!(got.cells().any(|c| c.suspicion > 0.0), "{what}");
+            let want = reference_cells(
+                chip.netlist(),
+                array.floorplan(),
+                &centers,
+                got.heat(),
+                got.centroid_um(),
+                &evidence,
+            );
+            assert_same_ranking(got.cell_scores(), &want, what);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn cell_tier_matches_the_full_sort_without_pitch_or_heat() -> Result<(), TrustError> {
+        let chip = ProtectedChip::with_all_trojans();
+        let array = SensorArray::builder(&chip).with_grid(1, 1)?.build()?;
+        let (_, baseline) = array.collect_with_activity(KEY, 2, None, 5)?;
+        let (_, suspect) =
+            array.collect_with_activity(KEY, 2, Some(TrojanKind::T3CdmaLeaker), 5)?;
+        let evidence = CellEvidence {
+            baseline: &baseline,
+            suspect: &suspect,
+        };
+        let tile = |center_um: (f64, f64), margin: f64| TileScore {
+            row: 0,
+            col: 0,
+            center_um,
+            margin,
+            alarm_rate: 0.0,
+        };
+        let one = vec![(150.0, 220.0)];
+        let four = vec![
+            (100.0, 100.0),
+            (300.0, 100.0),
+            (100.0, 300.0),
+            (300.0, 300.0),
+        ];
+        let hot: Vec<TileScore> = four
+            .iter()
+            .zip([0.1, 0.3, 0.2, 2.5])
+            .map(|(&c, m)| tile(c, m))
+            .collect();
+        let cold: Vec<TileScore> = four.iter().map(|&c| tile(c, 0.4)).collect();
+        let cases = [
+            // One tile has no pitch: proximity saturates at 1.
+            (
+                "1x1 with a centroid",
+                &one,
+                vec![tile(one[0], 0.9)],
+                Some((120.0, 80.0)),
+            ),
+            (
+                "1x1 without a centroid",
+                &one,
+                vec![tile(one[0], 0.9)],
+                None,
+            ),
+            ("a hot 2x2 map", &four, hot, Some((280.0, 290.0))),
+            // A cold map weighs every tile 0.
+            ("a cold 2x2 map", &four, cold.clone(), Some((200.0, 200.0))),
+            ("a cold 2x2 map without a centroid", &four, cold, None),
+        ];
+        for (what, centers, heat, centroid) in cases {
+            let map = CellMap::new(chip.netlist(), array.floorplan(), centers.clone())?;
+            let got = score_cells(
+                chip.netlist(),
+                array.floorplan(),
+                &map,
+                &heat,
+                centroid,
+                &evidence,
+            )?;
+            let want = reference_cells(
+                chip.netlist(),
+                array.floorplan(),
+                centers,
+                &heat,
+                centroid,
+                &evidence,
+            );
+            assert!(got.iter().any(|c| c.suspicion > 0.0), "{what}");
+            assert_same_ranking(&got, &want, what);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rank_order_matches_sort_cells() {
+        let chip = ProtectedChip::golden();
+        let netlist = chip.netlist();
+        let ranked = |suspicion: &[f64]| -> (Vec<usize>, Vec<usize>) {
+            let mut cells: Vec<CellScore> = suspicion
+                .iter()
+                .zip(netlist.cells())
+                .map(|(&s, (id, cell))| CellScore {
+                    cell: id,
+                    kind: cell.kind(),
+                    module: cell.module(),
+                    region: Arc::from("aes"),
+                    location_um: (0.0, 0.0),
+                    features: CellFeatures {
+                        tile_margin: 0.0,
+                        activity_rate: 0.0,
+                        activity_excess: 0.0,
+                        centroid_proximity: 0.0,
+                    },
+                    suspicion: s,
+                })
+                .collect();
+            sort_cells(&mut cells);
+            let want = cells.iter().map(|c| c.cell.index()).collect();
+            (rank_order(suspicion).collect(), want)
+        };
+        let nan = f64::NAN;
+        // A -0.0 before a +0.0, ties, both NaN signs and both infinities.
+        let fixed = [
+            -0.0,
+            0.0,
+            1.5,
+            -2.0,
+            0.0,
+            nan,
+            -nan,
+            1.5,
+            -0.0,
+            f64::INFINITY,
+            0.0,
+            -2.0,
+            f64::NEG_INFINITY,
+            1e-300,
+            -1e-300,
+            0.0,
+        ];
+        let (got, want) = ranked(&fixed);
+        assert_eq!(got, want);
+        let palette = [0.0, -0.0, 0.0, 0.0, 1.0, -1.0, 0.25, nan, -nan, 3.0, -0.5];
+        let mut rng = StdRng::seed_from_u64(9);
+        for len in [0, 1, 2, 7, 64, 300] {
+            let suspicion: Vec<f64> = (0..len)
+                .map(|_| palette[rng.gen_range(0..palette.len())])
+                .collect();
+            let (got, want) = ranked(&suspicion);
+            assert_eq!(got, want, "{suspicion:?}");
+        }
+    }
 
     #[test]
     fn precision_and_recall_at_k() {
