@@ -19,7 +19,7 @@
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
-use emtrust::acquisition::TestBench;
+use emtrust::acquisition::{Stimulus, TestBench};
 use emtrust::array::SensorArray;
 use emtrust::attribution::CellEvidence;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
@@ -146,8 +146,12 @@ fn parallel_ingest_batch(c: &mut Criterion) {
 /// check its ciphertexts and to replay a measurement. Then a 16-encryption T1-armed campaign on the
 /// all-Trojan chip, as `monitor` collects a batch, each under a fresh
 /// plaintext, and then one campaign repeated, whose blocks every
-/// iteration after the first reads from the bench's memo and only
-/// measures; the serial pass over the Trojans' state cone alone that a
+/// iteration after the second reads from the bench's memo and only
+/// measures; a campaign of 16 random plaintexts under one seed, which
+/// the bench never keeps but whose warm-up every iteration after the
+/// second restores from the chip's memo (`_warm`: a commit without the
+/// warm start times the same body with the warm-up simulated); the
+/// serial pass over the Trojans' state cone alone that a
 /// first campaign under a key runs; and the same 17 entry states read
 /// back from the chip's memo, as every later campaign under that key
 /// does.
@@ -216,6 +220,20 @@ fn simulate(c: &mut Criterion) {
         b.iter(|| {
             bench
                 .collect(EXPERIMENT_KEY, 16, t1, Channel::OnChipSensor, 5)
+                .expect("campaign")
+        })
+    });
+    g.bench_function("campaign_16_t1_armed_warm", |b| {
+        b.iter(|| {
+            bench
+                .collect_with(
+                    EXPERIMENT_KEY,
+                    Stimulus::RandomPerTrace,
+                    16,
+                    t1,
+                    Channel::OnChipSensor,
+                    5,
+                )
                 .expect("campaign")
         })
     });

@@ -123,8 +123,8 @@ impl FoldMetrics {
     pub fn top_cells_jsonl(&self, netlist: &Netlist, k: usize) -> Vec<String> {
         let tag = self.kind.module_tag();
         self.ranked
-            .top_cells(k)
-            .iter()
+            .cells()
+            .take(k)
             .enumerate()
             .map(|(rank, c)| {
                 format!(
@@ -192,7 +192,7 @@ pub fn leave_one_out(folds: &[LabeledAttribution]) -> Result<Vec<FoldMetrics>, T
         let truth = |c: &emtrust::attribution::CellScore| &*c.region == tag;
         out.push(FoldMetrics {
             kind: held.kind,
-            cells: ranked.cell_scores().len(),
+            cells: ranked.cells().count(),
             true_cells: held.true_cells(),
             precision_at_10: ranked.precision_at(PRECISION_K, truth),
             precision_at_50: ranked.precision_at(RECALL_K, truth),

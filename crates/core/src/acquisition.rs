@@ -235,8 +235,9 @@ impl RobustCollection {
 }
 
 /// Blocks a bench keeps of its fixed-stimulus campaigns, in all: room
-/// for `monitor`'s two 64-trace fits and every 16-trace batch it
-/// streams on one die (at most 144 blocks, about 1.7 KB each).
+/// for every 16-trace batch `monitor` streams on one die (at most 80
+/// blocks, about 1.7 KB each) and its 64-trace fit, were it requested
+/// twice.
 const MEMO_BLOCKS: usize = 256;
 
 /// What fully determines a fixed-stimulus campaign's blocks on one
@@ -252,12 +253,17 @@ struct CampaignKey {
 }
 
 /// The blocks of a bench's recent fixed-stimulus campaigns, least
-/// recently used first, at most `capacity` blocks in all. A stored
-/// campaign is shared immutable data: a hit clones no block.
+/// recently used first, at most `capacity` blocks in all. A campaign is
+/// kept on its second request only, so one requested once, such as a
+/// golden fit, costs no memory. A stored campaign is shared immutable
+/// data: a hit clones no block.
 #[derive(Debug)]
 struct CampaignMemo {
     capacity: usize,
     entries: Mutex<Vec<(CampaignKey, Arc<[Block]>)>>,
+    /// Campaigns simulated once and not kept, oldest first, at most
+    /// `capacity` blocks' worth.
+    seen: Mutex<Vec<CampaignKey>>,
 }
 
 impl CampaignMemo {
@@ -265,7 +271,28 @@ impl CampaignMemo {
         Self {
             capacity,
             entries: Mutex::new(Vec::new()),
+            seen: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Whether `key` was simulated before and not kept; if not, notes it
+    /// as simulated, forgetting the oldest notes beyond the capacity.
+    fn seen_before(&self, key: &CampaignKey) -> bool {
+        // A list of keys is valid whatever a panic interrupted.
+        let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(i) = seen.iter().position(|k| k == key) {
+            seen.remove(i);
+            return true;
+        }
+        seen.push(*key);
+        let mut held: usize = seen.iter().map(|k| k.n_traces).sum();
+        let mut forgotten = 0;
+        while held > self.capacity {
+            held -= seen[forgotten].n_traces;
+            forgotten += 1;
+        }
+        seen.drain(..forgotten);
+        false
     }
 
     fn lock(&self) -> MutexGuard<'_, Vec<(CampaignKey, Arc<[Block]>)>> {
@@ -284,11 +311,11 @@ impl CampaignMemo {
         Some(blocks)
     }
 
-    /// Keeps a campaign's blocks, shrunk to what they hold, evicting the
-    /// least recently used campaigns until they fit; a campaign larger
-    /// than the whole memo is not kept.
+    /// Keeps a campaign's blocks on its second request, shrunk to what
+    /// they hold, evicting the least recently used campaigns until they
+    /// fit; a campaign larger than the whole memo is not kept.
     fn insert(&self, key: CampaignKey, mut blocks: Vec<Block>) -> Arc<[Block]> {
-        if blocks.len() > self.capacity {
+        if blocks.len() > self.capacity || !self.seen_before(&key) {
             return blocks.into();
         }
         for Block { bins, leak } in &mut blocks {
@@ -317,9 +344,9 @@ impl CampaignMemo {
 /// The assembled experiment: a Trojan-carrying chip, the die it is
 /// measured on (both channels), and (optionally) an A2 analog Trojan.
 ///
-/// A bench simulates each fixed-stimulus campaign once and keeps its
-/// blocks (bounded, least recently used evicted): collecting the same
-/// key, armed Trojan, plaintext, trace count and channel again only
+/// A bench keeps the blocks of each fixed-stimulus campaign it simulates
+/// a second time (bounded, least recently used evicted): collecting the
+/// same key, armed Trojan, plaintext, trace count and channel again only
 /// measures them anew, with the new seed's noise.
 #[derive(Debug)]
 pub struct TestBench<'c> {
@@ -518,10 +545,10 @@ impl<'c> TestBench<'c> {
     /// the blocks.
     ///
     /// A fixed-stimulus campaign comes from the bench's memo when it is
-    /// kept there (`acquire.campaign_memo.hits`) and is kept there once
-    /// simulated (`acquire.campaign_memo.misses`); a fresh and a kept
-    /// campaign take the same `sink`. A random one never repeats and is
-    /// never kept.
+    /// kept there (`acquire.campaign_memo.hits`); otherwise it is
+    /// simulated (`acquire.campaign_memo.misses`) and kept if it was
+    /// simulated before. A fresh and a kept campaign take the same
+    /// `sink`. A random one never repeats and is never kept.
     #[allow(clippy::too_many_arguments)]
     fn simulate<T>(
         &self,
@@ -1132,8 +1159,11 @@ mod tests {
         let bench = TestBench::simulation(&chip)?;
         let pt = [0x5A; 16];
         let on = Channel::OnChipSensor;
-        let (_, blocks) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 1)?;
-        let (_, again) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 2)?;
+        let (_, first) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 1)?;
+        assert!(bench.memo.lock().is_empty(), "a first request is not kept");
+        let (_, blocks) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 2)?;
+        assert!(!Arc::ptr_eq(&first, &blocks), "a second request simulates");
+        let (_, again) = bench.acquire(KEY, Stimulus::Fixed(pt), 2, None, on, 3)?;
         assert!(Arc::ptr_eq(&blocks, &again), "only the seed differs: a hit");
         let t1 = Some(TrojanKind::T1AmLeaker);
         let other_key = *b"another key, 16B";
@@ -1146,10 +1176,12 @@ mod tests {
         ];
         for (channel, key, armed, plaintext, n) in variants {
             let stimulus = Stimulus::Fixed(plaintext);
-            let (set, other) = bench.acquire(key, stimulus, n, armed, channel, 1)?;
-            let what = format!("{channel:?} {armed:?} {plaintext:?} {n}");
-            assert!(!Arc::ptr_eq(&blocks, &other), "{what}");
-            assert_eq!((other.len(), set.len()), (n, n), "{what}");
+            for _ in 0..2 {
+                let (set, other) = bench.acquire(key, stimulus, n, armed, channel, 1)?;
+                let what = format!("{channel:?} {armed:?} {plaintext:?} {n}");
+                assert!(!Arc::ptr_eq(&blocks, &other), "{what}");
+                assert_eq!((other.len(), set.len()), (n, n), "{what}");
+            }
         }
         assert_eq!(bench.memo.lock().len(), 1 + variants.len());
         Ok(())
@@ -1192,23 +1224,43 @@ mod tests {
         let kept = |memo: &CampaignMemo| -> Vec<usize> {
             memo.lock().iter().map(|(k, _)| k.n_traces).collect()
         };
+        // A campaign is kept on its second request.
+        let keep = |n: usize| {
+            memo.insert(key(n), blocks(n));
+            memo.insert(key(n), blocks(n))
+        };
+        memo.insert(key(2), blocks(2));
+        assert!(kept(&memo).is_empty(), "a first request is not kept");
         let two = memo.insert(key(2), blocks(2));
-        memo.insert(key(1), blocks(1));
+        keep(1);
         assert_eq!(kept(&memo), [2, 1]);
         // A hit becomes the most recent, so `1` goes first.
         assert!(memo.get(&key(2)).is_some_and(|b| Arc::ptr_eq(&b, &two)));
-        memo.insert(key(3), blocks(3));
+        keep(3);
         assert_eq!(kept(&memo), [3]);
         // Larger than the whole memo: simulated, never kept.
-        assert_eq!(memo.insert(key(5), blocks(5)).len(), 5);
+        assert_eq!(keep(5).len(), 5);
+        assert_eq!(kept(&memo), [3]);
+        // An evicted campaign is simulated twice more before it is kept.
+        memo.insert(key(1), blocks(1));
         assert_eq!(kept(&memo), [3]);
         memo.insert(key(1), blocks(1));
-        memo.insert(key(1), blocks(1));
+        assert_eq!(kept(&memo), [3, 1]);
+        keep(1);
         assert_eq!(kept(&memo), [3, 1], "a campaign is kept once");
-        memo.insert(key(2), blocks(2));
+        keep(2);
         assert_eq!(kept(&memo), [1, 2]);
         assert!(memo.get(&key(3)).is_none());
         assert!(held(&memo) <= 4);
+        // The notes of campaigns simulated once forget the oldest beyond
+        // four blocks' worth: `1` and `2` are forgotten, `3` is not.
+        let fresh = CampaignMemo::new(4);
+        for n in [1, 2, 3, 1] {
+            fresh.insert(key(n), blocks(n));
+        }
+        assert!(fresh.lock().is_empty());
+        fresh.insert(key(3), blocks(3));
+        assert_eq!(kept(&fresh), [3]);
         Ok(())
     }
 

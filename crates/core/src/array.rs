@@ -64,7 +64,7 @@ use emtrust_telemetry::{self as telemetry, DecisionRecord, ForensicsConfig, Labe
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Geometry and detection knobs of a [`SensorArray`], with defaults
 /// matching the single-sensor path wherever they overlap.
@@ -218,7 +218,7 @@ impl<'c> ArrayBuilder<'c> {
                 (c.x, c.y)
             })
             .collect();
-        let cells = CellMap::new(self.chip.netlist(), &floorplan, centers)?;
+        let cells = Arc::new(CellMap::new(self.chip.netlist(), &floorplan, centers)?);
         Ok(SensorArray {
             chip: self.chip,
             floorplan,
@@ -539,8 +539,9 @@ fn add_noise(emfs: &mut [VoltageTrace], draws: &[Vec<f64>]) {
 pub struct SensorArray<'c> {
     chip: &'c ProtectedChip,
     floorplan: Floorplan,
-    /// The tile centres and what the cell tier reads of the design.
-    cells: CellMap,
+    /// The tile centres and what the cell tier reads of the design,
+    /// shared with every attribution that ranks cells.
+    cells: Arc<CellMap>,
     clock: ClockConfig,
     array: EmArray,
     config: ArrayConfig,
@@ -925,15 +926,9 @@ impl<'c> SensorArray<'c> {
         let Some(ev) = evidence else {
             return Ok(regions);
         };
-        let cells = attribution::score_cells(
-            self.chip.netlist(),
-            &self.floorplan,
-            &self.cells,
-            regions.heat(),
-            regions.centroid_um(),
-            ev,
-        )?;
-        Ok(regions.with_ranked_cells(cells))
+        let cells =
+            attribution::score_cells(&self.cells, regions.heat(), regions.centroid_um(), ev);
+        Ok(regions.with_cells(cells))
     }
 
     /// The tile and region tiers of [`Self::attribute`]: scores every
@@ -1229,7 +1224,7 @@ mod tests {
         };
         let attribution = array.attribute(&golden, Some(&evidence))?;
         assert_eq!(
-            attribution.cell_scores().len(),
+            attribution.cells().count(),
             golden_chip.netlist().cell_count()
         );
         Ok(())
@@ -1415,7 +1410,7 @@ mod tests {
         assert_eq!(consensus.detector, "consensus");
         assert!(!verdict.alarmed());
         // No cell evidence was supplied, so the cell tier is empty.
-        assert!(verdict.cell_scores().is_empty());
+        assert_eq!(verdict.cells().count(), 0);
         Ok(())
     }
 }

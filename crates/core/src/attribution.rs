@@ -11,9 +11,10 @@
 //! - [`Attribution`] — the result of
 //!   [`SensorArray::attribute`](crate::array::SensorArray::attribute):
 //!   the region tier (typed [`RegionScore`] ranking, heat map,
-//!   centroid, alarm) plus a cell tier of ranked [`CellScore`]s,
-//!   with `hit_at`, `precision_at`, `recall_at`, `auroc` and `iou` as
-//!   methods on the result instead of ad-hoc free-floating helpers.
+//!   centroid, alarm) plus a cell tier ranking every placed cell, read
+//!   as [`CellScore`]s, with `hit_at`, `precision_at`, `recall_at`,
+//!   `auroc` and `iou` as methods on the result instead of ad-hoc
+//!   free-floating helpers.
 //! - [`CellEvidence`] — the switching-activity ingredient: a baseline
 //!   and a suspect [`ToggleActivity`] from the same stimulus, as
 //!   returned by `SensorArray::collect_with_activity`.
@@ -150,7 +151,7 @@ pub struct CellScore {
 /// The array's structured judgement of one suspect campaign: the tile
 /// tier (heat map, centroid, alarm), the region tier (ranked
 /// [`RegionScore`]s) and — when [`CellEvidence`] was supplied — the
-/// cell tier (ranked [`CellScore`]s).
+/// cell tier (ranked cells, read as [`CellScore`]s).
 ///
 /// Rankings are stored sorted; metrics are methods on the result.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,9 +159,23 @@ pub struct Attribution {
     heat: Vec<TileScore>,
     centroid_um: Option<(f64, f64)>,
     regions: Vec<RegionScore>,
-    cells: Vec<CellScore>,
+    cells: Option<CellTier>,
     alarmed: bool,
     consensus: Option<DetectorVerdict>,
+}
+
+/// The cell tier of an [`Attribution`]: what a campaign decided about
+/// each cell, in id order, and the rank order. A [`CellScore`] is built
+/// from it, and from the array's [`CellMap`], only when it is read.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CellTier {
+    map: Arc<CellMap>,
+    /// Per tile, its whitened margin normalized to the hottest tile.
+    tile_weight: Vec<f64>,
+    /// Per cell, its suspect toggle rate, rate excess and suspicion.
+    scores: Vec<[f64; 3]>,
+    /// Cell indices, most suspect first.
+    order: Vec<u32>,
 }
 
 impl Attribution {
@@ -178,16 +193,15 @@ impl Attribution {
             heat,
             centroid_um,
             regions,
-            cells: Vec::new(),
+            cells: None,
             alarmed,
             consensus,
         }
     }
 
-    /// Sets the cell tier from cells already in rank order (as
-    /// [`score_cells`] returns them).
-    pub(crate) fn with_ranked_cells(mut self, cells: Vec<CellScore>) -> Self {
-        self.cells = cells;
+    /// Sets the cell tier (as [`score_cells`] returns it).
+    pub(crate) fn with_cells(mut self, cells: CellTier) -> Self {
+        self.cells = Some(cells);
         self
     }
 
@@ -223,20 +237,15 @@ impl Attribution {
         &self.regions
     }
 
-    /// Ranked cells, most suspect first. Empty unless the campaign was
+    /// Ranked cells, most suspect first, each built as it is read (take
+    /// the top `k` with `cells().take(k)`). Empty unless the campaign was
     /// attributed with [`CellEvidence`].
-    pub fn cells(&self) -> impl Iterator<Item = &CellScore> {
-        self.cells.iter()
-    }
-
-    /// The ranked cell slice (rank order).
-    pub fn cell_scores(&self) -> &[CellScore] {
-        &self.cells
-    }
-
-    /// The top `k` cells of the ranking.
-    pub fn top_cells(&self, k: usize) -> &[CellScore] {
-        &self.cells[..k.min(self.cells.len())]
+    pub fn cells(&self) -> impl Iterator<Item = CellScore> + '_ {
+        self.cells.iter().flat_map(move |tier| {
+            tier.order
+                .iter()
+                .map(move |&i| tier.score(i as usize, self.centroid_um))
+        })
     }
 
     /// The arg-max region — the localization's best guess.
@@ -254,18 +263,38 @@ impl Attribution {
         self.region_rank(region).is_some_and(|r| r < k)
     }
 
-    /// Replaces every cell's suspicion with `score(features)` and
-    /// re-ranks — the hook the learned attribution model plugs into.
+    /// Replaces every cell's suspicion with `score(cell)`, called in rank
+    /// order, and re-ranks — the hook the learned attribution model plugs
+    /// into.
     pub fn rescore_cells(&mut self, mut score: impl FnMut(&CellScore) -> f64) {
-        for c in &mut self.cells {
-            c.suspicion = score(c);
+        let centroid_um = self.centroid_um;
+        let Some(tier) = &mut self.cells else {
+            return;
+        };
+        let suspicion: Vec<(usize, f64)> = tier
+            .order
+            .iter()
+            .map(|&i| (i as usize, score(&tier.score(i as usize, centroid_um))))
+            .collect();
+        for (i, s) in suspicion {
+            tier.scores[i][2] = s;
         }
-        sort_cells(&mut self.cells);
+        tier.order = rank_order(tier.scores.len(), |i| tier.scores[i][2]);
     }
 
     /// Ranked truth labels: `truth(cell)` per cell, in rank order.
     fn ranked_truth(&self, truth: &mut impl FnMut(&CellScore) -> bool) -> Vec<bool> {
-        self.cells.iter().map(truth).collect()
+        self.cells().map(|c| truth(&c)).collect()
+    }
+
+    /// The suspicion scores, in rank order.
+    fn ranked_suspicion(&self) -> Vec<f64> {
+        self.cells.as_ref().map_or(Vec::new(), |tier| {
+            tier.order
+                .iter()
+                .map(|&i| tier.scores[i as usize][2])
+                .collect()
+        })
     }
 
     /// Precision@k of the cell ranking against a truth predicate.
@@ -282,8 +311,7 @@ impl Attribution {
     /// (`None` when the truth is single-class).
     pub fn auroc(&self, mut truth: impl FnMut(&CellScore) -> bool) -> Option<f64> {
         let labels = self.ranked_truth(&mut truth);
-        let scores: Vec<f64> = self.cells.iter().map(|c| c.suspicion).collect();
-        auroc(&scores, &labels)
+        auroc(&self.ranked_suspicion(), &labels)
     }
 
     /// IoU (Jaccard) of the top-`|truth|` cells against the truth set —
@@ -296,10 +324,33 @@ impl Attribution {
     }
 }
 
-/// Descending suspicion, with the cell id as a total tie-break so the
-/// ranking is deterministic.
-fn sort_cells(cells: &mut [CellScore]) {
-    cells.sort_by(|a, b| rank_cmp((a.suspicion, a.cell.index()), (b.suspicion, b.cell.index())));
+impl CellTier {
+    /// Cell `i`'s entry in the ranking, as [`score_cells`] scored it.
+    fn score(&self, i: usize, centroid_um: Option<(f64, f64)>) -> CellScore {
+        let site = &self.map.sites[i];
+        let [activity_rate, activity_excess, suspicion] = self.scores[i];
+        CellScore {
+            cell: site.cell,
+            kind: site.kind,
+            module: site.module,
+            region: Arc::clone(&self.map.region_of[site.module.index()]),
+            location_um: site.location_um,
+            features: CellFeatures {
+                tile_margin: self.tile_margin(site),
+                activity_rate,
+                activity_excess,
+                centroid_proximity: self.map.proximity(site, centroid_um),
+            },
+            suspicion,
+        }
+    }
+
+    /// The weight of the cell's nearest tile.
+    fn tile_margin(&self, site: &Site) -> f64 {
+        self.tile_weight
+            .get(site.nearest_tile as usize)
+            .map_or(0.0, |&w| w)
+    }
 }
 
 /// The rank order of two `(suspicion, cell index)` pairs: descending
@@ -388,22 +439,35 @@ pub fn auroc(scores: &[f64], truth: &[bool]) -> Option<f64> {
 }
 
 /// What the cell tier reads of an array's design that no campaign
-/// changes, kept once per array: the tile centres, each cell's nearest
-/// tile, each module's placement region and the tile pitch. Cell
-/// locations, kinds and modules are read from the array's own floorplan
-/// and netlist, so they are not copied here.
-#[derive(Debug, Clone)]
+/// changes, kept once per array and shared with every [`Attribution`]
+/// that ranks cells: the tile centres, each placed cell's id, kind,
+/// module, location and nearest tile, each module's placement region and
+/// the tile pitch.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CellMap {
     /// Tile centres on the die, in µm, in tile order.
     tile_centers: Vec<(f64, f64)>,
-    /// Per cell, the index of its nearest tile centre.
-    nearest_tile: Vec<u32>,
+    /// Per cell, in id order.
+    sites: Vec<Site>,
     /// Per module, its top-level placement region, one shared name per
     /// region.
     region_of: Vec<Arc<str>>,
     /// Proximity length scale: the mean nearest-neighbour tile pitch
     /// (a single-tile array has no pitch; proximity saturates at 1).
     pitch: Option<f64>,
+    /// Whether every cell location is finite.
+    finite_sites: bool,
+}
+
+/// A placed cell, as the cell tier reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Site {
+    cell: CellId,
+    kind: CellKind,
+    module: ModuleId,
+    location_um: (f64, f64),
+    /// The index of its nearest tile centre.
+    nearest_tile: u32,
 }
 
 impl CellMap {
@@ -425,16 +489,24 @@ impl CellMap {
                 what: "floorplan does not cover the netlist",
             });
         }
-        let nearest_tile = locations
-            .iter()
-            .map(|loc| {
-                nearest_index(&tile_centers, (loc.x, loc.y))
+        let sites: Vec<Site> = netlist
+            .cells()
+            .zip(locations)
+            .map(|((cell, c), loc)| {
+                let nearest_tile = nearest_index(&tile_centers, (loc.x, loc.y))
                     .and_then(|t| u32::try_from(t).ok())
                     .ok_or(TrustError::InvalidParameter {
                         what: "a cell map needs at least one tile",
-                    })
+                    })?;
+                Ok(Site {
+                    cell,
+                    kind: c.kind(),
+                    module: c.module(),
+                    location_um: (loc.x, loc.y),
+                    nearest_tile,
+                })
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<_, TrustError>>()?;
         let mut names: Vec<Arc<str>> = Vec::new();
         let region_of = netlist
             .module_paths()
@@ -454,8 +526,11 @@ impl CellMap {
             .collect();
         Ok(Self {
             pitch: mean_nearest_distance(&tile_centers),
+            finite_sites: sites
+                .iter()
+                .all(|s| s.location_um.0.is_finite() && s.location_um.1.is_finite()),
             tile_centers,
-            nearest_tile,
+            sites,
             region_of,
         })
     }
@@ -464,30 +539,32 @@ impl CellMap {
     pub(crate) fn tile_centers(&self) -> &[(f64, f64)] {
         &self.tile_centers
     }
+
+    /// `exp(−d/σ)` of the cell's distance `d` to the anomaly centroid,
+    /// with σ the pitch (1 without a pitch, 0 without a centroid).
+    fn proximity(&self, site: &Site, centroid_um: Option<(f64, f64)>) -> f64 {
+        let (x, y) = site.location_um;
+        match (centroid_um, self.pitch) {
+            (Some((cx, cy)), Some(p)) if p > 0.0 => {
+                let d = ((x - cx).powi(2) + (y - cy).powi(2)).sqrt();
+                (-d / p).exp()
+            }
+            (Some(_), _) => 1.0,
+            (None, _) => 0.0,
+        }
+    }
 }
 
-/// Scores every placed cell from the tile heat map and the toggle
-/// evidence (checked by [`CellEvidence::validate_for`]), and returns the
-/// cells in rank order.
-///
-/// Two passes: the first computes each cell's proximity and suspicion,
-/// the second builds the [`CellScore`]s in the order [`rank_order`]
-/// gives, so only the cells whose suspicion is not `+0.0` are sorted.
+/// Scores every placed cell of `map` from the tile heat map and the
+/// toggle evidence (checked by [`CellEvidence::validate_for`]) and ranks
+/// them, in one pass over the cells. Only the cells whose suspicion is
+/// not `+0.0` are sorted ([`rank_order`]), and no [`CellScore`] is built.
 pub(crate) fn score_cells(
-    netlist: &Netlist,
-    floorplan: &Floorplan,
-    map: &CellMap,
+    map: &Arc<CellMap>,
     heat: &[TileScore],
     centroid_um: Option<(f64, f64)>,
     evidence: &CellEvidence<'_>,
-) -> Result<Vec<CellScore>, TrustError> {
-    let locations = floorplan.locations();
-    if locations.len() != netlist.cell_count() || map.nearest_tile.len() != locations.len() {
-        return Err(TrustError::InvalidParameter {
-            what: "floorplan does not cover the netlist",
-        });
-    }
-
+) -> CellTier {
     // Whitened tile margins, normalized to the hottest tile.
     let margins: Vec<f64> = heat.iter().map(|h| h.margin).collect();
     let whitened = Localizer::whiten(&margins);
@@ -496,86 +573,72 @@ pub(crate) fn score_cells(
         .iter()
         .map(|&w| if max_w > 0.0 { w / max_w } else { 0.0 })
         .collect();
-    let tile_margin = |i: usize| {
-        tile_weight
-            .get(map.nearest_tile[i] as usize)
-            .map_or(0.0, |&w| w)
+    let mut tier = CellTier {
+        map: Arc::clone(map),
+        tile_weight,
+        scores: Vec::with_capacity(map.sites.len()),
+        order: Vec::new(),
     };
-    let excess_at = |i: usize| {
+    // Whitened margins are never negative, so with finite weights and
+    // locations the spatial term is finite and not negative.
+    let finite = map.finite_sites
+        && tier.tile_weight.iter().all(|w| w.is_finite())
+        && centroid_um.is_none_or(|(x, y)| x.is_finite() && y.is_finite());
+    for (i, site) in map.sites.iter().enumerate() {
         let suspect_rate = evidence.suspect.rate_at(i);
-        (suspect_rate, suspect_rate - evidence.baseline.rate_at(i))
-    };
-
-    let mut proximity = Vec::with_capacity(locations.len());
-    let mut suspicion = Vec::with_capacity(locations.len());
-    for (i, loc) in locations.iter().enumerate() {
-        let prox = match (centroid_um, map.pitch) {
-            (Some((cx, cy)), Some(p)) if p > 0.0 => {
-                let d = ((loc.x - cx).powi(2) + (loc.y - cy).powi(2)).sqrt();
-                (-d / p).exp()
-            }
-            (Some(_), _) => 1.0,
-            (None, _) => 0.0,
-        };
+        let excess = suspect_rate - evidence.baseline.rate_at(i);
         // Default heuristic: a cell is suspect when it toggles more than
         // its baseline says it should, weighted up when the EM excess
         // points at it. The floor keeps pure activity evidence alive on
         // a cold map (and vice versa the spatial term never resurrects a
         // cell with zero excess — a supply-wide leak moves no toggles).
-        let spatial = 0.5 * tile_margin(i) + 0.5 * prox;
-        suspicion.push(excess_at(i).1.max(0.0) * (0.25 + spatial));
-        proximity.push(prox);
-    }
-
-    let mut cells = Vec::with_capacity(locations.len());
-    for i in rank_order(&suspicion) {
-        let (id, cell) = netlist.cell_at(i).ok_or(TrustError::InvalidParameter {
-            what: "floorplan does not cover the netlist",
-        })?;
-        let loc = locations[i];
-        let (activity_rate, activity_excess) = excess_at(i);
-        cells.push(CellScore {
-            cell: id,
-            kind: cell.kind(),
-            module: cell.module(),
-            region: Arc::clone(&map.region_of[cell.module().index()]),
-            location_um: (loc.x, loc.y),
-            features: CellFeatures {
-                tile_margin: tile_margin(i),
-                activity_rate,
-                activity_excess,
-                centroid_proximity: proximity[i],
-            },
-            suspicion: suspicion[i],
+        let suspicion = suspicion(excess, finite, || {
+            0.5 * tier.tile_margin(site) + 0.5 * map.proximity(site, centroid_um)
         });
+        tier.scores.push([suspect_rate, excess, suspicion]);
     }
-    Ok(cells)
+    tier.order = rank_order(tier.scores.len(), |i| tier.scores[i][2]);
+    tier
 }
 
-/// The cell indices in [`sort_cells`]' order of `suspicion` (indexed by
-/// cell). Only the cells above and below `+0.0` are sorted: in that
-/// order every cell that is exactly `+0.0` sits between the two groups,
-/// in id order, since the id is the tie-break and `total_cmp` puts
-/// `-0.0` below `+0.0`.
-fn rank_order(suspicion: &[f64]) -> impl Iterator<Item = usize> + '_ {
-    let mut above = Vec::new();
+/// The default suspicion `max(excess, 0) · (0.25 + spatial)`. When the
+/// spatial term is known to be finite and not negative, a zero weight
+/// times `0.25 + spatial` is that same signed zero, so `spatial` (and its
+/// `exp`) is only worked out for a positive excess.
+fn suspicion(excess: f64, spatial_finite: bool, spatial: impl FnOnce() -> f64) -> f64 {
+    let weight = excess.max(0.0);
+    if weight > 0.0 || !spatial_finite {
+        weight * (0.25 + spatial())
+    } else {
+        weight
+    }
+}
+
+/// The indices `0..n` in rank order ([`rank_cmp`]) of `suspicion(i)`.
+/// Only the cells above and below `+0.0` are sorted: in that order every
+/// cell that is exactly `+0.0` sits between the two groups, in id order,
+/// since the id is the tie-break and `total_cmp` puts `-0.0` below
+/// `+0.0`.
+fn rank_order(n: usize, suspicion: impl Fn(usize) -> f64) -> Vec<u32> {
+    let sign = |i: usize| suspicion(i).total_cmp(&0.0);
+    let by_rank = |&a: &u32, &b: &u32| {
+        let (a, b) = (a as usize, b as usize);
+        rank_cmp((suspicion(a), a), (suspicion(b), b))
+    };
+    let mut order = Vec::with_capacity(n);
     let mut below = Vec::new();
-    for (i, s) in suspicion.iter().enumerate() {
-        match s.total_cmp(&0.0) {
-            Ordering::Greater => above.push(i),
-            Ordering::Less => below.push(i),
+    for i in 0..n {
+        match sign(i) {
+            Ordering::Greater => order.push(i as u32),
+            Ordering::Less => below.push(i as u32),
             Ordering::Equal => {}
         }
     }
-    let by_rank = |&a: &usize, &b: &usize| rank_cmp((suspicion[a], a), (suspicion[b], b));
-    above.sort_unstable_by(by_rank);
+    order.sort_unstable_by(by_rank);
+    order.extend((0..n).filter(|&i| sign(i).is_eq()).map(|i| i as u32));
     below.sort_unstable_by(by_rank);
-    let zeros = suspicion
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.total_cmp(&0.0).is_eq())
-        .map(|(i, _)| i);
-    above.into_iter().chain(zeros).chain(below)
+    order.extend(below);
+    order
 }
 
 /// Index of the nearest point to `p` (`None` on an empty set).
@@ -619,6 +682,13 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const KEY: [u8; 16] = *b"sixteen byte key";
+
+    /// Descending suspicion, with the cell id as a total tie-break so the
+    /// ranking is deterministic: the full sort the cell tier once ran.
+    fn sort_cells(cells: &mut [CellScore]) {
+        cells
+            .sort_by(|a, b| rank_cmp((a.suspicion, a.cell.index()), (b.suspicion, b.cell.index())));
+    }
 
     /// The cell tier as it was scored before [`CellMap`]: every cell in
     /// id order with its nearest tile, region and the pitch worked out
@@ -723,6 +793,52 @@ mod tests {
         }
     }
 
+    /// Asserts `got`'s cell tier equals the oracle's `want`, read whole
+    /// and as the top `k` for `k` up to past the end; then that rescoring
+    /// both with a score that counts its calls ranks alike.
+    fn assert_matches_the_oracle(mut got: Attribution, mut want: Vec<CellScore>, what: &str) {
+        let cells: Vec<CellScore> = got.cells().collect();
+        assert_same_ranking(&cells, &want, what);
+        for k in [0, 1, 10, want.len(), want.len() + 7] {
+            let top: Vec<CellScore> = got.cells().take(k).collect();
+            assert_same_ranking(
+                &top,
+                &want[..k.min(want.len())],
+                &format!("{what}, top {k}"),
+            );
+        }
+        // Ties, signed zeros and negatives, called in rank order.
+        let rescore = || {
+            let mut calls = 0u32;
+            move |c: &CellScore| {
+                calls += 1;
+                match calls % 4 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => c.features.activity_excess - 0.5 * c.features.tile_margin,
+                    _ => c.features.centroid_proximity,
+                }
+            }
+        };
+        got.rescore_cells(rescore());
+        let mut score = rescore();
+        for c in &mut want {
+            c.suspicion = score(c);
+        }
+        sort_cells(&mut want);
+        let cells: Vec<CellScore> = got.cells().collect();
+        assert_same_ranking(&cells, &want, &format!("{what}, rescored"));
+        let truth = |c: &CellScore| c.suspicion > 0.0;
+        let labels: Vec<bool> = want.iter().map(truth).collect();
+        let scores: Vec<f64> = want.iter().map(|c| c.suspicion).collect();
+        let auroc = got.auroc(truth).map(f64::to_bits);
+        assert_eq!(
+            auroc,
+            super::auroc(&scores, &labels).map(f64::to_bits),
+            "{what}"
+        );
+    }
+
     #[test]
     fn cell_tier_matches_the_full_sort_on_armed_and_clean_campaigns() -> Result<(), TrustError> {
         let chip = ProtectedChip::with_all_trojans();
@@ -768,7 +884,7 @@ mod tests {
                 got.centroid_um(),
                 &evidence,
             );
-            assert_same_ranking(got.cell_scores(), &want, what);
+            assert_matches_the_oracle(got, want, what);
         }
         Ok(())
     }
@@ -824,15 +940,12 @@ mod tests {
             ("a cold 2x2 map without a centroid", &four, cold, None),
         ];
         for (what, centers, heat, centroid) in cases {
-            let map = CellMap::new(chip.netlist(), array.floorplan(), centers.clone())?;
-            let got = score_cells(
+            let map = Arc::new(CellMap::new(
                 chip.netlist(),
                 array.floorplan(),
-                &map,
-                &heat,
-                centroid,
-                &evidence,
-            )?;
+                centers.clone(),
+            )?);
+            let tier = score_cells(&map, &heat, centroid, &evidence);
             let want = reference_cells(
                 chip.netlist(),
                 array.floorplan(),
@@ -841,10 +954,37 @@ mod tests {
                 centroid,
                 &evidence,
             );
-            assert!(got.iter().any(|c| c.suspicion > 0.0), "{what}");
-            assert_same_ranking(&got, &want, what);
+            let got = Attribution::from_parts(heat, centroid, Vec::new(), false, None);
+            assert_eq!(got.centroid_um(), centroid, "{what}");
+            let got = got.with_cells(tier);
+            assert!(got.cells().any(|c| c.suspicion > 0.0), "{what}");
+            assert_matches_the_oracle(got, want, what);
         }
         Ok(())
+    }
+
+    #[test]
+    fn suspicion_skips_the_spatial_term_only_where_it_cannot_matter() {
+        let excesses = [-0.0, 0.0, -1.0, 1e-300, -1e-300, 2.5, f64::NEG_INFINITY];
+        for excess in excesses {
+            for spatial in [0.0, -0.0, 0.3, 1.0] {
+                let want = excess.max(0.0) * (0.25 + spatial);
+                let got = suspicion(excess, true, || spatial);
+                assert_eq!(got.to_bits(), want.to_bits(), "{excess:?}, {spatial:?}");
+            }
+            // A spatial term that is not finite is always worked out.
+            for spatial in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let want = excess.max(0.0) * (0.25 + spatial);
+                let got = suspicion(excess, false, || spatial);
+                assert_eq!(got.to_bits(), want.to_bits(), "{excess:?}, {spatial:?}");
+            }
+        }
+        let mut called = false;
+        let _ = suspicion(-0.0, true, || {
+            called = true;
+            0.5
+        });
+        assert!(!called, "a zero weight needs no spatial term");
     }
 
     #[test]
@@ -872,7 +1012,8 @@ mod tests {
                 .collect();
             sort_cells(&mut cells);
             let want = cells.iter().map(|c| c.cell.index()).collect();
-            (rank_order(suspicion).collect(), want)
+            let got = rank_order(suspicion.len(), |i| suspicion[i]);
+            (got.into_iter().map(|i| i as usize).collect(), want)
         };
         let nan = f64::NAN;
         // A -0.0 before a +0.0, ties, both NaN signs and both infinities.

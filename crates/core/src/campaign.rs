@@ -23,9 +23,9 @@
 //!   power-on `0..n`, and only blocks past the kept end are passed over.
 //!   Every campaign under one key after the first runs no pass at all. A
 //!   golden chip's cone is empty and has no pass.
-//! - Everything else, the AES core: no flop of it reads the cone, and its
-//!   state after an encryption is a pure function of the key and that
-//!   encryption's plaintext.
+//! - Everything else, the AES core: no flop of it reads the cone or a
+//!   trigger, and its state after an encryption is a pure function of
+//!   the key and that encryption's plaintext.
 //!
 //! The blocks then stream in rounds of at most [`LANES`], each round on
 //! one simulator on the calling thread, one block per lane: the pool fans
@@ -39,6 +39,16 @@
 //! A campaign from power-on runs its first block alone on lane 0, from
 //! the power-on state. A netlist whose cone grew to every flop would
 //! load every flop and stay exact.
+//!
+//! A round's warm-up therefore leaves the same core whichever Trojan is
+//! armed, and the chip keeps it ([`ProtectedChip::warm_up`]): once a
+//! request repeats the key and warm-up plaintexts of the one before, the
+//! chip keeps the lanes it left, and later requests restore them instead
+//! of encrypting, then trigger their own Trojan and load their cone
+//! states as above. An array round's golden campaign and T1 campaign
+//! warm up; T2–T4 restore (`campaign.warm_memo.hits` and `.misses` count
+//! each round). Rounds whose warm-ups never repeat, such as a stream of
+//! fresh plaintexts, keep nothing.
 //!
 //! Lanes that encrypt one plaintext from one state toggle alike, except
 //! where their cone states differ and in what those states reach. Each
@@ -162,7 +172,10 @@ impl<'c> Campaign<'c> {
     /// each lane up with its predecessor and loading its block's entry
     /// state of `cone` from `entries`; `prev` precedes the first block
     /// (`None`: it runs alone from power-on, where the cone is in its
-    /// power-on state).
+    /// power-on state). A warm-up from power-on is read from the chip's
+    /// memo when it keeps it ([`ProtectedChip::warm_up`]), counting
+    /// `campaign.warm_memo.hits`, and is simulated otherwise, counting
+    /// `campaign.warm_memo.misses`.
     fn replay(
         &self,
         prev: Option<[u8; 16]>,
@@ -172,23 +185,33 @@ impl<'c> Campaign<'c> {
         table: &ChargeTable,
         mut toggles: Option<&mut ToggleActivity>,
     ) -> Result<Vec<Block>, TrustError> {
-        let mut sim = self.chip.power_on(self.armed)?;
-        let (mut out, rest, entries, prev) = match prev {
-            Some(prev) => (Vec::with_capacity(blocks.len()), blocks, entries, prev),
-            None => {
-                let first = self.lanes(&mut sim, &blocks[..1], table, toggles.as_deref_mut());
-                (first, &blocks[1..], &entries[1..], blocks[0])
-            }
+        let Some((_, predecessors)) = blocks.split_last() else {
+            return Ok(Vec::new());
         };
-        if let Some((_, predecessors)) = rest.split_last() {
-            let warmups: Vec<[u8; 16]> = std::iter::once(prev)
-                .chain(predecessors.iter().copied())
-                .collect();
-            let _ = run_encryptions(&mut sim, self.chip.aes_ports(), self.key, &warmups);
-            sim.load_cone(cone, entries);
-            out.extend(self.lanes(&mut sim, rest, table, toggles));
-        }
-        Ok(out)
+        let Some(prev) = prev else {
+            let mut sim = self.chip.power_on(self.armed)?;
+            let mut out = self.lanes(&mut sim, &blocks[..1], table, toggles.as_deref_mut());
+            if !predecessors.is_empty() {
+                let _ = run_encryptions(&mut sim, self.chip.aes_ports(), self.key, predecessors);
+                sim.load_cone(cone, &entries[1..]);
+                out.extend(self.lanes(&mut sim, &blocks[1..], table, toggles));
+            }
+            return Ok(out);
+        };
+        let warmups: Vec<[u8; 16]> = std::iter::once(prev)
+            .chain(predecessors.iter().copied())
+            .collect();
+        let (mut sim, restored) = self.chip.warm_up(self.key, self.armed, &warmups)?;
+        telemetry::counter(
+            if restored {
+                "campaign.warm_memo.hits"
+            } else {
+                "campaign.warm_memo.misses"
+            },
+            1,
+        );
+        sim.load_cone(cone, entries);
+        Ok(self.lanes(&mut sim, blocks, table, toggles))
     }
 
     /// One streamed encryption per lane, sampling T2's leakage-sense net
@@ -297,6 +320,7 @@ mod tests {
     /// leakage-sense net when `armed` is T2.
     fn serial(
         chip: &ProtectedChip,
+        key: [u8; 16],
         pts: &[[u8; 16]],
         armed: Option<TrojanKind>,
         warmup: Option<[u8; 16]>,
@@ -307,7 +331,7 @@ mod tests {
             chip.arm(&mut sim, kind, true);
         }
         if let Some(pt) = warmup {
-            let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |_| {});
+            let _ = run_encryption_with(&mut sim, chip.aes_ports(), key, pt, |_| {});
         }
         let sense = armed
             .and_then(|k| chip.trojan_ports(k))
@@ -316,7 +340,7 @@ mod tests {
             .map(|&pt| {
                 sim.start_recording();
                 let mut leak = Vec::new();
-                let _ = run_encryption_with(&mut sim, chip.aes_ports(), KEY, pt, |s| {
+                let _ = run_encryption_with(&mut sim, chip.aes_ports(), key, pt, |s| {
                     if let Some(net) = sense {
                         leak.push(if s.value(net) { 0.0 } else { T2_LEAK_CURRENT_A });
                     }
@@ -374,7 +398,7 @@ mod tests {
         pts: &[[u8; 16]],
         warmup: Option<[u8; 16]>,
     ) {
-        let expected = serial(chip, pts, None, warmup);
+        let expected = serial(chip, KEY, pts, None, warmup);
         let mut all = ActivityTrace::new();
         for (activity, _) in &expected {
             all.extend_from(activity.clone());
@@ -413,47 +437,101 @@ mod tests {
         for pts in [plaintexts(70), vec![[0x5A; 16]; 33]] {
             for warmup in [None, Some([0x3C; 16])] {
                 for armed in std::iter::once(None).chain(kinds) {
-                    let what = format!(
-                        "{} blocks, {armed:?}, warm-up {}",
-                        pts.len(),
-                        warmup.is_some()
-                    );
-                    let expected = serial(&chip, &pts, armed, warmup);
-                    let mut got = Vec::new();
-                    let mut toggles = ToggleActivity::new();
-                    Campaign::new(&chip, KEY, armed, warmup)
-                        .record(&pts, &table, Some(&mut toggles), |first, blocks| {
-                            assert_eq!(first, got.len(), "{what}");
-                            got.extend(blocks);
-                            Ok(())
-                        })
-                        .unwrap();
-                    assert_eq!(got.len(), expected.len(), "{what}");
-                    let mut all = ActivityTrace::new();
-                    for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
-                        assert_eq!(&block.leak, leak, "{what}, block {i}");
-                        assert_eq!(leak.is_some(), armed == Some(TrojanKind::T2LeakageLeaker));
-                        assert_eq!(
-                            block.bins,
-                            table.bin_trace(activity, 1),
-                            "{what}, block {i}"
-                        );
-                        all.extend_from(activity.clone());
-                    }
-                    let (block, (activity, leak)) = (&got[pts.len() - 1], &expected[pts.len() - 1]);
-                    let rendered = table.render(&block.bins, block.leak.as_deref()).unwrap();
-                    let reference = stored(&chip, &sets, activity, leak.as_deref());
-                    assert_same_bits(&rendered, &reference, &what);
-                    let expected_toggles = ToggleActivity::from_trace(&all);
-                    assert_eq!(toggles, expected_toggles, "{what}");
-                    assert_eq!(
-                        toggles.cell_count(),
-                        expected_toggles.cell_count(),
-                        "{what}"
-                    );
+                    let campaign = Campaign::new(&chip, KEY, armed, warmup);
+                    assert_streams_like_serial(&campaign, &sets, &table, &pts);
                 }
             }
         }
+    }
+
+    #[test]
+    fn restored_warm_ups_stream_like_their_serial_recordings() {
+        // One plaintext warmed up under each kind in turn: from the third
+        // campaign under one key on, the chip restores the lanes that
+        // another kind's warm-up left.
+        const OTHER: [u8; 16] = *b"another key, 16B";
+        let chip = ProtectedChip::with_all_trojans();
+        let sets = weight_sets(&chip);
+        let table = table(&chip, &sets);
+        let [t1, t2, t3, t4] = emtrust_trojan::digital::ALL_DIGITAL_TROJANS.map(Some);
+        let orders = [
+            vec![None, t1, t2, t3, t4],
+            vec![t4, t3, t2, t1, None],
+            vec![t2, None, t2, t4, t1, t3],
+        ];
+        let pts = vec![[0x5A; 16]; 16];
+        let warmup = Some(pts[0]);
+        for armed in orders.concat() {
+            let campaign = Campaign::new(&chip, KEY, armed, warmup);
+            assert_streams_like_serial(&campaign, &sets, &table, &pts);
+        }
+        // A key change misses; its own repeats restore.
+        for armed in [t1, t2, None] {
+            let campaign = Campaign::new(&chip, OTHER, armed, warmup);
+            assert_streams_like_serial(&campaign, &sets, &table, &pts);
+        }
+        // The golden chip's cone is empty: a restore loads nothing.
+        let golden = ProtectedChip::golden();
+        let sets = weight_sets(&golden);
+        let table = self::table(&golden, &sets);
+        for _ in 0..3 {
+            let campaign = Campaign::new(&golden, KEY, None, warmup);
+            assert_streams_like_serial(&campaign, &sets, &table, &pts);
+        }
+    }
+
+    /// Asserts that `campaign` streams `pts` into the bins, T2 leakage and
+    /// toggle counts of its serial recording.
+    fn assert_streams_like_serial(
+        campaign: &Campaign<'_>,
+        sets: &[Vec<f64>],
+        table: &ChargeTable,
+        pts: &[[u8; 16]],
+    ) {
+        let Campaign {
+            chip,
+            key,
+            armed,
+            warmup,
+        } = *campaign;
+        let what = format!(
+            "{} blocks, {armed:?}, warm-up {}, key {key:?}",
+            pts.len(),
+            warmup.is_some()
+        );
+        let expected = serial(chip, key, pts, armed, warmup);
+        let mut got = Vec::new();
+        let mut toggles = ToggleActivity::new();
+        campaign
+            .record(pts, table, Some(&mut toggles), |first, blocks| {
+                assert_eq!(first, got.len(), "{what}");
+                got.extend(blocks);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(got.len(), expected.len(), "{what}");
+        let mut all = ActivityTrace::new();
+        for (i, (block, (activity, leak))) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(&block.leak, leak, "{what}, block {i}");
+            assert_eq!(leak.is_some(), armed == Some(TrojanKind::T2LeakageLeaker));
+            assert_eq!(
+                block.bins,
+                table.bin_trace(activity, 1),
+                "{what}, block {i}"
+            );
+            all.extend_from(activity.clone());
+        }
+        let (block, (activity, leak)) = (&got[pts.len() - 1], &expected[pts.len() - 1]);
+        let rendered = table.render(&block.bins, block.leak.as_deref()).unwrap();
+        let reference = stored(chip, sets, activity, leak.as_deref());
+        assert_same_bits(&rendered, &reference, &what);
+        let expected_toggles = ToggleActivity::from_trace(&all);
+        assert_eq!(toggles, expected_toggles, "{what}");
+        assert_eq!(
+            toggles.cell_count(),
+            expected_toggles.cell_count(),
+            "{what}"
+        );
     }
 
     #[test]

@@ -492,13 +492,6 @@ impl Netlist {
         &self.cells[id.index()]
     }
 
-    /// The cell at raw index `index` with its id, as [`Self::cells`]
-    /// yields it (`None` past the last cell).
-    pub fn cell_at(&self, index: usize) -> Option<(CellId, &Cell)> {
-        let cell = self.cells.get(index)?;
-        Some((CellId(u32::try_from(index).ok()?), cell))
-    }
-
     /// Iterates over all cells with their ids.
     pub fn cells(&self) -> impl Iterator<Item = (CellId, &Cell)> {
         self.cells

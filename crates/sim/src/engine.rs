@@ -480,6 +480,18 @@ impl Cone {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConeState(Vec<u64>);
 
+/// A simulator's lanes at one moment ([`Simulator::lane_state`]): every
+/// net's word, the live lanes and the cycle count, tied to the program
+/// they were simulated on.
+#[derive(Debug, Clone)]
+pub struct LaneState {
+    /// The program's sources, which identify it.
+    sources: Arc<Sources>,
+    words: Vec<u64>,
+    live: usize,
+    cycle: u64,
+}
+
 /// Evaluates a 3-input truth table on 64 lanes at once. MUX2 (`0xCA`)
 /// and XOR2 (`0x66`), the kinds the AES core is built from, take a
 /// direct formula; any other table goes through a mux tree over the
@@ -883,6 +895,36 @@ impl<'a> Simulator<'a> {
         ConeState(bits)
     }
 
+    /// Every lane's net values, the live lanes and the cycle count: all a
+    /// later [`Self::restore`] needs to put a simulator of the same
+    /// program where this one is. The flops' captured values are not
+    /// state: the next edge captures them anew.
+    pub fn lane_state(&self) -> LaneState {
+        LaneState {
+            sources: Arc::clone(&self.program.sources),
+            words: self.words.clone(),
+            live: self.live,
+            cycle: self.cycle,
+        }
+    }
+
+    /// Puts every lane's nets, the live lanes and the cycle count back to
+    /// `state`; a recording in progress goes on recording.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was taken from a simulator of another program
+    /// (one compiled separately counts as another).
+    pub fn restore(&mut self, state: &LaneState) {
+        assert!(
+            Arc::ptr_eq(&state.sources, &self.program.sources),
+            "lane state of another program"
+        );
+        self.words.copy_from_slice(&state.words);
+        self.live = state.live;
+        self.cycle = state.cycle;
+    }
+
     /// Loads `states[j]` into lane `j`'s `cone` flops, then settles the
     /// combinational logic ([`Self::settle`]); an empty cone or no state
     /// loads and settles nothing.
@@ -1117,6 +1159,42 @@ mod tests {
         assert_eq!(all.gate_count(), 3, "y is in no flop's fan-in");
         assert!(program.readers(&all).is_empty());
         assert!(program.cone(&[]).is_empty());
+    }
+
+    #[test]
+    fn a_restored_simulator_steps_on_like_the_one_it_was_taken_from() {
+        let (n, [q0, q1, r, y], a) = counter_with_reader();
+        let program = Program::compile(&n).unwrap();
+        let mut sim = Simulator::with_program(&n, &program);
+        sim.set_bus_lanes(&[a], &[1, 0, 1]);
+        sim.run(5);
+        let state = sim.lane_state();
+        let mut restored = Simulator::with_program(&n, &program);
+        restored.run(2);
+        restored.restore(&state);
+        assert_eq!(restored.cycle(), 5);
+        let edge = |s: &mut Simulator<'_>| {
+            let mut events = Vec::new();
+            s.step_words(|w| events = (0..w.lanes()).map(|lane| w.events(lane)).collect());
+            events
+        };
+        for step in 0..4 {
+            for net in [q0, q1, r, y] {
+                assert_eq!(restored.value_lanes(net), sim.value_lanes(net), "{step}");
+            }
+            let events = edge(&mut sim);
+            assert_eq!(events.len(), 3, "three live lanes");
+            assert_eq!(edge(&mut restored), events, "step {step}");
+        }
+        assert_eq!(restored.cycle(), sim.cycle());
+    }
+
+    #[test]
+    #[should_panic(expected = "lane state of another program")]
+    fn a_lane_state_restores_only_into_its_own_program() {
+        let (n, _, _) = counter_with_reader();
+        let state = Simulator::new(&n).unwrap().lane_state();
+        Simulator::new(&n).unwrap().restore(&state);
     }
 
     #[test]

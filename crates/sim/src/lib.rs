@@ -73,4 +73,4 @@ pub mod activity;
 pub mod engine;
 
 pub use activity::{ActivityTrace, CycleActivity, ToggleActivity, ToggleEvent};
-pub use engine::{Cone, ConeState, Program, Simulator, Sources, ToggleWords, LANES};
+pub use engine::{Cone, ConeState, LaneState, Program, Simulator, Sources, ToggleWords, LANES};

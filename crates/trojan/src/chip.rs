@@ -2,12 +2,14 @@
 //! four digital Trojans, each with its own trigger control.
 
 use crate::digital::{insert_trojan, TrojanKind, TrojanPorts, ALL_DIGITAL_TROJANS};
-use emtrust_aes::netlist::{block_to_word, build_aes, drive_encryption, run_encryption, AesPorts};
+use emtrust_aes::netlist::{
+    block_to_word, build_aes, drive_encryption, run_encryption, run_encryptions, AesPorts,
+};
 use emtrust_netlist::graph::{CellId, Netlist};
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::{Cone, ConeState, Program, Simulator};
+use emtrust_sim::engine::{Cone, ConeState, LaneState, Program, Simulator};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// An AES-128 core with a selectable set of inserted Trojans, matching the
 /// silicon the paper fabricates (AES + four Trojans on one die, plus
@@ -19,11 +21,27 @@ pub struct ProtectedChip {
     trojans: BTreeMap<TrojanKind, TrojanPorts>,
     /// The netlist compiled for simulation, on first use.
     program: OnceLock<Result<Program, NetlistError>>,
-    /// The Trojans' state cone and whether it reads a plaintext net, on
-    /// first use.
-    cone: OnceLock<(Cone, bool)>,
+    /// The Trojans' state cone and what it and the rest read, on first
+    /// use.
+    cone: OnceLock<StateCone>,
     /// The cone's entry states from power-on ([`Self::cone_entries`]).
     memo: Mutex<ConeMemo>,
+    /// The lanes after a repeated warm-up ([`Self::warm_up`]).
+    warm: Mutex<WarmMemo>,
+}
+
+/// The Trojans' state cone ([`ProtectedChip::state_cone`]) and the two
+/// facts that decide which of the chip's memos may hold.
+#[derive(Debug)]
+struct StateCone {
+    cone: Cone,
+    /// Whether the cone reads a plaintext net: its entry states then
+    /// depend on the plaintexts and are never kept.
+    reads_plaintext: bool,
+    /// Whether a flop outside the cone reads a Trojan's trigger, so that
+    /// its state after a warm-up depends on the armed Trojan: the
+    /// warm-up's lanes are then never kept.
+    rest_reads_a_trigger: bool,
 }
 
 /// The state cone's entry states from power-on under one key: per armed
@@ -33,6 +51,14 @@ pub struct ProtectedChip {
 struct ConeMemo {
     key: [u8; 16],
     runs: BTreeMap<Option<TrojanKind>, Vec<ConeState>>,
+}
+
+/// One warm-up's lanes: the key and plaintexts of the last request, and
+/// the lanes they left once a request repeated them.
+#[derive(Debug, Default)]
+struct WarmMemo {
+    last: Option<([u8; 16], Vec<[u8; 16]>)>,
+    lanes: Option<LaneState>,
 }
 
 impl ProtectedChip {
@@ -51,6 +77,7 @@ impl ProtectedChip {
             program: OnceLock::new(),
             cone: OnceLock::new(),
             memo: Mutex::default(),
+            warm: Mutex::default(),
         }
     }
 
@@ -115,11 +142,12 @@ impl ProtectedChip {
     ///
     /// Propagates structural errors from compilation.
     pub fn state_cone(&self) -> Result<&Cone, NetlistError> {
-        Ok(&self.cone_and_plaintext_read()?.0)
+        Ok(&self.cone_facts()?.cone)
     }
 
-    /// [`Self::state_cone`], and whether it reads a plaintext net.
-    fn cone_and_plaintext_read(&self) -> Result<&(Cone, bool), NetlistError> {
+    /// [`Self::state_cone`], whether it reads a plaintext net and whether
+    /// a flop outside it reads a trigger.
+    fn cone_facts(&self) -> Result<&StateCone, NetlistError> {
         let program = self.program()?;
         Ok(self.cone.get_or_init(|| {
             let mut seeds: Vec<CellId> = self
@@ -136,8 +164,22 @@ impl ProtectedChip {
                 let cone = program.cone(&seeds);
                 let readers = program.readers(&cone);
                 if readers.is_empty() {
-                    let reads_plaintext = cone.reads_any(&self.aes.pt);
-                    return (cone, reads_plaintext);
+                    // No flop outside the cone reads it, so the sequential
+                    // fan-in of the rest stays outside it too.
+                    let rest: Vec<CellId> = self
+                        .netlist
+                        .cells()
+                        .filter(|(id, c)| {
+                            c.kind().is_sequential() && cone.flops().binary_search(id).is_err()
+                        })
+                        .map(|(id, _)| id)
+                        .collect();
+                    let triggers: Vec<_> = self.trojans.values().map(|p| p.trigger).collect();
+                    return StateCone {
+                        reads_plaintext: cone.reads_any(&self.aes.pt),
+                        rest_reads_a_trigger: program.cone(&rest).reads_any(&triggers),
+                        cone,
+                    };
                 }
                 seeds.extend(readers);
             }
@@ -175,7 +217,11 @@ impl ProtectedChip {
         armed: Option<TrojanKind>,
         plaintexts: &[[u8; 16]],
     ) -> Result<Vec<ConeState>, NetlistError> {
-        let (cone, reads_plaintext) = self.cone_and_plaintext_read()?;
+        let StateCone {
+            cone,
+            reads_plaintext,
+            ..
+        } = self.cone_facts()?;
         let n = plaintexts.len();
         if cone.is_empty() || n == 0 {
             return Ok(vec![ConeState::default(); n]);
@@ -242,11 +288,92 @@ impl ProtectedChip {
     /// Panics if the chip does not carry `armed`.
     pub fn power_on(&self, armed: Option<TrojanKind>) -> Result<Simulator<'_>, NetlistError> {
         let mut sim = self.simulator()?;
-        self.disarm_all(&mut sim);
-        if let Some(kind) = armed {
-            self.arm(&mut sim, kind, true);
-        }
+        self.trigger_only(&mut sim, armed);
         Ok(sim)
+    }
+
+    /// Disarms every Trojan except `armed`, which is triggered.
+    fn trigger_only(&self, sim: &mut Simulator<'_>, armed: Option<TrojanKind>) {
+        self.disarm_all(sim);
+        if let Some(kind) = armed {
+            self.arm(sim, kind, true);
+        }
+    }
+
+    /// A simulator powered on with only `armed` triggered
+    /// ([`Self::power_on`]) that has encrypted `warmups[j]` under `key`
+    /// in lane `j`, lanes `0..warmups.len()` live, and whether its lanes
+    /// were restored from the chip's memo rather than simulated.
+    ///
+    /// No flop outside the state cone reads the cone or a trigger (the
+    /// chip checks the triggers on its compiled program), so each of
+    /// them holds what the warm-up leaves whichever Trojan was armed
+    /// during it. The cone's flops of a restored simulator hold another
+    /// campaign's states: load the cone ([`Simulator::load_cone`]) before
+    /// reading it.
+    ///
+    /// The chip keeps the lanes of one warm-up, and only once a request
+    /// repeats the key and plaintexts of the request before it; a
+    /// request for them after that restores the lanes. A stream whose
+    /// warm-ups never repeat copies nothing. The lanes hold a word per
+    /// net, about 108 KB on the all-Trojan chip. The memo is taken out of
+    /// its lock for the warm-up, so a concurrent request finds it empty
+    /// and simulates. A chip on which a flop outside the cone reads a
+    /// trigger keeps nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates structural errors from compilation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip does not carry `armed`, or `warmups` is empty
+    /// or longer than [`emtrust_sim::LANES`].
+    pub fn warm_up(
+        &self,
+        key: [u8; 16],
+        armed: Option<TrojanKind>,
+        warmups: &[[u8; 16]],
+    ) -> Result<(Simulator<'_>, bool), NetlistError> {
+        let mut sim = self.power_on(armed)?;
+        if self.cone_facts()?.rest_reads_a_trigger {
+            let _ = run_encryptions(&mut sim, &self.aes, key, warmups);
+            return Ok((sim, false));
+        }
+        let mut memo = std::mem::take(&mut *self.lock_warm());
+        let repeat = memo
+            .last
+            .as_ref()
+            .is_some_and(|(k, w)| *k == key && w == warmups);
+        let restored = match memo.lanes.as_ref().filter(|_| repeat) {
+            Some(lanes) => {
+                sim.restore(lanes);
+                // The kept lanes carry the triggers of the campaign that
+                // warmed them up.
+                self.trigger_only(&mut sim, armed);
+                true
+            }
+            None => {
+                let _ = run_encryptions(&mut sim, &self.aes, key, warmups);
+                if repeat {
+                    memo.lanes = Some(sim.lane_state());
+                } else {
+                    memo = WarmMemo {
+                        last: Some((key, warmups.to_vec())),
+                        lanes: None,
+                    };
+                }
+                false
+            }
+        };
+        *self.lock_warm() = memo;
+        Ok((sim, restored))
+    }
+
+    fn lock_warm(&self) -> MutexGuard<'_, WarmMemo> {
+        // The memo is only ever replaced whole, so a panic while the lock
+        // was held leaves a complete one.
+        self.warm.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Arms (`true`) or disarms (`false`) a Trojan's trigger on a running
@@ -462,6 +589,89 @@ mod tests {
         let golden = ProtectedChip::golden();
         let entries = golden.cone_entries(KEY, None, &[PT; 3]).unwrap();
         assert_eq!(entries, vec![ConeState::default(); 3]);
+    }
+
+    /// Every cell's output in the first `lanes` lanes of `sim`.
+    fn outputs(sim: &Simulator<'_>, lanes: usize) -> Vec<u64> {
+        let live = u64::MAX >> (64 - lanes);
+        sim.netlist()
+            .cells()
+            .map(|(_, c)| sim.value_lanes(c.output()) & live)
+            .collect()
+    }
+
+    /// [`outputs`] after loading `states` into `cone`.
+    fn nets_with_cone(sim: &mut Simulator<'_>, cone: &Cone, states: &[ConeState]) -> Vec<u64> {
+        sim.load_cone(cone, states);
+        outputs(sim, states.len())
+    }
+
+    #[test]
+    fn a_restored_warm_up_holds_the_simulated_lanes_whichever_trojan_warmed_it() {
+        let chip = ProtectedChip::with_all_trojans();
+        let cone = chip.state_cone().unwrap();
+        assert!(!chip.cone_facts().unwrap().rest_reads_a_trigger);
+        let warmups: Vec<[u8; 16]> = (0..5u8).map(|i| [i.wrapping_mul(71); 16]).collect();
+        let armed: Vec<Option<TrojanKind>> = std::iter::once(None)
+            .chain(ALL_DIGITAL_TROJANS.map(Some))
+            .collect();
+        // Warmed up and kept under T3, restored under every other kind.
+        for _ in 0..2 {
+            let (_, restored) = chip
+                .warm_up(KEY, Some(TrojanKind::T3CdmaLeaker), &warmups)
+                .unwrap();
+            assert!(!restored);
+        }
+        for &kind in armed.iter().chain(armed.iter().rev()) {
+            let entries = chip.cone_entries(KEY, kind, &[PT; 5]).unwrap();
+            let (mut got, restored) = chip.warm_up(KEY, kind, &warmups).unwrap();
+            assert!(restored, "{kind:?}");
+            let mut simulated = chip.power_on(kind).unwrap();
+            let _ = run_encryptions(&mut simulated, chip.aes_ports(), KEY, &warmups);
+            assert_eq!(got.cycle(), simulated.cycle());
+            assert_eq!(
+                nets_with_cone(&mut got, cone, &entries),
+                nets_with_cone(&mut simulated, cone, &entries),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_warm_memo_keeps_a_warm_up_only_once_it_repeats() {
+        const OTHER: [u8; 16] = *b"another test key";
+        let chip = ProtectedChip::golden();
+        let kept = |chip: &ProtectedChip| chip.lock_warm().lanes.is_some();
+        let round = |i: u8| -> Vec<[u8; 16]> {
+            (0..64u8)
+                .map(|j| [i.wrapping_mul(64).wrapping_add(j); 16])
+                .collect()
+        };
+        // 64-lane rounds of distinct plaintexts never repeat: none is kept.
+        for i in 0..4 {
+            let (_, restored) = chip.warm_up(KEY, None, &round(i)).unwrap();
+            assert!(!restored);
+            assert!(!kept(&chip), "round {i}");
+        }
+        let requests = [
+            (KEY, PT, false, false),
+            (KEY, PT, false, true),
+            (KEY, PT, true, true),
+            // Another key, then the first again: each misses and drops the
+            // kept lanes.
+            (OTHER, PT, false, false),
+            (KEY, PT, false, false),
+            (KEY, [0x11; 16], false, false),
+            (KEY, [0x11; 16], false, true),
+            (KEY, [0x11; 16], true, true),
+        ];
+        for (i, (key, pt, hit, keeps)) in requests.into_iter().enumerate() {
+            let (sim, restored) = chip.warm_up(key, None, &[pt; 3]).unwrap();
+            assert_eq!((restored, kept(&chip)), (hit, keeps), "request {i}");
+            let mut fresh = chip.power_on(None).unwrap();
+            let _ = run_encryptions(&mut fresh, chip.aes_ports(), key, &[pt; 3]);
+            assert_eq!(outputs(&sim, 3), outputs(&fresh, 3), "request {i}");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn armed_trojan_attributes_to_its_own_cells() {
     assert!(attribution.hit_at(KIND.module_tag(), 3));
 
     // One score per placed cell, ranked by descending suspicion.
-    let cells = attribution.cell_scores();
+    let cells: Vec<_> = attribution.cells().collect();
     assert_eq!(cells.len(), cell_count);
     assert!(cells
         .windows(2)
@@ -60,7 +60,7 @@ fn armed_trojan_attributes_to_its_own_cells() {
     // The top of the ranking is the armed Trojan's own placement.
     let tag = KIND.module_tag();
     assert!(
-        attribution.top_cells(10).iter().all(|c| &*c.region == tag),
+        attribution.cells().take(10).all(|c| &*c.region == tag),
         "top-10 cells must sit in {tag}"
     );
     let truth = |c: &emtrust::attribution::CellScore| &*c.region == tag;
@@ -76,9 +76,9 @@ fn attribution_and_learned_reranking_are_bit_identical_across_worker_counts() {
 
     // Raw attribution: same cells, same features, same suspicion — bit
     // for bit, regardless of the measurement fan-out.
-    let (a, b) = (serial.cell_scores(), fanned.cell_scores());
+    let (a, b): (Vec<_>, Vec<_>) = (serial.cells().collect(), fanned.cells().collect());
     assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
+    for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.cell, y.cell);
         assert_eq!(x.features.to_vec(), y.features.to_vec());
         assert_eq!(x.suspicion.to_bits(), y.suspicion.to_bits());
@@ -93,16 +93,8 @@ fn attribution_and_learned_reranking_are_bit_identical_across_worker_counts() {
     };
     let tag = KIND.module_tag();
     let train = |att: &Attribution| {
-        let rows: Vec<Vec<f64>> = att
-            .cell_scores()
-            .iter()
-            .map(|c| c.features.to_vec())
-            .collect();
-        let labels: Vec<bool> = att
-            .cell_scores()
-            .iter()
-            .map(|c| &*c.region == tag)
-            .collect();
+        let rows: Vec<Vec<f64>> = att.cells().map(|c| c.features.to_vec()).collect();
+        let labels: Vec<bool> = att.cells().map(|c| &*c.region == tag).collect();
         LogisticModel::train(&rows, &labels, spec).unwrap()
     };
     let (ma, mb) = (train(&serial), train(&fanned));
@@ -115,7 +107,7 @@ fn attribution_and_learned_reranking_are_bit_identical_across_worker_counts() {
     let mut rb = fanned.clone();
     ra.rescore_cells(|c| ma.predict(&c.features.to_vec()).unwrap_or(0.0));
     rb.rescore_cells(|c| mb.predict(&c.features.to_vec()).unwrap_or(0.0));
-    for (x, y) in ra.cell_scores().iter().zip(rb.cell_scores()) {
+    for (x, y) in ra.cells().zip(rb.cells()) {
         assert_eq!(x.cell, y.cell);
         assert_eq!(x.suspicion.to_bits(), y.suspicion.to_bits());
     }

@@ -137,8 +137,9 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
         let bench = TestBench::simulation(&chip)
             .unwrap()
             .with_parallel(ParallelConfig::serial().with_workers(workers));
-        // The second collection measures the blocks the bench kept.
-        for _ in 0..2 {
+        // The second collection keeps the blocks it simulates; the third
+        // measures them.
+        for _ in 0..3 {
             let set = bench
                 .collect(KEY, 5, None, Channel::OnChipSensor, 77)
                 .unwrap();
@@ -163,8 +164,8 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
         );
     }
 
-    // Each bench simulated its campaign once and kept it.
-    assert_eq!(snap.counters["acquire.campaign_memo.misses"], 3);
+    // Each bench simulated its campaign twice, keeping it the second time.
+    assert_eq!(snap.counters["acquire.campaign_memo.misses"], 6);
     assert_eq!(snap.counters["acquire.campaign_memo.hits"], 3);
 
     // The pool reported per-worker chunk timings for the fanned-out runs.
