@@ -8,9 +8,11 @@
 //! recording with binning the simulator's toggle words as it runs, on
 //! one lane, on 16 lanes of one plaintext (blocks the lanes share are
 //! binned once) and on 64 lanes of distinct plaintexts. The `frontend` and `fleet` groups time the
-//! per-trace work of a fleet shard on 768-sample traces: the trace
-//! screen alone, one `ingest_trace` through a fitted per-chip pipeline,
-//! and a whole shard epoch through one `PipelineStore`. The `array`
+//! per-trace work of a fleet shard on 768-sample traces digitized as
+//! `fleet_replay`'s 16-bit front end digitizes them: the trace screen
+//! alone (also on the stock 12-bit channel), one `ingest_trace` through
+//! a fitted per-chip pipeline, and a whole shard epoch through one
+//! `PipelineStore`. The `array`
 //! group times one `array_attribution` round: a golden campaign and the
 //! four armed campaigns that replay its seed and its noise; then one
 //! armed campaign's attribution, by the tiles alone and with the cell
@@ -34,7 +36,7 @@ use emtrust_bench::EXPERIMENT_KEY;
 use emtrust_fleet::{BaselineMode, FleetConfig, PipelineStore};
 use emtrust_netlist::library::Library;
 use emtrust_power::{ClockConfig, CurrentModel};
-use emtrust_silicon::Channel;
+use emtrust_silicon::{Channel, FabricatedChip, Oscilloscope, ProcessVariation};
 use emtrust_sim::{ToggleActivity, LANES};
 use emtrust_trojan::digital::ALL_DIGITAL_TROJANS;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
@@ -414,23 +416,57 @@ fn attribute(g: &mut BenchmarkGroup<'_>, chip: &ProtectedChip) {
     });
 }
 
-/// Continuous-valued 768-sample on-chip traces of the golden chip, one
-/// fixed plaintext, as a fleet shard receives them.
-fn fleet_traces(n: usize) -> TraceSet {
+/// 768-sample on-chip traces of the golden chip under one fixed
+/// plaintext, as `fleet_replay` acquires them for a fleet shard: one
+/// encryption after a warm-up, measured on a fabricated die whose
+/// on-chip front end digitizes at `bits` bits, a noise seed per trace.
+/// At 16 bits (`fleet_replay`'s front end) about 2 % of adjacent pairs
+/// repeat; at the stock 12 bits about 29 %, as `monitor`'s do.
+fn fleet_traces(n: usize, bits: u32) -> TraceSet {
+    const PT: [u8; 16] = [0x6b; 16];
     let chip = ProtectedChip::golden();
-    let set = TestBench::simulation(&chip)
-        .expect("bench")
-        .collect(EXPERIMENT_KEY, n, None, Channel::OnChipSensor, 11)
-        .expect("trace set");
-    assert!(set.traces().iter().all(|t| t.len() == 768));
-    set
+    let stock = Oscilloscope::onchip_channel();
+    let scope = Oscilloscope::new(
+        stock.bandwidth_hz(),
+        stock.input_noise_rms_v(),
+        bits,
+        stock.full_scale_v(),
+    )
+    .expect("front end");
+    let mut die =
+        FabricatedChip::fabricate(chip.netlist(), 11, ProcessVariation::nominal()).expect("die");
+    die.set_scope(Channel::OnChipSensor, scope);
+    let mut sim = chip.simulator().expect("simulator");
+    run_encryption(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, PT);
+    sim.start_recording();
+    run_encryption(&mut sim, chip.aes_ports(), EXPERIMENT_KEY, PT);
+    let activity = sim.take_recording();
+    let (traces, rates): (Vec<_>, Vec<_>) = (0..n as u64)
+        .map(|seed| {
+            let trace = die
+                .measure_with(
+                    chip.netlist(),
+                    &activity,
+                    Channel::OnChipSensor,
+                    None,
+                    &[],
+                    seed,
+                    1,
+                )
+                .expect("trace");
+            (trace.samples().to_vec(), trace.sample_rate_hz())
+        })
+        .unzip();
+    assert!(traces.iter().all(|t| t.len() == 768));
+    TraceSet::new(traces, rates[0]).expect("trace set")
 }
 
-/// The screen alone, then one trace through a per-chip pipeline built
-/// like the fleet store's (Euclidean on raw RMS features, default
-/// sanitizer). Each iteration takes the next of 40 traces.
+/// The screen alone on 16- and 12-bit traces, then one trace through a
+/// per-chip pipeline built like the fleet store's (Euclidean on raw RMS
+/// features, default sanitizer). Each iteration takes the next of 40
+/// traces.
 fn frontend(c: &mut Criterion) {
-    let set = fleet_traces(40);
+    let set = fleet_traces(40, 16);
     let traces = set.traces();
     let mut g = c.benchmark_group("frontend");
     g.sample_size(20_000);
@@ -443,6 +479,16 @@ fn frontend(c: &mut Criterion) {
             screen.inspect(&traces[i])
         })
     });
+    if g.selects("sanitize_768_12bit") {
+        let stock = fleet_traces(40, 12);
+        let stock = stock.traces();
+        g.bench_function("sanitize_768_12bit", |b| {
+            b.iter(|| {
+                i = (i + 1) % stock.len();
+                screen.inspect(&stock[i])
+            })
+        });
+    }
     let golden = TraceSet::new(traces[..8].to_vec(), set.sample_rate_hz()).expect("golden");
     let config = FingerprintConfig {
         pca_components: None,
@@ -470,7 +516,7 @@ fn frontend(c: &mut Criterion) {
 /// store of 512 hot chips (so every chip past the 512th evicts one).
 /// Each chip reads the 40-trace pool from its own offset.
 fn fleet(c: &mut Criterion) {
-    let set = fleet_traces(40);
+    let set = fleet_traces(40, 16);
     let pool = set.traces();
     let chips: Vec<String> = (0..1024).map(|c| format!("chip-{c:05}")).collect();
     let cfg = FleetConfig::default();

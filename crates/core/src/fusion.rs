@@ -7,7 +7,7 @@
 //! fuse separately) to the single suspected/clean decision that raises
 //! or withholds the alarm.
 //!
-//! All policies return `false` for an empty vote slice — an observation
+//! All policies return `false` when no vote is cast — an observation
 //! no detector judged can never alarm (there is no vacuous [`And`]).
 //!
 //! [`And`]: FusionPolicy::And
@@ -38,26 +38,30 @@ pub enum FusionPolicy {
 
 impl FusionPolicy {
     /// Reduces one domain's votes (`true` = suspected, in detector
-    /// registration order) to the fused alarm decision.
+    /// registration order) to the fused alarm decision, in one pass
+    /// over them: a pipeline passes its verdicts' flags without copying
+    /// them out.
     ///
-    /// An empty slice is always `false`, for every policy.
-    pub fn decide(&self, votes: &[bool]) -> bool {
-        if votes.is_empty() {
+    /// No votes at all is always `false`, for every policy.
+    pub fn decide(&self, votes: impl IntoIterator<Item = bool>) -> bool {
+        let (mut cast, mut suspected, mut weight) = (0usize, 0usize, 0.0);
+        for (i, vote) in votes.into_iter().enumerate() {
+            cast += 1;
+            if vote {
+                suspected += 1;
+                if let FusionPolicy::Weighted { weights, .. } = self {
+                    weight += weights.get(i).copied().unwrap_or(0.0);
+                }
+            }
+        }
+        if cast == 0 {
             return false;
         }
         match self {
-            FusionPolicy::Or => votes.iter().any(|&v| v),
-            FusionPolicy::And => votes.iter().all(|&v| v),
-            FusionPolicy::Majority => 2 * votes.iter().filter(|&&v| v).count() > votes.len(),
-            FusionPolicy::Weighted { weights, threshold } => {
-                let sum: f64 = votes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v)
-                    .map(|(i, _)| weights.get(i).copied().unwrap_or(0.0))
-                    .sum();
-                sum >= *threshold
-            }
+            FusionPolicy::Or => suspected > 0,
+            FusionPolicy::And => suspected == cast,
+            FusionPolicy::Majority => 2 * suspected > cast,
+            FusionPolicy::Weighted { threshold, .. } => weight >= *threshold,
         }
     }
 
@@ -75,30 +79,83 @@ impl FusionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reduction over a slice of flags that `decide` replaced.
+    fn slice_decision(p: &FusionPolicy, votes: &[bool]) -> bool {
+        if votes.is_empty() {
+            return false;
+        }
+        match p {
+            FusionPolicy::Or => votes.iter().any(|&v| v),
+            FusionPolicy::And => votes.iter().all(|&v| v),
+            FusionPolicy::Majority => 2 * votes.iter().filter(|&&v| v).count() > votes.len(),
+            FusionPolicy::Weighted { weights, threshold } => {
+                let sum: f64 = votes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v)
+                    .map(|(i, _)| weights.get(i).copied().unwrap_or(0.0))
+                    .sum();
+                sum >= *threshold
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn decide_matches_the_slice_reduction(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let votes: Vec<bool> = (0..rng.gen_range(0..8usize))
+                .map(|_| rng.gen_range(0..2u32) == 1)
+                .collect();
+            let weights = (0..rng.gen_range(0..8usize))
+                .map(|_| [0.0, -0.0, 0.5, -1.0, 2.0][rng.gen_range(0..5usize)])
+                .collect();
+            let threshold = [0.0, -0.0, 0.5, 1.0, 2.5][rng.gen_range(0..5usize)];
+            for p in [
+                FusionPolicy::Or,
+                FusionPolicy::And,
+                FusionPolicy::Majority,
+                FusionPolicy::Weighted { weights, threshold },
+            ] {
+                prop_assert_eq!(
+                    p.decide(votes.iter().copied()),
+                    slice_decision(&p, &votes),
+                    "{:?} on {:?}",
+                    p,
+                    votes
+                );
+            }
+        }
+    }
 
     #[test]
     fn or_fires_on_any_vote() {
         let p = FusionPolicy::Or;
-        assert!(!p.decide(&[false, false, false]));
-        assert!(p.decide(&[false, true, false]));
-        assert!(p.decide(&[true, true, true]));
+        assert!(!p.decide([false, false, false]));
+        assert!(p.decide([false, true, false]));
+        assert!(p.decide([true, true, true]));
     }
 
     #[test]
     fn and_requires_every_vote() {
         let p = FusionPolicy::And;
-        assert!(!p.decide(&[true, false, true]));
-        assert!(p.decide(&[true, true, true]));
-        assert!(p.decide(&[true]));
+        assert!(!p.decide([true, false, true]));
+        assert!(p.decide([true, true, true]));
+        assert!(p.decide([true]));
     }
 
     #[test]
     fn majority_needs_a_strict_majority() {
         let p = FusionPolicy::Majority;
-        assert!(!p.decide(&[true, false])); // 1/2 is a tie, not a majority
-        assert!(p.decide(&[true, true, false]));
-        assert!(!p.decide(&[true, false, false]));
-        assert!(p.decide(&[true]));
+        assert!(!p.decide([true, false])); // 1/2 is a tie, not a majority
+        assert!(p.decide([true, true, false]));
+        assert!(!p.decide([true, false, false]));
+        assert!(p.decide([true]));
     }
 
     #[test]
@@ -107,11 +164,11 @@ mod tests {
             weights: vec![0.5, 0.3, 0.2],
             threshold: 0.5,
         };
-        assert!(p.decide(&[true, false, false])); // 0.5 >= 0.5 (inclusive)
-        assert!(p.decide(&[false, true, true])); // 0.3 + 0.2
-        assert!(!p.decide(&[false, true, false]));
+        assert!(p.decide([true, false, false])); // 0.5 >= 0.5 (inclusive)
+        assert!(p.decide([false, true, true])); // 0.3 + 0.2
+        assert!(!p.decide([false, true, false]));
         // A vote past the weight list carries weight 0.
-        assert!(!p.decide(&[false, false, false, true]));
+        assert!(!p.decide([false, false, false, true]));
     }
 
     #[test]
@@ -125,7 +182,7 @@ mod tests {
                 threshold: 0.0,
             },
         ] {
-            assert!(!p.decide(&[]), "{p:?} must not fire vacuously");
+            assert!(!p.decide([]), "{p:?} must not fire vacuously");
         }
     }
 

@@ -856,8 +856,7 @@ impl DetectionPipeline {
         index: u64,
         votes: &[DetectorVerdict],
     ) -> Option<PipelineAlarm> {
-        let flags: Vec<bool> = votes.iter().map(|v| v.suspected).collect();
-        if !self.fusion.decide(&flags) {
+        if !self.fusion.decide(votes.iter().map(|v| v.suspected)) {
             return None;
         }
         let alarm = PipelineAlarm {

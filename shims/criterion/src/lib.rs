@@ -2,17 +2,24 @@
 //!
 //! The build environment has no crates registry, so the real `criterion`
 //! cannot be fetched. This shim keeps `cargo bench` working with the same
-//! bench sources: it times each closure over a fixed number of samples
-//! and prints mean wall-clock time per iteration. Passing `--test` (as CI
-//! does via `cargo bench -- --test`) runs every benchmark body exactly
-//! once as a smoke test, without timing loops.
+//! bench sources: it times each closure's samples in 10 equal
+//! chunks and prints the median chunk's wall-clock time per iteration,
+//! the chunks' quartiles and the mean. A slow host phase moves the mean
+//! of one loop with it; it moves the median only if it covers half the
+//! chunks. Passing `--test` (as CI does via `cargo bench -- --test`) runs
+//! every benchmark body exactly once as a smoke test, without timing
+//! loops.
 
 #![deny(missing_docs)]
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use std::hint::black_box;
+
+/// Equal chunks a benchmark's samples are timed in. A sample size that
+/// does not divide evenly is rounded up to the next multiple.
+const CHUNKS: usize = 10;
 
 /// Top-level harness state, handed to every benchmark function.
 pub struct Criterion {
@@ -162,27 +169,34 @@ impl BenchmarkGroup<'_> {
 pub struct Bencher {
     samples: usize,
     test_mode: bool,
-    elapsed: Duration,
+    /// Seconds per iteration of each timed chunk, in run order.
+    chunks: Vec<f64>,
     iterations: u64,
 }
 
 impl Bencher {
-    /// Runs `body` repeatedly and records its mean wall-clock time. In
-    /// `--test` mode the body runs exactly once, untimed.
+    /// Runs `body` repeatedly and records its wall-clock time per
+    /// iteration in [`CHUNKS`] equal chunks. In `--test` mode the body
+    /// runs exactly once, untimed.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut body: F) {
         if self.test_mode {
             black_box(body());
             self.iterations = 1;
             return;
         }
-        // One warm-up, then the timed samples.
+        // One warm-up, then the timed chunks.
         black_box(body());
-        let start = Instant::now();
-        for _ in 0..self.samples {
-            black_box(body());
+        let per_chunk = self.samples.div_ceil(CHUNKS);
+        self.chunks.clear();
+        for _ in 0..CHUNKS {
+            let start = Instant::now();
+            for _ in 0..per_chunk {
+                black_box(body());
+            }
+            self.chunks
+                .push(start.elapsed().as_secs_f64() / per_chunk as f64);
         }
-        self.elapsed = start.elapsed();
-        self.iterations = self.samples as u64;
+        self.iterations = (per_chunk * CHUNKS) as u64;
     }
 }
 
@@ -193,22 +207,41 @@ fn run_one<F: FnMut(&mut Bencher)>(criterion: &Criterion, id: &str, samples: usi
     let mut b = Bencher {
         samples,
         test_mode: criterion.test_mode,
-        elapsed: Duration::ZERO,
+        chunks: Vec::with_capacity(CHUNKS),
         iterations: 0,
     };
     f(&mut b);
     if criterion.test_mode {
         println!("{id}: ok (smoke)");
     } else if b.iterations > 0 {
-        let per_iter = b.elapsed.as_secs_f64() / b.iterations as f64;
+        // The chunks are equal, so the mean of their times is the mean.
+        let mean = b.chunks.iter().sum::<f64>() / b.chunks.len() as f64;
+        let [q1, median, q3] = quartiles(&mut b.chunks);
         println!(
-            "{id}: {} per iter ({} iters)",
-            format_time(per_iter),
+            "{id}: {} per iter (median of {} chunks; quartiles {} – {}; mean {}; {} iters)",
+            format_time(median),
+            b.chunks.len(),
+            format_time(q1),
+            format_time(q3),
+            format_time(mean),
             b.iterations
         );
     } else {
         println!("{id}: no iterations recorded");
     }
+}
+
+/// The first quartile, the median and the third quartile of `times`
+/// (sorted in place), each interpolated linearly between the two
+/// nearest ranks.
+fn quartiles(times: &mut [f64]) -> [f64; 3] {
+    times.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (times.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        times[lo] + (times[hi] - times[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 fn format_time(seconds: f64) -> String {
@@ -260,6 +293,31 @@ mod tests {
         assert_eq!(format_time(2.5e-3), "2.500 ms");
         assert_eq!(format_time(2.5e-6), "2.500 µs");
         assert_eq!(format_time(2.5e-9), "2.5 ns");
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        let mut times = [10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 5.0];
+        assert_eq!(quartiles(&mut times), [3.25, 5.5, 7.75]);
+        assert_eq!(quartiles(&mut [2.0]), [2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn timed_samples_fill_equal_chunks() {
+        for (samples, timed) in [(1, 10), (5, 10), (10, 10), (20, 20), (25, 30)] {
+            let mut b = Bencher {
+                samples,
+                test_mode: false,
+                chunks: Vec::new(),
+                iterations: 0,
+            };
+            let mut calls = 0;
+            b.iter(|| calls += 1);
+            // One untimed warm-up call.
+            assert_eq!(calls, timed + 1);
+            assert_eq!(b.iterations, timed as u64);
+            assert_eq!(b.chunks.len(), CHUNKS);
+        }
     }
 
     #[test]

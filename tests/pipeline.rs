@@ -20,33 +20,33 @@ const KEY: [u8; 16] = *b"pipeline test k!";
 #[test]
 fn or_fusion_truth_table() {
     let or = FusionPolicy::Or;
-    assert!(!or.decide(&[]));
-    assert!(!or.decide(&[false]));
-    assert!(or.decide(&[true]));
-    assert!(or.decide(&[false, true, false]));
-    assert!(or.decide(&[true, true]));
+    assert!(!or.decide([]));
+    assert!(!or.decide([false]));
+    assert!(or.decide([true]));
+    assert!(or.decide([false, true, false]));
+    assert!(or.decide([true, true]));
 }
 
 #[test]
 fn and_fusion_truth_table() {
     let and = FusionPolicy::And;
-    assert!(!and.decide(&[]));
-    assert!(and.decide(&[true]));
-    assert!(!and.decide(&[true, false]));
-    assert!(and.decide(&[true, true, true]));
-    assert!(!and.decide(&[false, false]));
+    assert!(!and.decide([]));
+    assert!(and.decide([true]));
+    assert!(!and.decide([true, false]));
+    assert!(and.decide([true, true, true]));
+    assert!(!and.decide([false, false]));
 }
 
 #[test]
 fn majority_fusion_is_strict() {
     let maj = FusionPolicy::Majority;
-    assert!(!maj.decide(&[]));
-    assert!(maj.decide(&[true]));
+    assert!(!maj.decide([]));
+    assert!(maj.decide([true]));
     // Exactly half is not a majority.
-    assert!(!maj.decide(&[true, false]));
-    assert!(maj.decide(&[true, true, false]));
-    assert!(!maj.decide(&[true, false, false]));
-    assert!(!maj.decide(&[true, true, false, false]));
+    assert!(!maj.decide([true, false]));
+    assert!(maj.decide([true, true, false]));
+    assert!(!maj.decide([true, false, false]));
+    assert!(!maj.decide([true, true, false, false]));
 }
 
 #[test]
@@ -55,17 +55,17 @@ fn weighted_fusion_sums_suspected_weights_inclusively() {
         weights: vec![2.0, 1.0],
         threshold: 2.0,
     };
-    assert!(w.decide(&[true, false]), "2.0 >= 2.0 alarms (inclusive)");
-    assert!(!w.decide(&[false, true]));
-    assert!(w.decide(&[true, true]));
+    assert!(w.decide([true, false]), "2.0 >= 2.0 alarms (inclusive)");
+    assert!(!w.decide([false, true]));
+    assert!(w.decide([true, true]));
     // Votes beyond the weight list carry weight zero.
-    assert!(!w.decide(&[false, false, true]));
+    assert!(!w.decide([false, false, true]));
     // The empty vote set never alarms, whatever the threshold.
     let zero = FusionPolicy::Weighted {
         weights: vec![],
         threshold: 0.0,
     };
-    assert!(!zero.decide(&[]));
+    assert!(!zero.decide([]));
 }
 
 proptest! {
@@ -77,13 +77,13 @@ proptest! {
     ) {
         let votes: Vec<bool> = raw.iter().map(|&v| v == 1).collect();
         let suspected = votes.iter().filter(|&&v| v).count();
-        prop_assert_eq!(FusionPolicy::Or.decide(&votes), suspected > 0);
+        prop_assert_eq!(FusionPolicy::Or.decide(votes.iter().copied()), suspected > 0);
         prop_assert_eq!(
-            FusionPolicy::And.decide(&votes),
+            FusionPolicy::And.decide(votes.iter().copied()),
             !votes.is_empty() && suspected == votes.len()
         );
         prop_assert_eq!(
-            FusionPolicy::Majority.decide(&votes),
+            FusionPolicy::Majority.decide(votes.iter().copied()),
             2 * suspected > votes.len()
         );
         // Unit weights reduce Weighted to a count threshold.
@@ -91,7 +91,7 @@ proptest! {
             weights: vec![1.0; votes.len()],
             threshold: 2.0,
         };
-        prop_assert_eq!(k_of_n.decide(&votes), !votes.is_empty() && suspected >= 2);
+        prop_assert_eq!(k_of_n.decide(votes.iter().copied()), !votes.is_empty() && suspected >= 2);
     }
 
     #[test]
@@ -115,7 +115,7 @@ proptest! {
         ];
         for policy in policies {
             prop_assert!(
-                !policy.decide(&votes) || policy.decide(&more),
+                !policy.decide(votes.iter().copied()) || policy.decide(more.iter().copied()),
                 "{} lost its alarm when vote {} turned suspected",
                 policy.label(),
                 flip
