@@ -51,7 +51,7 @@ use crate::detector::{
 use crate::features::FeatureFrame;
 use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use crate::parallel::ParallelConfig;
-use crate::pipeline::{DetectionPipeline, DetectorConfig};
+use crate::pipeline::DetectionPipeline;
 use crate::TrustError;
 use emtrust_dsp::stats::median;
 use emtrust_em::array::EmArray;
@@ -856,7 +856,9 @@ impl<'c> SensorArray<'c> {
                 .labels
                 .with("tile", format!("r{}c{}", tile.row(), tile.col()));
             let mut builder = DetectionPipeline::builder()
-                .detector_config(&DetectorConfig::Euclidean(self.config.fingerprint))?
+                .detector(Box::new(EuclideanDetector::from_config(
+                    self.config.fingerprint,
+                )))
                 .parallel(self.config.parallel)
                 .labels(labels);
             if let Some(fcfg) = self.config.forensics.clone() {

@@ -29,7 +29,7 @@
 //! excess per cell). A dormant payload barely toggles, but its trigger
 //! counts every cycle; a whole-die supply leak lifts every tile, but no
 //! cell's toggle rate moves. The default suspicion score multiplies
-//! activity excess with spatial weight; the learned detector's
+//! activity excess with spatial weight; a
 //! [`LogisticModel`](crate::learned::LogisticModel) trains on the raw
 //! [`CellFeatures`] when labeled material exists (the bench's
 //! leave-one-Trojan-out protocol).

@@ -648,6 +648,7 @@ impl Detector for SpectralWindowDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::SelfCalibratingConfig;
     use crate::spectral::SpectralConfig;
 
     fn synthetic_set(n: usize, amplitude: f64, seed: u64) -> TraceSet {
@@ -736,6 +737,55 @@ mod tests {
             ScoreDetail::Spectral { anomalies } => assert_eq!(anomalies, &expected),
             other => panic!("expected spectral detail, got {other:?}"),
         }
+    }
+
+    /// Feeds one frame to a self-calibrating detector as `Degraded`,
+    /// then as `SensorFault`, then as `Healthy`: only the healthy copy
+    /// may join the warm-up, so a faulty channel cannot poison the
+    /// self-calibrated baseline.
+    fn assert_health_gated(det: &mut dyn Detector, frame: &FeatureFrame<'_>) {
+        let warmup = 4;
+        det.fit_baseline(&BaselineSource::self_calibrating(SelfCalibratingConfig {
+            warmup,
+            ..SelfCalibratingConfig::default()
+        }))
+        .unwrap();
+        let score = det.score(frame).unwrap();
+        for health in [SensorHealth::Degraded, SensorHealth::SensorFault] {
+            det.calibrate(frame, &score, health);
+        }
+        assert_eq!(
+            det.readiness(),
+            DetectorReadiness::Calibrating {
+                seen: 0,
+                required: warmup as u32
+            },
+            "{} let an unhealthy frame into its warm-up",
+            det.name()
+        );
+        // The gate, not the frame, kept it out: healthy, it joins.
+        det.calibrate(frame, &score, SensorHealth::Healthy);
+        assert_eq!(
+            det.readiness(),
+            DetectorReadiness::Calibrating {
+                seen: 1,
+                required: warmup as u32
+            }
+        );
+    }
+
+    #[test]
+    fn euclidean_warmup_skips_unhealthy_frames() {
+        let set = synthetic_set(1, 1.0, 3);
+        let mut det = EuclideanDetector::from_config(FingerprintConfig::default());
+        assert_health_gated(&mut det, &FeatureFrame::new(&set.traces()[0]));
+    }
+
+    #[test]
+    fn spectral_warmup_skips_unhealthy_frames() {
+        let set = synthetic_set(1, 1.0, 3);
+        let mut det = SpectralWindowDetector::from_config(SpectralConfig::default());
+        assert_health_gated(&mut det, &FeatureFrame::window(&set.traces()[0], 640e6));
     }
 
     #[test]

@@ -24,16 +24,6 @@ pub enum FusionPolicy {
     /// Alarm only when every detector votes suspected (minimum false
     /// positives — each detector must confirm).
     And,
-    /// Alarm when strictly more than half the detectors vote suspected.
-    Majority,
-    /// Alarm when the summed weight of the suspected votes reaches
-    /// `threshold`. Votes beyond the weight list count as weight `0.0`.
-    Weighted {
-        /// Per-detector weights, in the pipeline's registration order.
-        weights: Vec<f64>,
-        /// Minimum suspected-weight sum that alarms (inclusive).
-        threshold: f64,
-    },
 }
 
 impl FusionPolicy {
@@ -44,15 +34,10 @@ impl FusionPolicy {
     ///
     /// No votes at all is always `false`, for every policy.
     pub fn decide(&self, votes: impl IntoIterator<Item = bool>) -> bool {
-        let (mut cast, mut suspected, mut weight) = (0usize, 0usize, 0.0);
-        for (i, vote) in votes.into_iter().enumerate() {
+        let (mut cast, mut suspected) = (0usize, 0usize);
+        for vote in votes {
             cast += 1;
-            if vote {
-                suspected += 1;
-                if let FusionPolicy::Weighted { weights, .. } = self {
-                    weight += weights.get(i).copied().unwrap_or(0.0);
-                }
-            }
+            suspected += usize::from(vote);
         }
         if cast == 0 {
             return false;
@@ -60,8 +45,6 @@ impl FusionPolicy {
         match self {
             FusionPolicy::Or => suspected > 0,
             FusionPolicy::And => suspected == cast,
-            FusionPolicy::Majority => 2 * suspected > cast,
-            FusionPolicy::Weighted { threshold, .. } => weight >= *threshold,
         }
     }
 
@@ -70,8 +53,6 @@ impl FusionPolicy {
         match self {
             FusionPolicy::Or => "or",
             FusionPolicy::And => "and",
-            FusionPolicy::Majority => "majority",
-            FusionPolicy::Weighted { .. } => "weighted",
         }
     }
 }
@@ -91,16 +72,6 @@ mod tests {
         match p {
             FusionPolicy::Or => votes.iter().any(|&v| v),
             FusionPolicy::And => votes.iter().all(|&v| v),
-            FusionPolicy::Majority => 2 * votes.iter().filter(|&&v| v).count() > votes.len(),
-            FusionPolicy::Weighted { weights, threshold } => {
-                let sum: f64 = votes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v)
-                    .map(|(i, _)| weights.get(i).copied().unwrap_or(0.0))
-                    .sum();
-                sum >= *threshold
-            }
         }
     }
 
@@ -112,16 +83,7 @@ mod tests {
             let votes: Vec<bool> = (0..rng.gen_range(0..8usize))
                 .map(|_| rng.gen_range(0..2u32) == 1)
                 .collect();
-            let weights = (0..rng.gen_range(0..8usize))
-                .map(|_| [0.0, -0.0, 0.5, -1.0, 2.0][rng.gen_range(0..5usize)])
-                .collect();
-            let threshold = [0.0, -0.0, 0.5, 1.0, 2.5][rng.gen_range(0..5usize)];
-            for p in [
-                FusionPolicy::Or,
-                FusionPolicy::And,
-                FusionPolicy::Majority,
-                FusionPolicy::Weighted { weights, threshold },
-            ] {
+            for p in [FusionPolicy::Or, FusionPolicy::And] {
                 prop_assert_eq!(
                     p.decide(votes.iter().copied()),
                     slice_decision(&p, &votes),
@@ -150,38 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn majority_needs_a_strict_majority() {
-        let p = FusionPolicy::Majority;
-        assert!(!p.decide([true, false])); // 1/2 is a tie, not a majority
-        assert!(p.decide([true, true, false]));
-        assert!(!p.decide([true, false, false]));
-        assert!(p.decide([true]));
-    }
-
-    #[test]
-    fn weighted_sums_the_suspected_weights() {
-        let p = FusionPolicy::Weighted {
-            weights: vec![0.5, 0.3, 0.2],
-            threshold: 0.5,
-        };
-        assert!(p.decide([true, false, false])); // 0.5 >= 0.5 (inclusive)
-        assert!(p.decide([false, true, true])); // 0.3 + 0.2
-        assert!(!p.decide([false, true, false]));
-        // A vote past the weight list carries weight 0.
-        assert!(!p.decide([false, false, false, true]));
-    }
-
-    #[test]
     fn empty_votes_never_alarm() {
-        for p in [
-            FusionPolicy::Or,
-            FusionPolicy::And,
-            FusionPolicy::Majority,
-            FusionPolicy::Weighted {
-                weights: vec![],
-                threshold: 0.0,
-            },
-        ] {
+        for p in [FusionPolicy::Or, FusionPolicy::And] {
             assert!(!p.decide([]), "{p:?} must not fire vacuously");
         }
     }
@@ -190,15 +122,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(FusionPolicy::Or.label(), "or");
         assert_eq!(FusionPolicy::And.label(), "and");
-        assert_eq!(FusionPolicy::Majority.label(), "majority");
-        assert_eq!(
-            FusionPolicy::Weighted {
-                weights: vec![1.0],
-                threshold: 1.0
-            }
-            .label(),
-            "weighted"
-        );
         assert_eq!(FusionPolicy::default(), FusionPolicy::Or);
     }
 }

@@ -1,47 +1,23 @@
-//! The learned detector: a zero-dependency logistic-regression
-//! classifier over [`FeatureFrame`]s, and the [`LogisticModel`] engine
-//! it (and the register-level attribution harness) trains.
+//! A zero-dependency logistic-regression model, [`LogisticModel`],
+//! trained by full-batch gradient descent under a [`TrainSpec`].
 //!
-//! MacLeR-style runtime Trojan detection shows a lightweight ML
-//! classifier is viable on constrained devices; this module is the
-//! `emtrust` counterpart, built under two hard constraints:
+//! The register-level attribution harness trains one per held-out
+//! Trojan: under leave-one-Trojan-out it learns from the labeled cells
+//! of the three Trojans left *in* and re-ranks the held-out Trojan's
+//! cells (`emtrust-bench`'s `attribution` module). MacLeR-style runtime
+//! Trojan detection shows a lightweight classifier is viable on
+//! constrained devices; this model keeps to two hard constraints:
 //!
 //! - **No dependencies.** The model is plain batch gradient descent
 //!   over standardized features — a few dozen lines of arithmetic, no
 //!   linear-algebra crate.
-//! - **Deterministic, seeded training.** Training itself uses no
-//!   randomness at all (zero-initialized weights, full-batch descent in
-//!   a fixed order), and the only stochastic ingredient — the synthetic
-//!   anomaly augmentation — draws from a `StdRng` seeded by
-//!   [`LearnedConfig::seed`]. Two fits from the same material are
-//!   bit-identical, and because fitting happens serially (in
-//!   [`Detector::fit`] / [`Detector::calibrate`]) while
-//!   [`Detector::score`] is pure, results are bit-identical across
-//!   worker counts too.
-//!
-//! The detector sees only *benign* material at fit time (golden traces,
-//! or its own self-calibration warm-up ring), so it manufactures its
-//! anomaly class: amplitude-scaled, jitter-perturbed copies of the
-//! benign features, mimicking the extra switching current a Trojan
-//! payload superimposes. That makes the classifier a one-class detector
-//! trained discriminatively — and lets the same [`LogisticModel`] train
-//! on genuinely labeled data when the attribution harness has some
-//! (cells of the three Trojans left *in* under leave-one-Trojan-out).
-//!
-//! Both [`BaselineSource`] arms are
-//! honored: `Golden` fits from the context's traces; `SelfCalibrating`
-//! collects a health-gated warm-up ring of live frames and trains on
-//! the ring once it fills, reporting
-//! [`DetectorReadiness::Calibrating`] (and scoring benign) until then.
+//! - **Deterministic training.** Training uses no randomness at all
+//!   (zero-initialized weights, full-batch descent in a fixed order),
+//!   so two fits from the same material are bit-identical, and
+//!   prediction is pure, so results are bit-identical across worker
+//!   counts too.
 
-use crate::baseline::{BaselineSource, DetectorReadiness};
-use crate::detector::{Detector, DetectorDomain, FeaturePlan, GoldenContext, Score, ScoreDetail};
-use crate::features::{bin_rms, FeatureFrame, DEFAULT_RMS_BIN};
-use crate::health::SensorHealth;
 use crate::TrustError;
-use emtrust_telemetry as telemetry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Numerically safe logistic function.
 fn sigmoid(z: f64) -> f64 {
@@ -290,411 +266,91 @@ impl LogisticModel {
     }
 }
 
-/// Knobs of the [`LearnedDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LearnedConfig {
-    /// Samples per RMS feature bin (matches
-    /// [`crate::fingerprint::FingerprintConfig::rms_bin`]).
-    pub rms_bin: usize,
-    /// Gradient-descent spec for the trace classifier.
-    pub train: TrainSpec,
-    /// Seed of the synthetic-anomaly augmentation. Training is
-    /// bit-identical for a fixed seed.
-    pub seed: u64,
-    /// Amplitude scales of the synthetic anomaly class — a Trojan's
-    /// payload superimposes *extra* switching current, so anomalies are
-    /// benign traces with more energy. Every scale must exceed 1.0: the
-    /// model is linear, and a one-sided anomaly class is what keeps the
-    /// benign class linearly separable.
-    pub synthetic_scales: [f64; 3],
-    /// Per-bin multiplicative jitter of the synthetic anomalies.
-    pub synthetic_jitter: f64,
-    /// Probability threshold of the suspected verdict.
-    pub decision_probability: f64,
-}
-
-impl Default for LearnedConfig {
-    fn default() -> Self {
-        Self {
-            rms_bin: DEFAULT_RMS_BIN,
-            train: TrainSpec {
-                balance: false,
-                ..TrainSpec::default()
-            },
-            seed: 0x1ea2ced,
-            synthetic_scales: [1.1, 1.2, 1.4],
-            synthetic_jitter: 0.03,
-            decision_probability: 0.5,
-        }
-    }
-}
-
-impl LearnedConfig {
-    /// Checks every invariant the detector relies on.
-    ///
-    /// # Errors
-    ///
-    /// [`TrustError::InvalidParameter`] naming the violated bound.
-    pub fn validate(&self) -> Result<(), TrustError> {
-        if self.rms_bin == 0 {
-            return Err(TrustError::InvalidParameter {
-                what: "rms_bin must be >= 1",
-            });
-        }
-        self.train.validate()?;
-        if self
-            .synthetic_scales
-            .iter()
-            .any(|s| !s.is_finite() || *s <= 1.0)
-        {
-            return Err(TrustError::InvalidParameter {
-                what: "synthetic_scales must be finite and exceed 1.0",
-            });
-        }
-        if !(self.synthetic_jitter.is_finite() && (0.0..1.0).contains(&self.synthetic_jitter)) {
-            return Err(TrustError::InvalidParameter {
-                what: "synthetic_jitter must be in [0, 1)",
-            });
-        }
-        if !(self.decision_probability.is_finite()
-            && (0.0..1.0).contains(&self.decision_probability)
-            && self.decision_probability > 0.0)
-        {
-            return Err(TrustError::InvalidParameter {
-                what: "decision_probability must be in (0, 1)",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Warm-up ring of a self-calibrating [`LearnedDetector`].
-#[derive(Debug, Clone)]
-struct LearnedWarmup {
-    required: usize,
-    rms_bin: usize,
-    ring: Vec<Vec<f64>>,
-}
-
-/// The fourth built-in [`Detector`]: a logistic-regression trace
-/// classifier alongside Euclidean / spectral-window /
-/// spectral-persistence (see the module docs for the training story).
-///
-/// The statistic is the predicted anomaly probability against the
-/// configured probability threshold, so scores are directly
-/// interpretable and fuse cleanly with the margin-style detectors.
-#[derive(Debug, Clone)]
-pub struct LearnedDetector {
-    config: LearnedConfig,
-    model: Option<LogisticModel>,
-    selfcal: Option<LearnedWarmup>,
-}
-
-impl LearnedDetector {
-    /// An unfitted detector with the given knobs; fit it from a
-    /// [`GoldenContext`] or a [`BaselineSource`].
-    pub fn from_config(config: LearnedConfig) -> Self {
-        Self {
-            config,
-            model: None,
-            selfcal: None,
-        }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> LearnedConfig {
-        self.config
-    }
-
-    /// The trained model, if any.
-    pub fn model(&self) -> Option<&LogisticModel> {
-        self.model.as_ref()
-    }
-
-    /// Builds the synthetic two-class training set from benign feature
-    /// rows and trains the classifier. Deterministic for a fixed seed.
-    fn train_from_benign(&self, benign: &[Vec<f64>]) -> Result<LogisticModel, TrustError> {
-        if benign.len() < 2 {
-            return Err(TrustError::InvalidParameter {
-                what: "learned detector needs at least two benign observations",
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut features =
-            Vec::with_capacity(benign.len() * (1 + self.config.synthetic_scales.len()));
-        let mut labels = Vec::with_capacity(features.capacity());
-        for row in benign {
-            features.push(row.clone());
-            labels.push(false);
-        }
-        let jitter = self.config.synthetic_jitter;
-        for row in benign {
-            for &scale in &self.config.synthetic_scales {
-                let anomaly: Vec<f64> = row
-                    .iter()
-                    .map(|&x| x * scale * (1.0 + jitter * rng.gen_range(-1.0..1.0)))
-                    .collect();
-                features.push(anomaly);
-                labels.push(true);
-            }
-        }
-        LogisticModel::train(&features, &labels, self.config.train)
-    }
-}
-
-impl Detector for LearnedDetector {
-    fn name(&self) -> &'static str {
-        "learned"
-    }
-
-    fn domain(&self) -> DetectorDomain {
-        DetectorDomain::PerEncryption
-    }
-
-    fn feature_plan(&self) -> FeaturePlan {
-        // Scores raw per-bin RMS features — no golden projection and no
-        // spectrum are requested from the shared featurizer.
-        FeaturePlan::default()
-    }
-
-    fn fit(&mut self, ctx: &GoldenContext<'_>) -> Result<(), TrustError> {
-        self.config.validate()?;
-        let traces = ctx.traces.ok_or(TrustError::InvalidParameter {
-            what: "learned detector needs golden traces to fit",
-        })?;
-        let benign: Vec<Vec<f64>> = traces
-            .traces()
-            .iter()
-            .map(|t| bin_rms(t, self.config.rms_bin))
-            .collect::<Result<_, _>>()?;
-        self.model = Some(self.train_from_benign(&benign)?);
-        self.selfcal = None;
-        Ok(())
-    }
-
-    fn fit_baseline(&mut self, source: &BaselineSource<'_>) -> Result<(), TrustError> {
-        match source {
-            BaselineSource::Golden(ctx) => self.fit(ctx),
-            BaselineSource::SelfCalibrating(cfg) => {
-                self.config.validate()?;
-                cfg.validate()?;
-                self.model = None;
-                self.selfcal = Some(LearnedWarmup {
-                    required: cfg.warmup,
-                    rms_bin: cfg.rms_bin,
-                    ring: Vec::with_capacity(cfg.warmup),
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.model.is_some() || self.selfcal.is_some()
-    }
-
-    fn readiness(&self) -> DetectorReadiness {
-        if self.model.is_some() {
-            return DetectorReadiness::Ready;
-        }
-        match &self.selfcal {
-            Some(w) => DetectorReadiness::Calibrating {
-                seen: w.ring.len().min(u32::MAX as usize) as u32,
-                required: w.required.min(u32::MAX as usize) as u32,
-            },
-            None => DetectorReadiness::NeedsGoldenTraces,
-        }
-    }
-
-    fn score(&self, frame: &FeatureFrame<'_>) -> Result<Score, TrustError> {
-        let Some(model) = self.model.as_ref() else {
-            if self.selfcal.is_some() {
-                // Warm-up: benign by construction (the verdict
-                // comparison is strict).
-                return Ok(Score {
-                    statistic: 0.0,
-                    threshold: self.config.decision_probability,
-                    detail: ScoreDetail::None,
-                });
-            }
-            return Err(TrustError::InvalidParameter {
-                what: "learned detector is not fitted",
-            });
-        };
-        let rms_bin = self
-            .selfcal
-            .as_ref()
-            .map_or(self.config.rms_bin, |w| w.rms_bin);
-        let feats = bin_rms(frame.samples(), rms_bin)?;
-        Ok(Score {
-            statistic: model.predict(&feats)?,
-            threshold: self.config.decision_probability,
-            detail: ScoreDetail::None,
-        })
-    }
-
-    fn calibrate(&mut self, frame: &FeatureFrame<'_>, _score: &Score, health: SensorHealth) {
-        if self.model.is_some() {
-            // The self-learned classifier is frozen at arming, like the
-            // spectral warm-up: probabilities do not drift-track.
-            return;
-        }
-        let benign = {
-            let Some(w) = &mut self.selfcal else {
-                return;
-            };
-            if health != SensorHealth::Healthy {
-                telemetry::counter("baseline.calibrate_skips", 1);
-                return;
-            }
-            let feats = match bin_rms(frame.samples(), w.rms_bin) {
-                Ok(f) if f.iter().all(|x| x.is_finite()) => f,
-                _ => {
-                    telemetry::counter("baseline.calibrate_skips", 1);
-                    return;
-                }
-            };
-            if let Some(first) = w.ring.first() {
-                if first.len() != feats.len() {
-                    telemetry::counter("baseline.calibrate_skips", 1);
-                    return;
-                }
-            }
-            w.ring.push(feats);
-            if w.ring.len() < w.required {
-                return;
-            }
-            // The filled ring is consumed; on a degenerate warm-up the
-            // (now empty) ring restarts instead of wedging.
-            std::mem::take(&mut w.ring)
-        };
-        match self.train_from_benign(&benign) {
-            Ok(model) => self.model = Some(model),
-            Err(_) => telemetry::counter("baseline.calibrate_skips", 1),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acquisition::TraceSet;
-    use crate::baseline::SelfCalibratingConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn synthetic_set(n: usize, amplitude: f64, seed: u64) -> TraceSet {
+    /// A noisy two-class set: negatives around the origin, positives
+    /// shifted along every dimension.
+    fn two_class_set(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<bool>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        TraceSet::new(
-            (0..n)
-                .map(|_| {
-                    (0..256)
-                        .map(|j| {
-                            amplitude * ((j as f64 / 7.0).sin() + 0.02 * rng.gen_range(-1.0..1.0))
-                        })
-                        .collect()
-                })
-                .collect(),
-            640e6,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn training_is_deterministic_and_seed_sensitive() {
-        let golden = synthetic_set(16, 1.0, 1);
-        let mut a = LearnedDetector::from_config(LearnedConfig::default());
-        let mut b = LearnedDetector::from_config(LearnedConfig::default());
-        a.fit(&GoldenContext::new().with_traces(&golden)).unwrap();
-        b.fit(&GoldenContext::new().with_traces(&golden)).unwrap();
-        assert_eq!(a.model(), b.model(), "same seed must train bit-identically");
-        let mut c = LearnedDetector::from_config(LearnedConfig {
-            seed: 999,
-            ..LearnedConfig::default()
-        });
-        c.fit(&GoldenContext::new().with_traces(&golden)).unwrap();
-        assert_ne!(a.model(), c.model(), "the augmentation seed must matter");
-    }
-
-    #[test]
-    fn learned_detector_separates_energy_anomalies() {
-        let golden = synthetic_set(24, 1.0, 1);
-        let mut det = LearnedDetector::from_config(LearnedConfig::default());
-        assert!(!det.is_fitted());
-        assert!(det.score(&FeatureFrame::new(&[1.0; 64])).is_err());
-        det.fit(&GoldenContext::new().with_traces(&golden)).unwrap();
-        assert!(det.is_fitted());
-        assert!(det.readiness().is_ready());
-
-        let clean = synthetic_set(8, 1.0, 7);
-        for t in clean.traces() {
-            let s = det.score(&FeatureFrame::new(t)).unwrap();
-            assert!(!det.verdict(&s), "clean trace scored {}", s.statistic);
-        }
-        let hot = synthetic_set(8, 1.3, 9);
-        let flagged = hot
-            .traces()
-            .iter()
-            .filter(|t| {
-                let s = det.score(&FeatureFrame::new(t)).unwrap();
-                det.verdict(&s)
+        (0..n)
+            .map(|i| {
+                let label = i % 3 == 0;
+                let shift = if label { 1.5 } else { 0.0 };
+                let row = (0..4).map(|_| shift + rng.gen_range(-1.0..1.0)).collect();
+                (row, label)
             })
-            .count();
-        assert!(flagged >= 7, "only {flagged}/8 hot traces flagged");
+            .unzip()
     }
 
-    #[test]
-    fn self_calibrating_learned_detector_arms_from_live_frames() {
-        let mut det = LearnedDetector::from_config(LearnedConfig::default());
-        let cfg = SelfCalibratingConfig {
-            warmup: 8,
-            ..SelfCalibratingConfig::default()
-        };
-        det.fit_baseline(&BaselineSource::self_calibrating(cfg))
-            .unwrap();
-        assert!(det.is_fitted());
-        assert!(!det.readiness().is_ready());
-
-        let clean = synthetic_set(8, 1.0, 3);
-        for t in clean.traces() {
-            let frame = FeatureFrame::new(t);
-            let score = det.score(&frame).unwrap();
-            // Warm-up scores are benign by construction.
-            assert!(!det.verdict(&score));
-            det.calibrate(&frame, &score, SensorHealth::Healthy);
-        }
-        assert!(det.readiness().is_ready(), "ring filled, must be armed");
-        let hot = synthetic_set(4, 1.35, 5);
-        let flagged = hot
-            .traces()
+    fn model_bits(m: &LogisticModel) -> Vec<u64> {
+        m.weights()
             .iter()
-            .filter(|t| {
-                let s = det.score(&FeatureFrame::new(t)).unwrap();
-                det.verdict(&s)
-            })
-            .count();
-        assert!(flagged >= 3, "only {flagged}/4 hot traces flagged");
+            .chain([&m.bias()])
+            .map(|x| x.to_bits())
+            .collect()
     }
 
     #[test]
-    fn unhealthy_frames_never_join_the_warmup() {
-        let mut det = LearnedDetector::from_config(LearnedConfig::default());
-        det.fit_baseline(&BaselineSource::self_calibrating(SelfCalibratingConfig {
-            warmup: 2,
-            ..SelfCalibratingConfig::default()
-        }))
-        .unwrap();
-        let clean = synthetic_set(2, 1.0, 3);
-        let t = &clean.traces()[0];
-        let frame = FeatureFrame::new(t);
-        let score = det.score(&frame).unwrap();
-        det.calibrate(&frame, &score, SensorHealth::Degraded);
-        det.calibrate(&frame, &score, SensorHealth::SensorFault);
+    fn training_is_bit_identical_on_repeat() {
+        let (features, labels) = two_class_set(48, 1);
+        let spec = TrainSpec::default();
+        let a = LogisticModel::train(&features, &labels, spec).unwrap();
+        let b = LogisticModel::train(&features, &labels, spec).unwrap();
         assert_eq!(
-            det.readiness(),
-            DetectorReadiness::Calibrating {
-                seen: 0,
-                required: 2
-            }
+            model_bits(&a),
+            model_bits(&b),
+            "same material must train bit-identically"
         );
+        let probe = &features[5];
+        assert_eq!(
+            a.decision(probe).unwrap().to_bits(),
+            b.decision(probe).unwrap().to_bits()
+        );
+        // The comparison has teeth: another spec trains another model.
+        let c = LogisticModel::train(
+            &features,
+            &labels,
+            TrainSpec {
+                epochs: spec.epochs + 1,
+                ..spec
+            },
+        )
+        .unwrap();
+        assert_ne!(model_bits(&a), model_bits(&c));
+    }
+
+    #[test]
+    fn train_spec_bounds_are_enforced() {
+        let (features, labels) = two_class_set(12, 2);
+        assert!(LogisticModel::train(&features, &labels, TrainSpec::default()).is_ok());
+        let cases = [
+            TrainSpec {
+                epochs: 0,
+                ..TrainSpec::default()
+            },
+            TrainSpec {
+                learning_rate: 0.0,
+                ..TrainSpec::default()
+            },
+            TrainSpec {
+                learning_rate: f64::NAN,
+                ..TrainSpec::default()
+            },
+            TrainSpec {
+                l2: -1e-3,
+                ..TrainSpec::default()
+            },
+        ];
+        for spec in cases {
+            assert!(
+                LogisticModel::train(&features, &labels, spec).is_err(),
+                "{spec:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -768,38 +424,5 @@ mod tests {
             .map(|(f, _)| m.predict(f).unwrap())
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(worst_pos > best_neg);
-    }
-
-    #[test]
-    fn config_bounds_are_enforced() {
-        assert!(LearnedConfig::default().validate().is_ok());
-        let cases = [
-            LearnedConfig {
-                rms_bin: 0,
-                ..LearnedConfig::default()
-            },
-            LearnedConfig {
-                synthetic_scales: [1.0, 1.2, 1.3],
-                ..LearnedConfig::default()
-            },
-            LearnedConfig {
-                synthetic_jitter: 1.0,
-                ..LearnedConfig::default()
-            },
-            LearnedConfig {
-                decision_probability: 0.0,
-                ..LearnedConfig::default()
-            },
-            LearnedConfig {
-                train: TrainSpec {
-                    epochs: 0,
-                    ..TrainSpec::default()
-                },
-                ..LearnedConfig::default()
-            },
-        ];
-        for cfg in cases {
-            assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
-        }
     }
 }

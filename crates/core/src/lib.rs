@@ -129,12 +129,11 @@ pub use features::FeatureFrame;
 pub use fingerprint::{FingerprintConfig, GoldenFingerprint};
 pub use fusion::FusionPolicy;
 pub use health::{HealthConfig, HealthTracker, HealthTransition, SensorHealth};
-pub use learned::{LearnedConfig, LearnedDetector, LogisticModel, TrainSpec};
+pub use learned::{LogisticModel, TrainSpec};
 pub use parallel::ParallelConfig;
 pub use persistence::{PersistenceConfig, SpectralPersistenceDetector};
 pub use pipeline::{
-    BatchOutcome, DetectionPipeline, DetectorConfig, PipelineAlarm, PipelineBuilder, TraceOutcome,
-    WindowOutcome,
+    BatchOutcome, DetectionPipeline, PipelineAlarm, PipelineBuilder, TraceOutcome, WindowOutcome,
 };
 pub use sanitize::{SanitizerConfig, TraceDefect, TraceSanitizer, TraceVerdict};
 pub use spectral::SpectralDetector;

@@ -23,8 +23,10 @@
 //! Batch entry points fan stages 2–3 across a [`ParallelConfig`] worker
 //! pool with chunk layouts independent of the worker count, so results
 //! are bit-identical for every worker count. The paper's runtime
-//! monitor is a pipeline with an [`EuclideanDetector`], an optional
-//! [`SpectralWindowDetector`], and [`FusionPolicy::Or`].
+//! monitor is a pipeline with an
+//! [`EuclideanDetector`](crate::detector::EuclideanDetector), an optional
+//! [`SpectralWindowDetector`](crate::detector::SpectralWindowDetector),
+//! and [`FusionPolicy::Or`].
 //!
 //! ```no_run
 //! # use emtrust::{DetectionPipeline, EuclideanDetector, FusionPolicy, SpectralWindowDetector};
@@ -39,21 +41,14 @@
 //! # }
 //! ```
 
-use crate::array::{ConsensusConfig, ConsensusDetector};
 use crate::baseline::{BaselineSource, CalibrationState};
-use crate::detector::{
-    Detector, DetectorDomain, DetectorVerdict, EuclideanDetector, GoldenContext, Score,
-    SpectralWindowDetector, WelchSpec,
-};
+use crate::detector::{Detector, DetectorDomain, DetectorVerdict, GoldenContext, Score, WelchSpec};
 use crate::features::FeatureFrame;
-use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
+use crate::fingerprint::GoldenFingerprint;
 use crate::fusion::FusionPolicy;
 use crate::health::{HealthConfig, HealthTracker, SensorHealth};
-use crate::learned::{LearnedConfig, LearnedDetector};
 use crate::parallel::ParallelConfig;
-use crate::persistence::{PersistenceConfig, SpectralPersistenceDetector};
 use crate::sanitize::{SanitizerConfig, TraceDefect, TraceSanitizer, TraceVerdict};
-use crate::spectral::SpectralConfig;
 use crate::TrustError;
 use emtrust_dsp::spectrum::WelchPlan;
 use emtrust_dsp::DspError;
@@ -176,76 +171,6 @@ impl BatchOutcome {
     }
 }
 
-/// Declarative description of one detector — the factory counterpart
-/// of [`PipelineBuilder::detector`], so harnesses (the attribution
-/// bench, config-file front-ends) can sweep detector sets as plain
-/// data instead of hand-wiring constructors.
-///
-/// Every variant builds the *unfitted* form of its detector; fit it
-/// through [`DetectionPipeline::fit`] / `fit_baseline` as usual. A
-/// pipeline assembled from configs is bit-identical to one wired by
-/// hand from the same configs (pinned by test).
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum DetectorConfig {
-    /// Reference-distance detector over RMS features
-    /// ([`EuclideanDetector`]).
-    Euclidean(FingerprintConfig),
-    /// Golden-spectrum window detector ([`SpectralWindowDetector`]).
-    SpectralWindow(SpectralConfig),
-    /// Reference-free hot-bin persistence detector
-    /// ([`SpectralPersistenceDetector`]).
-    SpectralPersistence(PersistenceConfig),
-    /// Learned logistic-regression trace classifier
-    /// ([`LearnedDetector`]).
-    Learned(LearnedConfig),
-    /// Cross-sensor spatial-asymmetry consensus ([`ConsensusDetector`],
-    /// scored over per-tile margins rather than traces).
-    Consensus(ConsensusConfig),
-}
-
-impl DetectorConfig {
-    /// The [`Detector::name`] the built detector will report.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Euclidean(_) => "euclidean",
-            Self::SpectralWindow(_) => "spectral",
-            Self::SpectralPersistence(_) => "persistence",
-            Self::Learned(_) => "learned",
-            Self::Consensus(_) => "consensus",
-        }
-    }
-
-    /// Checks the wrapped configuration's invariants.
-    ///
-    /// # Errors
-    ///
-    /// [`TrustError::InvalidParameter`] naming the violated bound.
-    pub fn validate(&self) -> Result<(), TrustError> {
-        match self {
-            Self::Euclidean(_) | Self::SpectralWindow(_) | Self::SpectralPersistence(_) => Ok(()),
-            Self::Learned(cfg) => cfg.validate(),
-            Self::Consensus(cfg) => cfg.validate(),
-        }
-    }
-
-    /// Builds the unfitted detector.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded from [`Self::validate`].
-    pub fn build(&self) -> Result<Box<dyn Detector>, TrustError> {
-        self.validate()?;
-        Ok(match self {
-            Self::Euclidean(cfg) => Box::new(EuclideanDetector::from_config(*cfg)),
-            Self::SpectralWindow(cfg) => Box::new(SpectralWindowDetector::from_config(*cfg)),
-            Self::SpectralPersistence(cfg) => Box::new(SpectralPersistenceDetector::new(*cfg)),
-            Self::Learned(cfg) => Box::new(LearnedDetector::from_config(*cfg)),
-            Self::Consensus(cfg) => Box::new(ConsensusDetector::new(*cfg)?),
-        })
-    }
-}
-
 /// Builder for [`DetectionPipeline`].
 #[derive(Debug, Default)]
 pub struct PipelineBuilder {
@@ -259,22 +184,11 @@ pub struct PipelineBuilder {
 }
 
 impl PipelineBuilder {
-    /// Registers a detector. Registration order is vote order (fusion
-    /// weights index it) and featurizer-provider precedence.
+    /// Registers a detector. Registration order is vote order and
+    /// featurizer-provider precedence.
     pub fn detector(mut self, detector: Box<dyn Detector>) -> Self {
         self.detectors.push(detector);
         self
-    }
-
-    /// Registers a detector built from its declarative
-    /// [`DetectorConfig`] — same ordering semantics as
-    /// [`Self::detector`].
-    ///
-    /// # Errors
-    ///
-    /// Forwarded from [`DetectorConfig::build`].
-    pub fn detector_config(self, config: &DetectorConfig) -> Result<Self, TrustError> {
-        Ok(self.detector(config.build()?))
     }
 
     /// Sets the fusion policy (default: [`FusionPolicy::Or`]).
@@ -1270,9 +1184,9 @@ impl DetectionPipeline {
 mod tests {
     use super::*;
     use crate::acquisition::TraceSet;
-    use crate::detector::{EuclideanDetector, ScoreDetail};
-    use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
-    use crate::spectral::SpectralDetector;
+    use crate::detector::{EuclideanDetector, ScoreDetail, SpectralWindowDetector};
+    use crate::fingerprint::FingerprintConfig;
+    use crate::spectral::{SpectralConfig, SpectralDetector};
     use emtrust_dsp::spectrum::Spectrum;
     use emtrust_dsp::window::Window;
     use emtrust_telemetry::FlightRecorderConfig;
@@ -1301,55 +1215,6 @@ mod tests {
         DetectionPipeline::builder()
             .detector(Box::new(EuclideanDetector::new(fp)))
             .build()
-    }
-
-    #[test]
-    fn config_built_pipeline_is_bit_identical_to_hand_wired() {
-        use crate::learned::{LearnedConfig, LearnedDetector};
-        let golden = synthetic_set(32, 1.0, 1);
-        let ctx = GoldenContext::new().with_traces(&golden);
-        let configs = [
-            DetectorConfig::Euclidean(FingerprintConfig::default()),
-            DetectorConfig::Learned(LearnedConfig::default()),
-        ];
-        let mut by_config = configs
-            .iter()
-            .try_fold(DetectionPipeline::builder(), |b, c| b.detector_config(c))
-            .unwrap()
-            .fusion(FusionPolicy::Or)
-            .build();
-        let mut by_hand = DetectionPipeline::builder()
-            .detector(Box::new(EuclideanDetector::from_config(
-                FingerprintConfig::default(),
-            )))
-            .detector(Box::new(LearnedDetector::from_config(
-                LearnedConfig::default(),
-            )))
-            .fusion(FusionPolicy::Or)
-            .build();
-        assert_eq!(by_config.detector_names(), by_hand.detector_names());
-        by_config.fit(&ctx).unwrap();
-        by_hand.fit(&ctx).unwrap();
-        let probes: Vec<Vec<f64>> = synthetic_set(6, 1.0, 2)
-            .traces()
-            .iter()
-            .chain(synthetic_set(2, 1.4, 3).traces())
-            .cloned()
-            .collect();
-        for t in &probes {
-            let a = by_config.ingest_trace(t);
-            let b = by_hand.ingest_trace(t);
-            assert_eq!(a.votes, b.votes, "scores must match bit for bit");
-            assert_eq!(a.alarm.is_some(), b.alarm.is_some());
-        }
-        // An invalid config is rejected at build, not detection, time.
-        let bad = DetectorConfig::Learned(LearnedConfig {
-            decision_probability: 0.0,
-            ..LearnedConfig::default()
-        });
-        assert!(bad.build().is_err());
-        assert!(DetectionPipeline::builder().detector_config(&bad).is_err());
-        assert_eq!(bad.name(), "learned");
     }
 
     #[test]
@@ -1691,16 +1556,24 @@ mod tests {
             .fusion(FusionPolicy::Or)
             .build();
         assert!(p.ingest_trace(&trojan).alarm.is_some());
-        // Weighted with an unreachable threshold: the same vote cannot.
+        // And over a second detector whose head-room no trace can
+        // exceed: the same vote cannot alarm alone.
+        let deaf = GoldenFingerprint::fit(
+            &golden,
+            FingerprintConfig {
+                threshold_margin: 1e6,
+                ..FingerprintConfig::default()
+            },
+        )
+        .unwrap();
         let mut p = DetectionPipeline::builder()
             .detector(Box::new(EuclideanDetector::new(fp)))
-            .fusion(FusionPolicy::Weighted {
-                weights: vec![1.0],
-                threshold: 2.0,
-            })
+            .detector(Box::new(EuclideanDetector::new(deaf)))
+            .fusion(FusionPolicy::And)
             .build();
         let o = p.ingest_trace(&trojan);
         assert!(o.votes[0].suspected, "the detector still votes suspected");
+        assert!(!o.votes[1].suspected, "the second detector votes clean");
         assert!(o.alarm.is_none(), "fusion withholds the alarm");
     }
 

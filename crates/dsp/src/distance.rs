@@ -216,20 +216,6 @@ pub fn eq1_threshold_reference(golden: &[Vec<f64>]) -> Result<f64, DspError> {
     Ok(best)
 }
 
-/// Distance of `probe` to the centroid (mean vector) of `reference`.
-///
-/// The paper reports a single scalar distance between the reference design
-/// and each Trojan-activated design (§IV-C); comparing centroids is the
-/// standard fingerprinting reading of that scalar.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `reference` is empty and
-/// [`DspError::LengthMismatch`] on inconsistent lengths.
-pub fn distance_to_centroid(probe: &[f64], reference: &[Vec<f64>]) -> Result<f64, DspError> {
-    euclidean(probe, &centroid(reference)?)
-}
-
 /// The component-wise mean of a set of equal-length vectors.
 ///
 /// # Errors
@@ -312,13 +298,6 @@ mod tests {
     fn centroid_rejects_ragged_input() {
         let set = vec![vec![1.0, 2.0], vec![1.0]];
         assert!(centroid(&set).is_err());
-    }
-
-    #[test]
-    fn distance_to_centroid_of_self_cluster_is_small() {
-        let reference = vec![vec![1.0, 1.0], vec![1.2, 0.8], vec![0.8, 1.2]];
-        let d = distance_to_centroid(&[1.0, 1.0], &reference).unwrap();
-        assert!(d < 1e-12);
     }
 
     /// A scalar mirror of the lane kernel: the same four accumulator

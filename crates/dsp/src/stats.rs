@@ -1,7 +1,5 @@
 //! Scalar statistics: RMS, SNR (paper Eq. 2 and Eq. 3), moments and
-//! normalization helpers used throughout trace processing.
-
-use crate::DspError;
+//! the median used throughout trace processing.
 
 /// Arithmetic mean of `xs`. Returns `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -85,85 +83,6 @@ pub fn snr_db(signal_rms: f64, noise_rms: f64) -> f64 {
     20.0 * snr_voltage(signal_rms, noise_rms).log10()
 }
 
-/// Minimum and maximum of `xs`.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `xs` is empty.
-pub fn min_max(xs: &[f64]) -> Result<(f64, f64), DspError> {
-    if xs.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in xs {
-        if x < lo {
-            lo = x;
-        }
-        if x > hi {
-            hi = x;
-        }
-    }
-    Ok((lo, hi))
-}
-
-/// Subtracts the mean from `xs` in place (DC removal).
-pub fn remove_mean(xs: &mut [f64]) {
-    let m = mean(xs);
-    for x in xs.iter_mut() {
-        *x -= m;
-    }
-}
-
-/// Scales `xs` in place to unit RMS. A zero signal is left unchanged.
-pub fn normalize_rms(xs: &mut [f64]) {
-    let r = rms(xs);
-    if r > 0.0 {
-        for x in xs.iter_mut() {
-            *x /= r;
-        }
-    }
-}
-
-/// Scales `xs` in place to unit Euclidean norm. A zero vector is unchanged.
-pub fn normalize_l2(xs: &mut [f64]) {
-    let n = xs.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if n > 0.0 {
-        for x in xs.iter_mut() {
-            *x /= n;
-        }
-    }
-}
-
-/// Pearson correlation coefficient between two equal-length slices.
-///
-/// # Errors
-///
-/// Returns [`DspError::LengthMismatch`] if lengths differ and
-/// [`DspError::EmptyInput`] if the slices are empty.
-pub fn correlation(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
-    if a.len() != b.len() {
-        return Err(DspError::LengthMismatch {
-            expected: a.len(),
-            actual: b.len(),
-        });
-    }
-    if a.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let (ma, mb) = (mean(a), mean(b));
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        num += (x - ma) * (y - mb);
-        da += (x - ma) * (x - ma);
-        db += (y - mb) * (y - mb);
-    }
-    let denom = (da * db).sqrt();
-    Ok(if denom == 0.0 { 0.0 } else { num / denom })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +101,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(rms(&[]), 0.0);
-        assert!(min_max(&[]).is_err());
     }
 
     #[test]
@@ -242,52 +160,6 @@ mod tests {
         assert_eq!(snr_voltage(1.0, 0.0), f64::INFINITY);
     }
 
-    #[test]
-    fn min_max_finds_extremes() {
-        let (lo, hi) = min_max(&[3.0, -1.0, 4.0, 1.5]).unwrap();
-        assert_eq!(lo, -1.0);
-        assert_eq!(hi, 4.0);
-    }
-
-    #[test]
-    fn remove_mean_zeroes_the_mean() {
-        let mut xs = vec![1.0, 2.0, 3.0, 10.0];
-        remove_mean(&mut xs);
-        assert!(mean(&xs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_rms_gives_unit_rms() {
-        let mut xs = vec![1.0, -2.0, 3.0, -4.0];
-        normalize_rms(&mut xs);
-        assert!((rms(&xs) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut xs = vec![0.0; 4];
-        normalize_l2(&mut xs);
-        assert!(xs.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn correlation_of_identical_signals_is_one() {
-        let a = [1.0, 3.0, 2.0, 5.0];
-        assert!((correlation(&a, &a).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_of_negated_signal_is_minus_one() {
-        let a = [1.0, 3.0, 2.0, 5.0];
-        let b: Vec<f64> = a.iter().map(|x| -x).collect();
-        assert!((correlation(&a, &b).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_rejects_mismatched_lengths() {
-        assert!(correlation(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
     proptest! {
         #[test]
         fn median_equals_the_sorted_order_statistic(
@@ -309,26 +181,6 @@ mod tests {
             let max_abs = xs.iter().fold(0.0f64, |m, x| m.max(x.abs()));
             prop_assert!(r >= 0.0);
             prop_assert!(r <= max_abs + 1e-9);
-        }
-
-        #[test]
-        fn normalized_l2_has_unit_norm(
-            xs in proptest::collection::vec(-100.0f64..100.0, 2..100)
-        ) {
-            prop_assume!(xs.iter().any(|&x| x.abs() > 1e-6));
-            let mut ys = xs.clone();
-            normalize_l2(&mut ys);
-            let n: f64 = ys.iter().map(|y| y * y).sum::<f64>().sqrt();
-            prop_assert!((n - 1.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn correlation_is_within_unit_interval(
-            a in proptest::collection::vec(-100.0f64..100.0, 4..64),
-        ) {
-            let b: Vec<f64> = a.iter().rev().cloned().collect();
-            let c = correlation(&a, &b).unwrap();
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&c));
         }
     }
 }

@@ -176,7 +176,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Runs `body` repeatedly and records its wall-clock time per
-    /// iteration in [`CHUNKS`] equal chunks. In `--test` mode the body
+    /// iteration in `CHUNKS` (10) equal chunks. In `--test` mode the body
     /// runs exactly once, untimed.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut body: F) {
         if self.test_mode {

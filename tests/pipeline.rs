@@ -37,37 +37,6 @@ fn and_fusion_truth_table() {
     assert!(!and.decide([false, false]));
 }
 
-#[test]
-fn majority_fusion_is_strict() {
-    let maj = FusionPolicy::Majority;
-    assert!(!maj.decide([]));
-    assert!(maj.decide([true]));
-    // Exactly half is not a majority.
-    assert!(!maj.decide([true, false]));
-    assert!(maj.decide([true, true, false]));
-    assert!(!maj.decide([true, false, false]));
-    assert!(!maj.decide([true, true, false, false]));
-}
-
-#[test]
-fn weighted_fusion_sums_suspected_weights_inclusively() {
-    let w = FusionPolicy::Weighted {
-        weights: vec![2.0, 1.0],
-        threshold: 2.0,
-    };
-    assert!(w.decide([true, false]), "2.0 >= 2.0 alarms (inclusive)");
-    assert!(!w.decide([false, true]));
-    assert!(w.decide([true, true]));
-    // Votes beyond the weight list carry weight zero.
-    assert!(!w.decide([false, false, true]));
-    // The empty vote set never alarms, whatever the threshold.
-    let zero = FusionPolicy::Weighted {
-        weights: vec![],
-        threshold: 0.0,
-    };
-    assert!(!zero.decide([]));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -82,38 +51,18 @@ proptest! {
             FusionPolicy::And.decide(votes.iter().copied()),
             !votes.is_empty() && suspected == votes.len()
         );
-        prop_assert_eq!(
-            FusionPolicy::Majority.decide(votes.iter().copied()),
-            2 * suspected > votes.len()
-        );
-        // Unit weights reduce Weighted to a count threshold.
-        let k_of_n = FusionPolicy::Weighted {
-            weights: vec![1.0; votes.len()],
-            threshold: 2.0,
-        };
-        prop_assert_eq!(k_of_n.decide(votes.iter().copied()), !votes.is_empty() && suspected >= 2);
     }
 
     #[test]
     fn flipping_a_vote_to_suspected_never_clears_an_alarm(
         raw in proptest::collection::vec(0u8..=1, 1..8),
         flip in 0usize..8,
-        threshold in 0.5f64..4.0,
     ) {
         let votes: Vec<bool> = raw.iter().map(|&v| v == 1).collect();
         let mut more = votes.clone();
         let flip = flip % more.len();
         more[flip] = true;
-        let policies = [
-            FusionPolicy::Or,
-            FusionPolicy::And,
-            FusionPolicy::Majority,
-            FusionPolicy::Weighted {
-                weights: vec![1.0; votes.len()],
-                threshold,
-            },
-        ];
-        for policy in policies {
+        for policy in [FusionPolicy::Or, FusionPolicy::And] {
             prop_assert!(
                 !policy.decide(votes.iter().copied()) || policy.decide(more.iter().copied()),
                 "{} lost its alarm when vote {} turned suspected",
