@@ -175,7 +175,9 @@ impl<'c> Campaign<'c> {
     /// power-on state). A warm-up from power-on is read from the chip's
     /// memo when it keeps it ([`ProtectedChip::warm_up`]), counting
     /// `campaign.warm_memo.hits`, and is simulated otherwise, counting
-    /// `campaign.warm_memo.misses`.
+    /// `campaign.warm_memo.misses`. Each pass has its own span: the
+    /// power-on block (`power_on`), the warm-up (`warm_up`) and the
+    /// streamed round (`record`).
     fn replay(
         &self,
         prev: Option<[u8; 16]>,
@@ -189,11 +191,20 @@ impl<'c> Campaign<'c> {
             return Ok(Vec::new());
         };
         let Some(prev) = prev else {
-            let mut sim = self.chip.power_on(self.armed)?;
-            let mut out = self.lanes(&mut sim, &blocks[..1], table, toggles.as_deref_mut());
+            let (mut sim, mut out) = {
+                let _span = telemetry::span("power_on");
+                let mut sim = self.chip.power_on(self.armed)?;
+                let out = self.lanes(&mut sim, &blocks[..1], table, toggles.as_deref_mut());
+                (sim, out)
+            };
             if !predecessors.is_empty() {
-                let _ = run_encryptions(&mut sim, self.chip.aes_ports(), self.key, predecessors);
-                sim.load_cone(cone, &entries[1..]);
+                {
+                    let _span = telemetry::span("warm_up");
+                    let _ =
+                        run_encryptions(&mut sim, self.chip.aes_ports(), self.key, predecessors);
+                    sim.load_cone(cone, &entries[1..]);
+                }
+                let _span = telemetry::span("record");
                 out.extend(self.lanes(&mut sim, &blocks[1..], table, toggles));
             }
             return Ok(out);
@@ -201,16 +212,21 @@ impl<'c> Campaign<'c> {
         let warmups: Vec<[u8; 16]> = std::iter::once(prev)
             .chain(predecessors.iter().copied())
             .collect();
-        let (mut sim, restored) = self.chip.warm_up(self.key, self.armed, &warmups)?;
-        telemetry::counter(
-            if restored {
-                "campaign.warm_memo.hits"
-            } else {
-                "campaign.warm_memo.misses"
-            },
-            1,
-        );
-        sim.load_cone(cone, entries);
+        let mut sim = {
+            let _span = telemetry::span("warm_up");
+            let (mut sim, restored) = self.chip.warm_up(self.key, self.armed, &warmups)?;
+            telemetry::counter(
+                if restored {
+                    "campaign.warm_memo.hits"
+                } else {
+                    "campaign.warm_memo.misses"
+                },
+                1,
+            );
+            sim.load_cone(cone, entries);
+            sim
+        };
+        let _span = telemetry::span("record");
         Ok(self.lanes(&mut sim, blocks, table, toggles))
     }
 

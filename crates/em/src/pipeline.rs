@@ -183,6 +183,7 @@ impl EmSensor {
     ) -> Result<VoltageTrace, EmError> {
         let _span = emtrust_telemetry::span("measure");
         let mut trace = self.emf(bins, extra_leakage_a, injections)?;
+        let _noise = emtrust_telemetry::span("noise");
         NoiseModel::environment_for(&self.coil, noise_seed).add_to(&mut trace);
         Ok(trace)
     }

@@ -202,13 +202,25 @@ struct ShardShared {
     peak_depth: AtomicUsize,
     control: Mutex<HashMap<String, ChipControl>>,
     counters: ShardCounters,
+    /// The trace buffers of the batches the worker is done with, handed
+    /// back so that `ingest`, on the producer thread that allocated
+    /// them, frees them.
+    spent: Mutex<Spent>,
 }
+
+/// Finished batches' trace buffers.
+type Spent = Vec<Vec<Vec<f64>>>;
 
 impl ShardShared {
     fn lock_control(&self) -> MutexGuard<'_, HashMap<String, ChipControl>> {
         // A worker panic mid-update is survivable: breaker/health state
         // is monotone bookkeeping, so poison recovery is safe.
         self.control.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_spent(&self) -> MutexGuard<'_, Spent> {
+        // The list only ever holds buffers to free.
+        self.spent.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -228,6 +240,10 @@ struct Shard {
     tx: Option<SyncSender<Job>>,
     shared: Arc<ShardShared>,
     handle: Option<JoinHandle<StoreReport>>,
+    /// The producers' side of `shared.spent`: swapped with it, then
+    /// emptied with the worker's list unlocked, so the worker never waits
+    /// on a free and neither list is reallocated.
+    freeing: Mutex<Spent>,
 }
 
 /// The fleet ingestion service. Cheap to share across producer threads
@@ -251,6 +267,7 @@ impl FleetService {
                 peak_depth: AtomicUsize::new(0),
                 control: Mutex::new(HashMap::new()),
                 counters: ShardCounters::default(),
+                spent: Mutex::new(Vec::new()),
             });
             let worker_shared = Arc::clone(&shared);
             let store_cfg = cfg.store;
@@ -273,6 +290,7 @@ impl FleetService {
                 tx: Some(tx),
                 shared,
                 handle: Some(handle),
+                freeing: Mutex::new(Vec::new()),
             });
         }
         Ok(FleetService {
@@ -303,6 +321,14 @@ impl FleetService {
     ) -> Result<IngestReceipt, FleetError> {
         let shard_index = self.shard_of(chip_id);
         let shard = &self.shards[shard_index];
+        // Free the shard's finished batches here, where they were
+        // allocated: a buffer freed on the worker thread costs the
+        // allocator a cross-thread return.
+        {
+            let mut freeing = shard.freeing.lock().unwrap_or_else(|e| e.into_inner());
+            std::mem::swap(&mut *shard.shared.lock_spent(), &mut *freeing);
+            freeing.clear();
+        }
         // Only the refusal and throttle paths label their metrics, so
         // an admitted batch builds no label set.
         let labels = || {
@@ -617,6 +643,7 @@ fn shard_worker(
                 telemetry::counter_with("fleet.store_errors", &shard_labels, 1);
             }
         }
+        shared.lock_spent().push(job.traces);
         // Counted once the batch's breaker feedback is in, so a reader
         // that sees the count also sees the breaker it updated.
         shared

@@ -10,11 +10,12 @@
 //!    [`emtrust_sim::Sources`]). [`ChargeTable::bin_words`] sums one
 //!    clock edge's toggle bits of every live lane ([`ToggleWords`]) into
 //!    one [`ChargeBins`] entry per (lane, level, weight set), level run
-//!    by level run, and does the work of the blocks the lanes share
-//!    once. Every bin adds its toggles in serial event order; the clock
-//!    edge opens the level-0 bin. A stored [`ActivityTrace`] keeps the
-//!    same words, one lane's per cycle, and [`ChargeTable::bin_trace`]
-//!    bins them with the same kernel.
+//!    by level run, does the work of the blocks the lanes share once and
+//!    folds the others source by source into every lane at once. Every
+//!    bin adds its toggles in serial event order; the clock edge opens
+//!    the level-0 bin. A stored [`ActivityTrace`] keeps the same words,
+//!    one lane's per cycle, and [`ChargeTable::bin_trace`] bins them with
+//!    the same kernel.
 //! 2. **Render.** [`ChargeTable::render`] deposits each bin once, split
 //!    linearly over the two samples around its instant, over each set's
 //!    leakage floor, then adds the per-cycle extra leakage.
@@ -529,8 +530,11 @@ impl ChargeTable {
     /// Per level, the blocks every lane shares ([`ToggleWords::shared`])
     /// up to the first that they do not are summed once, into one
     /// accumulator. From there each lane has its own: a shared block's
-    /// amplitudes are read once and added to every lane's, and a run of
-    /// other blocks is binned lane by lane.
+    /// amplitudes are read once and added to every lane's, and every
+    /// other block is folded source by source from its masks
+    /// ([`ToggleWords::masks`]): each source's falling and rising
+    /// deposits are made once, and its new value in each lane picks the
+    /// one that lane adds. No lane's own words are gathered.
     ///
     /// # Panics
     ///
@@ -607,10 +611,8 @@ impl ChargeTable {
         first: usize,
     ) {
         let (sets, lanes, shared) = (self.sets, words.lanes(), words.shared());
-        let (toggled0, values0) = words.rows(0);
+        let (toggled0, values0) = words.lane0();
         let mut acc = [[0.0; N]; LANES];
-        let mut touched = [false; LANES];
-        let (acc, touched) = (&mut acc[..lanes], &mut touched[..lanes]);
         let mut lo = 0;
         for (level, &hi) in level_ends.iter().enumerate() {
             let run = lo..hi;
@@ -648,13 +650,15 @@ impl ChargeTable {
                 }
                 continue;
             }
+            let acc = &mut acc[..lanes];
             acc.fill(common);
-            touched.fill(any);
+            // Bit `j`: lane `j`'s bin at this level holds a toggle.
+            let mut touched = if any { u64::MAX } else { 0 };
             while b <= last_word {
                 if shared[b] {
                     let mut t = in_level(b, toggled0[b]);
                     if t != 0 {
-                        touched.fill(true);
+                        touched = u64::MAX;
                     }
                     let v = values0[b];
                     while t != 0 {
@@ -671,27 +675,32 @@ impl ChargeTable {
                     b += 1;
                     continue;
                 }
-                let end = (b..=last_word)
-                    .find(|&e| shared[e])
-                    .unwrap_or(last_word + 1);
-                for (lane, (acc, touched)) in acc.iter_mut().zip(touched.iter_mut()).enumerate() {
-                    let (toggled, values) = words.rows(lane);
-                    let mut sum = *acc;
-                    for w in b..end {
-                        let t = in_level(w, toggled[w]);
-                        *touched |= t != 0;
-                        self.add_word(&mut sum, w, t, values[w], first);
+                // Source by source: both edges' deposits once, then the
+                // one its new value picks into every lane it toggled in.
+                // Each lane still adds its toggles in source order.
+                let (masks, news) = words.masks(b);
+                let base = b * LANES;
+                for i in run.start.max(base) - base..run.end.min(base + LANES) - base {
+                    let mut lanes = masks[i];
+                    if lanes == 0 {
+                        continue;
                     }
-                    *acc = sum;
+                    touched |= lanes;
+                    let rising = news[i];
+                    let edges = [0, 1].map(|edge| self.deposit::<N>(base + i, edge, first));
+                    while lanes != 0 {
+                        let j = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        let deposit = &edges[(rising >> j & 1) as usize];
+                        for (a, d) in acc[j].iter_mut().zip(deposit) {
+                            *a += d;
+                        }
+                    }
                 }
-                b = end;
+                b += 1;
             }
-            for ((bins, &start), (acc, &touched)) in bins
-                .iter_mut()
-                .zip(starts)
-                .zip(acc.iter().zip(touched.iter()))
-            {
-                if touched {
+            for (lane, ((bins, &start), acc)) in bins.iter_mut().zip(starts).zip(acc).enumerate() {
+                if touched >> lane & 1 != 0 {
                     bins.store(start + level * sets, sets, first, acc);
                 }
             }
@@ -1560,6 +1569,97 @@ mod tests {
                     proptest::prop_assert!(same, "lane {}: synthesize_multi", lane);
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// The multi-lane fold against each lane's own recording, binned
+        /// as one-lane edges (where every block is shared and no mask is
+        /// read) and counted event by event.
+        #[test]
+        fn folded_lanes_bin_and_count_like_their_own_recordings(
+            seed in 1u64..u64::MAX,
+            lanes in 1usize..=LANES,
+        ) {
+            use emtrust_aes::netlist::{run_encryptions, run_encryptions_stepped};
+            use emtrust_sim::ToggleActivity;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let aes = aes();
+            let n = aes.netlist();
+            // Two encryptions per lane, the second from the state the
+            // first left. Each draws its lanes' plaintexts from a pool
+            // of 2 to `lanes`, so some lanes encrypt equal plaintexts
+            // and others distinct ones: the key schedule's blocks are
+            // shared, the data path's mostly not.
+            let block = |rng: &mut rand::rngs::StdRng| {
+                (u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>())).to_le_bytes()
+            };
+            let pools: Vec<Vec<[u8; 16]>> = (0..2)
+                .map(|_| (0..rng.gen_range(2..=lanes.max(2))).map(|_| block(&mut rng)).collect())
+                .collect();
+            let key = block(&mut rng);
+            let rounds: Vec<Vec<[u8; 16]>> = pools
+                .iter()
+                .map(|pool| {
+                    (0..lanes).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+                })
+                .collect();
+            // Weights over twelve decades make each bin's summation order
+            // visible in its bits. One table per set count: 1, the 8 of
+            // one register group, and 9, which adds a lone set.
+            let weight_sets: Vec<Vec<f64>> = (0..9)
+                .map(|_| {
+                    (0..n.cell_count())
+                        .map(|_| 10f64.powi(rng.gen_range(0..13) - 6) * (1.0 + rng.gen::<f64>()))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<Option<&[f64]>> = weight_sets.iter().map(|w| Some(w.as_slice())).collect();
+            let tables: Vec<ChargeTable> = [1, 8, 9]
+                .into_iter()
+                .map(|sets| model().charge_table(n, &refs[..sets]).unwrap())
+                .collect();
+            let mut sim = aes.simulator().unwrap();
+            let mut bins: Vec<Vec<ChargeBins>> = tables.iter().map(|t| vec![t.bins(); lanes]).collect();
+            let mut counts = ToggleActivity::new();
+            let mut mixed = 0;
+            for pts in &rounds {
+                let _ = run_encryptions_stepped(&mut sim, aes.ports(), key, pts, |s| {
+                    s.step_words(|words| {
+                        for (table, bins) in tables.iter().zip(&mut bins) {
+                            table.bin_words(words, bins);
+                        }
+                        counts.absorb_words(words);
+                        let shared = words.shared();
+                        mixed += usize::from(shared.contains(&true) && shared.contains(&false));
+                    })
+                });
+            }
+            let distinct = rounds.iter().any(|pts| pts.iter().any(|pt| *pt != pts[0]));
+            proptest::prop_assert!(mixed > 0 || !distinct, "no edge mixed shared and unshared blocks");
+            let mut recorder = aes.simulator().unwrap();
+            let mut recordings = vec![ActivityTrace::new(); lanes];
+            for pts in &rounds {
+                recorder.start_recording();
+                let _ = run_encryptions(&mut recorder, aes.ports(), key, pts);
+                for (all, trace) in recordings.iter_mut().zip(recorder.take_lane_recordings()) {
+                    all.extend_from(trace);
+                }
+            }
+            for (table, bins) in tables.iter().zip(&bins) {
+                for (lane, (bins, recorded)) in bins.iter().zip(&recordings).enumerate() {
+                    let sets = table.sets;
+                    proptest::prop_assert_eq!(bins, &table.bin_trace(recorded, 1), "{} sets, lane {}", sets, lane);
+                }
+            }
+            let mut expected = ToggleActivity::new();
+            for recorded in &recordings {
+                expected.absorb(recorded);
+            }
+            proptest::prop_assert_eq!(&counts, &expected);
         }
     }
 

@@ -203,7 +203,10 @@ impl FabricatedChip {
             Channel::ExternalProbe => &self.external_scope,
         };
         match scope {
-            Some(scope) => scope.acquire(&trace, seed.wrapping_mul(31) ^ self.chip_id),
+            Some(scope) => {
+                let _span = emtrust_telemetry::span("scope");
+                scope.acquire(&trace, seed.wrapping_mul(31) ^ self.chip_id)
+            }
             None => trace,
         }
     }

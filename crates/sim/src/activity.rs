@@ -6,11 +6,11 @@
 //! `t = cycle·T_clk + level·τ_gate`, which is how the within-cycle current
 //! profile (and hence the EM spectrum) arises.
 //!
-//! An [`ActivityTrace`] stores a recorded lane's toggles as the simulator
-//! hands them out ([`ToggleWords`]): per cycle, one toggled and one value
-//! bit per source of the program's [`Sources`], 64 sources a word, in one
-//! flat buffer. A [`CycleActivity`] decodes its cycle's events from those
-//! words on demand, in serial event order.
+//! An [`ActivityTrace`] stores a recorded lane's toggles as the packed
+//! words of a one-lane edge ([`ToggleWords`]): per cycle, one toggled and
+//! one value bit per source of the program's [`Sources`], 64 sources a
+//! word, in one flat buffer. A [`CycleActivity`] decodes its cycle's
+//! events from those words on demand, in serial event order.
 //!
 //! Level convention: flip-flop `q` transitions are level 0 (they fire at
 //! the clock edge); a combinational cell at levelization depth `d` reports
@@ -109,10 +109,11 @@ impl Iterator for Events<'_> {
 
 /// A multi-cycle switching-activity trace: one lane's recording.
 ///
-/// Each cycle keeps the lane's toggled words, then its value words, as
-/// [`ToggleWords`] hands them out, a shared block resolved to lane 0's
-/// words: `2·⌈sources/64⌉` words a cycle in one buffer for the whole
-/// trace (316 on the golden AES chip, against about 4 250 12-byte events).
+/// Each cycle keeps the lane's toggled words, then its value words, a
+/// shared block's packed words as [`ToggleWords`] hands them out and an
+/// unshared one's gathered from its masks: `2·⌈sources/64⌉` words a cycle
+/// in one buffer for the whole trace (316 on the golden AES chip, against
+/// about 4 250 12-byte events).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActivityTrace {
     /// The sources the bits stand for; `None` before the first cycle.
@@ -132,27 +133,38 @@ impl ActivityTrace {
         Self::default()
     }
 
-    /// Appends lane `lane`'s words of one clock edge, clock cycle `cycle`
-    /// if the trace is empty, of a program with sources `sources`.
-    pub(crate) fn push_lane(
-        &mut self,
+    /// Appends one clock edge, clock cycle `cycle` of a program with
+    /// sources `sources`, to the traces of its live lanes, `traces[j]`
+    /// lane `j`'s: a shared block's packed words to every trace, and each
+    /// lane's own words of any other block, gathered from its masks. An
+    /// empty trace starts at `cycle`.
+    pub(crate) fn push_edge(
+        traces: &mut [ActivityTrace],
         sources: &Arc<Sources>,
         cycle: u64,
         words: &ToggleWords<'_>,
-        lane: usize,
     ) {
-        if self.sources.is_none() {
-            self.blocks = sources.len().div_ceil(LANES);
-            self.first = cycle;
-            self.sources = Some(Arc::clone(sources));
+        let blocks = sources.len().div_ceil(LANES);
+        for trace in traces.iter_mut() {
+            if trace.sources.is_none() {
+                trace.blocks = blocks;
+                trace.first = cycle;
+                trace.sources = Some(Arc::clone(sources));
+            }
+            trace.words.resize(trace.words.len() + 2 * blocks, 0);
+            trace.cycles += 1;
         }
-        let ((toggled, values), (toggled0, values0)) = (words.rows(lane), words.rows(0));
-        let shared = words.shared();
-        for (own, lane0) in [(toggled, toggled0), (values, values0)] {
-            let resolved = (0..self.blocks).map(|b| if shared[b] { lane0[b] } else { own[b] });
-            self.words.extend(resolved);
+        let (toggled0, values0) = words.lane0();
+        for (b, &shared) in words.shared().iter().enumerate() {
+            let gathered = (!shared).then(|| words.gather(b));
+            for (lane, trace) in traces.iter_mut().enumerate() {
+                let at = trace.words.len() - 2 * blocks + b;
+                (trace.words[at], trace.words[at + blocks]) = match &gathered {
+                    Some((toggled, values)) => (toggled[lane], values[lane]),
+                    None => (toggled0[b], values0[b]),
+                };
+            }
         }
-        self.cycles += 1;
     }
 
     /// Releases the capacity recording reserved beyond the trace's cycles.
@@ -300,26 +312,30 @@ impl ToggleActivity {
     }
 
     /// Accumulates one clock edge of every live lane, straight from the
-    /// simulator's bits: a shared block is counted once, times the
-    /// lanes. A stream absorbed edge by edge equals [`Self::from_trace`]
-    /// of its lanes' recordings, absorbed one after another.
+    /// simulator's bits: a shared block's toggles are counted once, times
+    /// the lanes, and each source of any other block counts the live
+    /// lanes in its toggled mask. A stream absorbed edge by edge equals
+    /// [`Self::from_trace`] of its lanes' recordings, absorbed one after
+    /// another.
     pub fn absorb_words(&mut self, words: ToggleWords<'_>) {
         let sources = words.sources().events();
         let lanes = words.lanes();
-        let mut count = |b: usize, mut t: u64, by: u64| {
-            while t != 0 {
-                let i = t.trailing_zeros() as usize;
-                t &= t - 1;
-                self.count(sources[b * LANES + i].cell.index(), by);
+        let (toggled0, _) = words.lane0();
+        for (b, &shared) in words.shared().iter().enumerate() {
+            if shared {
+                let mut t = toggled0[b];
+                while t != 0 {
+                    let i = t.trailing_zeros() as usize;
+                    t &= t - 1;
+                    self.count(sources[b * LANES + i].cell.index(), lanes as u64);
+                }
+                continue;
             }
-        };
-        for lane in 0..lanes {
-            let (toggled, _) = words.rows(lane);
-            for (b, (&t, &shared)) in toggled.iter().zip(words.shared()).enumerate() {
-                match (shared, lane) {
-                    (false, _) => count(b, t, 1),
-                    (true, 0) => count(b, t, lanes as u64),
-                    (true, _) => {}
+            let (masks, _) = words.masks(b);
+            let block = &sources[b * LANES..sources.len().min((b + 1) * LANES)];
+            for (source, &mask) in block.iter().zip(masks) {
+                if mask != 0 {
+                    self.count(source.cell.index(), u64::from(mask.count_ones()));
                 }
             }
         }

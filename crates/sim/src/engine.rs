@@ -19,14 +19,15 @@
 //! of the same stimulus.
 //!
 //! An edge hands every live lane's toggles over at once as
-//! [`ToggleWords`]: per lane, one bit per source for "toggled" and one
-//! for its new value, 64 sources a word, from reused scratch, plus which
-//! blocks of 64 sources every lane toggled alike. Such a **shared** block
-//! is stored once, in lane 0, and a sink does its work once for all the
-//! lanes. [`Simulator::step_words`] streams the edges to the caller;
-//! [`Simulator::step`] with a recording in progress appends each live
-//! lane's words, a shared block resolved to lane 0's, to that lane's
-//! [`ActivityTrace`].
+//! [`ToggleWords`], from reused scratch, in blocks of 64 sources. A block
+//! that every lane toggled alike is **shared**: one packed word pair,
+//! one bit per source for "toggled" and one for its new value, stands
+//! for every lane, and a sink does its work once for all the lanes. Any
+//! other block stays as the kernel made it: per source, the mask of
+//! lanes it toggled in and its new values. [`Simulator::step_words`]
+//! streams the edges to the caller; [`Simulator::step`] with a recording
+//! in progress gathers each live lane's own words of the unshared blocks
+//! and appends them to that lane's [`ActivityTrace`].
 //!
 //! A [`Cone`] is the part of a circuit that some flops' next state
 //! depends on ([`Program::cone`]). [`Simulator::step_cone`] runs it
@@ -153,28 +154,37 @@ impl Sources {
     }
 }
 
-/// Every live lane's toggles of one clock edge, 64 sources a word: in
-/// lane `j`'s word `b`, bit `i` stands for source `64·b + i` of
-/// [`Self::sources`]. A set bit of its toggled word means the source
-/// toggled, and the same bit of its value word is its new value (1: a
-/// rising edge).
+/// Every live lane's toggles of one clock edge, in blocks of 64 sources:
+/// bit `i` of block `b` stands for source `64·b + i` of [`Self::sources`].
 ///
-/// A block of 64 sources is **shared** when it toggled the same way in
-/// every live lane: each source toggled in all of them or in none, with
-/// one new value. Only lane 0's words of a shared block are stored, and
-/// they stand for every lane ([`Self::events`] reads them so), so a sink
-/// can do the work of a shared block once for all lanes. The flags are
-/// read off the toggle masks alone; a single live lane shares every
-/// block.
+/// A block is **shared** when it toggled the same way in every live
+/// lane: each source toggled in all of them or in none, with one new
+/// value. A shared block is one packed word pair ([`Self::lane0`]): bit
+/// `i` of its toggled word is set if source `64·b + i` toggled, and the
+/// same bit of its value word is the new value (1: a rising edge); the
+/// pair stands for every lane, so a sink can do the block's work once.
+/// Any other block is laid out per source ([`Self::masks`]), as the
+/// simulator evaluates it: a source's toggled mask has bit `j` set if it
+/// toggled in live lane `j` (never a dead lane's bit), and its value
+/// mask's bit `j` is its new value in lane `j`. No lane's own words of
+/// such a block exist; [`Self::events`] and a recording gather them.
+/// The flags are read off the toggle masks alone; a single live lane
+/// shares every block.
 #[derive(Debug, Clone, Copy)]
 pub struct ToggleWords<'a> {
     sources: &'a Sources,
     lanes: usize,
-    /// Words per lane.
-    blocks: usize,
-    /// Lane-major: lane `j`'s word `b` at `j·blocks + b`.
+    /// Per block: lane 0's toggled and value words; current in a shared
+    /// block, stale in any other.
     toggled: &'a [u64],
     values: &'a [u64],
+    /// The unshared blocks' masks, 64 per block in block order: each
+    /// source's toggled lanes and new values (empty on a one-lane edge).
+    lane_toggled: &'a [u64],
+    lane_values: &'a [u64],
+    /// Per block: where its masks start in `lane_toggled`, in blocks;
+    /// current in an unshared block, stale in a shared one.
+    slots: &'a [u32],
     /// Per block: whether it is shared.
     shared: &'a [bool],
 }
@@ -185,9 +195,11 @@ impl<'a> ToggleWords<'a> {
         Self {
             sources,
             lanes: 1,
-            blocks: toggled.len(),
             toggled,
             values,
+            lane_toggled: &[],
+            lane_values: &[],
+            slots: &[],
             shared: &sources.one_lane[..toggled.len()],
         }
     }
@@ -207,23 +219,41 @@ impl<'a> ToggleWords<'a> {
         self.shared
     }
 
-    /// Lane `lane`'s stored words, toggled and values. A shared block's
-    /// words are stored in lane 0 only; elsewhere they are stale.
+    /// Per block, the packed toggled and value words that stand for every
+    /// lane; only a shared block's are current.
+    pub fn lane0(&self) -> (&'a [u64], &'a [u64]) {
+        (self.toggled, self.values)
+    }
+
+    /// Unshared block `b`'s masks: at index `i`, the live lanes source
+    /// `64·b + i` toggled in and its new value in each lane (0 past the
+    /// last source). A shared block's are stale.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= self.lanes()`.
-    pub fn rows(&self, lane: usize) -> (&'a [u64], &'a [u64]) {
-        assert!(lane < self.lanes, "lane {lane} is not live");
-        let row = lane * self.blocks..(lane + 1) * self.blocks;
-        (&self.toggled[row.clone()], &self.values[row])
+    /// May panic if block `b` is shared.
+    pub fn masks(&self, b: usize) -> (&'a [u64; LANES], &'a [u64; LANES]) {
+        let at = self.slots[b] as usize * LANES..(self.slots[b] as usize + 1) * LANES;
+        let block = |masks: &'a [u64]| -> &'a [u64; LANES] {
+            masks[at.clone()]
+                .try_into()
+                .unwrap_or_else(|_| unreachable!())
+        };
+        (block(self.lane_toggled), block(self.lane_values))
     }
 
-    /// Lane `lane`'s words of block `b`, toggled and values.
-    fn word(&self, lane: usize, b: usize) -> (u64, u64) {
-        let lane = if self.shared[b] { 0 } else { lane };
-        let (toggled, values) = self.rows(lane);
-        (toggled[b], values[b])
+    /// Every live lane's own toggled and value words of unshared block
+    /// `b`, lane `j`'s at index `j` (the entries past the live lanes are
+    /// garbage): the block's masks, transposed.
+    pub(crate) fn gather(&self, b: usize) -> ([u64; LANES], [u64; LANES]) {
+        let need = self.lanes.next_power_of_two();
+        let (toggled, values) = self.masks(b);
+        let mut rows = [*toggled, *values];
+        for row in &mut rows {
+            transpose64(row, need);
+        }
+        let [toggled, values] = rows;
+        (toggled, values)
     }
 
     /// Lane `lane`'s toggles as events, in serial event order: the order
@@ -233,11 +263,15 @@ impl<'a> ToggleWords<'a> {
     ///
     /// Panics if `lane >= self.lanes()`.
     pub fn events(&self, lane: usize) -> Vec<ToggleEvent> {
-        let words = (0..self.blocks).map(|b| self.word(lane, b));
-        let count = words.clone().map(|(t, _)| t.count_ones() as usize).sum();
-        let mut events = Vec::with_capacity(count);
-        for (b, (t, v)) in words.enumerate() {
-            let mut t = t;
+        assert!(lane < self.lanes, "lane {lane} is not live");
+        let mut events = Vec::new();
+        for b in 0..self.shared.len() {
+            let (mut t, v) = if self.shared[b] {
+                (self.toggled[b], self.values[b])
+            } else {
+                let (toggled, values) = self.gather(b);
+                (toggled[lane], values[lane])
+            };
             while t != 0 {
                 let i = t.trailing_zeros();
                 t &= t - 1;
@@ -606,11 +640,16 @@ pub struct Simulator<'a> {
     recording: bool,
     /// One trace per lane; only live lanes grow while recording.
     traces: Vec<ActivityTrace>,
-    /// Per live lane, per block of 64 sources: which of the block's
-    /// sources toggled and their new values, lane-major (scratch), packed
-    /// or transposed during evaluation.
+    /// Per block of 64 sources: lane 0's packed toggled and value words
+    /// (scratch).
+    toggled: Vec<u64>,
+    values: Vec<u64>,
+    /// The unshared blocks' per-source masks of live lanes toggled and
+    /// new values, in block order, and per block where its masks start
+    /// (scratch).
     lane_toggled: Vec<u64>,
     lane_values: Vec<u64>,
+    slots: Vec<u32>,
     /// Per block: whether every live lane toggled it alike (scratch).
     shared: Vec<bool>,
     cycle: u64,
@@ -657,8 +696,11 @@ impl<'a> Simulator<'a> {
             live: 1,
             recording: false,
             traces: vec![ActivityTrace::new(); LANES],
+            toggled: Vec::new(),
+            values: Vec::new(),
             lane_toggled: Vec::new(),
             lane_values: Vec::new(),
+            slots: Vec::new(),
             shared: Vec::new(),
             cycle: 0,
         }
@@ -829,9 +871,7 @@ impl<'a> Simulator<'a> {
             let mut traces = std::mem::take(&mut self.traces);
             let (sources, cycle) = (Arc::clone(&self.program.sources), self.cycle);
             self.step_words(|words| {
-                for (lane, trace) in traces[..words.lanes()].iter_mut().enumerate() {
-                    trace.push_lane(&sources, cycle, &words, lane);
-                }
+                ActivityTrace::push_edge(&mut traces[..words.lanes()], &sources, cycle, &words);
             });
             self.traces = traces;
             return;
@@ -963,14 +1003,14 @@ impl<'a> Simulator<'a> {
     /// Evaluates lane 0 as the only live lane — a campaign's power-on
     /// block and every one-lane [`Self::step`] recording — packing each
     /// source's toggle and new value into one bit per source as it goes:
-    /// no per-source words are stored and no lane-major transposes run.
-    /// One lane shares every block. Sending one lane through
-    /// [`Self::emit_lanes`] instead costs about 1.4× as much per
-    /// encryption on the all-Trojan chip with T1 armed (589–643 µs
-    /// against 415–431 µs with a sink that only counts words, best of 5
-    /// runs of 400 encryptions, 2-vCPU host).
+    /// no per-source mask is stored. One lane shares every block. Sending
+    /// one lane through [`Self::emit_lanes`] instead costs about 1.4–1.5×
+    /// as much per encryption on the all-Trojan chip with T1 armed
+    /// (586–621 µs against 395–426 µs with a sink that only counts words,
+    /// best of 5 runs of 400 encryptions, quiet-phase pairs on a 2-vCPU
+    /// host).
     fn emit_lane0(&mut self, sink: &mut impl FnMut(ToggleWords<'_>)) {
-        let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
+        let (toggled, values) = (&mut self.toggled, &mut self.values);
         toggled.clear();
         values.clear();
         let (mut t, mut v, mut k) = (0u64, 0u64, 0u32);
@@ -994,14 +1034,11 @@ impl<'a> Simulator<'a> {
             toggled.push(t);
             values.push(v);
         }
-        sink(ToggleWords {
-            sources: &self.program.sources,
-            lanes: 1,
-            blocks: toggled.len(),
+        sink(ToggleWords::one_lane(
+            &self.program.sources,
             toggled,
             values,
-            shared: &self.program.sources.one_lane,
-        });
+        ));
     }
 
     /// Evaluates every lane, gathering each block of 64 sources'
@@ -1009,45 +1046,49 @@ impl<'a> Simulator<'a> {
     /// shared when every source's mask is empty or all the live lanes and
     /// its new value is one bit for all of them; then lane 0's bits stand
     /// for every lane and are packed from the masks' low bits. Any other
-    /// block is transposed and laid out lane-major. No per-source word is
-    /// stored. Then the whole edge goes to the sink.
+    /// block's masks are copied out as they are: no lane's own words are
+    /// gathered. Then the whole edge goes to the sink.
     fn emit_lanes(&mut self, sink: &mut impl FnMut(ToggleWords<'_>)) {
         let lanes = self.live;
         let live = u64::MAX >> (LANES - lanes);
         let blocks = self.program.sources.len().div_ceil(LANES);
-        let (toggled, values) = (&mut self.lane_toggled, &mut self.lane_values);
-        toggled.resize(lanes * blocks, 0);
-        values.resize(lanes * blocks, 0);
+        let (toggled, values) = (&mut self.toggled, &mut self.values);
+        toggled.resize(blocks, 0);
+        values.resize(blocks, 0);
+        let (masks, news) = (&mut self.lane_toggled, &mut self.lane_values);
+        masks.clear();
+        news.clear();
+        // Room for every block up front, so that no later edge grows it.
+        masks.reserve(blocks * LANES);
+        news.reserve(blocks * LANES);
+        let slots = &mut self.slots;
+        slots.resize(blocks, 0);
         let shared = &mut self.shared;
         shared.clear();
         shared.resize(blocks, false);
         let (mut t, mut v) = ([0u64; LANES], [0u64; LANES]);
         let (mut b, mut k) = (0, 0);
-        let need = lanes.next_power_of_two();
-        let mut flush = |t: &mut [u64; LANES], v: &mut [u64; LANES], b: usize| {
+        let mut flush = |t: &[u64; LANES], v: &[u64; LANES], b: usize| {
             // A mask is empty or all the live lanes exactly when each of
             // its live bits equals the next one up; so must the rising
             // bits be.
             let mut d = 0u64;
-            for (&tog, &new) in t.iter().zip(v.iter()) {
+            for (&tog, &new) in t.iter().zip(v) {
                 let rising = new & tog;
                 d |= (tog ^ (tog >> 1)) | (rising ^ (rising >> 1));
             }
-            let alike = d & (live >> 1) == 0;
-            if alike {
+            shared[b] = d & (live >> 1) == 0;
+            if shared[b] {
                 let lane0 = |rows: &[u64; LANES]| {
                     rows.iter()
                         .enumerate()
                         .fold(0, |word, (k, &row)| word | (row & 1) << k)
                 };
-                (toggled[b], values[b], shared[b]) = (lane0(t), lane0(v), true);
-                return;
-            }
-            for (block, to) in [(t, &mut *toggled), (v, &mut *values)] {
-                transpose64(block, need);
-                for (lane, &word) in block[..lanes].iter().enumerate() {
-                    to[lane * blocks + b] = word;
-                }
+                (toggled[b], values[b]) = (lane0(t), lane0(v));
+            } else {
+                slots[b] = (masks.len() / LANES) as u32;
+                masks.extend_from_slice(t);
+                news.extend_from_slice(v);
             }
         };
         evaluate(
@@ -1060,7 +1101,7 @@ impl<'a> Simulator<'a> {
                 v[k] = new;
                 k += 1;
                 if k == LANES {
-                    flush(&mut t, &mut v, b);
+                    flush(&t, &v, b);
                     (b, k) = (b + 1, 0);
                 }
             },
@@ -1069,14 +1110,16 @@ impl<'a> Simulator<'a> {
             // The rows past the last source stand for no source.
             t[k..].fill(0);
             v[k..].fill(0);
-            flush(&mut t, &mut v, b);
+            flush(&t, &v, b);
         }
         sink(ToggleWords {
             sources: &self.program.sources,
             lanes,
-            blocks,
-            toggled: &self.lane_toggled,
-            values: &self.lane_values,
+            toggled: &self.toggled,
+            values: &self.values,
+            lane_toggled: &self.lane_toggled,
+            lane_values: &self.lane_values,
+            slots: &self.slots,
             shared: &self.shared,
         });
     }

@@ -28,18 +28,20 @@
 //!    up to 64 encryptions at the cost of about one.
 //! 2. **Activity capture** — each clock edge hands the toggles of every
 //!    live lane at once to the one sink of
-//!    [`engine::Simulator::step_words`] as [`engine::ToggleWords`]: per
-//!    lane and word of 64 sources (the program's [`engine::Sources`]:
-//!    flip-flops, then gates in evaluation order), which toggled and
-//!    their new values, from reused scratch. A word that every lane
-//!    toggled alike, each source in all lanes or in none and with one new
-//!    value, is marked shared and stored once; that is read off the
-//!    toggle masks alone. The power model bins those bits into per-level
-//!    charge and [`activity::ToggleActivity`] counts them per cell, each
-//!    doing a shared word's work once for all lanes, with no event object
-//!    in between. A recording ([`engine::Simulator::step`] after
-//!    `start_recording`) stores the same words, one lane's per cycle, in
-//!    an [`activity::ActivityTrace`], and decodes them into
+//!    [`engine::Simulator::step_words`] as [`engine::ToggleWords`], in
+//!    blocks of 64 sources (the program's [`engine::Sources`]: flip-flops,
+//!    then gates in evaluation order), from reused scratch. A block that
+//!    every lane toggled alike, each source in all lanes or in none and
+//!    with one new value, is marked shared and stored once, as one packed
+//!    word pair of which sources toggled and their new values; that is
+//!    read off the toggle masks alone. Any other block keeps each
+//!    source's toggled-lanes and new-values masks. The power model bins
+//!    those bits into per-level charge and [`activity::ToggleActivity`]
+//!    counts them per cell, each doing a shared block's work once for all
+//!    lanes and folding an unshared one source by source, with no event
+//!    object in between. A recording ([`engine::Simulator::step`] after
+//!    `start_recording`) stores each lane's own words, one lane's per
+//!    cycle, in an [`activity::ActivityTrace`], and decodes them into
 //!    [`activity::ToggleEvent`]s on demand; the power model bins them
 //!    like streamed words, and its per-event oracle turns each event into
 //!    a current pulse at `t = cycle·T + level·τ_gate`.
